@@ -21,9 +21,6 @@
 ///   one fault class (`trace_drop`, `metric_nan`, `metric_stale`,
 ///   `stale_model`, `creation_fail`, `slow_start`, `latency_spike`, or
 ///   `none`); all classes run when unset.
-/// * `--sim-threads <n>` — worker threads for the sharded simulation
-///   executor (results are bit-identical for any value; unset = serial
-///   `World`, which is also the differential reference).
 #[derive(Clone, Debug)]
 pub struct Args {
     /// Base RNG seed.
@@ -44,9 +41,6 @@ pub struct Args {
     pub threads: Option<usize>,
     /// Fault-class filter for chaos-aware binaries (None = all classes).
     pub chaos: Option<String>,
-    /// Sharded-simulation worker threads (deterministic for any value;
-    /// None = serial `World`).
-    pub sim_threads: Option<usize>,
 }
 
 impl Default for Args {
@@ -61,7 +55,6 @@ impl Default for Args {
             audit: None,
             threads: None,
             chaos: None,
-            sim_threads: None,
         }
     }
 }
@@ -107,14 +100,6 @@ impl Args {
                             .and_then(|v| v.parse().ok())
                             .filter(|&n| n >= 1)
                             .expect("--threads needs a positive integer"),
-                    );
-                }
-                "--sim-threads" => {
-                    out.sim_threads = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n >= 1)
-                            .expect("--sim-threads needs a positive integer"),
                     );
                 }
                 other => panic!("unknown flag {other}; see crate docs"),
@@ -218,14 +203,6 @@ mod tests {
         assert_eq!(parse(&["--threads", "3"]).threads, Some(3));
         let caught = std::panic::catch_unwind(|| parse(&["--threads", "0"]));
         assert!(caught.is_err(), "--threads 0 must be rejected");
-    }
-
-    #[test]
-    fn sim_threads_flag_parses_and_rejects_zero() {
-        assert_eq!(parse(&[]).sim_threads, None);
-        assert_eq!(parse(&["--sim-threads", "4"]).sim_threads, Some(4));
-        let caught = std::panic::catch_unwind(|| parse(&["--sim-threads", "0"]));
-        assert!(caught.is_err(), "--sim-threads 0 must be rejected");
     }
 
     #[test]

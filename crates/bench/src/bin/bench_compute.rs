@@ -32,7 +32,6 @@ use graf_core::sample_collector::{Bounds, Sample};
 use graf_core::solver::{integer_refine, solve, SolverConfig};
 use graf_gnn::{GnnConfig, GraphSpec, LatencyNet, MicroserviceGnn};
 use graf_nn::{Adam, AsymmetricHuber, Matrix};
-use graf_sim::exec::ShardedWorld;
 use graf_sim::rng::DetRng;
 use graf_sim::time::SimTime;
 use graf_sim::topology::{ApiId, ServiceId};
@@ -215,98 +214,17 @@ fn bench_sim_50k(warmup: usize, reps: usize) -> (f64, f64) {
     })
 }
 
-/// The parallel tier of the 10 s scenario: the same boutique run on the
-/// sharded executor ([`ShardedWorld`]) with `threads` workers. Sharded mode
-/// requires no client timeout and a nonzero child-return delay, so the
-/// config differs from the serial tier exactly there (`return_us: 250`, the
-/// boutique's fastest hop) — which is why the parallel tiers carry their own
-/// bench ids instead of replacing the serial baseline.
-fn bench_sim_10s_sharded(threads: usize, warmup: usize, reps: usize) -> (f64, f64) {
-    time_stats_ms(warmup, reps, || {
-        let topo = graf_apps::online_boutique();
-        let cfg = SimConfig { request_timeout_us: None, return_us: 250, ..SimConfig::default() };
-        let mut w = ShardedWorld::new(topo, cfg, 9, threads);
-        for s in 0..6u16 {
-            w.add_instances(ServiceId(s), 4, 250.0, SimTime::ZERO);
-        }
-        let mut rng = DetRng::new(9 ^ 0x51);
-        for (api, rate) in [(0u16, 180.0f64), (1, 180.0), (2, 240.0)] {
-            let mut t = 0.0;
-            loop {
-                t += rng.exp(1e6 / rate);
-                if t >= 10e6 {
-                    break;
-                }
-                w.inject(ApiId(api), SimTime(t as u64));
-            }
-        }
-        w.run_until(SimTime::from_secs(10.0));
-    })
-}
-
-/// The parallel tier of the 50k-qps scenario (segmented draining like the
-/// serial tier; completions merge in deterministic order regardless of
-/// `threads`).
-fn bench_sim_50k_sharded(threads: usize, warmup: usize, reps: usize) -> (f64, f64) {
-    struct ApiLoad {
-        api: u16,
-        rng: DetRng,
-        mean_us: f64,
-        next: f64,
-    }
-    time_stats_ms(warmup, reps, || {
-        let topo = graf_apps::online_boutique();
-        let cfg = SimConfig {
-            trace_sample: 0.01,
-            request_timeout_us: None,
-            cpu_checkpoint_us: 1_000,
-            return_us: 250,
-            ..SimConfig::default()
-        };
-        let mut w = ShardedWorld::new(topo, cfg, 11, threads);
-        for (s, &n) in [50usize, 16, 26, 42, 70, 30].iter().enumerate() {
-            w.add_instances(ServiceId(s as u16), n, 1000.0, SimTime::ZERO);
-        }
-        let mut loads: Vec<ApiLoad> = [(0u16, 15_000.0f64), (1, 15_000.0), (2, 20_000.0)]
-            .iter()
-            .map(|&(api, rate)| {
-                let mut rng = DetRng::new(11 ^ (0x51 + api as u64));
-                let mean_us = 1e6 / rate;
-                let next = rng.exp(mean_us);
-                ApiLoad { api, rng, mean_us, next }
-            })
-            .collect();
-        let mut sink: Vec<Completion> = Vec::new();
-        for seg in 1..=60u64 {
-            let seg_end = seg as f64 * 1e6;
-            for l in &mut loads {
-                while l.next < seg_end {
-                    w.inject(ApiId(l.api), SimTime(l.next as u64));
-                    l.next += l.rng.exp(l.mean_us);
-                }
-            }
-            w.run_until(SimTime(seg * 1_000_000));
-            w.drain_completions_into(&mut sink);
-            w.drain_traces();
-        }
-        assert!(w.stats().completed > 2_500_000, "50k tier actually ran");
-    })
-}
-
 /// The simulator headline metric's bench id (also the `BENCH_SIM.json` key).
 const SIM_BENCH: &str = "sim_boutique_10s_600qps_ms";
 
 /// Bench id of the high-rate tier recorded alongside the headline.
 const SIM_BENCH_50K: &str = "sim_boutique_60s_50kqps_ms";
 
-/// Sharded-tier worker counts recorded alongside the serial sim benches.
-const SIM_PARALLEL_TIERS: [usize; 3] = [1, 2, 8];
-
-fn measure(smoke: bool, threads: usize) -> Vec<(String, f64, f64)> {
+fn measure(smoke: bool, threads: usize) -> Vec<(&'static str, f64, f64)> {
     let (w, r) = if smoke { (1, 3) } else { (3, 15) };
     let mut out = Vec::new();
-    let push = |out: &mut Vec<(String, f64, f64)>, k: &str, (med, iqr): (f64, f64)| {
-        out.push((k.to_string(), med, iqr));
+    let push = |out: &mut Vec<(&'static str, f64, f64)>, k, (med, iqr): (f64, f64)| {
+        out.push((k, med, iqr));
     };
     eprintln!("measuring training (threads={threads})...");
     push(&mut out, "train_step_gnn6_b256_ms", bench_train_step(6, threads, w, r));
@@ -344,19 +262,6 @@ fn measure(smoke: bool, threads: usize) -> Vec<(String, f64, f64)> {
         SIM_BENCH_50K,
         bench_sim_50k(if smoke { 0 } else { 1 }, if smoke { 1 } else { 5 }),
     );
-    for t in SIM_PARALLEL_TIERS {
-        eprintln!("measuring simulator (sharded, {t} worker(s))...");
-        push(
-            &mut out,
-            &format!("sim_boutique_10s_600qps_p{t}_ms"),
-            bench_sim_10s_sharded(t, if smoke { 0 } else { 1 }, if smoke { 2 } else { 5 }),
-        );
-        push(
-            &mut out,
-            &format!("sim_boutique_60s_50kqps_p{t}_ms"),
-            bench_sim_50k_sharded(t, if smoke { 0 } else { 1 }, if smoke { 1 } else { 3 }),
-        );
-    }
     out
 }
 
@@ -433,7 +338,8 @@ fn main() {
         }
     }
 
-    let stats: Vec<(String, f64, f64)> = measure(smoke, threads);
+    let stats: Vec<(String, f64, f64)> =
+        measure(smoke, threads).into_iter().map(|(k, m, i)| (k.to_string(), m, i)).collect();
     let fresh: Vec<(String, f64)> = stats.iter().map(|(k, m, _)| (k.clone(), *m)).collect();
 
     println!("\n{:<34} {:>12} {:>10}", "metric", "median ms", "iqr ms");

@@ -3,14 +3,10 @@
 //! ```text
 //! graf-sweep run --grid <spec|@preset> [--workers N] [--seed U64] [--out PATH]
 //!                [--log-dir DIR] [--quick] [--samples N] [--threads N]
-//!                [--sim-threads N] [--history PATH] [--rev REV]
+//!                [--history PATH] [--rev REV]
 //! graf-sweep compare <revA> <revB> [--history PATH] [--gate METRIC]
 //!                [--threshold PCT] [--strict]
 //! ```
-//!
-//! `--sim-threads N` sets the sharded-simulation worker count for ablation
-//! cells (grids with a `tier` axis, e.g. `@parsim`) that don't pin a
-//! `simthreads` axis value; results are bit-identical for any value.
 //!
 //! `run` expands a declarative grid (`app=boutique;slo=60,90;policy=graf,hpa`
 //! or a preset like `@smoke`) into cells, derives each cell's seed from
@@ -37,7 +33,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: graf-sweep run --grid <spec|@preset> [--workers N] [--seed U64] [--out PATH]\n\
          \x20                  [--log-dir DIR] [--quick] [--samples N] [--threads N]\n\
-         \x20                  [--sim-threads N] [--history PATH] [--rev REV]\n\
+         \x20                  [--history PATH] [--rev REV]\n\
          \x20      graf-sweep compare <revA> <revB> [--history PATH] [--gate METRIC]\n\
          \x20                  [--threshold PCT] [--strict]"
     );
@@ -97,10 +93,6 @@ fn cmd_run(args: &[String]) {
                     .and_then(|v| v.parse().ok())
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage());
-            }
-            "--sim-threads" => {
-                scale.sim_threads =
-                    Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()));
             }
             "--history" => history = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
             "--rev" => rev = Some(it.next().unwrap_or_else(|| usage()).clone()),

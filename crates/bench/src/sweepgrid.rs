@@ -12,28 +12,7 @@
 //! | `policy` | `hpa`, `firm`, `static`, `graf`, `ladder` | — (required) |
 //! | `load` | base-load multiplier (any positive number) | `1` |
 //!
-//! A grid with a `tier` axis is a **parallel-sim ablation grid** instead: no
-//! controller runs, each cell replays a fixed open-loop Online Boutique
-//! scenario on the simulator alone and reports simulation metrics only. Its
-//! axes (mutually exclusive with the scenario axes above):
-//!
-//! | axis | values | default |
-//! |---|---|---|
-//! | `tier` | `sim600` (≈600 req/s), `sim5k` (≈5 000 req/s) | — (required) |
-//! | `queue` | `calendar`, `heap` | `calendar` |
-//! | `simthreads` | worker count; `0` = the serial `World` reference | `0` |
-//!
-//! Ablation records deliberately exclude wall-clock time, so the rows for
-//! `simthreads=1,2,8` of the same `(tier, queue)` must be byte-identical —
-//! the sweep doubles as an end-to-end thread-count-invariance check (wall
-//! clock lives in `BENCH_SIM.json`, see `scripts/bench.sh`). The
-//! `simthreads=0` row runs the serial `World`: it draws service times from
-//! one global RNG where the sharded executor draws from one RNG per shard,
-//! so its conservation counts (`completed`, `in_flight`, and `spans` under
-//! full trace sampling) match the sharded rows exactly while its latency
-//! quantiles and sampled-span counts match only statistically.
-//!
-//! Every scenario cell replays the Figure-21-style scenario: warm up at a base user
+//! Every cell replays the Figure-21-style scenario: warm up at a base user
 //! population, optionally surge at `SURGE_S`, inject the cell's fault class
 //! over a window bracketing the surge, and report post-surge tail latency,
 //! convergence time and instance usage.
@@ -66,8 +45,7 @@ use crate::timeline::{convergence_time_s, percentile_between, run_with_timeline}
 use crate::Args;
 
 /// Axis names this mapper understands, sorted.
-pub const KNOWN_AXES: &[&str] =
-    &["app", "chaos", "load", "policy", "queue", "simthreads", "slo", "surge", "tier"];
+pub const KNOWN_AXES: &[&str] = &["app", "chaos", "load", "policy", "slo", "surge"];
 
 /// Application axis values.
 pub const APPS: &[&str] = &["boutique", "social", "robot_shop", "bookinfo"];
@@ -78,12 +56,6 @@ pub const SURGES: &[&str] = &["none", "step", "ramp", "spike"];
 /// Controller-policy axis values.
 pub const POLICIES: &[&str] = &["hpa", "firm", "static", "graf", "ladder"];
 
-/// Parallel-sim ablation load tiers.
-pub const TIERS: &[&str] = &["sim600", "sim5k"];
-
-/// Event-queue axis values (ablation grids).
-pub const QUEUES: &[&str] = &["calendar", "heap"];
-
 /// Named grid presets (`--grid @smoke` etc.).
 ///
 /// * `@smoke` — 2×2 cells, HPA only (no model training): the CI
@@ -92,10 +64,6 @@ pub const QUEUES: &[&str] = &["calendar", "heap"];
 ///   shapes on Online Boutique.
 /// * `@fleet` — the full matrix: every app, four policies, surges and the
 ///   high-signal fault classes.
-/// * `@parsim` — the parallel-sim ablation: both load tiers × both event
-///   queues × worker counts 0 (serial reference), 1, 2 and 8; the
-///   `simthreads=1,2,8` rows of a `(tier, queue)` pair must be
-///   byte-identical, the serial row matches on conservation counts.
 pub const PRESETS: &[(&str, &str)] = &[
     ("@smoke", "app=boutique;policy=hpa;slo=60,90;surge=none,step"),
     ("@default", "app=boutique;policy=graf,hpa;slo=60,90;surge=none,step,spike"),
@@ -104,7 +72,6 @@ pub const PRESETS: &[(&str, &str)] = &[
         "app=boutique,social,robot_shop,bookinfo;policy=graf,hpa,firm,ladder;\
          slo=60,90;surge=step,spike;chaos=none,trace_drop,creation_fail",
     ),
-    ("@parsim", "tier=sim600,sim5k;queue=calendar,heap;simthreads=0,1,2,8"),
 ];
 
 /// Scenario clock: warmup until the surge fires, then a measurement window.
@@ -134,14 +101,8 @@ pub fn resolve_grid(spec: &str) -> Result<Grid, String> {
 }
 
 /// Validates axis names and values so typos fail before the fleet spins up.
-///
-/// Scenario grids require a `policy` axis; ablation grids (any grid with a
-/// `tier` axis) take only `tier`/`queue`/`simthreads` — mixing the two axis
-/// families is an error, since controllers never run in ablation cells.
 pub fn validate(grid: &Grid) -> Result<(), String> {
     let mut has_policy = false;
-    let mut has_tier = false;
-    let mut ablation_only = true;
     for axis in grid.axes() {
         match axis.name.as_str() {
             "app" => check_values(&axis.values, APPS, "app")?,
@@ -153,12 +114,6 @@ pub fn validate(grid: &Grid) -> Result<(), String> {
             "chaos" => check_values(&axis.values, graf_chaos::CATALOG, "chaos")?,
             "slo" => check_numbers(&axis.values, "slo")?,
             "load" => check_numbers(&axis.values, "load")?,
-            "tier" => {
-                has_tier = true;
-                check_values(&axis.values, TIERS, "tier")?;
-            }
-            "queue" => check_values(&axis.values, QUEUES, "queue")?,
-            "simthreads" => check_counts(&axis.values, "simthreads")?,
             other => {
                 return Err(format!(
                     "unknown axis {other:?}; known axes: {}",
@@ -166,17 +121,8 @@ pub fn validate(grid: &Grid) -> Result<(), String> {
                 ))
             }
         }
-        ablation_only &= matches!(axis.name.as_str(), "tier" | "queue" | "simthreads");
     }
-    if has_tier && !ablation_only {
-        return Err(
-            "ablation grids (a `tier` axis) take only tier/queue/simthreads axes".to_string()
-        );
-    }
-    if !has_tier && grid.axes().iter().any(|a| matches!(a.name.as_str(), "queue" | "simthreads")) {
-        return Err("queue/simthreads axes need a `tier` axis (ablation grids)".to_string());
-    }
-    if !has_tier && !has_policy {
+    if !has_policy {
         return Err("grid must include a `policy` axis".to_string());
     }
     Ok(())
@@ -201,15 +147,6 @@ fn check_numbers(values: &[String], axis: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn check_counts(values: &[String], axis: &str) -> Result<(), String> {
-    for v in values {
-        if v.parse::<usize>().is_err() {
-            return Err(format!("{axis} value {v:?} is not a worker count"));
-        }
-    }
-    Ok(())
-}
-
 /// Scale knobs shared by every cell of a sweep (budget, never claims).
 #[derive(Clone, Debug)]
 pub struct SweepScale {
@@ -219,15 +156,11 @@ pub struct SweepScale {
     pub samples: Option<usize>,
     /// Training worker threads (deterministic for any value).
     pub threads: usize,
-    /// Default sharded-simulation worker count for ablation cells that do
-    /// not pin a `simthreads` axis value (`None`/0 = the serial `World`).
-    /// Deterministic for any value.
-    pub sim_threads: Option<usize>,
 }
 
 impl Default for SweepScale {
     fn default() -> Self {
-        Self { quick: false, samples: None, threads: 1, sim_threads: None }
+        Self { quick: false, samples: None, threads: 1 }
     }
 }
 
@@ -266,9 +199,6 @@ impl CellRunner {
     /// normally caught by [`validate`] — or degenerate scenarios) become
     /// error records; the fleet keeps going.
     pub fn run_cell(&mut self, cell: &Cell, seed: u64) -> Result<CellResult, String> {
-        if cell.get("tier").is_some() {
-            return self.run_ablation_cell(cell, seed);
-        }
         let app = cell.get("app").unwrap_or("boutique");
         let setup = match app {
             "boutique" => boutique_setup(),
@@ -383,130 +313,6 @@ impl CellRunner {
         );
         Ok(r)
     }
-
-    /// Evaluates one parallel-sim ablation cell: a fixed open-loop Online
-    /// Boutique replay on the simulator alone, no controller in the loop.
-    /// `simthreads` picks the executor — `0` runs the serial [`World`]
-    /// reference, `n ≥ 1` runs [`graf_sim::exec::ShardedWorld`] with `n`
-    /// workers — and every recorded metric must be identical for any `n ≥ 1`
-    /// (the serial reference matches on conservation counts; see the module
-    /// docs). Wall-clock time is deliberately not recorded, so the rows are
-    /// byte-comparable across the `simthreads` axis.
-    fn run_ablation_cell(&self, cell: &Cell, _cell_seed: u64) -> Result<CellResult, String> {
-        use graf_sim::events::QueueKind;
-        use graf_sim::exec::ShardedWorld;
-        use graf_sim::rng::DetRng;
-
-        // The sweep's cell seed folds in every axis value — including
-        // `simthreads`, which must NOT shift the scenario (the executor is
-        // the thing under test, the scenario is the control). Re-derive the
-        // seed from the cell key without that coordinate so all worker-count
-        // rows of a `(tier, queue)` pair replay the same arrivals.
-        let scenario_key: String = cell
-            .key()
-            .split('/')
-            .filter(|part| !part.starts_with("simthreads="))
-            .collect::<Vec<_>>()
-            .join("/");
-        let seed = graf_sweep::derive_seed(self.grid_seed, &scenario_key);
-
-        let queue = match cell.get("queue").unwrap_or("calendar") {
-            "calendar" => QueueKind::Calendar,
-            "heap" => QueueKind::Heap,
-            other => return Err(format!("unknown queue {other:?}")),
-        };
-        let threads: usize = match cell.get("simthreads") {
-            Some(v) => {
-                v.parse().map_err(|_| format!("simthreads value {v:?} is not a worker count"))?
-            }
-            None => self.scale.sim_threads.unwrap_or(0),
-        };
-        let base = SimConfig {
-            request_timeout_us: None,
-            return_us: 250,
-            event_queue: queue,
-            ..SimConfig::default()
-        };
-        let (rates, replicas, unit_mc, horizon_s, cfg) = match cell.get("tier") {
-            Some("sim600") => (
-                [180.0, 180.0, 240.0],
-                vec![4usize; 6],
-                250.0,
-                if self.scale.quick { 2u64 } else { 6 },
-                base,
-            ),
-            Some("sim5k") => (
-                [1500.0, 1500.0, 2000.0],
-                vec![5, 2, 3, 5, 7, 3],
-                1000.0,
-                if self.scale.quick { 1 } else { 3 },
-                SimConfig { trace_sample: 0.05, cpu_checkpoint_us: 1_000, ..base },
-            ),
-            other => return Err(format!("unknown tier {other:?}")),
-        };
-
-        let topo = graf_apps::online_boutique();
-        if replicas.len() != topo.num_services() {
-            return Err(format!(
-                "boutique has {} services, expected {}",
-                topo.num_services(),
-                replicas.len()
-            ));
-        }
-        let mut rng = DetRng::new(seed ^ 0x5107);
-        let mut arrivals: Vec<(ApiId, SimTime)> = Vec::new();
-        for (api, rate) in rates.iter().enumerate() {
-            let mut t = 0.0;
-            loop {
-                t += rng.exp(1e6 / rate);
-                if t >= horizon_s as f64 * 1e6 {
-                    break;
-                }
-                arrivals.push((ApiId(api as u16), SimTime(t as u64)));
-            }
-        }
-        let quiesce = SimTime::from_secs(horizon_s as f64 + 30.0);
-        let (comps, stats, in_flight) = if threads == 0 {
-            let mut w = World::new(topo, cfg, seed);
-            for (s, &n) in replicas.iter().enumerate() {
-                w.add_instances(ServiceId(s as u16), n, unit_mc, SimTime::ZERO);
-            }
-            for &(api, t) in &arrivals {
-                w.inject(api, t);
-            }
-            w.run_to_quiescence(quiesce);
-            (w.drain_completions(), w.stats(), w.in_flight())
-        } else {
-            let mut w = ShardedWorld::new(topo, cfg, seed, threads);
-            for (s, &n) in replicas.iter().enumerate() {
-                w.add_instances(ServiceId(s as u16), n, unit_mc, SimTime::ZERO);
-            }
-            for &(api, t) in &arrivals {
-                w.inject(api, t);
-            }
-            w.run_until(SimTime::from_secs(horizon_s as f64));
-            w.run_to_quiescence(quiesce);
-            (w.drain_completions(), w.stats(), w.in_flight())
-        };
-
-        let mut lat: Vec<u64> =
-            comps.iter().filter(|c| !c.timed_out).map(|c| c.latency_us()).collect();
-        lat.sort_unstable();
-        let pct = |p: f64| -> f64 {
-            if lat.is_empty() {
-                return -1.0;
-            }
-            lat[((lat.len() as f64 - 1.0) * p).round() as usize] as f64 / 1000.0
-        };
-        let mut r = CellResult::default();
-        r.push("completed", comps.len() as f64);
-        r.push("events", stats.events as f64);
-        r.push("spans", stats.spans as f64);
-        r.push("p50_ms", pct(0.50));
-        r.push("p99_ms", pct(0.99));
-        r.push("in_flight", in_flight as f64);
-        Ok(r)
-    }
 }
 
 /// Builds the cell's fault schedule: the named catalog fault over a window
@@ -612,49 +418,6 @@ mod tests {
         let b = CellRunner::new(7, scale).run_cell(cell, seed).unwrap();
         assert_eq!(a, b, "same cell + seed → identical metrics");
         assert!(a.get("completed").unwrap_or(0.0) > 0.0, "requests completed");
-    }
-
-    #[test]
-    fn parsim_preset_is_the_tier_by_queue_by_threads_grid() {
-        let grid = resolve_grid("@parsim").unwrap();
-        assert_eq!(grid.cells().len(), 16, "2 tiers × 2 queues × 4 worker counts");
-        assert!(grid.cells().iter().all(|c| c.get("policy").is_none()));
-    }
-
-    #[test]
-    fn ablation_grids_reject_scenario_axes_and_vice_versa() {
-        let mixed = Grid::parse("tier=sim600;policy=hpa").unwrap();
-        assert!(validate(&mixed).unwrap_err().contains("ablation"));
-        let orphan = Grid::parse("policy=hpa;simthreads=2").unwrap();
-        assert!(validate(&orphan).unwrap_err().contains("tier"));
-        let bad_count = Grid::parse("tier=sim600;simthreads=two").unwrap();
-        assert!(validate(&bad_count).unwrap_err().contains("worker count"));
-    }
-
-    /// The ablation's core claim: sharded rows differing only in the
-    /// `simthreads` coordinate carry identical metrics, and the serial
-    /// reference row conserves the same requests and spans (its latency
-    /// quantiles come from a different RNG stream — one global generator
-    /// instead of one per shard — so they match only statistically).
-    #[test]
-    fn ablation_cells_are_identical_across_worker_counts() {
-        let scale = SweepScale { quick: true, ..SweepScale::default() };
-        let mut runner = CellRunner::new(7, scale);
-        let mut row = |simthreads: &str| {
-            let key = format!("queue=heap/simthreads={simthreads}/tier=sim600");
-            let cell = Cell::from_key(&key).expect("parseable key");
-            let seed = derive_seed(7, &cell.key());
-            runner.run_cell(&cell, seed).unwrap()
-        };
-        let serial = row("0");
-        let one = row("1");
-        let three = row("3");
-        assert!(one.get("completed").unwrap_or(0.0) > 0.0, "requests completed");
-        assert_eq!(one.get("in_flight"), Some(0.0), "ablation drains fully");
-        assert_eq!(one, three, "worker count leaked into ablation metrics");
-        for metric in ["completed", "spans", "in_flight"] {
-            assert_eq!(serial.get(metric), one.get(metric), "serial reference diverged: {metric}");
-        }
     }
 
     #[test]

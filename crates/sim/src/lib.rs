@@ -25,12 +25,6 @@
 //! seed through [`rng::DetRng`], events are ordered by `(time, sequence)`, and
 //! no wall-clock time is read anywhere.
 //!
-//! Two execution modes share those semantics: the serial [`world::World`]
-//! and the sharded [`exec::ShardedWorld`], which partitions the service
-//! topology across per-shard worlds ([`shard::Partition`]) and runs them
-//! under conservative synchronization — bit-identically for any worker
-//! count (DESIGN.md §14).
-//!
 //! ## Example
 //!
 //! ```
@@ -68,21 +62,17 @@
 #![deny(missing_docs)]
 
 pub mod events;
-pub mod exec;
 pub mod frame;
 pub mod loadidx;
 pub mod rng;
 pub mod service;
-pub mod shard;
 pub mod station;
 pub mod time;
 pub mod topology;
 pub mod world;
 
 pub use events::QueueKind;
-pub use exec::ShardedWorld;
 pub use rng::DetRng;
-pub use shard::{shard_seed, Partition};
 pub use time::{SimDuration, SimTime};
 pub use topology::{ApiId, ApiSpec, AppTopology, CallNode, ChildMode, ServiceId, ServiceSpec};
 pub use world::{Completion, SimConfig, World};

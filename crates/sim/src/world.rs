@@ -21,7 +21,6 @@ use crate::frame::{Frame, FrameId, FrameState, RequestId};
 use crate::loadidx;
 use crate::rng::DetRng;
 use crate::service::ServiceRuntime;
-use crate::shard::{RemoteOrigin, ShardCtx, ShardMsg, REMOTE_FRAGMENT_API};
 use crate::station::{Instance, InstanceId, InstanceState};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{ApiId, AppTopology, CallNode, ServiceId};
@@ -57,14 +56,9 @@ pub struct SimConfig {
     /// cumulative value is carried, only intra-cell query resolution drops.
     pub cpu_checkpoint_us: u64,
     /// Child-completion return delay in µs: how long a child's response
-    /// takes to travel back to its parent. `0` (default) keeps the original
-    /// zero-delay semantics — a child's completion resumes its parent at the
-    /// same instant, bit-identically to every pre-existing serial run.
-    /// Sharded execution ([`crate::exec::ShardedWorld`]) requires `>= 1`,
-    /// because subtree completions crossing a shard boundary need a nonzero
-    /// delay to participate in the conservative lookahead window; a serial
-    /// world with the same `return_us` is the differential reference for a
-    /// sharded one (see DESIGN.md §14).
+    /// takes to travel back to its parent. `0` (default) resumes the parent
+    /// in the same event as the child's completion; a nonzero value delivers
+    /// the completion as its own event that much later.
     pub return_us: u64,
 }
 
@@ -141,8 +135,7 @@ struct PlanNode {
     /// Frames one execution of this node creates (itself + all repeated
     /// descendants). Span ids are *structural*: a node's subtree occupies a
     /// contiguous id range of this size, so a child's span id is computable
-    /// from its parent's without any per-request counter — which lets a
-    /// remote shard continue the numbering of a subtree it never allocated.
+    /// from its parent's without any per-request counter.
     subtree_frames: u32,
     /// Span-id offset of each `stages[s][c]` child's first repetition,
     /// relative to this node's own span id. Repetition `r` of that child
@@ -229,17 +222,8 @@ struct RequestSlot {
     api: ApiId,
     start: SimTime,
     sampled: bool,
-    /// Trace id all spans of this slot join: the *root* request's id. Equals
-    /// `request.0` for a root slot; a remote-subtree proxy slot carries the
-    /// originating request's id so its span fragment merges into the same
-    /// trace.
-    trace_id: u64,
     /// Trace-store slab handle while `sampled` (dead once the request ends).
     trace: OpenTrace,
-    /// `Some` when this slot is a remote-subtree proxy: where to send the
-    /// completion. Proxy slots emit no [`Completion`] and count in no
-    /// request statistics — the root's shard owns those.
-    origin: Option<RemoteOrigin>,
     /// Live frames of this request: `(frame, generation)`.
     frames: Vec<(FrameId, u32)>,
 }
@@ -272,12 +256,6 @@ enum Event {
     ChildReturn {
         frame: FrameId,
         generation: u32,
-    },
-    /// A cross-shard call arrived (shard mode only). Carries a slot of the
-    /// shard context's payload slab, not the payload itself, so this enum —
-    /// copied into every calendar bucket — stays small for the serial path.
-    RemoteStart {
-        slot: u32,
     },
 }
 
@@ -321,10 +299,6 @@ pub struct World {
     stats: WorldStats,
     obs: graf_obs::Obs,
     prof: graf_prof::Prof,
-    /// `Some` when this world is one shard of a [`crate::exec::ShardedWorld`]:
-    /// ownership map, mailboxes and the remote-start payload slab. `None`
-    /// (serial mode) keeps every cross-shard branch untaken.
-    shard: Option<Box<ShardCtx>>,
 }
 
 /// Profiler phase name for an event kind (one scope per dispatched event).
@@ -336,7 +310,6 @@ fn event_phase(ev: &Event) -> &'static str {
         Event::JobCheck { .. } => "sim.event_loop.job_check",
         Event::InstanceReady { .. } => "sim.event_loop.instance_ready",
         Event::ChildReturn { .. } => "sim.event_loop.child_return",
-        Event::RemoteStart { .. } => "sim.event_loop.remote_start",
     }
 }
 
@@ -394,7 +367,6 @@ impl World {
             stats: WorldStats::default(),
             obs: graf_obs::Obs::disabled(),
             prof: graf_prof::Prof::disabled(),
-            shard: None,
             cfg,
             topo,
         }
@@ -704,30 +676,16 @@ impl World {
             Event::JobCheck { instance, epoch } => self.on_job_check(instance, epoch),
             Event::InstanceReady { instance } => self.on_instance_ready(instance),
             Event::ChildReturn { frame, generation } => self.on_child_return(frame, generation),
-            Event::RemoteStart { slot } => self.on_remote_start(slot),
-        }
-    }
-
-    /// Next request id. Serial worlds use the bare monotone counter; a shard
-    /// tags the top 16 bits with `shard index + 1` so ids stay globally
-    /// unique across the fleet (and never collide with [`FREE_REQUEST`]:
-    /// the per-shard counter can't realistically reach 2⁴⁸).
-    fn next_request_id(&mut self) -> RequestId {
-        let n = self.next_request;
-        self.next_request += 1;
-        match &self.shard {
-            Some(ctx) => RequestId(((ctx.index as u64 + 1) << 48) | n),
-            None => RequestId(n),
         }
     }
 
     fn on_arrival(&mut self, api: ApiId) {
         self.api_arrivals[api.0 as usize].record(self.now.as_micros());
-        let rid = self.next_request_id();
+        let rid = RequestId(self.next_request);
+        self.next_request += 1;
         self.stats.injected += 1;
         let sampled = self.rng_trace.chance(self.cfg.trace_sample);
-        let span_budget = self.plans[api.0 as usize].span_budget;
-        let slot = self.alloc_request(rid, api, sampled, rid.0, None, span_budget);
+        let slot = self.alloc_request(rid, api, sampled);
         if let Some(to) = self.cfg.request_timeout_us {
             self.queue
                 .schedule(SimTime(self.now.0 + to), Event::RequestTimeout { request: rid, slot });
@@ -740,22 +698,12 @@ impl World {
     }
 
     /// Claims a request slab slot, reusing a freed one (and its `frames`
-    /// buffer) when available. `span_budget` is the number of frames the
-    /// slot will create: the whole call tree for a root request, the remote
-    /// subtree for a proxy slot.
-    fn alloc_request(
-        &mut self,
-        rid: RequestId,
-        api: ApiId,
-        sampled: bool,
-        trace_id: u64,
-        origin: Option<RemoteOrigin>,
-        span_budget: u32,
-    ) -> u32 {
+    /// buffer) when available.
+    fn alloc_request(&mut self, rid: RequestId, api: ApiId, sampled: bool) -> u32 {
         self.live_requests += 1;
-        let span_budget = span_budget as usize;
         // A sampled request owns a trace-store slab slot; unsampled requests
         // carry a dead handle that is never passed back to the store.
+        let span_budget = self.plans[api.0 as usize].span_budget as usize;
         let trace = if sampled { self.traces.open_trace(span_budget) } else { OpenTrace(u32::MAX) };
         let slot = if let Some(slot) = self.free_requests.pop() {
             let s = &mut self.requests[slot as usize];
@@ -765,9 +713,7 @@ impl World {
             s.api = api;
             s.start = self.now;
             s.sampled = sampled;
-            s.trace_id = trace_id;
             s.trace = trace;
-            s.origin = origin;
             slot
         } else {
             // Slab growth: only while the in-flight high-water mark rises,
@@ -777,9 +723,7 @@ impl World {
                 api,
                 start: self.now,
                 sampled,
-                trace_id,
                 trace,
-                origin,
                 frames: Vec::new(), // graf-lint: allow(hot-path-alloc, slab growth is amortized and stops at the in-flight high-water mark)
             });
             (self.requests.len() - 1) as u32
@@ -808,8 +752,7 @@ impl World {
     /// `service` must be `plans[api].nodes[plan_node].service` — callers
     /// already hold the plan node, so passing it in saves the re-walk.
     /// `span_id`/`parent_span` are the frame's structural span coordinates
-    /// (see [`PlanNode::subtree_frames`]); a request's root passes `(0,
-    /// None)`, a remote proxy passes the coordinates carried by the message.
+    /// (see [`PlanNode::subtree_frames`]); a request's root passes `(0, None)`.
     #[allow(clippy::too_many_arguments)] // internal slab constructor; every argument is hot-path data the caller already holds
     fn alloc_frame(
         &mut self,
@@ -865,15 +808,7 @@ impl World {
         if f.generation != generation || f.state != FrameState::PendingInstance {
             return; // stale event
         }
-        self.begin_frame(fid);
-    }
-
-    /// The frame has arrived at its service: record the arrival and assign
-    /// an instance (or queue). Shared by the local start path (after the
-    /// staleness check) and the remote-start path (which has no staleness to
-    /// check — the frame was allocated in the same event).
-    fn begin_frame(&mut self, fid: FrameId) {
-        let service = self.frames[fid.0 as usize].service;
+        let service = f.service;
         self.services[service.0 as usize].record_arrival(self.now);
         match self.pick_instance(service) {
             Some(iid) => self.assign_job(iid, fid),
@@ -1077,21 +1012,14 @@ impl World {
     }
 
     /// Launches stage `stage` of frame `fid`: all calls of the stage (each
-    /// child × its repeat count) start in parallel. In shard mode, a call
-    /// whose service another shard owns travels as a [`ShardMsg::Start`]
-    /// instead of a local frame; the stage's `outstanding` count includes it
-    /// all the same — the reply arrives as a [`Event::ChildReturn`].
+    /// child × its repeat count) start in parallel.
     fn start_stage(&mut self, fid: FrameId, stage: u16) {
         let (api, plan_node, request, req_slot) = {
             let f = &self.frames[fid.0 as usize];
             let api = self.requests[f.req_slot as usize].api;
             (api, f.plan_node, f.request, f.req_slot)
         };
-        let (parent_span, parent_gen) = {
-            let f = &self.frames[fid.0 as usize];
-            (f.span_id, f.generation)
-        };
-        let sharded = self.shard.is_some();
+        let parent_span = self.frames[fid.0 as usize].span_id;
         // Snapshot the stage's call list (child, repeat, service, span
         // offset, subtree size) into a stack buffer: the per-child loop
         // needs `&mut self` for `alloc_frame`, and without the snapshot each
@@ -1116,30 +1044,17 @@ impl World {
             for &(c, reps, service, offset, subtree) in &calls[..n_calls] {
                 for rep in 0..reps {
                     let span = parent_span + offset + rep * subtree;
-                    if !sharded || self.service_is_local(service) {
-                        let child = self.alloc_frame(
-                            request,
-                            req_slot,
-                            api,
-                            c,
-                            Some(fid),
-                            span,
-                            Some(parent_span),
-                            service,
-                        );
-                        self.schedule_frame_start(child);
-                    } else {
-                        self.send_remote_start(
-                            fid,
-                            parent_gen,
-                            req_slot,
-                            api,
-                            c,
-                            span,
-                            parent_span,
-                            service,
-                        );
-                    }
+                    let child = self.alloc_frame(
+                        request,
+                        req_slot,
+                        api,
+                        c,
+                        Some(fid),
+                        span,
+                        Some(parent_span),
+                        service,
+                    );
+                    self.schedule_frame_start(child);
                 }
             }
             return;
@@ -1161,85 +1076,24 @@ impl World {
             let subtree = plan.nodes[c as usize].subtree_frames;
             for rep in 0..reps {
                 let span = parent_span + offset + rep * subtree;
-                if !sharded || self.service_is_local(service) {
-                    let child = self.alloc_frame(
-                        request,
-                        req_slot,
-                        api,
-                        c,
-                        Some(fid),
-                        span,
-                        Some(parent_span),
-                        service,
-                    );
-                    self.schedule_frame_start(child);
-                } else {
-                    self.send_remote_start(
-                        fid,
-                        parent_gen,
-                        req_slot,
-                        api,
-                        c,
-                        span,
-                        parent_span,
-                        service,
-                    );
-                }
+                let child = self.alloc_frame(
+                    request,
+                    req_slot,
+                    api,
+                    c,
+                    Some(fid),
+                    span,
+                    Some(parent_span),
+                    service,
+                );
+                self.schedule_frame_start(child);
             }
         }
     }
 
-    /// `true` when `service` runs in this world (always, in serial mode).
-    #[inline]
-    fn service_is_local(&self, service: ServiceId) -> bool {
-        match &self.shard {
-            Some(ctx) => ctx.owner[service.0 as usize] == ctx.index,
-            None => true,
-        }
-    }
-
-    /// Enqueues a cross-shard call to `service` (owned by another shard):
-    /// the child starts over there as a proxy request whose spans join this
-    /// request's trace, and its completion returns as a
-    /// [`Event::ChildReturn`] for `parent`.
-    #[allow(clippy::too_many_arguments)] // mirror of alloc_frame's argument set, plus the origin generation
-    fn send_remote_start(
-        &mut self,
-        parent: FrameId,
-        parent_generation: u32,
-        req_slot: u32,
-        api: ApiId,
-        plan_node: u16,
-        span_id: u32,
-        parent_span: u32,
-        service: ServiceId,
-    ) {
-        let (trace_id, sampled) = {
-            let meta = &self.requests[req_slot as usize];
-            (meta.trace_id, meta.sampled)
-        };
-        let base = self.services[service.0 as usize].spec.base_us;
-        let ctx = self.shard.as_mut().expect("remote child implies shard mode");
-        let msg = crate::shard::RemoteStartMsg {
-            issue: self.now,
-            start_at: SimTime(self.now.0 + base),
-            api,
-            plan_node,
-            span_id,
-            parent_span,
-            trace_id,
-            sampled,
-            origin: RemoteOrigin { shard: ctx.index, frame: parent, generation: parent_generation },
-        };
-        let dst = ctx.owner[service.0 as usize] as usize;
-        debug_assert_ne!(dst, ctx.index as usize);
-        ctx.outbox[dst].push(ShardMsg::Start(msg));
-    }
-
-    /// A child's response arrived after a nonzero `return_us` transit (from
-    /// a local child or a remote shard's `Done`). Dropped when stale: the
-    /// parent was torn down by a timeout (state left `Children`) or its slot
-    /// was reused (generation moved on).
+    /// A child's response arrived after a nonzero `return_us` transit.
+    /// Dropped when stale: the parent was torn down by a timeout (state left
+    /// `Children`) or its slot was reused (generation moved on).
     fn on_child_return(&mut self, fid: FrameId, generation: u32) {
         let f = &self.frames[fid.0 as usize];
         if f.generation != generation || !matches!(f.state, FrameState::Children { .. }) {
@@ -1283,7 +1137,6 @@ impl World {
         let api = meta.api;
         let sampled = meta.sampled;
         let trace = meta.trace;
-        let trace_id = meta.trace_id;
         // Trace fault: drop the span with the window's probability. The
         // chance is drawn from `rng_trace` only while a window is active, so
         // runs without trace faults consume exactly the baseline draws.
@@ -1305,7 +1158,7 @@ impl World {
             self.traces.push_span(
                 trace,
                 Span {
-                    trace_id: TraceId(trace_id),
+                    trace_id: TraceId(request.0),
                     span_id: SpanId(span_id),
                     parent: parent_span.map(SpanId),
                     service: service.0,
@@ -1334,79 +1187,19 @@ impl World {
                     );
                 }
             }
-            None => match self.requests[req_slot as usize].origin {
-                Some(origin) => {
-                    // Remote-subtree proxy: the finished span fragment joins
-                    // the root's trace (under the sentinel api so the merge
-                    // can tell fragments from roots), and the completion
-                    // travels home as a Done message. No Completion, no e2e
-                    // sample, no completed count — the root's shard owns the
-                    // request-level record.
-                    if sampled {
-                        self.traces.finish_open(trace, TraceId(trace_id), REMOTE_FRAGMENT_API);
-                    }
-                    self.free_request(req_slot);
-                    let deliver = SimTime(self.now.0 + self.cfg.return_us);
-                    let ctx = self.shard.as_mut().expect("remote origin implies shard mode");
-                    ctx.outbox[origin.shard as usize].push(ShardMsg::Done {
-                        time: deliver,
-                        frame: origin.frame,
-                        generation: origin.generation,
-                    });
+            None => {
+                let req_start = self.requests[req_slot as usize].start;
+                self.free_request(req_slot);
+                let completion =
+                    Completion { request, api, start: req_start, end: self.now, timed_out: false };
+                self.e2e.record(self.now.as_micros(), completion.latency_us());
+                self.completions.push(completion);
+                self.stats.completed += 1;
+                if sampled {
+                    self.traces.finish_open(trace, TraceId(request.0), api.0);
                 }
-                None => {
-                    let req_start = self.requests[req_slot as usize].start;
-                    self.free_request(req_slot);
-                    let completion = Completion {
-                        request,
-                        api,
-                        start: req_start,
-                        end: self.now,
-                        timed_out: false,
-                    };
-                    self.e2e.record(self.now.as_micros(), completion.latency_us());
-                    self.completions.push(completion);
-                    self.stats.completed += 1;
-                    if sampled {
-                        self.traces.finish_open(trace, TraceId(trace_id), api.0);
-                    }
-                }
-            },
+            }
         }
-    }
-
-    /// A cross-shard call arrived: build a proxy request slot whose root
-    /// frame executes the remote subtree here. The frame's clock starts at
-    /// the caller's issue time (we are delivered at `issue + base_us`, the
-    /// same instant a local child's `StartFrame` would fire), so spans and
-    /// per-service latencies match the serial execution exactly.
-    fn on_remote_start(&mut self, slot: u32) {
-        let msg = {
-            let ctx = self.shard.as_mut().expect("RemoteStart only fires in shard mode");
-            ctx.pool_free.push(slot);
-            ctx.pool[slot as usize]
-        };
-        let (service, budget) = {
-            let node = &self.plans[msg.api.0 as usize].nodes[msg.plan_node as usize];
-            (node.service, node.subtree_frames)
-        };
-        debug_assert!(self.service_is_local(service), "remote start routed to the wrong shard");
-        let rid = self.next_request_id();
-        let req_slot =
-            self.alloc_request(rid, msg.api, msg.sampled, msg.trace_id, Some(msg.origin), budget);
-        let fid = self.alloc_frame(
-            rid,
-            req_slot,
-            msg.api,
-            msg.plan_node,
-            None,
-            msg.span_id,
-            Some(msg.parent_span),
-            service,
-        );
-        self.frames[fid.0 as usize].start = msg.issue;
-        self.requests[req_slot as usize].start = msg.issue;
-        self.begin_frame(fid);
     }
 
     // ------------------------------------------------------------------
@@ -1523,98 +1316,6 @@ impl World {
     /// Number of frames queued at `service` waiting for a ready instance.
     pub fn service_pending(&self, service: ServiceId) -> usize {
         self.services[service.0 as usize].pending.len()
-    }
-
-    // ------------------------------------------------------------------
-    // Shard-mode plumbing (driven by exec::ShardedWorld)
-    // ------------------------------------------------------------------
-
-    /// Turns this world into one shard of a fleet. Shard mode forbids client
-    /// timeouts (a timeout teardown cannot reach frames living on other
-    /// shards) and requires a nonzero return delay (cross-shard completions
-    /// need transit time to fit the conservative lookahead window).
-    pub(crate) fn shard_attach(&mut self, ctx: ShardCtx) {
-        assert!(
-            self.cfg.request_timeout_us.is_none(),
-            "sharded execution requires request_timeout_us: None (timeouts cannot tear down \
-             frames owned by other shards)"
-        );
-        assert!(
-            self.cfg.return_us >= 1,
-            "sharded execution requires return_us >= 1 (cross-shard completions need transit \
-             time inside the lookahead window)"
-        );
-        self.shard = Some(Box::new(ctx));
-    }
-
-    /// Schedules every message of the shard inbox into the event queue.
-    /// Called by the executor at the start of each window; delivery times
-    /// are ≥ the window start by the lookahead contract, so the calendar
-    /// queue's monotone cursor is never violated.
-    pub(crate) fn shard_deliver_inbox(&mut self) {
-        let Some(ctx) = self.shard.as_mut() else { return };
-        if ctx.inbox.is_empty() {
-            return;
-        }
-        // Take the inbox out so the loop can borrow the context (payload
-        // slab) and the event queue simultaneously; the buffer goes back
-        // afterwards, keeping its capacity.
-        let mut inbox = std::mem::take(&mut ctx.inbox);
-        for msg in inbox.drain(..) {
-            match msg {
-                ShardMsg::Start(m) => {
-                    let ctx = self.shard.as_mut().expect("attached above");
-                    let slot = match ctx.pool_free.pop() {
-                        Some(s) => {
-                            ctx.pool[s as usize] = m;
-                            s
-                        }
-                        None => {
-                            // Slab growth to the in-flight high-water mark.
-                            ctx.pool.push(m);
-                            (ctx.pool.len() - 1) as u32
-                        }
-                    };
-                    self.queue.schedule(m.start_at, Event::RemoteStart { slot });
-                }
-                ShardMsg::Done { time, frame, generation } => {
-                    self.queue.schedule(time, Event::ChildReturn { frame, generation });
-                }
-            }
-        }
-        self.shard.as_mut().expect("attached above").inbox = inbox;
-    }
-
-    /// Appends this shard's outboxes into its row of the mailbox matrix
-    /// (`row[dst]` is the mailbox from this shard to shard `dst`). Called at
-    /// the end of each window, before the exchange barrier; only this shard
-    /// ever writes its row, so the locks are uncontended.
-    pub(crate) fn shard_publish(&mut self, row: &[std::sync::Mutex<Vec<ShardMsg>>]) {
-        let Some(ctx) = self.shard.as_mut() else { return };
-        for (dst, out) in ctx.outbox.iter_mut().enumerate() {
-            if !out.is_empty() {
-                row[dst].lock().expect("mailbox lock").append(out);
-            }
-        }
-    }
-
-    /// Drains this shard's column of the mailbox matrix into the inbox, in
-    /// ascending source-shard order — the deterministic merge order that
-    /// makes message arrival independent of worker scheduling. Called after
-    /// the exchange barrier.
-    pub(crate) fn shard_collect(&mut self, mailboxes: &[Vec<std::sync::Mutex<Vec<ShardMsg>>>]) {
-        let Some(ctx) = self.shard.as_mut() else { return };
-        let me = ctx.index as usize;
-        for row in mailboxes {
-            let mut mb = row[me].lock().expect("mailbox lock");
-            ctx.inbox.append(&mut mb);
-        }
-    }
-
-    /// Number of pending events (includes undelivered inbox messages so the
-    /// executor's quiescence check sees in-transit work).
-    pub(crate) fn shard_backlog(&self) -> usize {
-        self.queue.len() + self.shard.as_ref().map_or(0, |c| c.inbox.len())
     }
 }
 

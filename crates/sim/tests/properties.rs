@@ -297,94 +297,3 @@ fn calendar_queue_far_bucket_floor_is_not_a_capacity_limit() {
         assert_kinds_agree(&script);
     }
 }
-
-// ---------------------------------------------------------------------------
-// Sharded-executor differential: the serial world with the same nonzero
-// return delay is the exact reference for the sharded executor (the same
-// role the heap queue plays for the calendar queue). cv = 0 makes service
-// times deterministic, so the two executions must agree on every request's
-// (start, end) — not just statistically.
-// ---------------------------------------------------------------------------
-
-use graf_sim::exec::ShardedWorld;
-
-proptest! {
-    /// Program generator: random small topologies (every service attaches
-    /// under a random earlier parent), random loads, random return delays
-    /// and random worker counts. The sharded run's completion multiset must
-    /// equal the serial run's bit-for-bit, and both must conserve requests.
-    #[test]
-    fn sharded_execution_matches_serial_reference(
-        works in proptest::collection::vec(0.2f64..2.0, 2..5),
-        parents in proptest::collection::vec(0usize..64, 4..5),
-        bases in proptest::collection::vec(250u64..800, 5..6),
-        return_us in 100u64..400,
-        quota in 400.0f64..2000.0,
-        n_requests in 1usize..30,
-        gap_us in 200u64..5_000,
-        seed in 0u64..1000,
-        threads in 1usize..4,
-    ) {
-        let n = works.len();
-        let services: Vec<ServiceSpec> = works
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| ServiceSpec::new(&format!("s{i}"), w, bases[i]).cv(0.0))
-            .collect();
-        // children[p] lists the services calling into p's subtree; service i
-        // attaches under a random earlier service, so any tree shape with
-        // root 0 can be drawn.
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for i in 1..n {
-            children[parents[i - 1] % i].push(i);
-        }
-        fn build(svc: usize, children: &[Vec<usize>]) -> CallNode {
-            let mut node = CallNode::new(svc as u16);
-            for &c in &children[svc] {
-                node = node.call(build(c, children));
-            }
-            node
-        }
-        let topo = AppTopology::new(
-            "prop-sharded",
-            services,
-            vec![ApiSpec::new("get", build(0, &children))],
-        );
-        let cfg = SimConfig {
-            request_timeout_us: None,
-            return_us,
-            ..SimConfig::default()
-        };
-
-        let mut serial = World::new(topo.clone(), cfg.clone(), seed);
-        let mut sharded = ShardedWorld::new(topo, cfg, seed, threads);
-        for s in 0..n as u16 {
-            serial.add_instances(ServiceId(s), 1, quota, SimTime::ZERO);
-            sharded.add_instances(ServiceId(s), 1, quota, SimTime::ZERO);
-        }
-        for i in 0..n_requests {
-            serial.inject(ApiId(0), SimTime(i as u64 * gap_us));
-            sharded.inject(ApiId(0), SimTime(i as u64 * gap_us));
-        }
-        let horizon = SimTime::from_secs(60.0);
-        serial.run_to_quiescence(horizon);
-        sharded.run_until(SimTime(n_requests as u64 * gap_us));
-        sharded.run_to_quiescence(horizon);
-
-        let mut a: Vec<(u64, u64, bool)> =
-            serial.drain_completions().iter().map(|c| (c.start.0, c.end.0, c.timed_out)).collect();
-        let mut b: Vec<(u64, u64, bool)> =
-            sharded.drain_completions().iter().map(|c| (c.start.0, c.end.0, c.timed_out)).collect();
-        prop_assert_eq!(a.len(), n_requests, "serial conserves requests");
-        prop_assert_eq!(b.len(), n_requests, "sharded conserves requests");
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b, "sharded completions diverged from the serial reference");
-        prop_assert_eq!(
-            serial.stats().spans,
-            sharded.stats().spans,
-            "every hop's span is recorded on exactly one shard"
-        );
-        prop_assert_eq!(sharded.in_flight(), 0, "proxies all drained");
-    }
-}

@@ -71,28 +71,6 @@ for bin in "${BINS[@]}"; do
 done
 wait
 
-# Parallel-sim ablation (EXPERIMENTS.md §8): the threads × queue × tier grid
-# via graf-sweep. Runs after the pool because graf-sweep takes
-# subcommand-style args, not the shared experiment flags; only --quick and
-# --sim-threads carry over.
-SWEEP_FLAGS=()
-for a in "${ARGS[@]+"${ARGS[@]}"}"; do
-  case "$a" in
-    --quick) SWEEP_FLAGS+=(--quick) ;;
-  esac
-done
-if target/release/graf-sweep run --grid @parsim --workers "$JOBS" --seed 7 \
-    "${SWEEP_FLAGS[@]+"${SWEEP_FLAGS[@]}"}" \
-    --out "$OUT/parallel_sim_ablation.jsonl" \
-    >"$OUT/parallel_sim_ablation.txt" 2>"$OUT/parallel_sim_ablation.err"; then
-  rm -f "$OUT/parallel_sim_ablation.err"
-  echo "ok   parallel_sim_ablation"
-else
-  touch "$FAILDIR/parallel_sim_ablation"
-  echo "FAIL parallel_sim_ablation (output: $OUT/parallel_sim_ablation.txt)"
-fi
-BINS+=(parallel_sim_ablation)
-
 echo
 FAILED=()
 for bin in "${BINS[@]}"; do

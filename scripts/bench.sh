@@ -2,8 +2,7 @@
 # Compute-backend benchmark driver. Run from anywhere; operates on the repo
 # root. Produces/updates BENCH_COMPUTE.json (preserving the stored baseline
 # section so speedup-vs-baseline stays comparable across PRs), writes the
-# simulator tiers — serial plus the sharded-executor parallel tiers
-# (`*_p1/_p2/_p8`) — to BENCH_SIM.json (a "headline" name pointing into the
+# simulator tiers to BENCH_SIM.json (a "headline" name pointing into the
 # "benches" array — resolve it with `graf-perf headline`, don't duplicate
 # it), and appends every measurement to
 # BENCH_HISTORY.jsonl tagged with the current git revision so

@@ -6,7 +6,7 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q =="
+echo "== cargo test -q (whole workspace via default-members, doctests included) =="
 cargo test -q
 
 echo "== cargo fmt --check =="
@@ -17,9 +17,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo doc (deny warnings; missing_docs denied per-crate) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
-
-echo "== doctests =="
-cargo test -q --workspace --doc
 
 echo "== graf-lint (fails on findings beyond lint.baseline) =="
 cargo run --release -p graf-lint -- --json
@@ -79,13 +76,8 @@ cmp "$SWEEPDIR/w1.jsonl" "$SWEEPDIR/w4.jsonl" \
   || { echo "graf-sweep aggregate differs between 1 and 4 workers" >&2; exit 1; }
 echo "sweep aggregates byte-identical across worker counts"
 
-echo "== sim-identity (sharded sim: --sim-threads 1 vs 4 must be byte-identical) =="
-cargo build --release -q -p graf-bench --bin sim_identity
-target/release/sim_identity --quick --seed 7 --sim-threads 1 > "$SWEEPDIR/sim_t1.txt"
-target/release/sim_identity --quick --seed 7 --sim-threads 4 > "$SWEEPDIR/sim_t4.txt"
-cmp "$SWEEPDIR/sim_t1.txt" "$SWEEPDIR/sim_t4.txt" \
-  || { echo "sharded sim output differs between 1 and 4 workers" >&2; exit 1; }
-echo "sim output byte-identical across worker counts"
+echo "== benchmark smoke (stand-alone benchmark/ workspace builds against the public API; output checks on) =="
+bash benchmark/run.sh --smoke
 
 echo "== bench smoke =="
 scripts/bench.sh --smoke

@@ -149,54 +149,3 @@ fn span_drop_truncates_traces_and_nothing_else() {
     assert_eq!(faulty.1, clean.1, "latency stream unaffected by span drops");
     assert_eq!(faulty.2, clean.2, "instance counts unaffected by span drops");
 }
-
-/// Chaos bit-identity on the sharded executor: with a contention anomaly and
-/// a span-drop fault window armed, a 1-worker and a 4-worker run produce
-/// bit-identical completion streams, drop counts, and trace fingerprints
-/// (`--sim-threads 4` in the CI gate exercises the same property). Fault
-/// draws come from per-shard seeded streams, so which worker executes a
-/// shard can never reach the fault decisions.
-#[test]
-fn sharded_chaos_is_worker_count_invariant() {
-    use graf::sim::exec::{fingerprint_completions, fingerprint_traces, ShardedWorld};
-    use graf::sim::rng::DetRng;
-
-    fn run_once(threads: usize) -> (Vec<u64>, u64, u64, u64, u64) {
-        let cfg = SimConfig { request_timeout_us: None, return_us: 250, ..SimConfig::default() };
-        let mut w = ShardedWorld::new(online_boutique(), cfg, 55, threads);
-        for s in 0..6u16 {
-            w.add_instances(ServiceId(s), 3, 300.0, SimTime::ZERO);
-        }
-        w.inject_contention(ServiceId(4), 3.0, SimTime::from_secs(0.5), SimTime::from_secs(1.5));
-        w.inject_span_drop(SimTime::from_secs(0.5), SimTime::from_secs(1.5), 0.4);
-        let mut rng = DetRng::new(55 ^ 0x9e37);
-        for (api, rate) in [(0u16, 120.0f64), (1, 120.0), (2, 160.0)] {
-            let mut t = 0.0;
-            loop {
-                t += rng.exp(1e6 / rate);
-                if t >= 2e6 {
-                    break;
-                }
-                w.inject(ApiId(api), SimTime(t as u64));
-            }
-        }
-        w.run_until(SimTime::from_secs(2.0));
-        w.run_to_quiescence(SimTime::from_secs(10.0));
-        let comps = w.drain_completions();
-        let lats: Vec<u64> = comps.iter().map(|c| c.latency_us()).collect();
-        let traces = w.drain_traces();
-        let stats = w.stats();
-        assert!(stats.spans_dropped > 0, "the fault window actually dropped spans");
-        (
-            lats,
-            fingerprint_completions(&comps),
-            fingerprint_traces(&traces),
-            stats.spans_dropped,
-            stats.events,
-        )
-    }
-
-    let one = run_once(1);
-    let four = run_once(4);
-    assert_eq!(one, four, "1 vs 4 workers diverged under chaos");
-}
