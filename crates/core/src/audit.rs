@@ -3,8 +3,9 @@
 //! Every [`ResilientController`](crate::ResilientController) tick can emit
 //! one structured [`AuditRecord`] capturing what the controller *saw* (the
 //! post-chaos rate reading, signal age, health flags), which ladder rung it
-//! *chose*, what the solver *did* (iterations, loss, predicted latency —
-//! when the Full rung ran a solve), and what it *applied* (per-service
+//! *chose*, what the solver *did* (iterations, how it stopped, whether the
+//! SLO wall was active, loss, predicted latency — when the Full rung ran a
+//! solve), and what it *applied* (per-service
 //! desired counts plus the implied deltas against the previous tick).
 //!
 //! Records serialize to JSON Lines — one self-contained object per tick —
@@ -18,15 +19,33 @@ use std::path::Path;
 
 use graf_obs::json::{write_f64, write_str};
 
+use crate::solver::{SolveResult, Stop};
+
 /// Solver statistics captured when a tick ran the full GRAF solve.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AuditSolve {
-    /// Gradient-descent iterations used.
+    /// Descent iterations used.
     pub iterations: usize,
-    /// Final loss value (scaled space).
+    /// The rule that ended the solve.
+    pub stop: Stop,
+    /// Whether the SLO wall, rather than the Algorithm-1 floor, was active.
+    pub wall_active: bool,
+    /// Loss at the solution (scaled space).
     pub loss: f64,
     /// Predicted p99 at the solution, ms.
     pub predicted_ms: f64,
+}
+
+impl From<&SolveResult> for AuditSolve {
+    fn from(s: &SolveResult) -> Self {
+        Self {
+            iterations: s.iterations,
+            stop: s.stop,
+            wall_active: s.wall_active,
+            loss: s.loss,
+            predicted_ms: s.predicted_ms,
+        }
+    }
 }
 
 /// One control tick's decision, inputs included.
@@ -86,6 +105,10 @@ impl AuditRecord {
             Some(s) => {
                 out.push_str("{\"iterations\":");
                 out.push_str(&s.iterations.to_string());
+                out.push_str(",\"stop\":");
+                write_str(&mut out, s.stop.as_str());
+                out.push_str(",\"wall_active\":");
+                out.push_str(if s.wall_active { "true" } else { "false" });
                 out.push_str(",\"loss\":");
                 write_f64(&mut out, s.loss);
                 out.push_str(",\"predicted_ms\":");
@@ -190,7 +213,13 @@ mod tests {
             rates_finite: false,
             coverage_min: 0.92,
             creation_ok: true,
-            solver: Some(AuditSolve { iterations: 120, loss: 3.5, predicted_ms: 17.2 }),
+            solver: Some(AuditSolve {
+                iterations: 120,
+                stop: Stop::WallConverged,
+                wall_active: true,
+                loss: 3.5,
+                predicted_ms: 17.2,
+            }),
             desired: vec![2, 5],
             deltas: vec![0, 2],
         }
@@ -203,10 +232,11 @@ mod tests {
         assert_eq!(j.get("level").and_then(Json::as_str), Some("full"));
         // NaN rates become null per RFC 8259.
         assert_eq!(j.get("rates"), Some(&Json::Arr(vec![Json::Num(80.5), Json::Null])));
-        assert_eq!(
-            j.get("solver").and_then(|s| s.get("iterations")).and_then(Json::as_f64),
-            Some(120.0)
-        );
+        let solver = j.get("solver").expect("solver object");
+        assert_eq!(solver.get("iterations").and_then(Json::as_f64), Some(120.0));
+        assert_eq!(solver.get("stop").and_then(Json::as_str), Some("wall_converged"));
+        assert_eq!(solver.get("wall_active"), Some(&Json::Bool(true)));
+        assert_eq!(solver.get("predicted_ms").and_then(Json::as_f64), Some(17.2));
         assert_eq!(j.get("deltas"), Some(&Json::Arr(vec![Json::Num(0.0), Json::Num(2.0)])));
     }
 

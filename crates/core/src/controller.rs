@@ -302,6 +302,8 @@ impl GrafController {
                 .attr("total_qps", rates.iter().sum::<f64>())
                 .attr("scale_s", out.scale)
                 .attr("solver_iterations", out.solve.iterations)
+                .attr("solver_stop", out.solve.stop.as_str())
+                .attr("solver_wall_active", out.solve.wall_active)
                 .attr("predicted_p99_ms", out.solve.predicted_ms)
                 .attr("quota_total_mc", out.quotas_mc.iter().sum::<f64>())
                 .attr("instances", counts.iter().sum::<usize>())

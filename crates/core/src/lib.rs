@@ -13,9 +13,10 @@
 //!    MPNN+readout network (or the no-MPNN ablation) with the asymmetric
 //!    Hüber percentage loss to predict end-to-end p99 latency from
 //!    `(workload, quota)` node features.
-//! 4. **Configuration solver** ([`solver`], §3.5) — Adam gradient descent
+//! 4. **Configuration solver** ([`solver`], §3.5) — gradient descent
 //!    *through the trained network* over the CPU-quota variables, minimizing
-//!    `Σ r + ρ·max(0, L̂(w,r) − SLO)` (eq. 5/6) within Algorithm-1 bounds.
+//!    `Σ r` subject to `L̂(w,r) ≤ SLO` (eq. 5/6) within Algorithm-1 bounds:
+//!    down the box until the SLO wall, then along it.
 //! 5. **Resource controller** ([`controller`], §3.6) — scales workloads into
 //!    the trained region, converts solved quotas to instance counts
 //!    (`ceil(quota / unit)`, eq. 7) and applies them to every microservice at
@@ -65,5 +66,5 @@ pub use partition::{partition_graph, PartitionedLatencyModel};
 pub use resilient::{PolicyLevel, PolicyMode, ResilientConfig, ResilientController};
 pub use sample_collector::{Bounds, Sample, SampleCollector, SamplingConfig};
 pub use solver::{
-    integer_refine, solve, solve_instrumented, solve_observed, SolveResult, SolverConfig,
+    integer_refine, solve, solve_instrumented, solve_observed, SolveResult, SolverConfig, Stop,
 };

@@ -482,11 +482,7 @@ impl Autoscaler for ResilientController {
             let solver = (next == PolicyLevel::Full)
                 .then_some(self.inner.last_solve.as_ref())
                 .flatten()
-                .map(|s| AuditSolve {
-                    iterations: s.iterations,
-                    loss: s.loss,
-                    predicted_ms: s.predicted_ms,
-                });
+                .map(AuditSolve::from);
             let desired: Vec<usize> = cluster.deployments().iter().map(|d| d.desired).collect();
             let deltas: Vec<i64> =
                 desired.iter().zip(&desired_before).map(|(&a, &b)| a as i64 - b as i64).collect();

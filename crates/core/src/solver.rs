@@ -1,12 +1,43 @@
 //! The configuration solver (§3.5).
 //!
-//! Minimizes eq. (5): `Loss(r) = Σᵢ rᵢ + ρ · max(0, L̂(w, r) − SLO)` by Adam
-//! gradient descent over the per-service CPU quotas `r`, differentiating the
-//! *trained latency prediction model* `L̂` with respect to its quota inputs.
-//! Quotas are projected into Algorithm-1 bounds after every step, and the
-//! loop stops once the loss delta falls below a tolerance — the paper's
-//! synchronous, lightweight solve (3.4–6.8 s on their testbed; microseconds
-//! here since the model is small).
+//! Solves eq. (5)'s problem — the cheapest per-service CPU quotas `r` whose
+//! predicted p99 `L̂(w, r)` meets the SLO, inside the Algorithm-1 box — by
+//! differentiating the *trained latency prediction model* with respect to
+//! its quota inputs. The paper's synchronous, lightweight solve (3.4–6.8 s
+//! on their testbed; about a millisecond here since the model is small).
+//!
+//! The descent has two regimes, and nothing but the data selects between them:
+//!
+//! * **Until an evaluation violates the SLO** the loss
+//!   `Σᵢ rᵢ + ρ·max(0, L̂−SLO)/SLO` has gradient 1 in every coordinate, and the
+//!   iterates are the fixed-`lr` Adam walk down from the top of the box,
+//!   projected into the box after every step and stopped when
+//!   `|ΔLoss| < tol`. A solve whose SLO is met at the bottom of the box never
+//!   leaves this regime; its iterates, iteration count and result are
+//!   bit-for-bit those of the plain Adam descent this file started as, which
+//!   is what keeps every seeded result downstream of a loose solve stable.
+//! * **From the first infeasible evaluation on** the hinge's gradient is kept
+//!   away from Adam. Fed to it, one kick of size
+//!   `ρ/SLO·|∂L̂/∂r|·quota_div ≫ 1` sits in the first moment for ≈ 20 steps and
+//!   carries the iterate far back into the feasible side, the inflated second
+//!   moment then damps the walk down, and the cycle repeats every ≈ 130
+//!   iterations: `|ΔLoss| < tol` cannot fire, the solve runs to `max_iters`,
+//!   and the answer is whichever phase of the saw-tooth the cap cuts off
+//!   (DESIGN.md §2 has the measurements). Instead the walk *closes in on the
+//!   wall*: a feasible iterate steps every quota down by the current step
+//!   size; an infeasible one takes the min-norm (Newton) step back onto the
+//!   model's linearised wall, and — when it was reached from a feasible
+//!   iterate — adds one step *along* that wall, in the direction that lowers
+//!   `Σ r` fastest (`Walk::wall_step`). The lowest-total feasible iterate is
+//!   kept; when `PATIENCE` (6) evaluations in a row fail to improve on it the
+//!   step size halves and the walk restarts from it. The solve ends when the
+//!   step falls below `lr / STEP_FLOOR` (`lr / 64`) or no quota can move — a
+//!   rule in quota space, not loss space — which also ends an unreachable SLO
+//!   after tens of iterations instead of `max_iters` backward passes.
+//!
+//! The result is always the lowest-total feasible iterate that was evaluated
+//! (the lowest-violation one when none was feasible), and [`SolveResult`]
+//! says which rule ended the solve and whether the wall was ever active.
 //!
 //! The optimization runs in scaled space (quotas divided by the feature
 //! scaler's divisor, latency normalized by the SLO), which keeps ρ meaningful
@@ -17,14 +48,33 @@ use graf_nn::{Adam, Matrix, Param};
 use crate::latency_model::LatencyModel;
 use crate::sample_collector::Bounds;
 
+/// Wall walk: evaluations in a row without a new best iterate before the step
+/// size halves and the walk restarts from the best iterate. One excursion is
+/// a crossing, up to three restoration steps and a feasible landing.
+const PATIENCE: usize = 6;
+/// Wall walk: the solve has converged once the step size is below
+/// `lr / STEP_FLOOR`.
+const STEP_FLOOR: f64 = 64.0;
+/// Wall walk: a feasible iterate replaces the best one only if it lowers the
+/// total by this fraction of the step size — less is zig-zagging in place.
+const MIN_GAIN: f64 = 1.0 / 16.0;
+/// Wall walk: restoration aims this far inside the wall (relative latency, at
+/// the full step size), so that an exact landing on the linearised wall
+/// counts as feasible.
+const WALL_MARGIN: f64 = 1e-3;
+
 /// Solver hyper-parameters.
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
-    /// Penalty coefficient ρ of eq. (5), applied to the normalized violation.
+    /// Penalty coefficient ρ of eq. (5), applied to the normalized violation
+    /// in the reported loss. The wall walk restores feasibility by the
+    /// model's own gradient, so no step is scaled by it.
     pub rho: f64,
-    /// Adam learning rate in scaled-quota space.
+    /// Adam learning rate in scaled-quota space; also the wall walk's initial
+    /// and largest step size.
     pub lr: f64,
-    /// Stop when `|Loss_t − Loss_{t−1}|` falls below this.
+    /// Before the SLO wall is touched: stop when `|Loss_t − Loss_{t−1}|` falls
+    /// below this.
     pub tol: f64,
     /// Hard iteration cap.
     pub max_iters: usize,
@@ -38,6 +88,34 @@ impl Default for SolverConfig {
     }
 }
 
+/// The rule that ended a solve.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stop {
+    /// The wall was never touched and `|ΔLoss| < tol`: the walk sits on the
+    /// floor of the box.
+    Tolerance,
+    /// The wall walk's step fell below `lr / 64`, or no quota could move, with
+    /// a feasible iterate in hand.
+    WallConverged,
+    /// The same quota-space rule, but no evaluated iterate met the SLO: the
+    /// SLO is unreachable inside the box as the model sees it.
+    PinnedInfeasible,
+    /// `max_iters` evaluations were spent.
+    Cap,
+}
+
+impl Stop {
+    /// Stable lower-case name, as written to spans and the audit trail.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Stop::Tolerance => "tolerance",
+            Stop::WallConverged => "wall_converged",
+            Stop::PinnedInfeasible => "pinned_infeasible",
+            Stop::Cap => "cap",
+        }
+    }
+}
+
 /// A solved resource configuration.
 #[derive(Clone, Debug)]
 pub struct SolveResult {
@@ -45,17 +123,22 @@ pub struct SolveResult {
     pub quotas_mc: Vec<f64>,
     /// Predicted p99 at the solution, ms.
     pub predicted_ms: f64,
-    /// Gradient-descent iterations used.
+    /// Model evaluations (descent iterations) used.
     pub iterations: usize,
-    /// Final loss value (scaled space).
+    /// Loss at the solution (scaled space).
     pub loss: f64,
+    /// Which rule ended the solve.
+    pub stop: Stop,
+    /// Whether any evaluated iterate violated the SLO, i.e. whether the SLO —
+    /// rather than the Algorithm-1 floor — shaped the answer.
+    pub wall_active: bool,
 }
 
 /// Finds the minimal-total-CPU configuration satisfying the latency SLO.
 ///
 /// `workloads` are the per-service workloads from the workload analyzer;
 /// `slo_ms` the target; `bounds` the Algorithm-1 box. The solve starts from
-/// the upper bounds (a known-feasible point) and walks downhill.
+/// the upper bounds (the most feasible point of the box) and walks downhill.
 ///
 /// Quickstart — fit a tiny model on a synthetic latency surface, then solve:
 ///
@@ -103,9 +186,9 @@ pub fn solve(
 }
 
 /// [`solve`] with telemetry: records a `graf.solver.solve` span (iterations,
-/// final loss, SLO violation, predicted latency; wall-clock duration) and the
-/// `graf.solver.iterations` counter. Identical numerics — telemetry never
-/// feeds back into the descent.
+/// stop rule, whether the wall was active, loss, SLO violation, predicted
+/// latency; wall-clock duration) and the `graf.solver.iterations` counter.
+/// Identical numerics — telemetry never feeds back into the descent.
 pub fn solve_observed(
     model: &mut LatencyModel,
     workloads: &[f64],
@@ -119,8 +202,8 @@ pub fn solve_observed(
 
 /// [`solve_observed`] plus self-profiling: attributes wall time to
 /// `solver.solve` with `solver.predict_grad` (fused model forward/backward)
-/// and `solver.descent` (Adam step + box projection) child phases, one work
-/// unit per iteration. A disabled profiler costs one branch per scope, so
+/// and `solver.descent` (step + box projection) child phases, one work unit
+/// per iteration. A disabled profiler costs one branch per scope, so
 /// numerics and performance are unchanged when profiling is off.
 pub fn solve_instrumented(
     model: &mut LatencyModel,
@@ -143,74 +226,227 @@ pub fn solve_instrumented(
     // graf-lint: allow(hot-alloc, one-time setup before the descent loop)
     let hi: Vec<f64> = bounds.upper.iter().map(|&v| model.scaler.scale_quota(v)).collect();
 
-    // Variables: scaled quotas, starting from the feasible top of the box.
+    // Variables: scaled quotas, starting from the top of the box.
     // graf-lint: allow(hot-alloc, one-time setup before the descent loop)
     let mut r = Param::new(Matrix::row_vector(hi.clone()));
     let mut opt = Adam::new(cfg.lr);
 
+    // Per-iteration buffers hoisted out of the descent loop, carved from one
+    // allocation: the quotas in millicores, the best iterate so far, and the
+    // wall step with its free-coordinate mask. Each pass is one fused forward
+    // through the model, plus a backward only when the iterate is infeasible
+    // (reusing the retained forward trace).
+    // graf-lint: allow(hot-alloc, hoisted buffer reused every iteration)
+    let mut scratch = vec![0.0; 4 * n];
+    let (quotas_mc, rest) = scratch.split_at_mut(n);
+    let (best, rest) = rest.split_at_mut(n);
+    let (step, free) = rest.split_at_mut(n);
+    let mut walk = Walk { lo: &lo, hi: &hi, max_step: cfg.lr, step, free };
+    // graf-lint: allow(hot-alloc, hoisted buffer reused every iteration)
+    let mut grad: Vec<f64> = Vec::with_capacity(n);
+
+    // The best iterate: lowest total among the feasible ones, else lowest
+    // violation. Starts as the top of the box, unevaluated.
+    best.copy_from_slice(&hi);
+    let (mut best_total, mut best_violation) = (f64::INFINITY, f64::INFINITY);
     let mut prev_loss = f64::INFINITY;
     let mut iterations = 0;
-    let mut last_loss = 0.0;
-    // Per-iteration buffers hoisted out of the descent loop; each pass is one
-    // fused forward through the model, plus a backward only when the SLO
-    // penalty is active (reusing the retained forward trace).
-    // graf-lint: allow(hot-alloc, hoisted buffer reused every iteration)
-    let mut quotas_mc = vec![0.0; n];
-    // graf-lint: allow(hot-alloc, hoisted buffer reused every iteration)
-    let mut g_ms: Vec<f64> = Vec::with_capacity(n);
+    let mut stop = Stop::Cap;
+    // Wall walk state: current step size, evaluations since `best` last
+    // changed, and whether the previous evaluation was feasible.
+    let mut wall_active = false;
+    let mut radius = cfg.lr;
+    let mut stale = 0;
+    let mut was_feasible = false;
     for it in 0..cfg.max_iters {
         iterations = it + 1;
         prof.work(1);
         for (q, &v) in quotas_mc.iter_mut().zip(r.value.data()) {
             *q = model.scaler.unscale_quota(v);
         }
-        let (pred, has_grad) = {
+        let (pred, infeasible) = {
             let _grad_scope = prof.enter("solver.predict_grad");
-            model.predict_ms_with_grad(workloads, &quotas_mc, slo_ms, &mut g_ms)
+            model.predict_ms_with_grad(workloads, quotas_mc, slo_ms, &mut grad)
         };
-        let violation = (pred - slo_ms).max(0.0) / slo_ms;
+        // NaN for a NaN prediction, which then never counts as an improvement.
+        let violation = if infeasible { (pred - slo_ms) / slo_ms } else { 0.0 };
         let total: f64 = r.value.data().iter().sum();
-        last_loss = total + cfg.rho * violation;
 
         let _descent_scope = prof.enter("solver.descent");
-        // Gradient: d/dr_scaled [Σ r_scaled] = 1; the penalty term chains
-        // through the network when active (`g_ms` = d pred_ms / d r_mc).
-        if has_grad {
-            for (i, &gm) in g_ms.iter().enumerate() {
-                // d r_mc / d r_scaled = quota_div.
-                r.grad.set(0, i, 1.0 + cfg.rho / slo_ms * gm * model.scaler.quota_div);
-            }
-        } else {
+        wall_active |= infeasible;
+        if !wall_active {
+            // The wall has never been touched: d/dr_scaled [Σ r_scaled] = 1,
+            // stepped by Adam and projected into the Algorithm-1 box.
+            best.copy_from_slice(r.value.data());
+            (best_total, best_violation) = (total, violation);
             for i in 0..n {
                 r.grad.set(0, i, 1.0);
             }
-        }
-        opt.step(&mut [&mut r]);
-        // Project into the Algorithm-1 box.
-        for i in 0..n {
-            let v = r.value.get(0, i).clamp(lo[i], hi[i]);
-            r.value.set(0, i, v);
+            opt.step(&mut [&mut r]);
+            for i in 0..n {
+                let v = r.value.get(0, i).clamp(lo[i], hi[i]);
+                r.value.set(0, i, v);
+            }
+            // With no violation yet the loss is the total.
+            if it + 1 >= cfg.min_iters && (prev_loss - total).abs() < cfg.tol {
+                stop = Stop::Tolerance;
+                break;
+            }
+            prev_loss = total;
+            was_feasible = true;
+            continue;
         }
 
-        if it + 1 >= cfg.min_iters && (prev_loss - last_loss).abs() < cfg.tol {
+        let improved = if infeasible {
+            violation < best_violation
+        } else {
+            best_violation > 0.0 || total < best_total - MIN_GAIN * radius
+        };
+        let x = r.value.data_mut();
+        if improved {
+            best.copy_from_slice(x);
+            (best_total, best_violation) = (total, violation);
+            stale = 0;
+        } else {
+            stale += 1;
+            if stale >= PATIENCE {
+                // This step size no longer pays: halve it and walk again
+                // from the best iterate.
+                radius *= 0.5;
+                if radius * STEP_FLOOR < cfg.lr {
+                    stop = Stop::WallConverged;
+                    break;
+                }
+                x.copy_from_slice(best);
+                stale = 0;
+                was_feasible = false;
+                continue;
+            }
+        }
+        let moved = if infeasible {
+            // `grad` is d pred_ms / d r_mc; the walk wants d violation /
+            // d r_scaled, and d r_mc / d r_scaled = quota_div.
+            let to_scaled = model.scaler.quota_div / slo_ms;
+            grad.iter_mut().for_each(|g| *g *= to_scaled);
+            walk.wall_step(x, &grad, violation, radius, was_feasible)
+        } else {
+            walk.descend(x, radius)
+        };
+        was_feasible = !infeasible;
+        if moved == 0.0 {
+            // Every coordinate that wants to move is pinned to the box.
+            stop = Stop::WallConverged;
             break;
         }
-        prev_loss = last_loss;
+    }
+    if stop == Stop::WallConverged && best_violation > 0.0 {
+        stop = Stop::PinnedInfeasible;
     }
 
     let scaler = model.scaler;
     // graf-lint: allow(hot-alloc, result construction after the loop exits)
-    let quotas_mc: Vec<f64> = r.value.data().iter().map(|&v| scaler.unscale_quota(v)).collect();
+    let quotas_mc: Vec<f64> = best.iter().map(|&v| scaler.unscale_quota(v)).collect();
     let predicted_ms = model.predict_ms(workloads, &quotas_mc);
+    let best_loss = best_total + cfg.rho * best_violation;
     if span.is_recording() {
         span.attr("iterations", iterations)
-            .attr("loss", last_loss)
+            .attr("stop", stop.as_str())
+            .attr("wall_active", wall_active)
+            .attr("loss", best_loss)
             .attr("predicted_ms", predicted_ms)
             .attr("violation", (predicted_ms - slo_ms).max(0.0) / slo_ms)
             .attr("quota_total_mc", quotas_mc.iter().sum::<f64>());
         obs.counter_add("graf.solver.iterations", &[], iterations as u64);
     }
-    SolveResult { quotas_mc, predicted_ms, iterations, loss: last_loss }
+    SolveResult { quotas_mc, predicted_ms, iterations, loss: best_loss, stop, wall_active }
+}
+
+/// The Algorithm-1 box in scaled space and the scratch the wall walk steps in.
+struct Walk<'a> {
+    lo: &'a [f64],
+    hi: &'a [f64],
+    /// The largest step size, `cfg.lr`.
+    max_step: f64,
+    step: &'a mut [f64],
+    /// 1.0 for a coordinate the step may move, 0.0 for one dropped from it.
+    free: &'a mut [f64],
+}
+
+impl Walk<'_> {
+    /// Moves `x` by `self.step`, projected into the box; returns the largest
+    /// coordinate move.
+    fn apply(&self, x: &mut [f64]) -> f64 {
+        let mut moved = 0.0f64;
+        for (i, v) in x.iter_mut().enumerate() {
+            let next = (*v + self.step[i]).clamp(self.lo[i], self.hi[i]);
+            moved = moved.max((next - *v).abs());
+            *v = next;
+        }
+        moved
+    }
+
+    /// The step from a feasible iterate: every quota down by `radius`.
+    fn descend(&mut self, x: &mut [f64], radius: f64) -> f64 {
+        self.step.fill(-radius);
+        self.apply(x)
+    }
+
+    /// The step from an infeasible iterate `x` with normalized violation `c`
+    /// and gradient `g = ∂c/∂x`: the sum of
+    ///
+    /// * the *restoration*, the min-norm move onto the linearised wall,
+    ///   `−(c + margin)/(g·g) · g`, aimed [`WALL_MARGIN`] inside it, and
+    /// * when `along` is set, the *slide*, the direction of steepest descent
+    ///   of `Σ x` inside the linearised wall, `−(1 − (1·g)/(g·g) · g)`, scaled
+    ///   so its largest coordinate moves by `radius`,
+    ///
+    /// both over the free coordinates only — one at a bound of the box that
+    /// the step would push outward is dropped and the step recomputed. No
+    /// coordinate moves by more than `2·radius` (at most `max_step`).
+    fn wall_step(&mut self, x: &mut [f64], g: &[f64], c: f64, radius: f64, along: bool) -> f64 {
+        let margin = WALL_MARGIN * radius / self.max_step;
+        let cap = (2.0 * radius).min(self.max_step);
+        self.free.fill(1.0);
+        loop {
+            let (mut gg, mut g1) = (0.0, 0.0);
+            for (&g, &f) in g.iter().zip(self.free.iter()) {
+                gg += f * g * g;
+                g1 += f * g;
+            }
+            if gg == 0.0 {
+                return 0.0;
+            }
+            let mut slide_max = 0.0f64;
+            for ((s, &g), &f) in self.step.iter_mut().zip(g).zip(self.free.iter()) {
+                *s = -f * (1.0 - g1 / gg * g);
+                slide_max = slide_max.max(s.abs());
+            }
+            // A slide direction this small is rounding noise around a point
+            // that already balances the free gradients; normalising it would
+            // invent a direction.
+            let slide = if along && slide_max > 1e-9 { radius / slide_max } else { 0.0 };
+            let restore = (c + margin) / gg;
+            let mut step_max = 0.0f64;
+            for ((s, &g), &f) in self.step.iter_mut().zip(g).zip(self.free.iter()) {
+                *s = slide * *s - f * restore * g;
+                step_max = step_max.max(s.abs());
+            }
+            let shrink = if step_max > cap { cap / step_max } else { 1.0 };
+            let mut dropped = false;
+            for (i, &v) in x.iter().enumerate() {
+                let s = self.step[i] * shrink;
+                self.step[i] = s;
+                let outward = (v <= self.lo[i] && s < 0.0) || (v >= self.hi[i] && s > 0.0);
+                if outward && self.free[i] == 1.0 {
+                    self.free[i] = 0.0;
+                    dropped = true;
+                }
+            }
+            if !dropped {
+                return self.apply(x);
+            }
+        }
+    }
 }
 
 /// §6's "Integer Optimization for instances scaling" extension: refine a
@@ -395,9 +631,14 @@ mod tests {
     #[test]
     fn unreachable_slo_saturates_at_upper_bounds() {
         let (mut model, bounds, w) = trained_model(7);
-        let res = solve(&mut model, &w, 0.5, &bounds, &SolverConfig::default());
-        // With an impossible 0.5 ms SLO the penalty dominates: quotas stay
-        // pinned high in the box instead of descending to the floor.
+        let cfg = SolverConfig::default();
+        let res = solve(&mut model, &w, 0.5, &bounds, &cfg);
+        // With an impossible 0.5 ms SLO every step is a restoration step:
+        // quotas stay pinned high in the box instead of descending to the
+        // floor, and the solve ends on the quota-space rule long before the
+        // cap instead of paying `max_iters` backward passes.
+        assert_eq!((res.stop, res.wall_active), (Stop::PinnedInfeasible, true), "{res:?}");
+        assert!(res.iterations < cfg.max_iters / 5, "{} iterations", res.iterations);
         for i in 0..2 {
             let mid = 0.5 * (bounds.lower[i] + bounds.upper[i]);
             assert!(

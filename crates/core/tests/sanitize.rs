@@ -1,9 +1,11 @@
 //! Zero-allocation steady state for the control plane
 //! (`--features sanitize`).
 //!
-//! * One **solver iteration** — the body of `solve_observed`'s descent loop:
-//!   unscale quotas, fused predict+gradient, chain rule, Adam step, clamp —
-//!   must not touch the heap once the model's scratch is warm.
+//! * The **solver's descent loop** — the real `solve`, both its regimes:
+//!   the Adam walk down the box and the walk along the SLO wall — must not
+//!   touch the heap once the model's scratch is warm: a solve cut off after
+//!   30 iterations and one that runs several hundred allocate exactly the
+//!   same number of times, i.e. set-up and result only.
 //! * One **pilot tick** — `GrafController::tick` over a live cluster — is
 //!   allowed its small fixed set of per-tick buffers (rates, units, counts,
 //!   solver setup), but that count must be bounded and stable: it must not
@@ -13,10 +15,10 @@
 
 use graf_core::sample_collector::Bounds;
 use graf_core::{
-    FeatureScaler, GrafController, GrafControllerConfig, LatencyModel, NetKind, WorkloadAnalyzer,
+    solve, FeatureScaler, GrafController, GrafControllerConfig, LatencyModel, NetKind,
+    SolverConfig, WorkloadAnalyzer,
 };
-use graf_nn::sanitize::{alloc_delta, assert_no_alloc};
-use graf_nn::{Adam, Matrix, Param};
+use graf_nn::sanitize::alloc_delta;
 use graf_orchestrator::{Autoscaler, Cluster, CreationModel, Deployment};
 use graf_sim::time::SimTime;
 use graf_sim::topology::{ApiId, ApiSpec, AppTopology, CallNode, ServiceId, ServiceSpec};
@@ -27,50 +29,38 @@ fn model3() -> LatencyModel {
     LatencyModel::new(NetKind::Gnn, &[(0, 1), (1, 2)], 3, scaler, 1.0, 5)
 }
 
-/// One iteration of the solver's descent loop, shaped exactly like the body
-/// of `solve_observed`: unscale, fused forward+backward, chain rule, step.
-fn solver_iteration(
-    model: &mut LatencyModel,
-    opt: &mut Adam,
-    r: &mut Param,
-    workloads: &[f64],
-    quotas_mc: &mut [f64],
-    g_ms: &mut Vec<f64>,
-) -> f64 {
-    let scaler = model.scaler;
-    for (q, &v) in quotas_mc.iter_mut().zip(r.value.data()) {
-        *q = scaler.unscale_quota(v);
-    }
-    let (pred, has_grad) = model.predict_ms_with_grad(workloads, quotas_mc, -1.0, g_ms);
-    if has_grad {
-        for (i, &gm) in g_ms.iter().enumerate() {
-            r.grad.set(0, i, 1.0 + gm * scaler.quota_div);
-        }
-    } else {
-        for i in 0..quotas_mc.len() {
-            r.grad.set(0, i, 1.0);
-        }
-    }
-    opt.step(&mut [&mut *r]);
-    pred
-}
-
 #[test]
-fn solver_iteration_is_allocation_free_in_steady_state() {
+fn solver_allocates_for_setup_only_however_long_it_runs() {
     let mut model = model3();
     let workloads = [60.0, 60.0, 60.0];
-    let mut quotas_mc = [800.0, 900.0, 1000.0];
-    let mut g_ms: Vec<f64> = Vec::with_capacity(3);
-    let mut r = Param::new(Matrix::row_vector(vec![0.8, 0.9, 1.0]));
-    let mut opt = Adam::new(0.05);
+    let bounds = Bounds { lower: vec![150.0; 3], upper: vec![2500.0; 3] };
+    // An SLO the untrained model meets at the top of the box and misses at
+    // the bottom, so the long solve walks the wall; a tenth of the default
+    // step stretches the walk to several hundred iterations.
+    let top = model.predict_ms(&workloads, &bounds.upper);
+    let floor = model.predict_ms(&workloads, &bounds.lower);
+    assert!(top != floor, "the untrained model is not constant over the box");
+    let slo_ms = 0.5 * (top + floor);
+    let long = SolverConfig { lr: 0.002, ..SolverConfig::default() };
+    let short = SolverConfig { max_iters: 30, ..long.clone() };
 
-    for _ in 0..3 {
-        solver_iteration(&mut model, &mut opt, &mut r, &workloads, &mut quotas_mc, &mut g_ms);
-    }
-    let pred = assert_no_alloc("solver iteration", || {
-        solver_iteration(&mut model, &mut opt, &mut r, &workloads, &mut quotas_mc, &mut g_ms)
-    });
-    assert!(pred.is_finite());
+    // Warm the model's scratch.
+    solve(&mut model, &workloads, slo_ms, &bounds, &short);
+    let (cut_off, short_allocs) =
+        alloc_delta(|| solve(&mut model, &workloads, slo_ms, &bounds, &short));
+    let (walked, long_allocs) =
+        alloc_delta(|| solve(&mut model, &workloads, slo_ms, &bounds, &long));
+    assert_eq!(cut_off.iterations, 30);
+    assert!(
+        walked.iterations >= 300 && walked.wall_active,
+        "the long solve exercises both regimes: {walked:?}"
+    );
+    assert_eq!(
+        short_allocs,
+        long_allocs,
+        "{} extra iterations may not allocate: {cut_off:?} vs {walked:?}",
+        walked.iterations - cut_off.iterations
+    );
 }
 
 #[test]
