@@ -13,12 +13,17 @@
 //! Samples are then drawn uniformly inside the box and measured by running
 //! the simulated application — each sample applies a configuration, offers
 //! load, lets the system settle, and reads the p99 over a 10-second window,
-//! mirroring the paper's apply → load → measure → flush cycle. Samples are
-//! independent, so collection fans out across threads (the analog of the
-//! paper's "sample collection can be processed in parallel").
+//! mirroring the paper's apply → load → measure → flush cycle. Probes are
+//! independent, so Algorithm 1's baseline pair and per-service scans, and then
+//! the samples, fan out over `SamplingConfig::threads` workers (the paper's
+//! "sample collection can be processed in parallel"). A probe's seed depends
+//! only on its position (`seed ^ (i << 8) ^ step` in service `i`'s scan, a
+//! per-index fork for a sample), no probe reads another chain's result, and
+//! results are assembled in index order after the join: bounds, samples and
+//! telemetry are bit-identical for every thread count.
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use graf_metrics::Summary;
 use graf_sim::rng::DetRng;
@@ -58,7 +63,8 @@ pub struct SamplingConfig {
     pub percentile: f64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Worker threads for sample collection.
+    /// Worker threads for the Algorithm-1 bound search and for sample
+    /// collection; results are bit-identical for every value.
     pub threads: usize,
 }
 
@@ -188,7 +194,6 @@ impl SampleCollector {
     /// (a single noisy window cannot set a bound).
     pub fn reduce_search_space(&self) -> Bounds {
         let mut span = self.obs.span("graf.sample.bounds");
-        let mut probes = 2u64; // the two baseline runs below
         let n = self.topo.num_services();
         let abundant = vec![self.cfg.abundant_quota_mc; n];
         // Bounds must support the most demanding workload the sampler will
@@ -197,73 +202,28 @@ impl SampleCollector {
             self.cfg.probe_qps.iter().map(|q| q * self.cfg.workload_range.1).collect();
         // Baseline per-service latency with sufficient CPU everywhere,
         // averaged over two runs to tame tail noise.
-        let (b1, _) = self.measure(&abundant, &rates, self.cfg.seed ^ 0xA1, false);
-        let (b2, _) = self.measure(&abundant, &rates, self.cfg.seed ^ 0xB2, false);
-        let baseline90: Vec<f64> = (0..n)
-            .map(|i| {
-                let a = b1.service_p90_ms[i].unwrap_or(self.cfg.slo_ms);
-                let b = b2.service_p90_ms[i].unwrap_or(self.cfg.slo_ms);
-                0.5 * (a + b)
-            })
-            .collect();
+        let baselines = fan_out(2, self.cfg.threads, |run| {
+            self.measure(&abundant, &rates, self.cfg.seed ^ [0xA1, 0xB2][run], false).0
+        });
+        let baseline90 = |i: usize| {
+            let p90 = |run: &MeasureOutcome| run.service_p90_ms[i].unwrap_or(self.cfg.slo_ms);
+            0.5 * (p90(&baselines[0]) + p90(&baselines[1]))
+        };
+        let scans = fan_out(n, self.cfg.threads, |i| self.scan_service(i, &rates, baseline90(i)));
 
-        let mut lower = vec![self.cfg.min_quota_mc; n];
-        let mut upper = vec![self.cfg.abundant_quota_mc; n];
-        for i in 0..n {
-            // One downward scan recording (quota, p90, p99) of service i.
-            let mut scan: Vec<(f64, f64, f64)> = Vec::new();
-            let mut quotas = abundant.clone();
-            let mut q = self.cfg.abundant_quota_mc;
-            let mut step = 0u64;
-            let mut slo_violations = 0;
-            while q > self.cfg.min_quota_mc {
-                q = (q * self.cfg.reduce_factor).max(self.cfg.min_quota_mc);
-                quotas[i] = q;
-                step += 1;
-                probes += 1;
-                let (out, _) =
-                    self.measure(&quotas, &rates, self.cfg.seed ^ ((i as u64) << 8) ^ step, false);
-                let p90 = out.service_p90_ms[i].unwrap_or(f64::INFINITY);
-                let p99 = out.service_tail_ms[i].unwrap_or(f64::INFINITY);
-                scan.push((q, p90, p99));
-                // Stop early once the SLO violation is confirmed twice.
-                slo_violations = if p99 > self.cfg.slo_ms { slo_violations + 1 } else { 0 };
-                if slo_violations >= 2 {
-                    break;
-                }
-            }
-            // Upper bound: quota preceding the first two consecutive steps
-            // whose p90 exceeds baseline × tolerance.
-            let degraded = |&(_, p90, _): &(f64, f64, f64)| {
-                p90 > baseline90[i] * self.cfg.upper_tolerance + 0.3
-            };
-            let mut upper_i = scan.last().map_or(self.cfg.abundant_quota_mc, |s| s.0);
-            for w in 0..scan.len() {
-                if degraded(&scan[w]) && scan.get(w + 1).is_none_or(degraded) {
-                    upper_i = if w == 0 { self.cfg.abundant_quota_mc } else { scan[w - 1].0 };
-                    break;
-                }
-            }
-            // Lower bound: first of two consecutive steps whose own p99
-            // already violates the end-to-end SLO.
-            let violates = |&(_, _, p99): &(f64, f64, f64)| p99 > self.cfg.slo_ms;
-            let mut lower_i = self.cfg.min_quota_mc;
-            for w in 0..scan.len() {
-                if violates(&scan[w]) && scan.get(w + 1).is_some_and(violates) {
-                    lower_i = scan[w].0;
-                    break;
-                }
-            }
-            upper[i] = upper_i.max(lower_i);
-            lower[i] = lower_i.min(upper[i]);
+        let bounds = Bounds {
+            lower: scans.iter().map(|s| s.0).collect(),
+            upper: scans.iter().map(|s| s.1).collect(),
+        };
+        for (i, &(lower_mc, upper_mc, _)) in scans.iter().enumerate() {
             self.obs
                 .point("graf.sample.bound")
                 .attr("service", i)
-                .attr("lower_mc", lower[i])
-                .attr("upper_mc", upper[i]);
+                .attr("lower_mc", lower_mc)
+                .attr("upper_mc", upper_mc);
         }
-        let bounds = Bounds { lower, upper };
         if span.is_recording() {
+            let probes = 2 + scans.iter().map(|s| s.2).sum::<u64>(); // 2 baseline runs
             span.attr("probes", probes).attr("services", n).attr(
                 "volume_reduction",
                 bounds.volume_reduction(self.cfg.min_quota_mc, self.cfg.abundant_quota_mc),
@@ -273,28 +233,65 @@ impl SampleCollector {
         bounds
     }
 
+    /// Service `i`'s downward scan: `(lower_i, upper_i, probes)`. It reads only
+    /// its own probes and its baseline p90, so scans can run in any order.
+    fn scan_service(&self, i: usize, rates: &[f64], baseline90: f64) -> (f64, f64, u64) {
+        // (quota, p90, p99) of service i at every step of the ladder.
+        let mut scan: Vec<(f64, f64, f64)> = Vec::new();
+        let mut quotas = vec![self.cfg.abundant_quota_mc; self.topo.num_services()];
+        let mut q = self.cfg.abundant_quota_mc;
+        let mut step = 0u64;
+        let mut slo_violations = 0;
+        while q > self.cfg.min_quota_mc {
+            q = (q * self.cfg.reduce_factor).max(self.cfg.min_quota_mc);
+            quotas[i] = q;
+            step += 1;
+            let (out, _) =
+                self.measure(&quotas, rates, self.cfg.seed ^ ((i as u64) << 8) ^ step, false);
+            let p90 = out.service_p90_ms[i].unwrap_or(f64::INFINITY);
+            let p99 = out.service_tail_ms[i].unwrap_or(f64::INFINITY);
+            scan.push((q, p90, p99));
+            // Stop early once the SLO violation is confirmed twice.
+            slo_violations = if p99 > self.cfg.slo_ms { slo_violations + 1 } else { 0 };
+            if slo_violations >= 2 {
+                break;
+            }
+        }
+        // Upper bound: quota preceding the first two consecutive steps
+        // whose p90 exceeds baseline × tolerance.
+        let degraded =
+            |&(_, p90, _): &(f64, f64, f64)| p90 > baseline90 * self.cfg.upper_tolerance + 0.3;
+        let mut upper_i = scan.last().map_or(self.cfg.abundant_quota_mc, |s| s.0);
+        for w in 0..scan.len() {
+            if degraded(&scan[w]) && scan.get(w + 1).is_none_or(degraded) {
+                upper_i = if w == 0 { self.cfg.abundant_quota_mc } else { scan[w - 1].0 };
+                break;
+            }
+        }
+        // Lower bound: first of two consecutive steps whose own p99
+        // already violates the end-to-end SLO.
+        let violates = |&(_, _, p99): &(f64, f64, f64)| p99 > self.cfg.slo_ms;
+        let mut lower_i = self.cfg.min_quota_mc;
+        for w in 0..scan.len() {
+            if violates(&scan[w]) && scan.get(w + 1).is_some_and(violates) {
+                lower_i = scan[w].0;
+                break;
+            }
+        }
+        let upper_i = upper_i.max(lower_i);
+        (lower_i.min(upper_i), upper_i, scan.len() as u64)
+    }
+
     /// Collects `n` samples inside `bounds`, fanning out over worker threads.
     /// `analyzer` converts offered rates into per-service workload features.
     pub fn collect(&self, bounds: &Bounds, analyzer: &WorkloadAnalyzer, n: usize) -> Vec<Sample> {
         let mut span = self.obs.span("graf.sample.collect");
         let start = span.is_recording().then(std::time::Instant::now);
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<Sample>>> = Mutex::new(vec![None; n]);
-        let threads = self.cfg.threads.max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, Ordering::AcqRel);
-                    if idx >= n {
-                        break;
-                    }
-                    let sample = self.collect_one(bounds, analyzer, idx);
-                    results.lock().expect("collector mutex")[idx] = sample;
-                });
-            }
-        });
         let samples: Vec<Sample> =
-            results.into_inner().expect("collector mutex").into_iter().flatten().collect();
+            fan_out(n, self.cfg.threads, |idx| self.collect_one(bounds, analyzer, idx))
+                .into_iter()
+                .flatten()
+                .collect();
         if span.is_recording() {
             let secs = start.map_or(0.0, |t| t.elapsed().as_secs_f64());
             span.attr("requested", n).attr("collected", samples.len()).attr(
@@ -328,42 +325,29 @@ impl SampleCollector {
         schedule: &graf_chaos::ChaosSchedule,
     ) -> (Vec<Sample>, usize) {
         let slot = self.cfg.warmup_secs + self.cfg.measure_secs;
-        let rejected = AtomicUsize::new(0);
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<Sample>>> = Mutex::new(vec![None; n]);
-        std::thread::scope(|scope| {
-            for _ in 0..self.cfg.threads.max(1) {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, Ordering::AcqRel);
-                    if idx >= n {
-                        break;
-                    }
-                    let from = SimTime::from_secs(idx as f64 * slot);
-                    let until = SimTime::from_secs((idx + 1) as f64 * slot);
-                    if schedule.overlaps(from, until) {
-                        // Measure under the localized faults, then discard:
-                        // the run is tainted by construction.
-                        let (rates, quotas) = self.sample_params(bounds, idx);
-                        let local = schedule.localized(from, until);
-                        let _ = measure_run(
-                            &self.topo,
-                            &quotas,
-                            &rates,
-                            &self.cfg,
-                            self.cfg.seed ^ 0xC011EC7 ^ (idx as u64) << 1,
-                            false,
-                            Some(&local),
-                        );
-                        rejected.fetch_add(1, Ordering::AcqRel);
-                    }
-                    let sample = self.collect_one(bounds, analyzer, idx);
-                    results.lock().expect("collector mutex")[idx] = sample;
-                });
+        let results = fan_out(n, self.cfg.threads, |idx| {
+            let from = SimTime::from_secs(idx as f64 * slot);
+            let until = SimTime::from_secs((idx + 1) as f64 * slot);
+            let tainted = schedule.overlaps(from, until);
+            if tainted {
+                // Measure under the localized faults, then discard:
+                // the run is tainted by construction.
+                let (rates, quotas) = self.sample_params(bounds, idx);
+                let local = schedule.localized(from, until);
+                let _ = measure_run(
+                    &self.topo,
+                    &quotas,
+                    &rates,
+                    &self.cfg,
+                    self.cfg.seed ^ 0xC011EC7 ^ (idx as u64) << 1,
+                    false,
+                    Some(&local),
+                );
             }
+            (self.collect_one(bounds, analyzer, idx), tainted)
         });
-        let samples: Vec<Sample> =
-            results.into_inner().expect("collector mutex").into_iter().flatten().collect();
-        let rejected = rejected.into_inner();
+        let rejected = results.iter().filter(|(_, tainted)| *tainted).count();
+        let samples: Vec<Sample> = results.into_iter().filter_map(|(sample, _)| sample).collect();
         if rejected > 0 {
             self.obs.counter_add("graf.sample.rejected_tainted", &[], rejected as u64);
         }
@@ -407,6 +391,36 @@ impl SampleCollector {
         let workloads = analyzer.service_workloads(&rates);
         Some(Sample { api_rates: rates, workloads, quotas_mc: quotas, p99_ms })
     }
+}
+
+/// Evaluates `f(0), …, f(n - 1)` on `min(threads.max(1), n)` workers — the
+/// caller and scoped helper threads — that claim indices from a shared
+/// counter. Values come back in index order, whichever worker ran them; a
+/// panic in `f` reaches the caller as itself.
+fn fan_out<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut mine = Vec::new();
+        loop {
+            let idx = next.fetch_add(1, Ordering::AcqRel);
+            if idx >= n {
+                break mine;
+            }
+            mine.push((idx, f(idx)));
+        }
+    };
+    let mut claimed: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads.max(1).min(n)).map(|_| scope.spawn(worker)).collect();
+        // The caller works too: its probes allocate from the heap the rest of
+        // the pipeline already grew, not from one more per-thread arena.
+        let mut claimed = worker();
+        for helper in helpers {
+            claimed.extend(helper.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        claimed
+    });
+    claimed.sort_unstable_by_key(|&(idx, _)| idx);
+    claimed.into_iter().map(|(_, value)| value).collect()
 }
 
 /// Runs one deploy → load → measure cycle in a fresh world. `chaos` installs
@@ -535,6 +549,64 @@ mod tests {
         // The reduced box is a genuine reduction.
         let reduction = b.volume_reduction(c.config().min_quota_mc, c.config().abundant_quota_mc);
         assert!(reduction < 0.5, "volume reduced: {reduction}");
+    }
+
+    /// The bound search reports the same telemetry (event names and
+    /// attributes in record order, and the probe counter) whatever the
+    /// worker count, and counts what the serial loop at commit `e8f8f79`
+    /// counted on this set-up: 41 probes (2 baselines + 39 scan steps).
+    #[test]
+    fn bound_search_telemetry_is_thread_count_invariant() {
+        let record = |threads: usize| {
+            let obs = graf_obs::Obs::enabled();
+            SampleCollector::new(chain2(), SamplingConfig { threads, ..fast_cfg() })
+                .with_obs(obs.clone())
+                .reduce_search_space();
+            let events: Vec<_> = obs.events().into_iter().map(|e| (e.name, e.attrs)).collect();
+            (events, obs.render_prometheus())
+        };
+        let (events, metrics) = record(1);
+        assert_eq!(record(4), (events.clone(), metrics.clone()));
+        let names: Vec<&str> = events.iter().map(|e| e.0).collect();
+        assert_eq!(names, ["graf.sample.bound", "graf.sample.bound", "graf.sample.bounds"]);
+        assert_eq!(events[0].1[0], ("service", graf_obs::Value::U64(0)));
+        assert_eq!(events[1].1[0], ("service", graf_obs::Value::U64(1)));
+        assert_eq!(events[2].1[0], ("probes", graf_obs::Value::U64(41)));
+        assert!(metrics.contains("graf_sample_probes 41"), "probe counter:\n{metrics}");
+    }
+
+    /// Two workers are forced to hold interleaved indices (`[0, 2]` and
+    /// `[1]`), so no join order yields index order by accident.
+    #[test]
+    fn fan_out_returns_values_in_index_order() {
+        use std::sync::Barrier;
+        let (both_claimed, two_claimed) = (Barrier::new(2), Barrier::new(2));
+        let out = fan_out(3, 2, |idx| {
+            // 0 and 1 meet, so they sit on different workers; 1 then stays
+            // put until the worker that had 0 has come back for 2.
+            if idx < 2 {
+                both_claimed.wait();
+            }
+            if idx > 0 {
+                two_claimed.wait();
+            }
+            idx * 10
+        });
+        assert_eq!(out, [0, 10, 20]);
+    }
+
+    #[test]
+    fn fan_out_spawns_no_more_workers_than_indices() {
+        assert_eq!(fan_out(0, 4, |idx| idx), [0usize; 0]);
+        assert_eq!(fan_out(2, 0, |idx| idx), [0, 1]);
+        // One thread per requested worker could not be spawned.
+        assert_eq!(fan_out(3, usize::MAX, |idx| idx), [0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "probe 2 failed")]
+    fn a_panicking_probe_surfaces_its_own_message() {
+        fan_out(4, 2, |idx| assert!(idx != 2, "probe {idx} failed"));
     }
 
     #[test]

@@ -27,11 +27,12 @@ cargo run --release -q -p graf-lint -- --analyze
 ANALYZE_MS=$(( ($(date +%s%N) - ANALYZE_START) / 1000000 ))
 echo "graf-lint --analyze: clean in ${ANALYZE_MS}ms"
 
-echo "== thread sanitizer (data-parallel train + 4-worker smoke sweep) =="
+echo "== thread sanitizer (data-parallel train + collector worker pool + 4-worker smoke sweep) =="
 if rustup component list --toolchain nightly 2>/dev/null | grep -q '^rust-src.*(installed)'; then
   TSAN_TARGET="$(rustc -vV | sed -n 's/^host: //p')"
   RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -Zbuild-std --target "$TSAN_TARGET" \
-    -q --test determinism parallel_training_matches_serial_bit_for_bit
+    -q --test determinism -- \
+    parallel_training_matches_serial_bit_for_bit bound_search_is_thread_count_invariant
   TSANDIR="$(mktemp -d)"
   RUSTFLAGS="-Zsanitizer=thread" cargo +nightly run -Zbuild-std --target "$TSAN_TARGET" \
     --release -q -p graf-bench --bin graf-sweep -- \

@@ -240,6 +240,146 @@ fn serial_world_output_is_pinned() {
     }
 }
 
+/// The two Algorithm-1 set-ups of the bound-search tests below, at smoke
+/// sizes (2 s window after a 1 s warm-up): the collector's own `chain2` and
+/// Online Boutique configured as the closed-loop benchmark configures it.
+fn bound_search_cases(
+    seed: u64,
+    threads: usize,
+) -> [(&'static str, graf::sim::topology::AppTopology, graf::core::SamplingConfig); 2] {
+    use graf::core::SamplingConfig;
+    use graf::sim::topology::{ApiSpec, AppTopology, CallNode, ServiceSpec};
+
+    let chain2 = AppTopology::new(
+        "chain2",
+        vec![ServiceSpec::new("a", 1.0, 300), ServiceSpec::new("b", 3.0, 300)],
+        vec![ApiSpec::new("get", CallNode::new(0).call(CallNode::new(1)))],
+    );
+    let smoke =
+        SamplingConfig { measure_secs: 2.0, warmup_secs: 1.0, seed, threads, ..Default::default() };
+    [
+        (
+            "chain2",
+            chain2,
+            SamplingConfig { probe_qps: vec![40.0], abundant_quota_mc: 3000.0, ..smoke.clone() },
+        ),
+        (
+            "boutique",
+            online_boutique(),
+            SamplingConfig {
+                slo_ms: 80.0,
+                probe_qps: vec![180.0, 180.0, 240.0],
+                workload_range: (0.25, 1.6),
+                cpu_unit_mc: 100.0,
+                ..smoke
+            },
+        ),
+    ]
+}
+
+/// `(lower, upper)` of a bound search as `f64` bit patterns.
+fn bound_bits(
+    topo: graf::sim::topology::AppTopology,
+    cfg: graf::core::SamplingConfig,
+) -> (Vec<u64>, Vec<u64>) {
+    let bounds = graf::core::SampleCollector::new(topo, cfg).reduce_search_space();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    (bits(&bounds.lower), bits(&bounds.upper))
+}
+
+/// Algorithm 1 runs its baseline pair and its per-service scans on
+/// `SamplingConfig::threads` workers; every probe's seed depends only on its
+/// (service, step) position and results are assembled in service order, so
+/// the bounds must not depend on the worker count — fewer workers than
+/// services, as many, and more.
+#[test]
+fn bound_search_is_thread_count_invariant() {
+    let one_worker = bound_search_cases(7, 1).map(|(_, topo, cfg)| bound_bits(topo, cfg));
+    for threads in [2, 3, 8] {
+        for ((app, topo, cfg), want) in bound_search_cases(7, threads).into_iter().zip(&one_worker)
+        {
+            assert_eq!(&bound_bits(topo, cfg), want, "{app} bounds moved with {threads} workers");
+        }
+    }
+}
+
+/// Algorithm-1 bounds pinned across revisions. The bit patterns were captured
+/// at commit `e8f8f79` from the serial `for i in 0..n` scan loop, before it
+/// was replaced by the worker-pool scans: the pool must reproduce the old
+/// loop's bytes, not merely agree with itself.
+#[test]
+fn algorithm1_bounds_are_pinned() {
+    // (seed, (lower, upper) of chain2 then of boutique)
+    type Pin = (&'static [u64], &'static [u64]);
+    const PINNED: [(u64, [Pin; 2]); 2] = [
+        (
+            7,
+            [
+                (
+                    &[0x4058b58e337a61a1, 0x4067aae37db497d0],
+                    &[0x407344f1b2fe7a0a, 0x409cc98000000000],
+                ),
+                (
+                    &[
+                        0x4081c7bc79762de2,
+                        0x406361385088246c,
+                        0x406f8e84a79b7518,
+                        0x4079b14243fdf810,
+                        0x40889bfb1ecfdc4c,
+                        0x40729011cc0117b4,
+                    ],
+                    &[
+                        0x4084eafbda30ae74,
+                        0x4075d6ab8697dfa7,
+                        0x4081c7bc79762de2,
+                        0x408cf3be0621b7e1,
+                        0x409bbb48f5c28f5c,
+                        0x40889bfb1ecfdc4c,
+                    ],
+                ),
+            ],
+        ),
+        (
+            77,
+            [
+                (
+                    &[0x405500b8def4d2fc, 0x4067aae37db497d0],
+                    &[0x4076ab76b476adb2, 0x408e0dd9a161e4f7],
+                ),
+                (
+                    &[
+                        0x407e39f39b48e79a,
+                        0x406361385088246c,
+                        0x406f8e84a79b7518,
+                        0x4075d6ab8697dfa7,
+                        0x4084eafbda30ae74,
+                        0x40729011cc0117b4,
+                    ],
+                    &[
+                        0x4084eafbda30ae74,
+                        0x407e39f39b48e79a,
+                        0x4081c7bc79762de2,
+                        0x408cf3be0621b7e1,
+                        0x4094093bc0ebedfa,
+                        0x40889bfb1ecfdc4c,
+                    ],
+                ),
+            ],
+        ),
+    ];
+    for (seed, pins) in PINNED {
+        for ((app, topo, cfg), (lower, upper)) in bound_search_cases(seed, 2).into_iter().zip(pins)
+        {
+            let got = bound_bits(topo, cfg);
+            assert_eq!(
+                (got.0.as_slice(), got.1.as_slice()),
+                (lower, upper),
+                "{app} bounds moved (seed {seed})"
+            );
+        }
+    }
+}
+
 /// End-to-end GRAF pipeline (build → controller-driven experiment) with
 /// telemetry enabled vs disabled: decisions and measurements must be
 /// bit-identical — the obs layer observes, it never perturbs.
