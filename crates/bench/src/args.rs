@@ -9,9 +9,6 @@
 /// * `--quick` — shrink everything for a fast smoke run.
 /// * `--telemetry <path>` — enable the graf-obs telemetry layer: dump the
 ///   JSONL event log to `path` and print the summary table at exit.
-/// * `--profile` — enable the hierarchical self-profiler; binaries print the
-///   per-phase wall-time tree at exit. Off by default (a disabled handle
-///   costs one branch per scope and changes no numerics).
 /// * `--audit <path>` — stream one JSON line per controller tick (inputs,
 ///   ladder rung, solver stats, applied deltas) to `path`; binaries that run
 ///   several controllers suffix the file name per run.
@@ -33,8 +30,6 @@ pub struct Args {
     pub quick: bool,
     /// JSONL telemetry dump path (telemetry stays disabled when unset).
     pub telemetry: Option<String>,
-    /// Enable the hierarchical self-profiler.
-    pub profile: bool,
     /// JSONL decision-audit path (auditing stays disabled when unset).
     pub audit: Option<String>,
     /// Training worker threads (deterministic for any value; 1 = serial).
@@ -51,7 +46,6 @@ impl Default for Args {
             samples: None,
             quick: false,
             telemetry: None,
-            profile: false,
             audit: None,
             threads: None,
             chaos: None,
@@ -87,7 +81,6 @@ impl Args {
                 "--telemetry" => {
                     out.telemetry = Some(it.next().expect("--telemetry needs a file path"));
                 }
-                "--profile" => out.profile = true,
                 "--audit" => {
                     out.audit = Some(it.next().expect("--audit needs a file path"));
                 }
@@ -131,24 +124,6 @@ impl Args {
             .unwrap_or_else(|e| panic!("writing telemetry to {path}: {e}"));
         println!("\n{}", obs.summary());
         println!("telemetry written to {path}");
-    }
-
-    /// A self-profiler handle honoring `--profile`: enabled when the flag
-    /// was given, disabled (one branch per scope) otherwise.
-    pub fn prof(&self) -> graf_prof::Prof {
-        if self.profile {
-            graf_prof::Prof::enabled()
-        } else {
-            graf_prof::Prof::disabled()
-        }
-    }
-
-    /// Finishes a profiling session: prints the per-phase wall-time tree.
-    /// No-op when `--profile` was not given.
-    pub fn finish_profile(&self, prof: &graf_prof::Prof) {
-        if prof.is_enabled() {
-            println!("\n## self-profile (per-phase wall time)\n{}", prof.report().render());
-        }
     }
 
     /// Picks a value by scale: `quick` < default < `paper`.
@@ -203,14 +178,6 @@ mod tests {
         assert_eq!(parse(&["--threads", "3"]).threads, Some(3));
         let caught = std::panic::catch_unwind(|| parse(&["--threads", "0"]));
         assert!(caught.is_err(), "--threads 0 must be rejected");
-    }
-
-    #[test]
-    fn profile_flag_enables_the_self_profiler() {
-        let off = parse(&[]);
-        assert!(!off.profile && !off.prof().is_enabled());
-        let on = parse(&["--profile"]);
-        assert!(on.profile && on.prof().is_enabled());
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! cargo run --release -p graf-bench --bin chaos_matrix
 //! # one fault class only:
 //! cargo run --release -p graf-bench --bin chaos_matrix -- --chaos trace_drop
-//! # per-cell decision audit trails + a self-profile of the control loop:
-//! cargo run --release -p graf-bench --bin chaos_matrix -- --audit results/audit.jsonl --profile
+//! # per-cell decision audit trails:
+//! cargo run --release -p graf-bench --bin chaos_matrix -- --audit results/audit.jsonl
 //! ```
 
 use std::path::{Path, PathBuf};
@@ -35,7 +35,6 @@ use graf_core::{
 use graf_loadgen::ClosedLoop;
 use graf_obs::FlightRecorder;
 use graf_orchestrator::{Cluster, CreationModel, Deployment};
-use graf_prof::Prof;
 use graf_sim::time::{SimDuration, SimTime};
 use graf_sim::topology::{ApiId, ApiSpec, AppTopology, CallNode, ServiceId, ServiceSpec};
 use graf_sim::world::{SimConfig, World};
@@ -109,7 +108,6 @@ fn run_cell(
     mode: PolicyMode,
     seed: u64,
     flight: (&FlightRecorder, &Path),
-    prof: &Prof,
     audit: Option<PathBuf>,
 ) -> Cell {
     let topo = chain3();
@@ -128,7 +126,6 @@ fn run_cell(
     // All cells append to the same ring, so on a chaos-induced demotion (or
     // a panic) the dump holds the last ~1k decisions across the matrix.
     rc.set_flight(flight.0.clone(), flight.1.to_path_buf());
-    rc.set_prof(prof.clone());
     if let Some(path) = audit {
         match AuditTrail::to_file(&path) {
             Ok(trail) => rc.set_audit(trail),
@@ -168,7 +165,6 @@ fn run_cell(
 fn main() {
     let args = Args::parse();
     let obs = args.obs();
-    let prof = args.prof();
     let topo = chain3();
     println!("# Chaos matrix — fault class × degradation policy (surge at t={SURGE_S} s)");
     println!(
@@ -226,8 +222,7 @@ fn main() {
             [("ladder", PolicyMode::Ladder), ("freeze", PolicyMode::FreezeOnFault)]
         {
             let audit = args.audit.as_ref().map(|base| cell_audit_path(base, name, policy));
-            let cell =
-                run_cell(&graf, &sched, mode, args.seed, (&flight, &flight_path), &prof, audit);
+            let cell = run_cell(&graf, &sched, mode, args.seed, (&flight, &flight_path), audit);
             println!(
                 "{:<14} {:<8} {:>8} {:>11} {:>7} {:>6} {:>12} {:>11}",
                 name,
@@ -265,6 +260,5 @@ fn main() {
     if let Some(base) = &args.audit {
         println!("\naudit trails written next to {base} (one JSONL file per cell)");
     }
-    args.finish_profile(&prof);
     args.finish_telemetry(&obs);
 }

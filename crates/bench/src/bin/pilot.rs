@@ -2,18 +2,18 @@
 //! steady-state comparison. Not a paper figure; used to validate defaults.
 use std::time::Instant;
 
-use graf_bench::standard::{boutique_setup, build_graf};
+use graf_bench::standard::{boutique_setup, build_graf_observed};
 use graf_bench::Args;
 use graf_core::baseline::{run_steady, tune_hpa_threshold, SteadyTrial};
 use graf_sim::time::SimDuration;
 
 fn main() {
     let args = Args::parse();
-    let prof = args.prof();
+    let obs = args.obs();
     let setup = boutique_setup();
 
     let t0 = Instant::now();
-    let graf = build_graf(&setup, &args);
+    let graf = build_graf_observed(&setup, &args, &obs);
     println!("build: {:.1}s ({} samples)", t0.elapsed().as_secs_f64(), graf.samples.len());
     println!("bounds lower: {:?}", graf.bounds.lower.iter().map(|v| v.round()).collect::<Vec<_>>());
     println!("bounds upper: {:?}", graf.bounds.upper.iter().map(|v| v.round()).collect::<Vec<_>>());
@@ -30,7 +30,7 @@ fn main() {
 
     // What does GRAF want at the probe workload?
     let mut ctrl = graf.controller(setup.slo_ms);
-    ctrl.set_prof(prof.clone());
+    ctrl.set_obs(obs.clone());
     let t1 = Instant::now();
     let (quotas, res) = ctrl.plan(&setup.probe_qps);
     println!(
@@ -64,7 +64,7 @@ fn main() {
         trial.rates = rates;
 
         let mut graf_ctrl = graf.controller(setup.slo_ms);
-        graf_ctrl.set_prof(prof.clone());
+        graf_ctrl.set_obs(obs.clone());
         let graf_out = run_steady(&trial, &mut graf_ctrl);
         let mut hpa = graf_core::baseline::hpa_with_threshold(thr, setup.topo.num_services());
         let hpa_out = run_steady(&trial, &mut hpa);
@@ -84,5 +84,5 @@ fn main() {
             hpa_out.per_service_quota_mc.iter().map(|v| v.round()).collect::<Vec<_>>()
         );
     }
-    args.finish_profile(&prof);
+    args.finish_telemetry(&obs);
 }

@@ -1,13 +1,11 @@
 //! # graf-bench
 //!
 //! The evaluation harness: one binary per table/figure of the paper (see
-//! DESIGN.md's experiment index) plus Criterion benches for the timing
-//! claims. This library holds the shared pieces:
+//! DESIGN.md's experiment index); the timing claims are measured by the
+//! stand-alone `benchmark/` package. This library holds the shared pieces:
 //!
 //! * [`args`] — a tiny flag parser (`--seed`, `--paper-scale`, …) shared by
 //!   every experiment binary,
-//! * [`perf`] — `BENCH_HISTORY.jsonl` records and the noise-aware
-//!   regression comparator behind the `graf-perf` binary,
 //! * [`pricing`] — the AWS EC2 on-demand prices of Table 3 and the
 //!   cost-benefit arithmetic of Figure 19,
 //! * [`sweepgrid`] — the axis mapping behind the `graf-sweep` binary: grid
@@ -29,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod perf;
 pub mod pricing;
 pub mod standard;
 pub mod sweepgrid;

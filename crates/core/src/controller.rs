@@ -22,7 +22,7 @@ use graf_obs::Obs;
 use crate::analyzer::WorkloadAnalyzer;
 use crate::latency_model::LatencyModel;
 use crate::sample_collector::Bounds;
-use crate::solver::{solve_instrumented, SolveResult, SolverConfig};
+use crate::solver::{solve_observed, SolveResult, SolverConfig};
 
 /// Control-loop configuration.
 #[derive(Clone, Debug)]
@@ -96,8 +96,6 @@ pub struct GrafController {
     pub last_quotas_mc: Vec<f64>,
     /// Telemetry handle; disabled by default.
     pub obs: Obs,
-    /// Self-profiler handle; disabled by default.
-    pub prof: graf_prof::Prof,
 }
 
 impl GrafController {
@@ -118,7 +116,6 @@ impl GrafController {
             last_solve: None,
             last_quotas_mc: Vec::new(),
             obs: Obs::disabled(),
-            prof: graf_prof::Prof::disabled(),
         }
     }
 
@@ -126,14 +123,6 @@ impl GrafController {
     /// recorded through it. Telemetry never alters any decision.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
-    }
-
-    /// Attaches a self-profiler handle: ticks, solves and training steps
-    /// attribute wall time to `controller.tick` / `solver.*` / `train.*`
-    /// phases. Profiling never alters any decision.
-    pub fn set_prof(&mut self, prof: graf_prof::Prof) {
-        self.model.set_prof(prof.clone());
-        self.prof = prof;
     }
 
     /// The controller configuration.
@@ -174,16 +163,13 @@ impl GrafController {
         let s = (total / self.cfg.train_total_qps).max(1.0);
         let scaled: Vec<f64> = rates.iter().map(|r| r / s).collect();
         let workloads = self.analyzer.service_workloads(&scaled);
-        let obs = self.obs.clone();
-        let prof = self.prof.clone();
-        let res = solve_instrumented(
+        let res = solve_observed(
             &mut self.model,
             &workloads,
             self.cfg.slo_ms,
             &self.bounds,
             &self.cfg.solver,
-            &obs,
-            &prof,
+            &self.obs,
         );
         let quotas: Vec<f64> = res.quotas_mc.iter().map(|q| q * s).collect();
 
@@ -266,7 +252,6 @@ impl GrafController {
         if !uniform {
             self.obs.counter_add("graf.controller.unit_mismatch", &[], 1);
         }
-        let _tick_scope = self.prof.enter("controller.tick");
         let mut span = self.obs.span("graf.controller.tick");
         let out = if uniform {
             self.plan_outcome(rates, units.first().copied())

@@ -158,14 +158,6 @@ impl LatencyModel {
         self.net.num_params()
     }
 
-    /// Attaches a self-profiler handle to the underlying network: training
-    /// steps then attribute wall time to `train.forward_backward`,
-    /// `train.reduce` and `train.optimizer` phases. Profiling never alters
-    /// numerics.
-    pub fn set_prof(&mut self, prof: graf_prof::Prof) {
-        self.net.set_prof(prof);
-    }
-
     /// Builds a [`Dataset`] from collected samples using this model's scaler.
     pub fn dataset_from_samples(scaler: &FeatureScaler, samples: &[Sample]) -> Dataset {
         let mut d = Dataset::new();

@@ -65,6 +65,4 @@ pub use latency_model::{LatencyModel, NetKind, TrainConfig, TrainReport};
 pub use partition::{partition_graph, PartitionedLatencyModel};
 pub use resilient::{PolicyLevel, PolicyMode, ResilientConfig, ResilientController};
 pub use sample_collector::{Bounds, Sample, SampleCollector, SamplingConfig};
-pub use solver::{
-    integer_refine, solve, solve_instrumented, solve_observed, SolveResult, SolverConfig, Stop,
-};
+pub use solver::{integer_refine, solve, solve_observed, SolveResult, SolverConfig, Stop};

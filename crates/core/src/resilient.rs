@@ -159,7 +159,6 @@ pub struct ResilientController {
     transitions: u64,
     interpolated_rows: u64,
     obs: Obs,
-    prof: graf_prof::Prof,
     /// Tick sequence number feeding the audit trail.
     ticks: u64,
     audit: Option<AuditTrail>,
@@ -189,7 +188,6 @@ impl ResilientController {
             transitions: 0,
             interpolated_rows: 0,
             obs: Obs::disabled(),
-            prof: graf_prof::Prof::disabled(),
             ticks: 0,
             audit: None,
             flight: None,
@@ -208,14 +206,6 @@ impl ResilientController {
     pub fn set_obs(&mut self, obs: Obs) {
         self.inner.set_obs(obs.clone());
         self.obs = obs;
-    }
-
-    /// Attaches a self-profiler handle (tick/solver/training phase
-    /// attribution), delegated to the wrapped controller. Profiling never
-    /// alters any decision.
-    pub fn set_prof(&mut self, prof: graf_prof::Prof) {
-        self.inner.set_prof(prof.clone());
-        self.prof = prof;
     }
 
     /// Enables the per-tick decision audit trail: every tick appends one
@@ -393,7 +383,6 @@ impl Autoscaler for ResilientController {
     }
 
     fn tick(&mut self, cluster: &mut Cluster) {
-        let _tick_scope = self.prof.enter("controller.resilient_tick");
         let now = cluster.world().now();
         // Snapshot desired counts before acting, so the audit record can
         // report the tick's implied deltas. Only taken when someone listens.
@@ -729,7 +718,7 @@ mod tests {
             rc.arm_chaos(&schedule);
             if instrument {
                 rc.set_audit(AuditTrail::in_memory());
-                rc.set_prof(graf_prof::Prof::enabled());
+                rc.set_obs(Obs::enabled());
                 let dump = std::env::temp_dir()
                     .join(format!("graf-flightrec-perturb-{}.jsonl", std::process::id()));
                 rc.set_flight(FlightRecorder::new(8), dump);

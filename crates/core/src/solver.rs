@@ -197,24 +197,6 @@ pub fn solve_observed(
     cfg: &SolverConfig,
     obs: &graf_obs::Obs,
 ) -> SolveResult {
-    solve_instrumented(model, workloads, slo_ms, bounds, cfg, obs, &graf_prof::Prof::disabled())
-}
-
-/// [`solve_observed`] plus self-profiling: attributes wall time to
-/// `solver.solve` with `solver.predict_grad` (fused model forward/backward)
-/// and `solver.descent` (step + box projection) child phases, one work unit
-/// per iteration. A disabled profiler costs one branch per scope, so
-/// numerics and performance are unchanged when profiling is off.
-pub fn solve_instrumented(
-    model: &mut LatencyModel,
-    workloads: &[f64],
-    slo_ms: f64,
-    bounds: &Bounds,
-    cfg: &SolverConfig,
-    obs: &graf_obs::Obs,
-    prof: &graf_prof::Prof,
-) -> SolveResult {
-    let _solve_scope = prof.enter("solver.solve");
     let mut span = obs.span("graf.solver.solve");
     let n = workloads.len();
     assert_eq!(n, model.num_services(), "one workload per service");
@@ -260,19 +242,15 @@ pub fn solve_instrumented(
     let mut was_feasible = false;
     for it in 0..cfg.max_iters {
         iterations = it + 1;
-        prof.work(1);
         for (q, &v) in quotas_mc.iter_mut().zip(r.value.data()) {
             *q = model.scaler.unscale_quota(v);
         }
-        let (pred, infeasible) = {
-            let _grad_scope = prof.enter("solver.predict_grad");
-            model.predict_ms_with_grad(workloads, quotas_mc, slo_ms, &mut grad)
-        };
+        let (pred, infeasible) =
+            model.predict_ms_with_grad(workloads, quotas_mc, slo_ms, &mut grad);
         // NaN for a NaN prediction, which then never counts as an improvement.
         let violation = if infeasible { (pred - slo_ms) / slo_ms } else { 0.0 };
         let total: f64 = r.value.data().iter().sum();
 
-        let _descent_scope = prof.enter("solver.descent");
         wall_active |= infeasible;
         if !wall_active {
             // The wall has never been touched: d/dr_scaled [Σ r_scaled] = 1,

@@ -183,7 +183,6 @@ pub struct MicroserviceGnn {
     cfg: GnnConfig,
     nets: GnnNets,
     threads: usize,
-    prof: graf_prof::Prof,
     scratch: RefCell<GnnScratch>,
 }
 
@@ -194,7 +193,6 @@ impl Clone for MicroserviceGnn {
             cfg: self.cfg.clone(),
             nets: self.nets.clone(),
             threads: self.threads,
-            prof: self.prof.clone(),
             scratch: RefCell::new(GnnScratch::default()),
         }
     }
@@ -445,7 +443,6 @@ impl MicroserviceGnn {
             cfg,
             nets: GnnNets { phi1, gamma1, phi2, gamma2, readout },
             threads: 1,
-            prof: graf_prof::Prof::disabled(),
             scratch: RefCell::new(GnnScratch::default()),
         }
     }
@@ -527,8 +524,6 @@ impl LatencyNet for MicroserviceGnn {
             scratch.chunks.resize_with(n_chunks, GnnPass::default);
         }
         {
-            let _fb_scope = self.prof.enter("train.forward_backward");
-            self.prof.work(n_chunks as u64);
             let (nets, graph, cfg) = (&self.nets, &self.graph, &self.cfg);
             let threads = self.threads.clamp(1, n_chunks);
             let GnnScratch { seeds, chunks, wts, .. } = &mut scratch;
@@ -577,7 +572,6 @@ impl LatencyNet for MicroserviceGnn {
         }
         // Ordered reduction: chunk gradients fold into the parameters in
         // ascending chunk index, so the sum is identical for any thread count.
-        let _reduce_scope = self.prof.enter("train.reduce");
         let mut total = 0.0;
         for pass in &scratch.chunks[..n_chunks] {
             // graf-lint: allow(float-reduction, this IS the ordered reduction — ascending chunk index, thread-count-invariant by tier-1 test)
@@ -589,8 +583,6 @@ impl LatencyNet for MicroserviceGnn {
             self.nets.readout.accumulate_grads(&pass.grads.readout);
         }
         // Split step across the five networks: no `Vec<&mut Param>` temporary.
-        drop(_reduce_scope);
-        let _opt_scope = self.prof.enter("train.optimizer");
         opt.begin_step();
         self.for_each_param_mut(|p| opt.update(p));
         // Parameters just changed: the transpose cache is stale.
@@ -619,10 +611,6 @@ impl LatencyNet for MicroserviceGnn {
 
     fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    fn set_prof(&mut self, prof: graf_prof::Prof) {
-        self.prof = prof;
     }
 
     fn grad_from_kept(&mut self, x: &Matrix) -> Matrix {

@@ -44,13 +44,6 @@ pub trait LatencyNet {
     /// Implementations without a parallel path ignore it.
     fn set_threads(&mut self, _threads: usize) {}
 
-    /// Attaches a self-profiler handle; instrumented implementations
-    /// attribute [`LatencyNet::train_step`] wall time to training phases
-    /// (`train.forward_backward`, `train.reduce`, `train.optimizer`).
-    /// Implementations without instrumentation ignore it. Profiling never
-    /// alters numerics: a disabled handle costs one branch per scope.
-    fn set_prof(&mut self, _prof: graf_prof::Prof) {}
-
     /// Eval-mode prediction that retains the forward trace so a following
     /// [`LatencyNet::grad_from_kept`] can reuse it (the solver's fused
     /// forward+backward fast path, §3.5). Default: plain [`predict`].

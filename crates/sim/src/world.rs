@@ -298,19 +298,6 @@ pub struct World {
     next_request: u64,
     stats: WorldStats,
     obs: graf_obs::Obs,
-    prof: graf_prof::Prof,
-}
-
-/// Profiler phase name for an event kind (one scope per dispatched event).
-fn event_phase(ev: &Event) -> &'static str {
-    match ev {
-        Event::Arrival { .. } => "sim.event_loop.arrival",
-        Event::RequestTimeout { .. } => "sim.event_loop.timeout",
-        Event::StartFrame { .. } => "sim.event_loop.start_frame",
-        Event::JobCheck { .. } => "sim.event_loop.job_check",
-        Event::InstanceReady { .. } => "sim.event_loop.instance_ready",
-        Event::ChildReturn { .. } => "sim.event_loop.child_return",
-    }
 }
 
 impl World {
@@ -366,7 +353,6 @@ impl World {
             next_request: 0,
             stats: WorldStats::default(),
             obs: graf_obs::Obs::disabled(),
-            prof: graf_prof::Prof::disabled(),
             cfg,
             topo,
         }
@@ -377,14 +363,6 @@ impl World {
     /// never influences simulation behaviour.
     pub fn set_obs(&mut self, obs: graf_obs::Obs) {
         self.obs = obs;
-    }
-
-    /// Attaches a profiler handle. The event loop then attributes wall time
-    /// to per-phase scopes (`sim.event_loop.*`, `sim.station.*`,
-    /// `sim.span_record`); profiling never influences simulation behaviour —
-    /// a disabled handle costs one branch per instrumentation point.
-    pub fn set_prof(&mut self, prof: graf_prof::Prof) {
-        self.prof = prof;
     }
 
     /// Current simulated time.
@@ -613,45 +591,19 @@ impl World {
     /// Processes all events up to and including `t`, then sets now = `t`.
     pub fn run_until(&mut self, t: SimTime) {
         assert!(t >= self.now, "cannot run backwards");
-        let events_before = self.stats.events;
-        let _loop_scope = self.prof.enter("sim.event_loop");
-        if self.prof.is_enabled() {
-            // The loop alternates between exactly two scopes — queue_pop and
-            // the current event's phase — via `Prof::switch`, so every
-            // hand-off uses one shared clock read and no wall time leaks into
-            // the loop itself.
-            let mut scope = self.prof.enter("sim.event_loop.queue_pop");
-            loop {
-                let popped = self.queue.pop_due(t);
-                let Some((et, ev)) = popped else { break };
-                debug_assert!(et >= self.now);
-                self.now = et;
-                self.stats.events += 1;
-                scope = self.prof.switch(scope, event_phase(&ev));
-                self.prof.work(1);
-                self.dispatch(ev);
-                scope = self.prof.switch(scope, "sim.event_loop.queue_pop");
-            }
-            drop(scope);
-        } else {
-            // Identical dispatch without the per-event scope hand-offs: with
-            // the profiler disabled a switch is only a few moves and branches,
-            // but two per event is measurable at millions of events/s. The
-            // event counter accumulates locally and lands once at the end.
-            let mut n = 0u64;
-            while let Some((et, ev)) = self.queue.pop_due(t) {
-                debug_assert!(et >= self.now);
-                self.now = et;
-                n += 1;
-                self.dispatch(ev);
-            }
-            self.stats.events += n;
+        // The event counter accumulates locally and lands once at the end.
+        let mut n = 0u64;
+        while let Some((et, ev)) = self.queue.pop_due(t) {
+            debug_assert!(et >= self.now);
+            self.now = et;
+            n += 1;
+            self.dispatch(ev);
         }
+        self.stats.events += n;
         self.now = t;
         if self.obs.is_enabled() {
-            let delta = self.stats.events - events_before;
-            if delta > 0 {
-                self.obs.counter_add("graf.sim.events", &[], delta);
+            if n > 0 {
+                self.obs.counter_add("graf.sim.events", &[], n);
             }
             self.obs.gauge_set("graf.sim.queue_depth", &[], self.queue.len() as f64);
         }
@@ -848,14 +800,11 @@ impl World {
             let mean_mc_us = spec.work_ms * 1_000_000.0 * node.work_scale * contention;
             self.rng_work.lognormal_mean_cv(mean_mc_us.max(1e-6), spec.cv)
         };
-        let (used, epoch, next) = {
-            let _station = self.prof.enter("sim.station.assign");
-            self.prof.work(1);
-            let inst = self.instances[iid.0 as usize].as_mut().expect("live instance");
-            let used = inst.advance(self.now);
-            inst.push_job(fid, work);
-            (used, inst.epoch, inst.next_completion(self.now))
-        };
+        let inst = self.instances[iid.0 as usize].as_mut().expect("live instance");
+        let used = inst.advance(self.now);
+        inst.push_job(fid, work);
+        let epoch = inst.epoch;
+        let next = inst.next_completion(self.now);
         self.services[service.0 as usize].cpu.add_usage(self.now.as_micros(), used);
         self.frames[fid.0 as usize].state = FrameState::Working;
         self.frames[fid.0 as usize].instance = Some(iid.0);
@@ -878,13 +827,11 @@ impl World {
         debug_assert!(finished.is_empty());
         let inst = self.instances[iid.0 as usize].as_mut().expect("checked above");
         let service = inst.service;
-        let (used, drained, epoch, next) = {
-            let _station = self.prof.enter("sim.station.advance");
-            self.prof.work(1);
-            let used = inst.advance(self.now);
-            inst.take_finished_into(&mut finished);
-            (used, inst.drained(), inst.epoch, inst.next_completion(self.now))
-        };
+        let used = inst.advance(self.now);
+        inst.take_finished_into(&mut finished);
+        let drained = inst.drained();
+        let epoch = inst.epoch;
+        let next = inst.next_completion(self.now);
         self.services[service.0 as usize].cpu.add_usage(self.now.as_micros(), used);
         if drained {
             self.delete_instance(iid);
@@ -1153,8 +1100,6 @@ impl World {
         if sampled && drop_p > 0.0 && self.rng_trace.chance(drop_p) {
             self.stats.spans_dropped += 1;
         } else if sampled {
-            let _span = self.prof.enter("sim.span_record");
-            self.prof.work(1);
             self.traces.push_span(
                 trace,
                 Span {

@@ -10,7 +10,6 @@
 //! | metrics | [`metrics`] | Prometheus / cAdvisor / Linkerd |
 //! | tracing | [`trace`] | Jaeger |
 //! | telemetry | [`obs`] | GRAF's own spans/metrics/exporters |
-//! | self-profiling | [`prof`] | GRAF's own phase profiler (wall-time tree) |
 //! | cluster simulation | [`sim`] | 7-node Kubernetes testbed |
 //! | control plane + baselines | [`orchestrator`] | Kubernetes deployments, HPA, FIRM-like |
 //! | load generation | [`loadgen`] | Vegeta, Locust, Azure trace replay |
@@ -54,6 +53,5 @@ pub use graf_metrics as metrics;
 pub use graf_nn as nn;
 pub use graf_obs as obs;
 pub use graf_orchestrator as orchestrator;
-pub use graf_prof as prof;
 pub use graf_sim as sim;
 pub use graf_trace as trace;

@@ -181,15 +181,16 @@ fn fingerprint_traces(traces: &[graf::trace::Trace]) -> u64 {
 /// (2 s of Poisson arrivals, then drained) must reproduce these
 /// `(completions, traces, events)` fingerprints for every seed, on both
 /// event-queue cores, with the default zero-delay child return and with a
-/// 250 µs return transit (the `ChildReturn` path). The constants were
-/// captured at commit `c77e2c3`, before the sharded executor and its hooks
-/// in `World` were removed; a change that moves any of them changed what a
-/// seed means.
+/// 250 µs return transit (the `ChildReturn` path), with telemetry attached
+/// and without. The constants were captured at commit `c77e2c3`, before the
+/// sharded executor and its hooks in `World` were removed; a change that
+/// moves any of them changed what a seed means.
 #[test]
 fn serial_world_output_is_pinned() {
+    use graf::obs::Obs;
     use graf::sim::rng::DetRng;
 
-    fn run_once(seed: u64, kind: QueueKind, return_us: u64) -> (u64, u64, u64) {
+    fn run_once(seed: u64, kind: QueueKind, return_us: u64, obs: &Obs) -> (u64, u64, u64) {
         let cfg = SimConfig {
             event_queue: kind,
             request_timeout_us: None,
@@ -197,6 +198,7 @@ fn serial_world_output_is_pinned() {
             ..SimConfig::default()
         };
         let mut w = World::new(online_boutique(), cfg, seed);
+        w.set_obs(obs.clone());
         for s in 0..6u16 {
             w.add_instances(ServiceId(s), 3, 300.0, SimTime::ZERO);
         }
@@ -217,7 +219,13 @@ fn serial_world_output_is_pinned() {
         let traces = w.traces_mut().drain_finished();
         assert!(comps.len() > 500, "the run actually did work ({} completions)", comps.len());
         assert_eq!(w.in_flight(), 0, "the run drained");
-        (fingerprint_completions(&comps), fingerprint_traces(&traces), w.stats().events)
+        let events = w.stats().events;
+        if obs.is_enabled() {
+            let line = format!("graf_sim_events {events}");
+            let prom = obs.render_prometheus();
+            assert!(prom.lines().any(|l| l == line), "telemetry saw every event:\n{prom}");
+        }
+        (fingerprint_completions(&comps), fingerprint_traces(&traces), events)
     }
 
     // (seed, return_us, (completions, traces, events))
@@ -231,11 +239,16 @@ fn serial_world_output_is_pinned() {
     ];
     for (seed, return_us, want) in PINNED {
         for kind in [QueueKind::Calendar, QueueKind::Heap] {
-            let got = run_once(seed, kind, return_us);
-            assert_eq!(
-                got, want,
-                "serial output moved (seed {seed}, return_us {return_us}, {kind:?} queue)"
-            );
+            for obs in [Obs::disabled(), Obs::enabled()] {
+                let got = run_once(seed, kind, return_us, &obs);
+                assert_eq!(
+                    got,
+                    want,
+                    "serial output moved (seed {seed}, return_us {return_us}, {kind:?} queue, \
+                     telemetry {})",
+                    obs.is_enabled()
+                );
+            }
         }
     }
 }
