@@ -1,39 +1,18 @@
 //! Best-effort intra-workspace call graph over the parsed file models.
 //!
-//! Nodes are non-test function definitions in lintable files; edges come
-//! from [`crate::symbols`] resolution. Construction is fully deterministic:
-//! files are walked in sorted order, functions in token order, and edge
-//! lists are sorted and deduplicated — the `--callgraph` JSONL dump is
-//! byte-identical across runs (an engine test asserts it).
+//! Nodes are the [`Symbols`] function ids — non-test function definitions in
+//! lintable files; edges come from [`crate::symbols`] resolution.
+//! Construction is fully deterministic: files are walked in sorted order,
+//! functions in token order, and edge lists are sorted and deduplicated.
 
-use crate::parse::{FileModel, FnTraits};
+use crate::parse::FileModel;
 use crate::symbols::{FnId, Symbols};
 
-/// One call-graph node (a copy of what reporting needs; the models stay
-/// owned by the caller).
-#[derive(Clone, Debug)]
-pub struct Node {
-    /// Stable id: `<file>::<Type>::<fn>` or `<file>::<fn>`.
-    pub id: String,
-    /// Repo-relative file path.
-    pub file: String,
-    /// Owning crate key.
-    pub krate: String,
-    /// Function name (unqualified).
-    pub name: String,
-    /// `Type::name` or `name`.
-    pub qualified: String,
-    /// 1-based line of the definition.
-    pub line: u32,
-    /// Evidence sites collected by the parser.
-    pub traits_: FnTraits,
-}
-
-/// The workspace call graph.
+/// The workspace call graph, with the symbol table it was resolved through.
 #[derive(Debug, Default)]
 pub struct CallGraph {
-    /// Nodes, aligned with [`Symbols`] FnIds.
-    pub nodes: Vec<Node>,
+    /// The symbol table; node `id` is `symbols.def(files, id)`.
+    pub symbols: Symbols,
     /// Adjacency: `edges[id]` is sorted and deduplicated.
     pub edges: Vec<Vec<FnId>>,
 }
@@ -42,20 +21,9 @@ impl CallGraph {
     /// Builds the graph from parsed models (files must be pre-sorted).
     pub fn build(files: &[FileModel]) -> CallGraph {
         let symbols = Symbols::build(files);
-        let mut nodes = Vec::with_capacity(symbols.ids.len());
         let mut edges = Vec::with_capacity(symbols.ids.len());
-        for id in 0..symbols.ids.len() {
-            let (file, def) = symbols.def(files, id);
-            nodes.push(Node {
-                id: symbols.node_ids[id].clone(),
-                file: file.path.clone(),
-                krate: file.krate.clone(),
-                name: def.name.clone(),
-                qualified: def.qualified(),
-                line: def.line,
-                traits_: def.traits_.clone(),
-            });
-            let (fi, _) = symbols.ids[id];
+        for (id, &(fi, _)) in symbols.ids.iter().enumerate() {
+            let (_, def) = symbols.def(files, id);
             let mut out: Vec<FnId> = Vec::new();
             for call in &def.calls {
                 out.extend(symbols.resolve_call(files, fi, def, call));
@@ -66,117 +34,7 @@ impl CallGraph {
             out.retain(|&t| t != id);
             edges.push(out);
         }
-        CallGraph { nodes, edges }
-    }
-
-    /// Renders the graph as JSONL: one node per line, sorted by id, with
-    /// sorted callee ids and the evidence-trait summary.
-    pub fn render_jsonl(&self) -> String {
-        let mut order: Vec<FnId> = (0..self.nodes.len()).collect();
-        order.sort_by(|&a, &b| self.nodes[a].id.cmp(&self.nodes[b].id));
-        let mut out = String::new();
-        for id in order {
-            let n = &self.nodes[id];
-            let mut callees: Vec<&str> =
-                self.edges[id].iter().map(|&t| self.nodes[t].id.as_str()).collect();
-            callees.sort_unstable();
-            let mut traits_: Vec<String> = Vec::new();
-            for (kind, sites) in [
-                ("wallclock", &n.traits_.wallclock),
-                ("rng", &n.traits_.rng),
-                ("thread", &n.traits_.thread),
-                ("unordered_iter", &n.traits_.unordered_iter),
-                ("alloc", &n.traits_.alloc),
-            ] {
-                for s in sites {
-                    traits_.push(format!(
-                        "{{\"kind\": \"{kind}\", \"what\": \"{}\", \"line\": {}}}",
-                        crate::json_escape(&s.what),
-                        s.line
-                    ));
-                }
-            }
-            out.push_str(&format!(
-                "{{\"id\": \"{}\", \"file\": \"{}\", \"crate\": \"{}\", \"line\": {}, \
-                 \"calls\": [{}], \"traits\": [{}]}}\n",
-                crate::json_escape(&n.id),
-                crate::json_escape(&n.file),
-                crate::json_escape(&n.krate),
-                n.line,
-                callees
-                    .iter()
-                    .map(|c| format!("\"{}\"", crate::json_escape(c)))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                traits_.join(", "),
-            ));
-        }
-        out
-    }
-
-    /// Strongly connected components (iterative Tarjan), largest first;
-    /// ties broken by the smallest member id for determinism. Singleton
-    /// components without a self-cycle are omitted.
-    pub fn sccs(&self) -> Vec<Vec<FnId>> {
-        let n = self.nodes.len();
-        let mut index = vec![usize::MAX; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<FnId> = Vec::new();
-        let mut next_index = 0usize;
-        let mut comps: Vec<Vec<FnId>> = Vec::new();
-
-        // Iterative Tarjan: (node, edge cursor) frames.
-        let mut frames: Vec<(FnId, usize)> = Vec::new();
-        for root in 0..n {
-            if index[root] != usize::MAX {
-                continue;
-            }
-            frames.push((root, 0));
-            index[root] = next_index;
-            low[root] = next_index;
-            next_index += 1;
-            stack.push(root);
-            on_stack[root] = true;
-            while let Some(&mut (v, ref mut cursor)) = frames.last_mut() {
-                if *cursor < self.edges[v].len() {
-                    let w = self.edges[v][*cursor];
-                    *cursor += 1;
-                    if index[w] == usize::MAX {
-                        index[w] = next_index;
-                        low[w] = next_index;
-                        next_index += 1;
-                        stack.push(w);
-                        on_stack[w] = true;
-                        frames.push((w, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                } else {
-                    frames.pop();
-                    if let Some(&(parent, _)) = frames.last() {
-                        low[parent] = low[parent].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w] = false;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        if comp.len() > 1 || self.edges[v].contains(&v) {
-                            comp.sort_unstable();
-                            comps.push(comp);
-                        }
-                    }
-                }
-            }
-        }
-        comps.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
-        comps
+        CallGraph { symbols, edges }
     }
 }
 
@@ -185,56 +43,20 @@ mod tests {
     use super::*;
     use crate::parse::parse_file;
 
-    fn graph(srcs: &[(&str, &str, &str)]) -> CallGraph {
-        let files: Vec<FileModel> =
-            srcs.iter().map(|(rel, krate, src)| parse_file(rel, krate, src)).collect();
-        CallGraph::build(&files)
-    }
-
     #[test]
     fn edges_cross_crates() {
-        let g = graph(&[
-            ("crates/sim/src/world.rs", "sim", "pub fn run() { graf_trace::push_raw(); }\n"),
-            ("crates/trace/src/lib.rs", "trace", "pub fn push_raw() {}\n"),
-        ]);
-        let run = g.nodes.iter().position(|n| n.name == "run").expect("run node");
-        assert_eq!(g.edges[run].len(), 1);
-        assert_eq!(g.nodes[g.edges[run][0]].name, "push_raw");
-    }
-
-    #[test]
-    fn jsonl_is_deterministic_and_sorted() {
-        let srcs = [
-            ("crates/sim/src/b.rs", "sim", "pub fn beta() { alpha(); }\npub fn alpha() {}\n"),
-            ("crates/sim/src/a.rs", "sim", "pub fn gamma() { beta(); }\n"),
+        let files = [
+            parse_file(
+                "crates/sim/src/world.rs",
+                "sim",
+                "pub fn run() { graf_trace::push_raw(); }\n",
+            ),
+            parse_file("crates/trace/src/lib.rs", "trace", "pub fn push_raw() {}\n"),
         ];
-        let a = graph(&srcs).render_jsonl();
-        let b = graph(&srcs).render_jsonl();
-        assert_eq!(a, b);
-        let lines: Vec<&str> = a.lines().collect();
-        assert_eq!(lines.len(), 3);
-        let mut sorted = lines.clone();
-        sorted.sort_unstable();
-        assert_eq!(lines, sorted, "JSONL must be sorted by node id");
-    }
-
-    #[test]
-    fn sccs_find_cycles() {
-        let g = graph(&[(
-            "crates/sim/src/world.rs",
-            "sim",
-            "pub fn a() { b(); }\npub fn b() { a(); }\npub fn c() {}\n",
-        )]);
-        let sccs = g.sccs();
-        assert_eq!(sccs.len(), 1);
-        assert_eq!(sccs[0].len(), 2);
-    }
-
-    #[test]
-    fn self_recursion_is_a_singleton_scc() {
-        let g = graph(&[("crates/sim/src/world.rs", "sim", "pub fn f() { f(); }\n")]);
-        // Self-loops are dropped from edges, so no SCC is reported — the
-        // graph stays acyclic for reachability purposes.
-        assert!(g.sccs().is_empty());
+        let g = CallGraph::build(&files);
+        let name = |id: FnId| g.symbols.def(&files, id).1.name.as_str();
+        let run = (0..g.edges.len()).find(|&id| name(id) == "run").expect("run node");
+        assert_eq!(g.edges[run].len(), 1);
+        assert_eq!(name(g.edges[run][0]), "push_raw");
     }
 }

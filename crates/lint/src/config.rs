@@ -7,7 +7,7 @@
 //! instead of silently disabling a lint.
 
 /// A module region declared hot: allocation is banned inside the listed
-/// functions of the file.
+/// functions of the file and in everything they reach.
 #[derive(Clone, Debug, Default)]
 pub struct HotRegion {
     /// Repo-relative file path (forward slashes).
@@ -16,7 +16,8 @@ pub struct HotRegion {
     pub functions: Vec<String>,
 }
 
-/// Configuration for the workspace-wide `graf-analyze` pass (`--analyze`).
+/// The `[analyze]` table: roots, blessings and barriers of the call-graph
+/// queries, plus the scope of `unordered-float-reduction`.
 #[derive(Clone, Debug)]
 pub struct AnalyzeConfig {
     /// Deterministic entry points, as `<file>.rs::<fn>` (optionally
@@ -45,7 +46,7 @@ impl Default for AnalyzeConfig {
             ordered_reduction_files: Vec::new(),
             parallel_adjacent_files: Vec::new(),
             alloc_allowed: Vec::new(),
-            exempt_crates: vec!["obs".into(), "prof".into(), "bench".into(), "lint".into()],
+            exempt_crates: vec!["obs".into(), "bench".into(), "lint".into()],
         }
     }
 }
@@ -61,9 +62,9 @@ pub struct Config {
     pub rng_home: Vec<String>,
     /// Path prefixes excluded from the workspace walk.
     pub exclude: Vec<String>,
-    /// Hot regions for `hot-path-alloc`.
+    /// Hot regions for `hot-alloc`.
     pub hot: Vec<HotRegion>,
-    /// Workspace-analysis configuration (`--analyze`).
+    /// The `[analyze]` table.
     pub analyze: AnalyzeConfig,
 }
 

@@ -1,38 +1,42 @@
-//! # graf-lint / graf-analyze
+//! # graf-lint
 //!
 //! A zero-dependency static-analysis pass enforcing this repository's
-//! determinism and hot-path invariants. It is built on a hand-rolled Rust
-//! lexer — comment-, string- and attribute-aware, not grep — and reports
-//! named, machine-readable lints:
+//! determinism and hot-path invariants. It is one pipeline over a hand-rolled
+//! Rust lexer — comment-, string- and attribute-aware, not grep:
+//!
+//! ```text
+//! lex → parse (item model + evidence sites) → symbols → call graph → lints
+//! ```
+//!
+//! Each file is lexed once and each evidence kind (wall-clock read, RNG
+//! construction, `std::thread` use, unordered-map iteration, allocation) is
+//! recognized by one detector ([`parse`]); every lint is a query over that
+//! model and reports a named finding:
 //!
 //! * `wallclock-in-deterministic-crate` — `Instant::now`/`SystemTime` outside
 //!   the telemetry/bench crates, unless gated by `is_recording()`,
 //! * `unordered-map-iteration` — iterating `HashMap`/`HashSet` in crates
 //!   whose aggregate outputs must be order-stable,
-//! * `hot-path-alloc` — allocation (`Vec::new`, `.clone()`, `.collect()`,
-//!   `format!`, …) inside functions declared hot in `lint.toml`,
-//! * `unwrap-in-lib` — `.unwrap()` in library code,
 //! * `unseeded-rng` — RNG construction outside the seeded `sim::rng` home,
+//! * `determinism-taint` — any of the above, or unblessed thread use,
+//!   reachable through the call graph from a deterministic entry point,
+//! * `hot-alloc` — allocation (`Vec::new`, `.clone()`, `.collect()`,
+//!   `format!`, …) inside a function declared hot in `lint.toml`, or
+//!   reachable from one,
+//! * `unwrap-in-lib` — `.unwrap()` in library code,
 //! * `relaxed-atomic` — `Ordering::Relaxed` on shared state,
 //! * `unsafe-no-safety` — `unsafe` without a `// graf-lint: safety(<why>)`,
 //! * `unordered-float-reduction` — float `+=` in loops of parallel-adjacent
 //!   modules,
-//! * `bad-annotation` — a malformed or unjustified allow annotation.
-//!
-//! The `--analyze` pass ([`analyze_workspace`]) additionally parses every
-//! file into an item model ([`parse`]), builds a best-effort workspace call
-//! graph ([`callgraph`] over [`symbols`]) and runs reachability checks
-//! ([`taint`]): `determinism-taint` and `transitive-hot-alloc`, plus
-//! `stale-allow` for suppressions that no longer suppress anything.
+//! * `bad-annotation` — a malformed or unjustified allow annotation,
+//! * `stale-allow` — an annotation that no longer suppresses anything.
 //!
 //! Findings are suppressed with `// graf-lint: allow(<lint>, <why>)` on the
-//! same or preceding line; a committed `lint.baseline` makes CI fail only on
-//! *new* violations. See `DESIGN.md` §9/§13 for the catalog and workflow.
+//! same or preceding line. See `DESIGN.md` §9 for the catalog and workflow.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod config;
 pub mod lexer;
@@ -41,167 +45,91 @@ pub mod parse;
 pub mod symbols;
 pub mod taint;
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use baseline::Baseline;
 pub use config::Config;
 pub use lints::Finding;
 
-/// Result of a workspace scan.
+/// Result of linting a workspace.
 #[derive(Debug, Default)]
-pub struct ScanResult {
+pub struct Report {
     /// All findings, sorted by (path, line, lint).
     pub findings: Vec<Finding>,
-    /// Number of `.rs` files lexed.
+    /// Number of `.rs` files found under the root.
     pub files_scanned: usize,
 }
 
-/// One suppression annotation, as inventoried by `--analyze --json`.
-#[derive(Clone, Debug)]
-pub struct Suppression {
-    /// Repo-relative path.
-    pub path: String,
-    /// 1-based line of the annotation.
-    pub line: u32,
-    /// Canonical lint name it suppresses.
-    pub lint: &'static str,
-    /// The justification text.
-    pub reason: String,
-    /// `true` for the `safety(<why>)` form.
-    pub safety: bool,
-    /// `true` when the annotation suppressed at least one finding this run.
-    pub live: bool,
-}
-
-/// Output of the full `--analyze` pass: token lints, graph lints, the call
-/// graph itself and the suppression inventory.
-#[derive(Debug, Default)]
-pub struct Analysis {
-    /// All findings (token + reachability + stale-allow), sorted by
-    /// (path, line, lint).
-    pub findings: Vec<Finding>,
-    /// Number of `.rs` files lexed.
-    pub files_scanned: usize,
-    /// Every suppression annotation, sorted by (path, line).
-    pub suppressions: Vec<Suppression>,
-    /// The workspace call graph.
-    pub graph: callgraph::CallGraph,
-    /// Functions reachable from the deterministic entry points.
-    pub reachable_from_entries: usize,
-    /// Functions reachable from the `[[hot]]` roots.
-    pub reachable_from_hot: usize,
-    /// Pre-suppression sink descriptions (see [`taint::TaintReport`]).
-    pub frontier: Vec<String>,
-}
-
-/// Scans every `.rs` file under `root` (excluding `cfg.exclude` prefixes and
-/// dot-directories) and lints it.
-pub fn scan_workspace(root: &Path, cfg: &Config) -> io::Result<ScanResult> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, cfg, &mut files)?;
-    files.sort();
-    let mut result = ScanResult::default();
-    for rel in files {
-        let src = fs::read_to_string(root.join(&rel))?;
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        result.findings.extend(lints::lint_file(&rel_str, &src, cfg));
-        result.files_scanned += 1;
-    }
-    result.findings.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
-    Ok(result)
-}
-
-/// The full `--analyze` pass: token lints plus call-graph reachability
-/// checks, stale-allow detection and the suppression inventory.
+/// Lints every `.rs` file under `root` (excluding `cfg.exclude` prefixes and
+/// dot-directories).
 ///
-/// I/O failures and configuration errors (an `entry-points` spec that no
-/// longer resolves) are both reported as `Err(message)` — the caller exits 2.
-pub fn analyze_workspace(root: &Path, cfg: &Config) -> Result<Analysis, String> {
+/// I/O failures and configuration errors (an `entry-points`, `alloc-allowed`
+/// or `[[hot]]` spec that no longer resolves) are both reported as
+/// `Err(message)` — the caller exits 2.
+pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
     let mut files = Vec::new();
     collect_rs_files(root, root, cfg, &mut files).map_err(|e| format!("scan: {e}"))?;
     files.sort();
-
-    let mut analysis = Analysis::default();
-    let mut models: Vec<parse::FileModel> = Vec::new();
-    let mut sources: BTreeMap<String, String> = BTreeMap::new();
-    // Per-file annotations, with liveness accumulated across token and graph
-    // passes. Keyed by path for the graph-finding suppression step.
-    let mut allows_by_file: BTreeMap<String, Vec<lints::Allow>> = BTreeMap::new();
-
+    let mut sources: Vec<(String, String)> = Vec::new();
     for rel in files {
         let src =
             fs::read_to_string(root.join(&rel)).map_err(|e| format!("{}: {e}", rel.display()))?;
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        let file_lint = lints::lint_file_full(&rel_str, &src, cfg);
-        analysis.findings.extend(file_lint.findings);
-        if !file_lint.allows.is_empty() {
-            allows_by_file.insert(rel_str.clone(), file_lint.allows);
-        }
-        if let Some(krate) = lints::classify(&rel_str) {
-            models.push(parse::parse_file(&rel_str, krate, &src));
-            sources.insert(rel_str, src);
-        }
-        analysis.files_scanned += 1;
+        sources.push((rel.to_string_lossy().replace('\\', "/"), src));
     }
-
-    analysis.graph = callgraph::CallGraph::build(&models);
-    let report = taint::analyze(&models, &analysis.graph, cfg, &sources)?;
-    analysis.reachable_from_entries = report.reachable_from_entries;
-    analysis.reachable_from_hot = report.reachable_from_hot;
-    analysis.frontier = report.frontier;
-
-    // Graph findings honor the same annotations as token findings, anchored
-    // at the sink line.
-    for f in report.findings {
-        let suppressed =
-            allows_by_file.get_mut(&f.path).is_some_and(|allows| lints::suppress(allows, &f));
-        if !suppressed {
-            analysis.findings.push(f);
-        }
+    let (findings, stale_specs) = lint_sources(&sources, cfg);
+    if !stale_specs.is_empty() {
+        return Err(stale_specs.join("\n"));
     }
+    Ok(Report { findings, files_scanned: sources.len() })
+}
 
-    // Stale-allow pass: any annotation that suppressed nothing is itself a
-    // finding — suppressions must not outlive the code they excuse.
-    for (path, allows) in &allows_by_file {
+/// The pipeline over in-memory `(repo-relative path, source)` pairs, of which
+/// test, bench and example targets are skipped: findings sorted by
+/// (path, line, lint), plus one message per `lint.toml` spec that resolves to
+/// no function in these sources.
+pub(crate) fn lint_sources(
+    sources: &[(String, String)],
+    cfg: &Config,
+) -> (Vec<Finding>, Vec<String>) {
+    let files: Vec<parse::FileModel> = sources
+        .iter()
+        .filter_map(|(rel, src)| Some(parse::parse_file(rel, lints::classify(rel)?, src)))
+        .filter(|m| !m.is_test)
+        .collect();
+    let graph = callgraph::CallGraph::build(&files);
+
+    let mut raw: Vec<Finding> = Vec::new();
+    let mut allows: Vec<Vec<lints::Allow>> = Vec::new();
+    for m in &files {
+        allows.push(lints::parse_annotations(m, &mut raw));
+        lints::file_findings(m, cfg, &mut raw);
+    }
+    let reach = taint::analyze(&files, &graph, cfg);
+    raw.extend(reach.findings);
+
+    // Every finding honors the annotations of its own file, anchored at its
+    // line.
+    let file_of = |path: &str| files.iter().position(|m| m.path == path);
+    let mut findings: Vec<Finding> = raw
+        .into_iter()
+        .filter(|f| !file_of(&f.path).is_some_and(|i| lints::suppress(&mut allows[i], f)))
+        .collect();
+
+    // An annotation that suppressed nothing is itself a finding —
+    // suppressions must not outlive the code they excuse.
+    for (m, allows) in files.iter().zip(&allows) {
         for a in allows.iter().filter(|a| !a.used) {
-            let snippet = sources
-                .get(path)
-                .and_then(|src| src.lines().nth(a.line.saturating_sub(1) as usize))
-                .map(|l| l.trim().to_string())
-                .unwrap_or_default();
             let message = if a.safety {
                 "safety() with no `unsafe` on this or the next line; remove it".to_string()
             } else {
                 format!("allow({}) no longer suppresses anything; remove it", a.lint)
             };
-            analysis.findings.push(Finding {
-                lint: lints::STALE_ALLOW,
-                path: path.clone(),
-                line: a.line,
-                message,
-                snippet,
-            });
+            findings.push(lints::finding(m, lints::STALE_ALLOW, a.line, message));
         }
     }
-
-    for (path, allows) in allows_by_file {
-        for a in allows {
-            analysis.suppressions.push(Suppression {
-                path: path.clone(),
-                line: a.line,
-                lint: a.lint,
-                reason: a.reason,
-                safety: a.safety,
-                live: a.used,
-            });
-        }
-    }
-    analysis.suppressions.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    analysis.findings.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
-    Ok(analysis)
+    findings.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
+    (findings, reach.stale_specs)
 }
 
 fn collect_rs_files(
@@ -232,137 +160,4 @@ fn collect_rs_files(
         }
     }
     Ok(())
-}
-
-/// Renders findings as a JSON report (hand-written; no dependencies).
-pub fn render_json(findings: &[Finding], new: &[&Finding], files_scanned: usize) -> String {
-    render_json_report(findings, new, files_scanned, None)
-}
-
-/// [`render_json`] plus the `--analyze` suppression inventory.
-pub fn render_json_full(
-    findings: &[Finding],
-    new: &[&Finding],
-    files_scanned: usize,
-    suppressions: &[Suppression],
-) -> String {
-    render_json_report(findings, new, files_scanned, Some(suppressions))
-}
-
-fn render_json_report(
-    findings: &[Finding],
-    new: &[&Finding],
-    files_scanned: usize,
-    suppressions: Option<&[Suppression]>,
-) -> String {
-    let is_new = |f: &Finding| new.iter().any(|n| std::ptr::eq(*n, f));
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"lint\": \"{}\", \"path\": \"{}\", \"line\": {}, \"new\": {}, \"message\": \"{}\", \"snippet\": \"{}\"}}",
-            json_escape(f.lint),
-            json_escape(&f.path),
-            f.line,
-            is_new(f),
-            json_escape(&f.message),
-            json_escape(&f.snippet),
-        ));
-    }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],");
-    if let Some(sups) = suppressions {
-        out.push_str("\n  \"suppressions\": [");
-        for (i, s) in sups.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"path\": \"{}\", \"line\": {}, \"lint\": \"{}\", \"kind\": \"{}\", \"reason\": \"{}\", \"live\": {}}}",
-                json_escape(&s.path),
-                s.line,
-                json_escape(s.lint),
-                if s.safety { "safety" } else { "allow" },
-                json_escape(&s.reason),
-                s.live,
-            ));
-        }
-        if !sups.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],");
-    }
-    out.push_str(&format!(
-        "\n  \"total\": {},\n  \"new\": {},\n  \"files_scanned\": {}\n}}\n",
-        findings.len(),
-        new.len(),
-        files_scanned
-    ));
-    out
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn json_report_shape() {
-        let f = Finding {
-            lint: lints::UNWRAP_IN_LIB,
-            path: "crates/a/src/lib.rs".into(),
-            line: 3,
-            message: "m".into(),
-            snippet: "x.unwrap()".into(),
-        };
-        let findings = vec![f];
-        let new: Vec<&Finding> = findings.iter().collect();
-        let json = render_json(&findings, &new, 1);
-        assert!(json.contains("\"lint\": \"unwrap-in-lib\""));
-        assert!(json.contains("\"new\": true"));
-        assert!(json.contains("\"total\": 1"));
-        assert!(!json.contains("\"suppressions\""));
-    }
-
-    #[test]
-    fn json_full_report_lists_suppressions() {
-        let sup = Suppression {
-            path: "crates/a/src/lib.rs".into(),
-            line: 7,
-            lint: lints::HOT_PATH_ALLOC,
-            reason: "slab growth".into(),
-            safety: false,
-            live: true,
-        };
-        let json = render_json_full(&[], &[], 1, &[sup]);
-        assert!(json.contains("\"suppressions\""));
-        assert!(json.contains("\"kind\": \"allow\""));
-        assert!(json.contains("\"live\": true"));
-        assert!(json.contains("slab growth"));
-    }
 }

@@ -1,6 +1,7 @@
-//! The lint rules and per-file driver.
+//! The lint names, the annotation grammar and the per-file rules.
 //!
-//! Every rule works on the lexed token stream (see [`crate::lexer`]), so
+//! Every rule reads the file's [`FileModel`]: the crate-scoped bans are a
+//! query over its evidence sites, the other four walk its token stream — so
 //! matches inside strings, comments and `#[cfg(test)]` items never fire.
 //! Findings can be suppressed with an annotation on the same or preceding
 //! line:
@@ -10,19 +11,22 @@
 //! ```
 //!
 //! where `<lint>` is the full lint name or its short alias (`wallclock`,
-//! `unordered-map`, `hot-alloc`, `unwrap`, `rng`). An annotation without a
-//! justification, or naming an unknown lint, is itself a finding
-//! (`bad-annotation`) — exceptions must stay explained.
+//! `unordered-map`, `unwrap`, `rng`, `relaxed`, `unsafe`, `float-reduction`,
+//! `taint`). An annotation without a justification, or naming an unknown
+//! lint, is itself a finding (`bad-annotation`) — exceptions must stay
+//! explained.
 
 use crate::config::Config;
-use crate::lexer::{lex, Lexed, Token, TokenKind};
+use crate::lexer::TokenKind;
+use crate::parse::{Evidence, FileModel};
 
 /// `Instant::now`/`SystemTime` in a deterministic crate.
 pub const WALLCLOCK: &str = "wallclock-in-deterministic-crate";
 /// Iterating a `HashMap`/`HashSet` where ordering feeds outputs.
 pub const UNORDERED_MAP: &str = "unordered-map-iteration";
-/// Heap allocation inside a declared hot function.
-pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
+/// Heap allocation inside a declared hot function, or reachable from one
+/// through the call graph (see [`crate::taint`]).
+pub const HOT_ALLOC: &str = "hot-alloc";
 /// `.unwrap()` in library code.
 pub const UNWRAP_IN_LIB: &str = "unwrap-in-lib";
 /// RNG construction outside the seeded `sim::rng` home.
@@ -37,18 +41,15 @@ pub const UNSAFE_NO_SAFETY: &str = "unsafe-no-safety";
 pub const FLOAT_REDUCTION: &str = "unordered-float-reduction";
 /// A suppression annotation whose lint no longer fires on that snippet.
 pub const STALE_ALLOW: &str = "stale-allow";
-/// Non-deterministic call reachable from a deterministic entry point
-/// (reported by the `--analyze` pass; see [`crate::taint`]).
+/// Non-deterministic call reachable from a deterministic entry point (see
+/// [`crate::taint`]).
 pub const DETERMINISM_TAINT: &str = "determinism-taint";
-/// Allocation transitively reachable from a `[[hot]]` root
-/// (reported by the `--analyze` pass; see [`crate::taint`]).
-pub const TRANSITIVE_HOT_ALLOC: &str = "transitive-hot-alloc";
 
-/// All lint names, for `--help` and validation.
-pub const ALL_LINTS: [&str; 12] = [
+/// All lint names.
+pub const ALL_LINTS: [&str; 11] = [
     WALLCLOCK,
     UNORDERED_MAP,
-    HOT_PATH_ALLOC,
+    HOT_ALLOC,
     UNWRAP_IN_LIB,
     UNSEEDED_RNG,
     BAD_ANNOTATION,
@@ -57,7 +58,6 @@ pub const ALL_LINTS: [&str; 12] = [
     FLOAT_REDUCTION,
     STALE_ALLOW,
     DETERMINISM_TAINT,
-    TRANSITIVE_HOT_ALLOC,
 ];
 
 /// One reported violation.
@@ -71,9 +71,13 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable explanation.
     pub message: String,
-    /// The trimmed source line (baseline fingerprints hash this, so findings
-    /// survive unrelated line-number shifts).
+    /// The trimmed source line.
     pub snippet: String,
+}
+
+/// A `lint` finding at `line` of `m`.
+pub(crate) fn finding(m: &FileModel, lint: &'static str, line: u32, message: String) -> Finding {
+    Finding { lint, path: m.path.clone(), line, message, snippet: m.snippet(line).to_string() }
 }
 
 /// Resolves an annotation name (full or alias) to the canonical lint name.
@@ -81,14 +85,13 @@ fn canonical_lint(name: &str) -> Option<&'static str> {
     match name {
         "wallclock" | WALLCLOCK => Some(WALLCLOCK),
         "unordered-map" | UNORDERED_MAP => Some(UNORDERED_MAP),
-        "hot-alloc" | HOT_PATH_ALLOC => Some(HOT_PATH_ALLOC),
+        HOT_ALLOC => Some(HOT_ALLOC),
         "unwrap" | UNWRAP_IN_LIB => Some(UNWRAP_IN_LIB),
         "rng" | UNSEEDED_RNG => Some(UNSEEDED_RNG),
         "relaxed" | RELAXED_ATOMIC => Some(RELAXED_ATOMIC),
         "unsafe" | UNSAFE_NO_SAFETY => Some(UNSAFE_NO_SAFETY),
         "float-reduction" | FLOAT_REDUCTION => Some(FLOAT_REDUCTION),
         "taint" | DETERMINISM_TAINT => Some(DETERMINISM_TAINT),
-        "transitive-alloc" | TRANSITIVE_HOT_ALLOC => Some(TRANSITIVE_HOT_ALLOC),
         _ => None,
     }
 }
@@ -101,22 +104,10 @@ pub struct Allow {
     pub line: u32,
     /// Canonical lint name it suppresses.
     pub lint: &'static str,
-    /// The justification text.
-    pub reason: String,
     /// `true` for the `safety(<why>)` form (unsafe-block justifications).
     pub safety: bool,
     /// Set when the annotation suppressed at least one raw finding.
     pub used: bool,
-}
-
-/// Per-file lint output: allow-filtered findings plus the annotations
-/// themselves (for the suppression inventory and stale-allow detection).
-#[derive(Debug, Default)]
-pub struct FileLint {
-    /// Findings that survived suppression, sorted by (line, lint).
-    pub findings: Vec<Finding>,
-    /// Every suppression annotation in the file, with liveness.
-    pub allows: Vec<Allow>,
 }
 
 /// How a file participates in linting: `Some(crate-key)` for library code.
@@ -143,113 +134,26 @@ pub(crate) fn classify(rel: &str) -> Option<&str> {
     None
 }
 
-/// Token-stream view with the little helpers the rules share.
-struct Toks<'s> {
-    src: &'s str,
-    t: &'s [Token],
-}
-
-impl<'s> Toks<'s> {
-    fn text(&self, i: usize) -> &'s str {
-        let t = &self.t[i];
-        &self.src[t.start..t.end]
-    }
-
-    fn is_punct(&self, i: usize, c: char) -> bool {
-        self.t.get(i).is_some_and(|t| t.kind == TokenKind::Punct) && self.text(i).starts_with(c)
-    }
-
-    fn is_ident(&self, i: usize, s: &str) -> bool {
-        self.t.get(i).is_some_and(|t| t.kind == TokenKind::Ident) && self.text(i) == s
-    }
-
-    fn ident(&self, i: usize) -> Option<&'s str> {
-        let t = self.t.get(i)?;
-        (t.kind == TokenKind::Ident).then(|| &self.src[t.start..t.end])
-    }
-
-    fn in_test(&self, i: usize) -> bool {
-        self.t[i].in_test
-    }
-
-    fn line(&self, i: usize) -> u32 {
-        self.t[i].line
-    }
-}
-
-/// Byte offsets of each line start, for snippet extraction.
-struct Lines<'s> {
-    src: &'s str,
-    starts: Vec<usize>,
-}
-
-impl<'s> Lines<'s> {
-    fn new(src: &'s str) -> Self {
-        let mut starts = vec![0usize];
-        for (i, b) in src.bytes().enumerate() {
-            if b == b'\n' {
-                starts.push(i + 1);
-            }
-        }
-        Self { src, starts }
-    }
-
-    fn snippet(&self, line: u32) -> &'s str {
-        let idx = (line as usize).saturating_sub(1);
-        let start = *self.starts.get(idx).unwrap_or(&self.src.len());
-        let end = self.starts.get(idx + 1).map_or(self.src.len(), |&e| e.saturating_sub(1));
-        self.src[start..end.max(start)].trim()
-    }
-}
-
-/// Lints one file. `rel` is the repo-relative path with forward slashes.
+/// Lints one file on its own — the whole pipeline over a one-file workspace.
+/// `rel` is the repo-relative path with forward slashes. Specs in `cfg` that
+/// name other files resolve to nothing here and are ignored: only the
+/// workspace pass can hold `lint.toml` to the whole tree.
 pub fn lint_file(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    lint_file_full(rel, src, cfg).findings
+    crate::lint_sources(&[(rel.to_string(), src.to_string())], cfg).0
 }
 
-/// [`lint_file`] plus the annotation inventory (for `--json` suppressions and
-/// stale-allow detection, which needs the `--analyze` pass to complete first).
-pub fn lint_file_full(rel: &str, src: &str, cfg: &Config) -> FileLint {
-    let Some(krate) = classify(rel) else {
-        return FileLint::default();
-    };
-    let lexed = lex(src);
-    if lexed.file_is_test {
-        return FileLint::default();
+/// The per-file rules: raw findings of `m`, before suppression.
+pub(crate) fn file_findings(m: &FileModel, cfg: &Config, out: &mut Vec<Finding>) {
+    site_bans(m, cfg, out);
+    token_rules(m, out);
+    if cfg.analyze.parallel_adjacent_files.contains(&m.path) {
+        float_reduction(m, out);
     }
-    let lines = Lines::new(src);
-    let toks = Toks { src, t: &lexed.tokens };
-
-    let (mut allows, mut findings) = parse_annotations(rel, src, &lexed, &lines);
-
-    let mut raw = Vec::new();
-    if !cfg.wallclock_exempt_crates.iter().any(|c| c == krate) && krate != "lint" {
-        wallclock(rel, &toks, &lines, &mut raw);
-    }
-    if cfg.ordered_crates.iter().any(|c| c == krate) {
-        unordered_map(rel, &toks, &lines, &mut raw);
-    }
-    unwrap_in_lib(rel, &toks, &lines, &mut raw);
-    if !cfg.rng_home.iter().any(|p| p == rel) && krate != "lint" {
-        unseeded_rng(rel, &toks, &lines, &mut raw);
-    }
-    for region in cfg.hot.iter().filter(|h| h.file == rel) {
-        hot_path_alloc(rel, &toks, &lines, &region.functions, &mut raw);
-    }
-    relaxed_atomic(rel, &toks, &lines, &mut raw);
-    unsafe_no_safety(rel, &toks, &lines, &mut raw);
-    if cfg.analyze.parallel_adjacent_files.iter().any(|f| f == rel) {
-        float_reduction(rel, &toks, &lines, &mut raw);
-    }
-
-    findings.extend(raw.into_iter().filter(|f| !suppress(&mut allows, f)));
-    findings.sort_by(|a, b| (a.line, a.lint).cmp(&(b.line, b.lint)));
-    FileLint { findings, allows }
 }
 
-/// Applies the first matching annotation to `f`, marking it live. An
-/// annotation covers its own line and the next one.
-pub fn suppress(allows: &mut [Allow], f: &Finding) -> bool {
+/// Applies every matching annotation to `f`, marking it live. An annotation
+/// covers its own line and the next one.
+pub(crate) fn suppress(allows: &mut [Allow], f: &Finding) -> bool {
     let mut hit = false;
     for a in allows.iter_mut() {
         if a.lint == f.lint && (a.line == f.line || a.line + 1 == f.line) {
@@ -260,29 +164,13 @@ pub fn suppress(allows: &mut [Allow], f: &Finding) -> bool {
     hit
 }
 
-fn finding(
-    lint: &'static str,
-    rel: &str,
-    line: u32,
-    lines: &Lines<'_>,
-    message: String,
-) -> Finding {
-    Finding { lint, path: rel.to_string(), line, message, snippet: lines.snippet(line).to_string() }
-}
-
 /// Parses `graf-lint: allow(lint, reason)` and `graf-lint: safety(reason)`
-/// annotations from line comments. Returns (annotations, bad-annotation
-/// findings).
-fn parse_annotations(
-    rel: &str,
-    src: &str,
-    lexed: &Lexed,
-    lines: &Lines<'_>,
-) -> (Vec<Allow>, Vec<Finding>) {
+/// annotations from line comments; malformed ones become `bad-annotation`
+/// findings in `out` and suppress nothing (fail closed).
+pub(crate) fn parse_annotations(m: &FileModel, out: &mut Vec<Finding>) -> Vec<Allow> {
     let mut allows = Vec::new();
-    let mut bad = Vec::new();
-    for c in &lexed.comments {
-        let text = &src[c.start..c.end];
+    for c in &m.comments {
+        let text = &m.src[c.start..c.end];
         // The span starts after the `//`, so doc comments (`///`, `//!`)
         // begin with `/` or `!`. They describe the annotation grammar in
         // prose and never carry a live annotation.
@@ -293,27 +181,17 @@ fn parse_annotations(
             continue;
         };
         let rest = text[pos + "graf-lint:".len()..].trim();
+        let mut bad = |message: String| out.push(finding(m, BAD_ANNOTATION, c.line, message));
+        let mut allow =
+            |lint, safety| allows.push(Allow { line: c.line, lint, safety, used: false });
         // `safety(<why>)` — the unsafe-block justification form.
         if let Some(inner) =
             rest.strip_prefix("safety(").and_then(|r| r.rfind(')').map(|close| &r[..close]))
         {
-            let reason = inner.trim();
-            if reason.is_empty() {
-                bad.push(finding(
-                    BAD_ANNOTATION,
-                    rel,
-                    c.line,
-                    lines,
-                    "safety() needs a justification: safety(<why this unsafe is sound>)".into(),
-                ));
+            if inner.trim().is_empty() {
+                bad("safety() needs a justification: safety(<why this unsafe is sound>)".into());
             } else {
-                allows.push(Allow {
-                    line: c.line,
-                    lint: UNSAFE_NO_SAFETY,
-                    reason: reason.to_string(),
-                    safety: true,
-                    used: false,
-                });
+                allow(UNSAFE_NO_SAFETY, true);
             }
             continue;
         }
@@ -325,350 +203,75 @@ fn parse_annotations(
                 None => (inner.trim(), ""),
             });
         match parsed {
-            None => bad.push(finding(
-                BAD_ANNOTATION,
-                rel,
-                c.line,
-                lines,
-                "expected `graf-lint: allow(<lint>, <justification>)`".into(),
-            )),
+            None => bad("expected `graf-lint: allow(<lint>, <justification>)`".into()),
             Some((name, reason)) => match canonical_lint(name) {
-                None => bad.push(finding(
-                    BAD_ANNOTATION,
-                    rel,
-                    c.line,
-                    lines,
-                    format!("unknown lint `{name}` in allow annotation"),
-                )),
-                Some(_) if reason.is_empty() => bad.push(finding(
-                    BAD_ANNOTATION,
-                    rel,
-                    c.line,
-                    lines,
-                    format!("allow({name}) needs a justification: allow({name}, <why>)"),
-                )),
-                Some(lint) => allows.push(Allow {
-                    line: c.line,
-                    lint,
-                    reason: reason.to_string(),
-                    safety: false,
-                    used: false,
-                }),
+                None => bad(format!("unknown lint `{name}` in allow annotation")),
+                Some(_) if reason.is_empty() => {
+                    bad(format!("allow({name}) needs a justification: allow({name}, <why>)"))
+                }
+                Some(lint) => allow(lint, false),
             },
         }
     }
-    (allows, bad)
+    allows
 }
 
-/// `wallclock-in-deterministic-crate`: `Instant::now` / `SystemTime` outside
-/// the exempt crates, unless gated by `is_recording()` on the same line.
-fn wallclock(rel: &str, toks: &Toks<'_>, lines: &Lines<'_>, out: &mut Vec<Finding>) {
-    let mut gated_lines = Vec::new();
-    for i in 0..toks.t.len() {
-        if toks.is_ident(i, "is_recording") {
-            gated_lines.push(toks.line(i));
-        }
-    }
-    for i in 0..toks.t.len() {
-        if toks.in_test(i) {
-            continue;
-        }
-        let hit = if toks.is_ident(i, "Instant")
-            && toks.is_punct(i + 1, ':')
-            && toks.is_punct(i + 2, ':')
-            && toks.is_ident(i + 3, "now")
-        {
-            Some("Instant::now")
-        } else if toks.is_ident(i, "SystemTime") {
-            Some("SystemTime")
-        } else {
-            None
-        };
-        if let Some(what) = hit {
-            let line = toks.line(i);
-            if gated_lines.contains(&line) {
-                continue;
-            }
-            out.push(finding(
+/// The crate-scoped bans, as the depth-0 query over the file's evidence:
+/// `wallclock-in-deterministic-crate` outside the exempt crates,
+/// `unseeded-rng` outside the seeded home, `unordered-map-iteration` in the
+/// crates whose aggregate outputs must be order-stable.
+fn site_bans(m: &FileModel, cfg: &Config, out: &mut Vec<Finding>) {
+    for s in &m.sites {
+        let what = &s.what;
+        let (lint, message) = match s.kind {
+            Evidence::Wallclock if !cfg.wallclock_exempt_crates.contains(&m.krate) => (
                 WALLCLOCK,
-                rel,
-                line,
-                lines,
                 format!("{what} in a deterministic crate; gate behind is_recording() or route through sim time"),
-            ));
-        }
-    }
-}
-
-/// `unordered-map-iteration`: iterating a `HashMap`/`HashSet` declared in
-/// this file, in a crate whose aggregate outputs must be order-stable.
-fn unordered_map(rel: &str, toks: &Toks<'_>, lines: &Lines<'_>, out: &mut Vec<Finding>) {
-    // Pass A: names declared with a HashMap/HashSet type or initializer.
-    let mut tracked: Vec<&str> = Vec::new();
-    for i in 0..toks.t.len() {
-        if !(toks.is_ident(i, "HashMap") || toks.is_ident(i, "HashSet")) {
-            continue;
-        }
-        // Walk back over `::`-joined path segments (std::collections::…).
-        let mut j = i;
-        while j >= 3
-            && toks.is_punct(j - 1, ':')
-            && toks.is_punct(j - 2, ':')
-            && toks.ident(j - 3).is_some()
-        {
-            j -= 3;
-        }
-        // `name: [path::]HashMap<…>` — a field or typed binding.
-        if j >= 2 && toks.is_punct(j - 1, ':') && !toks.is_punct(j - 2, ':') {
-            if let Some(name) = toks.ident(j - 2) {
-                tracked.push(name);
-                continue;
-            }
-        }
-        // `name = HashMap::new()` — an untyped binding.
-        if j >= 2 && toks.is_punct(j - 1, '=') {
-            if let Some(name) = toks.ident(j - 2) {
-                tracked.push(name);
-            }
-        }
-    }
-    if tracked.is_empty() {
-        return;
-    }
-
-    const ITER_METHODS: [&str; 7] =
-        ["iter", "iter_mut", "keys", "values", "values_mut", "into_iter", "drain"];
-    let mut local: Vec<Finding> = Vec::new();
-    let mut i = 0;
-    while i < toks.t.len() {
-        if toks.in_test(i) {
-            i += 1;
-            continue;
-        }
-        // `for pat in <expr containing tracked name> {`
-        if toks.is_ident(i, "for") {
-            let mut j = i + 1;
-            while j < toks.t.len() && !toks.is_ident(j, "in") && !toks.is_punct(j, '{') {
-                j += 1;
-            }
-            if toks.is_ident(j, "in") {
-                let mut k = j + 1;
-                while k < toks.t.len() && !toks.is_punct(k, '{') {
-                    if let Some(name) = toks.ident(k) {
-                        if tracked.contains(&name) {
-                            local.push(finding(
-                                UNORDERED_MAP,
-                                rel,
-                                toks.line(i),
-                                lines,
-                                format!("iterating unordered map/set `{name}`; use BTreeMap or sort keys first"),
-                            ));
-                            break;
-                        }
-                    }
-                    k += 1;
-                }
-            }
-            i += 1;
-            continue;
-        }
-        // `name.iter()` and friends on a tracked name.
-        if let Some(m) = toks.ident(i) {
-            if ITER_METHODS.contains(&m)
-                && toks.is_punct(i + 1, '(')
-                && i >= 2
-                && toks.is_punct(i - 1, '.')
-            {
-                if let Some(name) = toks.ident(i - 2) {
-                    if tracked.contains(&name) {
-                        local.push(finding(
-                            UNORDERED_MAP,
-                            rel,
-                            toks.line(i),
-                            lines,
-                            format!("`{name}.{m}()` iterates an unordered map/set; use BTreeMap or sort keys first"),
-                        ));
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
-    // The for-scan and the method-scan can both hit the same construct
-    // (`for v in m.values()`); report each line once.
-    local.dedup_by(|a, b| a.line == b.line);
-    out.append(&mut local);
-}
-
-/// `unwrap-in-lib`: `.unwrap()` in library code — propagate or `expect` with
-/// an invariant message instead.
-fn unwrap_in_lib(rel: &str, toks: &Toks<'_>, lines: &Lines<'_>, out: &mut Vec<Finding>) {
-    for i in 1..toks.t.len() {
-        if toks.in_test(i) {
-            continue;
-        }
-        if toks.is_ident(i, "unwrap") && toks.is_punct(i - 1, '.') && toks.is_punct(i + 1, '(') {
-            out.push(finding(
-                UNWRAP_IN_LIB,
-                rel,
-                toks.line(i),
-                lines,
-                "`.unwrap()` in library code; propagate the error or use `expect(\"<invariant>\")`"
-                    .into(),
-            ));
-        }
-    }
-}
-
-/// `unseeded-rng`: constructing RNGs outside the seeded `sim::rng` home.
-fn unseeded_rng(rel: &str, toks: &Toks<'_>, lines: &Lines<'_>, out: &mut Vec<Finding>) {
-    const BANNED: [&str; 10] = [
-        "thread_rng",
-        "ThreadRng",
-        "from_entropy",
-        "from_os_rng",
-        "OsRng",
-        "seed_from_u64",
-        "from_seed",
-        "from_rng",
-        "SmallRng",
-        "StdRng",
-    ];
-    for i in 0..toks.t.len() {
-        if toks.in_test(i) {
-            continue;
-        }
-        if let Some(name) = toks.ident(i) {
-            if BANNED.contains(&name) {
-                out.push(finding(
-                    UNSEEDED_RNG,
-                    rel,
-                    toks.line(i),
-                    lines,
-                    format!("`{name}`: derive randomness from sim::rng::DetRng streams instead"),
-                ));
-            }
-        }
-    }
-}
-
-/// `hot-path-alloc`: allocation inside a function declared hot in `lint.toml`.
-fn hot_path_alloc(
-    rel: &str,
-    toks: &Toks<'_>,
-    lines: &Lines<'_>,
-    functions: &[String],
-    out: &mut Vec<Finding>,
-) {
-    const ALLOC_METHODS: [&str; 5] = ["clone", "to_vec", "to_owned", "to_string", "collect"];
-    let mut i = 0;
-    while i < toks.t.len() {
-        if !toks.is_ident(i, "fn") || toks.in_test(i) {
-            i += 1;
-            continue;
-        }
-        let Some(name) = toks.ident(i + 1) else {
-            i += 1;
-            continue;
+            ),
+            Evidence::Rng if !cfg.rng_home.contains(&m.path) => (
+                UNSEEDED_RNG,
+                format!("`{what}`: derive randomness from sim::rng::DetRng streams instead"),
+            ),
+            Evidence::UnorderedIter if cfg.ordered_crates.contains(&m.krate) => (
+                UNORDERED_MAP,
+                format!("`{what}` iterates an unordered map/set; use BTreeMap or sort keys first"),
+            ),
+            _ => continue,
         };
-        if !functions.iter().any(|f| f == name) {
-            i += 1;
-            continue;
-        }
-        // Body: first `{` after the signature, to its matching `}`.
-        let mut j = i + 2;
-        while j < toks.t.len() && !toks.is_punct(j, '{') {
-            j += 1;
-        }
-        let mut depth = 0i32;
-        let mut end = j;
-        while end < toks.t.len() {
-            if toks.is_punct(end, '{') {
-                depth += 1;
-            } else if toks.is_punct(end, '}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            end += 1;
-        }
-        for k in j..end.min(toks.t.len()) {
-            let Some(word) = toks.ident(k) else {
-                continue;
-            };
-            let hit = if ALLOC_METHODS.contains(&word)
-                && k >= 1
-                && toks.is_punct(k - 1, '.')
-                && (toks.is_punct(k + 1, '(')
-                    || (toks.is_punct(k + 1, ':') && toks.is_punct(k + 2, ':')))
-            {
-                Some(format!(".{word}()"))
-            } else if (word == "Vec" || word == "Box" || word == "String")
-                && toks.is_punct(k + 1, ':')
-                && toks.is_punct(k + 2, ':')
-                && matches!(toks.ident(k + 3), Some("new" | "with_capacity" | "from"))
-            {
-                toks.ident(k + 3).map(|m| format!("{word}::{m}"))
-            } else if (word == "format" || word == "vec") && toks.is_punct(k + 1, '!') {
-                Some(format!("{word}!"))
-            } else {
-                None
-            };
-            if let Some(what) = hit {
-                out.push(finding(
-                    HOT_PATH_ALLOC,
-                    rel,
-                    toks.line(k),
-                    lines,
-                    format!("{what} inside hot function `{name}`; hot kernels must reuse caller buffers"),
-                ));
-            }
-        }
-        i = end + 1;
+        out.push(finding(m, lint, s.line, message));
     }
 }
 
-/// `relaxed-atomic`: `Ordering::Relaxed` in linted code. Relaxed loads and
-/// stores are invisible to the determinism contract until they feed a
-/// decision; every use must either be strengthened or carry an allow with the
-/// argument for why the value never influences an output.
-fn relaxed_atomic(rel: &str, toks: &Toks<'_>, lines: &Lines<'_>, out: &mut Vec<Finding>) {
-    for i in 0..toks.t.len() {
-        if toks.in_test(i) {
-            continue;
-        }
-        if toks.is_ident(i, "Relaxed") {
-            out.push(finding(
+/// The three single-token rules, in one walk over the non-test tokens:
+///
+/// * `unwrap-in-lib` — `.unwrap()` in library code: propagate, or `expect`
+///   with an invariant message instead;
+/// * `relaxed-atomic` — `Ordering::Relaxed`: relaxed loads and stores are
+///   invisible to the determinism contract until they feed a decision, so
+///   every use is either strengthened or carries an allow arguing why the
+///   value never influences an output;
+/// * `unsafe-no-safety` — every `unsafe` token needs a
+///   `// graf-lint: safety(<why>)` on the same or preceding line.
+fn token_rules(m: &FileModel, out: &mut Vec<Finding>) {
+    let p = m.parser();
+    for i in (0..p.t.len()).filter(|&i| !p.t[i].in_test) {
+        let (lint, message) = match p.ident(i) {
+            Some("unwrap") if i >= 1 && p.is_punct(i - 1, '.') && p.is_punct(i + 1, '(') => (
+                UNWRAP_IN_LIB,
+                "`.unwrap()` in library code; propagate the error or use `expect(\"<invariant>\")`",
+            ),
+            Some("Relaxed") => (
                 RELAXED_ATOMIC,
-                rel,
-                toks.line(i),
-                lines,
                 "`Ordering::Relaxed` on shared state; strengthen the ordering or justify why \
-                 the value never flows into a decision"
-                    .into(),
-            ));
-        }
-    }
-}
-
-/// `unsafe-no-safety`: every `unsafe` token needs a
-/// `// graf-lint: safety(<why>)` justification on the same or preceding line.
-/// The annotations double as the workspace's unsafe inventory (`--json`).
-fn unsafe_no_safety(rel: &str, toks: &Toks<'_>, lines: &Lines<'_>, out: &mut Vec<Finding>) {
-    for i in 0..toks.t.len() {
-        if toks.in_test(i) {
-            continue;
-        }
-        if toks.is_ident(i, "unsafe") {
-            out.push(finding(
+                 the value never flows into a decision",
+            ),
+            Some("unsafe") => (
                 UNSAFE_NO_SAFETY,
-                rel,
-                toks.line(i),
-                lines,
-                "`unsafe` without a safety justification; add `// graf-lint: safety(<why>)`".into(),
-            ));
-        }
+                "`unsafe` without a safety justification; add `// graf-lint: safety(<why>)`",
+            ),
+            _ => continue,
+        };
+        out.push(finding(m, lint, p.line(i), message.to_string()));
     }
 }
 
@@ -676,25 +279,26 @@ fn unsafe_no_safety(rel: &str, toks: &Toks<'_>, lines: &Lines<'_>, out: &mut Vec
 /// of a parallel-adjacent module. Float addition is not associative, so any
 /// accumulation order that could vary with thread count must be routed
 /// through the ordered-reduction helpers (or justified as chunk-local).
-fn float_reduction(rel: &str, toks: &Toks<'_>, lines: &Lines<'_>, out: &mut Vec<Finding>) {
+fn float_reduction(m: &FileModel, out: &mut Vec<Finding>) {
+    let p = m.parser();
     // Pass A: names with float-typed declarations (`x: f64`) or float-literal
     // initializers (`x = 0.0`). Fields and locals both land here; the check
     // is name-based, like the unordered-map tracker.
     let mut float_names: Vec<&str> = Vec::new();
-    for i in 0..toks.t.len() {
-        let Some(name) = toks.ident(i) else {
+    for i in 0..p.t.len() {
+        let Some(name) = p.ident(i) else {
             continue;
         };
-        if toks.is_punct(i + 1, ':')
-            && !toks.is_punct(i + 2, ':')
-            && matches!(toks.ident(i + 2), Some("f32" | "f64"))
+        if p.is_punct(i + 1, ':')
+            && !p.is_punct(i + 2, ':')
+            && matches!(p.ident(i + 2), Some("f32" | "f64"))
         {
             float_names.push(name);
         }
-        if toks.is_punct(i + 1, '=') && !toks.is_punct(i + 2, '=') {
-            if let Some(t) = toks.t.get(i + 2) {
+        if p.is_punct(i + 1, '=') && !p.is_punct(i + 2, '=') {
+            if let Some(t) = p.t.get(i + 2) {
                 if t.kind == TokenKind::Number {
-                    let txt = &toks.src[t.start..t.end];
+                    let txt = p.text(i + 2);
                     if txt.contains('.') || txt.ends_with("f32") || txt.ends_with("f64") {
                         float_names.push(name);
                     }
@@ -712,45 +316,41 @@ fn float_reduction(rel: &str, toks: &Toks<'_>, lines: &Lines<'_>, out: &mut Vec<
     let mut loop_depth = 0usize;
     let mut pending_loop = false;
     let mut pending_impl = false;
-    for i in 0..toks.t.len() {
-        match toks.ident(i) {
+    for i in 0..p.t.len() {
+        match p.ident(i) {
             Some("impl") => pending_impl = true,
             // `impl Trait for Type` and HRTB `for<'a>` are not loops.
-            Some("for") if !pending_impl && !toks.is_punct(i + 1, '<') => pending_loop = true,
+            Some("for") if !pending_impl && !p.is_punct(i + 1, '<') => pending_loop = true,
             Some("while" | "loop") => pending_loop = true,
             _ => {}
         }
-        if toks.is_punct(i, '{') {
+        if p.is_punct(i, '{') {
             stack.push(pending_loop);
             if pending_loop {
                 loop_depth += 1;
             }
             pending_loop = false;
             pending_impl = false;
-        } else if toks.is_punct(i, '}') {
+        } else if p.is_punct(i, '}') {
             if stack.pop() == Some(true) {
                 loop_depth = loop_depth.saturating_sub(1);
             }
-        } else if toks.is_punct(i, ';') {
+        } else if p.is_punct(i, ';') {
             pending_loop = false;
             pending_impl = false;
         }
-        if loop_depth == 0 || toks.in_test(i) {
+        if loop_depth == 0 || p.t[i].in_test {
             continue;
         }
         // `name += …` with adjacent `+` `=`.
-        if toks.is_punct(i, '+')
-            && toks.is_punct(i + 1, '=')
-            && toks.t[i + 1].start == toks.t[i].end
-            && i >= 1
+        if p.is_punct(i, '+') && p.is_punct(i + 1, '=') && p.t[i + 1].start == p.t[i].end && i >= 1
         {
-            if let Some(name) = toks.ident(i - 1) {
+            if let Some(name) = p.ident(i - 1) {
                 if float_names.contains(&name) {
                     out.push(finding(
+                        m,
                         FLOAT_REDUCTION,
-                        rel,
-                        toks.line(i),
-                        lines,
+                        p.line(i),
                         format!(
                             "float accumulation `{name} += …` in a loop of a parallel-adjacent \
                              module; route through the ordered reduction or justify the order"
@@ -904,7 +504,7 @@ impl Matrix {
 }
 ";
         let f = lint_file("crates/nn/src/matrix.rs", src, &cfg);
-        assert_eq!(lints_of(&f), vec![HOT_PATH_ALLOC; 3]);
+        assert_eq!(lints_of(&f), vec![HOT_ALLOC; 3]);
         assert!(f.iter().all(|x| x.message.contains("matmul_into")));
     }
 

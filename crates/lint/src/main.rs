@@ -1,66 +1,32 @@
 //! The `graf-lint` CLI.
 //!
 //! ```text
-//! graf-lint [--root DIR] [--config FILE] [--baseline FILE] [--json]
-//!           [--write-baseline] [--analyze] [--callgraph] [--summary]
+//! graf-lint [--root DIR]
 //! ```
 //!
-//! Modes:
+//! Lints the workspace at `DIR` (default: the nearest parent directory with a
+//! `lint.toml`) under `DIR/lint.toml` and prints one block per finding.
 //!
-//! * default — token-level lints only (fast per-file scan),
-//! * `--analyze` — adds the workspace call-graph pass: `determinism-taint`,
-//!   `transitive-hot-alloc` and `stale-allow`; `--json` then also carries the
-//!   suppression inventory,
-//! * `--callgraph` — prints the call graph as JSONL (byte-identical across
-//!   runs) and exits 0; no findings are gated,
-//! * `--summary` — prints reachability stats, the largest call cycles and the
-//!   pre-suppression taint frontier, then gates findings like `--analyze`.
-//!
-//! Exit codes: `0` — no findings beyond the baseline; `1` — new findings;
-//! `2` — usage, configuration or I/O error.
+//! Exit codes: `0` — no findings; `1` — findings; `2` — usage, configuration
+//! or I/O error.
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use graf_lint::{analyze_workspace, scan_workspace, Analysis, Baseline, Config, Finding};
+use graf_lint::{lint_workspace, Config};
 
-struct Args {
-    root: Option<PathBuf>,
-    config: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    json: bool,
-    write_baseline: bool,
-    analyze: bool,
-    callgraph: bool,
-    summary: bool,
-}
+const USAGE: &str = "usage: graf-lint [--root DIR]";
 
-const USAGE: &str = "usage: graf-lint [--root DIR] [--config FILE] [--baseline FILE] [--json] \
-                     [--write-baseline] [--analyze] [--callgraph] [--summary]";
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        root: None,
-        config: None,
-        baseline: None,
-        json: false,
-        write_baseline: false,
-        analyze: false,
-        callgraph: false,
-        summary: false,
-    };
+fn parse_args() -> Result<Option<PathBuf>, String> {
+    let mut root = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--json" => args.json = true,
-            "--write-baseline" => args.write_baseline = true,
-            "--analyze" => args.analyze = true,
-            "--callgraph" => args.callgraph = true,
-            "--summary" => args.summary = true,
-            "--root" => args.root = Some(next_path(&mut it, "--root")?),
-            "--config" => args.config = Some(next_path(&mut it, "--config")?),
-            "--baseline" => args.baseline = Some(next_path(&mut it, "--baseline")?),
+            "--root" => {
+                let dir = it.next().ok_or_else(|| format!("--root needs a value\n{USAGE}"))?;
+                root = Some(PathBuf::from(dir));
+            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -68,11 +34,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
-    Ok(args)
-}
-
-fn next_path(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<PathBuf, String> {
-    it.next().map(PathBuf::from).ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))
+    Ok(root)
 }
 
 /// Walks up from the current directory to the first one containing
@@ -89,102 +51,22 @@ fn find_root() -> Result<PathBuf, String> {
     }
 }
 
-fn print_summary(a: &Analysis) {
-    let nodes = a.graph.nodes.len();
-    let edges: usize = a.graph.edges.iter().map(Vec::len).sum();
-    println!("graf-analyze: {} files, {} functions, {} call edges", a.files_scanned, nodes, edges);
-    println!(
-        "graf-analyze: {} reachable from entry points, {} from hot roots",
-        a.reachable_from_entries, a.reachable_from_hot
-    );
-    let sccs = a.graph.sccs();
-    println!("graf-analyze: {} call cycles (SCCs with >1 member)", sccs.len());
-    for (i, comp) in sccs.iter().take(10).enumerate() {
-        let members: Vec<&str> =
-            comp.iter().take(4).map(|&id| a.graph.nodes[id].qualified.as_str()).collect();
-        let more = if comp.len() > 4 { ", …" } else { "" };
-        println!("  scc#{}: {} fns [{}{}]", i + 1, comp.len(), members.join(", "), more);
-    }
-    println!("graf-analyze: taint frontier ({} sinks before suppression)", a.frontier.len());
-    for line in &a.frontier {
-        println!("  {line}");
-    }
-}
-
 fn run() -> Result<bool, String> {
-    let args = parse_args()?;
-    let root = match args.root {
+    let root = match parse_args()? {
         Some(r) => r,
         None => find_root()?,
     };
-    let config_path = args.config.unwrap_or_else(|| root.join("lint.toml"));
+    let config_path = root.join("lint.toml");
     let cfg_text =
         fs::read_to_string(&config_path).map_err(|e| format!("{}: {e}", config_path.display()))?;
     let cfg = Config::parse(&cfg_text)?;
-
-    if args.callgraph {
-        let analysis = analyze_workspace(&root, &cfg)?;
-        print!("{}", analysis.graph.render_jsonl());
-        return Ok(true);
+    let report = lint_workspace(&root, &cfg)?;
+    for f in &report.findings {
+        println!("{}:{}: [{}] {}", f.path, f.line, f.lint, f.message);
+        println!("    {}", f.snippet);
     }
-
-    let graph_mode = args.analyze || args.summary;
-    let (findings, files_scanned, analysis) = if graph_mode {
-        let analysis = analyze_workspace(&root, &cfg)?;
-        (analysis.findings.clone(), analysis.files_scanned, Some(analysis))
-    } else {
-        let result = scan_workspace(&root, &cfg).map_err(|e| format!("scan: {e}"))?;
-        (result.findings, result.files_scanned, None)
-    };
-
-    let baseline_path = args.baseline.unwrap_or_else(|| root.join("lint.baseline"));
-    if args.write_baseline {
-        let text = Baseline::render(&findings);
-        fs::write(&baseline_path, &text)
-            .map_err(|e| format!("{}: {e}", baseline_path.display()))?;
-        eprintln!("graf-lint: wrote {} entries to {}", findings.len(), baseline_path.display());
-        return Ok(true);
-    }
-    let baseline = match fs::read_to_string(&baseline_path) {
-        Ok(text) => Baseline::parse(&text)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
-        Err(e) => return Err(format!("{}: {e}", baseline_path.display())),
-    };
-    let (baselined, new) = baseline.partition(&findings);
-
-    if args.summary {
-        print_summary(analysis.as_ref().expect("summary implies analyze"));
-    }
-    if args.json {
-        match &analysis {
-            Some(a) => print!(
-                "{}",
-                graf_lint::render_json_full(&findings, &new, files_scanned, &a.suppressions)
-            ),
-            None => print!("{}", graf_lint::render_json(&findings, &new, files_scanned)),
-        }
-    } else {
-        for f in &new {
-            print_finding(f, true);
-        }
-        for f in &baselined {
-            print_finding(f, false);
-        }
-        println!(
-            "graf-lint: {} files, {} findings ({} new, {} baselined)",
-            files_scanned,
-            findings.len(),
-            new.len(),
-            baselined.len()
-        );
-    }
-    Ok(new.is_empty())
-}
-
-fn print_finding(f: &Finding, is_new: bool) {
-    let tag = if is_new { "" } else { " [baselined]" };
-    println!("{}:{}: [{}]{} {}", f.path, f.line, f.lint, tag, f.message);
-    println!("    {}", f.snippet);
+    println!("graf-lint: {} files, {} findings", report.files_scanned, report.findings.len());
+    Ok(report.findings.is_empty())
 }
 
 fn main() -> ExitCode {

@@ -1,20 +1,22 @@
-//! Token-stream → item model: the parsing layer of graf-analyze.
+//! Token stream → item model and evidence: the one place a file is lexed,
+//! and the one place each evidence kind is recognized.
 //!
 //! This is *not* a Rust grammar. It recognizes exactly the structure the
-//! call-graph and taint passes need: `mod` nesting, `impl` blocks (with the
-//! self type), `use` declarations, function definitions with their body
-//! extents, the call sites inside each body, and the per-function
-//! non-determinism traits (wall-clock, unseeded RNG, thread spawn/scope,
-//! unordered-map iteration, allocation). Everything else — expressions,
-//! types, generics — is skipped over by brace/bracket matching.
+//! lints need: `impl` blocks (with the self type), `use` declarations,
+//! function definitions with their body extents, the call sites inside each
+//! body, and the evidence sites of the whole file (wall-clock, RNG
+//! construction, thread spawn/scope, unordered-map iteration, allocation).
+//! Everything else — expressions, types, generics — is skipped over by
+//! brace/bracket matching. Every lint is a query over this model: a function
+//! owns the sites inside its body range, the rest are file-level.
 //!
-//! Known conservatisms (documented in DESIGN.md §13): nested functions and
-//! closures attribute their calls and traits to the enclosing top-level
+//! Known conservatisms (documented in DESIGN.md §9): nested functions and
+//! closures attribute their calls and sites to the enclosing top-level
 //! function (an over-approximation that keeps reachability sound); macro
 //! bodies are scanned as plain tokens; dynamic dispatch resolves by method
-//! name (see [`crate::callgraph`]).
+//! name (see [`crate::symbols`]).
 
-use crate::lexer::{lex, strip_raw_ident, Token, TokenKind};
+use crate::lexer::{lex, strip_raw_ident, LineComment, Token, TokenKind};
 
 /// How a call site names its target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,40 +42,34 @@ pub struct Call {
     pub line: u32,
 }
 
-/// A non-determinism or allocation evidence site inside a function body.
+/// What an evidence site is evidence of.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Evidence {
+    /// Wall-clock read (`Instant::now`, `SystemTime`), `is_recording`-gated
+    /// lines excluded.
+    Wallclock,
+    /// RNG construction (`thread_rng`, `SmallRng`, `seed_from_u64`, …).
+    Rng,
+    /// `std::thread` spawn/scope use.
+    Thread,
+    /// Iteration over a `HashMap`/`HashSet` declared in this file.
+    UnorderedIter,
+    /// Constructor-class allocation (`Vec::new`, `.collect()`, `format!`, …).
+    Alloc,
+}
+
+/// A non-determinism or allocation evidence site (never in test code).
 #[derive(Clone, Debug)]
 pub struct Site {
+    /// Evidence class.
+    pub kind: Evidence,
+    /// Index of the matched token; [`FileModel::sites_in`] compares it with
+    /// body ranges.
+    pub tok: usize,
     /// 1-based source line.
     pub line: u32,
     /// What was seen (`Instant::now`, `thread::scope`, `Vec::new`, …).
     pub what: String,
-}
-
-/// Per-function evidence the taint pass consumes.
-#[derive(Clone, Debug, Default)]
-pub struct FnTraits {
-    /// Wall-clock reads (`Instant::now`, `SystemTime`), `is_recording`-gated
-    /// lines excluded.
-    pub wallclock: Vec<Site>,
-    /// Unseeded/ambient RNG construction.
-    pub rng: Vec<Site>,
-    /// `std::thread` spawn/scope use.
-    pub thread: Vec<Site>,
-    /// Iteration over a `HashMap`/`HashSet` declared in this file.
-    pub unordered_iter: Vec<Site>,
-    /// Constructor-class allocations (`Vec::new`, `.collect()`, `format!`, …).
-    pub alloc: Vec<Site>,
-}
-
-impl FnTraits {
-    /// `true` when no evidence of any kind was collected.
-    pub fn is_empty(&self) -> bool {
-        self.wallclock.is_empty()
-            && self.rng.is_empty()
-            && self.thread.is_empty()
-            && self.unordered_iter.is_empty()
-            && self.alloc.is_empty()
-    }
 }
 
 /// One function definition.
@@ -87,10 +83,10 @@ pub struct FnDef {
     pub line: u32,
     /// `true` for `#[cfg(test)]`/`#[test]` functions (excluded from graphs).
     pub in_test: bool,
+    /// Token indices of the body's `{` and `}`; `None` for a declaration.
+    pub body: Option<(usize, usize)>,
     /// Call sites inside the body.
     pub calls: Vec<Call>,
-    /// Evidence sites inside the body.
-    pub traits_: FnTraits,
 }
 
 impl FnDef {
@@ -113,17 +109,45 @@ pub struct UseDecl {
     pub segments: Vec<String>,
 }
 
-/// The per-file model.
+/// The per-file model: the lexed file plus everything recognized in it.
 #[derive(Clone, Debug, Default)]
 pub struct FileModel {
     /// Repo-relative path (forward slashes).
     pub path: String,
     /// Owning crate (per [`crate::lints`] path classification).
     pub krate: String,
+    /// The source text.
+    pub src: String,
+    /// All non-comment tokens, in source order.
+    pub tokens: Vec<Token>,
+    /// All line comments (the annotation carriers), in source order.
+    pub comments: Vec<LineComment>,
+    /// `true` for a `#![cfg(test)]` file: test-only, not a lint target.
+    pub is_test: bool,
     /// Flattened `use` declarations.
     pub uses: Vec<UseDecl>,
     /// Function definitions in source order.
     pub fns: Vec<FnDef>,
+    /// Every evidence site of the file, in token order.
+    pub sites: Vec<Site>,
+}
+
+impl FileModel {
+    /// The token view the lints read.
+    pub(crate) fn parser(&self) -> Parser<'_> {
+        Parser { src: &self.src, t: &self.tokens }
+    }
+
+    /// The sites `def` owns: those inside its body range.
+    pub fn sites_in<'m>(&'m self, def: &FnDef) -> impl Iterator<Item = &'m Site> {
+        let (open, close) = def.body.unwrap_or((0, 0));
+        self.sites.iter().filter(move |s| open < s.tok && s.tok < close)
+    }
+
+    /// The trimmed source line, for finding reports.
+    pub fn snippet(&self, line: u32) -> &str {
+        self.src.lines().nth(line.saturating_sub(1) as usize).map_or("", str::trim)
+    }
 }
 
 /// Keywords that look like calls when followed by `(`.
@@ -132,46 +156,28 @@ const NON_CALL_KEYWORDS: [&str; 16] = [
     "unsafe", "ref", "mut", "box",
 ];
 
-/// RNG constructors banned outside the seeded home (kept in sync with the
-/// token-level `unseeded-rng` lint).
-const RNG_BANNED: [&str; 10] = [
-    "thread_rng",
-    "ThreadRng",
-    "from_entropy",
-    "from_os_rng",
-    "OsRng",
-    "seed_from_u64",
-    "from_seed",
-    "from_rng",
-    "SmallRng",
-    "StdRng",
-];
-
-const ALLOC_METHODS: [&str; 5] = ["clone", "to_vec", "to_owned", "to_string", "collect"];
-const ITER_METHODS: [&str; 7] =
-    ["iter", "iter_mut", "keys", "values", "values_mut", "into_iter", "drain"];
-
-struct Parser<'s> {
-    src: &'s str,
-    t: Vec<Token>,
+/// Token-stream view with the little helpers the parser and the lints share.
+pub(crate) struct Parser<'s> {
+    pub(crate) src: &'s str,
+    pub(crate) t: &'s [Token],
 }
 
 impl<'s> Parser<'s> {
-    fn text(&self, i: usize) -> &'s str {
+    pub(crate) fn text(&self, i: usize) -> &'s str {
         let t = &self.t[i];
         &self.src[t.start..t.end]
     }
 
-    fn ident(&self, i: usize) -> Option<&'s str> {
+    pub(crate) fn ident(&self, i: usize) -> Option<&'s str> {
         let t = self.t.get(i)?;
         (t.kind == TokenKind::Ident).then(|| strip_raw_ident(&self.src[t.start..t.end]))
     }
 
-    fn is_ident(&self, i: usize, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, i: usize, s: &str) -> bool {
         self.ident(i) == Some(s)
     }
 
-    fn is_punct(&self, i: usize, c: char) -> bool {
+    pub(crate) fn is_punct(&self, i: usize, c: char) -> bool {
         self.t.get(i).is_some_and(|t| t.kind == TokenKind::Punct) && self.text(i).starts_with(c)
     }
 
@@ -180,7 +186,7 @@ impl<'s> Parser<'s> {
         self.is_punct(i, ':') && self.is_punct(i + 1, ':') && self.t[i + 1].start == self.t[i].end
     }
 
-    fn line(&self, i: usize) -> u32 {
+    pub(crate) fn line(&self, i: usize) -> u32 {
         self.t[i].line
     }
 
@@ -207,22 +213,16 @@ impl<'s> Parser<'s> {
 /// lintable library path (the caller checks).
 pub fn parse_file(rel: &str, krate: &str, src: &str) -> FileModel {
     let lexed = lex(src);
-    let p = Parser { src, t: lexed.tokens };
-    let mut model =
-        FileModel { path: rel.to_string(), krate: krate.to_string(), ..FileModel::default() };
-
-    // Lines where wall-clock reads are telemetry-gated, mirroring the
-    // token-level lint's `is_recording` rule.
-    let mut gated_lines: Vec<u32> = Vec::new();
-    for i in 0..p.t.len() {
-        if p.is_ident(i, "is_recording") {
-            gated_lines.push(p.line(i));
-        }
-    }
-
-    // File-level pass: names declared as HashMap/HashSet (for the
-    // unordered-iteration trait), mirroring the token-level lint.
-    let tracked = tracked_unordered_names(&p);
+    let p = Parser { src, t: &lexed.tokens };
+    let mut model = FileModel {
+        path: rel.to_string(),
+        krate: krate.to_string(),
+        src: src.to_string(),
+        comments: lexed.comments,
+        is_test: lexed.file_is_test,
+        sites: scan_evidence(&p),
+        ..FileModel::default()
+    };
 
     // Structural walk: impl blocks, use declarations, fn definitions.
     let mut impl_stack: Vec<(usize, String)> = Vec::new(); // (close index, type)
@@ -310,16 +310,10 @@ pub fn parse_file(rel: &str, krate: &str, src: &str) -> FileModel {
                 j += 1;
             }
             let self_type = impl_stack.last().map(|(_, t)| t.clone());
-            let mut def = FnDef {
-                name: name.to_string(),
-                self_type,
-                line,
-                in_test,
-                calls: Vec::new(),
-                traits_: FnTraits::default(),
-            };
+            let mut def =
+                FnDef { name: name.to_string(), self_type, line, in_test, body, calls: Vec::new() };
             if let Some((open, close)) = body {
-                collect_body(&p, open, close, &gated_lines, &tracked, &mut def);
+                collect_calls(&p, open, close, &mut def);
                 model.fns.push(def);
                 // Continue walking *inside* the body so nested fns are also
                 // recorded (their calls are attributed to both, which is the
@@ -333,27 +327,31 @@ pub fn parse_file(rel: &str, krate: &str, src: &str) -> FileModel {
         }
         i += 1;
     }
+    model.tokens = lexed.tokens;
     model
 }
 
-/// Names declared with a `HashMap`/`HashSet` type or initializer, mirroring
-/// the token-level unordered-map tracker.
+/// Names declared with a `HashMap`/`HashSet` type or initializer — fields
+/// and locals alike; the check is name-based.
 fn tracked_unordered_names<'s>(p: &Parser<'s>) -> Vec<&'s str> {
     let mut tracked = Vec::new();
     for i in 0..p.t.len() {
         if !(p.is_ident(i, "HashMap") || p.is_ident(i, "HashSet")) {
             continue;
         }
+        // Walk back over `::`-joined path segments (std::collections::…).
         let mut j = i;
         while j >= 3 && p.is_path_sep(j - 2) && p.ident(j - 3).is_some() {
             j -= 3;
         }
+        // `name: [path::]HashMap<…>` — a field or typed binding.
         if j >= 2 && p.is_punct(j - 1, ':') && !p.is_punct(j - 2, ':') {
             if let Some(name) = p.ident(j - 2) {
                 tracked.push(name);
                 continue;
             }
         }
+        // `name = HashMap::new()` — an untyped binding.
         if j >= 2 && p.is_punct(j - 1, '=') {
             if let Some(name) = p.ident(j - 2) {
                 tracked.push(name);
@@ -394,7 +392,7 @@ fn parse_use(p: &Parser<'_>, start: usize) -> (Vec<UseDecl>, usize) {
         }
         if p.is_punct(i, '{') {
             // One group level: `use a::{B, C as D, e};`
-            let close = find_group_close(p, i);
+            let close = p.close_brace(i);
             let prefix = segs.clone();
             let mut inner: Vec<String> = Vec::new();
             let mut j = i + 1;
@@ -446,105 +444,90 @@ fn parse_use(p: &Parser<'_>, start: usize) -> (Vec<UseDecl>, usize) {
     (decls, i + 1)
 }
 
-fn find_group_close(p: &Parser<'_>, open: usize) -> usize {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < p.t.len() {
-        if p.is_punct(i, '{') {
-            depth += 1;
-        } else if p.is_punct(i, '}') {
-            depth -= 1;
-            if depth == 0 {
-                return i;
+/// The one detector per evidence kind, over the whole token stream of the
+/// file (test regions excluded).
+fn scan_evidence(p: &Parser<'_>) -> Vec<Site> {
+    use Evidence::{Alloc, Rng, Thread, UnorderedIter, Wallclock};
+    // A wall-clock read on a line that also asks `is_recording()` is
+    // telemetry, never a simulation input.
+    let gated: Vec<u32> =
+        (0..p.t.len()).filter(|&i| p.is_ident(i, "is_recording")).map(|i| p.line(i)).collect();
+    let tracked = tracked_unordered_names(p);
+    let mut sites: Vec<Site> = Vec::new();
+    for k in 0..p.t.len() {
+        let Some(word) = p.ident(k).filter(|_| !p.t[k].in_test) else {
+            continue;
+        };
+        // `word::member` / `recv.word(` shapes.
+        let member = if p.is_path_sep(k + 1) { p.ident(k + 3) } else { None };
+        let receiver = if k >= 2 && p.is_punct(k - 1, '.') { p.ident(k - 2) } else { None };
+        let after_dot = k >= 1 && p.is_punct(k - 1, '.');
+        let hit = match word {
+            "Instant" if member == Some("now") => Some((Wallclock, "Instant::now".to_string())),
+            "SystemTime" => Some((Wallclock, word.to_string())),
+            "thread_rng" | "ThreadRng" | "from_entropy" | "from_os_rng" | "OsRng"
+            | "seed_from_u64" | "from_seed" | "from_rng" | "SmallRng" | "StdRng" => {
+                Some((Rng, word.to_string()))
             }
-        }
-        i += 1;
-    }
-    p.t.len().saturating_sub(1)
-}
-
-/// Collects call sites and trait evidence from the body token range.
-///
-/// Two passes: the evidence pass visits every token (the call pass below
-/// fast-forwards over path segments, which would skip `Instant` inside
-/// `std::time::Instant::now`).
-fn collect_body(
-    p: &Parser<'_>,
-    open: usize,
-    close: usize,
-    gated_lines: &[u32],
-    tracked: &[&str],
-    def: &mut FnDef,
-) {
-    for k in open + 1..close {
-        let Some(word) = p.ident(k) else {
+            "thread" => match member {
+                Some(m @ ("spawn" | "scope")) => Some((Thread, format!("thread::{m}"))),
+                _ => None,
+            },
+            "Vec" | "Box" | "String" => match member {
+                Some(m @ ("new" | "with_capacity" | "from")) => {
+                    Some((Alloc, format!("{word}::{m}")))
+                }
+                _ => None,
+            },
+            "format" | "vec" if p.is_punct(k + 1, '!') => Some((Alloc, format!("{word}!"))),
+            "clone" | "to_vec" | "to_owned" | "to_string" | "collect"
+                if after_dot && (p.is_punct(k + 1, '(') || p.is_path_sep(k + 1)) =>
+            {
+                Some((Alloc, format!(".{word}()")))
+            }
+            "iter" | "iter_mut" | "keys" | "values" | "values_mut" | "into_iter" | "drain"
+                if p.is_punct(k + 1, '(') =>
+            {
+                receiver
+                    .filter(|name| tracked.contains(name))
+                    .map(|name| (UnorderedIter, format!("{name}.{word}()")))
+            }
+            "for" => for_loop_over(p, k, &tracked)
+                .map(|name| (UnorderedIter, format!("for … in {name}"))),
+            _ => None,
+        };
+        let Some((kind, what)) = hit else {
             continue;
         };
         let line = p.line(k);
-        if word == "Instant" && p.is_path_sep(k + 1) && p.is_ident(k + 3, "now") {
-            if !gated_lines.contains(&line) {
-                def.traits_.wallclock.push(Site { line, what: "Instant::now".into() });
-            }
-        } else if word == "SystemTime" {
-            if !gated_lines.contains(&line) {
-                def.traits_.wallclock.push(Site { line, what: "SystemTime".into() });
-            }
-        } else if RNG_BANNED.contains(&word) {
-            def.traits_.rng.push(Site { line, what: word.to_string() });
-        } else if word == "thread" && p.is_path_sep(k + 1) {
-            if let Some(m @ ("spawn" | "scope")) = p.ident(k + 3) {
-                def.traits_.thread.push(Site { line, what: format!("thread::{m}") });
-            }
-        } else if (word == "Vec" || word == "Box" || word == "String")
-            && p.is_path_sep(k + 1)
-            && matches!(p.ident(k + 3), Some("new" | "with_capacity" | "from"))
-        {
-            let m = p.ident(k + 3).expect("matched above");
-            def.traits_.alloc.push(Site { line, what: format!("{word}::{m}") });
-        } else if (word == "format" || word == "vec") && p.is_punct(k + 1, '!') {
-            def.traits_.alloc.push(Site { line, what: format!("{word}!") });
-        } else if ALLOC_METHODS.contains(&word)
-            && k >= 1
-            && p.is_punct(k - 1, '.')
-            && (p.is_punct(k + 1, '(') || p.is_path_sep(k + 1))
-        {
-            def.traits_.alloc.push(Site { line, what: format!(".{word}()") });
-        } else if ITER_METHODS.contains(&word)
-            && k >= 2
-            && p.is_punct(k - 1, '.')
-            && p.is_punct(k + 1, '(')
-        {
-            if let Some(name) = p.ident(k - 2) {
-                if tracked.contains(&name) {
-                    def.traits_
-                        .unordered_iter
-                        .push(Site { line, what: format!("{name}.{word}()") });
-                }
-            }
-        } else if word == "for" {
-            // `for pat in <expr with tracked name> {` — unordered iteration.
-            let mut j = k + 1;
-            while j < close && !p.is_ident(j, "in") && !p.is_punct(j, '{') {
-                j += 1;
-            }
-            if p.is_ident(j, "in") {
-                let mut m = j + 1;
-                while m < close && !p.is_punct(m, '{') {
-                    if let Some(name) = p.ident(m) {
-                        if tracked.contains(&name) {
-                            def.traits_
-                                .unordered_iter
-                                .push(Site { line, what: format!("for … in {name}") });
-                            break;
-                        }
-                    }
-                    m += 1;
-                }
-            }
+        // `for v in m.values()` matches twice; report each line once.
+        let repeat = kind == UnorderedIter
+            && sites.iter().rev().find(|s| s.kind == kind).is_some_and(|s| s.line == line);
+        if repeat || (kind == Wallclock && gated.contains(&line)) {
+            continue;
         }
+        sites.push(Site { kind, tok: k, line, what });
     }
+    sites
+}
 
-    // ---- call sites --------------------------------------------------------
+/// `for pat in <expr naming a tracked map> {` at the `for` token `k`: the
+/// tracked name, if any.
+fn for_loop_over<'s>(p: &Parser<'s>, k: usize, tracked: &[&'s str]) -> Option<&'s str> {
+    let mut j = k + 1;
+    while j < p.t.len() && !p.is_ident(j, "in") && !p.is_punct(j, '{') {
+        j += 1;
+    }
+    if !p.is_ident(j, "in") {
+        return None;
+    }
+    (j + 1..p.t.len())
+        .take_while(|&m| !p.is_punct(m, '{'))
+        .find_map(|m| p.ident(m).filter(|name| tracked.contains(name)))
+}
+
+/// Collects the call sites of the body token range.
+fn collect_calls(p: &Parser<'_>, open: usize, close: usize, def: &mut FnDef) {
     let mut k = open + 1;
     while k < close {
         let Some(word) = p.ident(k) else {
@@ -613,6 +596,11 @@ mod tests {
         parse_file("crates/sim/src/world.rs", "sim", src)
     }
 
+    /// How many `kind` sites function `i` owns.
+    fn count(m: &FileModel, i: usize, kind: Evidence) -> usize {
+        m.sites_in(&m.fns[i]).filter(|s| s.kind == kind).count()
+    }
+
     #[test]
     fn finds_fns_and_impl_types() {
         let m = model(
@@ -660,12 +648,11 @@ mod tests {
              }\n\
              fn clean() { let x = 1; }\n",
         );
-        let dirty = &m.fns[0].traits_;
-        assert_eq!(dirty.wallclock.len(), 1);
-        assert!(!dirty.rng.is_empty());
-        assert_eq!(dirty.thread.len(), 1);
-        assert_eq!(dirty.alloc.len(), 1);
-        assert!(m.fns[1].traits_.is_empty());
+        assert_eq!(count(&m, 0, Evidence::Wallclock), 1);
+        assert!(count(&m, 0, Evidence::Rng) > 0);
+        assert_eq!(count(&m, 0, Evidence::Thread), 1);
+        assert_eq!(count(&m, 0, Evidence::Alloc), 1);
+        assert_eq!(m.sites_in(&m.fns[1]).count(), 0);
     }
 
     #[test]
@@ -685,7 +672,7 @@ mod tests {
              struct S { m: HashMap<u32, u32> }\n\
              fn f(s: &S) { for (k, v) in &s.m {} }\n",
         );
-        assert_eq!(m.fns[0].traits_.unordered_iter.len(), 1);
+        assert_eq!(count(&m, 0, Evidence::UnorderedIter), 1);
     }
 
     #[test]
@@ -698,6 +685,6 @@ mod tests {
     #[test]
     fn gated_wallclock_is_not_evidence() {
         let m = model("fn f(s: &Span) { let t = s.is_recording().then(std::time::Instant::now); }");
-        assert!(m.fns[0].traits_.wallclock.is_empty());
+        assert_eq!(count(&m, 0, Evidence::Wallclock), 0);
     }
 }

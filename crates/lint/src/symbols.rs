@@ -1,7 +1,7 @@
 //! Workspace symbol table: function ids, lookup indexes and call resolution.
 //!
 //! Resolution is best-effort and deliberately over-approximates where the
-//! token stream underdetermines the target (see DESIGN.md §13):
+//! token stream underdetermines the target (see DESIGN.md §9):
 //!
 //! * `self.m(…)` resolves to methods named `m` on the surrounding impl type
 //!   (same crate first, then any crate — impls may be split across files),
@@ -202,6 +202,12 @@ impl Symbols {
         (&files[fi], &files[fi].fns[gi])
     }
 
+    /// Every function named `name` in `file` — how a `[[hot]]` region names
+    /// its roots.
+    pub fn in_file(&self, file: &str, name: &str) -> &[FnId] {
+        self.by_file_name.get(&(file.to_string(), name.to_string())).map_or(&[], Vec::as_slice)
+    }
+
     /// Resolves a `<file>.rs::<fn>` / `<file>.rs::<Type>::<fn>` spec, as used
     /// by `entry-points` and `alloc-allowed` in `lint.toml`.
     pub fn resolve_spec(&self, files: &[FileModel], spec: &str) -> Vec<FnId> {
@@ -240,11 +246,7 @@ impl Symbols {
             CallKind::Method => self.method(&call.segments[0]),
             CallKind::Bare => {
                 let name = &call.segments[0];
-                let mut v = self
-                    .by_file_name
-                    .get(&(file.path.clone(), name.clone()))
-                    .cloned()
-                    .unwrap_or_default();
+                let mut v = self.in_file(&file.path, name).to_vec();
                 if v.is_empty() {
                     v = self
                         .by_crate_name

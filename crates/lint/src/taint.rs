@@ -1,5 +1,5 @@
-//! Reachability checks over the call graph: determinism taint and
-//! transitive hot-path allocation.
+//! Reachability queries over the call graph: determinism taint and hot-path
+//! allocation.
 //!
 //! *Determinism taint* walks forward from the entry points declared in
 //! `lint.toml` (`[analyze] entry-points`) and reports every reachable
@@ -9,32 +9,32 @@
 //! line and carries the call chain from the entry point, so the report reads
 //! as a proof sketch rather than a bare location.
 //!
-//! *Transitive hot alloc* walks forward from every `[[hot]]` function and
-//! reports constructor-class allocations in the (non-root) subtree. Functions
-//! in `[analyze] alloc-allowed` are subtree barriers — recognized init/growth
-//! paths that are cold by construction — as are the exempt crates.
+//! *Hot alloc* walks forward from every `[[hot]]` function and reports the
+//! constructor-class allocations of the roots and of their subtree alike.
+//! Functions in `[analyze] alloc-allowed` are subtree barriers — recognized
+//! init/growth paths that are cold by construction — as are the exempt
+//! crates; a root itself is never barred.
+//!
+//! A spec that names nothing — an entry point, an `alloc-allowed` function or
+//! a `[[hot]]` name — is reported in [`TaintReport::stale_specs`]; the
+//! workspace pass turns it into a hard error, so a rename fails CI loudly
+//! instead of silently shrinking the analyzed surface.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::callgraph::CallGraph;
 use crate::config::Config;
-use crate::lints::{Finding, DETERMINISM_TAINT, TRANSITIVE_HOT_ALLOC};
-use crate::parse::{FileModel, Site};
-use crate::symbols::{FnId, Symbols};
+use crate::lints::{finding, Finding, DETERMINISM_TAINT, HOT_ALLOC};
+use crate::parse::{Evidence, FileModel, Site};
+use crate::symbols::FnId;
 
-/// Output of the reachability passes.
+/// Output of the reachability queries.
 #[derive(Debug, Default)]
 pub struct TaintReport {
-    /// Taint and transitive-alloc findings, sorted by (path, line, lint).
+    /// Taint and hot-alloc findings, before suppression.
     pub findings: Vec<Finding>,
-    /// Functions reachable from the deterministic entry points.
-    pub reachable_from_entries: usize,
-    /// Functions reachable from the `[[hot]]` roots (barriers excluded).
-    pub reachable_from_hot: usize,
-    /// Human-readable sink descriptions (one line each, sorted) for
-    /// `--summary` / `scripts/analyze.sh`: the taint frontier *before*
-    /// suppression, so allow-justified sinks stay visible in the report.
-    pub frontier: Vec<String>,
+    /// One message per `lint.toml` spec that resolves to no function.
+    pub stale_specs: Vec<String>,
 }
 
 /// BFS parent forest: `parent[v]` is the predecessor on the first discovered
@@ -42,18 +42,17 @@ pub struct TaintReport {
 struct Walk {
     visited: Vec<bool>,
     parent: Vec<Option<FnId>>,
-    /// Root each visited node was discovered from.
-    root_of: Vec<Option<FnId>>,
 }
 
+/// Forward BFS from `roots`. `barred` nodes are never entered through an
+/// edge; a root is always visited.
 fn bfs(graph: &CallGraph, roots: &[FnId], barred: &dyn Fn(FnId) -> bool) -> Walk {
-    let n = graph.nodes.len();
-    let mut w = Walk { visited: vec![false; n], parent: vec![None; n], root_of: vec![None; n] };
+    let n = graph.edges.len();
+    let mut w = Walk { visited: vec![false; n], parent: vec![None; n] };
     let mut queue: VecDeque<FnId> = VecDeque::new();
     for &r in roots {
-        if !w.visited[r] && !barred(r) {
+        if !w.visited[r] {
             w.visited[r] = true;
-            w.root_of[r] = Some(r);
             queue.push_back(r);
         }
     }
@@ -64,175 +63,124 @@ fn bfs(graph: &CallGraph, roots: &[FnId], barred: &dyn Fn(FnId) -> bool) -> Walk
             }
             w.visited[t] = true;
             w.parent[t] = Some(v);
-            w.root_of[t] = w.root_of[v];
             queue.push_back(t);
         }
     }
     w
 }
 
-/// `entry → … → sink` as qualified names, for finding messages.
-fn chain(graph: &CallGraph, walk: &Walk, sink: FnId) -> String {
-    let mut names: Vec<&str> = Vec::new();
-    let mut v = sink;
-    loop {
-        names.push(graph.nodes[v].qualified.as_str());
-        match walk.parent[v] {
-            Some(p) => v = p,
-            None => break,
-        }
-    }
-    names.reverse();
-    names.join(" → ")
+/// An evidence site of a function reached from a root.
+struct Reached<'m> {
+    file: &'m FileModel,
+    site: &'m Site,
+    /// Qualified name of the root the function was first reached from.
+    root: String,
+    /// The `root → … → function` chain; `None` at a root itself.
+    via: Option<String>,
 }
 
-/// Runs both reachability passes. `sources` maps repo-relative paths to file
-/// contents (for finding snippets). Errors on an `entry-points` or
-/// `alloc-allowed` spec that resolves to nothing — a renamed function must
-/// fail CI loudly, not silently shrink the analyzed surface.
-pub fn analyze(
-    files: &[FileModel],
+/// Walks forward from `roots` and lists every evidence site of every reached
+/// function, once.
+fn reach<'m>(
+    files: &'m [FileModel],
     graph: &CallGraph,
-    cfg: &Config,
-    sources: &BTreeMap<String, String>,
-) -> Result<TaintReport, String> {
-    // FnIds in `symbols` align with `graph.nodes`: both come from
-    // `Symbols::build` over the same pre-sorted file list.
-    let symbols = Symbols::build(files);
+    roots: &[FnId],
+    barred: &dyn Fn(FnId) -> bool,
+) -> Vec<Reached<'m>> {
+    let walk = bfs(graph, roots, barred);
+    let mut out = Vec::new();
+    // A site inside a nested function belongs to both definitions.
+    let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
+    for id in (0..graph.edges.len()).filter(|&id| walk.visited[id]) {
+        let (file, def) = graph.symbols.def(files, id);
+        let mut names = vec![def.qualified()];
+        let mut v = id;
+        while let Some(p) = walk.parent[v] {
+            names.push(graph.symbols.def(files, p).1.qualified());
+            v = p;
+        }
+        names.reverse();
+        let via = (names.len() > 1).then(|| names.join(" → "));
+        for site in file.sites_in(def) {
+            if seen.insert((graph.symbols.ids[id].0, site.tok)) {
+                out.push(Reached { file, site, root: names[0].clone(), via: via.clone() });
+            }
+        }
+    }
+    out
+}
+
+/// Runs both reachability queries.
+pub fn analyze(files: &[FileModel], graph: &CallGraph, cfg: &Config) -> TaintReport {
+    let symbols = &graph.symbols;
     let mut report = TaintReport::default();
-
-    let exempt = |id: FnId| cfg.analyze.exempt_crates.iter().any(|c| *c == graph.nodes[id].krate);
-    let snippet = |path: &str, line: u32| -> String {
-        sources
-            .get(path)
-            .and_then(|src| src.lines().nth(line.saturating_sub(1) as usize))
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default()
+    let mut resolve = |key: &str, specs: &[String]| -> Vec<FnId> {
+        let mut ids: Vec<FnId> = Vec::new();
+        for spec in specs {
+            let found = symbols.resolve_spec(files, spec);
+            if found.is_empty() {
+                report.stale_specs.push(format!(
+                    "[analyze] {key}: `{spec}` resolves to no function \
+                     (renamed or moved? update lint.toml)"
+                ));
+            }
+            ids.extend(found);
+        }
+        ids
     };
-
-    // ---- determinism taint -------------------------------------------------
-    let mut entries: Vec<FnId> = Vec::new();
-    for spec in &cfg.analyze.entry_points {
-        let ids = symbols.resolve_spec(files, spec);
-        if ids.is_empty() {
-            return Err(format!(
-                "[analyze] entry-points: `{spec}` resolves to no function \
-                 (renamed or moved? update lint.toml)"
-            ));
-        }
-        entries.extend(ids);
-    }
-    entries.sort_unstable();
-    entries.dedup();
-
-    let det = bfs(graph, &entries, &exempt);
-    report.reachable_from_entries = det.visited.iter().filter(|v| **v).count();
-    for id in 0..graph.nodes.len() {
-        if !det.visited[id] {
-            continue;
-        }
-        let n = &graph.nodes[id];
-        let in_ordered = cfg.analyze.ordered_reduction_files.contains(&n.file);
-        let in_rng_home = cfg.rng_home.contains(&n.file);
-        let mut sinks: Vec<(&Site, &str)> = Vec::new();
-        for s in &n.traits_.wallclock {
-            sinks.push((s, "wall-clock read"));
-        }
-        if !in_rng_home {
-            for s in &n.traits_.rng {
-                sinks.push((s, "RNG construction"));
-            }
-        }
-        if !in_ordered {
-            for s in &n.traits_.thread {
-                sinks.push((s, "thread use outside an ordered-reduction file"));
-            }
-        }
-        for s in &n.traits_.unordered_iter {
-            sinks.push((s, "unordered-map iteration"));
-        }
-        if sinks.is_empty() {
-            continue;
-        }
-        let entry = det.root_of[id].expect("visited node has a root");
-        let via = chain(graph, &det, id);
-        for (site, what) in sinks {
-            report.findings.push(Finding {
-                lint: DETERMINISM_TAINT,
-                path: n.file.clone(),
-                line: site.line,
-                message: format!(
-                    "{what} `{}` reachable from deterministic entry `{}` via {via}",
-                    site.what, graph.nodes[entry].qualified
-                ),
-                snippet: snippet(&n.file, site.line),
-            });
-            report
-                .frontier
-                .push(format!("taint {}:{} {} `{}` via {via}", n.file, site.line, what, site.what));
-        }
-    }
-
-    // ---- transitive hot alloc ----------------------------------------------
-    let mut allowed: Vec<FnId> = Vec::new();
-    for spec in &cfg.analyze.alloc_allowed {
-        let ids = symbols.resolve_spec(files, spec);
-        if ids.is_empty() {
-            return Err(format!(
-                "[analyze] alloc-allowed: `{spec}` resolves to no function \
-                 (renamed or moved? update lint.toml)"
-            ));
-        }
-        allowed.extend(ids);
-    }
+    let entries = resolve("entry-points", &cfg.analyze.entry_points);
+    let allowed = resolve("alloc-allowed", &cfg.analyze.alloc_allowed);
     let mut hot_roots: Vec<FnId> = Vec::new();
     for region in &cfg.hot {
-        for id in 0..graph.nodes.len() {
-            let n = &graph.nodes[id];
-            if n.file == region.file && region.functions.contains(&n.name) {
-                hot_roots.push(id);
+        for name in &region.functions {
+            let found = symbols.in_file(&region.file, name);
+            if found.is_empty() {
+                report
+                    .stale_specs
+                    .push(format!("[[hot]] {}: function `{name}` not found", region.file));
             }
-        }
-    }
-    hot_roots.sort_unstable();
-    hot_roots.dedup();
-    let is_root = |id: FnId| hot_roots.binary_search(&id).is_ok();
-
-    let hot = bfs(graph, &hot_roots, &|id| exempt(id) || allowed.contains(&id));
-    report.reachable_from_hot = hot.visited.iter().filter(|v| **v).count();
-    for id in 0..graph.nodes.len() {
-        // Direct allocations in the roots themselves are the token-level
-        // `hot-path-alloc` lint's job; this pass owns the subtree.
-        if !hot.visited[id] || is_root(id) {
-            continue;
-        }
-        let n = &graph.nodes[id];
-        if n.traits_.alloc.is_empty() {
-            continue;
-        }
-        let root = hot.root_of[id].expect("visited node has a root");
-        let via = chain(graph, &hot, id);
-        for site in &n.traits_.alloc {
-            report.findings.push(Finding {
-                lint: TRANSITIVE_HOT_ALLOC,
-                path: n.file.clone(),
-                line: site.line,
-                message: format!(
-                    "`{}` reachable from hot `{}` via {via}; reuse caller buffers \
-                     or list the cold callee in [analyze] alloc-allowed",
-                    site.what, graph.nodes[root].qualified
-                ),
-                snippet: snippet(&n.file, site.line),
-            });
-            report
-                .frontier
-                .push(format!("hot-alloc {}:{} `{}` via {via}", n.file, site.line, site.what));
+            hot_roots.extend(found);
         }
     }
 
-    report.findings.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
-    report.frontier.sort_unstable();
-    Ok(report)
+    let exempt = |id: FnId| cfg.analyze.exempt_crates.contains(&symbols.def(files, id).0.krate);
+    for r in reach(files, graph, &entries, &exempt) {
+        let what = match r.site.kind {
+            Evidence::Wallclock => "wall-clock read",
+            Evidence::Rng if !cfg.rng_home.contains(&r.file.path) => "RNG construction",
+            Evidence::Thread if !cfg.analyze.ordered_reduction_files.contains(&r.file.path) => {
+                "thread use outside an ordered-reduction file"
+            }
+            Evidence::UnorderedIter => "unordered-map iteration",
+            _ => continue,
+        };
+        let message = format!(
+            "{what} `{}` reachable from deterministic entry `{}` via {}",
+            r.site.what,
+            r.root,
+            r.via.as_ref().unwrap_or(&r.root)
+        );
+        report.findings.push(finding(r.file, DETERMINISM_TAINT, r.site.line, message));
+    }
+    for r in reach(files, graph, &hot_roots, &|id| exempt(id) || allowed.contains(&id)) {
+        if r.site.kind != Evidence::Alloc {
+            continue;
+        }
+        let (what, root) = (&r.site.what, &r.root);
+        let message = match &r.via {
+            None => {
+                format!(
+                    "`{what}` inside hot function `{root}`; hot kernels must reuse caller buffers"
+                )
+            }
+            Some(via) => format!(
+                "`{what}` reachable from hot `{root}` via {via}; reuse caller buffers \
+                 or list the cold callee in [analyze] alloc-allowed"
+            ),
+        };
+        report.findings.push(finding(r.file, HOT_ALLOC, r.site.line, message));
+    }
+    report
 }
 
 #[cfg(test)]
@@ -241,17 +189,16 @@ mod tests {
     use crate::config::HotRegion;
     use crate::parse::parse_file;
 
-    fn setup(srcs: &[(&str, &str, &str)]) -> (Vec<FileModel>, CallGraph, BTreeMap<String, String>) {
+    fn setup(srcs: &[(&str, &str, &str)]) -> (Vec<FileModel>, CallGraph) {
         let files: Vec<FileModel> =
             srcs.iter().map(|(rel, krate, src)| parse_file(rel, krate, src)).collect();
         let graph = CallGraph::build(&files);
-        let sources = srcs.iter().map(|(rel, _, src)| (rel.to_string(), src.to_string())).collect();
-        (files, graph, sources)
+        (files, graph)
     }
 
     #[test]
     fn taint_crosses_call_edges_with_a_chain() {
-        let (files, graph, sources) = setup(&[(
+        let (files, graph) = setup(&[(
             "crates/sim/src/world.rs",
             "sim",
             "pub fn run_until() { step(); }\n\
@@ -260,7 +207,7 @@ mod tests {
         )]);
         let mut cfg = Config::default();
         cfg.analyze.entry_points = vec!["crates/sim/src/world.rs::run_until".into()];
-        let report = analyze(&files, &graph, &cfg, &sources).expect("analyzes");
+        let report = analyze(&files, &graph, &cfg);
         assert_eq!(report.findings.len(), 1);
         let f = &report.findings[0];
         assert_eq!(f.lint, DETERMINISM_TAINT);
@@ -271,7 +218,7 @@ mod tests {
 
     #[test]
     fn unreachable_sinks_do_not_fire() {
-        let (files, graph, sources) = setup(&[(
+        let (files, graph) = setup(&[(
             "crates/sim/src/world.rs",
             "sim",
             "pub fn run_until() {}\n\
@@ -279,7 +226,7 @@ mod tests {
         )]);
         let mut cfg = Config::default();
         cfg.analyze.entry_points = vec!["crates/sim/src/world.rs::run_until".into()];
-        let report = analyze(&files, &graph, &cfg, &sources).expect("analyzes");
+        let report = analyze(&files, &graph, &cfg);
         assert!(report.findings.is_empty());
     }
 
@@ -287,18 +234,18 @@ mod tests {
     fn ordered_reduction_file_blesses_threads_but_not_wallclock() {
         let src = "pub fn train_step() { std::thread::scope(|s| {}); helper(); }\n\
                    fn helper() { let t = std::time::Instant::now(); }\n";
-        let (files, graph, sources) = setup(&[("crates/gnn/src/model.rs", "gnn", src)]);
+        let (files, graph) = setup(&[("crates/gnn/src/model.rs", "gnn", src)]);
         let mut cfg = Config::default();
         cfg.analyze.entry_points = vec!["crates/gnn/src/model.rs::train_step".into()];
         cfg.analyze.ordered_reduction_files = vec!["crates/gnn/src/model.rs".into()];
-        let report = analyze(&files, &graph, &cfg, &sources).expect("analyzes");
+        let report = analyze(&files, &graph, &cfg);
         assert_eq!(report.findings.len(), 1);
         assert!(report.findings[0].message.contains("wall-clock"));
     }
 
     #[test]
     fn exempt_crates_are_barriers() {
-        let (files, graph, sources) = setup(&[
+        let (files, graph) = setup(&[
             ("crates/sim/src/world.rs", "sim", "pub fn run_until() { graf_obs::record(); }\n"),
             (
                 "crates/obs/src/lib.rs",
@@ -308,33 +255,38 @@ mod tests {
         ]);
         let mut cfg = Config::default();
         cfg.analyze.entry_points = vec!["crates/sim/src/world.rs::run_until".into()];
-        let report = analyze(&files, &graph, &cfg, &sources).expect("analyzes");
+        let report = analyze(&files, &graph, &cfg);
         assert!(report.findings.is_empty());
     }
 
     #[test]
     fn unresolvable_entry_point_is_a_hard_error() {
-        let (files, graph, sources) =
+        let (files, graph) =
             setup(&[("crates/sim/src/world.rs", "sim", "pub fn run_until() {}\n")]);
         let mut cfg = Config::default();
         cfg.analyze.entry_points = vec!["crates/sim/src/world.rs::renamed_away".into()];
-        assert!(analyze(&files, &graph, &cfg, &sources).is_err());
+        let report = analyze(&files, &graph, &cfg);
+        assert!(report.stale_specs[0].contains("resolves to no function"), "{report:?}");
     }
 
     #[test]
-    fn transitive_alloc_reports_subtree_not_root() {
-        let src = "pub fn kernel() { helper(); }\n\
+    fn hot_alloc_reports_root_and_subtree_once_each() {
+        let src = "pub fn kernel() { let s = String::new(); helper(); }\n\
                    fn helper() { let v = Vec::new(); }\n";
-        let (files, graph, sources) = setup(&[("crates/nn/src/matrix.rs", "nn", src)]);
+        let (files, graph) = setup(&[("crates/nn/src/matrix.rs", "nn", src)]);
         let mut cfg = Config::default();
         cfg.hot.push(HotRegion {
             file: "crates/nn/src/matrix.rs".into(),
             functions: vec!["kernel".into()],
         });
-        let report = analyze(&files, &graph, &cfg, &sources).expect("analyzes");
-        assert_eq!(report.findings.len(), 1);
-        assert_eq!(report.findings[0].lint, TRANSITIVE_HOT_ALLOC);
-        assert_eq!(report.findings[0].line, 2);
+        let report = analyze(&files, &graph, &cfg);
+        assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
+        assert!(report.findings.iter().all(|f| f.lint == HOT_ALLOC));
+        let (root, subtree) = (&report.findings[0], &report.findings[1]);
+        assert_eq!(root.line, 1);
+        assert!(root.message.contains("inside hot function `kernel`"), "msg: {}", root.message);
+        assert_eq!(subtree.line, 2);
+        assert!(subtree.message.contains("kernel → helper"), "msg: {}", subtree.message);
     }
 
     #[test]
@@ -342,14 +294,14 @@ mod tests {
         let src = "pub fn kernel() { grow(); }\n\
                    fn grow() { deep(); }\n\
                    fn deep() { let v = Vec::new(); }\n";
-        let (files, graph, sources) = setup(&[("crates/nn/src/matrix.rs", "nn", src)]);
+        let (files, graph) = setup(&[("crates/nn/src/matrix.rs", "nn", src)]);
         let mut cfg = Config::default();
         cfg.hot.push(HotRegion {
             file: "crates/nn/src/matrix.rs".into(),
             functions: vec!["kernel".into()],
         });
         cfg.analyze.alloc_allowed = vec!["crates/nn/src/matrix.rs::grow".into()];
-        let report = analyze(&files, &graph, &cfg, &sources).expect("analyzes");
+        let report = analyze(&files, &graph, &cfg);
         assert!(report.findings.is_empty(), "{:?}", report.findings);
     }
 }

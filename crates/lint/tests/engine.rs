@@ -5,18 +5,19 @@
 //! by the repo's own lint run (`lint.toml` excludes the directory); the tests
 //! lint them under synthetic `crates/sim/src/…` paths. The binary tests build
 //! a throwaway mini-workspace under `CARGO_TARGET_TMPDIR` and drive the
-//! compiled `graf-lint` executable through the full baseline workflow,
-//! proving CI goes red exactly when a NEW violation appears.
+//! compiled `graf-lint` executable, proving CI goes red exactly while a
+//! violation is in the tree; the last test holds the repository itself to
+//! zero findings.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use graf_lint::lints::{
-    lint_file, BAD_ANNOTATION, FLOAT_REDUCTION, HOT_PATH_ALLOC, RELAXED_ATOMIC, UNORDERED_MAP,
+    lint_file, BAD_ANNOTATION, FLOAT_REDUCTION, HOT_ALLOC, RELAXED_ATOMIC, UNORDERED_MAP,
     UNSAFE_NO_SAFETY, UNSEEDED_RNG, UNWRAP_IN_LIB, WALLCLOCK,
 };
-use graf_lint::{scan_workspace, Baseline, Config};
+use graf_lint::{lint_workspace, Config};
 
 fn fixture(name: &str) -> String {
     let p = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
@@ -40,7 +41,7 @@ fn dirty_fixture_fires_every_lint_once() {
     lints.sort_unstable();
     assert_eq!(
         lints,
-        vec![BAD_ANNOTATION, HOT_PATH_ALLOC, UNORDERED_MAP, UNSEEDED_RNG, UNWRAP_IN_LIB, WALLCLOCK],
+        vec![BAD_ANNOTATION, HOT_ALLOC, UNORDERED_MAP, UNSEEDED_RNG, UNWRAP_IN_LIB, WALLCLOCK],
         "expected exactly one finding per lint, got: {findings:#?}"
     );
 }
@@ -122,9 +123,9 @@ impl MiniWs {
         fs::write(self.root.join("crates/foo/src/lib.rs"), src).expect("write lib.rs");
     }
 
-    fn run(&self, extra: &[&str]) -> Output {
+    fn run(&self) -> Output {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_graf-lint"));
-        cmd.arg("--root").arg(&self.root).args(extra);
+        cmd.arg("--root").arg(&self.root);
         cmd.output().expect("run graf-lint")
     }
 }
@@ -133,35 +134,40 @@ fn code(out: &Output) -> i32 {
     out.status.code().expect("graf-lint exited via signal")
 }
 
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
 #[test]
 fn binary_goes_red_on_new_violations_only() {
     let ws = MiniWs::create("lint-ws-red");
 
-    // Fresh workspace with a violation and no baseline: CI is red.
-    let out = ws.run(&[]);
-    assert_eq!(code(&out), 1, "stdout: {}", String::from_utf8_lossy(&out.stdout));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("unwrap-in-lib"));
+    // Fresh workspace with a violation: CI is red.
+    let out = ws.run();
+    assert_eq!(code(&out), 1, "stdout: {}", stdout(&out));
+    assert!(stdout(&out).contains("unwrap-in-lib"));
 
-    // Accept the current state into the baseline: CI is green again.
-    assert_eq!(code(&ws.run(&["--write-baseline"])), 0);
-    assert_eq!(code(&ws.run(&[])), 0);
+    // The violation is fixed: CI is green again.
+    ws.write_lib("pub fn one(v: Option<u32>) -> u32 {\n    v.unwrap_or(0)\n}\n");
+    let out = ws.run();
+    assert_eq!(code(&out), 0, "stdout: {}", stdout(&out));
+    assert!(stdout(&out).contains("0 findings"), "stdout: {}", stdout(&out));
 
-    // A synthetic NEW violation lands: CI goes red, and the JSON report
-    // marks the new finding while the baselined one stays accepted.
+    // A NEW violation lands: CI goes red, and names exactly that one.
     ws.write_lib(
-        "pub fn one(v: Option<u32>) -> u32 {\n    v.unwrap()\n}\n\
+        "pub fn one(v: Option<u32>) -> u32 {\n    v.unwrap_or(0)\n}\n\
          pub fn two(v: Option<u64>) -> u64 {\n    v.unwrap()\n}\n",
     );
-    let out = ws.run(&["--json"]);
+    let out = ws.run();
     assert_eq!(code(&out), 1);
-    let json = String::from_utf8_lossy(&out.stdout);
-    assert!(json.contains("\"new\": true"), "json: {json}");
-    assert!(json.contains("\"new\": false"), "json: {json}");
+    assert!(stdout(&out).contains("crates/foo/src/lib.rs:5: [unwrap-in-lib]"), "{}", stdout(&out));
+    assert!(stdout(&out).contains("1 findings"), "{}", stdout(&out));
 }
 
-#[test]
-fn analyze_flags_taint_and_transitive_alloc_end_to_end() {
-    let ws = MiniWs::create("lint-ws-analyze");
+/// A mini-workspace whose `lint.toml` declares `drive` a deterministic entry
+/// point and `hot_loop` a hot function; `lib` is `crates/foo/src/lib.rs`.
+fn analyze_ws(name: &str, lib: &str) -> MiniWs {
+    let ws = MiniWs::create(name);
     fs::write(
         ws.root.join("lint.toml"),
         "[analyze]\n\
@@ -171,9 +177,16 @@ fn analyze_flags_taint_and_transitive_alloc_end_to_end() {
          functions = [\"hot_loop\"]\n",
     )
     .expect("write lint.toml");
+    ws.write_lib(lib);
+    ws
+}
+
+#[test]
+fn analyze_flags_taint_and_transitive_alloc_end_to_end() {
     // The wall-clock read lives in a *different crate*, reached through a
     // `graf_bar::`-qualified call: the taint must cross the crate boundary.
-    ws.write_lib(
+    let ws = analyze_ws(
+        "lint-ws-analyze",
         "pub fn drive() -> u64 {\n\
          \x20   graf_bar::helper()\n\
          }\n\n\
@@ -181,34 +194,82 @@ fn analyze_flags_taint_and_transitive_alloc_end_to_end() {
          \x20   *acc += cold_grow().len() as u64;\n\
          }\n\n\
          fn cold_grow() -> Vec<u64> {\n\
-         \x20   Vec::with_capacity(4)\n\
+         \x20   deeper()\n\
+         }\n\n\
+         fn deeper() -> Vec<u64> {\n\
+         \x20   format!(\"{}\", 4).bytes().map(u64::from).collect()\n\
          }\n",
     );
     fs::create_dir_all(ws.root.join("crates/bar/src")).expect("bar crate dir");
     fs::write(
         ws.root.join("crates/bar/src/lib.rs"),
         "pub fn helper() -> u64 {\n\
+         \x20   inner()\n\
+         }\n\n\
+         fn inner() -> u64 {\n\
          \x20   std::time::Instant::now().elapsed().as_micros() as u64\n\
          }\n",
     )
     .expect("write bar lib.rs");
 
-    // Token-only mode sees neither graph lint.
-    let out = ws.run(&[]);
-    let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(!text.contains("determinism-taint"), "token mode ran the graph pass: {text}");
-    assert!(!text.contains("transitive-hot-alloc"), "token mode ran the graph pass: {text}");
+    // The wall-clock read two calls below the entry point and the `format!`
+    // two calls below the hot root both fire, each with its call chain in
+    // the message.
+    let out = ws.run();
+    assert_eq!(code(&out), 1, "stdout: {}", stdout(&out));
+    let text = stdout(&out);
+    assert!(text.contains("crates/bar/src/lib.rs:6: [determinism-taint]"), "{text}");
+    assert!(text.contains("drive → helper → inner"), "taint message must carry the chain: {text}");
+    assert!(text.contains("crates/foo/src/lib.rs:14: [hot-alloc]"), "{text}");
+    assert!(
+        text.contains("hot_loop → cold_grow → deeper"),
+        "alloc message must carry the chain: {text}"
+    );
+}
 
-    // `--analyze` walks the call graph: the wall-clock read two hops from the
-    // entry point and the allocation one hop from the hot root both fire,
-    // each with its call chain in the message.
-    let out = ws.run(&["--analyze"]);
-    assert_eq!(code(&out), 1, "stdout: {}", String::from_utf8_lossy(&out.stdout));
-    let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(text.contains("determinism-taint"), "{text}");
-    assert!(text.contains("drive → helper"), "taint message must carry the chain: {text}");
-    assert!(text.contains("transitive-hot-alloc"), "{text}");
-    assert!(text.contains("hot_loop → cold_grow"), "alloc message must carry the chain: {text}");
+#[test]
+fn direct_alloc_in_a_hot_function_turns_the_binary_red() {
+    let ws = analyze_ws(
+        "lint-ws-hot-root",
+        "pub fn drive() {}\n\n\
+         pub fn hot_loop(n: u64) -> usize {\n\
+         \x20   format!(\"{n}\").len()\n\
+         }\n",
+    );
+    let out = ws.run();
+    assert_eq!(code(&out), 1, "stdout: {}", stdout(&out));
+    let text = stdout(&out);
+    assert!(text.contains("crates/foo/src/lib.rs:4: [hot-alloc]"), "{text}");
+    assert!(text.contains("`format!` inside hot function `hot_loop`"), "{text}");
+}
+
+#[test]
+fn crate_scoped_bans_see_function_bodies_and_file_level_sites() {
+    // `sim` is an ordered, non-exempt crate under the default config. The
+    // `use` line and the field type sit in no function body.
+    let ws = MiniWs::create("lint-ws-bans");
+    fs::create_dir_all(ws.root.join("crates/sim/src")).expect("sim crate dir");
+    fs::write(
+        ws.root.join("crates/sim/src/lib.rs"),
+        "use std::collections::HashMap;\n\
+         use std::time::SystemTime;\n\n\
+         pub struct S {\n\
+         \x20   pub rng: SmallRng,\n\
+         \x20   pub m: HashMap<u32, u32>,\n\
+         }\n\n\
+         pub fn total(s: &S) -> u32 {\n\
+         \x20   s.m.values().sum()\n\
+         }\n",
+    )
+    .expect("write sim lib.rs");
+    ws.write_lib("pub fn one() {}\n");
+    let out = ws.run();
+    assert_eq!(code(&out), 1, "stdout: {}", stdout(&out));
+    let text = stdout(&out);
+    assert!(text.contains("crates/sim/src/lib.rs:2: [wallclock-in-deterministic-crate]"), "{text}");
+    assert!(text.contains("crates/sim/src/lib.rs:5: [unseeded-rng]"), "{text}");
+    assert!(text.contains("crates/sim/src/lib.rs:10: [unordered-map-iteration]"), "{text}");
+    assert!(text.contains("3 findings"), "{text}");
 }
 
 #[test]
@@ -219,13 +280,34 @@ fn analyze_rejects_stale_entry_point_specs() {
         "[analyze]\nentry-points = [\"crates/foo/src/lib.rs::gone\"]\n",
     )
     .expect("write lint.toml");
-    let out = ws.run(&["--analyze"]);
+    let out = ws.run();
     assert_eq!(code(&out), 2, "a dangling entry point must be a hard error, not a shrink");
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("resolves to no function"),
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+#[test]
+fn analyze_rejects_stale_hot_names() {
+    // A renamed hot function must not silently drop out of the zero-alloc
+    // claim; nor may a region whose file is no longer scanned.
+    for (name, file, want) in [
+        ("lint-ws-stale-hot-fn", "crates/foo/src/lib.rs", "function `hot_loop` not found"),
+        ("lint-ws-stale-hot-file", "crates/foo/src/moved.rs", "[[hot]] crates/foo/src/moved.rs"),
+    ] {
+        let ws = MiniWs::create(name);
+        fs::write(
+            ws.root.join("lint.toml"),
+            format!("[[hot]]\nfile = \"{file}\"\nfunctions = [\"one\", \"hot_loop\"]\n"),
+        )
+        .expect("write lint.toml");
+        let out = ws.run();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(code(&out), 2, "a dangling [[hot]] name must be a hard error: {stderr}");
+        assert!(stderr.contains(want), "stderr: {stderr}");
+    }
 }
 
 #[test]
@@ -241,69 +323,65 @@ fn stale_allows_are_flagged_and_inventoried() {
          \x20   42\n\
          }\n",
     );
-    let out = ws.run(&["--analyze", "--json"]);
-    assert_eq!(code(&out), 1, "stdout: {}", String::from_utf8_lossy(&out.stdout));
-    let json = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(json.contains("stale-allow"), "{json}");
-    assert!(json.contains("no longer suppresses anything"), "{json}");
-    // The inventory lists both annotations, split by liveness.
-    assert!(json.contains("\"live\": true"), "{json}");
-    assert!(json.contains("\"live\": false"), "{json}");
-    // The live allow still suppresses: the stale-allow is the only finding
-    // (unwrap-in-lib appears in the inventory, not under findings).
-    assert!(json.contains("\"total\": 1"), "{json}");
-    assert!(!json.contains("\"lint\": \"unwrap-in-lib\", \"path\""), "{json}");
+    let out = ws.run();
+    assert_eq!(code(&out), 1, "stdout: {}", stdout(&out));
+    let text = stdout(&out);
+    assert!(text.contains("crates/foo/src/lib.rs:7: [stale-allow]"), "{text}");
+    assert!(text.contains("no longer suppresses anything"), "{text}");
+    // The live allow still suppresses: the stale-allow is the only finding.
+    assert!(text.contains("1 findings"), "{text}");
+    assert!(!text.contains("[unwrap-in-lib]"), "{text}");
 }
 
 #[test]
-fn callgraph_jsonl_is_byte_identical_across_runs() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let run = || {
-        let out = Command::new(env!("CARGO_BIN_EXE_graf-lint"))
-            .arg("--root")
-            .arg(&root)
-            .arg("--callgraph")
-            .output()
-            .expect("run graf-lint");
-        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-        out.stdout
-    };
-    let first = run();
-    let second = run();
-    assert!(!first.is_empty(), "the repo call graph is not empty");
-    assert_eq!(first, second, "--callgraph output must be byte-identical across runs");
-    let text = String::from_utf8(first).expect("JSONL is UTF-8");
-    for line in text.lines() {
-        assert!(line.starts_with("{\"id\":"), "not a callgraph record: {line}");
+fn two_runs_on_a_dirty_workspace_print_identical_bytes() {
+    // Findings from every stage — file rules, both graph queries with their
+    // call chains, a stale allow — print in the same order every run.
+    let ws = analyze_ws(
+        "lint-ws-bytes",
+        "pub fn drive() -> u64 {\n\
+         \x20   b() + a()\n\
+         }\n\n\
+         fn a() -> u64 {\n\
+         \x20   std::time::Instant::now().elapsed().as_micros() as u64\n\
+         }\n\n\
+         fn b() -> u64 {\n\
+         \x20   a()\n\
+         }\n\n\
+         pub fn hot_loop(v: Option<u64>) -> u64 {\n\
+         \x20   // graf-lint: allow(rng, nothing here draws)\n\
+         \x20   vec![v.unwrap()].len() as u64 + b()\n\
+         }\n",
+    );
+    let first = ws.run();
+    let second = ws.run();
+    assert_eq!(code(&first), 1, "stdout: {}", stdout(&first));
+    for lint in ["determinism-taint", "hot-alloc", "stale-allow", "unwrap-in-lib"] {
+        assert!(stdout(&first).contains(lint), "{lint} missing: {}", stdout(&first));
     }
+    assert_eq!(first.stdout, second.stdout, "output must be byte-identical across runs");
 }
 
 #[test]
 fn binary_rejects_config_typos() {
     let ws = MiniWs::create("lint-ws-cfg");
     fs::write(ws.root.join("lint.toml"), "[bogus]\nkey = \"v\"\n").expect("write bad config");
-    let out = ws.run(&[]);
+    let out = ws.run();
     assert_eq!(code(&out), 2, "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }
 
 // ---------------------------------------------------------------------------
-// The committed baseline.
+// The repository itself.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn committed_baseline_matches_fresh_workspace_scan() {
+fn workspace_is_clean() {
+    // The full pipeline over the real tree: file rules, determinism taint,
+    // hot-alloc chains, stale allows and stale `lint.toml` specs (an `Err`).
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let cfg_text = fs::read_to_string(root.join("lint.toml")).expect("repo lint.toml");
     let cfg = Config::parse(&cfg_text).expect("repo lint.toml parses");
-    let result = scan_workspace(&root, &cfg).expect("workspace scan");
-
-    let committed = fs::read_to_string(root.join("lint.baseline")).expect("repo lint.baseline");
-    let baseline = Baseline::parse(&committed).expect("repo lint.baseline parses");
-    let (_, new) = baseline.partition(&result.findings);
-    assert!(new.is_empty(), "workspace has findings not in lint.baseline: {new:#?}");
-    assert_eq!(
-        Baseline::render(&result.findings),
-        committed,
-        "lint.baseline is stale; regenerate with `cargo run -p graf-lint -- --write-baseline`"
-    );
+    let report = lint_workspace(&root, &cfg).expect("repo lint.toml specs all resolve");
+    assert!(report.files_scanned > 100, "scanned {} files", report.files_scanned);
+    assert!(report.findings.is_empty(), "workspace has findings: {:#?}", report.findings);
 }

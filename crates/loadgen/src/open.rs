@@ -58,7 +58,7 @@ impl OpenLoop {
     pub fn schedule(mut self, api: ApiId, steps: Vec<(SimTime, f64)>) -> Self {
         assert!(!steps.is_empty(), "schedule needs at least one step");
         let mut schedule: Vec<(u64, f64)> =
-            // graf-lint: allow(transitive-alloc, builder-time setup; the hot edge is a method-name collision with the event queue's `schedule`, not a real call)
+            // graf-lint: allow(hot-alloc, builder-time setup; the hot edge is a method-name collision with the event queue's `schedule`, not a real call)
             steps.into_iter().map(|(t, q)| (t.as_micros(), q)).collect();
         schedule.sort_by_key(|&(t, _)| t);
         for &(_, q) in &schedule {

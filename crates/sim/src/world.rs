@@ -55,11 +55,6 @@ pub struct SimConfig {
     /// high event rates; integrals between checkpoints stay exact because the
     /// cumulative value is carried, only intra-cell query resolution drops.
     pub cpu_checkpoint_us: u64,
-    /// Child-completion return delay in µs: how long a child's response
-    /// takes to travel back to its parent. `0` (default) resumes the parent
-    /// in the same event as the child's completion; a nonzero value delivers
-    /// the completion as its own event that much later.
-    pub return_us: u64,
 }
 
 impl Default for SimConfig {
@@ -73,7 +68,6 @@ impl Default for SimConfig {
             request_timeout_us: Some(30_000_000),
             event_queue: QueueKind::Calendar,
             cpu_checkpoint_us: 1,
-            return_us: 0,
         }
     }
 }
@@ -249,13 +243,6 @@ enum Event {
     },
     InstanceReady {
         instance: InstanceId,
-    },
-    /// A child's response reached its parent (`return_us > 0` only): count
-    /// down the parent's outstanding children. Guarded by generation *and*
-    /// state so a return racing a timeout teardown is dropped.
-    ChildReturn {
-        frame: FrameId,
-        generation: u32,
     },
 }
 
@@ -627,7 +614,6 @@ impl World {
             Event::StartFrame { frame, generation } => self.on_start_frame(frame, generation),
             Event::JobCheck { instance, epoch } => self.on_job_check(instance, epoch),
             Event::InstanceReady { instance } => self.on_instance_ready(instance),
-            Event::ChildReturn { frame, generation } => self.on_child_return(frame, generation),
         }
     }
 
@@ -676,7 +662,7 @@ impl World {
                 start: self.now,
                 sampled,
                 trace,
-                frames: Vec::new(), // graf-lint: allow(hot-path-alloc, slab growth is amortized and stops at the in-flight high-water mark)
+                frames: Vec::new(), // graf-lint: allow(hot-alloc, slab growth is amortized and stops at the in-flight high-water mark)
             });
             (self.requests.len() - 1) as u32
         };
@@ -1038,17 +1024,6 @@ impl World {
         }
     }
 
-    /// A child's response arrived after a nonzero `return_us` transit.
-    /// Dropped when stale: the parent was torn down by a timeout (state left
-    /// `Children`) or its slot was reused (generation moved on).
-    fn on_child_return(&mut self, fid: FrameId, generation: u32) {
-        let f = &self.frames[fid.0 as usize];
-        if f.generation != generation || !matches!(f.state, FrameState::Children { .. }) {
-            return; // stale return
-        }
-        self.child_completed(fid);
-    }
-
     fn child_completed(&mut self, fid: FrameId) {
         let FrameState::Children { stage, outstanding } = self.frames[fid.0 as usize].state else {
             unreachable!("child completion outside Children state")
@@ -1119,19 +1094,8 @@ impl World {
         self.free_frames.push(fid.0);
 
         match parent {
-            Some(p) => {
-                if self.cfg.return_us == 0 {
-                    // Zero-delay return: resume the parent in the same event,
-                    // bit-identical to the original serial semantics.
-                    self.child_completed(p);
-                } else {
-                    let generation = self.frames[p.0 as usize].generation;
-                    self.queue.schedule(
-                        SimTime(self.now.0 + self.cfg.return_us),
-                        Event::ChildReturn { frame: p, generation },
-                    );
-                }
-            }
+            // Resume the parent in the same event as the child's completion.
+            Some(p) => self.child_completed(p),
             None => {
                 let req_start = self.requests[req_slot as usize].start;
                 self.free_request(req_slot);

@@ -18,14 +18,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc (deny warnings; missing_docs denied per-crate) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-echo "== graf-lint (fails on findings beyond lint.baseline) =="
-cargo run --release -p graf-lint -- --json
-
-echo "== graf-lint --analyze (call-graph pass: determinism taint, transitive hot allocs) =="
-ANALYZE_START=$(date +%s%N)
-cargo run --release -q -p graf-lint -- --analyze
-ANALYZE_MS=$(( ($(date +%s%N) - ANALYZE_START) / 1000000 ))
-echo "graf-lint --analyze: clean in ${ANALYZE_MS}ms"
+echo "== graf-lint (file rules, determinism taint, hot-alloc chains, stale allows and specs) =="
+LINT_START=$(date +%s%N)
+cargo run --release -q -p graf-lint
+LINT_MS=$(( ($(date +%s%N) - LINT_START) / 1000000 ))
+echo "graf-lint: clean in ${LINT_MS}ms"
 
 echo "== thread sanitizer (data-parallel train + collector worker pool + 4-worker smoke sweep) =="
 if rustup component list --toolchain nightly 2>/dev/null | grep -q '^rust-src.*(installed)'; then

@@ -180,23 +180,17 @@ fn fingerprint_traces(traces: &[graf::trace::Trace]) -> u64 {
 /// Serial-`World` output pinned across revisions: an open-loop boutique run
 /// (2 s of Poisson arrivals, then drained) must reproduce these
 /// `(completions, traces, events)` fingerprints for every seed, on both
-/// event-queue cores, with the default zero-delay child return and with a
-/// 250 µs return transit (the `ChildReturn` path), with telemetry attached
-/// and without. The constants were captured at commit `c77e2c3`, before the
-/// sharded executor and its hooks in `World` were removed; a change that
-/// moves any of them changed what a seed means.
+/// event-queue cores, with telemetry attached and without. The constants
+/// were captured at commit `c77e2c3`, before the sharded executor and its
+/// hooks in `World` were removed; a change that moves any of them changed
+/// what a seed means.
 #[test]
 fn serial_world_output_is_pinned() {
     use graf::obs::Obs;
     use graf::sim::rng::DetRng;
 
-    fn run_once(seed: u64, kind: QueueKind, return_us: u64, obs: &Obs) -> (u64, u64, u64) {
-        let cfg = SimConfig {
-            event_queue: kind,
-            request_timeout_us: None,
-            return_us,
-            ..SimConfig::default()
-        };
+    fn run_once(seed: u64, kind: QueueKind, obs: &Obs) -> (u64, u64, u64) {
+        let cfg = SimConfig { event_queue: kind, request_timeout_us: None, ..SimConfig::default() };
         let mut w = World::new(online_boutique(), cfg, seed);
         w.set_obs(obs.clone());
         for s in 0..6u16 {
@@ -228,24 +222,20 @@ fn serial_world_output_is_pinned() {
         (fingerprint_completions(&comps), fingerprint_traces(&traces), events)
     }
 
-    // (seed, return_us, (completions, traces, events))
-    const PINNED: [(u64, u64, (u64, u64, u64)); 6] = [
-        (7, 0, (0xf858e7bd8c93dcac, 0xd151d9ebdda88315, 11842)),
-        (7, 250, (0xad71dba220d3615b, 0xd623fb601d5f090e, 16335)),
-        (77, 0, (0x4dcf5c2b4ab5bff1, 0x48720e6407ab19f0, 11257)),
-        (77, 250, (0xb7301dd6f539afd5, 0xacd05b6991c9da00, 15557)),
-        (402, 0, (0xa37686a9f926387c, 0x64ca00833f8f2e45, 11860)),
-        (402, 250, (0x3c651294f69cfc07, 0x5503798706007490, 16447)),
+    // (seed, (completions, traces, events))
+    const PINNED: [(u64, (u64, u64, u64)); 3] = [
+        (7, (0xf858e7bd8c93dcac, 0xd151d9ebdda88315, 11842)),
+        (77, (0x4dcf5c2b4ab5bff1, 0x48720e6407ab19f0, 11257)),
+        (402, (0xa37686a9f926387c, 0x64ca00833f8f2e45, 11860)),
     ];
-    for (seed, return_us, want) in PINNED {
+    for (seed, want) in PINNED {
         for kind in [QueueKind::Calendar, QueueKind::Heap] {
             for obs in [Obs::disabled(), Obs::enabled()] {
-                let got = run_once(seed, kind, return_us, &obs);
+                let got = run_once(seed, kind, &obs);
                 assert_eq!(
                     got,
                     want,
-                    "serial output moved (seed {seed}, return_us {return_us}, {kind:?} queue, \
-                     telemetry {})",
+                    "serial output moved (seed {seed}, {kind:?} queue, telemetry {})",
                     obs.is_enabled()
                 );
             }
