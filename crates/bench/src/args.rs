@@ -1,4 +1,4 @@
-//! Minimal shared CLI parsing for the experiment binaries.
+//! The experiment flags `graf-exp` parses once for every experiment.
 
 /// Common experiment flags.
 ///
@@ -10,11 +10,11 @@
 /// * `--telemetry <path>` — enable the graf-obs telemetry layer: dump the
 ///   JSONL event log to `path` and print the summary table at exit.
 /// * `--audit <path>` — stream one JSON line per controller tick (inputs,
-///   ladder rung, solver stats, applied deltas) to `path`; binaries that run
-///   several controllers suffix the file name per run.
+///   ladder rung, solver stats, applied deltas) to `path`; experiments that
+///   run several controllers suffix the file name per run.
 /// * `--threads <n>` — worker threads for data-parallel training (results
 ///   are bit-identical for any value; default 1).
-/// * `--chaos <class>` — restrict chaos-aware binaries (`chaos_matrix`) to
+/// * `--chaos <class>` — restrict chaos-aware experiments (`chaos_matrix`) to
 ///   one fault class (`trace_drop`, `metric_nan`, `metric_stale`,
 ///   `stale_model`, `creation_fail`, `slow_start`, `latency_spike`, or
 ///   `none`); all classes run when unset.
@@ -34,7 +34,7 @@ pub struct Args {
     pub audit: Option<String>,
     /// Training worker threads (deterministic for any value; 1 = serial).
     pub threads: Option<usize>,
-    /// Fault-class filter for chaos-aware binaries (None = all classes).
+    /// Fault-class filter for chaos-aware experiments (None = all classes).
     pub chaos: Option<String>,
 }
 
@@ -54,76 +54,51 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parses `std::env::args()`.
-    pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
-    }
-
-    /// Parses the given argument strings.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+    /// Parses the given flag strings; the error names the offending flag.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Self::default();
         let mut it = args.into_iter();
+        fn number<T: std::str::FromStr>(v: Option<String>, what: &str) -> Result<T, String> {
+            v.and_then(|v| v.parse().ok()).ok_or_else(|| what.to_string())
+        }
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--seed" => {
-                    out.seed =
-                        it.next().and_then(|v| v.parse().ok()).expect("--seed needs a u64 value");
-                }
+                "--seed" => out.seed = number(it.next(), "--seed needs a u64 value")?,
                 "--paper-scale" => out.paper_scale = true,
                 "--quick" => out.quick = true,
                 "--samples" => {
-                    out.samples = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--samples needs a usize value"),
-                    );
+                    out.samples = Some(number(it.next(), "--samples needs a usize value")?);
                 }
                 "--telemetry" => {
-                    out.telemetry = Some(it.next().expect("--telemetry needs a file path"));
+                    out.telemetry = Some(it.next().ok_or("--telemetry needs a file path")?);
                 }
-                "--audit" => {
-                    out.audit = Some(it.next().expect("--audit needs a file path"));
-                }
+                "--audit" => out.audit = Some(it.next().ok_or("--audit needs a file path")?),
                 "--chaos" => {
-                    out.chaos = Some(it.next().expect("--chaos needs a fault-class name"));
+                    out.chaos = Some(it.next().ok_or("--chaos needs a fault-class name")?);
                 }
                 "--threads" => {
-                    out.threads = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n >= 1)
-                            .expect("--threads needs a positive integer"),
-                    );
+                    let n: std::num::NonZeroUsize =
+                        number(it.next(), "--threads needs a positive integer")?;
+                    out.threads = Some(n.get());
                 }
-                other => panic!("unknown flag {other}; see crate docs"),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        out
+        Ok(out)
     }
 
     /// A telemetry handle honoring `--telemetry`: enabled when a dump path
-    /// was given, disabled (all no-ops) otherwise.
-    pub fn obs(&self) -> graf_obs::Obs {
+    /// was given, disabled (all no-ops) otherwise. An unwritable path is an
+    /// error now, not after the experiment ran.
+    pub fn obs(&self) -> Result<graf_obs::Obs, String> {
         match &self.telemetry {
             Some(path) => {
-                // Fail on an unwritable path now, not after the experiment ran.
                 std::fs::File::create(path)
-                    .unwrap_or_else(|e| panic!("cannot write telemetry to {path}: {e}"));
-                graf_obs::Obs::enabled()
+                    .map_err(|e| format!("cannot write telemetry to {path}: {e}"))?;
+                Ok(graf_obs::Obs::enabled())
             }
-            None => graf_obs::Obs::disabled(),
+            None => Ok(graf_obs::Obs::disabled()),
         }
-    }
-
-    /// Finishes a telemetry session: writes the JSONL dump to the
-    /// `--telemetry` path and prints the summary table. No-op when telemetry
-    /// is off.
-    pub fn finish_telemetry(&self, obs: &graf_obs::Obs) {
-        let Some(path) = &self.telemetry else { return };
-        obs.write_jsonl_path(std::path::Path::new(path))
-            .unwrap_or_else(|e| panic!("writing telemetry to {path}: {e}"));
-        println!("\n{}", obs.summary());
-        println!("telemetry written to {path}");
     }
 
     /// Picks a value by scale: `quick` < default < `paper`.
@@ -143,7 +118,7 @@ mod tests {
     use super::*;
 
     fn parse(s: &[&str]) -> Args {
-        Args::from_args(s.iter().map(|v| v.to_string()))
+        Args::from_args(s.iter().map(|v| v.to_string())).unwrap()
     }
 
     #[test]
@@ -166,10 +141,10 @@ mod tests {
     fn telemetry_flag_takes_a_path_and_enables_obs() {
         let off = parse(&[]);
         assert_eq!(off.telemetry, None);
-        assert!(!off.obs().is_enabled());
+        assert!(!off.obs().unwrap().is_enabled());
         let on = parse(&["--telemetry", "/tmp/t.jsonl"]);
         assert_eq!(on.telemetry.as_deref(), Some("/tmp/t.jsonl"));
-        assert!(on.obs().is_enabled());
+        assert!(on.obs().unwrap().is_enabled());
     }
 
     #[test]
@@ -203,6 +178,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot write telemetry")]
     fn unwritable_telemetry_path_fails_before_the_run() {
-        parse(&["--telemetry", "/nonexistent-dir/t.jsonl"]).obs();
+        parse(&["--telemetry", "/nonexistent-dir/t.jsonl"]).obs().unwrap();
     }
 }

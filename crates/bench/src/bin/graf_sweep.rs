@@ -24,7 +24,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use graf_bench::sweepgrid::{resolve_grid, CellRunner, SweepScale};
+use graf_bench::sweepgrid::{resolve_grid, CellRunner};
+use graf_bench::Args;
 use graf_sweep::{
     aggregate, compare, record, render_compare, render_table, run_sweep, CellRecord, SweepConfig,
 };
@@ -62,10 +63,10 @@ fn main() {
 fn cmd_run(args: &[String]) {
     let mut grid_spec: Option<String> = None;
     let mut workers = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));
-    let mut seed = 7u64;
+    // The grid seed and the scale every cell shares.
+    let mut scale = Args::default();
     let mut out: Option<PathBuf> = None;
     let mut log_dir: Option<PathBuf> = None;
-    let mut scale = SweepScale::default();
     let mut history: Option<PathBuf> = None;
     let mut rev: Option<String> = None;
     let mut it = args.iter();
@@ -79,7 +80,9 @@ fn cmd_run(args: &[String]) {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage());
             }
-            "--seed" => seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()),
+            "--seed" => {
+                scale.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
+            }
             "--out" => out = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
             "--log-dir" => log_dir = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
             "--quick" => scale.quick = true,
@@ -88,11 +91,12 @@ fn cmd_run(args: &[String]) {
                     Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()));
             }
             "--threads" => {
-                scale.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
+                scale.threads = Some(
+                    it.next()
+                        .and_then(|v| v.parse().ok())
+                        .filter(|&n| n >= 1)
+                        .unwrap_or_else(|| usage()),
+                );
             }
             "--history" => history = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
             "--rev" => rev = Some(it.next().unwrap_or_else(|| usage()).clone()),
@@ -100,6 +104,7 @@ fn cmd_run(args: &[String]) {
         }
     }
     let Some(grid_spec) = grid_spec else { usage() };
+    let seed = scale.seed;
     let grid = resolve_grid(&grid_spec).unwrap_or_else(|e| {
         eprintln!("graf-sweep: {e}");
         std::process::exit(2);
@@ -120,7 +125,7 @@ fn cmd_run(args: &[String]) {
 
     let cfg = SweepConfig { workers, grid_seed: seed, worker_log_dir: log_dir.clone() };
     let reports = run_sweep(&grid, &cfg, |_worker| {
-        let mut runner = CellRunner::new(seed, scale.clone());
+        let mut runner = CellRunner::new(scale.clone());
         move |cell: &graf_sweep::Cell, cell_seed: u64| runner.run_cell(cell, cell_seed)
     });
 

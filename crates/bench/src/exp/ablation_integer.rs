@@ -6,30 +6,28 @@
 //! that integer optimization has "slight improvement room". This measures
 //! that room: instances/quota saved by refinement at equal SLO, and whether
 //! the refined configuration still meets the SLO when actually deployed.
-//!
-//! ```sh
-//! cargo run --release -p graf-bench --bin ablation_integer
-//! ```
 
-use graf_bench::standard::{boutique_setup, build_graf, sampling_config};
-use graf_bench::Args;
-use graf_core::sample_collector::SampleCollector;
+use std::io::{self, Write};
+
 use graf_core::solver::integer_refine;
 
-fn main() {
-    let args = Args::parse();
+use super::Ctx;
+use crate::standard::boutique_setup;
+
+pub fn run(cx: &mut Ctx) -> io::Result<()> {
     let setup = boutique_setup();
-    println!("# Integer-refinement ablation (Online Boutique, SLO {} ms)", setup.slo_ms);
-    println!("training GRAF...");
-    let graf = build_graf(&setup, &args);
-    let validator = SampleCollector::new(setup.topo.clone(), sampling_config(&setup, &args));
+    writeln!(cx.out, "# Integer-refinement ablation (Online Boutique, SLO {} ms)", setup.slo_ms)?;
+    writeln!(cx.out, "training GRAF...")?;
+    let graf = cx.graf(&setup);
+    let validator = cx.collector(&setup);
     let unit = setup.cpu_unit_mc;
 
-    println!(
+    writeln!(
+        cx.out,
         "\n{:>5} {:>12} {:>12} {:>8} {:>14} {:>14}",
         "mult", "ceil_inst", "refined_inst", "saved", "ceil_p99", "refined_p99"
-    );
-    let mut ctrl = graf.controller(setup.slo_ms);
+    )?;
+    let mut ctrl = cx.controller(&graf, setup.slo_ms);
     for mult in [0.5, 0.75, 1.0] {
         let rates: Vec<f64> = setup.probe_qps.iter().map(|q| q * mult).collect();
         let (quotas, res, workloads, _s) = ctrl.plan_detailed(&rates);
@@ -48,26 +46,28 @@ fn main() {
         let (ceil_out, _) = validator.measure(
             &deploy(&ceil_counts),
             &rates,
-            args.seed ^ (mult * 100.0) as u64,
+            cx.args.seed ^ (mult * 100.0) as u64,
             false,
         );
         let (ref_out, _) = validator.measure(
             &deploy(&refined),
             &rates,
-            args.seed ^ (mult * 100.0) as u64 ^ 1,
+            cx.args.seed ^ (mult * 100.0) as u64 ^ 1,
             false,
         );
         let tc: usize = ceil_counts.iter().sum();
         let tr: usize = refined.iter().sum();
-        println!(
+        writeln!(
+            cx.out,
             "{mult:>5.2} {tc:>12} {tr:>12} {:>8} {:>14.1} {:>14.1}",
             tc - tr,
             ceil_out.e2e_tail_ms.unwrap_or(f64::NAN),
             ref_out.e2e_tail_ms.unwrap_or(f64::NAN),
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        cx.out,
         "\n(refinement strips whole instances the model judges unnecessary; \
          the measured p99 shows whether it cut into the SLO)"
-    );
+    )
 }

@@ -8,24 +8,21 @@
 //! with different loss shapes and reports the resulting bias and the
 //! SLO-safety consequence (how often the solved configuration's *measured*
 //! latency violates the target).
-//!
-//! ```sh
-//! cargo run --release -p graf-bench --bin ablation_loss
-//! ```
 
-use graf_bench::standard::{boutique_setup, build_graf, sampling_config};
-use graf_bench::Args;
-use graf_core::sample_collector::SampleCollector;
+use std::io::{self, Write};
+
 use graf_core::solver::{solve, SolverConfig};
 use graf_core::{FeatureScaler, LatencyModel, NetKind, TrainConfig};
 
-fn main() {
-    let args = Args::parse();
+use super::Ctx;
+use crate::standard::boutique_setup;
+
+pub fn run(cx: &mut Ctx) -> io::Result<()> {
     let setup = boutique_setup();
-    println!("# Loss ablation — asymmetric Hüber (θ_L=0.1, θ_R=0.3) vs variants");
-    println!("training base GRAF (for samples/bounds)...");
-    let graf = build_graf(&setup, &args);
-    let validator = SampleCollector::new(setup.topo.clone(), sampling_config(&setup, &args));
+    writeln!(cx.out, "# Loss ablation — asymmetric Hüber (θ_L=0.1, θ_R=0.3) vs variants")?;
+    writeln!(cx.out, "training base GRAF (for samples/bounds)...")?;
+    let graf = cx.graf(&setup);
+    let validator = cx.collector(&setup);
 
     // (name, θ_L, θ_R): symmetric Hüber; paper's asymmetric; near-quadratic
     // (huge thresholds ≈ pure percentage-MSE); strongly asymmetric.
@@ -36,10 +33,11 @@ fn main() {
         ("strong asymmetry", 0.05, 0.5),
     ];
 
-    println!(
+    writeln!(
+        cx.out,
         "\n{:<22} {:>10} {:>12} {:>14} {:>16}",
         "loss", "test_mape%", "over-est_%", "over-est_frac", "slo_violations"
-    );
+    )?;
     for (name, tl, tr) in variants {
         // Retrain from the shared samples with the variant's thetas.
         let scaler = FeatureScaler::fit(
@@ -71,7 +69,7 @@ fn main() {
                 let (out, _) = validator.measure(
                     &res.quotas_mc,
                     &rates,
-                    args.seed ^ (slo as u64) << 3 ^ (mult * 10.0) as u64,
+                    cx.args.seed ^ (slo as u64) << 3 ^ (mult * 10.0) as u64,
                     false,
                 );
                 if out.e2e_tail_ms.is_some_and(|m| m > slo) {
@@ -80,17 +78,19 @@ fn main() {
                 trials += 1;
             }
         }
-        println!(
+        writeln!(
+            cx.out,
             "{:<22} {:>10.1} {:>12.1} {:>14.2} {:>12}/{trials}",
             name,
             table.regions[3].3,
             table.mean_overestimate_pct,
             table.overestimate_fraction,
             violations
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        cx.out,
         "\n(the paper's asymmetry trades a little accuracy for an over-estimation \
          bias that keeps solved configurations on the safe side of the SLO)"
-    );
+    )
 }

@@ -4,32 +4,31 @@
 //! The readout input grows linearly with the service count; partitioning
 //! caps each sub-model's size. This measures the accuracy cost of the
 //! additive composition at k = 2 and k = 3 partitions.
-//!
-//! ```sh
-//! cargo run --release -p graf-bench --bin ablation_partition
-//! ```
 
-use graf_bench::standard::{build_graf, social_setup};
-use graf_bench::Args;
+use std::io::{self, Write};
+
 use graf_core::{NetKind, PartitionedLatencyModel};
 
-fn main() {
-    let args = Args::parse();
+use super::Ctx;
+use crate::standard::social_setup;
+
+pub fn run(cx: &mut Ctx) -> io::Result<()> {
     let setup = social_setup();
-    println!("# Partitioning ablation — Social Network, full GNN vs k-part ensembles");
-    println!("training full GRAF...");
-    let graf = build_graf(&setup, &args);
+    writeln!(cx.out, "# Partitioning ablation — Social Network, full GNN vs k-part ensembles")?;
+    writeln!(cx.out, "training full GRAF...")?;
+    let graf = cx.graf(&setup);
 
     // Reference: full model's error on its held-out test set.
     let table = graf.model.error_table(&graf.test_set);
-    println!("\n{:<14} {:>12} {:>16} {:>14}", "model", "parts", "params", "MAPE (%)");
-    println!(
+    writeln!(cx.out, "\n{:<14} {:>12} {:>16} {:>14}", "model", "parts", "params", "MAPE (%)")?;
+    writeln!(
+        cx.out,
         "{:<14} {:>12} {:>16} {:>14.1}",
         "full GNN",
         1,
         graf.model.num_params(),
         table.regions[3].3
-    );
+    )?;
 
     // Evaluate the partitioned ensembles on the same raw samples (the exact
     // test rows differ by feature slicing, so MAPE is computed over the whole
@@ -40,7 +39,14 @@ fn main() {
         full_mape += ((p - s.p99_ms) / s.p99_ms.max(1e-9)).abs();
     }
     full_mape *= 100.0 / graf.samples.len() as f64;
-    println!("{:<14} {:>12} {:>16} {:>14.1}", "(whole set)", 1, graf.model.num_params(), full_mape);
+    writeln!(
+        cx.out,
+        "{:<14} {:>12} {:>16} {:>14.1}",
+        "(whole set)",
+        1,
+        graf.model.num_params(),
+        full_mape
+    )?;
 
     for k in [2usize, 3] {
         let (model, _reports) = PartitionedLatencyModel::build(
@@ -53,16 +59,18 @@ fn main() {
             &graf.build_cfg.train,
             graf.build_cfg.split_seed,
         );
-        println!(
+        writeln!(
+            cx.out,
             "{:<14} {:>12} {:>16} {:>14.1}",
             format!("{k}-part"),
             model.num_parts(),
             model.num_params(),
             model.mape(&graf.samples)
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        cx.out,
         "\n(per-part readouts shrink with the part size; the additive composition \
          costs some accuracy on non-chain structure — §6's suggested trade)"
-    );
+    )
 }

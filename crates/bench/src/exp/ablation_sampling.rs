@@ -7,16 +7,14 @@
 //! that are either hopelessly starved or flat-latency overprovisioned. At an
 //! equal sample budget, the state-aware model should predict the operating
 //! region much better.
-//!
-//! ```sh
-//! cargo run --release -p graf-bench --bin ablation_sampling
-//! ```
 
-use graf_bench::standard::{boutique_setup, sampling_config};
-use graf_bench::Args;
+use std::io::{self, Write};
+
 use graf_core::sample_collector::{Bounds, Sample, SampleCollector};
 use graf_core::{FeatureScaler, LatencyModel, NetKind, TrainConfig};
-use graf_sim::rng::DetRng;
+
+use super::Ctx;
+use crate::standard::boutique_setup;
 
 fn train_on(
     samples: &[Sample],
@@ -43,24 +41,27 @@ fn mape(model: &LatencyModel, samples: &[Sample]) -> f64 {
     100.0 * acc / samples.len().max(1) as f64
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(cx: &mut Ctx) -> io::Result<()> {
     let setup = boutique_setup();
     let n = setup.topo.num_services();
-    let cfg = sampling_config(&setup, &args);
-    let budget = args.samples.unwrap_or_else(|| args.scaled(150, 900, 4000));
+    let collector = cx.collector(&setup);
+    let cfg = collector.config().clone();
+    let budget = cx.args.samples.unwrap_or_else(|| cx.args.scaled(150, 900, 4000));
 
-    let collector = SampleCollector::new(setup.topo.clone(), cfg.clone());
-    println!("# Sampling ablation — Algorithm-1 box vs naive full-range, {budget} samples each");
+    writeln!(
+        cx.out,
+        "# Sampling ablation — Algorithm-1 box vs naive full-range, {budget} samples each"
+    )?;
     let analyzer = collector.profile();
     let edges: Vec<(u16, u16)> = analyzer.edges().to_vec();
 
-    println!("running Algorithm 1...");
+    writeln!(cx.out, "running Algorithm 1...")?;
     let bounds = collector.reduce_search_space();
-    println!(
+    writeln!(
+        cx.out,
         "reduced box volume: {:.2e}× the original",
         bounds.volume_reduction(cfg.min_quota_mc, cfg.abundant_quota_mc)
-    );
+    )?;
     let smart = collector.collect(&bounds, &analyzer, budget);
 
     // Naive: same budget, quotas uniform over the full original range.
@@ -72,24 +73,24 @@ fn main() {
     // the solver actually queries the model), different seeds.
     let mut eval_cfg = cfg.clone();
     eval_cfg.seed ^= 0xE7A1;
-    let eval_collector = SampleCollector::new(setup.topo.clone(), eval_cfg);
+    let eval_collector =
+        SampleCollector::new(setup.topo.clone(), eval_cfg).with_obs(cx.obs.clone());
     let eval = eval_collector.collect(&bounds, &analyzer, (budget / 4).max(60));
 
-    let train = TrainConfig { epochs: args.scaled(25, 60, 200), ..Default::default() };
+    let train = TrainConfig { epochs: cx.args.scaled(25, 60, 200), ..Default::default() };
     let smart_model = train_on(&smart, &edges, n, &train);
     let naive_model = train_on(&naive, &edges, n, &train);
 
-    println!("\n{:<26} {:>18}", "collector", "MAPE on operating region (%)");
-    println!("{:<26} {:>18.1}", "state-aware (Algorithm 1)", mape(&smart_model, &eval));
-    println!("{:<26} {:>18.1}", "naive full-range", mape(&naive_model, &eval));
+    writeln!(cx.out, "\n{:<26} {:>18}", "collector", "MAPE on operating region (%)")?;
+    writeln!(cx.out, "{:<26} {:>18.1}", "state-aware (Algorithm 1)", mape(&smart_model, &eval))?;
+    writeln!(cx.out, "{:<26} {:>18.1}", "naive full-range", mape(&naive_model, &eval))?;
 
     // Also show where naive samples were wasted.
-    let mut rng = DetRng::new(1);
-    let _ = rng.unit();
     let starved = naive.iter().filter(|s| s.p99_ms > cfg.slo_ms * 4.0).count();
-    println!(
+    writeln!(
+        cx.out,
         "\nnaive samples with p99 > 4×SLO (wasted on starvation regions): {}/{}",
         starved,
         naive.len()
-    );
+    )
 }

@@ -14,30 +14,27 @@
 //! Reported per cell: post-surge p99, time for p99 to reconverge under the
 //! SLO, final/peak instances and degradation transitions. The run is
 //! bit-deterministic per seed; the same seed always yields the same table.
-//!
-//! ```sh
-//! cargo run --release -p graf-bench --bin chaos_matrix
-//! # one fault class only:
-//! cargo run --release -p graf-bench --bin chaos_matrix -- --chaos trace_drop
-//! # per-cell decision audit trails:
-//! cargo run --release -p graf-bench --bin chaos_matrix -- --audit results/audit.jsonl
-//! ```
 
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use graf_bench::timeline::{convergence_time_s, percentile_between, run_with_timeline};
-use graf_bench::Args;
 use graf_chaos::{ChaosSchedule, FaultKind};
 use graf_core::{
-    AuditTrail, Graf, GrafBuildConfig, PolicyMode, ResilientConfig, ResilientController,
-    SamplingConfig, TrainConfig,
+    AuditTrail, GrafBuildConfig, GrafController, PolicyMode, ResilientConfig, ResilientController,
+    TrainConfig,
 };
 use graf_loadgen::ClosedLoop;
 use graf_obs::FlightRecorder;
-use graf_orchestrator::{Cluster, CreationModel, Deployment};
-use graf_sim::time::{SimDuration, SimTime};
+use graf_orchestrator::Cluster;
+use graf_sim::time::SimTime;
 use graf_sim::topology::{ApiId, ApiSpec, AppTopology, CallNode, ServiceId, ServiceSpec};
 use graf_sim::world::{SimConfig, World};
+
+use super::Ctx;
+use crate::standard::{sampling_config, AppSetup};
+use crate::timeline::{
+    convergence_time_s, final_instances, peak_instances, percentile_between, run_with_timeline,
+};
 
 const SLO_MS: f64 = 60.0;
 const UNIT_MC: f64 = 500.0;
@@ -103,25 +100,19 @@ fn cell_audit_path(base: &str, fault: &str, policy: &str) -> PathBuf {
 }
 
 fn run_cell(
-    graf: &Graf,
+    ctrl: GrafController,
     sched: &ChaosSchedule,
     mode: PolicyMode,
     seed: u64,
     flight: (&FlightRecorder, &Path),
     audit: Option<PathBuf>,
 ) -> Cell {
-    let topo = chain3();
-    let world = World::new(topo.clone(), SimConfig::default(), seed);
-    let deployments = (0..topo.num_services())
-        .map(|s| Deployment::new(ServiceId(s as u16), UNIT_MC, 4))
-        .collect();
-    let mut cluster = Cluster::new(world, deployments, CreationModel::default());
+    let world = World::new(chain3(), SimConfig::default(), seed);
+    let mut cluster = Cluster::uniform(world, UNIT_MC, 4);
     cluster.arm_chaos(sched);
 
-    let mut rc = ResilientController::new(
-        graf.controller(SLO_MS),
-        ResilientConfig { mode, ..ResilientConfig::default() },
-    );
+    let mut rc =
+        ResilientController::new(ctrl, ResilientConfig { mode, ..ResilientConfig::default() });
     rc.arm_chaos(sched);
     // All cells append to the same ring, so on a chaos-induced demotion (or
     // a panic) the dump holds the last ~1k decisions across the matrix.
@@ -137,53 +128,34 @@ fn run_cell(
     // an under-provisioned post-surge cluster genuinely queues.
     let mut users = ClosedLoop::with_mix(vec![(ApiId(0), 2.0)], 600, seed ^ 0x21)
         .users_at(SimTime::from_secs(SURGE_S), 1200);
-    let (tl, comps) = run_with_timeline(
-        &mut cluster,
-        &mut users,
-        &mut rc,
-        SimTime::from_secs(END_S),
-        SimDuration::from_secs(5.0),
-    );
+    let (tl, comps) = run_with_timeline(&mut cluster, &mut users, &mut rc, END_S, 5.0);
     if let Some(trail) = rc.audit_mut() {
         trail.flush();
     }
     Cell {
         p99_ms: percentile_between(&comps, SURGE_S, END_S, 0.99),
         converge_s: convergence_time_s(&tl, SURGE_S, SLO_MS, 4),
-        final_instances: tl.last().map_or(0, |p| p.total_instances),
-        peak_instances: tl
-            .iter()
-            .filter(|p| p.t_s >= SURGE_S)
-            .map(|p| p.total_instances)
-            .max()
-            .unwrap_or(0),
+        final_instances: final_instances(&tl),
+        peak_instances: peak_instances(&tl, SURGE_S),
         transitions: rc.transitions(),
         final_level: rc.level().name(),
     }
 }
 
-fn main() {
-    let args = Args::parse();
-    let obs = args.obs();
-    let topo = chain3();
-    println!("# Chaos matrix — fault class × degradation policy (surge at t={SURGE_S} s)");
-    println!(
+pub fn run(cx: &mut Ctx) -> io::Result<()> {
+    let args = cx.args.clone();
+    writeln!(cx.out, "# Chaos matrix — fault class × degradation policy (surge at t={SURGE_S} s)")?;
+    writeln!(
+        cx.out,
         "# fault window [{FAULT_FROM_S}, {FAULT_UNTIL_S}) s, SLO {SLO_MS} ms, seed {}",
         args.seed
-    );
-    println!("training GRAF on chain3...");
+    )?;
+    writeln!(cx.out, "training GRAF on chain3...")?;
+    let setup =
+        AppSetup { topo: chain3(), probe_qps: vec![400.0], slo_ms: SLO_MS, cpu_unit_mc: UNIT_MC };
+    // A three-service chain trains at its own, smaller scale.
     let cfg = GrafBuildConfig {
-        sampling: SamplingConfig {
-            slo_ms: SLO_MS,
-            probe_qps: vec![400.0],
-            workload_range: (0.25, 1.6),
-            cpu_unit_mc: UNIT_MC,
-            measure_secs: if args.quick { 4.0 } else { 10.0 },
-            warmup_secs: if args.quick { 2.0 } else { 5.0 },
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            seed: args.seed,
-            ..SamplingConfig::default()
-        },
+        sampling: sampling_config(&setup, &args),
         train: TrainConfig {
             epochs: args.scaled(12, 40, 200),
             seed: args.seed,
@@ -194,12 +166,13 @@ fn main() {
         split_seed: args.seed ^ 0x5EED,
         ..Default::default()
     };
-    let graf = Graf::build_observed(topo, cfg, &obs);
-    println!(
+    let graf = cx.graf_with(&setup, || cfg);
+    writeln!(
+        cx.out,
         "trained: {} samples, best val loss {:.4}\n",
         graf.samples.len(),
         graf.report.best_val
-    );
+    )?;
 
     // Flight recorder: a bounded ring of recent per-tick decision records,
     // dumped for post-mortem on panic or chaos-induced ladder demotion.
@@ -207,10 +180,11 @@ fn main() {
     let flight = FlightRecorder::new(graf_obs::flight::DEFAULT_FLIGHT_CAPACITY);
     flight.arm_panic_dump(flight_path.clone());
 
-    println!(
+    writeln!(
+        cx.out,
         "{:<14} {:<8} {:>8} {:>11} {:>7} {:>6} {:>12} {:>11}",
         "fault", "policy", "p99_ms", "converge_s", "final", "peak", "transitions", "final_level"
-    );
+    )?;
     let mut ladder_vs_freeze: Vec<(&str, f64, f64)> = Vec::new();
     for (name, kinds) in fault_classes() {
         if args.chaos.as_deref().is_some_and(|only| only != name) {
@@ -222,8 +196,10 @@ fn main() {
             [("ladder", PolicyMode::Ladder), ("freeze", PolicyMode::FreezeOnFault)]
         {
             let audit = args.audit.as_ref().map(|base| cell_audit_path(base, name, policy));
-            let cell = run_cell(&graf, &sched, mode, args.seed, (&flight, &flight_path), audit);
-            println!(
+            let ctrl = cx.controller(&graf, SLO_MS);
+            let cell = run_cell(ctrl, &sched, mode, args.seed, (&flight, &flight_path), audit);
+            writeln!(
+                cx.out,
                 "{:<14} {:<8} {:>8} {:>11} {:>7} {:>6} {:>12} {:>11}",
                 name,
                 policy,
@@ -233,7 +209,7 @@ fn main() {
                 cell.peak_instances,
                 cell.transitions,
                 cell.final_level,
-            );
+            )?;
             row.push((policy, cell));
         }
         if let [(_, ladder), (_, freeze)] = &row[..] {
@@ -243,12 +219,13 @@ fn main() {
         }
     }
 
-    println!("\n## ladder vs freeze (post-surge p99)");
+    writeln!(cx.out, "\n## ladder vs freeze (post-surge p99)")?;
     for (name, l, f) in &ladder_vs_freeze {
-        println!(
+        writeln!(
+            cx.out,
             "{name:>14}: ladder {l:.1} ms vs freeze {f:.1} ms ({})",
             if l < f { "ladder better" } else { "freeze no worse" }
-        );
+        )?;
     }
     // The degradation ladder must strictly beat the freeze strawman where
     // degrading gracefully matters most: lost traces and failed creations.
@@ -258,7 +235,7 @@ fn main() {
         }
     }
     if let Some(base) = &args.audit {
-        println!("\naudit trails written next to {base} (one JSONL file per cell)");
+        writeln!(cx.out, "\naudit trails written next to {base} (one JSONL file per cell)")?;
     }
-    args.finish_telemetry(&obs);
+    Ok(())
 }

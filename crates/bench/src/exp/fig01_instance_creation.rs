@@ -3,23 +3,21 @@
 //!
 //! The paper measures 5.5 s for one instance up to 45.6 s for sixteen on one
 //! worker node. The orchestrator's creation model is calibrated to that
-//! curve; this binary verifies the end-to-end behaviour by actually creating
+//! curve; this experiment verifies the end-to-end behaviour by actually creating
 //! batches in a cluster and timing readiness.
-//!
-//! ```sh
-//! cargo run --release -p graf-bench --bin fig01_instance_creation
-//! ```
 
-use graf_bench::Args;
-use graf_orchestrator::{Cluster, CreationModel, Deployment};
+use std::io::{self, Write};
+
+use graf_orchestrator::Cluster;
 use graf_sim::time::SimTime;
 use graf_sim::topology::{ApiSpec, AppTopology, CallNode, ServiceId, ServiceSpec};
 use graf_sim::world::{SimConfig, World};
 
-fn main() {
-    let args = Args::parse();
-    println!("# Figure 1 — time to create instances (batch size vs seconds)");
-    println!("batch,measured_s,paper_s");
+use super::Ctx;
+
+pub fn run(cx: &mut Ctx) -> io::Result<()> {
+    writeln!(cx.out, "# Figure 1 — time to create instances (batch size vs seconds)")?;
+    writeln!(cx.out, "batch,measured_s,paper_s")?;
     let paper = [(1usize, 5.5), (2, 8.7), (4, 12.5), (8, 23.6), (16, 45.6)];
     for &(batch, paper_s) in &paper {
         let topo = AppTopology::new(
@@ -27,12 +25,8 @@ fn main() {
             vec![ServiceSpec::new("s", 1.0, 100)],
             vec![ApiSpec::new("get", CallNode::new(0))],
         );
-        let world = World::new(topo, SimConfig::default(), args.seed);
-        let mut cluster = Cluster::new(
-            world,
-            vec![Deployment::new(ServiceId(0), 100.0, 1)],
-            CreationModel::default(),
-        );
+        let world = World::new(topo, SimConfig::default(), cx.args.seed);
+        let mut cluster = Cluster::uniform(world, 100.0, 1);
         cluster.set_desired(ServiceId(0), 1 + batch);
         // Advance until every instance is ready; record the readiness time.
         let mut t = 0.0;
@@ -45,6 +39,7 @@ fn main() {
             }
             assert!(t < 300.0, "creation never completed");
         }
-        println!("{batch},{t:.1},{paper_s}");
+        writeln!(cx.out, "{batch},{t:.1},{paper_s}")?;
     }
+    Ok(())
 }

@@ -2,18 +2,17 @@
 //!
 //! The paper plots Robot Shop's Catalogue vs Web: Catalogue's curve is much
 //! sharper, which is the §2.2 argument for shifting CPU toward
-//! latency-sensitive services. This binary sweeps one service's quota while
+//! latency-sensitive services. This experiment sweeps one service's quota while
 //! the rest stay abundant and reports that service's p50.
-//!
-//! ```sh
-//! cargo run --release -p graf-bench --bin fig06_latency_curves
-//! ```
+
+use std::io::{self, Write};
 
 use graf_apps::{online_boutique, robot_shop};
-use graf_bench::Args;
 use graf_sim::time::SimTime;
 use graf_sim::topology::{ApiId, AppTopology, ServiceId};
 use graf_sim::world::{SimConfig, World};
+
+use super::Ctx;
 
 /// Measures one service's p50 with the rest of the app well provisioned.
 fn p50_at(
@@ -48,33 +47,31 @@ fn p50_at(
     world.service_percentile(ServiceId(service as u16), 8, 0.5).map(|d| d.as_millis_f64())
 }
 
-fn sweep(topo: &AppTopology, services: &[usize], rates: &[f64], seed: u64) {
+fn sweep(cx: &mut Ctx, topo: &AppTopology, services: &[usize], rates: &[f64]) -> io::Result<()> {
     let quotas: Vec<f64> =
         vec![60.0, 80.0, 100.0, 150.0, 200.0, 300.0, 500.0, 750.0, 1000.0, 1500.0];
-    print!("quota_mc");
+    write!(cx.out, "quota_mc")?;
     for &s in services {
-        print!(",{}", topo.services[s].name);
+        write!(cx.out, ",{}", topo.services[s].name)?;
     }
-    println!();
+    writeln!(cx.out)?;
     for &q in &quotas {
-        print!("{q:.0}");
+        write!(cx.out, "{q:.0}")?;
         for &s in services {
-            match p50_at(topo, s, q, rates, seed) {
-                Some(ms) => print!(",{ms:.2}"),
-                None => print!(","),
+            match p50_at(topo, s, q, rates, cx.args.seed) {
+                Some(ms) => write!(cx.out, ",{ms:.2}")?,
+                None => write!(cx.out, ",")?,
             }
         }
-        println!();
+        writeln!(cx.out)?;
     }
+    Ok(())
 }
 
-fn main() {
-    let args = Args::parse();
-    println!("# Figure 6 — p50 latency vs CPU quota (one service varied at a time)");
-    println!("## Robot Shop (paper's Catalogue vs Web)");
-    let rs = robot_shop();
-    sweep(&rs, &[0, 1], &[120.0, 40.0, 40.0], args.seed);
-    println!("## Online Boutique (all six controlled services)");
-    let ob = online_boutique();
-    sweep(&ob, &[0, 1, 2, 3, 4, 5], &[180.0, 180.0, 240.0], args.seed);
+pub fn run(cx: &mut Ctx) -> io::Result<()> {
+    writeln!(cx.out, "# Figure 6 — p50 latency vs CPU quota (one service varied at a time)")?;
+    writeln!(cx.out, "## Robot Shop (paper's Catalogue vs Web)")?;
+    sweep(cx, &robot_shop(), &[0, 1], &[120.0, 40.0, 40.0])?;
+    writeln!(cx.out, "## Online Boutique (all six controlled services)")?;
+    sweep(cx, &online_boutique(), &[0, 1, 2, 3, 4, 5], &[180.0, 180.0, 240.0])
 }

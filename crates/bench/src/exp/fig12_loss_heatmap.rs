@@ -6,29 +6,28 @@
 //! gentle resource slope at high quotas, so gradient descent finds the global
 //! optimum along the wall. Rows/columns sweep the two heaviest Online
 //! Boutique services; other services stay at GRAF's solved configuration.
-//!
-//! ```sh
-//! cargo run --release -p graf-bench --bin fig12_loss_heatmap
-//! ```
+
+use std::io::{self, Write};
 
 use graf_apps::boutique;
-use graf_bench::standard::{boutique_setup, build_graf};
-use graf_bench::Args;
 use graf_core::solver::loss_at;
 
-fn main() {
-    let args = Args::parse();
+use super::Ctx;
+use crate::standard::boutique_setup;
+
+pub fn run(cx: &mut Ctx) -> io::Result<()> {
     let setup = boutique_setup();
-    println!("# Figure 12 — solver loss over (recommendation, shipping) quotas");
-    println!("training GRAF...");
-    let graf = build_graf(&setup, &args);
-    let mut ctrl = graf.controller(setup.slo_ms);
+    writeln!(cx.out, "# Figure 12 — solver loss over (recommendation, shipping) quotas")?;
+    writeln!(cx.out, "training GRAF...")?;
+    let graf = cx.graf(&setup);
+    let mut ctrl = cx.controller(&graf, setup.slo_ms);
     let (solved, res) = ctrl.plan(&setup.probe_qps);
-    println!(
+    writeln!(
+        cx.out,
         "solved configuration: {:?} (predicted {:.1} ms)",
         solved.iter().map(|v| v.round()).collect::<Vec<_>>(),
         res.predicted_ms
-    );
+    )?;
 
     let workloads = graf.analyzer.service_workloads(&setup.probe_qps);
     let (a, b) = (boutique::RECOMMENDATION as usize, boutique::SHIPPING as usize);
@@ -38,25 +37,26 @@ fn main() {
     let (blo, bhi) = (graf.bounds.lower[b], graf.bounds.upper[b]);
 
     // Header: shipping quota columns.
-    print!("rec\\ship");
+    write!(cx.out, "rec\\ship")?;
     for j in 0..steps {
-        print!(",{:.0}", range(j, blo, bhi));
+        write!(cx.out, ",{:.0}", range(j, blo, bhi))?;
     }
-    println!();
-    let mut model = graf.model.clone();
-    let _ = &mut model;
+    writeln!(cx.out)?;
     for i in 0..steps {
         let qa = range(i, alo, ahi);
-        print!("{qa:.0}");
+        write!(cx.out, "{qa:.0}")?;
         for j in 0..steps {
             let qb = range(j, blo, bhi);
             let mut quotas = solved.clone();
             quotas[a] = qa;
             quotas[b] = qb;
             let loss = loss_at(&graf.model, &workloads, &quotas, setup.slo_ms, 40.0);
-            print!(",{loss:.2}");
+            write!(cx.out, ",{loss:.2}")?;
         }
-        println!();
+        writeln!(cx.out)?;
     }
-    println!("\n(low-quota corner: SLO-violation penalty wall; high-quota corner: resource cost)");
+    writeln!(
+        cx.out,
+        "\n(low-quota corner: SLO-violation penalty wall; high-quota corner: resource cost)"
+    )
 }

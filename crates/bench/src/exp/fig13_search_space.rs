@@ -3,44 +3,42 @@
 //!
 //! The paper reports the Online Boutique exploration shrinking to 0.00027×
 //! the original volume.
-//!
-//! ```sh
-//! cargo run --release -p graf-bench --bin fig13_search_space
-//! ```
 
-use graf_bench::standard::{boutique_setup, sampling_config, social_setup, AppSetup};
-use graf_bench::Args;
-use graf_core::sample_collector::SampleCollector;
+use std::io::{self, Write};
 
-fn evaluate(setup: &AppSetup, args: &Args) {
-    println!("\n## {}", setup.topo.name);
-    let cfg = sampling_config(setup, args);
-    let (min_q, max_q) = (cfg.min_quota_mc, cfg.abundant_quota_mc);
-    let collector = SampleCollector::new(setup.topo.clone(), cfg);
+use super::Ctx;
+use crate::standard::{boutique_setup, social_setup, AppSetup};
+
+fn evaluate(cx: &mut Ctx, setup: &AppSetup) -> io::Result<()> {
+    writeln!(cx.out, "\n## {}", setup.topo.name)?;
+    let collector = cx.collector(setup);
+    let (min_q, max_q) = (collector.config().min_quota_mc, collector.config().abundant_quota_mc);
     let bounds = collector.reduce_search_space();
-    println!(
+    writeln!(
+        cx.out,
         "{:<20} {:>10} {:>10} {:>22}",
         "service", "lower_mc", "upper_mc", "original range (mc)"
-    );
+    )?;
     for (i, svc) in setup.topo.services.iter().enumerate() {
-        println!(
+        writeln!(
+            cx.out,
             "{:<20} {:>10.0} {:>10.0} {:>14.0}..{:.0}",
             format!("MS{} {}", i + 1, svc.name),
             bounds.lower[i],
             bounds.upper[i],
             min_q,
             max_q
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        cx.out,
         "search-space volume: {:.2e}× the original (paper, Online Boutique: 2.7e-4×)",
         bounds.volume_reduction(min_q, max_q)
-    );
+    )
 }
 
-fn main() {
-    let args = Args::parse();
-    println!("# Figure 13 — Algorithm-1 reduced search space");
-    evaluate(&boutique_setup(), &args);
-    evaluate(&social_setup(), &args);
+pub fn run(cx: &mut Ctx) -> io::Result<()> {
+    writeln!(cx.out, "# Figure 13 — Algorithm-1 reduced search space")?;
+    evaluate(cx, &boutique_setup())?;
+    evaluate(cx, &social_setup())
 }

@@ -5,12 +5,11 @@
 //! (Table 3) and converts saved instances (which grow with workload, Fig 18)
 //! into saved dollars per day at EC2 rates. A point is profitable when the
 //! cost amortizes before the application's next model-invalidating update.
-//!
-//! ```sh
-//! cargo run --release -p graf-bench --bin fig19_cost_benefit
-//! ```
 
-use graf_bench::pricing::{breakeven_days, budget_table, budget_total, is_profitable};
+use std::io::{self, Write};
+
+use super::Ctx;
+use crate::pricing::{breakeven_days, budget_table, budget_total, is_profitable};
 
 /// Saved instances as a function of workload, interpolated from the Figure-18
 /// trend (saved instances grow roughly linearly with qps). The slope is
@@ -22,36 +21,44 @@ fn saved_instances(qps: f64, cpu_unit_mc: f64) -> f64 {
     0.19 * k8s_quota / cpu_unit_mc
 }
 
-fn main() {
+pub fn run(cx: &mut Ctx) -> io::Result<()> {
     let cpu_unit = 100.0;
     let one_time = budget_total(&budget_table(50_000, 15.0, 16.0));
-    println!("# Figure 19 — profit frontier (one-time cost ${one_time:.2})");
-    println!("\n## Break-even days by workload");
-    println!("qps,saved_instances,breakeven_days");
+    writeln!(cx.out, "# Figure 19 — profit frontier (one-time cost ${one_time:.2})")?;
+    writeln!(cx.out, "\n## Break-even days by workload")?;
+    writeln!(cx.out, "qps,saved_instances,breakeven_days")?;
     for qps in [250.0, 500.0, 1000.0, 2000.0, 4000.0, 6000.0] {
         let saved = saved_instances(qps, cpu_unit);
         let days = breakeven_days(one_time, saved, cpu_unit);
-        println!("{qps:.0},{saved:.1},{}", days.map_or("never".into(), |d| format!("{d:.1}")));
+        writeln!(
+            cx.out,
+            "{qps:.0},{saved:.1},{}",
+            days.map_or("never".into(), |d| format!("{d:.1}"))
+        )?;
     }
 
-    println!("\n## Profit grid: rows = workload (qps), cols = update period (days)");
+    writeln!(cx.out, "\n## Profit grid: rows = workload (qps), cols = update period (days)")?;
     let periods = [5.0, 10.0, 20.0, 30.0, 45.0, 60.0];
-    print!("qps\\days");
+    write!(cx.out, "qps\\days")?;
     for p in periods {
-        print!(",{p:.0}");
+        write!(cx.out, ",{p:.0}")?;
     }
-    println!();
+    writeln!(cx.out)?;
     for qps in [250.0, 500.0, 1000.0, 2000.0, 4000.0, 6000.0] {
-        print!("{qps:.0}");
+        write!(cx.out, "{qps:.0}")?;
         let saved = saved_instances(qps, cpu_unit);
         for p in periods {
-            print!(
+            write!(
+                cx.out,
                 ",{}",
                 if is_profitable(p, saved, one_time, cpu_unit) { "profit" } else { "loss" }
-            );
+            )?;
         }
-        println!();
+        writeln!(cx.out)?;
     }
-    println!("\n(the frontier: higher workloads amortize the one-time cost within shorter");
-    println!(" update periods — the paper's 'Profit Area' grows with qps and period)");
+    writeln!(
+        cx.out,
+        "\n(the frontier: higher workloads amortize the one-time cost within shorter"
+    )?;
+    writeln!(cx.out, " update periods — the paper's 'Profit Area' grows with qps and period)")
 }

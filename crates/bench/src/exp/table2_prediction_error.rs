@@ -5,42 +5,41 @@
 //! 99 %-tile-latency region (21.3 % in 0–50 ms up to 31.9 % in 0–800 ms) and
 //! a +5.2 % mean over-estimation — the asymmetric-Hüber design goal, since
 //! over-estimating keeps the solver away from SLO-violating configurations.
-//!
-//! ```sh
-//! cargo run --release -p graf-bench --bin table2_prediction_error
-//! ```
 
-use graf_bench::standard::{boutique_setup, build_graf, social_setup, AppSetup};
-use graf_bench::Args;
+use std::io::{self, Write};
 
-fn evaluate(setup: &AppSetup, args: &Args) {
-    println!("\n## {}", setup.topo.name);
-    let graf = build_graf(setup, &args.clone());
+use super::Ctx;
+use crate::standard::{boutique_setup, social_setup, AppSetup};
+
+fn evaluate(cx: &mut Ctx, setup: &AppSetup) -> io::Result<()> {
+    writeln!(cx.out, "\n## {}", setup.topo.name)?;
+    let graf = cx.graf(setup);
     let table = graf.model.error_table(&graf.test_set);
-    println!(
+    writeln!(
+        cx.out,
         "test set: {} samples (of {} collected); best val loss {:.4}",
         table.count,
         graf.samples.len(),
         graf.report.best_val
-    );
-    println!("{:<12} {:>18} {:>9}", "region", "avg |error| (%)", "samples");
+    )?;
+    writeln!(cx.out, "{:<12} {:>18} {:>9}", "region", "avg |error| (%)", "samples")?;
     for (name, _, _, err, n) in &table.regions {
         if err.is_nan() {
-            println!("{name:<12} {:>18} {n:>9}", "-");
+            writeln!(cx.out, "{name:<12} {:>18} {n:>9}", "-")?;
         } else {
-            println!("{name:<12} {err:>18.1} {n:>9}");
+            writeln!(cx.out, "{name:<12} {err:>18.1} {n:>9}")?;
         }
     }
-    println!(
+    writeln!(
+        cx.out,
         "mean over-estimation: {:+.1}% ({:.0}% of points over-estimated) — paper: +5.2%",
         table.mean_overestimate_pct,
         table.overestimate_fraction * 100.0
-    );
+    )
 }
 
-fn main() {
-    let args = Args::parse();
-    println!("# Table 2 — prediction percentage error by p99-latency region");
-    evaluate(&boutique_setup(), &args);
-    evaluate(&social_setup(), &args);
+pub fn run(cx: &mut Ctx) -> io::Result<()> {
+    writeln!(cx.out, "# Table 2 — prediction percentage error by p99-latency region")?;
+    evaluate(cx, &boutique_setup())?;
+    evaluate(cx, &social_setup())
 }

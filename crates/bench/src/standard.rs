@@ -1,13 +1,18 @@
-//! Standard experiment setups shared by the figure binaries.
+//! Standard experiment setups shared by the experiments and the sweep.
 //!
 //! The paper trains one latency prediction model per application and reuses
 //! it for every result (§5, *Sample Collection and Training*). These helpers
-//! pin the per-application probe workloads, SLOs and CPU units so all
-//! binaries evaluate against the same artifacts.
+//! pin the per-application probe workloads, SLOs and CPU units, and
+//! [`ModelCache`] builds each distinct pipeline once per process, so every
+//! experiment evaluates against the same artifacts.
+
+use std::collections::BTreeMap;
 
 use graf_apps::{bookinfo, online_boutique, robot_shop, social_network};
+use graf_core::baseline::SteadyTrial;
 use graf_core::{Graf, GrafBuildConfig, SamplingConfig, TrainConfig};
-use graf_sim::topology::AppTopology;
+use graf_loadgen::ClosedLoop;
+use graf_sim::topology::{ApiId, AppTopology};
 
 use crate::args::Args;
 
@@ -22,6 +27,15 @@ pub struct AppSetup {
     pub slo_ms: f64,
     /// Instance CPU unit, millicores.
     pub cpu_unit_mc: f64,
+}
+
+impl AppSetup {
+    /// The steady-state trial the HPA threshold is tuned on and GRAF is
+    /// compared in: the probe workload, with generous initial replicas so a
+    /// cold-start backlog does not pollute warm-up.
+    pub fn steady_trial(&self) -> SteadyTrial {
+        SteadyTrial::new(self.topo.clone(), self.probe_qps.clone()).initial_replicas(6)
+    }
 }
 
 /// Online Boutique under the three-API Locust-style mix.
@@ -92,14 +106,40 @@ pub fn build_config(setup: &AppSetup, args: &Args) -> GrafBuildConfig {
     }
 }
 
-/// Builds the standard GRAF pipeline for a setup.
-pub fn build_graf(setup: &AppSetup, args: &Args) -> Graf {
-    Graf::build(setup.topo.clone(), build_config(setup, args))
+/// Trained pipelines, each distinct one built once. The key is everything
+/// the build reads from the setup; scale and seed come from the process's
+/// one `Args`, so they are not part of it.
+#[derive(Default)]
+pub struct ModelCache {
+    built: BTreeMap<String, Graf>,
 }
 
-/// [`build_graf`] with the build pipeline reporting through `obs`.
-pub fn build_graf_observed(setup: &AppSetup, args: &Args, obs: &graf_obs::Obs) -> Graf {
-    Graf::build_observed(setup.topo.clone(), build_config(setup, args), obs)
+impl ModelCache {
+    /// The pipeline for `setup`, built from `cfg()` (reporting through `obs`)
+    /// on first request.
+    pub fn get(
+        &mut self,
+        setup: &AppSetup,
+        obs: &graf_obs::Obs,
+        cfg: impl FnOnce() -> GrafBuildConfig,
+    ) -> &Graf {
+        let key = format!(
+            "{} slo={} probe={:?} unit={}",
+            setup.topo.name, setup.slo_ms, setup.probe_qps, setup.cpu_unit_mc
+        );
+        let build = || Graf::build_observed(setup.topo.clone(), cfg(), obs);
+        self.built.entry(key).or_insert_with(build)
+    }
+
+    /// How many pipelines were built (every miss builds exactly one).
+    pub fn misses(&self) -> usize {
+        self.built.len()
+    }
+}
+
+/// `users` closed-loop Locust users on Online Boutique's three-API mix.
+pub fn boutique_users(users: usize, seed: u64) -> ClosedLoop {
+    ClosedLoop::with_mix(vec![(ApiId(0), 3.0), (ApiId(1), 3.0), (ApiId(2), 4.0)], users, seed)
 }
 
 #[cfg(test)]

@@ -24,24 +24,23 @@
 //! sweep share per-app models and a cell's result cannot depend on which
 //! other cells trained first.
 
-use std::collections::BTreeMap;
-
 use graf_chaos::ChaosSchedule;
 use graf_core::{Graf, PolicyMode, ResilientConfig, ResilientController};
 use graf_loadgen::ClosedLoop;
-use graf_orchestrator::{
-    Autoscaler, Cluster, CreationModel, Deployment, FirmLike, HpaConfig, KubernetesHpa,
-    StaticScaler,
-};
+use graf_orchestrator::{Autoscaler, Cluster, FirmLike, HpaConfig, KubernetesHpa, StaticScaler};
 use graf_sim::time::{SimDuration, SimTime};
 use graf_sim::topology::{ApiId, ServiceId};
 use graf_sim::world::{SimConfig, World};
 use graf_sweep::{Cell, CellResult, Grid};
 
 use crate::standard::{
-    bookinfo_setup, boutique_setup, build_graf, robot_shop_setup, social_setup, AppSetup,
+    bookinfo_setup, boutique_setup, build_config, robot_shop_setup, social_setup, AppSetup,
+    ModelCache,
 };
-use crate::timeline::{convergence_time_s, percentile_between, run_with_timeline};
+use crate::timeline::{
+    convergence_time_s, final_instances, mean_instances, peak_instances, percentile_between,
+    run_with_timeline,
+};
 use crate::Args;
 
 /// Axis names this mapper understands, sorted.
@@ -147,52 +146,26 @@ fn check_numbers(values: &[String], axis: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Scale knobs shared by every cell of a sweep (budget, never claims).
-#[derive(Clone, Debug)]
-pub struct SweepScale {
-    /// Shrink timelines and training budgets for smoke runs.
-    pub quick: bool,
-    /// Explicit training-sample override.
-    pub samples: Option<usize>,
-    /// Training worker threads (deterministic for any value).
-    pub threads: usize,
-}
-
-impl Default for SweepScale {
-    fn default() -> Self {
-        Self { quick: false, samples: None, threads: 1 }
-    }
-}
-
 /// One worker's cell evaluator: owns a per-worker cache of trained GRAF
-/// models (lazy, keyed by app — only `graf`/`ladder` cells pay for
-/// training, and training is deterministic per `(app, grid_seed)` so every
-/// worker's cache holds identical models).
+/// models (lazy — only `graf`/`ladder` cells pay for training, and training
+/// is deterministic per `(app, grid_seed)` so every worker's cache holds
+/// identical models).
 pub struct CellRunner {
-    grid_seed: u64,
-    scale: SweepScale,
-    models: BTreeMap<String, Graf>,
+    args: Args,
+    cache: ModelCache,
 }
 
 impl CellRunner {
-    /// Creates a runner for one worker of a sweep seeded with `grid_seed`.
-    pub fn new(grid_seed: u64, scale: SweepScale) -> Self {
-        Self { grid_seed, scale, models: BTreeMap::new() }
+    /// Creates a runner for one worker of a sweep: `args.seed` is the grid
+    /// seed, `quick`/`samples`/`threads` the scale shared by every cell
+    /// (budget, never claims).
+    pub fn new(args: Args) -> Self {
+        Self { args, cache: ModelCache::default() }
     }
 
-    fn model_for(&mut self, app: &str, setup: &AppSetup) -> &Graf {
-        if !self.models.contains_key(app) {
-            let args = Args {
-                seed: self.grid_seed,
-                quick: self.scale.quick,
-                samples: self.scale.samples,
-                threads: Some(self.scale.threads),
-                ..Args::default()
-            };
-            let graf = build_graf(setup, &args);
-            self.models.insert(app.to_string(), graf);
-        }
-        &self.models[app]
+    fn model_for(&mut self, setup: &AppSetup) -> &Graf {
+        let args = &self.args;
+        self.cache.get(setup, &graf_obs::Obs::disabled(), || build_config(setup, args))
     }
 
     /// Evaluates one cell under its derived seed. Errors (unknown values —
@@ -223,17 +196,14 @@ impl CellRunner {
         let policy = cell.get("policy").ok_or("cell has no policy axis")?.to_string();
 
         let (surge_s, end_s) =
-            if self.scale.quick { (QUICK_SURGE_S, QUICK_END_S) } else { (SURGE_S, END_S) };
+            if self.args.quick { (QUICK_SURGE_S, QUICK_END_S) } else { (SURGE_S, END_S) };
 
         let topo = setup.topo.clone();
         let num_services = topo.num_services();
         let sched = chaos_schedule(chaos, &setup, seed, surge_s)?;
 
         let world = World::new(topo, SimConfig::default(), seed);
-        let deployments = (0..num_services)
-            .map(|s| Deployment::new(ServiceId(s as u16), setup.cpu_unit_mc, 4))
-            .collect();
-        let mut cluster = Cluster::new(world, deployments, CreationModel::default());
+        let mut cluster = Cluster::uniform(world, setup.cpu_unit_mc, 4);
         if !sched.is_empty() {
             cluster.arm_chaos(&sched);
         }
@@ -247,9 +217,9 @@ impl CellRunner {
                 latency_ceiling: SimDuration::from_millis(slo_ms * 1.5),
                 ..FirmLike::default()
             }),
-            "graf" => Box::new(self.model_for(app, &setup).controller(slo_ms)),
+            "graf" => Box::new(self.model_for(&setup).controller(slo_ms)),
             "ladder" => {
-                let ctrl = self.model_for(app, &setup).controller(slo_ms);
+                let ctrl = self.model_for(&setup).controller(slo_ms);
                 let mut rc = ResilientController::new(
                     ctrl,
                     ResilientConfig { mode: PolicyMode::Ladder, ..ResilientConfig::default() },
@@ -262,13 +232,7 @@ impl CellRunner {
             other => return Err(format!("unknown policy {other:?}")),
         };
 
-        let (tl, comps) = run_with_timeline(
-            &mut cluster,
-            &mut users,
-            scaler.as_mut(),
-            SimTime::from_secs(end_s),
-            SimDuration::from_secs(5.0),
-        );
+        let (tl, comps) = run_with_timeline(&mut cluster, &mut users, scaler.as_mut(), end_s, 5.0);
 
         // All window metrics cover [surge_s, end_s) — the post-surge period,
         // or simply the steady tail when surge=none.
@@ -285,7 +249,6 @@ impl CellRunner {
             .iter()
             .filter(|c| !c.timed_out && c.latency_us() as f64 / 1000.0 <= slo_ms)
             .count();
-        let post = |p: &&crate::timeline::TimelinePoint| p.t_s >= surge_s;
 
         let mut r = CellResult::default();
         r.push("completed", completed as f64);
@@ -296,21 +259,9 @@ impl CellRunner {
             "slo_attained",
             if completed > 0 { within_slo as f64 / completed as f64 } else { -1.0 },
         );
-        r.push("final_instances", tl.last().map_or(0, |p| p.total_instances) as f64);
-        r.push(
-            "peak_instances",
-            tl.iter().filter(post).map(|p| p.total_instances).max().unwrap_or(0) as f64,
-        );
-        let post_points: Vec<f64> =
-            tl.iter().filter(post).map(|p| p.total_instances as f64).collect();
-        r.push(
-            "mean_instances",
-            if post_points.is_empty() {
-                -1.0
-            } else {
-                post_points.iter().sum::<f64>() / post_points.len() as f64
-            },
-        );
+        r.push("final_instances", final_instances(&tl) as f64);
+        r.push("peak_instances", peak_instances(&tl, surge_s) as f64);
+        r.push("mean_instances", mean_instances(&tl, surge_s, f64::INFINITY).unwrap_or(-1.0));
         Ok(r)
     }
 }
@@ -413,16 +364,16 @@ mod tests {
         let grid = resolve_grid("@smoke").unwrap();
         let cell = &grid.cells()[0];
         let seed = derive_seed(7, &cell.key());
-        let scale = SweepScale { quick: true, ..SweepScale::default() };
-        let a = CellRunner::new(7, scale.clone()).run_cell(cell, seed).unwrap();
-        let b = CellRunner::new(7, scale).run_cell(cell, seed).unwrap();
+        let scale = Args { quick: true, ..Args::default() };
+        let a = CellRunner::new(scale.clone()).run_cell(cell, seed).unwrap();
+        let b = CellRunner::new(scale).run_cell(cell, seed).unwrap();
         assert_eq!(a, b, "same cell + seed → identical metrics");
         assert!(a.get("completed").unwrap_or(0.0) > 0.0, "requests completed");
     }
 
     #[test]
     fn unknown_cell_values_are_runtime_errors_not_panics() {
-        let mut runner = CellRunner::new(7, SweepScale { quick: true, ..SweepScale::default() });
+        let mut runner = CellRunner::new(Args { quick: true, ..Args::default() });
         let cell = Cell::from_key("app=nope/policy=hpa").expect("parseable key");
         assert!(runner.run_cell(&cell, 1).is_err());
         let cell = Cell::from_key("policy=nope").expect("parseable key");

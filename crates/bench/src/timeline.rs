@@ -1,6 +1,5 @@
 //! Timeline recording for the time-series figures (2, 7, 20, 21, 22).
 
-use graf_core::baseline::SteadyOutcome;
 use graf_loadgen::LoadGen;
 use graf_metrics::Summary;
 use graf_orchestrator::{run_experiment, Autoscaler, Cluster, ExperimentHooks};
@@ -24,15 +23,17 @@ pub struct TimelinePoint {
     pub p99_ms: Option<f64>,
 }
 
-/// Runs an experiment while sampling a [`TimelinePoint`] every `every`.
-/// Returns the timeline plus every completion (for offline percentile work).
+/// Runs an experiment until `end_s` simulated seconds while sampling a
+/// [`TimelinePoint`] every `every_s`. Returns the timeline plus every
+/// completion (for offline percentile work).
 pub fn run_with_timeline(
     cluster: &mut Cluster,
     loadgen: &mut dyn LoadGen,
     scaler: &mut dyn Autoscaler,
-    until: SimTime,
-    every: SimDuration,
+    end_s: f64,
+    every_s: f64,
 ) -> (Vec<TimelinePoint>, Vec<Completion>) {
+    let (until, every) = (SimTime::from_secs(end_s), SimDuration::from_secs(every_s));
     let n = cluster.world().topology().num_services();
     let mut timeline = Vec::new();
     let mut completions = Vec::new();
@@ -101,46 +102,25 @@ pub fn convergence_time_s(
     None
 }
 
-/// Aggregates a timeline's tail into a [`SteadyOutcome`]-style summary over
-/// `[from_s, to_s)` (used when a figure also reports steady numbers).
-pub fn window_summary(
-    timeline: &[TimelinePoint],
-    comps: &[Completion],
-    from_s: f64,
-    to_s: f64,
-) -> SteadyOutcome {
-    let pts: Vec<&TimelinePoint> =
-        timeline.iter().filter(|p| p.t_s >= from_s && p.t_s < to_s).collect();
-    let div = pts.len().max(1) as f64;
-    let n = pts.first().map_or(0, |p| p.per_service_instances.len());
-    let mut per_inst = vec![0.0; n];
-    for p in &pts {
-        for (i, &v) in p.per_service_instances.iter().enumerate() {
-            per_inst[i] += v as f64;
-        }
-    }
-    SteadyOutcome {
-        p99_ms: percentile_between(comps, from_s, to_s, 0.99),
-        p95_ms: percentile_between(comps, from_s, to_s, 0.95),
-        mean_instances: pts.iter().map(|p| p.total_instances as f64).sum::<f64>() / div,
-        mean_quota_mc: 0.0,
-        per_service_quota_mc: Vec::new(),
-        per_service_instances: per_inst.iter().map(|v| v / div).collect(),
-        completed: comps
-            .iter()
-            .filter(|c| {
-                let t = c.end.as_secs_f64();
-                t >= from_s && t < to_s
-            })
-            .count(),
-        timeouts: comps
-            .iter()
-            .filter(|c| {
-                let t = c.end.as_secs_f64();
-                c.timed_out && t >= from_s && t < to_s
-            })
-            .count(),
-    }
+/// Mean total instances over the timeline points in `[from_s, to_s)`; `None`
+/// when no point falls in the window.
+pub fn mean_instances(timeline: &[TimelinePoint], from_s: f64, to_s: f64) -> Option<f64> {
+    let window: Vec<f64> = timeline
+        .iter()
+        .filter(|p| p.t_s >= from_s && p.t_s < to_s)
+        .map(|p| p.total_instances as f64)
+        .collect();
+    (!window.is_empty()).then(|| window.iter().sum::<f64>() / window.len() as f64)
+}
+
+/// Most total instances at any timeline point from `from_s` on (0 if none).
+pub fn peak_instances(timeline: &[TimelinePoint], from_s: f64) -> usize {
+    timeline.iter().filter(|p| p.t_s >= from_s).map(|p| p.total_instances).max().unwrap_or(0)
+}
+
+/// Total instances at the last timeline point (0 for an empty timeline).
+pub fn final_instances(timeline: &[TimelinePoint]) -> usize {
+    timeline.last().map_or(0, |p| p.total_instances)
 }
 
 #[cfg(test)]

@@ -14,8 +14,7 @@
 use graf_loadgen::{LoadGen, OpenLoop};
 use graf_metrics::Summary;
 use graf_orchestrator::{
-    run_experiment, Autoscaler, Cluster, CreationModel, Deployment, ExperimentHooks, HpaConfig,
-    KubernetesHpa,
+    run_experiment, Autoscaler, Cluster, ExperimentHooks, HpaConfig, KubernetesHpa,
 };
 use graf_sim::time::SimDuration;
 use graf_sim::topology::{ApiId, AppTopology, ServiceId};
@@ -88,10 +87,7 @@ impl SteadyTrial {
     /// Builds the cluster for this trial.
     pub fn cluster(&self) -> Cluster {
         let world = World::new(self.topo.clone(), SimConfig::default(), self.seed);
-        let deployments = (0..self.topo.num_services())
-            .map(|s| Deployment::new(ServiceId(s as u16), self.cpu_unit_mc, self.initial_replicas))
-            .collect();
-        Cluster::new(world, deployments, CreationModel::default())
+        Cluster::uniform(world, self.cpu_unit_mc, self.initial_replicas)
     }
 
     /// Builds the open-loop generator for this trial.

@@ -42,6 +42,7 @@ impl Default for GrafBuildConfig {
 }
 
 /// The trained GRAF artifacts for one application.
+#[derive(Clone)]
 pub struct Graf {
     /// The application this instance was trained for.
     pub topo: AppTopology,

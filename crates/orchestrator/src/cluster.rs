@@ -77,6 +77,17 @@ impl Cluster {
         }
     }
 
+    /// A cluster with the default creation model and one deployment per
+    /// service of `world`'s topology, each `replicas` instances of
+    /// `cpu_unit_mc`. Takes the world so a caller can prepare it (inject
+    /// contention, say) first.
+    pub fn uniform(world: World, cpu_unit_mc: f64, replicas: usize) -> Self {
+        let deployments = (0..world.topology().num_services())
+            .map(|s| Deployment::new(ServiceId(s as u16), cpu_unit_mc, replicas))
+            .collect();
+        Self::new(world, deployments, CreationModel::default())
+    }
+
     /// Arms a chaos schedule: world-level faults (trace-span drops,
     /// contention spikes) are installed into the simulated world and the
     /// cluster keeps an engine for the creation faults (batch failures,
@@ -256,6 +267,15 @@ mod tests {
         assert_eq!((ready_a, ready_b), (2, 1));
         assert_eq!(c.total_instances(), 3);
         assert!((c.total_ready_quota_mc() - 1500.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn uniform_deploys_every_service_alike() {
+        let c = Cluster::uniform(World::new(topo(), SimConfig::default(), 11), 250.0, 3);
+        let desired: Vec<_> =
+            c.deployments().iter().map(|d| (d.service, d.cpu_unit_mc, d.desired)).collect();
+        assert_eq!(desired, [(ServiceId(0), 250.0, 3), (ServiceId(1), 250.0, 3)]);
+        assert_eq!(c.total_instances(), 6);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   canonically.
 //! * *A failing cell never aborts the sweep.* Errors become error records in
 //!   the same stream; the caller decides the exit code after the fleet
-//!   drains (the same keep-going discipline as `run_all_experiments.sh`).
+//!   drains (the same keep-going discipline as `graf-exp all`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -68,6 +68,14 @@ cmp "$SWEEPDIR/w1.jsonl" "$SWEEPDIR/w4.jsonl" \
   || { echo "graf-sweep aggregate differs between 1 and 4 workers" >&2; exit 1; }
 echo "sweep aggregates byte-identical across worker counts"
 
+echo "== graf-exp all --quick (every registered experiment runs and leaves a non-empty artefact) =="
+GRAF_EXP="$PWD/target/release/graf-exp"
+(cd "$SWEEPDIR" && "$GRAF_EXP" all --quick --seed 7)
+for name in $("$GRAF_EXP" list | awk '{print $1}'); do
+  [[ -s "$SWEEPDIR/results/$name.txt" ]] \
+    || { echo "graf-exp all left no results/$name.txt" >&2; exit 1; }
+done
+
 echo "== benchmark smoke (stand-alone benchmark/ workspace builds against the public API; output checks on) =="
 bash benchmark/run.sh --smoke
 
