@@ -1,23 +1,36 @@
-//! The experiment flags `graf-exp` parses once for every experiment.
+//! The flags `graf-exp` parses once, whichever subcommand runs.
 
-/// Common experiment flags.
+/// The flags of `graf-exp`. An experiment (or `all`) takes the first eight,
+/// `sweep` the scale flags (`--seed` to `--threads`) and its own four,
+/// `compare` two revisions and its own four; a flag on a subcommand that
+/// does not take it is an error naming the flag.
 ///
-/// * `--seed <u64>` — base RNG seed (default 7).
+/// * `--seed <u64>` — base RNG seed (default 7); the grid seed of a sweep.
 /// * `--paper-scale` — raise sample counts/epochs toward the published
 ///   configuration (slower, closer to the paper's statistical power).
 /// * `--samples <n>` — override the training-sample count.
 /// * `--quick` — shrink everything for a fast smoke run.
+/// * `--threads <n>` — worker threads for data-parallel training (results
+///   are bit-identical for any value; default 1).
 /// * `--telemetry <path>` — enable the graf-obs telemetry layer: dump the
 ///   JSONL event log to `path` and print the summary table at exit.
 /// * `--audit <path>` — stream one JSON line per controller tick (inputs,
 ///   ladder rung, solver stats, applied deltas) to `path`; experiments that
 ///   run several controllers suffix the file name per run.
-/// * `--threads <n>` — worker threads for data-parallel training (results
-///   are bit-identical for any value; default 1).
 /// * `--chaos <class>` — restrict chaos-aware experiments (`chaos_matrix`) to
 ///   one fault class (`trace_drop`, `metric_nan`, `metric_stale`,
 ///   `stale_model`, `creation_fail`, `slow_start`, `latency_spike`, or
 ///   `none`); all classes run when unset.
+/// * `--grid <spec|@preset>` — `sweep`: the scenario grid (required).
+/// * `--out <path>` — `sweep`: write the aggregated JSONL report here.
+/// * `--history <path>` — `sweep`: append the records, tagged `--rev`, to
+///   this file; `compare`: read it (default `SWEEP_HISTORY.jsonl`).
+/// * `--rev <rev>` — `sweep`: the revision to tag history rows (default HEAD).
+/// * `--gate <metric>` — `compare`: the higher-is-worse metric to gate on
+///   (default `p99_ms`).
+/// * `--threshold <pct>` — `compare`: the regression threshold (default 10).
+/// * `--strict` — `compare`: differing cell sets, a missing history file and
+///   a revision without rows are failures.
 #[derive(Clone, Debug)]
 pub struct Args {
     /// Base RNG seed.
@@ -36,6 +49,22 @@ pub struct Args {
     pub threads: Option<usize>,
     /// Fault-class filter for chaos-aware experiments (None = all classes).
     pub chaos: Option<String>,
+    /// The sweep's grid spec or `@preset`.
+    pub grid: Option<String>,
+    /// Where the sweep writes its aggregated report.
+    pub out: Option<String>,
+    /// The sweep history file appended to (`sweep`) or read (`compare`).
+    pub history: Option<String>,
+    /// The revision a sweep's history rows are tagged with.
+    pub rev: Option<String>,
+    /// The two revisions `compare` was given, base first.
+    pub revs: Vec<String>,
+    /// The metric `compare` gates on.
+    pub gate: String,
+    /// `compare`'s regression threshold, percent.
+    pub threshold: f64,
+    /// Whether `compare` fails on missing history and differing cell sets.
+    pub strict: bool,
 }
 
 impl Default for Args {
@@ -49,42 +78,69 @@ impl Default for Args {
             audit: None,
             threads: None,
             chaos: None,
+            grid: None,
+            out: None,
+            history: None,
+            rev: None,
+            revs: Vec::new(),
+            gate: "p99_ms".to_string(),
+            threshold: 10.0,
+            strict: false,
         }
     }
 }
 
 impl Args {
-    /// Parses the given flag strings; the error names the offending flag.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+    /// Parses the flags of subcommand `cmd` (`sweep`, `compare`, or anything
+    /// else for an experiment); the error names the offending flag.
+    pub fn from_args(cmd: &str, args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Self::default();
         let mut it = args.into_iter();
         fn number<T: std::str::FromStr>(v: Option<String>, what: &str) -> Result<T, String> {
             v.and_then(|v| v.parse().ok()).ok_or_else(|| what.to_string())
         }
+        let (sweep, compare) = (cmd == "sweep", cmd == "compare");
+        let exp = !sweep && !compare;
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--seed" => out.seed = number(it.next(), "--seed needs a u64 value")?,
-                "--paper-scale" => out.paper_scale = true,
-                "--quick" => out.quick = true,
-                "--samples" => {
+                "--seed" if !compare => out.seed = number(it.next(), "--seed needs a u64 value")?,
+                "--paper-scale" if !compare => out.paper_scale = true,
+                "--quick" if !compare => out.quick = true,
+                "--samples" if !compare => {
                     out.samples = Some(number(it.next(), "--samples needs a usize value")?);
                 }
-                "--telemetry" => {
-                    out.telemetry = Some(it.next().ok_or("--telemetry needs a file path")?);
-                }
-                "--audit" => out.audit = Some(it.next().ok_or("--audit needs a file path")?),
-                "--chaos" => {
-                    out.chaos = Some(it.next().ok_or("--chaos needs a fault-class name")?);
-                }
-                "--threads" => {
+                "--threads" if !compare => {
                     let n: std::num::NonZeroUsize =
                         number(it.next(), "--threads needs a positive integer")?;
                     out.threads = Some(n.get());
                 }
-                other => return Err(format!("unknown flag {other}")),
+                "--telemetry" if exp => {
+                    out.telemetry = Some(it.next().ok_or("--telemetry needs a file path")?);
+                }
+                "--audit" if exp => out.audit = Some(it.next().ok_or("--audit needs a file path")?),
+                "--chaos" if exp => {
+                    out.chaos = Some(it.next().ok_or("--chaos needs a fault-class name")?);
+                }
+                "--grid" if sweep => out.grid = Some(it.next().ok_or("--grid needs a grid spec")?),
+                "--out" if sweep => out.out = Some(it.next().ok_or("--out needs a file path")?),
+                "--rev" if sweep => out.rev = Some(it.next().ok_or("--rev needs a revision")?),
+                "--history" if !exp => {
+                    out.history = Some(it.next().ok_or("--history needs a file path")?);
+                }
+                "--gate" if compare => out.gate = it.next().ok_or("--gate needs a metric name")?,
+                "--threshold" if compare => {
+                    out.threshold = number(it.next(), "--threshold needs a percentage")?;
+                }
+                "--strict" if compare => out.strict = true,
+                _ if compare && !a.starts_with('-') && out.revs.len() < 2 => out.revs.push(a),
+                other => return Err(format!("unknown flag {other} for `{cmd}`")),
             }
         }
-        Ok(out)
+        match (cmd, &out.grid, out.revs.len()) {
+            ("sweep", None, _) => Err("sweep needs --grid <spec|@preset>".to_string()),
+            ("compare", _, n) if n < 2 => Err("compare needs two revisions".to_string()),
+            _ => Ok(out),
+        }
     }
 
     /// A telemetry handle honoring `--telemetry`: enabled when a dump path
@@ -117,8 +173,12 @@ impl Args {
 mod tests {
     use super::*;
 
+    fn parse_for(cmd: &str, s: &[&str]) -> Result<Args, String> {
+        Args::from_args(cmd, s.iter().map(|v| v.to_string()))
+    }
+
     fn parse(s: &[&str]) -> Args {
-        Args::from_args(s.iter().map(|v| v.to_string())).unwrap()
+        parse_for("all", s).unwrap()
     }
 
     #[test]
@@ -179,5 +239,39 @@ mod tests {
     #[should_panic(expected = "cannot write telemetry")]
     fn unwritable_telemetry_path_fails_before_the_run() {
         parse(&["--telemetry", "/nonexistent-dir/t.jsonl"]).obs().unwrap();
+    }
+
+    #[test]
+    fn sweep_and_compare_flags_parse_on_their_subcommands() {
+        let s = parse_for("sweep", &["--grid", "@smoke", "--quick", "--out", "o", "--rev", "r"]);
+        let s = s.unwrap();
+        assert_eq!(
+            (s.grid.as_deref(), s.out.as_deref(), s.rev.as_deref(), s.quick),
+            (Some("@smoke"), Some("o"), Some("r"), true)
+        );
+        let c = parse_for("compare", &["a", "--strict", "b", "--gate", "timeouts"]).unwrap();
+        assert_eq!(
+            (c.revs, c.gate.as_str(), c.threshold, c.strict),
+            (vec!["a".to_string(), "b".to_string()], "timeouts", 10.0, true)
+        );
+        assert!(parse_for("sweep", &["--quick"]).unwrap_err().contains("--grid"));
+        assert!(parse_for("compare", &["a"]).unwrap_err().contains("two revisions"));
+    }
+
+    #[test]
+    fn a_flag_on_the_wrong_subcommand_is_rejected_by_name() {
+        for flag in ["--grid", "--out", "--history", "--rev", "--gate", "--threshold", "--strict"] {
+            let err = parse_for("fig17_slo_targeting", &[flag, "x"]).unwrap_err();
+            assert!(err.contains(&format!("unknown flag {flag} ")), "{err}");
+        }
+        for flag in ["--telemetry", "--audit", "--chaos", "--gate", "--strict", "--workers"] {
+            let err = parse_for("sweep", &["--grid", "@smoke", flag, "x"]).unwrap_err();
+            assert!(err.contains(&format!("unknown flag {flag} ")), "{err}");
+        }
+        for flag in ["--seed", "--quick", "--grid", "--out", "--rev", "--telemetry"] {
+            let err = parse_for("compare", &["a", "b", flag, "x"]).unwrap_err();
+            assert!(err.contains(&format!("unknown flag {flag} ")), "{err}");
+        }
+        assert!(parse_for("compare", &["a", "b", "c"]).unwrap_err().contains("unknown flag c"));
     }
 }

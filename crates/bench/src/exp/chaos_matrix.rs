@@ -27,11 +27,11 @@ use graf_loadgen::ClosedLoop;
 use graf_obs::FlightRecorder;
 use graf_orchestrator::Cluster;
 use graf_sim::time::SimTime;
-use graf_sim::topology::{ApiId, ApiSpec, AppTopology, CallNode, ServiceId, ServiceSpec};
+use graf_sim::topology::{ApiId, ApiSpec, AppTopology, CallNode, ServiceSpec};
 use graf_sim::world::{SimConfig, World};
 
 use super::Ctx;
-use crate::standard::{sampling_config, AppSetup};
+use crate::standard::{fault_window, hottest_service, sampling_config, AppSetup};
 use crate::timeline::{
     convergence_time_s, final_instances, peak_instances, percentile_between, run_with_timeline,
 };
@@ -61,24 +61,11 @@ fn chain3() -> AppTopology {
 /// The canonical fault catalog, with `latency_spike` pointed at the chain's
 /// hottest service (the backend).
 fn fault_classes() -> Vec<(&'static str, Vec<FaultKind>)> {
+    let hot = hottest_service(&chain3());
     graf_chaos::CATALOG
         .iter()
-        .map(|&name| {
-            (name, graf_chaos::named_faults(name, ServiceId(2)).expect("catalog name resolves"))
-        })
+        .map(|&name| (name, graf_chaos::named_faults(name, hot).expect("catalog name resolves")))
         .collect()
-}
-
-fn schedule(kinds: &[FaultKind], seed: u64) -> ChaosSchedule {
-    let mut s = ChaosSchedule::new(seed);
-    for kind in kinds {
-        s = s.fault(
-            kind.clone(),
-            SimTime::from_secs(FAULT_FROM_S),
-            SimTime::from_secs(FAULT_UNTIL_S),
-        );
-    }
-    s
 }
 
 struct Cell {
@@ -190,7 +177,7 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
         if args.chaos.as_deref().is_some_and(|only| only != name) {
             continue;
         }
-        let sched = schedule(&kinds, args.seed);
+        let sched = fault_window(kinds, args.seed, FAULT_FROM_S, FAULT_UNTIL_S);
         let mut row: Vec<(&str, Cell)> = Vec::new();
         for (policy, mode) in
             [("ladder", PolicyMode::Ladder), ("freeze", PolicyMode::FreezeOnFault)]

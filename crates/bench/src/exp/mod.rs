@@ -1,5 +1,5 @@
 //! The experiments behind the paper's tables and figures, and the one runner
-//! (`graf-exp`) that executes them.
+//! (`graf-exp`) that executes them and the scenario sweep ([`crate::sweepgrid`]).
 //!
 //! Every experiment is a module with a single entry point
 //! `run(cx: &mut Ctx) -> io::Result<()>` that writes its artefact to
@@ -18,9 +18,10 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use graf_core::baseline::{tune_hpa_threshold, SteadyOutcome};
 use graf_core::sample_collector::SampleCollector;
 use graf_core::{Graf, GrafBuildConfig, GrafController};
+use graf_sim::par::panic_message;
 
 use crate::standard::{build_config, sampling_config, AppSetup, ModelCache};
-use crate::Args;
+use crate::{sweepgrid, Args};
 
 /// One experiment: name (also its `results/<name>.txt` stem), one-line
 /// description, entry point.
@@ -68,8 +69,9 @@ pub struct Ctx {
     pub args: Args,
     /// The one telemetry handle (`--telemetry`); disabled when the flag is unset.
     pub obs: graf_obs::Obs,
-    /// Where the running experiment writes its artefact.
-    pub out: Box<dyn Write>,
+    /// Where the running experiment writes its artefact (shareable, so sweep
+    /// workers can read the rest of the context while none of them writes).
+    pub out: Box<dyn Write + Send + Sync>,
     caches: Arc<Caches>,
 }
 
@@ -90,7 +92,7 @@ fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
 impl Ctx {
     /// A context writing to `out`; fails when `--telemetry` names an
     /// unwritable path.
-    pub fn new(args: Args, out: Box<dyn Write>) -> Result<Self, String> {
+    pub fn new(args: Args, out: Box<dyn Write + Send + Sync>) -> Result<Self, String> {
         let obs = args.obs()?;
         Ok(Self { args, obs, out, caches: Arc::default() })
     }
@@ -165,14 +167,13 @@ fn run_into(
         Ctx { args: args.clone(), obs: obs.clone(), out: Box::new(file), caches: caches.clone() };
     match catch_unwind(AssertUnwindSafe(|| run(&mut cx))) {
         Ok(result) => result.map_err(|e| e.to_string()),
-        Err(panic) => {
-            let msg = panic.downcast_ref::<String>().map(String::as_str);
-            Err(format!(
-                "panicked: {}",
-                msg.or(panic.downcast_ref::<&str>().copied()).unwrap_or("?")
-            ))
-        }
+        Err(panic) => Err(format!("panicked: {}", panic_message(&*panic))),
     }
+}
+
+/// The width of `graf-exp all` and `graf-exp sweep`: one worker per core.
+fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Runs every entry of `registry`, each writing `<dir>/<name>.txt`, on as
@@ -183,7 +184,7 @@ fn run_into(
 /// number that failed.
 pub fn run_all(registry: &[Entry], cx: &mut Ctx, dir: &Path) -> io::Result<usize> {
     std::fs::create_dir_all(dir)?;
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = workers();
     let next = AtomicUsize::new(0);
     let (done, finished) = mpsc::channel();
     let mut failed = Vec::new();
@@ -236,20 +237,25 @@ fn usage(error: &str) -> ExitCode {
          usage: graf-exp list\n\
          \x20      graf-exp <EXPERIMENT | all> [--seed U64] [--quick] [--paper-scale] [--samples N]\n\
          \x20               [--threads N] [--telemetry PATH] [--audit PATH] [--chaos CLASS]\n\
+         \x20      graf-exp sweep --grid <SPEC | @PRESET> [--seed U64] [--quick] [--paper-scale]\n\
+         \x20               [--samples N] [--threads N] [--out PATH] [--history PATH] [--rev REV]\n\
+         \x20      graf-exp compare <REV_A> <REV_B> [--history PATH] [--gate METRIC]\n\
+         \x20               [--threshold PCT] [--strict]\n\
          `all` runs every experiment into results/<name>.txt. Experiments:\n  {}",
         names.join("\n  ")
     );
     ExitCode::from(2)
 }
 
-/// The `graf-exp` command line: `list`, `<name> [flags]` or `all [flags]`.
+/// The `graf-exp` command line: `list`, `<name> [flags]`, `all [flags]`,
+/// `sweep --grid G [flags]` or `compare A B [flags]`.
 pub fn cli(mut argv: impl Iterator<Item = String>) -> ExitCode {
     let Some(cmd) = argv.next() else { return usage("no experiment named") };
     let entry = REGISTRY.iter().find(|e| e.0 == cmd);
-    if entry.is_none() && cmd != "all" && cmd != "list" {
+    if entry.is_none() && !["all", "list", "sweep", "compare"].contains(&cmd.as_str()) {
         return usage(&format!("unknown experiment {cmd}"));
     }
-    let args = match Args::from_args(argv) {
+    let args = match Args::from_args(&cmd, argv) {
         Ok(args) => args,
         Err(e) => return usage(&e),
     };
@@ -263,9 +269,11 @@ pub fn cli(mut argv: impl Iterator<Item = String>) -> ExitCode {
         Ok(cx) => cx,
         Err(e) => return usage(&e),
     };
-    let failed = match entry {
-        Some(&(_, _, run)) => run(&mut cx).map(|()| 0),
-        None => run_all(REGISTRY, &mut cx, Path::new("results")),
+    let failed = match (entry, cmd.as_str()) {
+        (Some(&(_, _, run)), _) => run(&mut cx).map(|()| 0),
+        (None, "sweep") => sweepgrid::sweep(&mut cx, workers()),
+        (None, "compare") => sweepgrid::compare(&mut cx),
+        (None, _) => run_all(REGISTRY, &mut cx, Path::new("results")),
     };
     match failed.and_then(|n| cx.finish_telemetry().map(|()| n)) {
         Ok(0) => ExitCode::SUCCESS,

@@ -7,9 +7,9 @@
 //!
 //! * [`exp`] — the experiments, their registry, the context that builds the
 //!   standard artefacts once per process, and the runner behind
-//!   `graf-exp <name>` / `graf-exp all`,
+//!   `graf-exp <name>` / `graf-exp all` / `graf-exp sweep|compare`,
 //! * [`args`] — the flags (`--seed`, `--paper-scale`, …) the runner parses
-//!   once for every experiment,
+//!   once, whichever subcommand runs,
 //! * [`standard`] — the standard experiment configurations: per-application
 //!   probe workloads, SLOs, CPU units and the cache of built GRAF pipelines,
 //!   so every experiment evaluates against the same artifacts the way the
@@ -18,9 +18,9 @@
 //! * [`timeline`] — timeline recording for the time-series figures,
 //! * [`pricing`] — the AWS EC2 on-demand prices of Table 3 and the
 //!   cost-benefit arithmetic of Figure 19,
-//! * [`sweepgrid`] — the axis mapping behind the `graf-sweep` binary: grid
-//!   axes (`app`/`slo`/`surge`/`chaos`/`policy`/`load`) onto concrete
-//!   scenarios, with per-worker model caches.
+//! * [`sweepgrid`] — `graf-exp sweep` and `graf-exp compare`: grid axes
+//!   (`app`/`slo`/`surge`/`chaos`/`policy`/`load`) mapped onto concrete
+//!   scenarios whose models come from the runner's one cache.
 //!
 //! **Invariants.** Every experiment is deterministic per `--seed`: rerunning
 //! one produces byte-identical output, alone or under `graf-exp all`,

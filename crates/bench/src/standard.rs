@@ -9,10 +9,12 @@
 use std::collections::BTreeMap;
 
 use graf_apps::{bookinfo, online_boutique, robot_shop, social_network};
+use graf_chaos::{ChaosSchedule, FaultKind};
 use graf_core::baseline::SteadyTrial;
 use graf_core::{Graf, GrafBuildConfig, SamplingConfig, TrainConfig};
 use graf_loadgen::ClosedLoop;
-use graf_sim::topology::{ApiId, AppTopology};
+use graf_sim::time::SimTime;
+use graf_sim::topology::{ApiId, AppTopology, ServiceId};
 
 use crate::args::Args;
 
@@ -135,6 +137,21 @@ impl ModelCache {
     pub fn misses(&self) -> usize {
         self.built.len()
     }
+}
+
+/// The service with the highest per-request CPU work: where the chaos
+/// scenarios point `latency_spike`.
+pub fn hottest_service(topo: &AppTopology) -> ServiceId {
+    let services = topo.services.iter().enumerate();
+    let hottest = services.max_by(|a, b| a.1.work_ms.total_cmp(&b.1.work_ms));
+    ServiceId(hottest.expect("topology has services").0 as u16)
+}
+
+/// Every fault of `kinds` active over `[from_s, until_s)`: the window the
+/// chaos scenarios put around their surge.
+pub fn fault_window(kinds: Vec<FaultKind>, seed: u64, from_s: f64, until_s: f64) -> ChaosSchedule {
+    let (from, until) = (SimTime::from_secs(from_s), SimTime::from_secs(until_s));
+    kinds.into_iter().fold(ChaosSchedule::new(seed), |sched, kind| sched.fault(kind, from, until))
 }
 
 /// `users` closed-loop Locust users on Online Boutique's three-API mix.

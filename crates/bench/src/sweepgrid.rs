@@ -1,4 +1,5 @@
-//! Maps `graf-sweep` grid axes onto concrete GRAF scenarios.
+//! `graf-exp sweep` and `graf-exp compare`: grid axes mapped onto concrete
+//! GRAF scenarios, and the two commands over them.
 //!
 //! The sweep machinery (`crates/sweep`) is scenario-agnostic — axes and
 //! values are strings. This module gives those strings meaning:
@@ -17,31 +18,42 @@
 //! over a window bracketing the surge, and report post-surge tail latency,
 //! convergence time and instance usage.
 //!
-//! **Seed discipline.** The cell seed (derived by `graf-sweep` from
-//! `(grid_seed, cell key)`) drives the simulated world and the load
+//! **Seed discipline.** The cell seed (derived by `graf_sweep::run_sweep`
+//! from `(grid_seed, cell key)`) drives the simulated world and the load
 //! generator. Model training uses the *grid* seed: the paper trains one
 //! model per application and reuses it for every result, so all cells of a
-//! sweep share per-app models and a cell's result cannot depend on which
-//! other cells trained first.
+//! sweep — on whichever worker — take their model from the runner's one
+//! cache ([`Ctx::graf`]), built once per process, and a cell's result
+//! cannot depend on which other cells asked first.
+//!
+//! `sweep` prints a table, writes the aggregated JSONL report (`--out`) —
+//! byte-identical for any worker count — and appends the records to a
+//! history file (`--history --rev`); failing cells become error records and
+//! the exit code is non-zero at the end. `compare` diffs two revisions of
+//! such a history on one higher-is-worse metric.
 
-use graf_chaos::ChaosSchedule;
-use graf_core::{Graf, PolicyMode, ResilientConfig, ResilientController};
+use std::io::{self, Write};
+use std::process::Command;
+
+use graf_core::{PolicyMode, ResilientConfig, ResilientController};
 use graf_loadgen::ClosedLoop;
 use graf_orchestrator::{Autoscaler, Cluster, FirmLike, HpaConfig, KubernetesHpa, StaticScaler};
 use graf_sim::time::{SimDuration, SimTime};
-use graf_sim::topology::{ApiId, ServiceId};
+use graf_sim::topology::ApiId;
 use graf_sim::world::{SimConfig, World};
-use graf_sweep::{Cell, CellResult, Grid};
+use graf_sweep::record::parse_history;
+use graf_sweep::{aggregate, render_compare, render_table, run_sweep, Cell, CellRecord};
+use graf_sweep::{CellResult, CellVerdict, Grid};
 
+use crate::exp::Ctx;
 use crate::standard::{
-    bookinfo_setup, boutique_setup, build_config, robot_shop_setup, social_setup, AppSetup,
-    ModelCache,
+    bookinfo_setup, boutique_setup, fault_window, hottest_service, robot_shop_setup, social_setup,
+    AppSetup,
 };
 use crate::timeline::{
     convergence_time_s, final_instances, mean_instances, peak_instances, percentile_between,
     run_with_timeline,
 };
-use crate::Args;
 
 /// Axis names this mapper understands, sorted.
 pub const KNOWN_AXES: &[&str] = &["app", "chaos", "load", "policy", "slo", "surge"];
@@ -146,154 +158,101 @@ fn check_numbers(values: &[String], axis: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// One worker's cell evaluator: owns a per-worker cache of trained GRAF
-/// models (lazy — only `graf`/`ladder` cells pay for training, and training
-/// is deterministic per `(app, grid_seed)` so every worker's cache holds
-/// identical models).
-pub struct CellRunner {
-    args: Args,
-    cache: ModelCache,
-}
+/// Evaluates one cell under its derived seed; `graf`/`ladder` cells take
+/// the application's model from `cx`'s shared cache. Errors (unknown values —
+/// normally caught by [`validate`] — or degenerate scenarios) become error
+/// records; the fleet keeps going.
+pub fn run_cell(cx: &Ctx, cell: &Cell, seed: u64) -> Result<CellResult, String> {
+    let app = cell.get("app").unwrap_or("boutique");
+    let setup = match app {
+        "boutique" => boutique_setup(),
+        "social" => social_setup(),
+        "robot_shop" => robot_shop_setup(),
+        "bookinfo" => bookinfo_setup(),
+        other => return Err(format!("unknown app {other:?}")),
+    };
+    let slo_ms = match cell.get("slo") {
+        Some(v) => v.parse::<f64>().map_err(|_| format!("slo value {v:?} is not a number"))?,
+        None => setup.slo_ms,
+    };
+    let load = match cell.get("load") {
+        Some(v) => v.parse::<f64>().map_err(|_| format!("load value {v:?} is not a number"))?,
+        None => 1.0,
+    };
+    if !(slo_ms > 0.0 && load > 0.0) {
+        return Err(format!("slo ({slo_ms}) and load ({load}) must be positive"));
+    }
+    let surge = cell.get("surge").unwrap_or("none");
+    let chaos = cell.get("chaos").unwrap_or("none");
+    let policy = cell.get("policy").ok_or("cell has no policy axis")?.to_string();
 
-impl CellRunner {
-    /// Creates a runner for one worker of a sweep: `args.seed` is the grid
-    /// seed, `quick`/`samples`/`threads` the scale shared by every cell
-    /// (budget, never claims).
-    pub fn new(args: Args) -> Self {
-        Self { args, cache: ModelCache::default() }
+    let (surge_s, end_s) =
+        if cx.args.quick { (QUICK_SURGE_S, QUICK_END_S) } else { (SURGE_S, END_S) };
+
+    let topo = setup.topo.clone();
+    let num_services = topo.num_services();
+    let faults = graf_chaos::named_faults(chaos, hottest_service(&topo))
+        .ok_or_else(|| format!("unknown chaos {chaos:?}"))?;
+    // The fault window brackets the surge.
+    let sched =
+        fault_window(faults, seed, (surge_s - FAULT_LEAD_S).max(0.0), surge_s + FAULT_TAIL_S);
+
+    let world = World::new(topo, SimConfig::default(), seed);
+    let mut cluster = Cluster::uniform(world, setup.cpu_unit_mc, 4);
+    if !sched.is_empty() {
+        cluster.arm_chaos(&sched);
     }
 
-    fn model_for(&mut self, setup: &AppSetup) -> &Graf {
-        let args = &self.args;
-        self.cache.get(setup, &graf_obs::Obs::disabled(), || build_config(setup, args))
-    }
+    let mut users = users_loadgen(&setup, surge, load, surge_s, seed)?;
 
-    /// Evaluates one cell under its derived seed. Errors (unknown values —
-    /// normally caught by [`validate`] — or degenerate scenarios) become
-    /// error records; the fleet keeps going.
-    pub fn run_cell(&mut self, cell: &Cell, seed: u64) -> Result<CellResult, String> {
-        let app = cell.get("app").unwrap_or("boutique");
-        let setup = match app {
-            "boutique" => boutique_setup(),
-            "social" => social_setup(),
-            "robot_shop" => robot_shop_setup(),
-            "bookinfo" => bookinfo_setup(),
-            other => return Err(format!("unknown app {other:?}")),
-        };
-        let slo_ms = match cell.get("slo") {
-            Some(v) => v.parse::<f64>().map_err(|_| format!("slo value {v:?} is not a number"))?,
-            None => setup.slo_ms,
-        };
-        let load = match cell.get("load") {
-            Some(v) => v.parse::<f64>().map_err(|_| format!("load value {v:?} is not a number"))?,
-            None => 1.0,
-        };
-        if !(slo_ms > 0.0 && load > 0.0) {
-            return Err(format!("slo ({slo_ms}) and load ({load}) must be positive"));
-        }
-        let surge = cell.get("surge").unwrap_or("none");
-        let chaos = cell.get("chaos").unwrap_or("none");
-        let policy = cell.get("policy").ok_or("cell has no policy axis")?.to_string();
-
-        let (surge_s, end_s) =
-            if self.args.quick { (QUICK_SURGE_S, QUICK_END_S) } else { (SURGE_S, END_S) };
-
-        let topo = setup.topo.clone();
-        let num_services = topo.num_services();
-        let sched = chaos_schedule(chaos, &setup, seed, surge_s)?;
-
-        let world = World::new(topo, SimConfig::default(), seed);
-        let mut cluster = Cluster::uniform(world, setup.cpu_unit_mc, 4);
-        if !sched.is_empty() {
-            cluster.arm_chaos(&sched);
-        }
-
-        let mut users = users_loadgen(&setup, surge, load, surge_s, seed)?;
-
-        let mut scaler: Box<dyn Autoscaler> = match policy.as_str() {
-            "static" => Box::new(StaticScaler),
-            "hpa" => Box::new(KubernetesHpa::new(HpaConfig::with_threshold(0.5), num_services)),
-            "firm" => Box::new(FirmLike {
-                latency_ceiling: SimDuration::from_millis(slo_ms * 1.5),
-                ..FirmLike::default()
-            }),
-            "graf" => Box::new(self.model_for(&setup).controller(slo_ms)),
-            "ladder" => {
-                let ctrl = self.model_for(&setup).controller(slo_ms);
-                let mut rc = ResilientController::new(
-                    ctrl,
-                    ResilientConfig { mode: PolicyMode::Ladder, ..ResilientConfig::default() },
-                );
-                if !sched.is_empty() {
-                    rc.arm_chaos(&sched);
-                }
-                Box::new(rc)
+    let mut scaler: Box<dyn Autoscaler> = match policy.as_str() {
+        "static" => Box::new(StaticScaler),
+        "hpa" => Box::new(KubernetesHpa::new(HpaConfig::with_threshold(0.5), num_services)),
+        "firm" => Box::new(FirmLike {
+            latency_ceiling: SimDuration::from_millis(slo_ms * 1.5),
+            ..FirmLike::default()
+        }),
+        "graf" => Box::new(cx.graf(&setup).controller(slo_ms)),
+        "ladder" => {
+            let ctrl = cx.graf(&setup).controller(slo_ms);
+            let mut rc = ResilientController::new(
+                ctrl,
+                ResilientConfig { mode: PolicyMode::Ladder, ..ResilientConfig::default() },
+            );
+            if !sched.is_empty() {
+                rc.arm_chaos(&sched);
             }
-            other => return Err(format!("unknown policy {other:?}")),
-        };
+            Box::new(rc)
+        }
+        other => return Err(format!("unknown policy {other:?}")),
+    };
 
-        let (tl, comps) = run_with_timeline(&mut cluster, &mut users, scaler.as_mut(), end_s, 5.0);
+    let (tl, comps) = run_with_timeline(&mut cluster, &mut users, scaler.as_mut(), end_s, 5.0);
 
-        // All window metrics cover [surge_s, end_s) — the post-surge period,
-        // or simply the steady tail when surge=none.
-        let window: Vec<&graf_sim::world::Completion> = comps
-            .iter()
-            .filter(|c| {
-                let t = c.end.as_secs_f64();
-                t >= surge_s && t < end_s
-            })
-            .collect();
-        let completed = window.len();
-        let timeouts = window.iter().filter(|c| c.timed_out).count();
-        let within_slo = window
-            .iter()
-            .filter(|c| !c.timed_out && c.latency_us() as f64 / 1000.0 <= slo_ms)
-            .count();
-
-        let mut r = CellResult::default();
-        r.push("completed", completed as f64);
-        r.push("timeouts", timeouts as f64);
-        r.push("p99_ms", percentile_between(&comps, surge_s, end_s, 0.99).unwrap_or(-1.0));
-        r.push("converge_s", convergence_time_s(&tl, surge_s, slo_ms, 4).unwrap_or(-1.0));
-        r.push(
-            "slo_attained",
-            if completed > 0 { within_slo as f64 / completed as f64 } else { -1.0 },
-        );
-        r.push("final_instances", final_instances(&tl) as f64);
-        r.push("peak_instances", peak_instances(&tl, surge_s) as f64);
-        r.push("mean_instances", mean_instances(&tl, surge_s, f64::INFINITY).unwrap_or(-1.0));
-        Ok(r)
-    }
-}
-
-/// Builds the cell's fault schedule: the named catalog fault over a window
-/// bracketing the surge, `latency_spike` pointed at the app's hottest
-/// (highest per-request CPU) service.
-fn chaos_schedule(
-    name: &str,
-    setup: &AppSetup,
-    seed: u64,
-    surge_s: f64,
-) -> Result<ChaosSchedule, String> {
-    let hot = setup
-        .topo
-        .services
+    // All window metrics cover [surge_s, end_s) — the post-surge period,
+    // or simply the steady tail when surge=none.
+    let window: Vec<&graf_sim::world::Completion> = comps
         .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.work_ms.partial_cmp(&b.1.work_ms).expect("finite work_ms"))
-        .map(|(i, _)| ServiceId(i as u16))
-        .expect("topology has services");
-    let faults =
-        graf_chaos::named_faults(name, hot).ok_or_else(|| format!("unknown chaos {name:?}"))?;
-    let mut sched = ChaosSchedule::new(seed);
-    for kind in faults {
-        sched = sched.fault(
-            kind,
-            SimTime::from_secs((surge_s - FAULT_LEAD_S).max(0.0)),
-            SimTime::from_secs(surge_s + FAULT_TAIL_S),
-        );
-    }
-    Ok(sched)
+        .filter(|c| {
+            let t = c.end.as_secs_f64();
+            t >= surge_s && t < end_s
+        })
+        .collect();
+    let completed = window.len();
+    let timeouts = window.iter().filter(|c| c.timed_out).count();
+    let within_slo =
+        window.iter().filter(|c| !c.timed_out && c.latency_us() as f64 / 1000.0 <= slo_ms).count();
+
+    let mut r = CellResult::default();
+    r.push("completed", completed as f64);
+    r.push("timeouts", timeouts as f64);
+    r.push("p99_ms", percentile_between(&comps, surge_s, end_s, 0.99).unwrap_or(-1.0));
+    r.push("converge_s", convergence_time_s(&tl, surge_s, slo_ms, 4).unwrap_or(-1.0));
+    r.push("slo_attained", if completed > 0 { within_slo as f64 / completed as f64 } else { -1.0 });
+    r.push("final_instances", final_instances(&tl) as f64);
+    r.push("peak_instances", peak_instances(&tl, surge_s) as f64);
+    r.push("mean_instances", mean_instances(&tl, surge_s, f64::INFINITY).unwrap_or(-1.0));
+    Ok(r)
 }
 
 /// Builds the cell's closed-loop population: a base population sized to the
@@ -332,10 +291,114 @@ fn users_loadgen(
     Ok(users)
 }
 
+/// A symbolic revision as a full SHA via `git rev-parse`, or the literal
+/// input when git cannot resolve it (so synthetic histories work).
+fn resolve_rev(rev: &str) -> String {
+    match Command::new("git").args(["rev-parse", &format!("{rev}^{{commit}}")]).output() {
+        Ok(o) if o.status.success() => String::from_utf8_lossy(&o.stdout).trim().to_string(),
+        _ => rev.to_string(),
+    }
+}
+
+/// `graf-exp sweep`: evaluates every cell of `--grid` on up to `workers`
+/// threads, prints the table, writes `--out` and appends to `--history`.
+/// Returns the number of failed cells; nothing runs if the grid is invalid.
+pub fn sweep(cx: &mut Ctx, workers: usize) -> io::Result<usize> {
+    let args = cx.args.clone();
+    let spec = args.grid.as_deref().unwrap_or_default();
+    let grid = resolve_grid(spec).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    let quick = if args.quick { "  (quick)" } else { "" };
+    let (cells, seed) = (grid.num_cells(), args.seed);
+    writeln!(cx.out, "graf-exp sweep  grid={spec}  cells={cells}  seed={seed}{quick}")?;
+
+    let shared: &Ctx = cx;
+    let records = run_sweep(&grid, seed, workers, |cell, seed| run_cell(shared, cell, seed));
+    let at = |path: &str, e: io::Error| io::Error::new(e.kind(), format!("{path}: {e}"));
+    if let Some(path) = &args.out {
+        let aggregated = aggregate(records.clone()).map_err(io::Error::other)?;
+        std::fs::write(path, aggregated).map_err(|e| at(path, e))?;
+        writeln!(cx.out, "aggregated report written to {path}")?;
+    }
+    writeln!(cx.out, "\n{}", render_table(&records))?;
+    if let Some(path) = &args.history {
+        let rev = resolve_rev(args.rev.as_deref().unwrap_or("HEAD"));
+        let mut sink = graf_obs::JsonlSink::append(path.as_ref()).map_err(|e| at(path, e))?;
+        for r in &records {
+            sink.record(&CellRecord { rev: Some(rev.clone()), ..r.clone() }.to_json())?;
+        }
+        sink.finish()?;
+        writeln!(cx.out, "{cells} record(s) appended to {path} as rev {rev}")?;
+    }
+    let failed = records.iter().filter(|r| r.error.is_some()).count();
+    if failed > 0 {
+        writeln!(cx.out, "{failed}/{cells} cell(s) FAILED")?;
+    }
+    Ok(failed)
+}
+
+/// `graf-exp compare`: diffs the two revisions' sweeps recorded in
+/// `--history` on the `--gate` metric. Returns the number of reasons the
+/// gate fails: cells regressed beyond `--threshold`, and under `--strict` a
+/// missing history file or revisions that do not share a non-empty cell set.
+pub fn compare(cx: &mut Ctx) -> io::Result<usize> {
+    let args = cx.args.clone();
+    let (gate, threshold) = (args.gate.as_str(), args.threshold);
+    let path = args.history.as_deref().unwrap_or("SWEEP_HISTORY.jsonl");
+    let Ok(text) = std::fs::read_to_string(path) else {
+        let verdict = if args.strict { "--strict: FAILED" } else { "nothing to compare (ok)" };
+        writeln!(cx.out, "graf-exp: no history at {path}; {verdict}")?;
+        return Ok(usize::from(args.strict));
+    };
+    let (history, skipped) = parse_history(&text);
+    if skipped > 0 {
+        writeln!(cx.out, "graf-exp: skipped {skipped} unparseable history line(s)")?;
+    }
+    let [base, new] = [0, 1].map(|i| resolve_rev(&args.revs[i]));
+    writeln!(
+        cx.out,
+        "graf-exp compare  base={} ({base:.12})  new={} ({new:.12})  gate={gate}  \
+         threshold={threshold}%",
+        args.revs[0], args.revs[1]
+    )?;
+    let report = graf_sweep::compare(&history, &base, &new, gate, threshold);
+    write!(cx.out, "{}", render_compare(&report, gate))?;
+
+    let mut failures = 0;
+    let (only_base, only_new) = (report.only_base.len(), report.only_new.len());
+    if report.has_coverage_gaps() {
+        writeln!(
+            cx.out,
+            "graf-exp: WARNING: cell coverage differs between revisions \
+             ({only_base} only at base, {only_new} only at new)"
+        )?;
+    }
+    if args.strict && (report.has_coverage_gaps() || report.rows.is_empty()) {
+        writeln!(
+            cx.out,
+            "graf-exp: --strict: the revisions must cover one non-empty cell set: FAILED"
+        )?;
+        failures += 1;
+    }
+    let regressed =
+        report.rows.iter().filter(|(_, v)| matches!(v, CellVerdict::Regressed { .. })).count();
+    if regressed > 0 {
+        writeln!(cx.out, "graf-exp: {regressed} cell(s) regressed beyond {threshold}% on {gate}")?;
+        failures += 1;
+    } else {
+        writeln!(cx.out, "graf-exp: no regressions beyond {threshold}% on {gate}")?;
+    }
+    Ok(failures)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graf_sweep::derive_seed;
+    use crate::Args;
+    use graf_sim::rng::derive_seed;
+
+    fn quick_ctx() -> Ctx {
+        Ctx::new(Args { quick: true, ..Args::default() }, Box::new(io::sink())).expect("no path")
+    }
 
     #[test]
     fn presets_resolve_and_validate() {
@@ -364,19 +427,18 @@ mod tests {
         let grid = resolve_grid("@smoke").unwrap();
         let cell = &grid.cells()[0];
         let seed = derive_seed(7, &cell.key());
-        let scale = Args { quick: true, ..Args::default() };
-        let a = CellRunner::new(scale.clone()).run_cell(cell, seed).unwrap();
-        let b = CellRunner::new(scale).run_cell(cell, seed).unwrap();
+        let a = run_cell(&quick_ctx(), cell, seed).unwrap();
+        let b = run_cell(&quick_ctx(), cell, seed).unwrap();
         assert_eq!(a, b, "same cell + seed → identical metrics");
         assert!(a.get("completed").unwrap_or(0.0) > 0.0, "requests completed");
     }
 
     #[test]
     fn unknown_cell_values_are_runtime_errors_not_panics() {
-        let mut runner = CellRunner::new(Args { quick: true, ..Args::default() });
+        let cx = quick_ctx();
         let cell = Cell::from_key("app=nope/policy=hpa").expect("parseable key");
-        assert!(runner.run_cell(&cell, 1).is_err());
+        assert!(run_cell(&cx, &cell, 1).is_err());
         let cell = Cell::from_key("policy=nope").expect("parseable key");
-        assert!(runner.run_cell(&cell, 1).is_err());
+        assert!(run_cell(&cx, &cell, 1).is_err());
     }
 }

@@ -1,24 +1,30 @@
 //! The experiment registry against the committed artefacts, and the runner's
 //! contracts: shared caches change no byte, one failure stops nothing, flags
-//! are validated once for every experiment.
+//! are validated once for every subcommand, and the sweep's aggregate is the
+//! same bytes at every width.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use graf_bench::exp::{self, Ctx, Entry, REGISTRY};
-use graf_bench::Args;
+use graf_bench::{sweepgrid, Args};
 
 /// A sink the test keeps a handle to after `Ctx` has boxed the other.
 #[derive(Clone, Default)]
-struct Buf(Rc<RefCell<Vec<u8>>>);
+struct Buf(Arc<Mutex<Vec<u8>>>);
+
+impl Buf {
+    fn bytes(&self) -> Vec<u8> {
+        self.0.lock().expect("no writer panicked").clone()
+    }
+}
 
 impl Write for Buf {
     fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(bytes);
+        self.0.lock().expect("no writer panicked").extend_from_slice(bytes);
         Ok(bytes.len())
     }
     fn flush(&mut self) -> io::Result<()> {
@@ -26,10 +32,15 @@ impl Write for Buf {
     }
 }
 
-fn ctx(flags: &[&str]) -> (Ctx, Buf) {
+/// A context for subcommand `cmd` (any experiment name, `sweep`, `compare`).
+fn ctx_for(cmd: &str, flags: &[&str]) -> (Ctx, Buf) {
     let buf = Buf::default();
-    let args = Args::from_args(flags.iter().map(|f| f.to_string())).expect("valid flags");
+    let args = Args::from_args(cmd, flags.iter().map(|f| f.to_string())).expect("valid flags");
     (Ctx::new(args, Box::new(buf.clone())).expect("no telemetry path to open"), buf)
+}
+
+fn ctx(flags: &[&str]) -> (Ctx, Buf) {
+    ctx_for("all", flags)
 }
 
 fn entry(name: &str) -> Entry {
@@ -60,7 +71,7 @@ fn model_free_experiments_reproduce_the_committed_artefacts() {
         let (mut cx, buf) = ctx(&["--seed", "7"]);
         entry(name).2(&mut cx).expect("writing to memory cannot fail");
         let committed = std::fs::read(repo(&format!("results/{name}.txt"))).expect("committed");
-        assert!(*buf.0.borrow() == committed, "{name} differs from results/{name}.txt");
+        assert!(buf.bytes() == committed, "{name} differs from results/{name}.txt");
     }
 }
 
@@ -109,7 +120,7 @@ fn sharing_one_context_changes_no_byte_and_builds_once() {
         e.2(&mut fresh).expect("writing to memory cannot fail");
         assert_eq!(fresh.cache_misses(), (1, 0));
         let on_shared = std::fs::read(dir.join(format!("{}.txt", e.0))).expect("artefact written");
-        assert!(*buf.0.borrow() == on_shared, "{} depends on what ran before it", e.0);
+        assert!(buf.bytes() == on_shared, "{} depends on what ran before it", e.0);
     }
     std::fs::remove_dir_all(dir).expect("temp dir is removable");
 }
@@ -124,7 +135,7 @@ fn a_panicking_experiment_fails_alone() {
     let dir = scratch("keepgoing");
     let (mut cx, progress) = ctx(&[]);
     assert_eq!(exp::run_all(&slice, &mut cx, &dir).expect("temp dir is writable"), 1);
-    let progress = String::from_utf8(progress.0.borrow().clone()).expect("utf-8");
+    let progress = String::from_utf8(progress.bytes()).expect("utf-8");
     assert_eq!(progress.matches("FAIL ").count(), 1, "{progress}");
     assert!(progress.contains("FAIL boom") && progress.contains("panicked: boom"), "{progress}");
     assert!(progress.contains("2/3 experiments passed") && progress.contains("FAILED: boom"));
@@ -141,7 +152,7 @@ fn graf_exp(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn an_unknown_flag_is_a_usage_error_for_every_experiment() {
-    for name in ["table3_budget", "fig01_instance_creation", "all", "list"] {
+    for name in ["table3_budget", "fig01_instance_creation", "all", "list", "sweep", "compare"] {
         let out = graf_exp(&[name, "--frobnicate"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
@@ -166,4 +177,72 @@ fn telemetry_is_written_by_an_experiment_that_only_collects() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("telemetry written to"), "{stdout}");
     std::fs::remove_dir_all(path.parent().expect("scratch dir")).expect("temp dir is removable");
+}
+
+#[test]
+fn sweep_aggregate_is_worker_count_invariant_and_matches_the_pinned_bytes() {
+    let golden = include_str!("golden/sweep_smoke_quick_seed7.jsonl");
+    let pinned = graf_sweep::record::parse_stream(golden).expect("a sweep's own output");
+    assert!(pinned.len() == 4 && pinned.iter().all(|r| r.result.is_some()), "four ok cells");
+    let dir = scratch("sweep-widths");
+    for workers in [1, 2, 4] {
+        let out = dir.join(format!("w{workers}.jsonl"));
+        let flags = ["--grid", "@smoke", "--quick", "--seed", "7", "--out"];
+        let (mut cx, _) = ctx_for("sweep", &[&flags[..], &[out.to_str().expect("utf-8")]].concat());
+        assert_eq!(sweepgrid::sweep(&mut cx, workers).expect("temp dir is writable"), 0);
+        let written = std::fs::read_to_string(&out).expect("--out written");
+        assert!(written == golden, "{workers} worker(s): aggregate differs from the pinned bytes");
+    }
+    std::fs::remove_dir_all(dir).expect("temp dir is removable");
+}
+
+#[test]
+fn every_worker_of_a_sweep_takes_its_model_from_the_one_cache() {
+    let grid = "app=boutique;policy=graf;slo=60,70,80,90";
+    let (mut cx, table) = ctx_for("sweep", &["--grid", grid, "--quick", "--samples", "60"]);
+    assert_eq!(sweepgrid::sweep(&mut cx, 4).expect("writing to memory cannot fail"), 0);
+    assert_eq!(cx.cache_misses().0, 1, "four cells on four workers, one boutique build");
+    let table = String::from_utf8(table.bytes()).expect("utf-8");
+    assert_eq!(table.matches("app=boutique/policy=graf/slo=").count(), 4, "{table}");
+}
+
+#[test]
+fn an_invalid_grid_fails_before_any_cell_runs() {
+    for grid in ["policy=hpa;zone=us", "policy=hpa;app=buotique", "app=boutique", "@bogus"] {
+        let out = graf_exp(&["sweep", "--grid", grid, "--quick"]);
+        assert!(!out.status.success() && out.stdout.is_empty(), "{grid} ran");
+    }
+}
+
+#[test]
+fn strict_compare_fails_without_history_rows_and_lenient_compare_does_not() {
+    let dir = scratch("compare");
+    let history = dir.join("history.jsonl");
+    let compare = |strict: bool| {
+        let mut flags = vec!["aaaaaaa", "bbbbbbb", "--history", history.to_str().expect("utf-8")];
+        flags.extend(strict.then_some("--strict"));
+        let (mut cx, said) = ctx_for("compare", &flags);
+        let failures = sweepgrid::compare(&mut cx).expect("writing to memory cannot fail");
+        (failures, String::from_utf8(said.bytes()).expect("utf-8"))
+    };
+    // No history file at all.
+    let (failures, said) = compare(false);
+    assert!(failures == 0 && said.contains("nothing to compare (ok)"), "{said}");
+    let (failures, said) = compare(true);
+    assert!(failures == 1 && said.contains("no history at"), "{said}");
+    // One revision has rows, the other has none; then neither has.
+    let row = |rev: &str| {
+        format!("{{\"rev\": \"{rev}\", \"cell\": \"a=1\", \"seed\": 1, \"metrics\": {{\"p99_ms\": 5}}}}\n")
+    };
+    for rows in [row("aaaaaaa"), row("ccccccc")] {
+        std::fs::write(&history, rows).expect("temp dir is writable");
+        let (failures, said) = compare(false);
+        assert!(failures == 0 && said.contains("no regressions"), "{said}");
+        let (failures, said) = compare(true);
+        assert!(failures == 1 && said.contains("--strict"), "{said}");
+    }
+    // Both have the cell: the gate has something to compare and passes.
+    std::fs::write(&history, row("aaaaaaa") + &row("bbbbbbb")).expect("temp dir is writable");
+    assert_eq!(compare(true).0, 0);
+    std::fs::remove_dir_all(dir).expect("temp dir is removable");
 }

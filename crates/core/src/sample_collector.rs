@@ -22,10 +22,8 @@
 //! results are assembled in index order after the join: bounds, samples and
 //! telemetry are bit-identical for every thread count.
 
-use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use graf_metrics::Summary;
+use graf_sim::par::fan_out;
 use graf_sim::rng::DetRng;
 use graf_sim::time::SimTime;
 use graf_sim::topology::{ApiId, AppTopology, ServiceId};
@@ -393,36 +391,6 @@ impl SampleCollector {
     }
 }
 
-/// Evaluates `f(0), …, f(n - 1)` on `min(threads.max(1), n)` workers — the
-/// caller and scoped helper threads — that claim indices from a shared
-/// counter. Values come back in index order, whichever worker ran them; a
-/// panic in `f` reaches the caller as itself.
-fn fan_out<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    let worker = || {
-        let mut mine = Vec::new();
-        loop {
-            let idx = next.fetch_add(1, Ordering::AcqRel);
-            if idx >= n {
-                break mine;
-            }
-            mine.push((idx, f(idx)));
-        }
-    };
-    let mut claimed: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads.max(1).min(n)).map(|_| scope.spawn(worker)).collect();
-        // The caller works too: its probes allocate from the heap the rest of
-        // the pipeline already grew, not from one more per-thread arena.
-        let mut claimed = worker();
-        for helper in helpers {
-            claimed.extend(helper.join().unwrap_or_else(|p| resume_unwind(p)));
-        }
-        claimed
-    });
-    claimed.sort_unstable_by_key(|&(idx, _)| idx);
-    claimed.into_iter().map(|(_, value)| value).collect()
-}
-
 /// Runs one deploy → load → measure cycle in a fresh world. `chaos` installs
 /// a (slot-localized) fault schedule into the measurement world — used only
 /// to probe tainted samples, whose results are discarded.
@@ -573,40 +541,6 @@ mod tests {
         assert_eq!(events[1].1[0], ("service", graf_obs::Value::U64(1)));
         assert_eq!(events[2].1[0], ("probes", graf_obs::Value::U64(41)));
         assert!(metrics.contains("graf_sample_probes 41"), "probe counter:\n{metrics}");
-    }
-
-    /// Two workers are forced to hold interleaved indices (`[0, 2]` and
-    /// `[1]`), so no join order yields index order by accident.
-    #[test]
-    fn fan_out_returns_values_in_index_order() {
-        use std::sync::Barrier;
-        let (both_claimed, two_claimed) = (Barrier::new(2), Barrier::new(2));
-        let out = fan_out(3, 2, |idx| {
-            // 0 and 1 meet, so they sit on different workers; 1 then stays
-            // put until the worker that had 0 has come back for 2.
-            if idx < 2 {
-                both_claimed.wait();
-            }
-            if idx > 0 {
-                two_claimed.wait();
-            }
-            idx * 10
-        });
-        assert_eq!(out, [0, 10, 20]);
-    }
-
-    #[test]
-    fn fan_out_spawns_no_more_workers_than_indices() {
-        assert_eq!(fan_out(0, 4, |idx| idx), [0usize; 0]);
-        assert_eq!(fan_out(2, 0, |idx| idx), [0, 1]);
-        // One thread per requested worker could not be spawned.
-        assert_eq!(fan_out(3, usize::MAX, |idx| idx), [0, 1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "probe 2 failed")]
-    fn a_panicking_probe_surfaces_its_own_message() {
-        fan_out(4, 2, |idx| assert!(idx != 2, "probe {idx} failed"));
     }
 
     #[test]

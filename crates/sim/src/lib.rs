@@ -64,6 +64,7 @@
 pub mod events;
 pub mod frame;
 pub mod loadidx;
+pub mod par;
 pub mod rng;
 pub mod service;
 pub mod station;

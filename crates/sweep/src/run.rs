@@ -1,115 +1,39 @@
-//! The sharded fleet: expanding a grid, assigning cells to workers, and
-//! draining every cell with per-worker JSONL streaming.
-//!
-//! Sharding is round-robin by expansion index (`cell i → worker i mod W`) —
-//! but nothing downstream may depend on that: cell seeds derive from cell
-//! keys ([`crate::seed::derive_seed`]), and [`crate::report::aggregate`]
-//! re-orders records canonically, so the shard map is pure load balancing.
+//! The fleet: expand the grid, derive each cell's seed from its key, evaluate
+//! every cell on the workspace's one worker pool, one record per cell.
 
-use std::path::{Path, PathBuf};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use graf_obs::JsonlSink;
+use graf_sim::par::{fan_out, panic_message};
+use graf_sim::rng::derive_seed;
 
 use crate::grid::{Cell, Grid};
 use crate::record::{CellRecord, CellResult};
-use crate::seed::derive_seed;
 
-/// Fleet configuration.
-#[derive(Clone, Debug)]
-pub struct SweepConfig {
-    /// Worker threads (≥ 1). Affects wall-clock only, never results.
-    pub workers: usize,
-    /// The grid seed every cell seed derives from.
-    pub grid_seed: u64,
-    /// When set, worker `w` streams its records to
-    /// `<dir>/worker-<w>.jsonl` as cells complete.
-    pub worker_log_dir: Option<PathBuf>,
-}
-
-impl Default for SweepConfig {
-    fn default() -> Self {
-        Self { workers: 1, grid_seed: 7, worker_log_dir: None }
-    }
-}
-
-/// What one worker produced: its index, its records (in the worker's own
-/// completion order), and the stream file it wrote (if any).
-#[derive(Debug)]
-pub struct WorkerReport {
-    /// Worker index in `0..workers`.
-    pub worker: usize,
-    /// Records for the worker's cells, in shard order.
-    pub records: Vec<CellRecord>,
-    /// Path of the per-worker JSONL stream, when streaming was enabled.
-    pub log_path: Option<PathBuf>,
-}
-
-/// Path of worker `w`'s stream file under `dir`.
-pub fn worker_log_path(dir: &Path, worker: usize) -> PathBuf {
-    dir.join(format!("worker-{worker}.jsonl"))
-}
-
-/// Runs every cell of `grid` across `cfg.workers` threads.
-///
-/// `make_runner` is called once per worker (with the worker index) to build
-/// that worker's cell evaluator — per-worker state like a trained-model
-/// cache lives inside the returned closure. The evaluator gets each cell
-/// plus its derived seed and returns the cell's metrics, or an error that
-/// becomes an error record (the sweep keeps going either way).
-///
-/// Records are returned per worker; use [`crate::report::aggregate`] to
-/// merge them into the canonical report.
-pub fn run_sweep<F, R>(grid: &Grid, cfg: &SweepConfig, make_runner: F) -> Vec<WorkerReport>
-where
-    F: Fn(usize) -> R + Sync,
-    R: FnMut(&Cell, u64) -> Result<CellResult, String> + Send,
-{
-    let workers = cfg.workers.max(1);
+/// Runs every cell of `grid` on up to `workers` threads and returns the
+/// records in expansion order. `eval` gets a cell and its seed — a function
+/// of `(grid_seed, cell key)` alone — and returns the cell's metrics; an
+/// error or a panic becomes that cell's error record and the rest still
+/// run. `workers` changes wall-clock time, never a record.
+pub fn run_sweep(
+    grid: &Grid,
+    grid_seed: u64,
+    workers: usize,
+    eval: impl Fn(&Cell, u64) -> Result<CellResult, String> + Sync,
+) -> Vec<CellRecord> {
     let cells = grid.cells();
-    // Round-robin shard assignment by expansion index.
-    let mut shards: Vec<Vec<Cell>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, cell) in cells.into_iter().enumerate() {
-        shards[i % workers].push(cell);
-    }
-
-    let grid_seed = cfg.grid_seed;
-    let log_dir = cfg.worker_log_dir.as_deref();
-    let make_runner = &make_runner;
-
-    let mut reports: Vec<WorkerReport> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for (w, shard) in shards.into_iter().enumerate() {
-            let mut runner = make_runner(w);
-            handles.push(scope.spawn(move || {
-                let log_path = log_dir.map(|d| worker_log_path(d, w));
-                let mut sink = log_path.as_deref().map(|p| {
-                    JsonlSink::create(p)
-                        .unwrap_or_else(|e| panic!("worker {w}: cannot open {p:?}: {e}"))
-                });
-                let mut records = Vec::with_capacity(shard.len());
-                for cell in &shard {
-                    let key = cell.key();
-                    let seed = derive_seed(grid_seed, &key);
-                    let record = match runner(cell, seed) {
-                        Ok(result) => CellRecord::ok(key, seed, result),
-                        Err(e) => CellRecord::failed(key, seed, e),
-                    };
-                    if let Some(sink) = sink.as_mut() {
-                        sink.record(&record.to_json())
-                            .unwrap_or_else(|e| panic!("worker {w}: writing stream record: {e}"));
-                    }
-                    records.push(record);
-                }
-                if let Some(sink) = sink {
-                    sink.finish().unwrap_or_else(|e| panic!("worker {w}: closing stream: {e}"));
-                }
-                WorkerReport { worker: w, records, log_path }
-            }));
+    fan_out(cells.len(), workers, |i| {
+        let key = cells[i].key();
+        let seed = derive_seed(grid_seed, &key);
+        // `eval` reads shared state only through caches that stay valid when
+        // a build panics, so the next cell may run after a caught panic.
+        match catch_unwind(AssertUnwindSafe(|| eval(&cells[i], seed))) {
+            Ok(Ok(result)) => CellRecord::ok(key, seed, result),
+            Ok(Err(e)) => CellRecord::failed(key, seed, e),
+            Err(panic) => {
+                CellRecord::failed(key, seed, format!("panicked: {}", panic_message(&*panic)))
+            }
         }
-        handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
-    });
-    reports.sort_by_key(|r| r.worker);
-    reports
+    })
 }
 
 #[cfg(test)]
@@ -118,41 +42,32 @@ mod tests {
     use crate::report::aggregate;
 
     /// A deterministic fake cell evaluator: metrics derived from the seed.
-    fn fake_runner(_worker: usize) -> impl FnMut(&Cell, u64) -> Result<CellResult, String> {
-        |cell: &Cell, seed: u64| {
-            if cell.get("v") == Some("bad") {
-                return Err("synthetic failure".to_string());
-            }
-            let mut r = CellResult::default();
-            r.push("seed_lo", (seed % 1000) as f64);
-            r.push("axes", cell.pairs().len() as f64);
-            Ok(r)
+    fn fake_eval(cell: &Cell, seed: u64) -> Result<CellResult, String> {
+        if cell.get("v") == Some("bad") {
+            return Err("synthetic failure".to_string());
         }
+        let mut r = CellResult::default();
+        r.push("seed_lo", (seed % 1000) as f64);
+        r.push("axes", cell.pairs().len() as f64);
+        Ok(r)
     }
 
     #[test]
     fn every_cell_runs_exactly_once() {
         let grid = Grid::parse("a=1,2,3;v=x,y").unwrap();
-        let cfg = SweepConfig { workers: 4, ..Default::default() };
-        let reports = run_sweep(&grid, &cfg, fake_runner);
-        let total: usize = reports.iter().map(|r| r.records.len()).sum();
-        assert_eq!(total, 6);
-        let mut keys: Vec<String> =
-            reports.iter().flat_map(|r| r.records.iter().map(|c| c.cell.clone())).collect();
-        keys.sort();
-        keys.dedup();
-        assert_eq!(keys.len(), 6, "no duplicates, no drops");
+        let records = run_sweep(&grid, 7, 4, fake_eval);
+        let keys: Vec<String> = records.iter().map(|c| c.cell.clone()).collect();
+        let expanded: Vec<String> = grid.cells().iter().map(Cell::key).collect();
+        assert_eq!(keys, expanded, "one record per cell, in expansion order");
+        for r in &records {
+            assert_eq!(r.seed, derive_seed(7, &r.cell), "seed is a function of the key");
+        }
     }
 
     #[test]
     fn worker_count_does_not_change_the_aggregate() {
         let grid = Grid::parse("a=1,2,3,4,5;b=p,q,r").unwrap();
-        let agg = |workers: usize| {
-            let cfg = SweepConfig { workers, ..Default::default() };
-            let reports = run_sweep(&grid, &cfg, fake_runner);
-            let records: Vec<CellRecord> = reports.into_iter().flat_map(|r| r.records).collect();
-            aggregate(records).expect("no duplicate cells")
-        };
+        let agg = |workers| aggregate(run_sweep(&grid, 7, workers, fake_eval)).expect("no dups");
         let one = agg(1);
         assert_eq!(one, agg(3), "1 vs 3 workers");
         assert_eq!(one, agg(16), "1 vs 16 workers (more workers than cells)");
@@ -161,9 +76,7 @@ mod tests {
     #[test]
     fn failures_become_error_records_and_do_not_abort() {
         let grid = Grid::parse("a=1,2;v=ok,bad").unwrap();
-        let cfg = SweepConfig { workers: 2, ..Default::default() };
-        let reports = run_sweep(&grid, &cfg, fake_runner);
-        let records: Vec<&CellRecord> = reports.iter().flat_map(|r| r.records.iter()).collect();
+        let records = run_sweep(&grid, 7, 2, fake_eval);
         assert_eq!(records.len(), 4);
         let failed: Vec<_> = records.iter().filter(|r| r.error.is_some()).collect();
         assert_eq!(failed.len(), 2, "both v=bad cells failed");
@@ -171,20 +84,15 @@ mod tests {
     }
 
     #[test]
-    fn streaming_writes_one_file_per_worker() {
-        let dir = std::env::temp_dir().join(format!("graf-sweep-run-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let grid = Grid::parse("a=1,2,3").unwrap();
-        let cfg = SweepConfig { workers: 2, worker_log_dir: Some(dir.clone()), grid_seed: 7 };
-        let reports = run_sweep(&grid, &cfg, fake_runner);
-        for r in &reports {
-            let path = r.log_path.as_ref().expect("streaming enabled");
-            let text = std::fs::read_to_string(path).unwrap();
-            assert_eq!(text.lines().count(), r.records.len());
-            for (line, rec) in text.lines().zip(&r.records) {
-                assert_eq!(line, rec.to_json(), "stream matches in-memory record");
-            }
+    fn a_panicking_cell_is_one_error_record_and_the_rest_finish() {
+        let grid = Grid::parse("a=1,2,3,4,5").unwrap();
+        for workers in [1, 3] {
+            let records = run_sweep(&grid, 7, workers, |cell, seed| {
+                assert!(cell.get("a") != Some("3"), "cell {} blew up", cell.key());
+                fake_eval(cell, seed)
+            });
+            assert_eq!(records.iter().filter(|r| r.result.is_some()).count(), 4);
+            assert_eq!(records[2].error.as_deref(), Some("panicked: cell a=3 blew up"));
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -24,17 +24,15 @@ cargo run --release -q -p graf-lint
 LINT_MS=$(( ($(date +%s%N) - LINT_START) / 1000000 ))
 echo "graf-lint: clean in ${LINT_MS}ms"
 
-echo "== thread sanitizer (data-parallel train + collector worker pool + 4-worker smoke sweep) =="
+echo "== thread sanitizer (data-parallel train + the collector's and the sweep's worker pool) =="
 if rustup component list --toolchain nightly 2>/dev/null | grep -q '^rust-src.*(installed)'; then
   TSAN_TARGET="$(rustc -vV | sed -n 's/^host: //p')"
   RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -Zbuild-std --target "$TSAN_TARGET" \
     -q --test determinism -- \
     parallel_training_matches_serial_bit_for_bit bound_search_is_thread_count_invariant
-  TSANDIR="$(mktemp -d)"
-  RUSTFLAGS="-Zsanitizer=thread" cargo +nightly run -Zbuild-std --target "$TSAN_TARGET" \
-    --release -q -p graf-bench --bin graf-sweep -- \
-    run --grid @smoke --quick --workers 4 --seed 7 --out "$TSANDIR/tsan.jsonl" >/dev/null
-  rm -rf "$TSANDIR"
+  RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -Zbuild-std --target "$TSAN_TARGET" \
+    -q -p graf-bench --test artefacts -- \
+    sweep_aggregate_is_worker_count_invariant_and_matches_the_pinned_bytes
   echo "thread sanitizer: clean"
 else
   echo "SKIPPED: thread sanitizer needs the nightly rust-src component (-Zbuild-std); not installed in this environment"
@@ -57,22 +55,13 @@ cargo test -q -p graf-gnn --features sanitize --test sanitize
 cargo test -q -p graf-core --features sanitize --test sanitize
 cargo test -q --features sanitize --test sim_sanitize
 
-echo "== graf-sweep smoke (worker-count invariance: 1 worker vs 4 must be byte-identical) =="
-SWEEPDIR="$(mktemp -d)"
-trap 'rm -rf "$SWEEPDIR"' EXIT
-cargo run --release -q -p graf-bench --bin graf-sweep -- \
-  run --grid @smoke --quick --workers 1 --seed 7 --out "$SWEEPDIR/w1.jsonl" >/dev/null
-cargo run --release -q -p graf-bench --bin graf-sweep -- \
-  run --grid @smoke --quick --workers 4 --seed 7 --out "$SWEEPDIR/w4.jsonl" >/dev/null
-cmp "$SWEEPDIR/w1.jsonl" "$SWEEPDIR/w4.jsonl" \
-  || { echo "graf-sweep aggregate differs between 1 and 4 workers" >&2; exit 1; }
-echo "sweep aggregates byte-identical across worker counts"
-
 echo "== graf-exp all --quick (every registered experiment runs and leaves a non-empty artefact) =="
 GRAF_EXP="$PWD/target/release/graf-exp"
-(cd "$SWEEPDIR" && "$GRAF_EXP" all --quick --seed 7)
+ALLDIR="$(mktemp -d)"
+trap 'rm -rf "$ALLDIR"' EXIT
+(cd "$ALLDIR" && "$GRAF_EXP" all --quick --seed 7)
 for name in $("$GRAF_EXP" list | awk '{print $1}'); do
-  [[ -s "$SWEEPDIR/results/$name.txt" ]] \
+  [[ -s "$ALLDIR/results/$name.txt" ]] \
     || { echo "graf-exp all left no results/$name.txt" >&2; exit 1; }
 done
 
