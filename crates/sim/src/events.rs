@@ -15,14 +15,25 @@
 //! [`Queue`] dispatches between them; [`QueueKind`] selects one per world via
 //! `SimConfig`.
 //!
+//! # Merging an outside sequence
+//!
+//! A caller that keeps some timestamped work outside the queue — `World`
+//! keeps client deadlines in a FIFO — merges it in exact `(time, seq)` order
+//! with two primitives. `take_seq` claims the next sequence number without
+//! inserting anything, so the outside item sorts exactly where an event
+//! scheduled at that moment would have. `pop_before(t, seq)` pops the earliest
+//! event only if it sorts strictly before `(t, seq)`; the caller handles its
+//! own item when it returns `None`. `pop_due(t)` is `pop_before(t, u64::MAX)`.
+//!
 //! # The calendar queue's extra contract
 //!
 //! The wheel maintains a monotone cursor `cur`, a lower bound on every queued
 //! event time. [`CalendarQueue::schedule`] requires `time >= cur`, i.e. no
-//! event may be scheduled before the last popped event or before any horizon
-//! already passed to [`CalendarQueue::pop_due`]. Discrete-event simulation
-//! satisfies this by construction (causality: handlers schedule at or after
-//! `now`); `World` clamps external injections to `now`. A violating time is
+//! event may be scheduled before the last popped event or before any bound
+//! already passed to [`CalendarQueue::pop_before`] (or `pop_due`).
+//! Discrete-event simulation satisfies this by construction (causality:
+//! handlers schedule at or after `now`); `World` clamps external injections
+//! to `now`. A violating time is
 //! clamped to `cur` in release builds (it would fire as soon as possible,
 //! exactly like an already-due event in the heap) and asserts in debug.
 
@@ -85,9 +96,16 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at `time`.
     pub fn schedule(&mut self, time: SimTime, event: E) {
+        let seq = self.take_seq();
+        self.heap.push(Entry { time, seq, event });
+    }
+
+    /// Claims the next sequence number without inserting anything (see the
+    /// module docs).
+    pub fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
+        seq
     }
 
     /// Time of the earliest scheduled event, if any.
@@ -102,8 +120,14 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event if it is due at or before `t`.
     pub fn pop_due(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        match self.peek_time() {
-            Some(pt) if pt <= t => self.pop(),
+        self.pop_before(t, u64::MAX)
+    }
+
+    /// Removes and returns the earliest event if it sorts strictly before
+    /// `(t, seq)` in `(time, seq)` order.
+    pub fn pop_before(&mut self, t: SimTime, seq: u64) -> Option<(SimTime, E)> {
+        match self.heap.peek() {
+            Some(e) if (e.time, e.seq) < (t, seq) => self.pop(),
             _ => None,
         }
     }
@@ -225,11 +249,18 @@ impl<E> CalendarQueue<E> {
     /// earlier times are clamped to the cursor.
     pub fn schedule(&mut self, time: SimTime, event: E) {
         debug_assert!(time.0 >= self.cur, "schedule({}) before cursor {}", time.0, self.cur);
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         self.len += 1;
         let time = SimTime(time.0.max(self.cur));
         self.place(Entry { time, seq, event });
+    }
+
+    /// Claims the next sequence number without inserting anything (see the
+    /// module docs).
+    pub fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
     /// Routes an entry to its level/bucket given the current cursor.
@@ -318,10 +349,17 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Removes and returns the earliest event if it is due at or before `t`.
+    pub fn pop_due(&mut self, t: SimTime) -> Option<(SimTime, E)> {
+        self.pop_before(t, u64::MAX)
+    }
+
+    /// Removes and returns the earliest event if it sorts strictly before
+    /// `(t, seq)` in `(time, seq)` order.
     ///
     /// Advances the cursor to the popped event's time, or to `t` when nothing
-    /// is due (the caller's clock moves to `t` either way).
-    pub fn pop_due(&mut self, t: SimTime) -> Option<(SimTime, E)> {
+    /// sorts before the bound (every queued event is then at or after `t`, and
+    /// the caller's clock moves to `t` either way).
+    pub fn pop_before(&mut self, t: SimTime, seq: u64) -> Option<(SimTime, E)> {
         loop {
             if self.len == 0 {
                 if t.0 > self.cur {
@@ -333,8 +371,8 @@ impl<E> CalendarQueue<E> {
                 let s = Self::slot(self.cur, 0);
                 let b = &mut self.levels[0].buckets[s];
                 match b.last() {
-                    Some(last) if last.time.0 > t.0 => {
-                        // Earliest queued event is past the horizon.
+                    Some(last) if (last.time.0, last.seq) >= (t.0, seq) => {
+                        // Earliest queued event is past the bound.
                         if t.0 > self.cur {
                             self.set_cur(t.0);
                         }
@@ -490,11 +528,26 @@ impl<E> Queue<E> {
         }
     }
 
+    /// Claims the next sequence number without inserting anything (see the
+    /// module docs).
+    pub fn take_seq(&mut self) -> u64 {
+        match self {
+            Queue::Calendar(q) => q.take_seq(),
+            Queue::Heap(q) => q.take_seq(),
+        }
+    }
+
     /// Removes and returns the earliest event if it is due at or before `t`.
     pub fn pop_due(&mut self, t: SimTime) -> Option<(SimTime, E)> {
+        self.pop_before(t, u64::MAX)
+    }
+
+    /// Removes and returns the earliest event if it sorts strictly before
+    /// `(t, seq)` in `(time, seq)` order.
+    pub fn pop_before(&mut self, t: SimTime, seq: u64) -> Option<(SimTime, E)> {
         match self {
-            Queue::Calendar(q) => q.pop_due(t),
-            Queue::Heap(q) => q.pop_due(t),
+            Queue::Calendar(q) => q.pop_before(t, seq),
+            Queue::Heap(q) => q.pop_before(t, seq),
         }
     }
 
@@ -648,6 +701,41 @@ mod tests {
             if a.is_none() {
                 break;
             }
+        }
+    }
+
+    #[test]
+    fn reserved_seq_orders_where_a_scheduled_event_would() {
+        // Queue `a` schedules the marker event at 100 µs; queue `b` only
+        // reserves its seq at the same point and merges it with
+        // `pop_before`. Ties at 100 µs on both sides of the reservation must
+        // pop in the same order, on both queue kinds.
+        let script = [(100u64, 0), (50, 1), (100, 2), (u64::MAX, 99), (100, 3), (99, 4), (101, 5)];
+        for kind in [QueueKind::Calendar, QueueKind::Heap] {
+            let (mut a, mut b) = (Queue::new(kind), Queue::new(kind));
+            let mut reserved = None;
+            for &(t, id) in &script {
+                if id == 99 {
+                    a.schedule(SimTime(100), id);
+                    reserved = Some(b.take_seq());
+                } else {
+                    a.schedule(SimTime(t), id);
+                    b.schedule(SimTime(t), id);
+                }
+            }
+            let seq = reserved.expect("script reserves once");
+            let mut merged = Vec::new();
+            while let Some((t, id)) = b.pop_before(SimTime(100), seq) {
+                merged.push((t, id));
+            }
+            merged.push((SimTime(100), 99));
+            while let Some(e) = b.pop() {
+                merged.push(e);
+            }
+            let reference: Vec<_> = std::iter::from_fn(|| a.pop()).collect();
+            assert_eq!(merged, reference, "{kind:?}");
+            let ids: Vec<_> = reference.iter().map(|e| e.1).collect();
+            assert_eq!(ids, [1, 4, 0, 2, 99, 3, 5], "{kind:?}: ties split at the reservation");
         }
     }
 

@@ -13,6 +13,8 @@
 //! Determinism: all events are processed in `(time, schedule-order)` order and
 //! all randomness derives from the seed passed to [`World::new`].
 
+use std::collections::VecDeque;
+
 use graf_metrics::{RateCounter, WindowedLatency};
 use graf_trace::{OpenTrace, Span, SpanId, TraceId, TraceStore};
 
@@ -107,8 +109,15 @@ pub struct WorldStats {
     pub spans_dropped: u64,
     /// Requests abandoned at the client timeout.
     pub timeouts: u64,
-    /// Events processed.
+    /// Events processed: queue pops plus client deadlines that fired. The
+    /// deadline of a request that completed in time is not an event.
     pub events: u64,
+    /// `JobCheck` pops that found their instance gone or its epoch moved on
+    /// (a later assignment, removal or resize re-armed the check).
+    pub stale_job_checks: u64,
+    /// `StartFrame` pops whose frame was recycled or had already left the
+    /// pending state (its request timed out first).
+    pub stale_frame_starts: u64,
 }
 
 /// Flattened call-tree node of one API (index-linked for cheap runtime walks).
@@ -224,26 +233,10 @@ struct RequestSlot {
 
 #[derive(Debug)]
 enum Event {
-    Arrival {
-        api: ApiId,
-    },
-    /// Carries the slab slot so the handler needs no map lookup; `request`
-    /// doubles as the staleness check (slot freed or reused → ignore).
-    RequestTimeout {
-        request: RequestId,
-        slot: u32,
-    },
-    StartFrame {
-        frame: FrameId,
-        generation: u32,
-    },
-    JobCheck {
-        instance: InstanceId,
-        epoch: u64,
-    },
-    InstanceReady {
-        instance: InstanceId,
-    },
+    Arrival { api: ApiId },
+    StartFrame { frame: FrameId, generation: u32 },
+    JobCheck { instance: InstanceId, epoch: u64 },
+    InstanceReady { instance: InstanceId },
 }
 
 /// The simulated cluster: application, replicas, in-flight requests, metrics.
@@ -268,6 +261,17 @@ pub struct World {
     free_requests: Vec<u32>,
     live_requests: usize,
     queue: Queue<Event>,
+    /// Client deadlines `(request, slot, seq)` in arrival order, kept beside
+    /// the queue: every deadline is its arrival time plus the one configured
+    /// timeout, so arrival order is deadline order. `seq` is claimed from the
+    /// queue at arrival, so a deadline ties with queue events exactly as an
+    /// event scheduled at arrival would. The front entry is always live:
+    /// freeing the front request trims every stale entry behind it (see
+    /// [`World::trim_deadlines`]).
+    deadlines: VecDeque<(RequestId, u32, u64)>,
+    /// `(deadline, seq)` of the front of `deadlines`, cached for the merge in
+    /// [`World::run_until`]; `None` when the FIFO is empty.
+    head: Option<(SimTime, u64)>,
     /// Scratch for `Instance::take_finished_into` (reused across events).
     scratch_finished: Vec<FrameId>,
     /// Scratch instance-id list for `resize_instances`/`remove_instances`.
@@ -327,6 +331,8 @@ impl World {
             free_requests: Vec::new(),
             live_requests: 0,
             queue: Queue::new(cfg.event_queue),
+            deadlines: VecDeque::new(),
+            head: None,
             scratch_finished: Vec::new(),
             scratch_ids: Vec::new(),
             now: SimTime::ZERO,
@@ -580,11 +586,23 @@ impl World {
         assert!(t >= self.now, "cannot run backwards");
         // The event counter accumulates locally and lands once at the end.
         let mut n = 0u64;
-        while let Some((et, ev)) = self.queue.pop_due(t) {
-            debug_assert!(et >= self.now);
-            self.now = et;
-            n += 1;
-            self.dispatch(ev);
+        loop {
+            // Merge the deadline FIFO's head into the queue's `(time, seq)`
+            // order: the queue yields only what sorts before a due head.
+            let due = self.head.filter(|&(ht, _)| ht <= t);
+            let (bound, bound_seq) = due.unwrap_or((t, u64::MAX));
+            if let Some((et, ev)) = self.queue.pop_before(bound, bound_seq) {
+                debug_assert!(et >= self.now);
+                self.now = et;
+                n += 1;
+                self.dispatch(ev);
+            } else if let Some((ht, _)) = due {
+                self.now = ht;
+                n += 1;
+                self.on_request_timeout();
+            } else {
+                break;
+            }
         }
         self.stats.events += n;
         self.now = t;
@@ -596,21 +614,30 @@ impl World {
         }
     }
 
-    /// Runs until the event queue is empty or `limit` is reached.
+    /// Runs until no event or client deadline is pending or `limit` is
+    /// reached.
     pub fn run_to_quiescence(&mut self, limit: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
+        while let Some(t) = self.next_event_time() {
             if t > limit {
                 break;
             }
             self.run_until(t);
         }
-        self.now = self.now.max(limit.min(self.queue.peek_time().unwrap_or(limit)));
+        self.now = self.now.max(limit.min(self.next_event_time().unwrap_or(limit)));
+    }
+
+    /// The earlier of the queue's next event and the first live deadline.
+    fn next_event_time(&self) -> Option<SimTime> {
+        let deadline = self.head.map(|(ht, _)| ht);
+        match (self.queue.peek_time(), deadline) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     fn dispatch(&mut self, ev: Event) {
         match ev {
             Event::Arrival { api } => self.on_arrival(api),
-            Event::RequestTimeout { request, slot } => self.on_request_timeout(request, slot),
             Event::StartFrame { frame, generation } => self.on_start_frame(frame, generation),
             Event::JobCheck { instance, epoch } => self.on_job_check(instance, epoch),
             Event::InstanceReady { instance } => self.on_instance_ready(instance),
@@ -625,8 +652,11 @@ impl World {
         let sampled = self.rng_trace.chance(self.cfg.trace_sample);
         let slot = self.alloc_request(rid, api, sampled);
         if let Some(to) = self.cfg.request_timeout_us {
-            self.queue
-                .schedule(SimTime(self.now.0 + to), Event::RequestTimeout { request: rid, slot });
+            let seq = self.queue.take_seq();
+            if self.deadlines.is_empty() {
+                self.head = Some((SimTime(self.now.0 + to), seq));
+            }
+            self.deadlines.push_back((rid, slot, seq));
         }
         let plan = &self.plans[api.0 as usize];
         let root = plan.root;
@@ -685,6 +715,27 @@ impl World {
         s.frames.clear();
         self.free_requests.push(slot);
         self.live_requests -= 1;
+        if self.deadlines.front().is_some_and(|&(_, front, _)| front == slot) {
+            self.trim_deadlines();
+        }
+    }
+
+    /// Drops stale entries (requests already freed) off the front of the
+    /// deadline FIFO and re-caches `head` from the first live one. Entries
+    /// freed behind a live front wait until they reach the front, so the FIFO
+    /// holds the arrivals since the oldest in-flight request — not the last
+    /// timeout's worth of arrivals.
+    fn trim_deadlines(&mut self) {
+        self.head = None;
+        while let Some(&(request, slot, seq)) = self.deadlines.front() {
+            let r = &self.requests[slot as usize];
+            if r.request == request {
+                let to = self.cfg.request_timeout_us.expect("deadlines imply a timeout");
+                self.head = Some((SimTime(r.start.0 + to), seq));
+                return;
+            }
+            self.deadlines.pop_front();
+        }
     }
 
     /// `service` must be `plans[api].nodes[plan_node].service` — callers
@@ -744,6 +795,7 @@ impl World {
     fn on_start_frame(&mut self, fid: FrameId, generation: u32) {
         let f = &self.frames[fid.0 as usize];
         if f.generation != generation || f.state != FrameState::PendingInstance {
+            self.stats.stale_frame_starts += 1;
             return; // stale event
         }
         let service = f.service;
@@ -801,11 +853,9 @@ impl World {
     }
 
     fn on_job_check(&mut self, iid: InstanceId, epoch: u64) {
-        {
-            let Some(inst) = self.instances[iid.0 as usize].as_ref() else { return };
-            if inst.epoch != epoch {
-                return; // superseded
-            }
+        if self.instances[iid.0 as usize].as_ref().is_none_or(|inst| inst.epoch != epoch) {
+            self.stats.stale_job_checks += 1;
+            return; // superseded, or the instance is gone
         }
         // Finished-frame list reuses the world scratch buffer: a burst of
         // same-timestamp completions costs zero allocations.
@@ -857,14 +907,15 @@ impl World {
         }
     }
 
-    /// Client timeout: the request is abandoned. All of its live frames are
-    /// torn down (queued ones dequeued, running jobs cancelled — the client
-    /// hung up, and upstream cancellation propagates in a service mesh), the
-    /// trace is aborted, and a completion is emitted with the capped latency.
-    fn on_request_timeout(&mut self, request: RequestId, slot: u32) {
-        if self.requests[slot as usize].request != request {
-            return; // completed before the deadline (slot freed or reused)
-        }
+    /// Client timeout of the deadline FIFO's front request: the request is
+    /// abandoned. All of its live frames are torn down (queued ones dequeued,
+    /// running jobs cancelled — the client hung up, and upstream cancellation
+    /// propagates in a service mesh), the trace is aborted, and a completion
+    /// is emitted with the capped latency. Freeing the request pops it off
+    /// the FIFO.
+    fn on_request_timeout(&mut self) {
+        let (request, slot, _) = *self.deadlines.front().expect("a due deadline");
+        debug_assert_eq!(self.requests[slot as usize].request, request, "the front is live");
         // Tear down by index: nothing below appends to this slot's frame
         // list, and indexing avoids borrowing the slab across the mutations.
         let n_frames = self.requests[slot as usize].frames.len();
@@ -1501,6 +1552,66 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert!(!done[0].timed_out);
         assert_eq!(w.stats().timeouts, 0);
+    }
+
+    #[test]
+    fn deadline_fifo_stays_near_the_in_flight_count() {
+        // 20 s of Poisson arrivals at ≈ 60 % utilisation under the default
+        // 30 s timeout: no deadline ever fires, so the FIFO is kept short by
+        // the head trim alone. Without it, it would hold all 20 s of arrivals.
+        let topo = AppTopology::new(
+            "one",
+            vec![ServiceSpec::new("s", 2.0, 200).cv(0.5)],
+            vec![ApiSpec::new("get", CallNode::new(0))],
+        );
+        let mut w = World::new(topo, SimConfig::default(), 21);
+        w.add_instances(ServiceId(0), 2, 1000.0, SimTime::ZERO);
+        let mut rng = DetRng::new(21);
+        let mut t = 0.0;
+        for seg in 1..=20u64 {
+            let end = seg as f64 * 1e6;
+            loop {
+                t += rng.exp(1e6 / 600.0);
+                if t >= end {
+                    break;
+                }
+                w.inject(ApiId(0), SimTime(t as u64));
+            }
+            w.run_until(SimTime(end as u64));
+            let (fifo, live) = (w.deadlines.len(), w.in_flight());
+            assert!(fifo <= 4 * live, "segment {seg}: {fifo} deadlines for {live} in flight");
+        }
+        assert!(w.stats().injected > 11_000, "the run did work ({})", w.stats().injected);
+        assert_eq!(w.stats().timeouts, 0);
+    }
+
+    #[test]
+    fn superseded_pops_are_counted() {
+        let topo = |base_us| {
+            AppTopology::new(
+                "one",
+                vec![ServiceSpec::new("s", 5.0, base_us).cv(0.0)],
+                vec![ApiSpec::new("get", CallNode::new(0))],
+            )
+        };
+        // Two jobs on one instance: the second assignment re-arms the
+        // completion check, stranding the first one.
+        let mut w = World::new(topo(0), SimConfig::default(), 3);
+        w.add_instances(ServiceId(0), 1, 1000.0, SimTime::ZERO);
+        w.inject(ApiId(0), SimTime(0));
+        w.inject(ApiId(0), SimTime(1));
+        w.run_until(SimTime::from_secs(1.0));
+        let s = w.stats();
+        assert_eq!((s.completed, s.stale_job_checks, s.stale_frame_starts), (2, 1, 0));
+        // A frame whose 1 s network hop outlasts its 100 ms client timeout
+        // starts after its request was torn down.
+        let cfg = SimConfig { request_timeout_us: Some(100_000), ..SimConfig::default() };
+        let mut w = World::new(topo(1_000_000), cfg, 3);
+        w.add_instances(ServiceId(0), 1, 1000.0, SimTime::ZERO);
+        w.inject(ApiId(0), SimTime(0));
+        w.run_until(SimTime::from_secs(2.0));
+        let s = w.stats();
+        assert_eq!((s.timeouts, s.stale_job_checks, s.stale_frame_starts), (1, 0, 1));
     }
 
     #[test]

@@ -97,19 +97,25 @@ proptest! {
         }
     }
 
-    /// Differential: for any interleaving of schedules and pops — offsets
-    /// spanning every wheel level, same-timestamp ties, zero-delay events and
-    /// far-overflow horizons — the calendar queue pops exactly what the
+    /// Differential: for any interleaving of schedules, seq reservations and
+    /// pops — offsets spanning every wheel level, same-timestamp ties,
+    /// zero-delay events, far-overflow horizons and `(time, seq)` bounds that
+    /// tie an entry exactly — the calendar queue pops exactly what the
     /// reference `BinaryHeap` queue pops, in the same order.
     #[test]
     fn calendar_queue_matches_reference_heap(
-        ops in proptest::collection::vec((0u8..5, 0u64..u64::MAX), 1..400),
+        ops in proptest::collection::vec((0u8..7, 0u64..u64::MAX), 1..400),
     ) {
         let mut cal = CalendarQueue::new();
         let mut heap = EventQueue::new();
         let mut now = 0u64;
         let mut queued = 0usize;
+        // Every `(time, seq)` key handed out so far, schedules and
+        // reservations alike; `keys[seq]` is the key of seq `seq`, and each
+        // event carries its seq.
+        let mut keys: Vec<(u64, u64)> = Vec::new();
         for (i, &(kind, x)) in ops.iter().enumerate() {
+            let seq = keys.len() as u64;
             match kind {
                 // Schedule at now + an offset chosen to exercise one level:
                 // ties (0), L0 (<64 µs), L1 (<~65 ms), L2 (<~67 s), overflow.
@@ -120,9 +126,38 @@ proptest! {
                         2 => x % 60_000,        // within L1
                         _ => x % (1 << 38),     // L2 and the overflow list
                     };
-                    cal.schedule(SimTime(now + spread), i);
-                    heap.schedule(SimTime(now + spread), i);
+                    cal.schedule(SimTime(now + spread), seq);
+                    heap.schedule(SimTime(now + spread), seq);
+                    keys.push((now + spread, seq));
                     queued += 1;
+                }
+                4 => {
+                    // Reserve a seq (a deadline kept outside the queue): both
+                    // kinds hand out the number a schedule would have taken.
+                    let (a, b) = (cal.take_seq(), heap.take_seq());
+                    prop_assert_eq!((a, b), (seq, seq), "take_seq diverged at op {}", i);
+                    keys.push((now + x % 70_000_000, seq));
+                }
+                5 if !keys.is_empty() => {
+                    // Bounded pop at a key handed out earlier, its seq nudged
+                    // by −1, 0 or +1: an entry tying the bound exactly stays.
+                    let (t, s) = keys[(x % seq) as usize];
+                    let bound = match (x >> 40) % 3 {
+                        0 => s.saturating_sub(1),
+                        1 => s,
+                        _ => s + 1,
+                    };
+                    let a = cal.pop_before(SimTime(t), bound);
+                    let b = heap.pop_before(SimTime(t), bound);
+                    prop_assert_eq!(a, b, "pop_before diverged at op {}", i);
+                    match a {
+                        Some((pt, ps)) => {
+                            prop_assert!((pt.0, ps) < (t, bound), "popped at or past the bound");
+                            now = now.max(pt.0);
+                            queued -= 1;
+                        }
+                        None => now = now.max(t),
+                    }
                 }
                 _ if x % 3 == 0 && queued > 0 => {
                     // Far horizon: drain everything (crosses overflow paths).

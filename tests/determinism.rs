@@ -243,6 +243,92 @@ fn serial_world_output_is_pinned() {
     }
 }
 
+/// The client-timeout path pinned across revisions: the open-loop boutique of
+/// `serial_world_output_is_pinned`, 4 s of arrivals into a starved cluster
+/// (60 mc × 3 instances per service) with the client timeout on — 100 ms,
+/// where about two thirds of the requests are abandoned, and the default
+/// 30 s — drained past the last deadline, on both event-queue cores. The
+/// `(completions, traces)` fingerprints and `events_parent` were captured at
+/// commit `e15fbf8`, which scheduled one `RequestTimeout` queue event per
+/// request. Deadlines now wait in the world's FIFO instead: every byte of
+/// output is the same, and the event count drops by exactly the deadlines of
+/// requests that had already completed when theirs came up.
+#[test]
+fn timeout_world_output_is_pinned() {
+    use graf::sim::rng::DetRng;
+
+    /// `(completions, traces, events, completed, timeouts)`.
+    fn run_once(seed: u64, kind: QueueKind, timeout_us: u64) -> (u64, u64, u64, u64, u64) {
+        let cfg = SimConfig {
+            event_queue: kind,
+            request_timeout_us: Some(timeout_us),
+            ..SimConfig::default()
+        };
+        let mut w = World::new(online_boutique(), cfg, seed);
+        for s in 0..6u16 {
+            w.add_instances(ServiceId(s), 3, 60.0, SimTime::ZERO);
+        }
+        let mut rng = DetRng::new(seed ^ 0x9e37);
+        for (api, rate) in [(0u16, 120.0f64), (1, 120.0), (2, 160.0)] {
+            let mut t = 0.0;
+            loop {
+                t += rng.exp(1e6 / rate);
+                if t >= 4e6 {
+                    break;
+                }
+                w.inject(ApiId(api), SimTime(t as u64));
+            }
+        }
+        w.run_until(SimTime::from_secs(4.0));
+        w.run_to_quiescence(SimTime(4_000_000 + timeout_us + 1_000_000));
+        let comps = w.drain_completions();
+        let traces = w.traces_mut().drain_finished();
+        let s = w.stats();
+        assert_eq!(w.in_flight(), 0, "the run drained past the last deadline");
+        assert_eq!(s.completed, s.injected, "every request completed or timed out");
+        let fps = (fingerprint_completions(&comps), fingerprint_traces(&traces));
+        (fps.0, fps.1, s.events, s.completed, s.timeouts)
+    }
+
+    struct Pin {
+        seed: u64,
+        timeout_us: u64,
+        completions: u64,
+        traces: u64,
+        events_parent: u64,
+        events: u64,
+        completed: u64,
+        timeouts: u64,
+    }
+    #[rustfmt::skip]
+    const PINNED: [Pin; 6] = [
+        Pin { seed: 7, timeout_us: 100_000, completions: 0x7344eac5e6a0362c, traces: 0xc1b6f2b4241f399a, events_parent: 19477, events: 18911, completed: 1657, timeouts: 1091 },
+        Pin { seed: 7, timeout_us: 30_000_000, completions: 0x6823efa7043c7f42, traces: 0x70e41f884d54bdae, events_parent: 30005, events: 28348, completed: 1657, timeouts: 0 },
+        Pin { seed: 77, timeout_us: 100_000, completions: 0x83bb837a3921cbf9, traces: 0xdef83e29fcd34549, events_parent: 20515, events: 19856, completed: 1596, timeouts: 937 },
+        Pin { seed: 77, timeout_us: 30_000_000, completions: 0x88b86a4b0cd0b62b, traces: 0x08ebfde1d7e1ed43, events_parent: 28899, events: 27303, completed: 1596, timeouts: 0 },
+        Pin { seed: 402, timeout_us: 100_000, completions: 0x50bb9b5e05a54c00, traces: 0x2b391c19372347cc, events_parent: 19832, events: 19290, completed: 1666, timeouts: 1124 },
+        Pin { seed: 402, timeout_us: 30_000_000, completions: 0xb79e87d3a9f81fb3, traces: 0xb05cda310fbeb886, events_parent: 30071, events: 28405, completed: 1666, timeouts: 0 },
+    ];
+    for p in PINNED {
+        assert_eq!(
+            p.events_parent - p.events,
+            p.completed - p.timeouts,
+            "only completed requests' deadlines left the event count (seed {})",
+            p.seed
+        );
+        for kind in [QueueKind::Calendar, QueueKind::Heap] {
+            let want = (p.completions, p.traces, p.events, p.completed, p.timeouts);
+            assert_eq!(
+                run_once(p.seed, kind, p.timeout_us),
+                want,
+                "timeout-path output moved (seed {}, {} µs timeout, {kind:?} queue)",
+                p.seed,
+                p.timeout_us
+            );
+        }
+    }
+}
+
 /// The two Algorithm-1 set-ups of the bound-search tests below, at smoke
 /// sizes (2 s window after a 1 s warm-up): the collector's own `chain2` and
 /// Online Boutique configured as the closed-loop benchmark configures it.
