@@ -20,9 +20,14 @@ struct FlatScratch {
     dy: Matrix,
     dx: Matrix,
     ws: Workspace,
+    /// Parameter-gradient sink, shaped by `train_step` only.
     grads: MlpGrads,
     /// Row count of the retained eval forward (0 = no valid trace).
     kept_rows: usize,
+    /// Weight transposes for the input-gradient pass, valid until the next
+    /// parameter update.
+    wts: Vec<Matrix>,
+    wts_valid: bool,
 }
 
 /// A plain MLP over concatenated node features.
@@ -61,13 +66,16 @@ impl FlatMlp {
 
 impl FlatMlp {
     /// Backward through the retained eval trace, leaving `d pred / d x` in
-    /// `scratch.dx`. Gradients land in the scratch sink, never the params.
+    /// `scratch.dx`. Input gradient only: no parameter gradient is computed.
     fn backward_kept(&mut self, x: &Matrix) {
         let sc = self.scratch.get_mut();
         sc.dy.reshape_zeroed(x.rows(), 1);
         sc.dy.data_mut().fill(1.0);
-        sc.grads.prepare(&self.mlp);
-        self.mlp.backward_with(&sc.trace, &sc.dy, &mut sc.grads, &mut sc.ws, &mut sc.dx);
+        if !sc.wts_valid {
+            self.mlp.transpose_weights_into(&mut sc.wts);
+            sc.wts_valid = true;
+        }
+        self.mlp.backward_input_with_wt(&sc.trace, &sc.dy, &mut sc.ws, &mut sc.dx, &sc.wts);
     }
 }
 
@@ -98,7 +106,9 @@ impl LatencyNet for FlatMlp {
     ) -> f64 {
         assert_eq!(x.rows(), y.len(), "batch size mismatch");
         let sc = self.scratch.get_mut();
-        sc.kept_rows = 0; // parameters change below: kept trace is stale
+        // Parameters change below: the kept trace and the transposes go stale.
+        sc.kept_rows = 0;
+        sc.wts_valid = false;
         self.mlp.forward_into(x, &mut Mode::Train(rng), &mut sc.trace, &mut sc.out);
         sc.dy.reshape_zeroed(x.rows(), 1);
         let l = loss.batch_into(sc.out.data(), y, sc.dy.data_mut());
@@ -209,5 +219,63 @@ mod tests {
         let _ = m.predict(&x);
         let fast = m.grad_from_kept(&x);
         assert_eq!(slow.data(), fast.data());
+    }
+
+    #[test]
+    fn input_only_backward_dx_is_bit_identical_to_the_full_backward() {
+        // 3, 5 and 6 nodes; hidden 16 takes the narrow kernels, 120 the wide
+        // path with its tail tiles.
+        for (i, nodes) in [3, 5, 6].into_iter().enumerate() {
+            for hidden in [16, 120] {
+                let mut rng = DetRng::new(20 + i as u64);
+                let mut m = FlatMlp::new(nodes, 2, hidden, 0.25, &mut rng);
+                for batch in [1, 5] {
+                    let x = Matrix::from_fn(batch, nodes * 2, |r, c| {
+                        0.11 * c as f64 - 0.07 * r as f64 + if c % 2 == 0 { 0.3 } else { -0.1 }
+                    });
+                    let (mut pred, mut dx) = (Vec::new(), Matrix::default());
+                    m.predict_keep_into(&x, &mut pred);
+                    m.grad_from_kept_into(&x, &mut dx);
+                    assert!(m.scratch.get_mut().grads.is_unallocated(), "no sink is shaped");
+
+                    // The training backward on the same kept trace.
+                    let sc = m.scratch.get_mut();
+                    let mut grads = MlpGrads::zeroed_for(&m.mlp);
+                    let mut full = Matrix::default();
+                    m.mlp.backward_with(&sc.trace, &sc.dy, &mut grads, &mut sc.ws, &mut full);
+                    let full: Vec<u64> = full.data().iter().map(|v| v.to_bits()).collect();
+                    let input_only: Vec<u64> = dx.data().iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(input_only, full, "{nodes} nodes, hidden {hidden}, batch {batch}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn solver_path_never_shapes_the_gradient_sink() {
+        let mut rng = DetRng::new(30);
+        let mut m = FlatMlp::new(6, 2, 120, 0.25, &mut rng);
+        let (mut pred, mut dx) = (Vec::new(), Matrix::default());
+        for i in 0..50 {
+            let x = Matrix::from_fn(1, 12, |_, c| 0.05 * (c + i % 7) as f64 + 0.1);
+            m.predict_keep_into(&x, &mut pred);
+            m.grad_from_kept_into(&x, &mut dx);
+        }
+        assert!(m.scratch.get_mut().grads.is_unallocated(), "gradient sink holds no allocation");
+    }
+
+    #[test]
+    fn training_refreshes_the_input_gradient_transposes() {
+        // After a parameter update the kept-trace gradient must use the new
+        // weights, exactly as a model that never cached the old ones.
+        let mut rng = DetRng::new(40);
+        let mut m = FlatMlp::new(3, 2, 16, 0.0, &mut rng);
+        let x = Matrix::from_fn(4, 6, |r, c| ((r * 3 + c) % 5) as f64 * 0.2);
+        let y = [1.0, 2.0, 0.5, 1.5];
+        let _ = m.grad_input(&x); // caches the transposes
+        let loss = AsymmetricHuber::default();
+        m.train_step(&x, &y, &loss, &mut Adam::new(1e-2), &mut DetRng::new(41));
+        let stale_free = m.clone().grad_input(&x);
+        assert_eq!(m.grad_input(&x).data(), stale_free.data());
     }
 }

@@ -102,8 +102,9 @@ impl GnnGrads {
 }
 
 /// Reusable forward/backward state for one batch shard: traces, stacked
-/// activations, a scratch-buffer pool, and the gradient sinks. Steady-state
-/// passes through a warm `GnnPass` do not touch the heap.
+/// activations, a scratch-buffer pool, and the gradient sinks (shaped by
+/// training only: the eval pass's stay empty). Steady-state passes through a
+/// warm `GnnPass` do not touch the heap.
 #[derive(Default)]
 struct GnnPass {
     ws: Workspace,
@@ -337,16 +338,35 @@ fn forward_stacked(
     nets.readout.forward_into(&pass.read_in, mode, &mut pass.t_read, &mut pass.y);
 }
 
+/// One network's backward against the cached transposes: parameter
+/// gradients accumulate into `sink` when there is one; without it only the
+/// input gradient is computed.
+fn net_backward(
+    net: &Mlp,
+    trace: &MlpTrace,
+    grad_out: &Matrix,
+    sink: Option<&mut MlpGrads>,
+    ws: &mut Workspace,
+    dx: &mut Matrix,
+    wts: &[Matrix],
+) {
+    match sink {
+        Some(grads) => net.backward_with_wt(trace, grad_out, grads, ws, dx, wts),
+        None => net.backward_input_with_wt(trace, grad_out, ws, dx, wts),
+    }
+}
+
 /// Stacked backward pass for the forward recorded in `pass` (output gradient
-/// in `pass.dy`). Parameter gradients accumulate into `pass.grads` (prepare
-/// them first); the input gradient lands in `pass.dx` (`B × (n·F)`). The
-/// networks are untouched.
+/// in `pass.dy`). Parameter gradients accumulate into `grads` when given
+/// (prepare them first); the input gradient lands in `pass.dx`
+/// (`B × (n·F)`), bit-identical either way. The networks are untouched.
 fn backward_stacked(
     nets: &GnnNets,
     graph: &GraphSpec,
     cfg: &GnnConfig,
     wts: &NetWts,
     pass: &mut GnnPass,
+    mut grads: Option<&mut GnnGrads>,
 ) {
     let n = graph.num_nodes();
     let (f, m, e) = (cfg.feature_dim, cfg.msg_dim, cfg.embed_dim);
@@ -354,10 +374,11 @@ fn backward_stacked(
 
     // Readout.
     let mut d_read_in = pass.ws.take(b, n * e);
-    nets.readout.backward_with_wt(
+    net_backward(
+        &nets.readout,
         &pass.t_read,
         &pass.dy,
-        &mut pass.grads.readout,
+        grads.as_deref_mut().map(|g| &mut g.readout),
         &mut pass.ws,
         &mut d_read_in,
         &wts.readout,
@@ -368,10 +389,11 @@ fn backward_stacked(
 
     // Step 2 backward.
     let mut d_gin2 = pass.ws.take(n * b, f + m);
-    nets.gamma2.backward_with_wt(
+    net_backward(
+        &nets.gamma2,
         &pass.t_gamma2,
         &d_e2,
-        &mut pass.grads.gamma2,
+        grads.as_deref_mut().map(|g| &mut g.gamma2),
         &mut pass.ws,
         &mut d_gin2,
         &wts.gamma2,
@@ -382,10 +404,11 @@ fn backward_stacked(
     scatter_msg_grads(graph, b, f, &d_gin2, &mut d_phi2_out);
     pass.ws.give(d_gin2);
     let mut d_e1 = pass.ws.take(n * b, e);
-    nets.phi2.backward_with_wt(
+    net_backward(
+        &nets.phi2,
         &pass.t_phi2,
         &d_phi2_out,
-        &mut pass.grads.phi2,
+        grads.as_deref_mut().map(|g| &mut g.phi2),
         &mut pass.ws,
         &mut d_e1,
         &wts.phi2,
@@ -394,10 +417,11 @@ fn backward_stacked(
 
     // Step 1 backward.
     let mut d_gin1 = pass.ws.take(n * b, f + m);
-    nets.gamma1.backward_with_wt(
+    net_backward(
+        &nets.gamma1,
         &pass.t_gamma1,
         &d_e1,
-        &mut pass.grads.gamma1,
+        grads.as_deref_mut().map(|g| &mut g.gamma1),
         &mut pass.ws,
         &mut d_gin1,
         &wts.gamma1,
@@ -408,10 +432,11 @@ fn backward_stacked(
     scatter_msg_grads(graph, b, f, &d_gin1, &mut d_phi1_out);
     pass.ws.give(d_gin1);
     let mut d_x_phi = pass.ws.take(n * b, f);
-    nets.phi1.backward_with_wt(
+    net_backward(
+        &nets.phi1,
         &pass.t_phi1,
         &d_phi1_out,
-        &mut pass.grads.phi1,
+        grads.map(|g| &mut g.phi1),
         &mut pass.ws,
         &mut d_x_phi,
         &wts.phi1,
@@ -464,16 +489,15 @@ impl MicroserviceGnn {
     }
 
     /// Backward through the retained eval trace, leaving `d pred / d x` in
-    /// `scratch.eval.dx`.
+    /// `scratch.eval.dx`. Input gradient only: no parameter gradient is
+    /// computed, so the eval pass's sinks are never shaped or zeroed and
+    /// training state is untouched by construction.
     fn backward_kept(&mut self, x: &Matrix) {
         let sc = self.scratch.get_mut();
         sc.eval.dy.reshape_zeroed(x.rows(), 1);
         sc.eval.dy.data_mut().fill(1.0);
-        sc.eval.grads.prepare(&self.nets);
         sc.wts.refresh(&self.nets);
-        // Gradients land in the scratch sinks, never the parameters, so
-        // training state is untouched by construction.
-        backward_stacked(&self.nets, &self.graph, &self.cfg, &sc.wts, &mut sc.eval);
+        backward_stacked(&self.nets, &self.graph, &self.cfg, &sc.wts, &mut sc.eval, None);
     }
 }
 
@@ -545,8 +569,13 @@ impl LatencyNet for MicroserviceGnn {
                     *g *= frac;
                 }
                 pass.loss = chunk_loss * frac;
-                pass.grads.prepare(nets);
-                backward_stacked(nets, graph, cfg, wts, pass);
+                // The sink leaves the pass for the call, so both can be
+                // borrowed mutably; taking an unshaped default allocates
+                // nothing.
+                let mut grads = std::mem::take(&mut pass.grads);
+                grads.prepare(nets);
+                backward_stacked(nets, graph, cfg, wts, pass, Some(&mut grads));
+                pass.grads = grads;
             };
             if threads <= 1 {
                 for (ci, pass) in chunks[..n_chunks].iter_mut().enumerate() {
@@ -1024,5 +1053,67 @@ mod tests {
         let (reused, allocated) = gnn.scratch_stats();
         assert_eq!(allocated, allocated_warm, "steady-state training allocates no scratch");
         assert!(reused > 0, "warm buffers are reused");
+    }
+
+    fn eval_sinks_unallocated(gnn: &mut MicroserviceGnn) -> bool {
+        let g = &gnn.scratch.get_mut().eval.grads;
+        [&g.phi1, &g.gamma1, &g.phi2, &g.gamma2, &g.readout].iter().all(|s| s.is_unallocated())
+    }
+
+    #[test]
+    fn input_only_backward_dx_is_bit_identical_to_the_full_backward() {
+        let graphs = [
+            chain_graph(3),
+            GraphSpec::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]),
+            GraphSpec::from_edges(6, &[(0, 1), (1, 2), (1, 3), (1, 4), (4, 5), (3, 5)]),
+        ];
+        for (gi, graph) in graphs.into_iter().enumerate() {
+            // The small shapes take the narrow kernels, the paper's shapes
+            // the wide readout path with its tail tiles.
+            for cfg in [small_cfg(), GnnConfig::default()] {
+                let mut rng = DetRng::new(80 + gi as u64);
+                let mut gnn = MicroserviceGnn::new(graph.clone(), cfg, &mut rng);
+                let cols = gnn.num_nodes() * gnn.feature_dim();
+                for batch in [1, 5] {
+                    let x = Matrix::from_fn(batch, cols, |r, c| {
+                        0.09 * c as f64 - 0.13 * r as f64 + if c % 2 == 0 { 0.4 } else { 0.1 }
+                    });
+                    let (mut pred, mut dx) = (Vec::new(), Matrix::default());
+                    gnn.predict_keep_into(&x, &mut pred);
+                    gnn.grad_from_kept_into(&x, &mut dx);
+                    assert!(eval_sinks_unallocated(&mut gnn), "the solver path shapes no sink");
+
+                    // The training backward on the same kept trace.
+                    let sc = gnn.scratch.get_mut();
+                    let mut grads = GnnGrads::default();
+                    grads.prepare(&gnn.nets);
+                    backward_stacked(
+                        &gnn.nets,
+                        &gnn.graph,
+                        &gnn.cfg,
+                        &sc.wts,
+                        &mut sc.eval,
+                        Some(&mut grads),
+                    );
+                    let full: Vec<u64> = sc.eval.dx.data().iter().map(|v| v.to_bits()).collect();
+                    let input_only: Vec<u64> = dx.data().iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(input_only, full, "graph {gi}, batch {batch}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn solver_path_never_shapes_the_eval_gradient_sinks() {
+        let mut rng = DetRng::new(90);
+        let graph = GraphSpec::from_edges(6, &[(0, 1), (1, 2), (1, 3), (1, 4), (4, 5), (3, 5)]);
+        let mut gnn = MicroserviceGnn::new(graph, GnnConfig::default(), &mut rng);
+        let (mut pred, mut dx) = (Vec::new(), Matrix::default());
+        for i in 0..50 {
+            let x = Matrix::from_fn(1, 12, |_, c| 0.05 * (c + i % 7) as f64 + 0.1);
+            gnn.predict_keep_into(&x, &mut pred);
+            gnn.grad_from_kept_into(&x, &mut dx);
+        }
+        assert!(eval_sinks_unallocated(&mut gnn), "eval gradient sinks hold no allocation");
     }
 }

@@ -4,7 +4,9 @@
 //! stacked message-passing kernels, ordered gradient reduction, split Adam
 //! update — must not touch the heap once its buffers are warm, on the
 //! `threads <= 1` inline path (the counter is thread-local, so the measured
-//! work must stay on the measuring thread).
+//! work must stay on the measuring thread). The solver's kept-trace gradient
+//! path (`predict_keep_into` + `grad_from_kept_into`) must be allocation-free
+//! too, for the GNN and for the `FlatMlp` ablation.
 
 #![cfg(feature = "sanitize")]
 
@@ -46,6 +48,24 @@ fn gnn_solver_fast_path_is_allocation_free_in_steady_state() {
     net.predict_keep_into(&x, &mut pred);
     net.grad_from_kept_into(&x, &mut dx);
     assert_no_alloc("gnn predict_keep_into + grad_from_kept_into", || {
+        net.predict_keep_into(&x, &mut pred);
+        net.grad_from_kept_into(&x, &mut dx);
+    });
+    assert_eq!(pred.len(), 1);
+    assert_eq!((dx.rows(), dx.cols()), (1, 6));
+}
+
+#[test]
+fn flat_mlp_solver_fast_path_is_allocation_free_in_steady_state() {
+    let mut rng = DetRng::new(7);
+    let mut net = FlatMlp::new(3, 2, 120, 0.25, &mut rng);
+    let x = Matrix::from_fn(1, 6, |_, c| 0.2 + 0.1 * c as f64);
+    let mut pred: Vec<f64> = Vec::new();
+    let mut dx = Matrix::default();
+
+    net.predict_keep_into(&x, &mut pred);
+    net.grad_from_kept_into(&x, &mut dx);
+    assert_no_alloc("flat-mlp predict_keep_into + grad_from_kept_into", || {
         net.predict_keep_into(&x, &mut pred);
         net.grad_from_kept_into(&x, &mut dx);
     });

@@ -9,8 +9,11 @@
 //!   readout layers): each `A` row is compacted branchlessly into its
 //!   nonzero (index, value) pairs per `KB`-sized k-block — ReLU + dropout
 //!   leave most activations zero — and the compressed row is multiplied
-//!   against an L1-resident slab of `B` into 32-column register tiles,
-//!   with every product routed through `f64::mul_add` (FMA).
+//!   against an L1-resident slab of `B` into 32-column register tiles, then
+//!   8-column tail tiles (one const-generic `wide_tile`), leaving a
+//!   runtime-width loop only for the last `n % 8` columns. Every product is
+//!   routed through `f64::mul_add` (FMA), and each output element gets the
+//!   same k-ascending `mul_add` chain whichever tile covers it.
 //! * **Narrow outputs** (the 20/22-wide φ/γ message nets): a const-generic
 //!   two-row register-tile kernel (`narrow_tile_matmul`) that keeps both
 //!   accumulator rows in vector registers across the whole k loop.
@@ -514,8 +517,11 @@ fn accumulate_matmul(
         //   data-dependent branch a skip would mispredict on.
         // * A fixed-width accumulator tile lives in SIMD registers across
         //   the block's k loop, so each output element is touched once per
-        //   block instead of once per nonzero k.
+        //   block instead of once per nonzero k. 32-column tiles run first,
+        //   then 8-column ones, so only the last `n % 8` columns take a
+        //   runtime-width loop (none of the GNN's 120- and 200-wide ones).
         const TILE: usize = 32;
+        const TAIL: usize = 8;
         const KB: usize = 48;
         let mut idx = [0u32; KB];
         let mut vals = [0.0f64; KB];
@@ -536,36 +542,31 @@ fn accumulate_matmul(
                 if cnt == 0 && !fresh {
                     continue;
                 }
+                let (nz_idx, nz_vals) = (&idx[..cnt], &vals[..cnt]);
+                let orow = &mut out[r * n..(r + 1) * n];
                 let mut c0 = 0;
                 while c0 + TILE <= n {
-                    let orow = &mut out[r * n + c0..r * n + c0 + TILE];
-                    let mut acc = [0.0f64; TILE];
-                    if !fresh {
-                        acc.copy_from_slice(orow);
-                    }
-                    for (&k, &s) in idx[..cnt].iter().zip(&vals[..cnt]) {
-                        let brow = &b[k as usize * n + c0..k as usize * n + c0 + TILE];
-                        for (av, &bv) in acc.iter_mut().zip(brow) {
-                            *av = s.mul_add(bv, *av);
-                        }
-                    }
-                    orow.copy_from_slice(&acc);
+                    wide_tile::<TILE>(nz_idx, nz_vals, b, n, c0, orow, fresh);
                     c0 += TILE;
                 }
+                while c0 + TAIL <= n {
+                    wide_tile::<TAIL>(nz_idx, nz_vals, b, n, c0, orow, fresh);
+                    c0 += TAIL;
+                }
                 if c0 < n {
+                    // The last `n % TAIL` columns: a runtime-width tile.
                     let w = n - c0;
-                    let orow = &mut out[r * n + c0..r * n + c0 + w];
-                    let mut acc = [0.0f64; TILE];
+                    let mut acc = [0.0f64; TAIL];
                     if !fresh {
-                        acc[..w].copy_from_slice(orow);
+                        acc[..w].copy_from_slice(&orow[c0..]);
                     }
-                    for (&k, &s) in idx[..cnt].iter().zip(&vals[..cnt]) {
-                        let brow = &b[k as usize * n + c0..k as usize * n + c0 + w];
+                    for (&k, &s) in nz_idx.iter().zip(nz_vals) {
+                        let brow = &b[k as usize * n + c0..(k as usize + 1) * n];
                         for (av, &bv) in acc[..w].iter_mut().zip(brow) {
                             *av = s.mul_add(bv, *av);
                         }
                     }
-                    orow.copy_from_slice(&acc[..w]);
+                    orow[c0..].copy_from_slice(&acc[..w]);
                 }
             }
             k0 += kb;
@@ -622,7 +623,36 @@ fn accumulate_matmul(
     }
 }
 
-/// Narrow-output matmul with a compile-time row width: four output rows of
+/// One `W`-column register tile of the wide path: columns `c0..c0 + W` of
+/// one output row (`orow`) accumulate `s · b[k][c]` for each compacted
+/// nonzero `(k, s)` in ascending `k`, starting from zero when `fresh` and
+/// from `orow` otherwise. Every output element sees the same `mul_add`
+/// sequence whatever `W` is, so the tile width never changes a bit.
+#[inline(always)]
+fn wide_tile<const W: usize>(
+    idx: &[u32],
+    vals: &[f64],
+    b: &[f64],
+    n: usize,
+    c0: usize,
+    orow: &mut [f64],
+    fresh: bool,
+) {
+    let out = &mut orow[c0..c0 + W];
+    let mut acc = [0.0f64; W];
+    if !fresh {
+        acc.copy_from_slice(out);
+    }
+    for (&k, &s) in idx.iter().zip(vals) {
+        let brow = &b[k as usize * n + c0..k as usize * n + c0 + W];
+        for (av, &bv) in acc.iter_mut().zip(brow) {
+            *av = s.mul_add(bv, *av);
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
+/// Narrow-output matmul with a compile-time row width: two output rows of
 /// `N` accumulators each stay in registers across the whole `k` loop, so the
 /// inner body is pure broadcast-FMA with no output loads or stores.
 fn narrow_tile_matmul<const N: usize>(
@@ -718,6 +748,57 @@ mod tests {
             });
             for i in 0..m * 7 {
                 assert!((fast.data()[i] - slow.data()[i]).abs() < 1e-12, "m={m} i={i}");
+            }
+        }
+    }
+
+    /// Scalar model of the wide kernel's per-element arithmetic: a
+    /// k-ascending `mul_add` chain over the nonzero `a` entries, starting
+    /// from `start` (accumulate) or `0.0` (overwrite).
+    fn scalar_matmul(a: &Matrix, b: &Matrix, start: Option<&Matrix>) -> Matrix {
+        Matrix::from_fn(a.rows(), b.cols(), |r, c| {
+            let mut v = start.map_or(0.0, |o| o.get(r, c));
+            for k in 0..a.cols() {
+                let s = a.get(r, k);
+                if s != 0.0 {
+                    v = s.mul_add(b.get(k, c), v);
+                }
+            }
+            v
+        })
+    }
+
+    #[test]
+    fn wide_matmul_is_bit_exact_for_every_tail_width() {
+        // Widths 48..=136 cover every `n % 32` and `n % 8` remainder of the
+        // 32- and 8-column tiles; kd crosses the 48-deep k-block boundary.
+        let (ms, kds): (&[usize], &[usize]) =
+            if cfg!(miri) { (&[1, 3], &[1, 49]) } else { (&[1, 3, 64], &[1, 47, 48, 49, 200]) };
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for n in 48..=136 {
+            for &m in ms {
+                for &kd in kds {
+                    // Half of `a` is zero, in a pattern that shifts per row.
+                    let a = Matrix::from_fn(m, kd, |r, k| {
+                        if (r + k) % 2 == 0 {
+                            0.0
+                        } else {
+                            ((r * 13 + k * 7) % 29) as f64 * 0.137 - 1.9
+                        }
+                    });
+                    let b =
+                        Matrix::from_fn(kd, n, |k, c| ((k * 31 + c * 17) % 23) as f64 / 7.0 - 1.3);
+                    let seed =
+                        Matrix::from_fn(m, n, |r, c| ((r * 5 + c * 3) % 11) as f64 * 0.31 - 1.7);
+                    let mut fresh = seed.clone();
+                    a.matmul_into(&b, &mut fresh);
+                    let want = scalar_matmul(&a, &b, None);
+                    assert_eq!(bits(&fresh), bits(&want), "matmul_into n={n} m={m} kd={kd}");
+                    let mut acc = seed.clone();
+                    a.matmul_acc(&b, &mut acc);
+                    let want = scalar_matmul(&a, &b, Some(&seed));
+                    assert_eq!(bits(&acc), bits(&want), "matmul_acc n={n} m={m} kd={kd}");
+                }
             }
         }
     }

@@ -13,6 +13,11 @@
 //! output) plus the dropout masks, every buffer is reshaped in place, and
 //! gradients land in an external [`MlpGrads`] sink so the network itself can
 //! be shared immutably across training workers.
+//!
+//! Callers that need only the input gradient (the configuration solver's
+//! ∂prediction/∂quota) use the sink-less [`Mlp::backward_input_with_wt`]:
+//! the same backward loop with the parameter-gradient products skipped, so
+//! no sink is shaped or zeroed and `dx` is bit-identical to the full pass.
 
 use graf_sim::rng::DetRng;
 
@@ -71,6 +76,12 @@ impl MlpGrads {
         for (g, p) in self.biases.iter_mut().zip(&mlp.biases) {
             g.reshape_zeroed(1, p.value.cols());
         }
+    }
+
+    /// True while the sink holds no heap buffer at all, i.e. it was never
+    /// [prepared](MlpGrads::prepare).
+    pub fn is_unallocated(&self) -> bool {
+        self.weights.capacity() == 0 && self.biases.capacity() == 0
     }
 }
 
@@ -210,7 +221,7 @@ impl Mlp {
         ws: &mut Workspace,
         dx: &mut Matrix,
     ) {
-        self.backward_impl(trace, grad_out, grads, ws, dx, None);
+        self.backward_impl(trace, grad_out, Some(grads), ws, dx, None);
     }
 
     /// [`Mlp::backward_with`] with caller-provided weight transposes (from
@@ -226,21 +237,43 @@ impl Mlp {
         wts: &[Matrix],
     ) {
         assert_eq!(wts.len(), self.weights.len(), "transpose cache/network mismatch");
-        self.backward_impl(trace, grad_out, grads, ws, dx, Some(wts));
+        self.backward_impl(trace, grad_out, Some(grads), ws, dx, Some(wts));
     }
 
+    /// [`Mlp::backward_with_wt`] without a gradient sink: only the
+    /// input-batch gradient `dx` is computed. The parameter-gradient
+    /// products (`xᵀ·g`, the input transposes they need, the bias row sums)
+    /// are skipped, and since `dx` never reads them it is bit-identical to
+    /// the full pass's. This is the solver's ∂prediction/∂input path.
+    pub fn backward_input_with_wt(
+        &self,
+        trace: &MlpTrace,
+        grad_out: &Matrix,
+        ws: &mut Workspace,
+        dx: &mut Matrix,
+        wts: &[Matrix],
+    ) {
+        assert_eq!(wts.len(), self.weights.len(), "transpose cache/network mismatch");
+        self.backward_impl(trace, grad_out, None, ws, dx, Some(wts));
+    }
+
+    /// The one backward loop. With `grads == None` it runs the input
+    /// gradient chain alone (gating and `g·Wᵀ`), never the weight-gradient
+    /// products.
     fn backward_impl(
         &self,
         trace: &MlpTrace,
         grad_out: &Matrix,
-        grads: &mut MlpGrads,
+        mut grads: Option<&mut MlpGrads>,
         ws: &mut Workspace,
         dx: &mut Matrix,
         wts: Option<&[Matrix]>,
     ) {
         let l = self.weights.len();
         assert_eq!(trace.inputs.len(), l, "trace/network mismatch");
-        assert_eq!(grads.weights.len(), l, "grads/network mismatch");
+        if let Some(sink) = &grads {
+            assert_eq!(sink.weights.len(), l, "grads/network mismatch");
+        }
         let last = l - 1;
         let mut g = ws.take(grad_out.rows(), grad_out.cols());
         g.copy_from(grad_out);
@@ -264,15 +297,17 @@ impl Mlp {
                     }
                 }
             }
-            // dW += xᵀ × g. Materialising the (small) transposes routes both
-            // gradient products through the tiled, sparsity-skipping matmul
-            // kernel instead of rank-1 sweeps over the whole output.
-            let x = &trace.inputs[i];
-            let mut xt = ws.take(x.cols(), x.rows());
-            x.transpose_into(&mut xt);
-            xt.matmul_acc(&g, &mut grads.weights[i]);
-            ws.give(xt);
-            g.sum_rows_acc(&mut grads.biases[i]);
+            if let Some(sink) = grads.as_deref_mut() {
+                // dW += xᵀ × g. Materialising the (small) transposes routes
+                // both gradient products through the tiled, sparsity-skipping
+                // matmul kernel instead of rank-1 sweeps over the whole output.
+                let x = &trace.inputs[i];
+                let mut xt = ws.take(x.cols(), x.rows());
+                x.transpose_into(&mut xt);
+                xt.matmul_acc(&g, &mut sink.weights[i]);
+                ws.give(xt);
+                g.sum_rows_acc(&mut sink.biases[i]);
+            }
             // dx = g × Wᵀ — the gated `g` is far sparser than the weights.
             let w = &self.weights[i].value;
             let mut wt_scratch: Option<Matrix> = None;
