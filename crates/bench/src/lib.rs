@@ -20,7 +20,12 @@
 //!   cost-benefit arithmetic of Figure 19,
 //! * [`sweepgrid`] — `graf-exp sweep` and `graf-exp compare`: grid axes
 //!   (`app`/`slo`/`surge`/`chaos`/`policy`/`load`) mapped onto concrete
-//!   scenarios whose models come from the runner's one cache.
+//!   scenarios whose models come from the runner's one cache,
+//! * the scenario-agnostic sweep machinery under it: [`grid`] (grid specs
+//!   expanded into cells), [`run`] (the fleet: one seeded record per cell on
+//!   the workspace's worker pool), [`record`] (the canonical JSONL record)
+//!   and [`report`] (the byte-stable aggregate, the table and the
+//!   cross-revision compare).
 //!
 //! **Invariants.** Every experiment is deterministic per `--seed`: rerunning
 //! one produces byte-identical output, alone or under `graf-exp all`,
@@ -30,10 +35,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod args;
 pub mod exp;
+pub mod grid;
 pub mod pricing;
+pub mod record;
+pub mod report;
+pub mod run;
 pub mod standard;
 pub mod sweepgrid;
 pub mod timeline;

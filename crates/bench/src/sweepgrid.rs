@@ -1,8 +1,9 @@
 //! `graf-exp sweep` and `graf-exp compare`: grid axes mapped onto concrete
 //! GRAF scenarios, and the two commands over them.
 //!
-//! The sweep machinery (`crates/sweep`) is scenario-agnostic — axes and
-//! values are strings. This module gives those strings meaning:
+//! The sweep machinery ([`crate::grid`], [`crate::run`], [`crate::record`],
+//! [`crate::report`]) is scenario-agnostic — axes and values are strings.
+//! This module gives those strings meaning:
 //!
 //! | axis | values | default |
 //! |---|---|---|
@@ -18,8 +19,8 @@
 //! over a window bracketing the surge, and report post-surge tail latency,
 //! convergence time and instance usage.
 //!
-//! **Seed discipline.** The cell seed (derived by `graf_sweep::run_sweep`
-//! from `(grid_seed, cell key)`) drives the simulated world and the load
+//! **Seed discipline.** The cell seed (derived by [`run_sweep`] from
+//! `(grid_seed, cell key)`) drives the simulated world and the load
 //! generator. Model training uses the *grid* seed: the paper trains one
 //! model per application and reuses it for every result, so all cells of a
 //! sweep — on whichever worker — take their model from the runner's one
@@ -41,11 +42,12 @@ use graf_orchestrator::{Autoscaler, Cluster, FirmLike, HpaConfig, KubernetesHpa,
 use graf_sim::time::{SimDuration, SimTime};
 use graf_sim::topology::ApiId;
 use graf_sim::world::{SimConfig, World};
-use graf_sweep::record::parse_history;
-use graf_sweep::{aggregate, render_compare, render_table, run_sweep, Cell, CellRecord};
-use graf_sweep::{CellResult, CellVerdict, Grid};
 
 use crate::exp::Ctx;
+use crate::grid::{Cell, Grid};
+use crate::record::{parse_history, CellRecord, CellResult};
+use crate::report::{aggregate, render_compare, render_table, CellVerdict};
+use crate::run::run_sweep;
 use crate::standard::{
     bookinfo_setup, boutique_setup, fault_window, hottest_service, robot_shop_setup, social_setup,
     AppSetup,
@@ -315,8 +317,7 @@ pub fn sweep(cx: &mut Ctx, workers: usize) -> io::Result<usize> {
     let records = run_sweep(&grid, seed, workers, |cell, seed| run_cell(shared, cell, seed));
     let at = |path: &str, e: io::Error| io::Error::new(e.kind(), format!("{path}: {e}"));
     if let Some(path) = &args.out {
-        let aggregated = aggregate(records.clone()).map_err(io::Error::other)?;
-        std::fs::write(path, aggregated).map_err(|e| at(path, e))?;
+        std::fs::write(path, aggregate(&records)).map_err(|e| at(path, e))?;
         writeln!(cx.out, "aggregated report written to {path}")?;
     }
     writeln!(cx.out, "\n{}", render_table(&records))?;
@@ -360,7 +361,7 @@ pub fn compare(cx: &mut Ctx) -> io::Result<usize> {
          threshold={threshold}%",
         args.revs[0], args.revs[1]
     )?;
-    let report = graf_sweep::compare(&history, &base, &new, gate, threshold);
+    let report = crate::report::compare(&history, &base, &new, gate, threshold);
     write!(cx.out, "{}", render_compare(&report, gate))?;
 
     let mut failures = 0;
@@ -436,9 +437,9 @@ mod tests {
     #[test]
     fn unknown_cell_values_are_runtime_errors_not_panics() {
         let cx = quick_ctx();
-        let cell = Cell::from_key("app=nope/policy=hpa").expect("parseable key");
-        assert!(run_cell(&cx, &cell, 1).is_err());
-        let cell = Cell::from_key("policy=nope").expect("parseable key");
-        assert!(run_cell(&cx, &cell, 1).is_err());
+        for spec in ["app=nope;policy=hpa", "policy=nope"] {
+            let cell = &Grid::parse(spec).expect("parseable spec").cells()[0];
+            assert!(run_cell(&cx, cell, 1).is_err(), "{spec}");
+        }
     }
 }

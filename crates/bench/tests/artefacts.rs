@@ -10,7 +10,8 @@ use std::process::Command;
 use std::sync::{Arc, Mutex};
 
 use graf_bench::exp::{self, Ctx, Entry, REGISTRY};
-use graf_bench::{sweepgrid, Args};
+use graf_bench::{record, sweepgrid, Args};
+use graf_sim::rng::derive_seed;
 
 /// A sink the test keeps a handle to after `Ctx` has boxed the other.
 #[derive(Clone, Default)]
@@ -182,8 +183,12 @@ fn telemetry_is_written_by_an_experiment_that_only_collects() {
 #[test]
 fn sweep_aggregate_is_worker_count_invariant_and_matches_the_pinned_bytes() {
     let golden = include_str!("golden/sweep_smoke_quick_seed7.jsonl");
-    let pinned = graf_sweep::record::parse_stream(golden).expect("a sweep's own output");
-    assert!(pinned.len() == 4 && pinned.iter().all(|r| r.result.is_some()), "four ok cells");
+    let (pinned, skipped) = record::parse_history(golden);
+    assert!(skipped == 0 && pinned.len() == 4, "four well-formed records");
+    for r in &pinned {
+        assert!(r.result.is_some(), "{} failed", r.cell);
+        assert_eq!(r.seed, derive_seed(7, &r.cell), "{}: seed read back exactly", r.cell);
+    }
     let dir = scratch("sweep-widths");
     for workers in [1, 2, 4] {
         let out = dir.join(format!("w{workers}.jsonl"));

@@ -237,7 +237,7 @@ mod tests {
         assert_eq!(solver.get("stop").and_then(Json::as_str), Some("wall_converged"));
         assert_eq!(solver.get("wall_active"), Some(&Json::Bool(true)));
         assert_eq!(solver.get("predicted_ms").and_then(Json::as_f64), Some(17.2));
-        assert_eq!(j.get("deltas"), Some(&Json::Arr(vec![Json::Num(0.0), Json::Num(2.0)])));
+        assert_eq!(j.get("deltas"), Some(&Json::Arr(vec![Json::UInt(0), Json::UInt(2)])));
     }
 
     #[test]

@@ -38,6 +38,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod analyzer;
 pub mod anomaly;

@@ -39,6 +39,7 @@
 #![cfg_attr(not(feature = "sanitize"), forbid(unsafe_code))]
 #![cfg_attr(feature = "sanitize", deny(unsafe_code))]
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod loss;
 pub mod matrix;

@@ -42,7 +42,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (parsed as f64).
+    /// A non-negative integer literal that fits in a `u64`, kept exact.
+    UInt(u64),
+    /// Any other number (parsed as f64).
     Num(f64),
     /// A string.
     Str(String),
@@ -65,6 +67,15 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(v) => Some(*v),
+            Json::UInt(v) => Some(*v as f64),
+            _ => None,
+        }
+    }
+
+    /// The exact value of a non-negative integer literal below 2⁶⁴.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::UInt(v) => Some(*v),
             _ => None,
         }
     }
@@ -179,6 +190,9 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+    if let Ok(v) = text.parse::<u64>() {
+        return Ok(Json::UInt(v));
+    }
     text.parse::<f64>().map(Json::Num).map_err(|_| format!("invalid number {text:?} at {start}"))
 }
 
@@ -261,10 +275,22 @@ mod tests {
         let j = parse(r#"{"a": [1, 2.5, "x"], "b": {"c": true, "d": null}}"#).unwrap();
         assert_eq!(
             j.get("a"),
-            Some(&Json::Arr(vec![Json::Num(1.0), Json::Num(2.5), Json::Str("x".into())]))
+            Some(&Json::Arr(vec![Json::UInt(1), Json::Num(2.5), Json::Str("x".into())]))
         );
         assert_eq!(j.get("b").unwrap().get("c"), Some(&Json::Bool(true)));
         assert_eq!(j.get("b").unwrap().get("d"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn integer_literals_stay_exact() {
+        for v in [0, 1 << 53, (1 << 53) + 1, 18080803159395780711, u64::MAX] {
+            let j = parse(&v.to_string()).unwrap();
+            assert_eq!(j.as_u64(), Some(v));
+            assert_eq!(j.as_f64(), Some(v as f64));
+        }
+        for text in ["-1", "1.0", "2.5", "1e3", "18446744073709551616"] {
+            assert_eq!(parse(text).unwrap().as_u64(), None, "{text}");
+        }
     }
 
     #[test]

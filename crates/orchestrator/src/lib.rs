@@ -30,6 +30,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod autoscaler;
 pub mod cluster;

@@ -6,17 +6,44 @@
 //! and [`test_runner::ProptestConfig`].
 //!
 //! Semantics: each test body runs `cases` times against inputs sampled from
-//! the strategies with a deterministic per-test RNG (seeded from the test
-//! name, so failures reproduce). There is **no shrinking** — a failing case
-//! reports the sampled inputs as-is via the panic message.
+//! the strategies with a deterministic per-test [`TestRng`] (seeded from the
+//! test name, so failures reproduce). There is **no shrinking** — a failing
+//! case reports the sampled inputs as-is via the panic message.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
-use rand::rngs::SmallRng;
-use rand::Rng;
 use std::fmt::Debug;
 use std::ops::{Range, RangeInclusive};
+
+/// The input generator: a SplitMix64 stream.
+pub struct TestRng(u64);
+
+impl TestRng {
+    /// A stream started at `seed`.
+    pub fn new(seed: u64) -> Self {
+        TestRng(seed)
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[lo, hi]` (widening multiply; the bias is below 2⁻⁶⁴ per
+    /// value, immaterial for test inputs).
+    fn in_range(&mut self, lo: u64, hi: u64) -> u64 {
+        assert!(lo <= hi, "empty strategy range");
+        let span = (hi - lo).wrapping_add(1);
+        if span == 0 {
+            return self.next_u64();
+        }
+        lo + ((u128::from(self.next_u64()) * u128::from(span)) >> 64) as u64
+    }
+}
 
 /// A source of random test inputs (a drastically reduced `proptest`
 /// strategy: sampling only, no shrinking).
@@ -25,22 +52,22 @@ pub trait Strategy {
     type Value: Debug;
 
     /// Samples one value.
-    fn sample(&self, rng: &mut SmallRng) -> Self::Value;
+    fn sample(&self, rng: &mut TestRng) -> Self::Value;
 }
 
 macro_rules! int_range_strategy {
     ($($t:ty),+) => {$(
         impl Strategy for Range<$t> {
             type Value = $t;
-            fn sample(&self, rng: &mut SmallRng) -> $t {
+            fn sample(&self, rng: &mut TestRng) -> $t {
                 assert!(self.start < self.end, "empty strategy range");
-                rng.gen_range(self.start as u64..=(self.end - 1) as u64) as $t
+                rng.in_range(self.start as u64, (self.end - 1) as u64) as $t
             }
         }
         impl Strategy for RangeInclusive<$t> {
             type Value = $t;
-            fn sample(&self, rng: &mut SmallRng) -> $t {
-                rng.gen_range(*self.start() as u64..=*self.end() as u64) as $t
+            fn sample(&self, rng: &mut TestRng) -> $t {
+                rng.in_range(*self.start() as u64, *self.end() as u64) as $t
             }
         }
     )+};
@@ -49,17 +76,17 @@ int_range_strategy!(u64, u32, u16, usize, u8);
 
 impl Strategy for Range<f64> {
     type Value = f64;
-    fn sample(&self, rng: &mut SmallRng) -> f64 {
-        self.start + (self.end - self.start) * rng.gen::<f64>()
+    fn sample(&self, rng: &mut TestRng) -> f64 {
+        self.start + (self.end - self.start) * ((rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64)
     }
 }
 
 impl Strategy for RangeInclusive<f64> {
     type Value = f64;
-    fn sample(&self, rng: &mut SmallRng) -> f64 {
+    fn sample(&self, rng: &mut TestRng) -> f64 {
         // Uniform over [lo, hi]: include the endpoint occasionally by
         // sampling the closed unit interval on 53-bit grid resolution.
-        let u = (rng.gen::<u64>() >> 11) as f64 / ((1u64 << 53) - 1) as f64;
+        let u = (rng.next_u64() >> 11) as f64 / ((1u64 << 53) - 1) as f64;
         self.start() + (self.end() - self.start()) * u
     }
 }
@@ -68,7 +95,7 @@ macro_rules! tuple_strategy {
     ($(($($s:ident / $idx:tt),+)),+ $(,)?) => {$(
         impl<$($s: Strategy),+> Strategy for ($($s,)+) {
             type Value = ($($s::Value,)+);
-            fn sample(&self, rng: &mut SmallRng) -> Self::Value {
+            fn sample(&self, rng: &mut TestRng) -> Self::Value {
                 ($(self.$idx.sample(rng),)+)
             }
         }
@@ -78,8 +105,7 @@ tuple_strategy!((A / 0, B / 1), (A / 0, B / 1, C / 2), (A / 0, B / 1, C / 2, D /
 
 /// Collection strategies.
 pub mod collection {
-    use super::{SmallRng, Strategy};
-    use rand::Rng;
+    use super::{Strategy, TestRng};
     use std::ops::Range;
 
     /// Strategy for `Vec<S::Value>` with a length drawn from `len`.
@@ -96,8 +122,8 @@ pub mod collection {
 
     impl<S: Strategy> Strategy for VecStrategy<S> {
         type Value = Vec<S::Value>;
-        fn sample(&self, rng: &mut SmallRng) -> Self::Value {
-            let n = rng.gen_range(self.len.start as u64..=(self.len.end - 1) as u64) as usize;
+        fn sample(&self, rng: &mut TestRng) -> Self::Value {
+            let n = rng.in_range(self.len.start as u64, (self.len.end - 1) as u64) as usize;
             (0..n).map(|_| self.element.sample(rng)).collect()
         }
     }
@@ -154,9 +180,6 @@ pub fn seed_for(test_name: &str) -> u64 {
     }
     h
 }
-
-#[doc(hidden)]
-pub use rand as __rand;
 
 /// Everything a property-test file needs.
 pub mod prelude {
@@ -234,9 +257,11 @@ macro_rules! __proptest_items {
         fn $name() {
             use $crate::Strategy as _;
             let cfg: $crate::test_runner::ProptestConfig = $cfg;
-            let mut rng = <$crate::__rand::rngs::SmallRng as $crate::__rand::SeedableRng>::seed_from_u64(
-                $crate::seed_for(concat!(module_path!(), "::", stringify!($name))),
-            );
+            let mut rng = $crate::TestRng::new($crate::seed_for(concat!(
+                module_path!(),
+                "::",
+                stringify!($name)
+            )));
             for case in 0..cfg.cases {
                 $(let $arg = ($strat).sample(&mut rng);)+
                 let dump = format!(

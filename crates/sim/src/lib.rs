@@ -60,6 +60,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod events;
 pub mod frame;
@@ -77,3 +78,41 @@ pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
 pub use topology::{ApiId, ApiSpec, AppTopology, CallNode, ChildMode, ServiceId, ServiceSpec};
 pub use world::{Completion, SimConfig, World};
+
+/// The integer-range and clone contracts of the crate's generator, as the
+/// rand-style `gen_range(lo..=hi)` callers relied on them.
+#[cfg(test)]
+mod tests {
+    use super::DetRng;
+
+    #[test]
+    fn gen_range_inclusive_stays_in_bounds() {
+        let mut rng = DetRng::new(5);
+        for _ in 0..10_000 {
+            let v = rng.uniform_u64(10, 13);
+            assert!((10..=13).contains(&v));
+        }
+        // Degenerate single-point range.
+        assert_eq!(rng.uniform_u64(7, 7), 7);
+    }
+
+    #[test]
+    fn gen_range_hits_every_value() {
+        let mut rng = DetRng::new(11);
+        let mut seen = [false; 4];
+        for _ in 0..1000 {
+            seen[rng.uniform_u64(0, 3) as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn clone_preserves_stream() {
+        let mut a = DetRng::new(1234);
+        a.bits64();
+        let mut b = a.clone();
+        for _ in 0..16 {
+            assert_eq!(a.bits64(), b.bits64());
+        }
+    }
+}

@@ -24,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod span;
 pub mod stats;

@@ -40,9 +40,12 @@
 //! println!("quotas: {quotas_mc:?}, predicted p99 = {:.1} ms", solve.predicted_ms);
 //! ```
 //!
-//! The `examples/` directory contains runnable scenarios and
-//! `crates/bench/src/bin/` one binary per table/figure of the paper's
-//! evaluation (see DESIGN.md for the experiment index).
+//! The `examples/` directory contains runnable scenarios, and the
+//! `graf-exp` runner of `crates/bench` runs every table/figure of the
+//! paper's evaluation plus the scenario sweeps (see DESIGN.md for the
+//! experiment index).
+
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub use graf_apps as apps;
 pub use graf_chaos as chaos;
