@@ -1,6 +1,6 @@
 //! The flags `graf-exp` parses once, whichever subcommand runs.
 
-/// The flags of `graf-exp`. An experiment (or `all`) takes the first eight,
+/// The flags of `graf-exp`. An experiment (or `all`) takes the first seven,
 /// `sweep` the scale flags (`--seed` to `--threads`) and its own four,
 /// `compare` two revisions and its own four; a flag on a subcommand that
 /// does not take it is an error naming the flag.
@@ -13,14 +13,13 @@
 /// * `--threads <n>` — worker threads for data-parallel training (results
 ///   are bit-identical for any value; default 1).
 /// * `--telemetry <path>` — enable the graf-obs telemetry layer: dump the
-///   JSONL event log to `path` and print the summary table at exit.
-/// * `--audit <path>` — stream one JSON line per controller tick (inputs,
-///   ladder rung, solver stats, applied deltas) to `path`; experiments that
-///   run several controllers suffix the file name per run.
+///   JSONL event log (every control tick's decision included) to `path` and
+///   print the summary table at exit.
 /// * `--chaos <class>` — restrict chaos-aware experiments (`chaos_matrix`) to
-///   one fault class (`trace_drop`, `metric_nan`, `metric_stale`,
-///   `stale_model`, `creation_fail`, `slow_start`, `latency_spike`, or
-///   `none`); all classes run when unset.
+///   one fault class of `graf_chaos::CATALOG` (`trace_drop`, `metric_nan`,
+///   `metric_stale`, `stale_model`, `creation_fail`, `slow_start`,
+///   `latency_spike`, or `none`); all classes run when unset, and any other
+///   name is an error.
 /// * `--grid <spec|@preset>` — `sweep`: the scenario grid (required).
 /// * `--out <path>` — `sweep`: write the aggregated JSONL report here.
 /// * `--history <path>` — `sweep`: append the records, tagged `--rev`, to
@@ -43,8 +42,6 @@ pub struct Args {
     pub quick: bool,
     /// JSONL telemetry dump path (telemetry stays disabled when unset).
     pub telemetry: Option<String>,
-    /// JSONL decision-audit path (auditing stays disabled when unset).
-    pub audit: Option<String>,
     /// Training worker threads (deterministic for any value; 1 = serial).
     pub threads: Option<usize>,
     /// Fault-class filter for chaos-aware experiments (None = all classes).
@@ -75,7 +72,6 @@ impl Default for Args {
             samples: None,
             quick: false,
             telemetry: None,
-            audit: None,
             threads: None,
             chaos: None,
             grid: None,
@@ -117,9 +113,13 @@ impl Args {
                 "--telemetry" if exp => {
                     out.telemetry = Some(it.next().ok_or("--telemetry needs a file path")?);
                 }
-                "--audit" if exp => out.audit = Some(it.next().ok_or("--audit needs a file path")?),
                 "--chaos" if exp => {
-                    out.chaos = Some(it.next().ok_or("--chaos needs a fault-class name")?);
+                    let class = it.next().ok_or("--chaos needs a fault-class name")?;
+                    if !graf_chaos::CATALOG.contains(&class.as_str()) {
+                        let known = graf_chaos::CATALOG.join(", ");
+                        return Err(format!("unknown --chaos class {class:?}; known: {known}"));
+                    }
+                    out.chaos = Some(class);
                 }
                 "--grid" if sweep => out.grid = Some(it.next().ok_or("--grid needs a grid spec")?),
                 "--out" if sweep => out.out = Some(it.next().ok_or("--out needs a file path")?),
@@ -216,10 +216,14 @@ mod tests {
     }
 
     #[test]
-    fn audit_flag_takes_a_path() {
-        assert_eq!(parse(&[]).audit, None);
-        let a = parse(&["--audit", "results/audit.jsonl"]);
-        assert_eq!(a.audit.as_deref(), Some("results/audit.jsonl"));
+    fn chaos_flag_takes_a_catalog_class_and_rejects_any_other() {
+        assert_eq!(parse(&[]).chaos, None);
+        for &class in graf_chaos::CATALOG {
+            assert_eq!(parse(&["--chaos", class]).chaos.as_deref(), Some(class));
+        }
+        let err = parse_for("chaos_matrix", &["--chaos", "trace-drop"]).unwrap_err();
+        assert!(err.contains("unknown --chaos class \"trace-drop\""), "{err}");
+        assert!(err.contains("trace_drop") && err.contains("latency_spike"), "lists the classes");
     }
 
     #[test]
@@ -264,7 +268,7 @@ mod tests {
             let err = parse_for("fig17_slo_targeting", &[flag, "x"]).unwrap_err();
             assert!(err.contains(&format!("unknown flag {flag} ")), "{err}");
         }
-        for flag in ["--telemetry", "--audit", "--chaos", "--gate", "--strict", "--workers"] {
+        for flag in ["--telemetry", "--chaos", "--gate", "--strict", "--workers"] {
             let err = parse_for("sweep", &["--grid", "@smoke", flag, "x"]).unwrap_err();
             assert!(err.contains(&format!("unknown flag {flag} ")), "{err}");
         }

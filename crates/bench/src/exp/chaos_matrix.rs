@@ -14,17 +14,19 @@
 //! Reported per cell: post-surge p99, time for p99 to reconverge under the
 //! SLO, final/peak instances and degradation transitions. The run is
 //! bit-deterministic per seed; the same seed always yields the same table.
+//!
+//! With `--telemetry`, each cell opens with a `graf.chaos.cell` point naming
+//! its fault and policy, followed by that cell's cluster metrics and one
+//! `graf.resilient.tick` decision record per control tick.
 
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
 
 use graf_chaos::{ChaosSchedule, FaultKind};
 use graf_core::{
-    AuditTrail, GrafBuildConfig, GrafController, PolicyMode, ResilientConfig, ResilientController,
-    TrainConfig,
+    GrafBuildConfig, GrafController, PolicyMode, ResilientConfig, ResilientController, TrainConfig,
 };
 use graf_loadgen::ClosedLoop;
-use graf_obs::FlightRecorder;
+use graf_obs::Obs;
 use graf_orchestrator::Cluster;
 use graf_sim::time::SimTime;
 use graf_sim::topology::{ApiId, ApiSpec, AppTopology, CallNode, ServiceSpec};
@@ -77,48 +79,28 @@ struct Cell {
     final_level: &'static str,
 }
 
-/// `results/audit.jsonl` + (`trace_drop`, `ladder`) →
-/// `results/audit-trace_drop-ladder.jsonl`: one decision log per cell.
-fn cell_audit_path(base: &str, fault: &str, policy: &str) -> PathBuf {
-    let p = Path::new(base);
-    let stem = p.file_stem().and_then(|s| s.to_str()).unwrap_or("audit");
-    let ext = p.extension().and_then(|s| s.to_str()).unwrap_or("jsonl");
-    p.with_file_name(format!("{stem}-{fault}-{policy}.{ext}"))
-}
-
 fn run_cell(
     ctrl: GrafController,
     sched: &ChaosSchedule,
     mode: PolicyMode,
     seed: u64,
-    flight: (&FlightRecorder, &Path),
-    audit: Option<PathBuf>,
+    obs: &Obs,
 ) -> Cell {
     let world = World::new(chain3(), SimConfig::default(), seed);
     let mut cluster = Cluster::uniform(world, UNIT_MC, 4);
     cluster.arm_chaos(sched);
+    cluster.set_obs(obs.clone());
 
     let mut rc =
         ResilientController::new(ctrl, ResilientConfig { mode, ..ResilientConfig::default() });
     rc.arm_chaos(sched);
-    // All cells append to the same ring, so on a chaos-induced demotion (or
-    // a panic) the dump holds the last ~1k decisions across the matrix.
-    rc.set_flight(flight.0.clone(), flight.1.to_path_buf());
-    if let Some(path) = audit {
-        match AuditTrail::to_file(&path) {
-            Ok(trail) => rc.set_audit(trail),
-            Err(e) => eprintln!("audit: cannot write {}: {e}", path.display()),
-        }
-    }
+    rc.set_obs(obs.clone());
 
     // ~300 qps before the surge, ~600 qps after (think time 2 s per user):
     // an under-provisioned post-surge cluster genuinely queues.
     let mut users = ClosedLoop::with_mix(vec![(ApiId(0), 2.0)], 600, seed ^ 0x21)
         .users_at(SimTime::from_secs(SURGE_S), 1200);
     let (tl, comps) = run_with_timeline(&mut cluster, &mut users, &mut rc, END_S, 5.0);
-    if let Some(trail) = rc.audit_mut() {
-        trail.flush();
-    }
     Cell {
         p99_ms: percentile_between(&comps, SURGE_S, END_S, 0.99),
         converge_s: convergence_time_s(&tl, SURGE_S, SLO_MS, 4),
@@ -161,12 +143,6 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
         graf.report.best_val
     )?;
 
-    // Flight recorder: a bounded ring of recent per-tick decision records,
-    // dumped for post-mortem on panic or chaos-induced ladder demotion.
-    let flight_path = PathBuf::from(format!("results/flightrec-{}.jsonl", args.seed));
-    let flight = FlightRecorder::new(graf_obs::flight::DEFAULT_FLIGHT_CAPACITY);
-    flight.arm_panic_dump(flight_path.clone());
-
     writeln!(
         cx.out,
         "{:<14} {:<8} {:>8} {:>11} {:>7} {:>6} {:>12} {:>11}",
@@ -182,9 +158,9 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
         for (policy, mode) in
             [("ladder", PolicyMode::Ladder), ("freeze", PolicyMode::FreezeOnFault)]
         {
-            let audit = args.audit.as_ref().map(|base| cell_audit_path(base, name, policy));
+            cx.obs.point("graf.chaos.cell").attr("fault", name).attr("policy", policy);
             let ctrl = cx.controller(&graf, SLO_MS);
-            let cell = run_cell(ctrl, &sched, mode, args.seed, (&flight, &flight_path), audit);
+            let cell = run_cell(ctrl, &sched, mode, args.seed, &cx.obs);
             writeln!(
                 cx.out,
                 "{:<14} {:<8} {:>8} {:>11} {:>7} {:>6} {:>12} {:>11}",
@@ -220,9 +196,6 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
         if let Some((_, l, f)) = ladder_vs_freeze.iter().find(|(n, _, _)| *n == target) {
             assert!(l < f, "ladder p99 ({l:.1} ms) must beat freeze ({f:.1} ms) under {target}");
         }
-    }
-    if let Some(base) = &args.audit {
-        writeln!(cx.out, "\naudit trails written next to {base} (one JSONL file per cell)")?;
     }
     Ok(())
 }

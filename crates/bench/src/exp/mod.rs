@@ -53,7 +53,7 @@ experiments! {
     table3_budget: "Table 3: AWS budget for sampling and training",
     fig20_real_workload: "Fig 20: instances under an Azure-like minute series",
     fig21_22_surge_comparison: "Figs 21-22: surge handling, GRAF vs HPA vs FIRM-like",
-    chaos_matrix: "fault class x degradation policy under a surge (--chaos CLASS, --audit PATH)",
+    chaos_matrix: "fault class x degradation policy under a surge (--chaos CLASS)",
     solver_latency: "sec. 3.8: solver wall-clock latency and iteration counts",
     ablation_loss: "ablation: asymmetric Huber loss against its variants",
     ablation_sampling: "ablation: Algorithm 1's box against naive full-range sampling",
@@ -153,6 +153,15 @@ impl Ctx {
     }
 }
 
+/// Runs one experiment on `cx`; a panic or an I/O error comes back as its
+/// message, and whatever it recorded stays in `cx.obs`.
+fn run_caught(run: fn(&mut Ctx) -> io::Result<()>, cx: &mut Ctx) -> Result<(), String> {
+    match catch_unwind(AssertUnwindSafe(|| run(cx))) {
+        Ok(result) => result.map_err(|e| e.to_string()),
+        Err(panic) => Err(format!("panicked: {}", panic_message(&*panic))),
+    }
+}
+
 /// Runs one experiment into `path` on a context of its own that shares
 /// `caches`; a panic or an I/O error comes back as its message.
 fn run_into(
@@ -165,9 +174,20 @@ fn run_into(
     let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
     let mut cx =
         Ctx { args: args.clone(), obs: obs.clone(), out: Box::new(file), caches: caches.clone() };
-    match catch_unwind(AssertUnwindSafe(|| run(&mut cx))) {
-        Ok(result) => result.map_err(|e| e.to_string()),
-        Err(panic) => Err(format!("panicked: {}", panic_message(&*panic))),
+    run_caught(run, &mut cx)
+}
+
+/// `graf-exp <name>`: runs one experiment on `cx` the way [`run_all`] runs
+/// each, so a panic is reported (`panicked: <msg>` on stderr) rather than
+/// aborting the process, and the caller still writes the telemetry recorded
+/// up to the failure. Returns the number of failures, 0 or 1.
+pub fn run_one(run: fn(&mut Ctx) -> io::Result<()>, cx: &mut Ctx) -> usize {
+    match run_caught(run, cx) {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("graf-exp: {e}");
+            1
+        }
     }
 }
 
@@ -236,7 +256,7 @@ fn usage(error: &str) -> ExitCode {
         "graf-exp: {error}\n\
          usage: graf-exp list\n\
          \x20      graf-exp <EXPERIMENT | all> [--seed U64] [--quick] [--paper-scale] [--samples N]\n\
-         \x20               [--threads N] [--telemetry PATH] [--audit PATH] [--chaos CLASS]\n\
+         \x20               [--threads N] [--telemetry PATH] [--chaos CLASS]\n\
          \x20      graf-exp sweep --grid <SPEC | @PRESET> [--seed U64] [--quick] [--paper-scale]\n\
          \x20               [--samples N] [--threads N] [--out PATH] [--history PATH] [--rev REV]\n\
          \x20      graf-exp compare <REV_A> <REV_B> [--history PATH] [--gate METRIC]\n\
@@ -270,7 +290,7 @@ pub fn cli(mut argv: impl Iterator<Item = String>) -> ExitCode {
         Err(e) => return usage(&e),
     };
     let failed = match (entry, cmd.as_str()) {
-        (Some(&(_, _, run)), _) => run(&mut cx).map(|()| 0),
+        (Some(&(_, _, run)), _) => Ok(run_one(run, &mut cx)),
         (None, "sweep") => sweepgrid::sweep(&mut cx, workers()),
         (None, "compare") => sweepgrid::compare(&mut cx),
         (None, _) => run_all(REGISTRY, &mut cx, Path::new("results")),

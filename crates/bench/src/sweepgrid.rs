@@ -323,11 +323,12 @@ pub fn sweep(cx: &mut Ctx, workers: usize) -> io::Result<usize> {
     writeln!(cx.out, "\n{}", render_table(&records))?;
     if let Some(path) = &args.history {
         let rev = resolve_rev(args.rev.as_deref().unwrap_or("HEAD"));
-        let mut sink = graf_obs::JsonlSink::append(path.as_ref()).map_err(|e| at(path, e))?;
+        let file = std::fs::OpenOptions::new().create(true).append(true).open(path);
+        let mut history = io::BufWriter::new(file.map_err(|e| at(path, e))?);
         for r in &records {
-            sink.record(&CellRecord { rev: Some(rev.clone()), ..r.clone() }.to_json())?;
+            writeln!(history, "{}", CellRecord { rev: Some(rev.clone()), ..r.clone() }.to_json())?;
         }
-        sink.finish()?;
+        history.flush()?;
         writeln!(cx.out, "{cells} record(s) appended to {path} as rev {rev}")?;
     }
     let failed = records.iter().filter(|r| r.error.is_some()).count();

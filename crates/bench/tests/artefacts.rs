@@ -1,7 +1,8 @@
 //! The experiment registry against the committed artefacts, and the runner's
 //! contracts: shared caches change no byte, one failure stops nothing, flags
-//! are validated once for every subcommand, and the sweep's aggregate is the
-//! same bytes at every width.
+//! are validated once for every subcommand, telemetry is the one complete
+//! record of a run, and the sweep's aggregate is the same bytes at every
+//! width.
 
 use std::collections::BTreeSet;
 use std::io::{self, Write};
@@ -11,6 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use graf_bench::exp::{self, Ctx, Entry, REGISTRY};
 use graf_bench::{record, sweepgrid, Args};
+use graf_obs::json::{self, Json};
 use graf_sim::rng::derive_seed;
 
 /// A sink the test keeps a handle to after `Ctx` has boxed the other.
@@ -165,6 +167,12 @@ fn an_unknown_flag_is_a_usage_error_for_every_experiment() {
     }
     assert_eq!(graf_exp(&["fig99_nope"]).status.code(), Some(2));
     assert_eq!(graf_exp(&[]).status.code(), Some(2));
+    // A misspelt fault class is caught before the model trains.
+    let out = graf_exp(&["chaos_matrix", "--quick", "--chaos", "trace-drop"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown --chaos class \"trace-drop\"; known: none, "), "{stderr}");
+    assert!(out.stdout.is_empty(), "chaos_matrix ran with an unknown class");
 }
 
 #[test]
@@ -178,6 +186,124 @@ fn telemetry_is_written_by_an_experiment_that_only_collects() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("telemetry written to"), "{stdout}");
     std::fs::remove_dir_all(path.parent().expect("scratch dir")).expect("temp dir is removable");
+}
+
+#[test]
+fn a_panicking_experiment_still_writes_the_telemetry_it_recorded() {
+    let dir = scratch("panic-telemetry");
+    let path = dir.join("t.jsonl");
+    let (mut cx, _) = ctx_for("boom", &["--telemetry", path.to_str().expect("utf-8")]);
+    let boom: fn(&mut Ctx) -> io::Result<()> = |cx| {
+        cx.obs.point("graf.test.before_panic");
+        panic!("boom")
+    };
+    assert_eq!(exp::run_one(boom, &mut cx), 1, "a panic is one failure, not an abort");
+    cx.finish_telemetry().expect("temp dir is writable");
+    let jsonl = std::fs::read_to_string(&path).expect("telemetry file written");
+    assert!(jsonl.contains("\"name\":\"graf.test.before_panic\""), "{jsonl}");
+    std::fs::remove_dir_all(dir).expect("temp dir is removable");
+}
+
+/// The attributes of a JSONL event line.
+fn attrs(line: &Json) -> &Json {
+    line.get("attrs").expect("the event has attributes")
+}
+
+#[test]
+fn chaos_matrix_telemetry_holds_every_decision_of_every_cell() {
+    let dir = scratch("chaos-telemetry");
+    let path = dir.join("t.jsonl");
+    let flags = ["chaos_matrix", "--quick", "--chaos", "trace_drop", "--telemetry"];
+    let out = graf_exp(&[&flags[..], &[path.to_str().expect("utf-8")]].concat());
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&path).expect("telemetry file written");
+    let lines: Vec<Json> =
+        text.lines().map(|l| json::parse(l).unwrap_or_else(|e| panic!("{l}: {e}"))).collect();
+    let name = |j: &Json| j.get("name").and_then(Json::as_str).expect("named").to_string();
+
+    // Split the one log at the cell markers: ladder, then freeze.
+    let cells: Vec<usize> =
+        (0..lines.len()).filter(|&i| name(&lines[i]) == "graf.chaos.cell").collect();
+    assert_eq!(cells.len(), 2, "one marker per cell");
+    for (c, policy) in ["ladder", "freeze"].into_iter().enumerate() {
+        let marker = attrs(&lines[cells[c]]);
+        assert_eq!(marker.get("fault").and_then(Json::as_str), Some("trace_drop"));
+        assert_eq!(marker.get("policy").and_then(Json::as_str), Some(policy));
+        let end = cells.get(c + 1).copied().unwrap_or(lines.len());
+        let ticks: Vec<usize> =
+            (cells[c]..end).filter(|&i| name(&lines[i]) == "graf.resilient.tick").collect();
+        // 420 simulated seconds at one control tick per 15 s.
+        assert_eq!(ticks.len(), 28, "{policy}: one decision record per tick");
+        for (n, &i) in ticks.iter().enumerate() {
+            let point = attrs(&lines[i]);
+            assert_eq!(point.get("tick").and_then(Json::as_u64), Some(n as u64), "{policy}");
+            for key in ["level", "signal_age_s", "coverage", "rates_finite", "creation_ok"] {
+                assert!(point.get(key).is_some(), "{policy} tick {n} lacks {key}");
+            }
+            for (key, len) in [("rates", 1), ("desired", 3), ("deltas", 3)] {
+                let list = point.get(key);
+                assert!(matches!(list, Some(Json::Arr(v)) if v.len() == len), "{key}: {list:?}");
+            }
+            // A Full tick's solver stats: the span just before, same sim_s.
+            if point.get("level").and_then(Json::as_str) == Some("full") {
+                let span = &lines[i - 1];
+                assert_eq!(name(span), "graf.controller.tick", "{policy} tick {n}");
+                assert_eq!(span.get("sim_s"), lines[i].get("sim_s"), "{policy} tick {n}");
+                for key in ["solver_iterations", "solver_stop", "solver_loss", "predicted_p99_ms"] {
+                    assert!(attrs(span).get(key).is_some(), "{policy} tick {n} lacks {key}");
+                }
+            }
+        }
+    }
+    let counters: Vec<String> = lines
+        .iter()
+        .filter(|l| l.get("type").and_then(Json::as_str) == Some("counter"))
+        .map(name)
+        .collect();
+    for counter in ["graf.resilient.transitions", "graf.sim.events"] {
+        assert!(counters.iter().any(|c| c == counter), "no {counter} counter: {counters:?}");
+    }
+    std::fs::remove_dir_all(dir).expect("temp dir is removable");
+}
+
+/// The `.rs` files under `dir`, recursively.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("readable dir") {
+        let path = entry.expect("readable entry").path();
+        if path.is_dir() {
+            files.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            files.push(path);
+        }
+    }
+    files
+}
+
+#[test]
+fn every_telemetry_name_in_the_crates_is_in_the_design_names_table() {
+    let design = std::fs::read_to_string(repo("DESIGN.md")).expect("DESIGN.md exists");
+    let table = design
+        .split("\n### Observability\n")
+        .nth(1)
+        .and_then(|s| s.split("\n### ").next())
+        .expect("DESIGN §2 has an Observability section");
+    let mut missing = BTreeSet::new();
+    for krate in std::fs::read_dir(repo("crates")).expect("crates/ exists") {
+        let src = krate.expect("readable entry").path().join("src");
+        for file in rust_files(&src) {
+            let text = std::fs::read_to_string(&file).expect("readable source");
+            // Non-test code: everything before the file's first test module.
+            let code = text.split("\n#[cfg(test)]").next().unwrap_or_default();
+            for rest in code.split("\"graf.").skip(1) {
+                let name = format!("graf.{}", rest.split('"').next().unwrap_or_default());
+                if !table.contains(&format!("`{name}`")) {
+                    missing.insert(name);
+                }
+            }
+        }
+    }
+    assert!(missing.is_empty(), "names missing from DESIGN §2's table: {missing:?}");
 }
 
 #[test]

@@ -268,27 +268,26 @@ impl GrafController {
                 .collect(),
         };
         if span.is_recording() {
-            let mut delta_total = 0i64;
-            let mut deltas = String::new();
-            for (svc, &n) in counts.iter().enumerate() {
-                let desired = cluster
-                    .deployments()
-                    .iter()
-                    .find(|d| d.service.0 as usize == svc)
-                    .map_or(0, |d| d.desired);
-                let delta = n.max(1) as i64 - desired as i64;
-                delta_total += delta.abs();
-                if !deltas.is_empty() {
-                    deltas.push(' ');
-                }
-                deltas.push_str(&format!("{svc}:{delta:+}"));
-            }
+            let deltas: Vec<f64> = counts
+                .iter()
+                .enumerate()
+                .map(|(svc, &n)| {
+                    let desired = cluster
+                        .deployments()
+                        .iter()
+                        .find(|d| d.service.0 as usize == svc)
+                        .map_or(0, |d| d.desired);
+                    n.max(1) as f64 - desired as f64
+                })
+                .collect();
+            let delta_total = deltas.iter().map(|d| d.abs() as i64).sum::<i64>();
             span.sim_time_s(cluster.world().now().as_secs_f64())
                 .attr("total_qps", rates.iter().sum::<f64>())
                 .attr("scale_s", out.scale)
                 .attr("solver_iterations", out.solve.iterations)
                 .attr("solver_stop", out.solve.stop.as_str())
                 .attr("solver_wall_active", out.solve.wall_active)
+                .attr("solver_loss", out.solve.loss)
                 .attr("predicted_p99_ms", out.solve.predicted_ms)
                 .attr("quota_total_mc", out.quotas_mc.iter().sum::<f64>())
                 .attr("instances", counts.iter().sum::<usize>())

@@ -42,7 +42,6 @@
 
 pub mod analyzer;
 pub mod anomaly;
-pub mod audit;
 pub mod baseline;
 pub mod collector;
 pub mod controller;
@@ -57,7 +56,6 @@ pub mod solver;
 
 pub use analyzer::WorkloadAnalyzer;
 pub use anomaly::{AnomalyGuard, AnomalyGuardConfig};
-pub use audit::{AuditRecord, AuditSolve, AuditTrail};
 pub use controller::{GrafController, GrafControllerConfig, PlanOutcome};
 pub use dataset::{Dataset, Split};
 pub use features::FeatureScaler;

@@ -25,21 +25,23 @@
 //! ([`WorkloadAnalyzer::fold_refit`]) — per-service workload estimates
 //! interpolate across the gap instead of shrinking toward zero.
 //!
-//! Every policy transition is counted and every tick spanned through
-//! `graf-obs` (`graf.resilient.*`).
+//! Every policy transition is counted, and every tick's decision is one
+//! `graf.resilient.tick` point through `graf-obs`: what the tick saw (rates,
+//! signal age, coverage, health flags), the rung it chose, and what it
+//! applied (desired counts and deltas). A Full tick's solver statistics sit
+//! on the `graf.controller.tick` span recorded just before it, at the same
+//! simulated time.
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
 
 use graf_chaos::{ChaosEngine, ChaosSchedule};
-use graf_obs::{FlightRecorder, Obs};
+use graf_obs::Obs;
 use graf_orchestrator::{Autoscaler, Cluster, HpaConfig, KubernetesHpa};
 use graf_sim::time::{SimDuration, SimTime};
 use graf_sim::topology::ServiceId;
 use graf_trace::Trace;
 
 use crate::analyzer::WorkloadAnalyzer;
-use crate::audit::{AuditRecord, AuditSolve, AuditTrail};
 use crate::controller::GrafController;
 
 /// The rung of the degradation ladder a tick executed at.
@@ -159,11 +161,8 @@ pub struct ResilientController {
     transitions: u64,
     interpolated_rows: u64,
     obs: Obs,
-    /// Tick sequence number feeding the audit trail.
+    /// Tick sequence number of the `graf.resilient.tick` points.
     ticks: u64,
-    audit: Option<AuditTrail>,
-    /// Flight-recorder ring plus the path it dumps to on ladder demotion.
-    flight: Option<(FlightRecorder, PathBuf)>,
 }
 
 impl ResilientController {
@@ -189,8 +188,6 @@ impl ResilientController {
             interpolated_rows: 0,
             obs: Obs::disabled(),
             ticks: 0,
-            audit: None,
-            flight: None,
         }
     }
 
@@ -201,40 +198,12 @@ impl ResilientController {
         self.chaos = Some(schedule.engine(graf_chaos::stream::CONTROLLER));
     }
 
-    /// Attaches a telemetry handle (transitions, per-tick spans, level
-    /// gauge). Telemetry never alters any decision.
+    /// Attaches a telemetry handle: transitions, the level gauge and one
+    /// `graf.resilient.tick` decision record per tick. Telemetry never alters
+    /// any decision.
     pub fn set_obs(&mut self, obs: Obs) {
         self.inner.set_obs(obs.clone());
         self.obs = obs;
-    }
-
-    /// Enables the per-tick decision audit trail: every tick appends one
-    /// [`AuditRecord`] (inputs, chosen rung, solver stats, applied plan and
-    /// deltas). Auditing is write-only and never alters any decision.
-    pub fn set_audit(&mut self, trail: AuditTrail) {
-        self.audit = Some(trail);
-    }
-
-    /// The audit trail, when enabled.
-    pub fn audit(&self) -> Option<&AuditTrail> {
-        self.audit.as_ref()
-    }
-
-    /// Mutable audit trail (e.g. to flush its file sink).
-    pub fn audit_mut(&mut self) -> Option<&mut AuditTrail> {
-        self.audit.as_mut()
-    }
-
-    /// Attaches a flight recorder: every tick's audit record is pushed into
-    /// the ring, and any ladder **demotion** dumps the ring to `dump_path`
-    /// (the crash/incident black box). Recording never alters any decision.
-    pub fn set_flight(&mut self, recorder: FlightRecorder, dump_path: PathBuf) {
-        self.flight = Some((recorder, dump_path));
-    }
-
-    /// The flight recorder, when attached.
-    pub fn flight(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref().map(|(r, _)| r)
     }
 
     /// The rung the most recent tick executed at.
@@ -384,10 +353,9 @@ impl Autoscaler for ResilientController {
 
     fn tick(&mut self, cluster: &mut Cluster) {
         let now = cluster.world().now();
-        // Snapshot desired counts before acting, so the audit record can
-        // report the tick's implied deltas. Only taken when someone listens.
-        let want_audit = self.audit.is_some() || self.flight.is_some();
-        let desired_before: Vec<usize> = if want_audit {
+        // Snapshot desired counts before acting, so the decision record can
+        // report the tick's applied deltas. Only taken when someone listens.
+        let desired_before: Vec<usize> = if self.obs.is_enabled() {
             cluster.deployments().iter().map(|d| d.desired).collect()
         } else {
             Vec::new()
@@ -463,48 +431,9 @@ impl Autoscaler for ResilientController {
             PolicyLevel::Freeze => {}
         }
 
-        // 6. Decision audit + flight recorder. The record captures what the
-        //    tick saw (inputs, health), chose (rung, solver stats) and did
-        //    (desired counts and deltas); a demotion dumps the ring.
-        let demoted = next.severity() > self.level.severity();
-        if want_audit {
-            let solver = (next == PolicyLevel::Full)
-                .then_some(self.inner.last_solve.as_ref())
-                .flatten()
-                .map(AuditSolve::from);
-            let desired: Vec<usize> = cluster.deployments().iter().map(|d| d.desired).collect();
-            let deltas: Vec<i64> =
-                desired.iter().zip(&desired_before).map(|(&a, &b)| a as i64 - b as i64).collect();
-            let rec = AuditRecord {
-                tick: self.ticks,
-                sim_time_s: now.as_secs_f64(),
-                level: next.name(),
-                rates: rates.clone(),
-                signal_age_s: age.as_secs_f64(),
-                rates_finite,
-                coverage_min: self.coverage.iter().copied().fold(1.0f64, f64::min),
-                creation_ok,
-                solver,
-                desired,
-                deltas,
-            };
-            if let Some((ring, _)) = &self.flight {
-                ring.record(&rec.to_json());
-            }
-            if let Some(trail) = &mut self.audit {
-                trail.push(rec);
-            }
-        }
-        if demoted {
-            if let Some((ring, path)) = &self.flight {
-                // Dump errors are swallowed: the black box must never take
-                // down the control loop.
-                let _ = ring.dump_to(path);
-            }
-        }
-        self.ticks += 1;
-
-        // 7. Telemetry.
+        // 6. Telemetry: the transition counter, the level gauge and the
+        //    tick's decision record — what it saw (rates, health), chose
+        //    (rung) and did (desired counts and deltas).
         if next != self.level {
             self.transitions += 1;
             self.obs.counter_add(
@@ -517,15 +446,24 @@ impl Autoscaler for ResilientController {
         if self.obs.is_enabled() {
             self.obs.gauge_set("graf.resilient.level", &[], next.severity() as f64);
             let min_cov = self.coverage.iter().copied().fold(1.0f64, f64::min);
+            let desired: Vec<f64> =
+                cluster.deployments().iter().map(|d| d.desired as f64).collect();
+            let deltas: Vec<f64> =
+                desired.iter().zip(&desired_before).map(|(a, &b)| a - b as f64).collect();
             self.obs
                 .point("graf.resilient.tick")
+                .attr("tick", self.ticks)
                 .attr("level", next.name())
+                .attr("rates", rates)
                 .attr("signal_age_s", age.as_secs_f64())
                 .attr("coverage", min_cov)
                 .attr("rates_finite", rates_finite)
                 .attr("creation_ok", creation_ok)
+                .attr("desired", desired)
+                .attr("deltas", deltas)
                 .sim_time_s(now.as_secs_f64());
         }
+        self.ticks += 1;
     }
 }
 
@@ -537,6 +475,7 @@ mod tests {
     use crate::latency_model::{LatencyModel, NetKind, TrainConfig};
     use crate::sample_collector::{Bounds, Sample};
     use graf_chaos::FaultKind;
+    use graf_obs::Value;
     use graf_orchestrator::{CreationModel, Deployment};
     use graf_sim::rng::DetRng;
     use graf_sim::topology::{ApiSpec, AppTopology, CallNode, ServiceSpec};
@@ -654,7 +593,7 @@ mod tests {
     }
 
     #[test]
-    fn audit_trail_records_every_tick_and_flight_dumps_on_demotion() {
+    fn every_tick_logs_its_decision_through_obs() {
         let cfg = ResilientConfig {
             max_plan_age: SimDuration::from_secs(30.0),
             max_signal_age: SimDuration::from_secs(10.0),
@@ -665,11 +604,8 @@ mod tests {
         let schedule =
             graf_chaos::ChaosSchedule::new(9).fault(FaultKind::MetricNan, t(20.0), t(60.0));
         rc.arm_chaos(&schedule);
-        rc.set_audit(AuditTrail::in_memory());
-        let dump = std::env::temp_dir()
-            .join(format!("graf-flightrec-demotion-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&dump);
-        rc.set_flight(FlightRecorder::new(16), dump.clone());
+        let obs = Obs::enabled();
+        rc.set_obs(obs.clone());
 
         let mut cluster = cluster2(31);
         // Same timeline as `ladder_degrades_and_recovers_with_hysteresis` up
@@ -679,32 +615,38 @@ mod tests {
             rc.tick(&mut cluster);
         }
 
-        let trail = rc.audit().expect("audit attached");
-        assert_eq!(trail.len(), 4, "one record per tick");
-        let levels: Vec<&str> = trail.records().iter().map(|r| r.level).collect();
-        assert_eq!(levels, vec!["full", "full", "last_good", "fallback"]);
-        for (i, rec) in trail.records().iter().enumerate() {
-            assert_eq!(rec.tick, i as u64, "ticks are sequenced");
-            assert_eq!(rec.solver.is_some(), rec.level == "full", "solver stats iff a solve ran");
-            assert_eq!(rec.desired.len(), 2);
-            assert_eq!(rec.deltas.len(), 2);
+        let events = obs.events();
+        let attr = |e: &graf_obs::Event, key: &str| -> Value {
+            e.attrs.iter().find(|(k, _)| *k == key).unwrap_or_else(|| panic!("{key}")).1.clone()
+        };
+        let ticks: Vec<usize> =
+            (0..events.len()).filter(|&i| events[i].name == "graf.resilient.tick").collect();
+        assert_eq!(ticks.len(), 4, "one record per tick");
+        let levels: Vec<Value> = ticks.iter().map(|&i| attr(&events[i], "level")).collect();
+        assert_eq!(levels, ["full", "full", "last_good", "fallback"].map(Value::from));
+        for (n, &i) in ticks.iter().enumerate() {
+            let point = &events[i];
+            assert_eq!(attr(point, "tick"), Value::U64(n as u64), "ticks are sequenced");
+            for key in ["desired", "deltas"] {
+                assert!(matches!(attr(point, key), Value::List(v) if v.len() == 2), "{key}");
+            }
+            // The Full rung's solver stats are on the controller span just
+            // before the point, at the same simulated time; no other rung
+            // records one.
+            let solved = i.checked_sub(1).map(|j| &events[j]).is_some_and(|span| {
+                span.name == "graf.controller.tick"
+                    && matches!(span.kind, graf_obs::EventKind::Span { .. })
+                    && span.sim_s == point.sim_s
+            });
+            assert_eq!(solved, attr(point, "level") == Value::from("full"), "tick {n}");
         }
-        assert!(!trail.records()[2].rates_finite, "the NaN fault is visible in the record");
-
-        // Both demotions dumped the ring; the file holds the state as of the
-        // last one: all four decisions, in order, each line parseable.
-        let dumped = std::fs::read_to_string(&dump).expect("demotion dumped the flight ring");
-        let lines: Vec<&str> = dumped.lines().collect();
-        assert_eq!(lines.len(), 4, "ring held every tick so far");
-        for (i, line) in lines.iter().enumerate() {
-            let doc = graf_obs::json::parse(line).expect("dumped line is valid JSON");
-            assert_eq!(doc.get("tick").and_then(|v| v.as_f64()), Some(i as f64));
-        }
-        let _ = std::fs::remove_file(&dump);
+        let nan_tick = &events[ticks[2]];
+        assert_eq!(attr(nan_tick, "rates_finite"), Value::Bool(false), "the NaN fault is visible");
+        assert!(matches!(attr(nan_tick, "rates"), Value::List(r) if r.iter().all(|x| x.is_nan())));
     }
 
     #[test]
-    fn audit_and_flight_do_not_perturb_decisions() {
+    fn telemetry_does_not_perturb_decisions() {
         let run = |instrument: bool| -> (Vec<usize>, Vec<PolicyLevel>) {
             let cfg = ResilientConfig {
                 max_plan_age: SimDuration::from_secs(30.0),
@@ -717,11 +659,7 @@ mod tests {
                 graf_chaos::ChaosSchedule::new(9).fault(FaultKind::MetricNan, t(20.0), t(60.0));
             rc.arm_chaos(&schedule);
             if instrument {
-                rc.set_audit(AuditTrail::in_memory());
                 rc.set_obs(Obs::enabled());
-                let dump = std::env::temp_dir()
-                    .join(format!("graf-flightrec-perturb-{}.jsonl", std::process::id()));
-                rc.set_flight(FlightRecorder::new(8), dump);
             }
             let mut cluster = cluster2(31);
             let mut levels = Vec::new();
@@ -733,9 +671,9 @@ mod tests {
             (cluster.deployments().iter().map(|d| d.desired).collect(), levels)
         };
         let plain = run(false);
-        let audited = run(true);
-        assert_eq!(plain.0, audited.0, "final plans are bit-identical");
-        assert_eq!(plain.1, audited.1, "ladder trajectory is bit-identical");
+        let observed = run(true);
+        assert_eq!(plain.0, observed.0, "final plans are bit-identical");
+        assert_eq!(plain.1, observed.1, "ladder trajectory is bit-identical");
     }
 
     #[test]

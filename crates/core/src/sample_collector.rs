@@ -531,7 +531,14 @@ mod tests {
                 .with_obs(obs.clone())
                 .reduce_search_space();
             let events: Vec<_> = obs.events().into_iter().map(|e| (e.name, e.attrs)).collect();
-            (events, obs.render_prometheus())
+            // The registry rows of the summary (span rows carry wall time).
+            let metrics: Vec<Vec<String>> = obs
+                .summary()
+                .lines()
+                .skip_while(|l| !l.starts_with("metric "))
+                .map(|l| l.split_whitespace().map(String::from).collect())
+                .collect();
+            (events, metrics)
         };
         let (events, metrics) = record(1);
         assert_eq!(record(4), (events.clone(), metrics.clone()));
@@ -540,7 +547,7 @@ mod tests {
         assert_eq!(events[0].1[0], ("service", graf_obs::Value::U64(0)));
         assert_eq!(events[1].1[0], ("service", graf_obs::Value::U64(1)));
         assert_eq!(events[2].1[0], ("probes", graf_obs::Value::U64(41)));
-        assert!(metrics.contains("graf_sample_probes 41"), "probe counter:\n{metrics}");
+        assert!(metrics.contains(&vec!["graf.sample.probes".into(), "41".into()]), "{metrics:?}");
     }
 
     #[test]

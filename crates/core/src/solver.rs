@@ -105,7 +105,7 @@ pub enum Stop {
 }
 
 impl Stop {
-    /// Stable lower-case name, as written to spans and the audit trail.
+    /// Stable lower-case name, as written to the solver and controller spans.
     pub fn as_str(self) -> &'static str {
         match self {
             Stop::Tolerance => "tolerance",

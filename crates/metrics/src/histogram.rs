@@ -209,41 +209,6 @@ impl Histogram {
         self.sum
     }
 
-    /// Inclusive upper bound of a bucket, for cumulative-bucket exposition.
-    fn bucket_upper(bucket: usize) -> f64 {
-        if bucket < LINEAR_CUTOFF as usize {
-            bucket as f64
-        } else {
-            let lo = (LINEAR_CUTOFF as f64) * GROWTH.powi((bucket - LINEAR_CUTOFF as usize) as i32);
-            lo * GROWTH
-        }
-    }
-
-    /// Iterates the non-empty buckets as `(upper_bound, count)` pairs in
-    /// ascending bound order — the shape Prometheus-style cumulative
-    /// histogram exposition needs.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(b, &c)| (Self::bucket_upper(b), c))
-    }
-
-    /// Number of observations in buckets whose upper bound is ≤ `bound` —
-    /// the cumulative count a Prometheus `_bucket{le="bound"}` sample
-    /// reports. Bounds between buckets simply include every whole bucket
-    /// below them, so any ascending bound list yields a valid cumulative
-    /// series.
-    pub fn count_le(&self, bound: f64) -> u64 {
-        self.counts
-            .iter()
-            .enumerate()
-            .take_while(|&(b, _)| Self::bucket_upper(b) <= bound)
-            .map(|(_, &c)| c)
-            .sum()
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         if other.counts.len() > self.counts.len() {
@@ -381,47 +346,6 @@ mod tests {
         h.clear();
         assert!(h.is_empty());
         assert_eq!(h.percentile(0.5), None);
-    }
-
-    #[test]
-    fn nonzero_buckets_cover_all_counts_in_order() {
-        let mut h = Histogram::new();
-        for v in [3u64, 3, 500, 90_000, 90_000, 90_001] {
-            h.record(v);
-        }
-        let buckets: Vec<(f64, u64)> = h.nonzero_buckets().collect();
-        let total: u64 = buckets.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, h.count());
-        let mut prev = f64::NEG_INFINITY;
-        for &(ub, c) in &buckets {
-            assert!(ub > prev, "bounds ascend: {buckets:?}");
-            assert!(c > 0);
-            prev = ub;
-        }
-        // The first bucket is the exact linear one for value 3.
-        assert_eq!(buckets[0], (3.0, 2));
-        assert_eq!(h.sum(), 3 + 3 + 500 + 90_000 + 90_000 + 90_001);
-    }
-
-    #[test]
-    fn count_le_is_cumulative_and_total_at_top() {
-        let mut h = Histogram::new();
-        for v in [3u64, 3, 500, 90_000] {
-            h.record(v);
-        }
-        assert_eq!(h.count_le(2.0), 0);
-        assert_eq!(h.count_le(3.0), 2);
-        // A bound from another series' buckets still yields a valid
-        // cumulative count (every whole bucket below it).
-        assert_eq!(h.count_le(400.0), 2);
-        assert_eq!(h.count_le(1e12), h.count());
-        let mut prev = 0;
-        for (ub, _) in h.nonzero_buckets() {
-            let c = h.count_le(ub);
-            assert!(c >= prev, "cumulative counts ascend");
-            prev = c;
-        }
-        assert_eq!(prev, h.count());
     }
 
     #[test]

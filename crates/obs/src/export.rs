@@ -1,9 +1,7 @@
-//! Exporters: JSONL event log, Prometheus text exposition, and the
-//! human-readable end-of-run summary table.
+//! The two exports: the JSONL event log and the human-readable end-of-run
+//! summary table.
 
 use std::io::{self, Write};
-
-use graf_metrics::Histogram;
 
 use crate::json::{write_f64, write_str};
 use crate::registry::Series;
@@ -22,43 +20,16 @@ fn write_value(out: &mut String, v: &Value) {
             out.push_str(if *x { "true" } else { "false" });
         }
         Value::Str(s) => write_str(out, s),
-    }
-}
-
-/// Maps a dotted metric/span name to a Prometheus-legal one
-/// (`graf.solver.iterations` → `graf_solver_iterations`).
-fn prom_name(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' || c == ':' { c } else { '_' })
-        .collect()
-}
-
-/// Escapes a Prometheus label value (`\` → `\\`, `"` → `\"`, newline → `\n`).
-fn prom_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
+        Value::List(xs) => {
+            out.push('[');
+            for (i, x) in xs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_f64(out, *x);
+            }
+            out.push(']');
         }
-    }
-    out
-}
-
-fn prom_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{}=\"{}\"", prom_name(k), prom_label_value(v)))
-        .collect();
-    if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{}\"", prom_label_value(v)));
-    }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", parts.join(","))
     }
 }
 
@@ -70,100 +41,7 @@ fn fmt_num(v: f64) -> String {
     }
 }
 
-/// Renders one histogram series over `bounds` — the union of nonzero bucket
-/// bounds across *all* series of the metric, so every label set of one
-/// metric exposes the same `le` grid (Prometheus requires consistent bounds
-/// for `sum by (le)` aggregation across series).
-fn render_histogram(
-    out: &mut String,
-    name: &str,
-    labels: &[(String, String)],
-    h: &Histogram,
-    bounds: &[f64],
-) {
-    for &ub in bounds {
-        let le = fmt_num(ub);
-        out.push_str(&format!(
-            "{}_bucket{} {}\n",
-            name,
-            prom_labels(labels, Some(("le", &le))),
-            h.count_le(ub)
-        ));
-    }
-    out.push_str(&format!(
-        "{}_bucket{} {}\n",
-        name,
-        prom_labels(labels, Some(("le", "+Inf"))),
-        h.count()
-    ));
-    out.push_str(&format!("{}_sum{} {}\n", name, prom_labels(labels, None), h.sum()));
-    out.push_str(&format!("{}_count{} {}\n", name, prom_labels(labels, None), h.count()));
-}
-
 impl Obs {
-    /// Renders the metrics registry in the Prometheus text exposition format
-    /// (one `# TYPE` header per metric name, cumulative `le` buckets for
-    /// histograms). Returns an empty string when disabled.
-    pub fn render_prometheus(&self) -> String {
-        self.with_registry(|reg| {
-            // Pre-pass: union of nonzero bucket bounds per histogram metric,
-            // so every label set of one metric exposes the same `le` grid.
-            let mut hist_bounds: Vec<(&str, Vec<f64>)> = Vec::new();
-            for (name, _labels, series) in reg.iter() {
-                if let Series::Hist(h) = series {
-                    let entry = match hist_bounds.iter_mut().find(|(n, _)| *n == name) {
-                        Some(e) => e,
-                        None => {
-                            hist_bounds.push((name, Vec::new()));
-                            hist_bounds.last_mut().expect("just pushed")
-                        }
-                    };
-                    for (ub, _) in h.nonzero_buckets() {
-                        if !entry.1.contains(&ub) {
-                            entry.1.push(ub);
-                        }
-                    }
-                }
-            }
-            for (_, bounds) in &mut hist_bounds {
-                bounds.sort_by(|a, b| a.partial_cmp(b).expect("finite bounds"));
-            }
-
-            let mut out = String::new();
-            let mut last_name = "";
-            for (name, labels, series) in reg.iter() {
-                let pname = prom_name(name);
-                if name != last_name {
-                    out.push_str(&format!("# TYPE {} {}\n", pname, series.type_name()));
-                    last_name = name;
-                }
-                match series {
-                    Series::Counter(c) => {
-                        out.push_str(&format!("{}{} {}\n", pname, prom_labels(labels, None), c));
-                    }
-                    Series::Gauge(g) => {
-                        out.push_str(&format!(
-                            "{}{} {}\n",
-                            pname,
-                            prom_labels(labels, None),
-                            fmt_num(*g)
-                        ));
-                    }
-                    Series::Hist(h) => {
-                        let bounds = hist_bounds
-                            .iter()
-                            .find(|(n, _)| *n == name)
-                            .map(|(_, b)| b.as_slice())
-                            .unwrap_or(&[]);
-                        render_histogram(&mut out, &pname, labels, h, bounds);
-                    }
-                }
-            }
-            out
-        })
-        .unwrap_or_default()
-    }
-
     /// Writes the full telemetry stream as JSON Lines: every event in record
     /// order (span/point records with attributes), followed by one record per
     /// metric series. Every line is a self-contained JSON object carrying a
@@ -368,61 +246,6 @@ impl Obs {
     }
 }
 
-/// An append-as-you-go JSON Lines sink: one self-contained JSON object per
-/// line, streamed through a buffered writer so long-running producers (sweep
-/// workers, per-worker telemetry) never hold their whole stream in memory.
-///
-/// The sink owns the file; [`JsonlSink::finish`] (or drop) flushes it.
-/// Callers pass fully serialized JSON objects — the sink only enforces the
-/// one-object-per-line framing.
-pub struct JsonlSink {
-    w: io::BufWriter<std::fs::File>,
-    path: std::path::PathBuf,
-    lines: usize,
-}
-
-impl JsonlSink {
-    /// Creates (truncates) the sink file.
-    pub fn create(path: &std::path::Path) -> io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(Self { w: io::BufWriter::new(file), path: path.to_path_buf(), lines: 0 })
-    }
-
-    /// Opens the sink file in append mode (history files).
-    pub fn append(path: &std::path::Path) -> io::Result<Self> {
-        let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Self { w: io::BufWriter::new(file), path: path.to_path_buf(), lines: 0 })
-    }
-
-    /// Writes one record (a serialized JSON object, no trailing newline).
-    pub fn record(&mut self, json_obj: &str) -> io::Result<()> {
-        debug_assert!(!json_obj.contains('\n'), "JSONL records must be single-line: {json_obj:?}");
-        self.lines += 1;
-        writeln!(self.w, "{json_obj}")
-    }
-
-    /// Number of records written so far.
-    pub fn lines(&self) -> usize {
-        self.lines
-    }
-
-    /// The path the sink writes to.
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-
-    /// Flushes and closes the sink.
-    pub fn finish(mut self) -> io::Result<()> {
-        self.w.flush()
-    }
-}
-
-impl Drop for JsonlSink {
-    fn drop(&mut self) {
-        let _ = self.w.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,76 +265,6 @@ mod tests {
             obs.hist_record("graf.cluster.creation_batch", &[], v);
         }
         obs
-    }
-
-    #[test]
-    fn prometheus_renders_all_three_types() {
-        let text = sample_obs().render_prometheus();
-        assert!(text.contains("# TYPE graf_sim_events counter"), "{text}");
-        assert!(text.contains("graf_sim_events 1234"), "{text}");
-        assert!(text.contains("# TYPE graf_sim_queue_depth gauge"), "{text}");
-        assert!(text.contains("graf_sim_queue_depth 17"), "{text}");
-        assert!(text.contains("# TYPE graf_cluster_creation_batch histogram"), "{text}");
-        assert!(text.contains("graf_cluster_creation_batch_bucket{le=\"+Inf\"} 5"), "{text}");
-        assert!(text.contains("graf_cluster_creation_batch_count 5"), "{text}");
-        assert!(text.contains("graf_cluster_creation_batch_sum 413"), "{text}");
-        assert!(text.contains("graf_cluster_creations_started{service=\"cart\"} 3"), "{text}");
-    }
-
-    #[test]
-    fn prometheus_histogram_buckets_are_cumulative() {
-        let obs = Obs::enabled();
-        for v in [1u64, 1, 2, 3] {
-            obs.hist_record("h", &[], v);
-        }
-        let text = obs.render_prometheus();
-        assert!(text.contains("h_bucket{le=\"1\"} 2"), "{text}");
-        assert!(text.contains("h_bucket{le=\"2\"} 3"), "{text}");
-        assert!(text.contains("h_bucket{le=\"3\"} 4"), "{text}");
-        assert!(text.contains("h_bucket{le=\"+Inf\"} 4"), "{text}");
-    }
-
-    #[test]
-    fn prometheus_histogram_series_share_bucket_bounds() {
-        // Two label sets of the same metric with disjoint value ranges: both
-        // series must expose the union of bounds so `sum by (le)` aggregates.
-        let obs = Obs::enabled();
-        obs.hist_record("lat", &[("svc", "a")], 2);
-        obs.hist_record("lat", &[("svc", "a")], 2);
-        obs.hist_record("lat", &[("svc", "b")], 9);
-        let text = obs.render_prometheus();
-        // Series a at its own bound and at b's (cumulative: all 2 obs ≤ 9).
-        assert!(text.contains("lat_bucket{svc=\"a\",le=\"2\"} 2"), "{text}");
-        assert!(text.contains("lat_bucket{svc=\"a\",le=\"9\"} 2"), "{text}");
-        // Series b at a's bound (nothing that small) and its own.
-        assert!(text.contains("lat_bucket{svc=\"b\",le=\"2\"} 0"), "{text}");
-        assert!(text.contains("lat_bucket{svc=\"b\",le=\"9\"} 1"), "{text}");
-        assert!(text.contains("lat_bucket{svc=\"a\",le=\"+Inf\"} 2"), "{text}");
-        assert!(text.contains("lat_bucket{svc=\"b\",le=\"+Inf\"} 1"), "{text}");
-        // One TYPE header for the metric, not one per series.
-        assert_eq!(text.matches("# TYPE lat histogram").count(), 1, "{text}");
-    }
-
-    #[test]
-    fn prometheus_histogram_sum_and_count_per_series() {
-        let obs = Obs::enabled();
-        obs.hist_record("lat", &[("svc", "a")], 5);
-        obs.hist_record("lat", &[("svc", "a")], 7);
-        obs.hist_record("lat", &[("svc", "b")], 100);
-        let text = obs.render_prometheus();
-        assert!(text.contains("lat_sum{svc=\"a\"} 12"), "{text}");
-        assert!(text.contains("lat_count{svc=\"a\"} 2"), "{text}");
-        assert!(text.contains("lat_sum{svc=\"b\"} 100"), "{text}");
-        assert!(text.contains("lat_count{svc=\"b\"} 1"), "{text}");
-    }
-
-    #[test]
-    fn prometheus_escapes_label_values() {
-        let obs = Obs::enabled();
-        let nasty = "a\"b\\c\nd";
-        obs.counter_add("c", &[("k", nasty)], 1);
-        let text = obs.render_prometheus();
-        assert!(text.contains(r#"c{k="a\"b\\c\nd"} 1"#), "{text}");
     }
 
     #[test]
@@ -560,6 +313,18 @@ mod tests {
     }
 
     #[test]
+    fn jsonl_writes_lists_with_null_for_non_finite() {
+        let obs = Obs::enabled();
+        obs.point("e").attr("rates", vec![80.5, f64::NAN]).attr("deltas", vec![0.0, -2.0]);
+        let mut buf = Vec::new();
+        obs.write_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains(r#""attrs":{"rates":[80.5,null],"deltas":[0,-2]}"#), "{text}");
+        let attrs = parse(text.lines().next().unwrap()).unwrap().get("attrs").unwrap().clone();
+        assert_eq!(attrs.get("rates"), Some(&Json::Arr(vec![Json::Num(80.5), Json::Null])));
+    }
+
+    #[test]
     fn summary_mentions_spans_and_metrics() {
         let s = sample_obs().summary();
         assert!(s.contains("graf.controller.tick"), "{s}");
@@ -572,36 +337,9 @@ mod tests {
     #[test]
     fn disabled_exports_are_empty() {
         let obs = Obs::disabled();
-        assert_eq!(obs.render_prometheus(), "");
         let mut buf = Vec::new();
         obs.write_jsonl(&mut buf).unwrap();
         assert!(buf.is_empty());
         assert!(obs.summary().contains("disabled"));
-    }
-
-    #[test]
-    fn jsonl_sink_streams_lines_and_appends() {
-        let dir = std::env::temp_dir().join(format!("graf-obs-sink-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stream.jsonl");
-
-        let mut sink = JsonlSink::create(&path).unwrap();
-        sink.record(r#"{"a": 1}"#).unwrap();
-        sink.record(r#"{"a": 2}"#).unwrap();
-        assert_eq!(sink.lines(), 2);
-        assert_eq!(sink.path(), path.as_path());
-        sink.finish().unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"a\": 1}\n{\"a\": 2}\n");
-
-        // Append mode adds to the existing stream; create mode truncates.
-        let mut app = JsonlSink::append(&path).unwrap();
-        app.record(r#"{"a": 3}"#).unwrap();
-        app.finish().unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 3);
-        let mut fresh = JsonlSink::create(&path).unwrap();
-        fresh.record(r#"{"b": 1}"#).unwrap();
-        drop(fresh); // drop flushes too
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"b\": 1}\n");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

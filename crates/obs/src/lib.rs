@@ -1,8 +1,8 @@
 //! # graf-obs
 //!
-//! Framework-wide telemetry for the GRAF control loop: structured spans, a
-//! metrics registry, and exporters (JSONL event log, Prometheus text
-//! exposition, human-readable summary).
+//! Framework-wide telemetry for the GRAF control loop: structured spans and
+//! points, a metrics registry, and two exports (a JSONL event log and a
+//! human-readable summary).
 //!
 //! The paper's GRAF consumes observability (Jaeger traces, Prometheus and
 //! cAdvisor metrics) but our reproduction had none *of itself*: solver
@@ -27,16 +27,19 @@
 //! * [`Obs::counter_add`] / [`Obs::gauge_set`] / [`Obs::hist_record`]
 //!   maintain named, labelled series in the metrics registry; histograms
 //!   reuse [`graf_metrics::Histogram`]'s log-bucketed internals.
-//! * [`Obs::write_jsonl`], [`Obs::render_prometheus`] and [`Obs::summary`]
-//!   export everything (see [`export`]).
+//! * [`Obs::write_jsonl`] and [`Obs::summary`] export everything (see
+//!   [`export`]).
+//!
+//! This is the one record of a run: a control tick's decision (inputs,
+//! ladder rung, solver statistics, applied plan) is a `graf.controller.tick`
+//! span plus a `graf.resilient.tick` point, not a side file.
 //!
 //! ## Naming conventions
 //!
 //! Dotted lowercase paths, `graf.<component>.<thing>`:
 //! `graf.controller.tick`, `graf.solver.solve`, `graf.solver.iterations`,
 //! `graf.train.eval`, `graf.sample.bounds`, `graf.cluster.creations_started`,
-//! `graf.sim.events`. Exporters map dots to underscores where the target
-//! format requires it.
+//! `graf.sim.events`.
 //!
 //! **Invariants.** Telemetry is strictly write-only: no instrumented
 //! component ever reads a counter, gauge or span back to make a decision,
@@ -49,12 +52,8 @@
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod export;
-pub mod flight;
 pub mod json;
 pub mod registry;
-
-pub use export::JsonlSink;
-pub use flight::FlightRecorder;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -79,6 +78,9 @@ pub enum Value {
     Bool(bool),
     /// String value.
     Str(String),
+    /// A list of numbers (per-API rates, per-service counts); non-finite
+    /// entries export as `null`.
+    List(Vec<f64>),
 }
 
 impl From<f64> for Value {
@@ -114,6 +116,11 @@ impl From<String> for Value {
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
         Value::Str(v.to_string())
+    }
+}
+impl From<Vec<f64>> for Value {
+    fn from(v: Vec<f64>) -> Self {
+        Value::List(v)
     }
 }
 
@@ -440,6 +447,7 @@ mod tests {
         assert_eq!(obs.events().len(), 1);
         clone.counter_add("c", &[], 3);
         obs.counter_add("c", &[], 2);
-        assert!(obs.render_prometheus().contains("c 5"));
+        let summary = obs.summary();
+        assert!(summary.lines().any(|l| l.split_whitespace().eq(["c", "5"])), "{summary}");
     }
 }

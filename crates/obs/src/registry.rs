@@ -25,7 +25,7 @@ pub enum Series {
 }
 
 impl Series {
-    /// The Prometheus type name of this series.
+    /// The kind of this series: `counter`, `gauge` or `histogram`.
     pub fn type_name(&self) -> &'static str {
         match self {
             Series::Counter(_) => "counter",

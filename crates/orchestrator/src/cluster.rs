@@ -351,10 +351,17 @@ mod tests {
         c.set_desired(ServiceId(0), 5); // 3 new instances in one batch
         c.world_mut().run_until(SimTime::from_secs(30.0));
         assert_eq!(c.inflight_creations(), 0);
-        let prom = obs.render_prometheus();
-        assert!(prom.contains("graf_cluster_creations_started 3"), "{prom}");
-        assert!(prom.contains("graf_cluster_creations_completed 3"), "{prom}");
-        assert!(prom.contains("graf_cluster_creation_batch_count 1"), "{prom}");
-        assert!(prom.contains("graf_sim_events"), "world shares the handle: {prom}");
+        let summary = obs.summary();
+        let metric = |name: &str| {
+            summary.lines().find_map(|l| {
+                let mut words = l.split_whitespace();
+                (words.next() == Some(name)).then(|| words.collect::<Vec<_>>().join(" "))
+            })
+        };
+        assert_eq!(metric("graf.cluster.creations_started").as_deref(), Some("3"), "{summary}");
+        assert_eq!(metric("graf.cluster.creations_completed").as_deref(), Some("3"), "{summary}");
+        let batch = metric("graf.cluster.creation_batch").unwrap_or_default();
+        assert!(batch.starts_with("n=1 "), "one creation batch: {summary}");
+        assert!(metric("graf.sim.events").is_some(), "world shares the handle: {summary}");
     }
 }

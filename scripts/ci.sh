@@ -55,7 +55,7 @@ cargo test -q -p graf-gnn --features sanitize --test sanitize
 cargo test -q -p graf-core --features sanitize --test sanitize
 cargo test -q --features sanitize --test sim_sanitize
 
-echo "== graf-exp all --quick (every registered experiment runs and leaves a non-empty artefact) =="
+echo "== graf-exp all --quick (every registered experiment leaves a non-empty artefact, and nothing else) =="
 GRAF_EXP="$PWD/target/release/graf-exp"
 ALLDIR="$(mktemp -d)"
 trap 'rm -rf "$ALLDIR"' EXIT
@@ -64,6 +64,11 @@ for name in $("$GRAF_EXP" list | awk '{print $1}'); do
   [[ -s "$ALLDIR/results/$name.txt" ]] \
     || { echo "graf-exp all left no results/$name.txt" >&2; exit 1; }
 done
+EXPECTED="$("$GRAF_EXP" list | awk '{print "./results/" $1 ".txt"}' | sort)"
+LEFT="$(cd "$ALLDIR" && find . -type f | sort)"
+[[ "$LEFT" == "$EXPECTED" ]] \
+  || { echo "graf-exp all left files other than results/<name>.txt:" >&2;
+       comm -13 <(echo "$EXPECTED") <(echo "$LEFT") >&2; exit 1; }
 
 echo "== benchmark smoke (stand-alone benchmark/ workspace builds against the public API; output checks on) =="
 bash benchmark/run.sh --smoke

@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | metrics | [`metrics`] | Prometheus / cAdvisor / Linkerd |
 //! | tracing | [`trace`] | Jaeger |
-//! | telemetry | [`obs`] | GRAF's own spans/metrics/exporters |
+//! | telemetry | [`obs`] | GRAF's own spans, points and metrics, one JSONL log |
 //! | cluster simulation | [`sim`] | 7-node Kubernetes testbed |
 //! | control plane + baselines | [`orchestrator`] | Kubernetes deployments, HPA, FIRM-like |
 //! | load generation | [`loadgen`] | Vegeta, Locust, Azure trace replay |

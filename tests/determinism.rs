@@ -215,9 +215,12 @@ fn serial_world_output_is_pinned() {
         assert_eq!(w.in_flight(), 0, "the run drained");
         let events = w.stats().events;
         if obs.is_enabled() {
-            let line = format!("graf_sim_events {events}");
-            let prom = obs.render_prometheus();
-            assert!(prom.lines().any(|l| l == line), "telemetry saw every event:\n{prom}");
+            let row = ["graf.sim.events".to_string(), events.to_string()];
+            let summary = obs.summary();
+            assert!(
+                summary.lines().any(|l| l.split_whitespace().eq(row.iter().map(String::as_str))),
+                "telemetry saw every event:\n{summary}"
+            );
         }
         (fingerprint_completions(&comps), fingerprint_traces(&traces), events)
     }
@@ -538,7 +541,8 @@ fn telemetry_does_not_perturb_the_pipeline() {
     assert!(names.contains(&"graf.train.eval"), "training eval points recorded");
     assert!(names.contains(&"graf.controller.tick"), "controller tick spans recorded");
     assert!(names.contains(&"graf.solver.solve"), "solver spans recorded");
-    let prom = enabled.render_prometheus();
-    assert!(prom.contains("graf_sim_events"), "world events counted:\n{prom}");
-    assert!(prom.contains("graf_cluster_creations_started"), "creations counted:\n{prom}");
+    let summary = enabled.summary();
+    let metrics: Vec<&str> = summary.lines().filter_map(|l| l.split_whitespace().next()).collect();
+    assert!(metrics.contains(&"graf.sim.events"), "world events counted:\n{summary}");
+    assert!(metrics.contains(&"graf.cluster.creations_started"), "creations counted:\n{summary}");
 }
