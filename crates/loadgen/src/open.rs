@@ -68,15 +68,6 @@ impl OpenLoop {
         self.streams.push(Stream { api, schedule, next_at: first });
         self
     }
-
-    /// Replaces the rate of `api` from time `from` onward (for dynamic
-    /// experiments that change rates mid-run).
-    pub fn set_rate(&mut self, api: ApiId, from: SimTime, qps: f64) {
-        if let Some(s) = self.streams.iter_mut().find(|s| s.api == api) {
-            s.schedule.retain(|&(t, _)| t < from.as_micros());
-            s.schedule.push((from.as_micros(), qps));
-        }
-    }
 }
 
 impl LoadGen for OpenLoop {
@@ -188,14 +179,5 @@ mod tests {
         for (t, _) in g.arrivals(from, to) {
             assert!(t >= from && t < to, "arrival {t} outside [{from}, {to})");
         }
-    }
-
-    #[test]
-    fn set_rate_overrides_future() {
-        let mut g = OpenLoop::new(1).rate(ApiId(0), 10.0);
-        let _ = g.arrivals(SimTime::ZERO, SimTime::from_secs(1.0));
-        g.set_rate(ApiId(0), SimTime::from_secs(1.0), 20.0);
-        let a = g.arrivals(SimTime::from_secs(1.0), SimTime::from_secs(2.0));
-        assert_eq!(a.len(), 20);
     }
 }

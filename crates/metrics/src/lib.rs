@@ -11,8 +11,6 @@
 //! * [`WindowedLatency`] — fixed-width windows of histograms so that
 //!   percentiles can be queried "over the last 10 seconds" exactly as the
 //!   paper's sample collector does (§5, *Sample Collection and Training*),
-//! * [`TimeSeries`] — an append-only `(t, v)` series used to record workload,
-//!   instance counts and CPU figures for the figure-regeneration benches,
 //! * [`CpuAccount`] — integrates CPU usage against allocated quota over time,
 //!   yielding the utilization signal the Kubernetes autoscaler consumes,
 //! * [`Summary`] — exact percentiles/means over small in-memory samples.
@@ -29,12 +27,10 @@ pub mod cpu;
 pub mod histogram;
 pub mod rate;
 pub mod summary;
-pub mod timeseries;
 pub mod window;
 
 pub use cpu::CpuAccount;
 pub use histogram::Histogram;
 pub use rate::RateCounter;
 pub use summary::Summary;
-pub use timeseries::TimeSeries;
 pub use window::WindowedLatency;

@@ -103,23 +103,6 @@ impl WindowedLatency {
         self.windows.iter().filter(|(i, _)| *i >= lo && *i <= hi).map(|(_, h)| h.count()).sum()
     }
 
-    /// Mean over the trailing `k` windows ending at `now_us`.
-    pub fn mean_trailing(&self, now_us: u64, k: usize) -> Option<f64> {
-        let hi = now_us / self.window_us;
-        let lo = hi.saturating_sub(k.saturating_sub(1) as u64);
-        let mut merged = Histogram::new();
-        for (i, h) in &self.windows {
-            if *i >= lo && *i <= hi {
-                merged.merge(h);
-            }
-        }
-        if merged.is_empty() {
-            None
-        } else {
-            Some(merged.mean())
-        }
-    }
-
     /// Removes all stored windows.
     pub fn clear(&mut self) {
         self.windows.clear();
@@ -171,14 +154,5 @@ mod tests {
         w.record(500, 10); // late record for an older, still-retained window
         assert_eq!(w.percentile_at(500, 0.5), Some(10));
         assert_eq!(w.count_trailing(2_500, 3), 2);
-    }
-
-    #[test]
-    fn mean_trailing_matches_values() {
-        let mut w = WindowedLatency::new(1_000, 8);
-        w.record(100, 10);
-        w.record(1_100, 30);
-        let m = w.mean_trailing(1_100, 2).unwrap();
-        assert!((m - 20.0).abs() < 1e-9);
     }
 }

@@ -1,22 +1,4 @@
-//! Loss functions, including the paper's asymmetric Hüber percentage loss.
-
-/// Mean-squared error over two equal-length slices, plus per-element
-/// gradient with respect to the prediction.
-pub fn mse(pred: &[f64], label: &[f64]) -> (f64, Vec<f64>) {
-    assert_eq!(pred.len(), label.len());
-    let n = pred.len().max(1) as f64;
-    let mut loss = 0.0;
-    let grad = pred
-        .iter()
-        .zip(label)
-        .map(|(&p, &y)| {
-            let d = p - y;
-            loss += d * d;
-            2.0 * d / n
-        })
-        .collect();
-    (loss / n, grad)
-}
+//! The paper's asymmetric Hüber percentage loss.
 
 /// The asymmetric Hüber loss on *percentage error* of eq. (4), with the
 /// paper's Table-1 constants `θ_L = 0.1`, `θ_R = 0.3`.
@@ -89,14 +71,6 @@ impl AsymmetricHuber {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mse_known_value() {
-        let (l, g) = mse(&[1.0, 2.0], &[0.0, 4.0]);
-        assert!((l - (1.0 + 4.0) / 2.0).abs() < 1e-12);
-        assert!((g[0] - 1.0).abs() < 1e-12);
-        assert!((g[1] + 2.0).abs() < 1e-12);
-    }
 
     #[test]
     fn huber_is_continuous_at_thresholds() {

@@ -337,14 +337,6 @@ impl Matrix {
         }
     }
 
-    /// In-place Hadamard product.
-    pub fn hadamard_assign(&mut self, rhs: &Matrix) {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "hadamard shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a *= b;
-        }
-    }
-
     /// Scalar multiple.
     pub fn scale(&self, s: f64) -> Matrix {
         self.map(|x| x * s)
@@ -451,11 +443,6 @@ impl Matrix {
                 );
             }
         }
-    }
-
-    /// Sets all entries to zero.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 }
 
@@ -904,9 +891,6 @@ mod tests {
         let mut c = a.clone();
         c.add_assign(&b);
         assert_eq!(c.data(), &[3., 0., 5.]);
-        let mut h = a.clone();
-        h.hadamard_assign(&b);
-        assert_eq!(h.data(), &[2., -4., 6.]);
     }
 
     #[test]

@@ -123,11 +123,6 @@ impl Mlp {
         self.weights.last().expect("non-empty").value.cols()
     }
 
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.weights.len()
-    }
-
     /// Total scalar parameter count.
     pub fn num_params(&self) -> usize {
         self.weights.iter().map(Param::len).sum::<usize>()
@@ -549,7 +544,6 @@ mod tests {
         let mlp = Mlp::new(&[3, 20, 20, 1], 0.25, &mut rng);
         assert_eq!(mlp.input_dim(), 3);
         assert_eq!(mlp.output_dim(), 1);
-        assert_eq!(mlp.num_layers(), 3);
         assert_eq!(mlp.num_params(), 3 * 20 + 20 + 20 * 20 + 20 + 20 + 1);
         let x = Matrix::zeros(5, 3);
         let (y, _) = mlp.forward(&x, &mut Mode::Eval);

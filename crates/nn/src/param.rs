@@ -27,11 +27,6 @@ impl Param {
         self.grad.add_assign(g);
     }
 
-    /// Zeroes the accumulated gradient.
-    pub fn zero_grad(&mut self) {
-        self.grad.fill_zero();
-    }
-
     /// Number of scalar parameters.
     pub fn len(&self) -> usize {
         self.value.rows() * self.value.cols()
@@ -54,8 +49,6 @@ mod tests {
         p.accumulate(&g);
         p.accumulate(&g);
         assert_eq!(p.grad.get(1, 1), 3.0);
-        p.zero_grad();
-        assert_eq!(p.grad.get(0, 0), 0.0);
         assert_eq!(p.len(), 4);
     }
 }

@@ -204,13 +204,6 @@ impl Cluster {
         target
     }
 
-    /// Desired replicas needed to provide `quota_mc` at this service's CPU
-    /// unit (the paper's eq. 7: `ceil(quota / unit)`).
-    pub fn replicas_for_quota(&self, service: ServiceId, quota_mc: f64) -> usize {
-        let unit = self.deployment(service).cpu_unit_mc;
-        (quota_mc / unit).ceil().max(0.0) as usize
-    }
-
     /// Live (starting + ready + draining) instance count of `service`.
     pub fn live_instances(&self, service: ServiceId) -> usize {
         let (s, r, d) = self.world.instance_counts(service);
@@ -323,15 +316,6 @@ mod tests {
         );
         assert_eq!(c.set_desired(ServiceId(0), 0), 2);
         assert_eq!(c.set_desired(ServiceId(0), 100), 4);
-    }
-
-    #[test]
-    fn replicas_for_quota_rounds_up() {
-        let c = cluster();
-        assert_eq!(c.replicas_for_quota(ServiceId(0), 1.0), 1);
-        assert_eq!(c.replicas_for_quota(ServiceId(0), 500.0), 1);
-        assert_eq!(c.replicas_for_quota(ServiceId(0), 500.1), 2);
-        assert_eq!(c.replicas_for_quota(ServiceId(0), 1700.0), 4);
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //!
 //! Two implementations share that contract:
 //!
-//! * [`EventQueue`] — the reference `BinaryHeap` min-queue. O(log n) per
-//!   operation, trivially correct; kept as the differential-testing oracle.
 //! * [`CalendarQueue`] — a three-level bucketed timing wheel. O(1) amortized
 //!   per operation for the discrete-event steady state, where nearly every
 //!   event is scheduled a short horizon ahead of the current time. This is
-//!   the simulator's default core (see DESIGN.md §12).
-//!
-//! [`Queue`] dispatches between them; [`QueueKind`] selects one per world via
-//! `SimConfig`.
+//!   the simulator's one event core: `World` holds it directly (see
+//!   DESIGN.md §12).
+//! * [`EventQueue`] — the reference `BinaryHeap` min-queue. O(log n) per
+//!   operation, trivially correct; the queue-level tests (this module's and
+//!   `tests/properties.rs`) replay every schedule and pop against it. No
+//!   engine code uses it.
 //!
 //! # Merging an outside sequence
 //!
@@ -41,16 +41,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// Which event-queue implementation a world uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Bucketed timing wheel ([`CalendarQueue`]): the fast default.
-    #[default]
-    Calendar,
-    /// Reference `BinaryHeap` ([`EventQueue`]): the differential-test oracle.
-    Heap,
-}
 
 struct Entry<E> {
     time: SimTime,
@@ -499,88 +489,6 @@ impl<E> CalendarQueue<E> {
     }
 }
 
-/// Event queue dispatching to the configured implementation.
-// One `Queue` exists per `World`, so the size skew between the wheel (inline
-// level metadata) and the heap variant costs nothing; boxing the wheel would
-// add a pointer chase to every schedule/pop on the hot path.
-#[allow(clippy::large_enum_variant)]
-pub enum Queue<E> {
-    /// Bucketed timing wheel (default).
-    Calendar(CalendarQueue<E>),
-    /// Reference binary heap.
-    Heap(EventQueue<E>),
-}
-
-impl<E> Queue<E> {
-    /// Creates an empty queue of the given kind.
-    pub fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Calendar => Queue::Calendar(CalendarQueue::new()),
-            QueueKind::Heap => Queue::Heap(EventQueue::new()),
-        }
-    }
-
-    /// Schedules `event` at `time`.
-    pub fn schedule(&mut self, time: SimTime, event: E) {
-        match self {
-            Queue::Calendar(q) => q.schedule(time, event),
-            Queue::Heap(q) => q.schedule(time, event),
-        }
-    }
-
-    /// Claims the next sequence number without inserting anything (see the
-    /// module docs).
-    pub fn take_seq(&mut self) -> u64 {
-        match self {
-            Queue::Calendar(q) => q.take_seq(),
-            Queue::Heap(q) => q.take_seq(),
-        }
-    }
-
-    /// Removes and returns the earliest event if it is due at or before `t`.
-    pub fn pop_due(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        self.pop_before(t, u64::MAX)
-    }
-
-    /// Removes and returns the earliest event if it sorts strictly before
-    /// `(t, seq)` in `(time, seq)` order.
-    pub fn pop_before(&mut self, t: SimTime, seq: u64) -> Option<(SimTime, E)> {
-        match self {
-            Queue::Calendar(q) => q.pop_before(t, seq),
-            Queue::Heap(q) => q.pop_before(t, seq),
-        }
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self {
-            Queue::Calendar(q) => q.pop(),
-            Queue::Heap(q) => q.pop(),
-        }
-    }
-
-    /// Time of the earliest scheduled event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            Queue::Calendar(q) => q.peek_time(),
-            Queue::Heap(q) => q.peek_time(),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match self {
-            Queue::Calendar(q) => q.len(),
-            Queue::Heap(q) => q.len(),
-        }
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -709,33 +617,40 @@ mod tests {
         // Queue `a` schedules the marker event at 100 µs; queue `b` only
         // reserves its seq at the same point and merges it with
         // `pop_before`. Ties at 100 µs on both sides of the reservation must
-        // pop in the same order, on both queue kinds.
+        // pop in the same order, on the wheel and on the reference heap.
         let script = [(100u64, 0), (50, 1), (100, 2), (u64::MAX, 99), (100, 3), (99, 4), (101, 5)];
-        for kind in [QueueKind::Calendar, QueueKind::Heap] {
-            let (mut a, mut b) = (Queue::new(kind), Queue::new(kind));
-            let mut reserved = None;
-            for &(t, id) in &script {
-                if id == 99 {
-                    a.schedule(SimTime(100), id);
-                    reserved = Some(b.take_seq());
-                } else {
-                    a.schedule(SimTime(t), id);
-                    b.schedule(SimTime(t), id);
+        macro_rules! merged_and_reference {
+            ($queue:ident) => {{
+                let (mut a, mut b) = ($queue::new(), $queue::new());
+                let mut reserved = None;
+                for &(t, id) in &script {
+                    if id == 99 {
+                        a.schedule(SimTime(100), id);
+                        reserved = Some(b.take_seq());
+                    } else {
+                        a.schedule(SimTime(t), id);
+                        b.schedule(SimTime(t), id);
+                    }
                 }
-            }
-            let seq = reserved.expect("script reserves once");
-            let mut merged = Vec::new();
-            while let Some((t, id)) = b.pop_before(SimTime(100), seq) {
-                merged.push((t, id));
-            }
-            merged.push((SimTime(100), 99));
-            while let Some(e) = b.pop() {
-                merged.push(e);
-            }
-            let reference: Vec<_> = std::iter::from_fn(|| a.pop()).collect();
-            assert_eq!(merged, reference, "{kind:?}");
+                let seq = reserved.expect("script reserves once");
+                let mut merged = Vec::new();
+                while let Some((t, id)) = b.pop_before(SimTime(100), seq) {
+                    merged.push((t, id));
+                }
+                merged.push((SimTime(100), 99));
+                while let Some(e) = b.pop() {
+                    merged.push(e);
+                }
+                let reference: Vec<_> = std::iter::from_fn(|| a.pop()).collect();
+                (merged, reference)
+            }};
+        }
+        let calendar = merged_and_reference!(CalendarQueue);
+        let heap = merged_and_reference!(EventQueue);
+        for (name, (merged, reference)) in [("calendar", calendar), ("heap", heap)] {
+            assert_eq!(merged, reference, "{name}");
             let ids: Vec<_> = reference.iter().map(|e| e.1).collect();
-            assert_eq!(ids, [1, 4, 0, 2, 99, 3, 5], "{kind:?}: ties split at the reservation");
+            assert_eq!(ids, [1, 4, 0, 2, 99, 3, 5], "{name}: ties split at the reservation");
         }
     }
 

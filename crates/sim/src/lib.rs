@@ -73,7 +73,6 @@ pub mod time;
 pub mod topology;
 pub mod world;
 
-pub use events::QueueKind;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
 pub use topology::{ApiId, ApiSpec, AppTopology, CallNode, ChildMode, ServiceId, ServiceSpec};

@@ -19,6 +19,10 @@ use crate::topology::ServiceId;
 /// absorbs rounding from integer event times.
 const WORK_EPS: f64 = 1e-3;
 
+/// Per-job CPU rate cap in millicores: a request handler is single-threaded,
+/// so one job never runs faster than one core, whatever the quota.
+const PER_JOB_CAP_MC: f64 = 1000.0;
+
 /// Identifies an instance within the world's instance table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstanceId(pub u32);
@@ -59,8 +63,6 @@ pub struct Instance {
     /// Bumped whenever the job set or rates change; stale completion-check
     /// events (scheduled under an older epoch) are ignored.
     pub epoch: u64,
-    /// Per-job rate cap in millicores (1 core = 1000 by default).
-    per_job_cap_mc: f64,
     /// Cached `min(jobs.remaining_mc_us)` (`f64::INFINITY` when idle) so
     /// [`Instance::next_completion`] is O(1) instead of a per-event scan.
     /// Processor sharing burns every job by the same amount per advance, so
@@ -71,15 +73,8 @@ pub struct Instance {
 
 impl Instance {
     /// Creates an instance for `service` with `quota_mc` millicores.
-    pub fn new(
-        service: ServiceId,
-        quota_mc: f64,
-        state: InstanceState,
-        per_job_cap_mc: f64,
-        now: SimTime,
-    ) -> Self {
+    pub fn new(service: ServiceId, quota_mc: f64, state: InstanceState, now: SimTime) -> Self {
         assert!(quota_mc > 0.0, "quota must be positive");
-        assert!(per_job_cap_mc > 0.0, "per-job cap must be positive");
         Self {
             service,
             quota_mc,
@@ -87,7 +82,6 @@ impl Instance {
             jobs: Vec::new(),
             last_advance: now,
             epoch: 0,
-            per_job_cap_mc,
             min_remaining: f64::INFINITY,
         }
     }
@@ -108,7 +102,7 @@ impl Instance {
         if n == 0 {
             return 0.0;
         }
-        (self.quota_mc / n as f64).min(self.per_job_cap_mc)
+        (self.quota_mc / n as f64).min(PER_JOB_CAP_MC)
     }
 
     /// Advances job progress from `last_advance` to `now`.
@@ -240,7 +234,7 @@ mod tests {
     use super::*;
 
     fn inst(quota: f64) -> Instance {
-        Instance::new(ServiceId(0), quota, InstanceState::Ready, 1000.0, SimTime::ZERO)
+        Instance::new(ServiceId(0), quota, InstanceState::Ready, SimTime::ZERO)
     }
 
     #[test]

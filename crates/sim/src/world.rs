@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use graf_metrics::{RateCounter, WindowedLatency};
 use graf_trace::{OpenTrace, Span, SpanId, TraceId, TraceStore};
 
-use crate::events::{Queue, QueueKind};
+use crate::events::CalendarQueue;
 use crate::frame::{Frame, FrameId, FrameState, RequestId};
 use crate::loadidx;
 use crate::rng::DetRng;
@@ -27,6 +27,9 @@ use crate::station::{Instance, InstanceId, InstanceState};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{ApiId, AppTopology, CallNode, ServiceId};
 
+/// Finished traces a world's store retains (the oldest are evicted first).
+const TRACE_CAPACITY: usize = 200_000;
+
 /// Tuning knobs of the simulation.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -34,22 +37,12 @@ pub struct SimConfig {
     pub window_us: u64,
     /// Number of metric windows retained per surface.
     pub retain_windows: usize,
-    /// Per-job CPU rate cap in millicores (one core by default): a single
-    /// request handler cannot use more than one core no matter the quota.
-    pub per_job_cap_mc: f64,
     /// Probability that a request is traced (Jaeger sampling rate).
     pub trace_sample: f64,
-    /// Maximum finished traces retained.
-    pub trace_capacity: usize,
     /// Client-side request timeout in µs (`None` = never). Mirrors Vegeta's
     /// 30 s default: a timed-out request is abandoned — its in-flight work is
     /// cancelled and its completion records the capped latency.
     pub request_timeout_us: Option<u64>,
-    /// Event-queue implementation. [`QueueKind::Calendar`] (default) is the
-    /// fast hierarchical calendar queue; [`QueueKind::Heap`] keeps the
-    /// reference `BinaryHeap` for differential testing. Both produce
-    /// bit-identical simulations.
-    pub event_queue: QueueKind,
     /// CPU-usage checkpoint resolution in µs: usage samples landing in the
     /// same `t / cpu_checkpoint_us` cell collapse into one stored checkpoint.
     /// `1` (default) keeps one checkpoint per distinct microsecond — exact
@@ -64,11 +57,8 @@ impl Default for SimConfig {
         Self {
             window_us: 1_000_000, // 1 s windows; controllers query trailing k
             retain_windows: 600,
-            per_job_cap_mc: 1000.0,
             trace_sample: 1.0,
-            trace_capacity: 200_000,
             request_timeout_us: Some(30_000_000),
-            event_queue: QueueKind::Calendar,
             cpu_checkpoint_us: 1,
         }
     }
@@ -260,7 +250,7 @@ pub struct World {
     requests: Vec<RequestSlot>,
     free_requests: Vec<u32>,
     live_requests: usize,
-    queue: Queue<Event>,
+    queue: CalendarQueue<Event>,
     /// Client deadlines `(request, slot, seq)` in arrival order, kept beside
     /// the queue: every deadline is its arrival time plus the one configured
     /// timeout, so arrival order is deadline order. `seq` is claimed from the
@@ -330,7 +320,7 @@ impl World {
             requests: Vec::new(),
             free_requests: Vec::new(),
             live_requests: 0,
-            queue: Queue::new(cfg.event_queue),
+            queue: CalendarQueue::new(),
             deadlines: VecDeque::new(),
             head: None,
             scratch_finished: Vec::new(),
@@ -339,7 +329,7 @@ impl World {
             rng_work: root_rng.fork(seed ^ 0x1),
             rng_trace: root_rng.fork(seed ^ 0x2),
             span_faults: Vec::new(),
-            traces: TraceStore::new(cfg.trace_capacity),
+            traces: TraceStore::new(TRACE_CAPACITY),
             completions: Vec::new(),
             e2e,
             api_arrivals,
@@ -396,13 +386,7 @@ impl World {
         for _ in 0..n {
             let id = InstanceId(self.instances.len() as u32);
             let state = InstanceState::Starting { ready_at };
-            self.instances.push(Some(Instance::new(
-                service,
-                quota_mc,
-                state,
-                self.cfg.per_job_cap_mc,
-                self.now,
-            )));
+            self.instances.push(Some(Instance::new(service, quota_mc, state, self.now)));
             // Starting instances are not schedulable: they enter the load
             // index with the EMPTY key and start competing on readiness.
             self.load_slots.push(self.services[service.0 as usize].load.insert(loadidx::EMPTY));

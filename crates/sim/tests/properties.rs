@@ -45,7 +45,7 @@ proptest! {
         jobs in proptest::collection::vec(10.0f64..1e6, 1..20),
         steps in proptest::collection::vec(1u64..100_000, 1..20),
     ) {
-        let mut inst = Instance::new(ServiceId(0), quota, InstanceState::Ready, 1000.0, SimTime::ZERO);
+        let mut inst = Instance::new(ServiceId(0), quota, InstanceState::Ready, SimTime::ZERO);
         for (i, &w) in jobs.iter().enumerate() {
             inst.push_job(FrameId(i as u32), w);
         }
@@ -233,13 +233,11 @@ proptest! {
 // arithmetic off-by-one cannot hide behind sampling luck.
 // ---------------------------------------------------------------------------
 
-use graf_sim::events::{Queue, QueueKind};
-
-/// Runs the same schedule/pop script against both queue kinds and asserts
-/// every pop and peek matches bit-for-bit.
+/// Runs the same schedule/pop script against the calendar queue and the
+/// reference heap and asserts every pop and peek matches bit-for-bit.
 fn assert_kinds_agree(script: &[(u64, &str)]) {
-    let mut cal: Queue<usize> = Queue::new(QueueKind::Calendar);
-    let mut heap: Queue<usize> = Queue::new(QueueKind::Heap);
+    let mut cal: CalendarQueue<usize> = CalendarQueue::new();
+    let mut heap: EventQueue<usize> = EventQueue::new();
     for (i, &(x, op)) in script.iter().enumerate() {
         match op {
             "sched" => {

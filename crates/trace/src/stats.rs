@@ -120,11 +120,6 @@ impl CallStats {
         self.edges.keys().copied().collect()
     }
 
-    /// How many times `edge` was traversed across all observed traces.
-    pub fn edge_count(&self, edge: Edge) -> u64 {
-        self.edges.get(&edge).copied().unwrap_or(0)
-    }
-
     /// APIs that have at least one observed trace, ascending.
     pub fn apis(&self) -> Vec<u16> {
         self.profiles.keys().copied().collect()
@@ -170,7 +165,6 @@ mod tests {
                 Edge { parent: 1, child: 3 }
             ]
         );
-        assert_eq!(cs.edge_count(Edge { parent: 0, child: 1 }), 1);
     }
 
     #[test]

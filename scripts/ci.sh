@@ -24,6 +24,14 @@ cargo run --release -q -p graf-lint
 LINT_MS=$(( ($(date +%s%N) - LINT_START) / 1000000 ))
 echo "graf-lint: clean in ${LINT_MS}ms"
 
+echo "== the reference heap stays out of the engine (EventQueue named only in events.rs and test suites) =="
+HEAP_USERS="$(git ls-files -co --exclude-standard -- '*.rs' \
+  | grep -v -e '^crates/sim/src/events\.rs$' -e '^tests/' -e '/tests/' \
+  | xargs grep -lw EventQueue || true)"
+[[ -z "$HEAP_USERS" ]] \
+  || { echo "EventQueue named outside crates/sim/src/events.rs and the test suites:" >&2;
+       echo "$HEAP_USERS" >&2; exit 1; }
+
 echo "== thread sanitizer (data-parallel train + the collector's and the sweep's worker pool) =="
 if rustup component list --toolchain nightly 2>/dev/null | grep -q '^rust-src.*(installed)'; then
   TSAN_TARGET="$(rustc -vV | sed -n 's/^host: //p')"

@@ -8,7 +8,6 @@ use graf::loadgen::ClosedLoop;
 use graf::orchestrator::{
     run_experiment, Cluster, CreationModel, Deployment, ExperimentHooks, HpaConfig, KubernetesHpa,
 };
-use graf::sim::events::QueueKind;
 use graf::sim::time::SimTime;
 use graf::sim::topology::{ApiId, ServiceId};
 use graf::sim::world::{SimConfig, World, WorldStats};
@@ -18,17 +17,8 @@ use graf::sim::world::{SimConfig, World, WorldStats};
 /// the stack produces: world stats, the bit-exact latency stream and the
 /// final instance counts.
 fn run_once(seed: u64, schedule: Option<&ChaosSchedule>) -> (WorldStats, Vec<u64>, usize) {
-    run_once_with(seed, schedule, QueueKind::Calendar)
-}
-
-fn run_once_with(
-    seed: u64,
-    schedule: Option<&ChaosSchedule>,
-    kind: QueueKind,
-) -> (WorldStats, Vec<u64>, usize) {
     let topo = online_boutique();
-    let world =
-        World::new(topo.clone(), SimConfig { event_queue: kind, ..SimConfig::default() }, seed);
+    let world = World::new(topo.clone(), SimConfig::default(), seed);
     let deployments =
         (0..topo.num_services()).map(|s| Deployment::new(ServiceId(s as u16), 100.0, 3)).collect();
     let mut cluster = Cluster::new(world, deployments, CreationModel::default());
@@ -88,18 +78,23 @@ fn chaos_run_is_bit_identical_per_seed() {
     assert!(a.0.spans_dropped > 0, "the trace-drop fault actually fired");
 }
 
-/// The chaos_matrix acceptance scenario under both event cores: with every
-/// fault class firing at once, the calendar queue and the reference heap
-/// still produce bit-identical completion streams and scaling trajectories.
+/// The chaos_matrix acceptance scenario pinned across revisions: with every
+/// fault class firing at once, the completion count, event total, dropped
+/// spans, an order-sensitive FNV-1a fingerprint of the latency stream and the
+/// final instance count. The constants were captured at commit `1611261`,
+/// the last revision that also ran a reference binary-heap event core and
+/// asserted it bit-identical to the calendar queue on this run.
 #[test]
-fn chaos_matrix_is_bit_identical_across_queue_cores() {
-    let cal = run_once_with(91, Some(&stormy(91)), QueueKind::Calendar);
-    let heap = run_once_with(91, Some(&stormy(91)), QueueKind::Heap);
-    assert_eq!(cal.0.completed, heap.0.completed, "completed counts match");
-    assert_eq!(cal.0.events, heap.0.events, "event counts match");
-    assert_eq!(cal.0.spans_dropped, heap.0.spans_dropped, "identical spans dropped");
-    assert_eq!(cal.1, heap.1, "every latency matches bit-for-bit under faults");
-    assert_eq!(cal.2, heap.2, "final instance counts match");
+fn chaos_matrix_output_is_pinned() {
+    let (stats, latencies, instances) = run_once(91, Some(&stormy(91)));
+    assert_eq!(latencies.len() as u64, stats.completed, "one latency per completion");
+    let fp =
+        latencies.iter().fold(0xcbf29ce484222325u64, |h, &l| (h ^ l).wrapping_mul(0x100000001b3));
+    assert_eq!(
+        (stats.completed, stats.events, stats.spans_dropped, fp, instances),
+        (14053, 223281, 12196, 0x8321a6a71d6cb0c9, 9),
+        "chaos-matrix output moved"
+    );
 }
 
 #[test]

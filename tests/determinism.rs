@@ -7,19 +7,13 @@ use graf::loadgen::ClosedLoop;
 use graf::orchestrator::{
     run_experiment, Cluster, CreationModel, Deployment, ExperimentHooks, HpaConfig, KubernetesHpa,
 };
-use graf::sim::events::QueueKind;
 use graf::sim::time::SimTime;
 use graf::sim::topology::{ApiId, ServiceId};
 use graf::sim::world::{SimConfig, World};
 
 fn run_once(seed: u64) -> (u64, u64, Vec<u64>, usize) {
-    run_once_with(seed, QueueKind::Calendar)
-}
-
-fn run_once_with(seed: u64, kind: QueueKind) -> (u64, u64, Vec<u64>, usize) {
     let topo = online_boutique();
-    let world =
-        World::new(topo.clone(), SimConfig { event_queue: kind, ..SimConfig::default() }, seed);
+    let world = World::new(topo.clone(), SimConfig::default(), seed);
     let deployments =
         (0..topo.num_services()).map(|s| Deployment::new(ServiceId(s as u16), 100.0, 3)).collect();
     let mut cluster = Cluster::new(world, deployments, CreationModel::default());
@@ -50,20 +44,25 @@ fn same_seed_same_everything() {
     assert!(a.0 > 1000, "the run actually did work ({} completions)", a.0);
 }
 
-/// Seed × queue-implementation matrix: the calendar-queue event core and the
-/// reference binary-heap core must produce bit-identical completion streams
-/// (latencies and counts), event totals, and scaling trajectories for the
-/// full pilot-style experiment — the acceptance bar for swapping the queue.
+/// The full pilot-style experiment pinned across revisions: completion
+/// count, event total, an order-sensitive fingerprint of the latency stream
+/// and the final instance count, per seed. The constants were captured at
+/// commit `1611261`, the last revision that also ran a reference binary-heap
+/// event core and asserted it bit-identical to the calendar queue on this
+/// run; the pins now hold what that comparison certified.
 #[test]
-fn calendar_and_heap_cores_are_bit_identical() {
-    for seed in [7, 77, 402] {
-        let cal = run_once_with(seed, QueueKind::Calendar);
-        let heap = run_once_with(seed, QueueKind::Heap);
-        assert_eq!(cal.0, heap.0, "completed counts match (seed {seed})");
-        assert_eq!(cal.1, heap.1, "event counts match (seed {seed})");
-        assert_eq!(cal.2, heap.2, "every latency matches bit-for-bit (seed {seed})");
-        assert_eq!(cal.3, heap.3, "final instance counts match (seed {seed})");
-        assert!(cal.0 > 1000, "the run actually did work ({} completions)", cal.0);
+fn pilot_experiment_output_is_pinned() {
+    // (seed, (completed, events, latency fingerprint, final instances))
+    const PINNED: [(u64, (u64, u64, u64, usize)); 3] = [
+        (7, (14093, 223628, 0x46cb513d6d007d4f, 8)),
+        (77, (14259, 227115, 0x1d0d16ee4b7783d7, 8)),
+        (402, (14124, 224448, 0xd4671fdc16d5bcfa, 8)),
+    ];
+    for (seed, want) in PINNED {
+        let (completed, events, latencies, instances) = run_once(seed);
+        assert_eq!(latencies.len() as u64, completed, "one latency per completion (seed {seed})");
+        let fp = latencies.iter().fold(FNV_OFFSET, |h, &l| fnv_mix(h, l));
+        assert_eq!((completed, events, fp, instances), want, "pilot output moved (seed {seed})");
     }
 }
 
@@ -139,7 +138,7 @@ fn parallel_training_matches_serial_bit_for_bit() {
     assert_eq!(serial.2, parallel.2, "quota gradients bit-identical");
 }
 
-/// FNV-1a step shared by the two stream fingerprints below.
+/// FNV-1a step shared by the stream fingerprints of the pinned runs.
 fn fnv_mix(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x100000001b3)
 }
@@ -179,8 +178,8 @@ fn fingerprint_traces(traces: &[graf::trace::Trace]) -> u64 {
 
 /// Serial-`World` output pinned across revisions: an open-loop boutique run
 /// (2 s of Poisson arrivals, then drained) must reproduce these
-/// `(completions, traces, events)` fingerprints for every seed, on both
-/// event-queue cores, with telemetry attached and without. The constants
+/// `(completions, traces, events)` fingerprints for every seed, with
+/// telemetry attached and without. The constants
 /// were captured at commit `c77e2c3`, before the sharded executor and its
 /// hooks in `World` were removed; a change that moves any of them changed
 /// what a seed means.
@@ -189,8 +188,8 @@ fn serial_world_output_is_pinned() {
     use graf::obs::Obs;
     use graf::sim::rng::DetRng;
 
-    fn run_once(seed: u64, kind: QueueKind, obs: &Obs) -> (u64, u64, u64) {
-        let cfg = SimConfig { event_queue: kind, request_timeout_us: None, ..SimConfig::default() };
+    fn run_once(seed: u64, obs: &Obs) -> (u64, u64, u64) {
+        let cfg = SimConfig { request_timeout_us: None, ..SimConfig::default() };
         let mut w = World::new(online_boutique(), cfg, seed);
         w.set_obs(obs.clone());
         for s in 0..6u16 {
@@ -232,16 +231,14 @@ fn serial_world_output_is_pinned() {
         (402, (0xa37686a9f926387c, 0x64ca00833f8f2e45, 11860)),
     ];
     for (seed, want) in PINNED {
-        for kind in [QueueKind::Calendar, QueueKind::Heap] {
-            for obs in [Obs::disabled(), Obs::enabled()] {
-                let got = run_once(seed, kind, &obs);
-                assert_eq!(
-                    got,
-                    want,
-                    "serial output moved (seed {seed}, {kind:?} queue, telemetry {})",
-                    obs.is_enabled()
-                );
-            }
+        for obs in [Obs::disabled(), Obs::enabled()] {
+            let got = run_once(seed, &obs);
+            assert_eq!(
+                got,
+                want,
+                "serial output moved (seed {seed}, telemetry {})",
+                obs.is_enabled()
+            );
         }
     }
 }
@@ -250,7 +247,7 @@ fn serial_world_output_is_pinned() {
 /// `serial_world_output_is_pinned`, 4 s of arrivals into a starved cluster
 /// (60 mc × 3 instances per service) with the client timeout on — 100 ms,
 /// where about two thirds of the requests are abandoned, and the default
-/// 30 s — drained past the last deadline, on both event-queue cores. The
+/// 30 s — drained past the last deadline. The
 /// `(completions, traces)` fingerprints and `events_parent` were captured at
 /// commit `e15fbf8`, which scheduled one `RequestTimeout` queue event per
 /// request. Deadlines now wait in the world's FIFO instead: every byte of
@@ -261,12 +258,8 @@ fn timeout_world_output_is_pinned() {
     use graf::sim::rng::DetRng;
 
     /// `(completions, traces, events, completed, timeouts)`.
-    fn run_once(seed: u64, kind: QueueKind, timeout_us: u64) -> (u64, u64, u64, u64, u64) {
-        let cfg = SimConfig {
-            event_queue: kind,
-            request_timeout_us: Some(timeout_us),
-            ..SimConfig::default()
-        };
+    fn run_once(seed: u64, timeout_us: u64) -> (u64, u64, u64, u64, u64) {
+        let cfg = SimConfig { request_timeout_us: Some(timeout_us), ..SimConfig::default() };
         let mut w = World::new(online_boutique(), cfg, seed);
         for s in 0..6u16 {
             w.add_instances(ServiceId(s), 3, 60.0, SimTime::ZERO);
@@ -319,16 +312,14 @@ fn timeout_world_output_is_pinned() {
             "only completed requests' deadlines left the event count (seed {})",
             p.seed
         );
-        for kind in [QueueKind::Calendar, QueueKind::Heap] {
-            let want = (p.completions, p.traces, p.events, p.completed, p.timeouts);
-            assert_eq!(
-                run_once(p.seed, kind, p.timeout_us),
-                want,
-                "timeout-path output moved (seed {}, {} µs timeout, {kind:?} queue)",
-                p.seed,
-                p.timeout_us
-            );
-        }
+        let want = (p.completions, p.traces, p.events, p.completed, p.timeouts);
+        assert_eq!(
+            run_once(p.seed, p.timeout_us),
+            want,
+            "timeout-path output moved (seed {}, {} µs timeout)",
+            p.seed,
+            p.timeout_us
+        );
     }
 }
 

@@ -6,8 +6,7 @@
 //! min-load index and the completion buffer — so once every pool has reached
 //! its high-water mark, driving a request from arrival to completion must not
 //! touch the heap at all. The counting global allocator proves it: a measured
-//! steady-state window performs **zero** allocations, for both the calendar
-//! queue and the reference binary-heap core.
+//! steady-state window performs **zero** allocations.
 //!
 //! The client timeout is on at its 30 s default: deadlines wait in the
 //! world's FIFO, a ring buffer that reaches its high-water mark (about the
@@ -21,7 +20,6 @@
 
 use graf::apps::online_boutique;
 use graf::nn::sanitize::alloc_delta;
-use graf::sim::events::QueueKind;
 use graf::sim::rng::DetRng;
 use graf::sim::time::SimTime;
 use graf::sim::topology::{ApiId, ApiSpec, AppTopology, CallNode, ServiceId, ServiceSpec};
@@ -38,9 +36,8 @@ fn pipeline_topo() -> AppTopology {
     )
 }
 
-fn sanitize_config(kind: QueueKind) -> SimConfig {
+fn sanitize_config() -> SimConfig {
     SimConfig {
-        event_queue: kind,
         trace_sample: 0.0,
         cpu_checkpoint_us: u64::MAX,
         // Small windows and a short retention horizon: the metric deques
@@ -57,8 +54,8 @@ fn sanitize_config(kind: QueueKind) -> SimConfig {
 /// fills every slab, bucket and scratch buffer. Arrivals for the measured
 /// window are pre-scheduled: injection may grow far-future wheel buckets,
 /// but the request path being certified starts at the event pop.
-fn steady_state_allocs(kind: QueueKind) -> u64 {
-    let mut w = World::new(pipeline_topo(), sanitize_config(kind), 17);
+fn steady_state_allocs() -> u64 {
+    let mut w = World::new(pipeline_topo(), sanitize_config(), 17);
     w.add_instances(ServiceId(0), 2, 800.0, SimTime::ZERO);
     w.add_instances(ServiceId(1), 2, 800.0, SimTime::ZERO);
     // Two warmup windows with a drain between them: `drain_completions_into`
@@ -90,18 +87,9 @@ fn steady_state_allocs(kind: QueueKind) -> u64 {
 #[test]
 fn request_path_is_allocation_free_on_the_calendar_queue() {
     assert_eq!(
-        steady_state_allocs(QueueKind::Calendar),
+        steady_state_allocs(),
         0,
         "steady-state request path must not allocate (calendar core)"
-    );
-}
-
-#[test]
-fn request_path_is_allocation_free_on_the_reference_heap() {
-    assert_eq!(
-        steady_state_allocs(QueueKind::Heap),
-        0,
-        "steady-state request path must not allocate (heap core)"
     );
 }
 
@@ -112,7 +100,7 @@ fn request_path_is_allocation_free_on_the_reference_heap() {
 /// final 2 s window (≈1200 requests, ≈15k events) stays under a few dozen.
 #[test]
 fn boutique_steady_state_allocations_taper_off() {
-    let mut w = World::new(online_boutique(), sanitize_config(QueueKind::Calendar), 9);
+    let mut w = World::new(online_boutique(), sanitize_config(), 9);
     for s in 0..6u16 {
         w.add_instances(ServiceId(s), 4, 250.0, SimTime::ZERO);
     }
