@@ -30,6 +30,16 @@ struct FlatScratch {
     wts_valid: bool,
 }
 
+impl FlatScratch {
+    /// Re-transposes the weights if a parameter update made them stale.
+    fn refresh_wts(&mut self, mlp: &Mlp) {
+        if !self.wts_valid {
+            mlp.transpose_weights_into(&mut self.wts);
+            self.wts_valid = true;
+        }
+    }
+}
+
 /// A plain MLP over concatenated node features.
 pub struct FlatMlp {
     num_nodes: usize,
@@ -65,16 +75,18 @@ impl FlatMlp {
 }
 
 impl FlatMlp {
+    /// Visits every parameter read-only, in the optimizer's order.
+    pub fn for_each_param(&self, f: impl FnMut(&graf_nn::Param)) {
+        self.mlp.for_each_param(f);
+    }
+
     /// Backward through the retained eval trace, leaving `d pred / d x` in
     /// `scratch.dx`. Input gradient only: no parameter gradient is computed.
     fn backward_kept(&mut self, x: &Matrix) {
         let sc = self.scratch.get_mut();
         sc.dy.reshape_zeroed(x.rows(), 1);
         sc.dy.data_mut().fill(1.0);
-        if !sc.wts_valid {
-            self.mlp.transpose_weights_into(&mut sc.wts);
-            sc.wts_valid = true;
-        }
+        sc.refresh_wts(&self.mlp);
         self.mlp.backward_input_with_wt(&sc.trace, &sc.dy, &mut sc.ws, &mut sc.dx, &sc.wts);
     }
 }
@@ -106,15 +118,18 @@ impl LatencyNet for FlatMlp {
     ) -> f64 {
         assert_eq!(x.rows(), y.len(), "batch size mismatch");
         let sc = self.scratch.get_mut();
-        // Parameters change below: the kept trace and the transposes go stale.
+        // Parameters change below: the kept trace goes stale.
         sc.kept_rows = 0;
-        sc.wts_valid = false;
         self.mlp.forward_into(x, &mut Mode::Train(rng), &mut sc.trace, &mut sc.out);
         sc.dy.reshape_zeroed(x.rows(), 1);
         let l = loss.batch_into(sc.out.data(), y, sc.dy.data_mut());
         sc.grads.prepare(&self.mlp);
-        self.mlp.backward_with(&sc.trace, &sc.dy, &mut sc.grads, &mut sc.ws, &mut sc.dx);
+        // Parameter gradients only: training never reads the input gradient.
+        sc.refresh_wts(&self.mlp);
+        self.mlp.backward_params_with_wt(&sc.trace, &sc.dy, &mut sc.grads, &mut sc.ws, &sc.wts);
         self.mlp.accumulate_grads(&sc.grads);
+        // The update below makes the transposes stale.
+        sc.wts_valid = false;
         // Split step: no `Vec<&mut Param>` temporary on the training path.
         opt.begin_step();
         let opt = &mut *opt;

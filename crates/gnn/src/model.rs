@@ -357,9 +357,13 @@ fn net_backward(
 }
 
 /// Stacked backward pass for the forward recorded in `pass` (output gradient
-/// in `pass.dy`). Parameter gradients accumulate into `grads` when given
-/// (prepare them first); the input gradient lands in `pass.dx`
-/// (`B × (n·F)`), bit-identical either way. The networks are untouched.
+/// in `pass.dy`). With `grads` (prepared first) it is the training pass:
+/// parameter gradients accumulate there, and the input gradient, which
+/// training never reads, is not formed — φ₁ skips its `g·W₀ᵀ` product and
+/// the feature columns are neither gathered nor unstacked. Without `grads`
+/// it is the solver pass: the input gradient lands in `pass.dx`
+/// (`B × (n·F)`) and no parameter-gradient product runs. The networks are
+/// untouched either way.
 fn backward_stacked(
     nets: &GnnNets,
     graph: &GraphSpec,
@@ -371,6 +375,7 @@ fn backward_stacked(
     let n = graph.num_nodes();
     let (f, m, e) = (cfg.feature_dim, cfg.msg_dim, cfg.embed_dim);
     let b = pass.dy.rows();
+    let input_grad = grads.is_none();
 
     // Readout.
     let mut d_read_in = pass.ws.take(b, n * e);
@@ -399,8 +404,11 @@ fn backward_stacked(
         &wts.gamma2,
     );
     pass.ws.give(d_e2);
-    copy_cols_window(&d_gin2, 0, f, &mut pass.dx_stacked);
+    if input_grad {
+        copy_cols_window(&d_gin2, 0, f, &mut pass.dx_stacked);
+    }
     let mut d_phi2_out = pass.ws.take(n * b, m);
+    d_phi2_out.data_mut().fill(0.0);
     scatter_msg_grads(graph, b, f, &d_gin2, &mut d_phi2_out);
     pass.ws.give(d_gin2);
     let mut d_e1 = pass.ws.take(n * b, e);
@@ -427,25 +435,38 @@ fn backward_stacked(
         &wts.gamma1,
     );
     pass.ws.give(d_e1);
-    add_cols_window(&d_gin1, 0, &mut pass.dx_stacked);
+    if input_grad {
+        add_cols_window(&d_gin1, 0, &mut pass.dx_stacked);
+    }
     let mut d_phi1_out = pass.ws.take(n * b, m);
+    d_phi1_out.data_mut().fill(0.0);
     scatter_msg_grads(graph, b, f, &d_gin1, &mut d_phi1_out);
     pass.ws.give(d_gin1);
-    let mut d_x_phi = pass.ws.take(n * b, f);
-    net_backward(
-        &nets.phi1,
-        &pass.t_phi1,
-        &d_phi1_out,
-        grads.map(|g| &mut g.phi1),
-        &mut pass.ws,
-        &mut d_x_phi,
-        &wts.phi1,
-    );
+    match grads {
+        // φ₁'s input is the raw features: training needs only its
+        // parameter gradients.
+        Some(g) => nets.phi1.backward_params_with_wt(
+            &pass.t_phi1,
+            &d_phi1_out,
+            &mut g.phi1,
+            &mut pass.ws,
+            &wts.phi1,
+        ),
+        None => {
+            let mut d_x_phi = pass.ws.take(n * b, f);
+            nets.phi1.backward_input_with_wt(
+                &pass.t_phi1,
+                &d_phi1_out,
+                &mut pass.ws,
+                &mut d_x_phi,
+                &wts.phi1,
+            );
+            pass.dx_stacked.add_assign(&d_x_phi);
+            pass.ws.give(d_x_phi);
+            unstack_nodes(&pass.dx_stacked, n, &mut pass.dx);
+        }
+    }
     pass.ws.give(d_phi1_out);
-    pass.dx_stacked.add_assign(&d_x_phi);
-    pass.ws.give(d_x_phi);
-
-    unstack_nodes(&pass.dx_stacked, n, &mut pass.dx);
 }
 
 impl MicroserviceGnn {
@@ -475,6 +496,15 @@ impl MicroserviceGnn {
     /// The message-passing graph.
     pub fn graph(&self) -> &GraphSpec {
         &self.graph
+    }
+
+    /// Visits every parameter read-only, in the optimizer's order.
+    pub fn for_each_param(&self, mut f: impl FnMut(&graf_nn::Param)) {
+        self.nets.phi1.for_each_param(&mut f);
+        self.nets.gamma1.for_each_param(&mut f);
+        self.nets.phi2.for_each_param(&mut f);
+        self.nets.gamma2.for_each_param(&mut f);
+        self.nets.readout.for_each_param(&mut f);
     }
 
     /// Visits every parameter across the five networks in a fixed order,
@@ -1083,19 +1113,11 @@ mod tests {
                     gnn.grad_from_kept_into(&x, &mut dx);
                     assert!(eval_sinks_unallocated(&mut gnn), "the solver path shapes no sink");
 
-                    // The training backward on the same kept trace.
-                    let sc = gnn.scratch.get_mut();
-                    let mut grads = GnnGrads::default();
-                    grads.prepare(&gnn.nets);
-                    backward_stacked(
-                        &gnn.nets,
-                        &gnn.graph,
-                        &gnn.cfg,
-                        &sc.wts,
-                        &mut sc.eval,
-                        Some(&mut grads),
-                    );
-                    let full: Vec<u64> = sc.eval.dx.data().iter().map(|v| v.to_bits()).collect();
+                    // The stacked training backward forms no input gradient,
+                    // so the full backward here is the per-node one: every
+                    // `Mlp::backward` computes parameter and input gradients.
+                    let full = per_node_grad_input(&gnn, &x);
+                    let full: Vec<u64> = full.data().iter().map(|v| v.to_bits()).collect();
                     let input_only: Vec<u64> = dx.data().iter().map(|v| v.to_bits()).collect();
                     assert_eq!(input_only, full, "graph {gi}, batch {batch}");
                 }

@@ -9,24 +9,27 @@
 //!   readout layers): each `A` row is compacted branchlessly into its
 //!   nonzero (index, value) pairs per `KB`-sized k-block — ReLU + dropout
 //!   leave most activations zero — and the compressed row is multiplied
-//!   against an L1-resident slab of `B` into 32-column register tiles, then
-//!   8-column tail tiles (one const-generic `wide_tile`), leaving a
-//!   runtime-width loop only for the last `n % 8` columns. Every product is
-//!   routed through `f64::mul_add` (FMA), and each output element gets the
-//!   same k-ascending `mul_add` chain whichever tile covers it.
+//!   against an L1-resident slab of `B` into 64-column register tiles, then
+//!   one remainder tile of `⌊rest/8⌋·8` columns (one const-generic
+//!   `wide_tile`), leaving a runtime-width loop only for the last `n % 8`
+//!   columns. Every product is routed through `f64::mul_add` (FMA), and each
+//!   output element gets the same k-ascending `mul_add` chain whichever tile
+//!   covers it.
 //! * **Narrow outputs** (the 20/22-wide φ/γ message nets): a const-generic
 //!   two-row register-tile kernel (`narrow_tile_matmul`) that keeps both
 //!   accumulator rows in vector registers across the whole k loop.
 //! * Everything else falls back to blocked dense `mul_add` loops.
 //!
-//! On top of the core sit [`Matrix::matmul_into`] / [`Matrix::matmul_acc`],
-//! the transposed variants [`Matrix::matmul_transb_into`] (`A·Bᵀ`,
-//! contiguous dot products, no transpose materialised) and
-//! [`Matrix::matmul_transa_acc`] (`out += Aᵀ·B`, the weight-gradient
-//! shape), and the fused [`Matrix::affine_relu_into`] layer kernel. All of
-//! them reshape their output in place; full-overwrite ops use
-//! [`Matrix::reshape_for_overwrite`] to skip the pre-zeroing memset
-//! entirely when the element count is unchanged.
+//! Every path reads its `A` operand in place, row-major or transposed (see
+//! `Lhs`), and starts its accumulators from zero, from the output, or from
+//! a broadcast bias row (see `Start`), so no caller materialises a
+//! transpose or pre-fills its output. On top of the core sit
+//! [`Matrix::matmul_into`] / [`Matrix::matmul_acc`], the weight-gradient
+//! kernel [`Matrix::matmul_transa_acc`] (`out += Aᵀ·B`), and the affine
+//! layer kernels [`Matrix::affine_into`] / [`Matrix::affine_relu_into`].
+//! All of them reshape their output in place with
+//! [`Matrix::reshape_for_overwrite`], which never refills the elements it
+//! keeps.
 
 use std::fmt;
 
@@ -149,18 +152,14 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Reshapes in place to `rows × cols` without touching the contents when
-    /// the element count already matches (the steady state for workspace
-    /// buffers). The values are unspecified — callers must overwrite every
-    /// element before reading any.
+    /// Reshapes in place to `rows × cols`, truncating or extending the
+    /// buffer without refilling the elements it keeps (only an extension is
+    /// written, with zeros). The values are unspecified — callers must
+    /// overwrite every element before reading any.
     pub fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
-        let len = rows * cols;
         self.rows = rows;
         self.cols = cols;
-        if self.data.len() != len {
-            self.data.clear();
-            self.data.resize(len, 0.0);
-        }
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Copies `src` into `self`, reshaping in place (allocation-free once
@@ -188,13 +187,13 @@ impl Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
         out.reshape_for_overwrite(self.rows, rhs.cols);
         accumulate_matmul(
-            &self.data,
+            self.lhs(),
             self.rows,
             self.cols,
             &rhs.data,
             rhs.cols,
             &mut out.data,
-            true,
+            Start::Zero,
         );
         out.debug_assert_finite("matmul_into output");
     }
@@ -205,74 +204,46 @@ impl Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
         assert_eq!((out.rows, out.cols), (self.rows, rhs.cols), "matmul_acc output shape");
         accumulate_matmul(
-            &self.data,
+            self.lhs(),
             self.rows,
             self.cols,
             &rhs.data,
             rhs.cols,
             &mut out.data,
-            false,
+            Start::Out,
         );
     }
 
-    /// `out = self × rhsᵀ`, reshaping `out` in place.
-    ///
-    /// Both operands are walked row-contiguously (each output element is a
-    /// dot product of two rows), so no transpose is ever materialised —
-    /// this is the backward-pass `grad × Wᵀ` kernel.
-    pub fn matmul_transb_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, rhs.cols, "matmul_transb shape mismatch");
-        out.reshape_for_overwrite(self.rows, rhs.rows);
-        for r in 0..self.rows {
-            let arow = &self.data[r * self.cols..(r + 1) * self.cols];
-            let orow = &mut out.data[r * rhs.rows..(r + 1) * rhs.rows];
-            for (c, v) in orow.iter_mut().enumerate() {
-                let brow = &rhs.data[c * rhs.cols..(c + 1) * rhs.cols];
-                *v = dot(arow, brow);
-            }
-        }
-        out.debug_assert_finite("matmul_transb_into output");
-    }
-
     /// `out += selfᵀ × rhs`, accumulating into `out` (which must already be
-    /// `self.cols × rhs.cols`).
+    /// `self.cols × rhs.cols`) — the weight-gradient kernel `inputᵀ × grad`.
     ///
-    /// Rank-1 update per shared row — the weight-gradient kernel
-    /// (`inputᵀ × grad`) without materialising the transpose. On wide
-    /// updates, zero input activations (common after ReLU) skip their update
-    /// row entirely; narrow updates stay branch-free (see
-    /// `SKIP_MIN_WIDTH`).
+    /// The product core reads `self` transposed in place, so every element
+    /// gets exactly the `mul_add` chain [`Matrix::matmul_acc`] would give it
+    /// on a materialised `selfᵀ`, without the transpose's extra pass.
     pub fn matmul_transa_acc(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, rhs.rows, "matmul_transa shape mismatch");
         assert_eq!((out.rows, out.cols), (self.cols, rhs.cols), "matmul_transa output shape");
-        let n = rhs.cols;
-        let skip = n >= SKIP_MIN_WIDTH;
-        for k in 0..self.rows {
-            let arow = &self.data[k * self.cols..(k + 1) * self.cols];
-            let brow = &rhs.data[k * n..(k + 1) * n];
-            for (r, &av) in arow.iter().enumerate() {
-                if skip && av == 0.0 {
-                    continue;
-                }
-                let orow = &mut out.data[r * n..(r + 1) * n];
-                for (v, &bv) in orow.iter_mut().zip(brow) {
-                    *v = av.mul_add(bv, *v);
-                }
-            }
-        }
+        let lhs = Transposed { a: &self.data, m: self.cols };
+        accumulate_matmul(
+            lhs,
+            self.cols,
+            self.rows,
+            &rhs.data,
+            rhs.cols,
+            &mut out.data,
+            Start::Out,
+        );
     }
 
     /// Fused affine layer: `out = self × w + bias` with the `1 × n` bias
-    /// broadcast over rows. Reshapes `out` in place.
+    /// broadcast over rows. Reshapes `out` in place; the product's
+    /// accumulators start from the bias row, so `out` is written once.
     pub fn affine_into(&self, w: &Matrix, bias: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, w.rows, "affine shape mismatch");
         assert_eq!((bias.rows, bias.cols), (1, w.cols), "affine bias shape");
         out.reshape_for_overwrite(self.rows, w.cols);
-        for r in 0..self.rows {
-            out.data[r * w.cols..(r + 1) * w.cols].copy_from_slice(&bias.data);
-        }
-        // Accumulate the matmul on top of the bias-initialised output.
-        accumulate_matmul(&self.data, self.rows, self.cols, &w.data, w.cols, &mut out.data, false);
+        let start = Start::Bias(&bias.data);
+        accumulate_matmul(self.lhs(), self.rows, self.cols, &w.data, w.cols, &mut out.data, start);
         out.debug_assert_finite("affine_into output");
     }
 
@@ -425,6 +396,12 @@ impl Matrix {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
+    /// This matrix as the row-major `A` operand of a product.
+    #[inline]
+    fn lhs(&self) -> RowMajor<'_> {
+        RowMajor { a: &self.data, kd: self.cols }
+    }
+
     /// Debug-build poison check: panics if any entry is NaN or ±∞.
     ///
     /// Wired into the compute kernels so a poisoned operand is caught at the
@@ -446,36 +423,72 @@ impl Matrix {
     }
 }
 
-/// Row dot product with four independent accumulators (lets the compiler
-/// vectorise the reduction without reassociating within a lane).
-#[inline]
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; 4];
-    let ca = a.chunks_exact(4);
-    let cb = b.chunks_exact(4);
-    let (ra, rb) = (ca.remainder(), cb.remainder());
-    for (xa, xb) in ca.zip(cb) {
-        acc[0] = xa[0].mul_add(xb[0], acc[0]);
-        acc[1] = xa[1].mul_add(xb[1], acc[1]);
-        acc[2] = xa[2].mul_add(xb[2], acc[2]);
-        acc[3] = xa[3].mul_add(xb[3], acc[3]);
-    }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (xa, xb) in ra.iter().zip(rb) {
-        s = xa.mul_add(*xb, s);
-    }
-    s
-}
-
 /// Row width from which zero-skipping beats staying branch-free: a skipped
 /// pass saves `n` FMAs but costs a data-dependent branch that mispredicts on
 /// random ReLU/dropout sparsity, so narrow rows lose more to stalls than
 /// they save in arithmetic.
 const SKIP_MIN_WIDTH: usize = 48;
 
-/// `out += a (m×k) × b (k×n)` (or `out = a × b` when `init` is true, with
-/// `out`'s prior contents ignored) over raw row-major slices.
+/// The `A` operand of a product (`m × kd`), read in place: [`RowMajor`]
+/// or [`Transposed`]. Each kernel is monomorphised per layout, so the
+/// row-major path (the solver's batch-1 products) iterates plain slices.
+trait Lhs: Copy {
+    /// One row's entries, in ascending `k`.
+    type Row: Iterator<Item = f64>;
+
+    /// Entries `k0..k1` of row `r`.
+    fn row(self, r: usize, k0: usize, k1: usize) -> Self::Row;
+}
+
+/// An `A` operand stored row-major: entry `(r, k)` is `a[r·kd + k]`.
+#[derive(Clone, Copy)]
+struct RowMajor<'a> {
+    a: &'a [f64],
+    kd: usize,
+}
+
+impl<'a> Lhs for RowMajor<'a> {
+    type Row = std::iter::Copied<std::slice::Iter<'a, f64>>;
+
+    #[inline(always)]
+    fn row(self, r: usize, k0: usize, k1: usize) -> Self::Row {
+        self.a[r * self.kd + k0..r * self.kd + k1].iter().copied()
+    }
+}
+
+/// An `A` operand stored transposed (`kd × m`, row-major): entry `(r, k)`
+/// is `a[k·m + r]` — the weight-gradient `xᵀ` without the transpose.
+#[derive(Clone, Copy)]
+struct Transposed<'a> {
+    a: &'a [f64],
+    m: usize,
+}
+
+impl<'a> Lhs for Transposed<'a> {
+    type Row = std::iter::Copied<std::iter::Take<std::iter::StepBy<std::slice::Iter<'a, f64>>>>;
+
+    #[inline(always)]
+    fn row(self, r: usize, k0: usize, k1: usize) -> Self::Row {
+        // With `kd == 0`, `a` is empty and row `r > 0` starts past its end.
+        let from = self.a.get(k0 * self.m + r..).unwrap_or_default();
+        from.iter().step_by(self.m).take(k1 - k0).copied()
+    }
+}
+
+/// Where a product's accumulators start before the `a·b` terms are added.
+#[derive(Clone, Copy, Debug)]
+enum Start<'a> {
+    /// At zero: the output is overwritten and its prior contents ignored.
+    Zero,
+    /// At the output's current values: the product accumulates into it.
+    Out,
+    /// At a `1 × n` bias row broadcast over the rows (the output's prior
+    /// contents are ignored).
+    Bias(&'a [f64]),
+}
+
+/// `out = start + a (m×kd) × b (k×n)` over raw row-major slices, with `a`
+/// read in place as `lhs` describes and `start` as [`Start`] describes.
 ///
 /// ikj order: the inner loop is a contiguous axpy over a `b` row
 /// (element-wise, so the compiler vectorises it without reassociating
@@ -484,14 +497,18 @@ const SKIP_MIN_WIDTH: usize = 48;
 /// narrow outputs take a branch-free 4-row-blocked fallback where each
 /// loaded `b` row feeds four output rows.
 fn accumulate_matmul(
-    a: &[f64],
+    lhs: impl Lhs,
     m: usize,
     kd: usize,
     b: &[f64],
     n: usize,
     out: &mut [f64],
-    init: bool,
+    start: Start<'_>,
 ) {
+    // Nothing to write (and the fallback's bias rows cannot be zero-wide).
+    if n == 0 {
+        return;
+    }
     if n >= SKIP_MIN_WIDTH {
         // Wide path. Three tricks:
         // * k is blocked so the active `b` slab (`KB × n` ≤ ~23 KB) stays
@@ -504,48 +521,59 @@ fn accumulate_matmul(
         //   data-dependent branch a skip would mispredict on.
         // * A fixed-width accumulator tile lives in SIMD registers across
         //   the block's k loop, so each output element is touched once per
-        //   block instead of once per nonzero k. 32-column tiles run first,
-        //   then 8-column ones, so only the last `n % 8` columns take a
-        //   runtime-width loop (none of the GNN's 120- and 200-wide ones).
-        const TILE: usize = 32;
-        const TAIL: usize = 8;
+        //   block instead of once per nonzero k. 64-column tiles run first,
+        //   then one tile of the remaining whole 8-column groups, so every
+        //   tile carries several independent FMA chains and only the last
+        //   `n % 8` columns take a runtime-width loop (none of the GNN's
+        //   120- and 200-wide ones: 64 + 56 and 3 × 64 + 8).
+        const TILE: usize = 64;
+        const GROUP: usize = 8;
         const KB: usize = 48;
         let mut idx = [0u32; KB];
         let mut vals = [0.0f64; KB];
         let mut k0 = 0;
-        while k0 < kd {
+        // One pass even when `kd == 0`, so the start is still written.
+        loop {
             let kb = KB.min(kd - k0);
-            // On the first block an `init` call starts its accumulators at
-            // zero instead of loading `out`, so callers need not pre-zero.
-            let fresh = init && k0 == 0;
+            // The first block starts from `start`; later ones from `out`.
+            let seed = if k0 == 0 { start } else { Start::Out };
             for r in 0..m {
-                let arow = &a[r * kd + k0..r * kd + k0 + kb];
                 let mut cnt = 0usize;
-                for (k, &s) in arow.iter().enumerate() {
+                for (k, s) in lhs.row(r, k0, k0 + kb).enumerate() {
                     idx[cnt] = (k0 + k) as u32;
                     vals[cnt] = s;
                     cnt += (s != 0.0) as usize;
                 }
-                if cnt == 0 && !fresh {
+                if cnt == 0 && matches!(seed, Start::Out) {
                     continue;
                 }
                 let (nz_idx, nz_vals) = (&idx[..cnt], &vals[..cnt]);
                 let orow = &mut out[r * n..(r + 1) * n];
                 let mut c0 = 0;
                 while c0 + TILE <= n {
-                    wide_tile::<TILE>(nz_idx, nz_vals, b, n, c0, orow, fresh);
+                    wide_tile::<TILE>(nz_idx, nz_vals, b, n, c0, orow, seed);
                     c0 += TILE;
                 }
-                while c0 + TAIL <= n {
-                    wide_tile::<TAIL>(nz_idx, nz_vals, b, n, c0, orow, fresh);
-                    c0 += TAIL;
+                let groups = (n - c0) / GROUP;
+                match groups {
+                    1 => wide_tile::<8>(nz_idx, nz_vals, b, n, c0, orow, seed),
+                    2 => wide_tile::<16>(nz_idx, nz_vals, b, n, c0, orow, seed),
+                    3 => wide_tile::<24>(nz_idx, nz_vals, b, n, c0, orow, seed),
+                    4 => wide_tile::<32>(nz_idx, nz_vals, b, n, c0, orow, seed),
+                    5 => wide_tile::<40>(nz_idx, nz_vals, b, n, c0, orow, seed),
+                    6 => wide_tile::<48>(nz_idx, nz_vals, b, n, c0, orow, seed),
+                    7 => wide_tile::<56>(nz_idx, nz_vals, b, n, c0, orow, seed),
+                    _ => {}
                 }
+                c0 += groups * GROUP;
                 if c0 < n {
-                    // The last `n % TAIL` columns: a runtime-width tile.
+                    // The last `n % GROUP` columns: a runtime-width tile.
                     let w = n - c0;
-                    let mut acc = [0.0f64; TAIL];
-                    if !fresh {
-                        acc[..w].copy_from_slice(&orow[c0..]);
+                    let mut acc = [0.0f64; GROUP];
+                    match seed {
+                        Start::Zero => {}
+                        Start::Out => acc[..w].copy_from_slice(&orow[c0..]),
+                        Start::Bias(bias) => acc[..w].copy_from_slice(&bias[c0..]),
                     }
                     for (&k, &s) in nz_idx.iter().zip(nz_vals) {
                         let brow = &b[k as usize * n + c0..(k as usize + 1) * n];
@@ -557,31 +585,36 @@ fn accumulate_matmul(
                 }
             }
             k0 += kb;
+            if k0 >= kd {
+                return;
+            }
         }
-        return;
     }
     // Monomorphise the common narrow widths (hidden/message dims of the
     // paper's φ/γ nets) so the accumulator tile below has a compile-time
     // size and lives entirely in SIMD registers.
     match n {
-        20 => return narrow_tile_matmul::<20>(a, m, kd, b, out, init),
-        22 => return narrow_tile_matmul::<22>(a, m, kd, b, out, init),
+        20 => return narrow_tile_matmul::<20>(lhs, m, kd, b, out, start),
+        22 => return narrow_tile_matmul::<22>(lhs, m, kd, b, out, start),
         _ => {}
     }
-    if init {
-        out.fill(0.0);
+    match start {
+        Start::Zero => out.fill(0.0),
+        Start::Out => {}
+        Start::Bias(bias) => {
+            for orow in out.chunks_exact_mut(n) {
+                orow.copy_from_slice(bias);
+            }
+        }
     }
     let mut r = 0;
     while r + 4 <= m {
         let (o01, o23) = out[r * n..(r + 4) * n].split_at_mut(2 * n);
         let (o0, o1) = o01.split_at_mut(n);
         let (o2, o3) = o23.split_at_mut(n);
-        let a0 = &a[r * kd..(r + 1) * kd];
-        let a1 = &a[(r + 1) * kd..(r + 2) * kd];
-        let a2 = &a[(r + 2) * kd..(r + 3) * kd];
-        let a3 = &a[(r + 3) * kd..(r + 4) * kd];
-        for k in 0..kd {
-            let (s0, s1, s2, s3) = (a0[k], a1[k], a2[k], a3[k]);
+        let rows = lhs.row(r, 0, kd).zip(lhs.row(r + 1, 0, kd));
+        let rows = rows.zip(lhs.row(r + 2, 0, kd).zip(lhs.row(r + 3, 0, kd)));
+        for (k, ((s0, s1), (s2, s3))) in rows.enumerate() {
             let brow = &b[k * n..(k + 1) * n];
             let it = o0
                 .iter_mut()
@@ -599,8 +632,7 @@ fn accumulate_matmul(
     }
     while r < m {
         let orow = &mut out[r * n..(r + 1) * n];
-        let arow = &a[r * kd..(r + 1) * kd];
-        for (k, &s) in arow.iter().enumerate() {
+        for (k, s) in lhs.row(r, 0, kd).enumerate() {
             let brow = &b[k * n..(k + 1) * n];
             for (v, &bv) in orow.iter_mut().zip(brow) {
                 *v = s.mul_add(bv, *v);
@@ -612,8 +644,8 @@ fn accumulate_matmul(
 
 /// One `W`-column register tile of the wide path: columns `c0..c0 + W` of
 /// one output row (`orow`) accumulate `s · b[k][c]` for each compacted
-/// nonzero `(k, s)` in ascending `k`, starting from zero when `fresh` and
-/// from `orow` otherwise. Every output element sees the same `mul_add`
+/// nonzero `(k, s)` in ascending `k`, starting from `seed` (zero, `orow`
+/// itself, or the bias row). Every output element sees the same `mul_add`
 /// sequence whatever `W` is, so the tile width never changes a bit.
 #[inline(always)]
 fn wide_tile<const W: usize>(
@@ -623,12 +655,14 @@ fn wide_tile<const W: usize>(
     n: usize,
     c0: usize,
     orow: &mut [f64],
-    fresh: bool,
+    seed: Start<'_>,
 ) {
     let out = &mut orow[c0..c0 + W];
     let mut acc = [0.0f64; W];
-    if !fresh {
-        acc.copy_from_slice(out);
+    match seed {
+        Start::Zero => {}
+        Start::Out => acc.copy_from_slice(out),
+        Start::Bias(bias) => acc.copy_from_slice(&bias[c0..c0 + W]),
     }
     for (&k, &s) in idx.iter().zip(vals) {
         let brow = &b[k as usize * n + c0..k as usize * n + c0 + W];
@@ -641,58 +675,62 @@ fn wide_tile<const W: usize>(
 
 /// Narrow-output matmul with a compile-time row width: two output rows of
 /// `N` accumulators each stay in registers across the whole `k` loop, so the
-/// inner body is pure broadcast-FMA with no output loads or stores.
+/// inner body is pure broadcast-FMA with no output loads or stores. The
+/// accumulators start at zero; the epilogue writes `acc`, `out + acc` or
+/// `bias + acc` as `start` asks.
 fn narrow_tile_matmul<const N: usize>(
-    a: &[f64],
+    lhs: impl Lhs,
     m: usize,
     kd: usize,
     b: &[f64],
     out: &mut [f64],
-    init: bool,
+    start: Start<'_>,
 ) {
     let mut r = 0;
     while r + 2 <= m {
-        let arow0 = &a[r * kd..(r + 1) * kd];
-        let arow1 = &a[(r + 1) * kd..(r + 2) * kd];
         let mut acc0 = [0.0f64; N];
         let mut acc1 = [0.0f64; N];
-        for ((&s0, &s1), brow) in arow0.iter().zip(arow1).zip(b.chunks_exact(N)) {
+        let rows = lhs.row(r, 0, kd).zip(lhs.row(r + 1, 0, kd));
+        for ((s0, s1), brow) in rows.zip(b.chunks_exact(N)) {
             for i in 0..N {
                 acc0[i] = s0.mul_add(brow[i], acc0[i]);
                 acc1[i] = s1.mul_add(brow[i], acc1[i]);
             }
         }
         let (o0, o1) = out[r * N..(r + 2) * N].split_at_mut(N);
-        if init {
-            o0.copy_from_slice(&acc0);
-            o1.copy_from_slice(&acc1);
-        } else {
-            for (o, &av) in o0.iter_mut().zip(&acc0) {
-                *o += av;
-            }
-            for (o, &av) in o1.iter_mut().zip(&acc1) {
-                *o += av;
-            }
-        }
+        narrow_epilogue(o0, &acc0, start);
+        narrow_epilogue(o1, &acc1, start);
         r += 2;
     }
     while r < m {
-        let arow = &a[r * kd..(r + 1) * kd];
         let mut acc = [0.0f64; N];
-        for (&s, brow) in arow.iter().zip(b.chunks_exact(N)) {
+        for (s, brow) in lhs.row(r, 0, kd).zip(b.chunks_exact(N)) {
             for i in 0..N {
                 acc[i] = s.mul_add(brow[i], acc[i]);
             }
         }
-        let orow = &mut out[r * N..(r + 1) * N];
-        if init {
-            orow.copy_from_slice(&acc);
-        } else {
-            for (o, &av) in orow.iter_mut().zip(&acc) {
-                *o += av;
+        narrow_epilogue(&mut out[r * N..(r + 1) * N], &acc, start);
+        r += 1;
+    }
+}
+
+/// Writes one narrow-tile row: `acc`, `orow + acc` or `bias + acc`.
+#[inline(always)]
+fn narrow_epilogue<const N: usize>(orow: &mut [f64], acc: &[f64; N], start: Start<'_>) {
+    let orow: &mut [f64; N] = orow.try_into().expect("narrow tile row");
+    match start {
+        Start::Zero => *orow = *acc,
+        Start::Out => {
+            for i in 0..N {
+                orow[i] += acc[i];
             }
         }
-        r += 1;
+        Start::Bias(bias) => {
+            // Summed in registers and stored once: nothing tells the
+            // compiler that `bias` and `orow` do not overlap.
+            let bias: &[f64; N] = bias.try_into().expect("narrow tile bias");
+            *orow = std::array::from_fn(|i| bias[i] + acc[i]);
+        }
     }
 }
 
@@ -739,33 +777,86 @@ mod tests {
         }
     }
 
-    /// Scalar model of the wide kernel's per-element arithmetic: a
-    /// k-ascending `mul_add` chain over the nonzero `a` entries, starting
-    /// from `start` (accumulate) or `0.0` (overwrite).
-    fn scalar_matmul(a: &Matrix, b: &Matrix, start: Option<&Matrix>) -> Matrix {
-        Matrix::from_fn(a.rows(), b.cols(), |r, c| {
-            let mut v = start.map_or(0.0, |o| o.get(r, c));
-            for k in 0..a.cols() {
-                let s = a.get(r, k);
-                if s != 0.0 {
-                    v = s.mul_add(b.get(k, c), v);
-                }
+    /// Scalar model of every product path's per-element arithmetic, chosen
+    /// by the output width `n` as `accumulate_matmul` chooses it:
+    /// * wide (`n >= SKIP_MIN_WIDTH`): one k-ascending `mul_add` chain over
+    ///   the nonzero `a` entries, starting from the seed;
+    /// * narrow (`n` = 20 or 22): a k-ascending chain over every `a` entry
+    ///   starting from zero, then `acc`, `out + acc` or `bias + acc`;
+    /// * fallback (any other `n`): a chain over every `a` entry starting
+    ///   from the seed.
+    fn scalar_product(a: &Matrix, b: &Matrix, start: Start<'_>, out: &Matrix) -> Matrix {
+        let n = b.cols();
+        let narrow = n == 20 || n == 22;
+        Matrix::from_fn(a.rows(), n, |r, c| {
+            let seed = match start {
+                Start::Zero => 0.0,
+                Start::Out => out.get(r, c),
+                Start::Bias(bias) => bias[c],
+            };
+            let mut v = if narrow { 0.0 } else { seed };
+            for k in (0..a.cols()).filter(|&k| n < SKIP_MIN_WIDTH || a.get(r, k) != 0.0) {
+                v = a.get(r, k).mul_add(b.get(k, c), v);
             }
-            v
+            match start {
+                Start::Out | Start::Bias(_) if narrow => seed + v,
+                _ => v,
+            }
         })
     }
 
+    /// Runs one product `start + a·b` through the kernels, reading `a`
+    /// row-major or, when `transposed`, in place from its transpose `at`.
+    fn kernel_product(
+        a: &Matrix,
+        at: &Matrix,
+        transposed: bool,
+        b: &Matrix,
+        start: Start<'_>,
+        prior: &Matrix,
+    ) -> Matrix {
+        let mut out = prior.clone();
+        match (transposed, start) {
+            (false, Start::Zero) => a.matmul_into(b, &mut out),
+            (false, Start::Out) => a.matmul_acc(b, &mut out),
+            (false, Start::Bias(bias)) => {
+                a.affine_into(b, &Matrix::row_vector(bias.to_vec()), &mut out)
+            }
+            (true, Start::Out) => at.matmul_transa_acc(b, &mut out),
+            (true, _) => {
+                let lhs = Transposed { a: at.data(), m: at.cols() };
+                accumulate_matmul(
+                    lhs,
+                    at.cols(),
+                    at.rows(),
+                    b.data(),
+                    b.cols(),
+                    out.data_mut(),
+                    start,
+                );
+            }
+        }
+        out
+    }
+
     #[test]
-    fn wide_matmul_is_bit_exact_for_every_tail_width() {
-        // Widths 48..=136 cover every `n % 32` and `n % 8` remainder of the
-        // 32- and 8-column tiles; kd crosses the 48-deep k-block boundary.
-        let (ms, kds): (&[usize], &[usize]) =
-            if cfg!(miri) { (&[1, 3], &[1, 49]) } else { (&[1, 3, 64], &[1, 47, 48, 49, 200]) };
+    fn product_kernels_are_bit_exact_against_the_scalar_model() {
+        // Widths 1..=136 reach the fallback, both narrow kernels and every
+        // tile remainder of the wide path; row counts 1..=9 every remainder
+        // of the 2- and 4-row blocks; kd sits on both sides of the 48-deep
+        // k-block, and kd = 0 leaves nothing but the start.
+        let (ns, ms, kds): (Vec<usize>, &[usize], &[usize]) = if cfg!(miri) {
+            (vec![7, 20, 50], &[1, 3], &[0, 1, 49])
+        } else {
+            ((1..=136).collect(), &[1, 2, 3, 4, 5, 6, 7, 8, 9], &[0, 1, 47, 48, 49, 97])
+        };
         let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for n in 48..=136 {
+        for &n in &ns {
+            let bias: Vec<f64> = (0..n).map(|c| (c % 9) as f64 * 0.43 - 1.1).collect();
             for &m in ms {
                 for &kd in kds {
-                    // Half of `a` is zero, in a pattern that shifts per row.
+                    // Half of `a` is zero, in a pattern that shifts per row;
+                    // `at` is the same operand stored transposed.
                     let a = Matrix::from_fn(m, kd, |r, k| {
                         if (r + k) % 2 == 0 {
                             0.0
@@ -773,33 +864,24 @@ mod tests {
                             ((r * 13 + k * 7) % 29) as f64 * 0.137 - 1.9
                         }
                     });
+                    let at = a.transpose();
                     let b =
                         Matrix::from_fn(kd, n, |k, c| ((k * 31 + c * 17) % 23) as f64 / 7.0 - 1.3);
-                    let seed =
+                    let prior =
                         Matrix::from_fn(m, n, |r, c| ((r * 5 + c * 3) % 11) as f64 * 0.31 - 1.7);
-                    let mut fresh = seed.clone();
-                    a.matmul_into(&b, &mut fresh);
-                    let want = scalar_matmul(&a, &b, None);
-                    assert_eq!(bits(&fresh), bits(&want), "matmul_into n={n} m={m} kd={kd}");
-                    let mut acc = seed.clone();
-                    a.matmul_acc(&b, &mut acc);
-                    let want = scalar_matmul(&a, &b, Some(&seed));
-                    assert_eq!(bits(&acc), bits(&want), "matmul_acc n={n} m={m} kd={kd}");
+                    for start in [Start::Zero, Start::Out, Start::Bias(&bias)] {
+                        let want = bits(&scalar_product(&a, &b, start, &prior));
+                        for transposed in [false, true] {
+                            let got = kernel_product(&a, &at, transposed, &b, start, &prior);
+                            assert_eq!(
+                                bits(&got),
+                                want,
+                                "n={n} m={m} kd={kd} {start:?} transposed={transposed}"
+                            );
+                        }
+                    }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn matmul_transb_matches_explicit_transpose() {
-        let a = Matrix::from_fn(3, 6, |r, c| (r * 6 + c) as f64 * 0.3 - 2.0);
-        let b = Matrix::from_fn(5, 6, |r, c| 1.0 / (1.0 + (r + c) as f64));
-        let mut fast = Matrix::default();
-        a.matmul_transb_into(&b, &mut fast);
-        let slow = a.matmul(&b.transpose());
-        assert_eq!((fast.rows(), fast.cols()), (3, 5));
-        for i in 0..15 {
-            assert!((fast.data()[i] - slow.data()[i]).abs() < 1e-12);
         }
     }
 

@@ -18,6 +18,9 @@
 //! ∂prediction/∂quota) use the sink-less [`Mlp::backward_input_with_wt`]:
 //! the same backward loop with the parameter-gradient products skipped, so
 //! no sink is shaped or zeroed and `dx` is bit-identical to the full pass.
+//! Callers that need only the parameter gradients (training a network whose
+//! input is raw data) use [`Mlp::backward_params_with_wt`], which skips the
+//! first layer's `g·W₀ᵀ` product instead.
 
 use graf_sim::rng::DetRng;
 
@@ -216,7 +219,7 @@ impl Mlp {
         ws: &mut Workspace,
         dx: &mut Matrix,
     ) {
-        self.backward_impl(trace, grad_out, Some(grads), ws, dx, None);
+        self.backward_impl(trace, grad_out, Some(grads), ws, Some(dx), None);
     }
 
     /// [`Mlp::backward_with`] with caller-provided weight transposes (from
@@ -232,7 +235,22 @@ impl Mlp {
         wts: &[Matrix],
     ) {
         assert_eq!(wts.len(), self.weights.len(), "transpose cache/network mismatch");
-        self.backward_impl(trace, grad_out, Some(grads), ws, dx, Some(wts));
+        self.backward_impl(trace, grad_out, Some(grads), ws, Some(dx), Some(wts));
+    }
+
+    /// [`Mlp::backward_with_wt`] without the input-batch gradient: parameter
+    /// gradients accumulate into `grads` exactly as there, and the first
+    /// layer's `g·W₀ᵀ` product, which only `dx` reads, is skipped.
+    pub fn backward_params_with_wt(
+        &self,
+        trace: &MlpTrace,
+        grad_out: &Matrix,
+        grads: &mut MlpGrads,
+        ws: &mut Workspace,
+        wts: &[Matrix],
+    ) {
+        assert_eq!(wts.len(), self.weights.len(), "transpose cache/network mismatch");
+        self.backward_impl(trace, grad_out, Some(grads), ws, None, Some(wts));
     }
 
     /// [`Mlp::backward_with_wt`] without a gradient sink: only the
@@ -249,19 +267,20 @@ impl Mlp {
         wts: &[Matrix],
     ) {
         assert_eq!(wts.len(), self.weights.len(), "transpose cache/network mismatch");
-        self.backward_impl(trace, grad_out, None, ws, dx, Some(wts));
+        self.backward_impl(trace, grad_out, None, ws, Some(dx), Some(wts));
     }
 
     /// The one backward loop. With `grads == None` it runs the input
     /// gradient chain alone (gating and `g·Wᵀ`), never the weight-gradient
-    /// products.
+    /// products; with `dx == None` it stops after the first layer's
+    /// parameter gradients.
     fn backward_impl(
         &self,
         trace: &MlpTrace,
         grad_out: &Matrix,
         mut grads: Option<&mut MlpGrads>,
         ws: &mut Workspace,
-        dx: &mut Matrix,
+        mut dx: Option<&mut Matrix>,
         wts: Option<&[Matrix]>,
     ) {
         let l = self.weights.len();
@@ -293,15 +312,14 @@ impl Mlp {
                 }
             }
             if let Some(sink) = grads.as_deref_mut() {
-                // dW += xᵀ × g. Materialising the (small) transposes routes
-                // both gradient products through the tiled, sparsity-skipping
-                // matmul kernel instead of rank-1 sweeps over the whole output.
-                let x = &trace.inputs[i];
-                let mut xt = ws.take(x.cols(), x.rows());
-                x.transpose_into(&mut xt);
-                xt.matmul_acc(&g, &mut sink.weights[i]);
-                ws.give(xt);
+                // dW += xᵀ × g, with `x` read transposed in place by the
+                // tiled, sparsity-skipping product core.
+                trace.inputs[i].matmul_transa_acc(&g, &mut sink.weights[i]);
                 g.sum_rows_acc(&mut sink.biases[i]);
+            }
+            if i == 0 && dx.is_none() {
+                // Layer 0's `g·W₀ᵀ` feeds only `dx`.
+                break;
             }
             // dx = g × Wᵀ — the gated `g` is far sparser than the weights.
             let w = &self.weights[i].value;
@@ -319,7 +337,7 @@ impl Mlp {
                 g.matmul_into(wt, &mut gp);
                 std::mem::swap(&mut g, &mut gp);
                 ws.give(gp);
-            } else {
+            } else if let Some(dx) = dx.as_deref_mut() {
                 g.matmul_into(wt, dx);
             }
             if let Some(t) = wt_scratch {
@@ -366,6 +384,13 @@ impl Mlp {
             f(p);
         }
         for p in self.biases.iter_mut() {
+            f(p);
+        }
+    }
+
+    /// Visits every parameter read-only, in [`Mlp::params_mut`] order.
+    pub fn for_each_param(&self, mut f: impl FnMut(&Param)) {
+        for p in self.weights.iter().chain(&self.biases) {
             f(p);
         }
     }

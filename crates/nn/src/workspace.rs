@@ -5,9 +5,9 @@ use crate::matrix::Matrix;
 /// A LIFO pool of [`Matrix`] scratch buffers.
 ///
 /// The forward/backward hot loops `take` a buffer (reshaped in place to the
-/// requested dimensions, zero-filled) and `give` it back when done; once the
-/// pool has warmed up over the first iteration, steady-state takes reuse
-/// existing allocations and the heap is never touched. The `(reused,
+/// requested dimensions, contents unspecified) and `give` it back when done;
+/// once the pool has warmed up over the first iteration, steady-state takes
+/// reuse existing allocations and the heap is never touched. The `(reused,
 /// allocated)` counters feed the graf-obs allocation-avoidance telemetry.
 #[derive(Debug, Default)]
 pub struct Workspace {
@@ -22,8 +22,11 @@ impl Workspace {
         Self::default()
     }
 
-    /// Takes a zeroed `rows × cols` buffer, reusing a pooled allocation
-    /// when one is available and large enough.
+    /// Takes a `rows × cols` buffer, reusing a pooled allocation when one is
+    /// available and large enough. Like
+    /// [`Matrix::reshape_for_overwrite`], a reused buffer is not refilled:
+    /// its values are unspecified, so the caller overwrites every element
+    /// before reading any, or zeroes it first.
     pub fn take(&mut self, rows: usize, cols: usize) -> Matrix {
         match self.pool.pop() {
             Some(mut m) => {
@@ -32,7 +35,7 @@ impl Workspace {
                 } else {
                     self.allocated += 1;
                 }
-                m.reshape_zeroed(rows, cols);
+                m.reshape_for_overwrite(rows, cols);
                 m
             }
             None => {
@@ -66,6 +69,17 @@ mod tests {
         assert_eq!((b.rows(), b.cols()), (4, 4));
         assert!(b.data().iter().all(|&v| v == 0.0));
         assert_eq!(ws.stats(), (1, 1), "one cold alloc, one warm reuse");
+    }
+
+    #[test]
+    fn reused_takes_are_not_refilled() {
+        let mut ws = Workspace::new();
+        let mut a = ws.take(3, 4);
+        a.data_mut().fill(7.0);
+        ws.give(a);
+        let b = ws.take(2, 5);
+        assert_eq!((b.rows(), b.cols()), (2, 5));
+        assert!(b.data().iter().all(|&v| v == 7.0), "the kept prefix is not refilled");
     }
 
     #[test]

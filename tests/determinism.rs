@@ -537,3 +537,133 @@ fn telemetry_does_not_perturb_the_pipeline() {
     assert!(metrics.contains(&"graf.sim.events"), "world events counted:\n{summary}");
     assert!(metrics.contains(&"graf.cluster.creations_started"), "creations counted:\n{summary}");
 }
+
+/// Training and solver bytes pinned across revisions. One FNV-1a hash covers,
+/// for the Social Network `MicroserviceGnn` and for the `FlatMlp` ablation
+/// over the same features: the loss of every training step, the final
+/// parameter bits, and the batch-1 and batch-5 input gradients. It then
+/// covers the quotas and instance counts `plan_outcome` picks on a Social
+/// Network GNN `LatencyModel` trained end to end. The 160-row batch is two
+/// full 64-row training chunks and a half one. The graf-nn kernels may be
+/// retiled, fused or reordered only if every output element keeps its exact
+/// `mul_add` chain, and this pin fails on any change that does not. The
+/// constant was captured at commit `b14018e`, before the weight-gradient,
+/// bias-seeding and scratch-reuse rewrite of the kernels.
+#[test]
+fn gnn_training_output_is_pinned() {
+    use graf::apps::social_network;
+    use graf::core::{
+        Bounds, FeatureScaler, GrafController, GrafControllerConfig, LatencyModel, NetKind, Sample,
+        TrainConfig, WorkloadAnalyzer,
+    };
+    use graf::gnn::{FlatMlp, GnnConfig, GraphSpec, LatencyNet, MicroserviceGnn};
+    use graf::nn::{Adam, AsymmetricHuber, Matrix, Param};
+    use graf::sim::rng::DetRng;
+
+    const PINNED: u64 = 0x36ef4587232379c8;
+
+    /// Hashes the per-step losses of eight training steps, then the batch-1
+    /// and batch-5 input gradients of the trained net.
+    fn train_and_probe(net: &mut dyn LatencyNet, x: &Matrix, y: &[f64], mut h: u64) -> u64 {
+        let loss = AsymmetricHuber::default();
+        let mut opt = Adam::new(3e-3);
+        let mut rng = DetRng::new(32);
+        for _ in 0..8 {
+            h = fnv_mix(h, net.train_step(x, y, &loss, &mut opt, &mut rng).to_bits());
+        }
+        for rows in [1, 5] {
+            for v in net.grad_input(&x.slice_rows(0, rows)).data() {
+                h = fnv_mix(h, v.to_bits());
+            }
+        }
+        h
+    }
+    fn hash_param(h: &mut u64, p: &Param) {
+        for v in p.value.data() {
+            *h = fnv_mix(*h, v.to_bits());
+        }
+    }
+
+    let topo = social_network();
+    let n = topo.num_services();
+    let edges: Vec<(u16, u16)> = topo.edges().iter().map(|&(p, c)| (p.0, c.0)).collect();
+    let mut data_rng = DetRng::new(31);
+    let x = Matrix::from_fn(160, 2 * n, |_, _| data_rng.uniform(0.05, 1.0));
+    let y: Vec<f64> = (0..160)
+        .map(|r| {
+            let row = x.row(r);
+            1.0 + (0..n).map(|i| 0.2 * row[2 * i] / (row[2 * i + 1] + 0.3)).sum::<f64>()
+        })
+        .collect();
+
+    let mut h = FNV_OFFSET;
+    let graph = GraphSpec::from_edges(n, &edges);
+    let mut gnn = MicroserviceGnn::new(graph, GnnConfig::default(), &mut DetRng::new(33));
+    h = train_and_probe(&mut gnn, &x, &y, h);
+    gnn.for_each_param(|p| hash_param(&mut h, p));
+    let mut flat = FlatMlp::new(n, 2, 120, 0.25, &mut DetRng::new(34));
+    h = train_and_probe(&mut flat, &x, &y, h);
+    flat.for_each_param(|p| hash_param(&mut h, p));
+
+    // The solver on a trained model: an analytic convex latency surface over
+    // the front-end rate and the per-service quotas.
+    let mult: Vec<f64> = (0..n).map(|s| topo.multiplicity(ApiId(0), ServiceId(s as u16))).collect();
+    let work: Vec<f64> = topo.services.iter().map(|s| s.work_ms).collect();
+    let bounds = Bounds {
+        lower: (0..n).map(|i| 100.0 + 250.0 * mult[i] * work[i]).collect(),
+        upper: vec![2000.0; n],
+    };
+    let mut corpus_rng = DetRng::new(35);
+    let samples: Vec<Sample> = (0..1024)
+        .map(|_| {
+            let rate = corpus_rng.uniform(50.0, 250.0);
+            let quotas_mc: Vec<f64> =
+                (0..n).map(|i| corpus_rng.uniform(bounds.lower[i], bounds.upper[i])).collect();
+            let p99_ms = 4.0
+                + (0..n)
+                    .map(|i| {
+                        let headroom = (quotas_mc[i] - rate * mult[i] * work[i]).max(10.0);
+                        2400.0 * work[i] / headroom + work[i]
+                    })
+                    .sum::<f64>();
+            let workloads = mult.iter().map(|m| rate * m).collect();
+            Sample { api_rates: vec![rate], workloads, quotas_mc, p99_ms }
+        })
+        .collect();
+    let scaler = FeatureScaler::fit(
+        samples.iter().map(|s| (s.workloads.as_slice(), s.quotas_mc.as_slice())),
+    );
+    let split = LatencyModel::dataset_from_samples(&scaler, &samples).split(0.75, 0.125, 36);
+    let mut model =
+        LatencyModel::new(NetKind::Gnn, &edges, n, scaler, split.train.label_mean(), 37);
+    let report = model.train(
+        &split,
+        &TrainConfig { epochs: 30, evals: 3, seed: 38, threads: 1, ..TrainConfig::default() },
+    );
+    for v in report.train_loss.iter().chain(&report.val_loss) {
+        h = fnv_mix(h, v.to_bits());
+    }
+    let centre: Vec<f64> = mult.iter().map(|m| 150.0 * m).collect();
+    let floor = model.predict_ms(&centre, &bounds.lower);
+    let top = model.predict_ms(&centre, &bounds.upper);
+    let analyzer = WorkloadAnalyzer::from_multiplicities(vec![mult.clone()], edges.clone());
+    let cfg = GrafControllerConfig {
+        train_total_qps: 150.0,
+        integer_refine: true,
+        ..GrafControllerConfig::default()
+    };
+    let mut ctrl = GrafController::new(model, analyzer, bounds, cfg);
+    for slo_ms in [2.0 * floor, top + 0.5 * (floor - top)] {
+        ctrl.cfg.slo_ms = slo_ms;
+        for rate in [80.0, 150.0, 210.0] {
+            let plan = ctrl.plan_outcome(&[rate], Some(100.0));
+            for q in &plan.quotas_mc {
+                h = fnv_mix(h, q.to_bits());
+            }
+            for &c in plan.counts.as_deref().unwrap_or_default() {
+                h = fnv_mix(h, c as u64);
+            }
+        }
+    }
+    assert_eq!(h, PINNED, "training or solver bytes moved: {h:#018x}");
+}
