@@ -34,7 +34,7 @@
 //! reductions (`graf-gnn`), and the solver is seed-free gradient descent —
 //! so collect → train → control is bit-reproducible, with or without a
 //! chaos schedule armed. Training/solver hot loops are allocation-free
-//! after warm-up (verified under `--features sanitize`).
+//! after warm-up (measured by the counting allocator in `tests/sanitize.rs`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

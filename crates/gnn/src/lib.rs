@@ -25,8 +25,8 @@
 //! worker-thread count: mini-batches shard into fixed-size chunks with
 //! seeds drawn in chunk order and gradients reduced in ascending chunk
 //! order (see `model`). Steady-state prediction and training allocate
-//! nothing after warm-up — enforced by the `sanitize` counting-allocator
-//! tests and the `graf-lint` hot-path pass.
+//! nothing after warm-up — measured by the counting allocator in
+//! `tests/sanitize.rs` and banned in the hot bodies by `graf-lint`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -1,4 +1,4 @@
-//! Zero-allocation steady state for the GNN (`--features sanitize`).
+//! Zero-allocation steady state for the GNN, proven by the counting allocator.
 //!
 //! One full `train_step` — chunked forward with dropout, backward through the
 //! stacked message-passing kernels, ordered gradient reduction, split Adam
@@ -8,12 +8,13 @@
 //! path (`predict_keep_into` + `grad_from_kept_into`) must be allocation-free
 //! too, for the GNN and for the `FlatMlp` ablation.
 
-#![cfg(feature = "sanitize")]
-
 use graf_gnn::{FlatMlp, GnnConfig, GraphSpec, LatencyNet, MicroserviceGnn};
-use graf_nn::sanitize::assert_no_alloc;
+use graf_nn::sanitize::{assert_no_alloc, CountingAlloc};
 use graf_nn::{Adam, AsymmetricHuber, Matrix};
 use graf_sim::rng::DetRng;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 fn gnn() -> MicroserviceGnn {
     let mut rng = DetRng::new(3);

@@ -6,49 +6,14 @@
 //! configuration needs; anything else is a hard error so typos fail CI
 //! instead of silently disabling a lint.
 
-/// A module region declared hot: allocation is banned inside the listed
-/// functions of the file and in everything they reach.
+/// A module region declared hot: allocation is banned inside the bodies of
+/// the listed functions of the file.
 #[derive(Clone, Debug, Default)]
 pub struct HotRegion {
     /// Repo-relative file path (forward slashes).
     pub file: String,
     /// Function names whose bodies are allocation-free hot code.
     pub functions: Vec<String>,
-}
-
-/// The `[analyze]` table: roots, blessings and barriers of the call-graph
-/// queries, plus the scope of `unordered-float-reduction`.
-#[derive(Clone, Debug)]
-pub struct AnalyzeConfig {
-    /// Deterministic entry points, as `<file>.rs::<fn>` (optionally
-    /// `<file>.rs::<Type>::<fn>`). Everything transitively reachable from
-    /// these must stay deterministic.
-    pub entry_points: Vec<String>,
-    /// Files blessed to use `std::thread`: their parallelism is known to be
-    /// deterministic by construction (per-chunk seeds + ordered reduction).
-    pub ordered_reduction_files: Vec<String>,
-    /// Files where the unordered-float-reduction lint applies: modules that
-    /// run under, or adjacent to, thread-parallel execution.
-    pub parallel_adjacent_files: Vec<String>,
-    /// Functions (as `<file>.rs::<fn>`) allowed to allocate even when
-    /// transitively reachable from a `[[hot]]` root — recognized init,
-    /// growth or first-visit paths that are cold by construction.
-    pub alloc_allowed: Vec<String>,
-    /// Crates the reachability checks do not descend into (telemetry and
-    /// tooling whose behaviour is proven benign dynamically).
-    pub exempt_crates: Vec<String>,
-}
-
-impl Default for AnalyzeConfig {
-    fn default() -> Self {
-        Self {
-            entry_points: Vec::new(),
-            ordered_reduction_files: Vec::new(),
-            parallel_adjacent_files: Vec::new(),
-            alloc_allowed: Vec::new(),
-            exempt_crates: vec!["obs".into(), "bench".into(), "lint".into()],
-        }
-    }
 }
 
 /// The graf-lint configuration, deserialized from `lint.toml`.
@@ -64,8 +29,13 @@ pub struct Config {
     pub exclude: Vec<String>,
     /// Hot regions for `hot-alloc`.
     pub hot: Vec<HotRegion>,
-    /// The `[analyze]` table.
-    pub analyze: AnalyzeConfig,
+    /// `[analyze] ordered-reduction-files`: the files allowed to use
+    /// `std::thread`, whose parallelism is deterministic by construction
+    /// (per-chunk seeds + ordered reduction).
+    pub ordered_reduction_files: Vec<String>,
+    /// `[analyze] parallel-adjacent-files`: where `unordered-float-reduction`
+    /// applies — modules that run under, or adjacent to, thread parallelism.
+    pub parallel_adjacent_files: Vec<String>,
 }
 
 impl Default for Config {
@@ -76,7 +46,8 @@ impl Default for Config {
             rng_home: vec!["crates/sim/src/rng.rs".into()],
             exclude: vec!["target".into()],
             hot: Vec::new(),
-            analyze: AnalyzeConfig::default(),
+            ordered_reduction_files: Vec::new(),
+            parallel_adjacent_files: Vec::new(),
         }
     }
 }
@@ -139,20 +110,11 @@ impl Config {
                 }
                 ("rng", "home") => cfg.rng_home = parse_string_array(value, lineno)?,
                 ("scan", "exclude") => cfg.exclude = parse_string_array(value, lineno)?,
-                ("analyze", "entry-points") => {
-                    cfg.analyze.entry_points = parse_string_array(value, lineno)?
-                }
                 ("analyze", "ordered-reduction-files") => {
-                    cfg.analyze.ordered_reduction_files = parse_string_array(value, lineno)?
+                    cfg.ordered_reduction_files = parse_string_array(value, lineno)?
                 }
                 ("analyze", "parallel-adjacent-files") => {
-                    cfg.analyze.parallel_adjacent_files = parse_string_array(value, lineno)?
-                }
-                ("analyze", "alloc-allowed") => {
-                    cfg.analyze.alloc_allowed = parse_string_array(value, lineno)?
-                }
-                ("analyze", "exempt-crates") => {
-                    cfg.analyze.exempt_crates = parse_string_array(value, lineno)?
+                    cfg.parallel_adjacent_files = parse_string_array(value, lineno)?
                 }
                 ("hot", "file") => {
                     let entry = cfg
@@ -305,19 +267,18 @@ functions = [
     fn parses_analyze_section() {
         let text = r#"
 [analyze]
-entry-points = [
-    "crates/sim/src/world.rs::run_until",
-]
 ordered-reduction-files = ["crates/gnn/src/model.rs"]
-parallel-adjacent-files = ["crates/gnn/src/model.rs"]
-alloc-allowed = ["crates/prof/src/lib.rs::add_node"]
-exempt-crates = ["obs", "prof"]
+parallel-adjacent-files = [
+    "crates/gnn/src/model.rs",
+    "crates/bench/src/run.rs",
+]
 "#;
         let cfg = Config::parse(text).expect("parses");
-        assert_eq!(cfg.analyze.entry_points, vec!["crates/sim/src/world.rs::run_until"]);
-        assert_eq!(cfg.analyze.ordered_reduction_files, vec!["crates/gnn/src/model.rs"]);
-        assert_eq!(cfg.analyze.alloc_allowed, vec!["crates/prof/src/lib.rs::add_node"]);
-        assert_eq!(cfg.analyze.exempt_crates, vec!["obs", "prof"]);
+        assert_eq!(cfg.ordered_reduction_files, vec!["crates/gnn/src/model.rs"]);
+        assert_eq!(
+            cfg.parallel_adjacent_files,
+            vec!["crates/gnn/src/model.rs", "crates/bench/src/run.rs"]
+        );
     }
 
     #[test]
@@ -328,6 +289,11 @@ exempt-crates = ["obs", "prof"]
     #[test]
     fn unknown_key_is_an_error() {
         assert!(Config::parse("[scan]\ntypo = [\"x\"]\n").is_err());
+        // The lint follows no calls, so there are no roots or barriers to
+        // configure: these keys fail loudly instead of configuring nothing.
+        for key in ["entry-points", "alloc-allowed", "exempt-crates"] {
+            assert!(Config::parse(&format!("[analyze]\n{key} = []\n")).is_err(), "{key}");
+        }
     }
 
     #[test]

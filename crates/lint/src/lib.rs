@@ -1,11 +1,12 @@
 //! # graf-lint
 //!
 //! A zero-dependency static-analysis pass enforcing this repository's
-//! determinism and hot-path invariants. It is one pipeline over a hand-rolled
-//! Rust lexer — comment-, string- and attribute-aware, not grep:
+//! determinism and hot-path invariants at the sites where they can be read
+//! off one file. It is one pipeline over a hand-rolled Rust lexer —
+//! comment-, string- and attribute-aware, not grep:
 //!
 //! ```text
-//! lex → parse (item model + evidence sites) → symbols → call graph → lints
+//! lex → parse (item model + evidence sites) → per-file lints
 //! ```
 //!
 //! Each file is lexed once and each evidence kind (wall-clock read, RNG
@@ -18,11 +19,11 @@
 //! * `unordered-map-iteration` — iterating `HashMap`/`HashSet` in crates
 //!   whose aggregate outputs must be order-stable,
 //! * `unseeded-rng` — RNG construction outside the seeded `sim::rng` home,
-//! * `determinism-taint` — any of the above, or unblessed thread use,
-//!   reachable through the call graph from a deterministic entry point,
-//! * `hot-alloc` — allocation (`Vec::new`, `.clone()`, `.collect()`,
-//!   `format!`, …) inside a function declared hot in `lint.toml`, or
-//!   reachable from one,
+//! * `thread-outside-ordered-reduction` — `std::thread::{spawn,scope}`
+//!   outside the telemetry/bench crates and the ordered-reduction files,
+//! * `hot-alloc` — allocation (`Vec::new`, `Vec::<T>::new`, `Rc::new`,
+//!   `.clone()`, `.collect()`, `format!`, …) inside the body of a function
+//!   declared hot in `lint.toml`,
 //! * `unwrap-in-lib` — `.unwrap()` in library code,
 //! * `relaxed-atomic` — `Ordering::Relaxed` on shared state,
 //! * `unsafe-no-safety` — `unsafe` without a `// graf-lint: safety(<why>)`,
@@ -32,19 +33,19 @@
 //! * `stale-allow` — an annotation that no longer suppresses anything.
 //!
 //! Findings are suppressed with `// graf-lint: allow(<lint>, <why>)` on the
-//! same or preceding line. See `DESIGN.md` §9 for the catalog and workflow.
+//! same or preceding line. What the hot functions' callees allocate, and
+//! whether outputs are deterministic end to end, is checked where the code
+//! runs: the counting-allocator tests (`graf_nn::sanitize`) and the tier-1
+//! byte pins. See `DESIGN.md` §9 for the catalog and workflow.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
-pub mod callgraph;
 pub mod config;
 pub mod lexer;
 pub mod lints;
 pub mod parse;
-pub mod symbols;
-pub mod taint;
 
 use std::fs;
 use std::io;
@@ -65,9 +66,8 @@ pub struct Report {
 /// Lints every `.rs` file under `root` (excluding `cfg.exclude` prefixes and
 /// dot-directories).
 ///
-/// I/O failures and configuration errors (an `entry-points`, `alloc-allowed`
-/// or `[[hot]]` spec that no longer resolves) are both reported as
-/// `Err(message)` — the caller exits 2.
+/// I/O failures and configuration errors (a `[[hot]]` name that no longer
+/// resolves) are both reported as `Err(message)` — the caller exits 2.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
     let mut files = Vec::new();
     collect_rs_files(root, root, cfg, &mut files).map_err(|e| format!("scan: {e}"))?;
@@ -87,7 +87,7 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
 
 /// The pipeline over in-memory `(repo-relative path, source)` pairs, of which
 /// test, bench and example targets are skipped: findings sorted by
-/// (path, line, lint), plus one message per `lint.toml` spec that resolves to
+/// (path, line, lint), plus one message per `[[hot]]` name that resolves to
 /// no function in these sources.
 pub(crate) fn lint_sources(
     sources: &[(String, String)],
@@ -98,7 +98,6 @@ pub(crate) fn lint_sources(
         .filter_map(|(rel, src)| Some(parse::parse_file(rel, lints::classify(rel)?, src)))
         .filter(|m| !m.is_test)
         .collect();
-    let graph = callgraph::CallGraph::build(&files);
 
     let mut raw: Vec<Finding> = Vec::new();
     let mut allows: Vec<Vec<lints::Allow>> = Vec::new();
@@ -106,8 +105,21 @@ pub(crate) fn lint_sources(
         allows.push(lints::parse_annotations(m, &mut raw));
         lints::file_findings(m, cfg, &mut raw);
     }
-    let reach = taint::analyze(&files, &graph, cfg);
-    raw.extend(reach.findings);
+
+    // A renamed hot function must not silently drop out of the zero-alloc
+    // claim: every `[[hot]]` name must define a function in its file.
+    let mut stale_specs = Vec::new();
+    for region in &cfg.hot {
+        for name in &region.functions {
+            let defined = files
+                .iter()
+                .filter(|m| m.path == region.file)
+                .any(|m| m.fns.iter().any(|d| !d.in_test && d.name == *name));
+            if !defined {
+                stale_specs.push(format!("[[hot]] {}: function `{name}` not found", region.file));
+            }
+        }
+    }
 
     // Every finding honors the annotations of its own file, anchored at its
     // line.
@@ -130,7 +142,7 @@ pub(crate) fn lint_sources(
         }
     }
     findings.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
-    (findings, reach.stale_specs)
+    (findings, stale_specs)
 }
 
 fn collect_rs_files(

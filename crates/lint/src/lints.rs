@@ -1,8 +1,9 @@
 //! The lint names, the annotation grammar and the per-file rules.
 //!
-//! Every rule reads the file's [`FileModel`]: the crate-scoped bans are a
-//! query over its evidence sites, the other four walk its token stream — so
-//! matches inside strings, comments and `#[cfg(test)]` items never fire.
+//! Every rule reads the file's [`FileModel`]: the crate-scoped bans and
+//! `hot-alloc` are queries over its evidence sites, the other four walk its
+//! token stream — so matches inside strings, comments and `#[cfg(test)]`
+//! items never fire.
 //! Findings can be suppressed with an annotation on the same or preceding
 //! line:
 //!
@@ -12,7 +13,7 @@
 //!
 //! where `<lint>` is the full lint name or its short alias (`wallclock`,
 //! `unordered-map`, `unwrap`, `rng`, `relaxed`, `unsafe`, `float-reduction`,
-//! `taint`). An annotation without a justification, or naming an unknown
+//! `thread`). An annotation without a justification, or naming an unknown
 //! lint, is itself a finding (`bad-annotation`) — exceptions must stay
 //! explained.
 
@@ -24,8 +25,7 @@ use crate::parse::{Evidence, FileModel};
 pub const WALLCLOCK: &str = "wallclock-in-deterministic-crate";
 /// Iterating a `HashMap`/`HashSet` where ordering feeds outputs.
 pub const UNORDERED_MAP: &str = "unordered-map-iteration";
-/// Heap allocation inside a declared hot function, or reachable from one
-/// through the call graph (see [`crate::taint`]).
+/// Heap allocation inside the body of a function declared hot.
 pub const HOT_ALLOC: &str = "hot-alloc";
 /// `.unwrap()` in library code.
 pub const UNWRAP_IN_LIB: &str = "unwrap-in-lib";
@@ -41,9 +41,8 @@ pub const UNSAFE_NO_SAFETY: &str = "unsafe-no-safety";
 pub const FLOAT_REDUCTION: &str = "unordered-float-reduction";
 /// A suppression annotation whose lint no longer fires on that snippet.
 pub const STALE_ALLOW: &str = "stale-allow";
-/// Non-deterministic call reachable from a deterministic entry point (see
-/// [`crate::taint`]).
-pub const DETERMINISM_TAINT: &str = "determinism-taint";
+/// `std::thread` spawn/scope outside the ordered-reduction files.
+pub const THREAD_OUTSIDE_ORDERED: &str = "thread-outside-ordered-reduction";
 
 /// All lint names.
 pub const ALL_LINTS: [&str; 11] = [
@@ -57,7 +56,7 @@ pub const ALL_LINTS: [&str; 11] = [
     UNSAFE_NO_SAFETY,
     FLOAT_REDUCTION,
     STALE_ALLOW,
-    DETERMINISM_TAINT,
+    THREAD_OUTSIDE_ORDERED,
 ];
 
 /// One reported violation.
@@ -91,7 +90,7 @@ fn canonical_lint(name: &str) -> Option<&'static str> {
         "relaxed" | RELAXED_ATOMIC => Some(RELAXED_ATOMIC),
         "unsafe" | UNSAFE_NO_SAFETY => Some(UNSAFE_NO_SAFETY),
         "float-reduction" | FLOAT_REDUCTION => Some(FLOAT_REDUCTION),
-        "taint" | DETERMINISM_TAINT => Some(DETERMINISM_TAINT),
+        "thread" | THREAD_OUTSIDE_ORDERED => Some(THREAD_OUTSIDE_ORDERED),
         _ => None,
     }
 }
@@ -135,9 +134,9 @@ pub(crate) fn classify(rel: &str) -> Option<&str> {
 }
 
 /// Lints one file on its own — the whole pipeline over a one-file workspace.
-/// `rel` is the repo-relative path with forward slashes. Specs in `cfg` that
-/// name other files resolve to nothing here and are ignored: only the
-/// workspace pass can hold `lint.toml` to the whole tree.
+/// `rel` is the repo-relative path with forward slashes. `[[hot]]` names in
+/// `cfg` that this file does not define are ignored: only the workspace pass
+/// can hold `lint.toml` to the whole tree.
 pub fn lint_file(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     crate::lint_sources(&[(rel.to_string(), src.to_string())], cfg).0
 }
@@ -145,8 +144,9 @@ pub fn lint_file(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
 /// The per-file rules: raw findings of `m`, before suppression.
 pub(crate) fn file_findings(m: &FileModel, cfg: &Config, out: &mut Vec<Finding>) {
     site_bans(m, cfg, out);
+    hot_alloc(m, cfg, out);
     token_rules(m, out);
-    if cfg.analyze.parallel_adjacent_files.contains(&m.path) {
+    if cfg.parallel_adjacent_files.contains(&m.path) {
         float_reduction(m, out);
     }
 }
@@ -216,15 +216,18 @@ pub(crate) fn parse_annotations(m: &FileModel, out: &mut Vec<Finding>) -> Vec<Al
     allows
 }
 
-/// The crate-scoped bans, as the depth-0 query over the file's evidence:
+/// The crate-scoped bans, as a query over the file's evidence:
 /// `wallclock-in-deterministic-crate` outside the exempt crates,
-/// `unseeded-rng` outside the seeded home, `unordered-map-iteration` in the
-/// crates whose aggregate outputs must be order-stable.
+/// `thread-outside-ordered-reduction` outside the exempt crates and the
+/// ordered-reduction files, `unseeded-rng` outside the seeded home,
+/// `unordered-map-iteration` in the crates whose aggregate outputs must be
+/// order-stable.
 fn site_bans(m: &FileModel, cfg: &Config, out: &mut Vec<Finding>) {
+    let exempt = cfg.wallclock_exempt_crates.contains(&m.krate);
     for s in &m.sites {
         let what = &s.what;
         let (lint, message) = match s.kind {
-            Evidence::Wallclock if !cfg.wallclock_exempt_crates.contains(&m.krate) => (
+            Evidence::Wallclock if !exempt => (
                 WALLCLOCK,
                 format!("{what} in a deterministic crate; gate behind is_recording() or route through sim time"),
             ),
@@ -236,9 +239,36 @@ fn site_bans(m: &FileModel, cfg: &Config, out: &mut Vec<Finding>) {
                 UNORDERED_MAP,
                 format!("`{what}` iterates an unordered map/set; use BTreeMap or sort keys first"),
             ),
+            Evidence::Thread if !exempt && !cfg.ordered_reduction_files.contains(&m.path) => (
+                THREAD_OUTSIDE_ORDERED,
+                format!(
+                    "`{what}` outside the ordered-reduction files; fan out on sim::par's \
+                     worker pool, whose output is thread-count-invariant"
+                ),
+            ),
             _ => continue,
         };
         out.push(finding(m, lint, s.line, message));
+    }
+}
+
+/// `hot-alloc`: allocation evidence inside the body of a `[[hot]]` function
+/// of this file. What a hot function's callees allocate is measured at run
+/// time by the counting-allocator tests, not traced here.
+fn hot_alloc(m: &FileModel, cfg: &Config, out: &mut Vec<Finding>) {
+    let names: Vec<&String> =
+        cfg.hot.iter().filter(|h| h.file == m.path).flat_map(|h| &h.functions).collect();
+    let hot: Vec<_> = m.fns.iter().filter(|d| !d.in_test && names.contains(&&d.name)).collect();
+    for s in m.sites.iter().filter(|s| s.kind == Evidence::Alloc) {
+        // A site in a hot function nested inside another reports once.
+        if let Some(def) = hot.iter().find(|d| m.sites_in(d).any(|t| t.tok == s.tok)) {
+            let message = format!(
+                "`{}` inside hot function `{}`; hot kernels must reuse caller buffers",
+                s.what,
+                def.qualified()
+            );
+            out.push(finding(m, HOT_ALLOC, s.line, message));
+        }
     }
 }
 
@@ -489,6 +519,26 @@ mod tests {
     }
 
     #[test]
+    fn ordered_reduction_file_blesses_threads_but_not_wallclock() {
+        let cfg = Config {
+            ordered_reduction_files: vec!["crates/gnn/src/model.rs".into()],
+            ..Config::default()
+        };
+        let src = "pub fn train_step() { std::thread::scope(|s| {}); }\n\
+                   fn helper() { let t = std::time::Instant::now(); }\n";
+        let f = lint_file("crates/gnn/src/model.rs", src, &cfg);
+        assert_eq!(lints_of(&f), vec![WALLCLOCK]);
+        // The same scope anywhere else in a deterministic crate is banned,
+        // and so is a spawn; the exempt crates may use threads freely.
+        let f = lint_file("crates/core/src/solver.rs", src, &cfg);
+        assert_eq!(lints_of(&f), vec![THREAD_OUTSIDE_ORDERED, WALLCLOCK]);
+        let spawn = "fn f() { std::thread::spawn(|| {}); }";
+        let f = lint_file("crates/nn/src/optim.rs", spawn, &cfg);
+        assert_eq!(lints_of(&f), vec![THREAD_OUTSIDE_ORDERED]);
+        assert!(lint_file("crates/bench/src/run.rs", spawn, &cfg).is_empty());
+    }
+
+    #[test]
     fn hot_path_alloc_only_in_declared_functions() {
         let cfg = cfg_with_hot("crates/nn/src/matrix.rs", &["matmul_into"]);
         let src = "
@@ -505,7 +555,25 @@ impl Matrix {
 ";
         let f = lint_file("crates/nn/src/matrix.rs", src, &cfg);
         assert_eq!(lints_of(&f), vec![HOT_ALLOC; 3]);
-        assert!(f.iter().all(|x| x.message.contains("matmul_into")));
+        assert!(f.iter().all(|x| x.message.contains("Matrix::matmul_into")));
+    }
+
+    #[test]
+    fn hot_alloc_is_the_hot_body_only() {
+        // A nested hot function's site reports once; a callee's allocation
+        // is the counting-allocator tests' to catch, not this lint's.
+        let cfg = cfg_with_hot("crates/nn/src/matrix.rs", &["kernel", "inner"]);
+        let src = "
+pub fn kernel() {
+    fn inner() { let s = String::new(); }
+    helper();
+}
+fn helper() { let v = Vec::new(); }
+";
+        let f = lint_file("crates/nn/src/matrix.rs", src, &cfg);
+        assert_eq!(lints_of(&f), vec![HOT_ALLOC]);
+        assert_eq!(f[0].line, 3);
+        assert!(f[0].message.contains("`kernel`"), "{}", f[0].message);
     }
 
     #[test]

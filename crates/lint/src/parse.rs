@@ -2,45 +2,18 @@
 //! and the one place each evidence kind is recognized.
 //!
 //! This is *not* a Rust grammar. It recognizes exactly the structure the
-//! lints need: `impl` blocks (with the self type), `use` declarations,
-//! function definitions with their body extents, the call sites inside each
-//! body, and the evidence sites of the whole file (wall-clock, RNG
-//! construction, thread spawn/scope, unordered-map iteration, allocation).
-//! Everything else — expressions, types, generics — is skipped over by
-//! brace/bracket matching. Every lint is a query over this model: a function
-//! owns the sites inside its body range, the rest are file-level.
+//! lints need: `impl` blocks (with the self type), function definitions with
+//! their body extents, and the evidence sites of the whole file (wall-clock,
+//! RNG construction, thread spawn/scope, unordered-map iteration,
+//! allocation). Everything else — expressions, types, generics — is skipped
+//! over by brace/bracket matching. Every lint is a query over this model: a
+//! function owns the sites inside its body range, the rest are file-level.
 //!
-//! Known conservatisms (documented in DESIGN.md §9): nested functions and
-//! closures attribute their calls and sites to the enclosing top-level
-//! function (an over-approximation that keeps reachability sound); macro
-//! bodies are scanned as plain tokens; dynamic dispatch resolves by method
-//! name (see [`crate::symbols`]).
+//! Known conservatisms (documented in DESIGN.md §9): a nested function or
+//! closure's sites belong to the enclosing function too; macro bodies are
+//! scanned as plain tokens.
 
 use crate::lexer::{lex, strip_raw_ident, LineComment, Token, TokenKind};
-
-/// How a call site names its target.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CallKind {
-    /// `name(…)` — a free-function call.
-    Bare,
-    /// `self.name(…)` — a method on the surrounding impl type.
-    SelfMethod,
-    /// `expr.name(…)` — a method on an unknown receiver.
-    Method,
-    /// `a::b::name(…)` — a qualified path call.
-    Path,
-}
-
-/// One call site inside a function body.
-#[derive(Clone, Debug)]
-pub struct Call {
-    /// Resolution class.
-    pub kind: CallKind,
-    /// Path segments; a single element for `Bare`/`SelfMethod`/`Method`.
-    pub segments: Vec<String>,
-    /// 1-based source line.
-    pub line: u32,
-}
 
 /// What an evidence site is evidence of.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,32 +54,20 @@ pub struct FnDef {
     pub self_type: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// `true` for `#[cfg(test)]`/`#[test]` functions (excluded from graphs).
+    /// `true` for `#[cfg(test)]`/`#[test]` functions (never hot roots).
     pub in_test: bool,
     /// Token indices of the body's `{` and `}`; `None` for a declaration.
     pub body: Option<(usize, usize)>,
-    /// Call sites inside the body.
-    pub calls: Vec<Call>,
 }
 
 impl FnDef {
-    /// `file.rs::Type::name` or `file.rs::name` — the stable node id prefix
-    /// is added by the call-graph layer.
+    /// `Type::name` inside an impl block, else `name`.
     pub fn qualified(&self) -> String {
         match &self.self_type {
             Some(t) => format!("{t}::{}", self.name),
             None => self.name.clone(),
         }
     }
-}
-
-/// One `use` declaration, flattened: local alias → full path segments.
-#[derive(Clone, Debug)]
-pub struct UseDecl {
-    /// The name the path is visible as in this file.
-    pub alias: String,
-    /// Full path segments, e.g. `["graf_sim", "world", "World"]`.
-    pub segments: Vec<String>,
 }
 
 /// The per-file model: the lexed file plus everything recognized in it.
@@ -124,8 +85,6 @@ pub struct FileModel {
     pub comments: Vec<LineComment>,
     /// `true` for a `#![cfg(test)]` file: test-only, not a lint target.
     pub is_test: bool,
-    /// Flattened `use` declarations.
-    pub uses: Vec<UseDecl>,
     /// Function definitions in source order.
     pub fns: Vec<FnDef>,
     /// Every evidence site of the file, in token order.
@@ -149,12 +108,6 @@ impl FileModel {
         self.src.lines().nth(line.saturating_sub(1) as usize).map_or("", str::trim)
     }
 }
-
-/// Keywords that look like calls when followed by `(`.
-const NON_CALL_KEYWORDS: [&str; 16] = [
-    "if", "while", "for", "match", "return", "loop", "fn", "move", "in", "as", "let", "else",
-    "unsafe", "ref", "mut", "box",
-];
 
 /// Token-stream view with the little helpers the parser and the lints share.
 pub(crate) struct Parser<'s> {
@@ -224,7 +177,7 @@ pub fn parse_file(rel: &str, krate: &str, src: &str) -> FileModel {
         ..FileModel::default()
     };
 
-    // Structural walk: impl blocks, use declarations, fn definitions.
+    // Structural walk: impl blocks and fn definitions.
     let mut impl_stack: Vec<(usize, String)> = Vec::new(); // (close index, type)
     let mut i = 0usize;
     while i < p.t.len() {
@@ -234,12 +187,6 @@ pub fn parse_file(rel: &str, krate: &str, src: &str) -> FileModel {
             } else {
                 break;
             }
-        }
-        if p.is_ident(i, "use") && !p.t[i].in_test {
-            let (decls, next) = parse_use(&p, i + 1);
-            model.uses.extend(decls);
-            i = next;
-            continue;
         }
         if p.is_ident(i, "impl") {
             // Self type: the first path ident after generics, or the one
@@ -310,19 +257,10 @@ pub fn parse_file(rel: &str, krate: &str, src: &str) -> FileModel {
                 j += 1;
             }
             let self_type = impl_stack.last().map(|(_, t)| t.clone());
-            let mut def =
-                FnDef { name: name.to_string(), self_type, line, in_test, body, calls: Vec::new() };
-            if let Some((open, close)) = body {
-                collect_calls(&p, open, close, &mut def);
-                model.fns.push(def);
-                // Continue walking *inside* the body so nested fns are also
-                // recorded (their calls are attributed to both, which is the
-                // conservative direction for reachability).
-                i = open + 1;
-                continue;
-            }
-            model.fns.push(def);
-            i = j + 1;
+            model.fns.push(FnDef { name: name.to_string(), self_type, line, in_test, body });
+            // Continue walking *inside* a body so nested fns are also
+            // recorded (their sites belong to both definitions).
+            i = body.map_or(j, |(open, _)| open) + 1;
             continue;
         }
         i += 1;
@@ -361,89 +299,6 @@ fn tracked_unordered_names<'s>(p: &Parser<'s>) -> Vec<&'s str> {
     tracked
 }
 
-/// Parses a `use` declaration starting after the `use` keyword. Handles
-/// `use a::b::C;`, `use a::b::{C, D};`, `use a::B as E;`. Glob imports and
-/// nested groups deeper than one level are skipped (conservative: the
-/// name-based method fallback still finds their targets).
-fn parse_use(p: &Parser<'_>, start: usize) -> (Vec<UseDecl>, usize) {
-    let mut segs: Vec<String> = Vec::new();
-    let mut decls = Vec::new();
-    let mut i = start;
-    while i < p.t.len() && !p.is_punct(i, ';') {
-        if let Some(name) = p.ident(i) {
-            if name == "as" {
-                // `use path as alias;` — next ident renames the last path.
-                if let Some(alias) = p.ident(i + 1) {
-                    if !segs.is_empty() {
-                        decls.push(UseDecl { alias: alias.to_string(), segments: segs.clone() });
-                        segs.clear();
-                    }
-                    i += 2;
-                    continue;
-                }
-            }
-            segs.push(name.to_string());
-            i += 1;
-            continue;
-        }
-        if p.is_path_sep(i) {
-            i += 2;
-            continue;
-        }
-        if p.is_punct(i, '{') {
-            // One group level: `use a::{B, C as D, e};`
-            let close = p.close_brace(i);
-            let prefix = segs.clone();
-            let mut inner: Vec<String> = Vec::new();
-            let mut j = i + 1;
-            while j < close {
-                if let Some(name) = p.ident(j) {
-                    if name == "as" {
-                        if let Some(alias) = p.ident(j + 1) {
-                            let mut full = prefix.clone();
-                            full.append(&mut inner);
-                            decls.push(UseDecl { alias: alias.to_string(), segments: full });
-                            j += 2;
-                            continue;
-                        }
-                    }
-                    inner.push(name.to_string());
-                    j += 1;
-                    continue;
-                }
-                if p.is_punct(j, ',') {
-                    if let Some(last) = inner.last().cloned() {
-                        let mut full = prefix.clone();
-                        full.append(&mut inner);
-                        decls.push(UseDecl { alias: last, segments: full });
-                    }
-                    j += 1;
-                    continue;
-                }
-                j += 1;
-            }
-            if let Some(last) = inner.last().cloned() {
-                let mut full = prefix;
-                full.extend(inner);
-                decls.push(UseDecl { alias: last, segments: full });
-            }
-            i = close + 1;
-            segs.clear();
-            continue;
-        }
-        if p.is_punct(i, '*') {
-            segs.clear();
-            i += 1;
-            continue;
-        }
-        i += 1;
-    }
-    if let Some(last) = segs.last().cloned() {
-        decls.push(UseDecl { alias: last, segments: segs });
-    }
-    (decls, i + 1)
-}
-
 /// The one detector per evidence kind, over the whole token stream of the
 /// file (test regions excluded).
 fn scan_evidence(p: &Parser<'_>) -> Vec<Site> {
@@ -458,8 +313,8 @@ fn scan_evidence(p: &Parser<'_>) -> Vec<Site> {
         let Some(word) = p.ident(k).filter(|_| !p.t[k].in_test) else {
             continue;
         };
-        // `word::member` / `recv.word(` shapes.
-        let member = if p.is_path_sep(k + 1) { p.ident(k + 3) } else { None };
+        // `word::member` / `word::<…>::member` / `recv.word(` shapes.
+        let member = path_member(p, k);
         let receiver = if k >= 2 && p.is_punct(k - 1, '.') { p.ident(k - 2) } else { None };
         let after_dot = k >= 1 && p.is_punct(k - 1, '.');
         let hit = match word {
@@ -473,7 +328,7 @@ fn scan_evidence(p: &Parser<'_>) -> Vec<Site> {
                 Some(m @ ("spawn" | "scope")) => Some((Thread, format!("thread::{m}"))),
                 _ => None,
             },
-            "Vec" | "Box" | "String" => match member {
+            "Vec" | "Box" | "String" | "Rc" | "Arc" => match member {
                 Some(m @ ("new" | "with_capacity" | "from")) => {
                     Some((Alloc, format!("{word}::{m}")))
                 }
@@ -511,6 +366,30 @@ fn scan_evidence(p: &Parser<'_>) -> Vec<Site> {
     sites
 }
 
+/// The `member` of a `word::member` path at the `word` token `k`, looking
+/// through a turbofish (`Vec::<u8>::with_capacity`).
+fn path_member<'s>(p: &Parser<'s>, k: usize) -> Option<&'s str> {
+    if !p.is_path_sep(k + 1) {
+        return None;
+    }
+    let mut j = k + 3;
+    if p.is_punct(j, '<') {
+        let mut depth = 0i32;
+        while j < p.t.len() {
+            depth += i32::from(p.is_punct(j, '<')) - i32::from(p.is_punct(j, '>'));
+            if depth == 0 {
+                break;
+            }
+            j += 1;
+        }
+        if !p.is_path_sep(j + 1) {
+            return None;
+        }
+        j += 3;
+    }
+    p.ident(j)
+}
+
 /// `for pat in <expr naming a tracked map> {` at the `for` token `k`: the
 /// tracked name, if any.
 fn for_loop_over<'s>(p: &Parser<'s>, k: usize, tracked: &[&'s str]) -> Option<&'s str> {
@@ -524,68 +403,6 @@ fn for_loop_over<'s>(p: &Parser<'s>, k: usize, tracked: &[&'s str]) -> Option<&'
     (j + 1..p.t.len())
         .take_while(|&m| !p.is_punct(m, '{'))
         .find_map(|m| p.ident(m).filter(|name| tracked.contains(name)))
-}
-
-/// Collects the call sites of the body token range.
-fn collect_calls(p: &Parser<'_>, open: usize, close: usize, def: &mut FnDef) {
-    let mut k = open + 1;
-    while k < close {
-        let Some(word) = p.ident(k) else {
-            k += 1;
-            continue;
-        };
-        let line = p.line(k);
-        if NON_CALL_KEYWORDS.contains(&word) {
-            k += 1;
-            continue;
-        }
-        let prev_dot = k >= 1 && p.is_punct(k - 1, '.');
-        let prev_sep = k >= 2 && p.is_path_sep(k - 2);
-        if prev_dot && p.is_punct(k + 1, '(') {
-            let kind = if k >= 2 && p.is_ident(k - 2, "self") {
-                CallKind::SelfMethod
-            } else {
-                CallKind::Method
-            };
-            def.calls.push(Call { kind, segments: vec![word.to_string()], line });
-            k += 1;
-            continue;
-        }
-        if !prev_sep && !prev_dot && p.is_path_sep(k + 1) {
-            // Path start: walk `a::b::c`, stop at turbofish or non-ident.
-            let mut segs = vec![word.to_string()];
-            let mut j = k + 1;
-            while p.is_path_sep(j) {
-                if p.is_punct(j + 2, '<') {
-                    // turbofish `::<…>` — std generic call, skip the path.
-                    segs.clear();
-                    break;
-                }
-                let Some(next) = p.ident(j + 2) else {
-                    segs.clear();
-                    break;
-                };
-                segs.push(next.to_string());
-                j += 3;
-            }
-            if segs.len() >= 2 && p.is_punct(j, '(') {
-                def.calls.push(Call { kind: CallKind::Path, segments: segs, line });
-                k = j;
-                continue;
-            }
-            k += 1;
-            continue;
-        }
-        if !prev_sep && !prev_dot && p.is_punct(k + 1, '(') {
-            def.calls.push(Call { kind: CallKind::Bare, segments: vec![word.to_string()], line });
-        }
-        k += 1;
-    }
-    // Deterministic order and no duplicate edges from repeated sites.
-    def.calls.sort_by(|a, b| {
-        (&a.segments, a.kind as u8, a.line).cmp(&(&b.segments, b.kind as u8, b.line))
-    });
-    def.calls.dedup_by(|a, b| a.segments == b.segments && a.kind == b.kind);
 }
 
 #[cfg(test)]
@@ -610,31 +427,12 @@ mod tests {
         );
         let names: Vec<String> = m.fns.iter().map(|f| f.qualified()).collect();
         assert_eq!(names, vec!["W::run", "W::step", "free", "helper"]);
-        assert_eq!(m.fns[0].calls.len(), 1);
-        assert_eq!(m.fns[0].calls[0].kind, CallKind::SelfMethod);
-        assert_eq!(m.fns[2].calls[0].kind, CallKind::Bare);
     }
 
     #[test]
     fn impl_trait_for_type_uses_the_type() {
         let m = model("trait T { fn go(&self); }\nimpl T for Wide {\n    fn go(&self) {}\n}\n");
         assert_eq!(m.fns.last().expect("fn").qualified(), "Wide::go");
-    }
-
-    #[test]
-    fn use_declarations_flatten() {
-        let m = model(
-            "use std::collections::BTreeMap;\n\
-             use graf_trace::{TraceStore, span::Span as S};\n\
-             fn f() {}\n",
-        );
-        let find = |a: &str| m.uses.iter().find(|u| u.alias == a).map(|u| u.segments.clone());
-        assert_eq!(
-            find("BTreeMap"),
-            Some(vec!["std".into(), "collections".into(), "BTreeMap".into()])
-        );
-        assert_eq!(find("TraceStore"), Some(vec!["graf_trace".into(), "TraceStore".into()]));
-        assert_eq!(find("S"), Some(vec!["graf_trace".into(), "span".into(), "Span".into()]));
     }
 
     #[test]
@@ -645,24 +443,21 @@ mod tests {
                  let r = SmallRng::seed_from_u64(7);\n\
                  std::thread::spawn(|| {});\n\
                  let v = Vec::new();\n\
+                 let a = Vec::<u8>::with_capacity(1);\n\
+                 let b = Vec::<Vec<u8>>::new();\n\
+                 let c = std::rc::Rc::new(1);\n\
+                 let d = Arc::new(2);\n\
+                 let e = Vec::<u8>::len;\n\
              }\n\
              fn clean() { let x = 1; }\n",
         );
         assert_eq!(count(&m, 0, Evidence::Wallclock), 1);
         assert!(count(&m, 0, Evidence::Rng) > 0);
         assert_eq!(count(&m, 0, Evidence::Thread), 1);
-        assert_eq!(count(&m, 0, Evidence::Alloc), 1);
+        let allocs: Vec<&str> =
+            m.sites.iter().filter(|s| s.kind == Evidence::Alloc).map(|s| s.what.as_str()).collect();
+        assert_eq!(allocs, ["Vec::new", "Vec::with_capacity", "Vec::new", "Rc::new", "Arc::new"]);
         assert_eq!(m.sites_in(&m.fns[1]).count(), 0);
-    }
-
-    #[test]
-    fn path_calls_resolve_segments() {
-        let m = model("fn f() { graf_sim::rng::derive(3); W::go(); }\n");
-        let path_calls: Vec<&Call> =
-            m.fns[0].calls.iter().filter(|c| c.kind == CallKind::Path).collect();
-        assert_eq!(path_calls.len(), 2);
-        assert!(path_calls.iter().any(|c| c.segments == ["graf_sim", "rng", "derive"]));
-        assert!(path_calls.iter().any(|c| c.segments == ["W", "go"]));
     }
 
     #[test]
@@ -679,7 +474,6 @@ mod tests {
     fn raw_idents_normalize() {
         let m = model("fn r#type() {}\nfn f() { r#type(); }\n");
         assert_eq!(m.fns[0].name, "type");
-        assert_eq!(m.fns[1].calls[0].segments, vec!["type"]);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-// Fixture: one positive case per lint. The engine tests lint this file as
-// `crates/sim/src/dirty.rs` with `hot_kernel` declared hot. Not compiled —
+// Fixture: one positive case per lint, and one per allocation form in the
+// hot kernel. The engine tests lint this file as `crates/sim/src/dirty.rs`
+// with `hot_kernel` declared hot. Not compiled —
 // nothing under tests/fixtures/ is a test target, and lint.toml excludes the
 // directory from the workspace scan.
 
@@ -33,8 +34,14 @@ pub fn roll() -> u32 {
 
 pub fn hot_kernel(n: usize) -> Vec<f64> {
     let mut v = Vec::with_capacity(n);
-    v.resize(n, 0.0);
+    let scratch = Vec::<u8>::with_capacity(n);
+    let shared = std::rc::Rc::new(scratch);
+    v.resize(n + shared.len(), 0.0);
     v
+}
+
+pub fn fan_out() {
+    std::thread::spawn(|| {});
 }
 
 // graf-lint: allow(unwrap)

@@ -29,15 +29,13 @@
 //! **Invariants.** Kernels are pure `f64` arithmetic in fixed iteration
 //! order — no threads, no randomness, no reordered reductions — so results
 //! are bit-identical across runs and machines with the same FP semantics.
-//! Dropout masks come from caller-provided seeded RNGs. The `sanitize`
-//! feature's counting allocator proves the `*_into`/`*_acc` paths allocate
-//! nothing after warm-up.
+//! Dropout masks come from caller-provided seeded RNGs. The [`sanitize`]
+//! counting allocator, installed by the crate's `tests/sanitize.rs`, proves
+//! the `*_into`/`*_acc` paths allocate nothing after warm-up.
 
-// The `sanitize` feature's counting global allocator is the one sanctioned
-// use of `unsafe` (the GlobalAlloc contract); it opts out of the deny locally.
-// Without the feature the whole crate remains forbid-clean.
-#![cfg_attr(not(feature = "sanitize"), forbid(unsafe_code))]
-#![cfg_attr(feature = "sanitize", deny(unsafe_code))]
+// `sanitize::CountingAlloc`'s `GlobalAlloc` impl is the one sanctioned use of
+// `unsafe` (the trait contract requires it); it opts out of the deny locally.
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
@@ -46,7 +44,6 @@ pub mod matrix;
 pub mod mlp;
 pub mod optim;
 pub mod param;
-#[cfg(feature = "sanitize")]
 pub mod sanitize;
 pub mod workspace;
 

@@ -1,10 +1,19 @@
-//! Allocation sanitizer (the `sanitize` cargo feature).
+//! Allocation sanitizer: a counting [`GlobalAlloc`] wrapper over the system
+//! allocator, plus [`assert_no_alloc`] / [`alloc_delta`] so tests can *prove*
+//! that a hot path — one training step, one solver iteration, one simulated
+//! request — performs zero heap allocations in steady state, rather than
+//! inferring it from workspace statistics.
 //!
-//! Installs a counting [`GlobalAlloc`] wrapper over the system allocator and
-//! exposes [`assert_no_alloc`] / [`alloc_delta`] so tests can *prove* that a
-//! hot path — one training step, one solver iteration — performs zero heap
-//! allocations in steady state, rather than inferring it from workspace
-//! statistics.
+//! A test binary opts in with one line; the library never installs it:
+//!
+//! ```text
+//! #[global_allocator]
+//! static ALLOC: graf_nn::sanitize::CountingAlloc = graf_nn::sanitize::CountingAlloc;
+//! ```
+//!
+//! [`alloc_delta`] refuses to measure in a binary that forgot that line
+//! (every count would read 0 and every zero-allocation assertion would pass
+//! vacuously): it first checks that a probe allocation moves the counter.
 //!
 //! The counter is thread-local and const-initialised, so reading it never
 //! allocates (no lazy TLS init) and parallel test threads do not interfere
@@ -12,10 +21,8 @@
 //! `threads <= 1` inline path: the measured work must stay on the measuring
 //! thread.
 //!
-//! This is the only module in the crate allowed to use `unsafe` (the
-//! [`GlobalAlloc`] contract requires it); everything else stays under
-//! `deny(unsafe_code)`, and without the feature the whole crate is
-//! `forbid(unsafe_code)`.
+//! The [`GlobalAlloc`] impl is the crate's one use of `unsafe` (the trait
+//! contract requires it); everything else stays under `deny(unsafe_code)`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -55,17 +62,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
 /// Heap allocations made by the current thread so far.
-pub fn alloc_count() -> u64 {
+fn alloc_count() -> u64 {
     ALLOCS.with(|c| c.get())
 }
 
 /// Runs `f`, returning its result and the number of heap allocations the
 /// current thread made while it ran.
+///
+/// # Panics
+///
+/// If [`CountingAlloc`] is not the calling binary's global allocator: a
+/// probe `Box` must move the counter before anything is measured.
 pub fn alloc_delta<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let probe = alloc_count();
+    drop(std::hint::black_box(Box::new(0u64)));
+    assert!(
+        alloc_count() > probe,
+        "CountingAlloc is not this binary's global allocator; add \
+         `#[global_allocator] static ALLOC: CountingAlloc = CountingAlloc;` to the test file"
+    );
     let before = alloc_count();
     let out = f();
     (out, alloc_count() - before)
@@ -85,28 +101,11 @@ pub fn assert_no_alloc<T>(label: &str, f: impl FnOnce() -> T) -> T {
 mod tests {
     use super::*;
 
+    /// The library's own test binary installs no allocator, so measuring
+    /// here must fail loudly instead of reading a vacuous zero.
     #[test]
-    fn counts_an_allocation() {
-        let ((), n) = alloc_delta(|| {
-            let v: Vec<u64> = Vec::with_capacity(8);
-            drop(v);
-        });
-        assert!(n >= 1, "Vec::with_capacity must register, saw {n}");
-    }
-
-    #[test]
-    fn pure_arithmetic_is_allocation_free() {
-        let (sum, n) = alloc_delta(|| (0u64..100).sum::<u64>());
-        assert_eq!(sum, 4950);
-        assert_eq!(n, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero heap allocations")]
-    fn assert_no_alloc_catches_a_leaky_region() {
-        assert_no_alloc("leaky", || {
-            let v = vec![1u8, 2, 3];
-            drop(v);
-        });
+    #[should_panic(expected = "global allocator")]
+    fn measuring_without_the_counting_allocator_panics() {
+        let _ = alloc_delta(|| ());
     }
 }

@@ -1,16 +1,43 @@
-//! Allocation-free steady state, proven by the counting allocator
-//! (`--features sanitize`) rather than inferred from workspace statistics.
+//! Allocation-free steady state, proven by the counting allocator rather
+//! than inferred from workspace statistics.
 //!
 //! A full MLP training step — forward with dropout, backward, ordered
 //! gradient accumulation, Adam update — must perform **zero** heap
-//! allocations once its buffers are warm.
-
-#![cfg(feature = "sanitize")]
+//! allocations once its buffers are warm. The first three tests check the
+//! counter itself.
 
 use graf_nn::mlp::MlpTrace;
-use graf_nn::sanitize::{alloc_delta, assert_no_alloc};
+use graf_nn::sanitize::{alloc_delta, assert_no_alloc, CountingAlloc};
 use graf_nn::{Adam, Matrix, Mlp, MlpGrads, Mode, Workspace};
 use graf_sim::rng::DetRng;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+#[test]
+fn counts_an_allocation() {
+    let ((), n) = alloc_delta(|| {
+        let v: Vec<u64> = Vec::with_capacity(8);
+        drop(v);
+    });
+    assert!(n >= 1, "Vec::with_capacity must register, saw {n}");
+}
+
+#[test]
+fn pure_arithmetic_is_allocation_free() {
+    let (sum, n) = alloc_delta(|| (0u64..100).sum::<u64>());
+    assert_eq!(sum, 4950);
+    assert_eq!(n, 0);
+}
+
+#[test]
+#[should_panic(expected = "zero heap allocations")]
+fn assert_no_alloc_catches_a_leaky_region() {
+    assert_no_alloc("leaky", || {
+        let v = vec![1u8, 2, 3];
+        drop(v);
+    });
+}
 
 #[test]
 fn mlp_train_step_is_allocation_free_in_steady_state() {

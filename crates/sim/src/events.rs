@@ -1,19 +1,12 @@
-//! Deterministic event queues.
+//! The deterministic event queue: a three-level bucketed timing wheel.
 //!
 //! Events are ordered by `(time, insertion sequence)` so ties resolve in
 //! schedule order, keeping runs bit-for-bit reproducible across platforms.
-//!
-//! Two implementations share that contract:
-//!
-//! * [`CalendarQueue`] — a three-level bucketed timing wheel. O(1) amortized
-//!   per operation for the discrete-event steady state, where nearly every
-//!   event is scheduled a short horizon ahead of the current time. This is
-//!   the simulator's one event core: `World` holds it directly (see
-//!   DESIGN.md §12).
-//! * [`EventQueue`] — the reference `BinaryHeap` min-queue. O(log n) per
-//!   operation, trivially correct; the queue-level tests (this module's and
-//!   `tests/properties.rs`) replay every schedule and pop against it. No
-//!   engine code uses it.
+//! [`CalendarQueue`] is O(1) amortized per operation for the discrete-event
+//! steady state, where nearly every event is scheduled a short horizon ahead
+//! of the current time. It is the simulator's one event core: `World` holds
+//! it directly (see DESIGN.md §12). `tests/properties.rs` replays every
+//! schedule and pop against a sorted-`Vec` reference model.
 //!
 //! # Merging an outside sequence
 //!
@@ -25,7 +18,7 @@
 //! event only if it sorts strictly before `(t, seq)`; the caller handles its
 //! own item when it returns `None`. `pop_due(t)` is `pop_before(t, u64::MAX)`.
 //!
-//! # The calendar queue's extra contract
+//! # The cursor contract
 //!
 //! The wheel maintains a monotone cursor `cur`, a lower bound on every queued
 //! event time. [`CalendarQueue::schedule`] requires `time >= cur`, i.e. no
@@ -33,12 +26,8 @@
 //! already passed to [`CalendarQueue::pop_before`] (or `pop_due`).
 //! Discrete-event simulation satisfies this by construction (causality:
 //! handlers schedule at or after `now`); `World` clamps external injections
-//! to `now`. A violating time is
-//! clamped to `cur` in release builds (it would fire as soon as possible,
-//! exactly like an already-due event in the heap) and asserts in debug.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! to `now`. A violating time is clamped to `cur` in release builds (it would
+//! fire as soon as possible, like an already-due event) and asserts in debug.
 
 use crate::time::SimTime;
 
@@ -46,91 +35,6 @@ struct Entry<E> {
     time: SimTime,
     seq: u64,
     event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        other.time.cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A min-queue of timestamped events with deterministic tie-breaking.
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), next_seq: 0 }
-    }
-
-    /// Schedules `event` at `time`.
-    pub fn schedule(&mut self, time: SimTime, event: E) {
-        let seq = self.take_seq();
-        self.heap.push(Entry { time, seq, event });
-    }
-
-    /// Claims the next sequence number without inserting anything (see the
-    /// module docs).
-    pub fn take_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Time of the earliest scheduled event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
-    }
-
-    /// Removes and returns the earliest event if it is due at or before `t`.
-    pub fn pop_due(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        self.pop_before(t, u64::MAX)
-    }
-
-    /// Removes and returns the earliest event if it sorts strictly before
-    /// `(t, seq)` in `(time, seq)` order.
-    pub fn pop_before(&mut self, t: SimTime, seq: u64) -> Option<(SimTime, E)> {
-        match self.heap.peek() {
-            Some(e) if (e.time, e.seq) < (t, seq) => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -194,8 +98,7 @@ impl<E> Level<E> {
     }
 }
 
-/// A hierarchical calendar queue preserving the exact `(time, seq)` order of
-/// [`EventQueue`].
+/// A hierarchical calendar queue popping in exact `(time, seq)` order.
 ///
 /// Near-future events (within ~65 ms of the cursor) land in 64 µs level-0
 /// buckets; farther events land in coarser levels (~67 s, ~19 h) and cascade
@@ -494,48 +397,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(30), "c");
-        q.schedule(SimTime(10), "a");
-        q.schedule(SimTime(20), "b");
-        assert_eq!(q.pop(), Some((SimTime(10), "a")));
-        assert_eq!(q.pop(), Some((SimTime(20), "b")));
-        assert_eq!(q.pop(), Some((SimTime(30), "c")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(5), 1);
-        q.schedule(SimTime(5), 2);
-        q.schedule(SimTime(5), 3);
-        assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.pop().unwrap().1, 2);
-        assert_eq!(q.pop().unwrap().1, 3);
-    }
-
-    #[test]
-    fn pop_due_respects_horizon() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(10), "early");
-        q.schedule(SimTime(100), "late");
-        assert_eq!(q.pop_due(SimTime(50)), Some((SimTime(10), "early")));
-        assert_eq!(q.pop_due(SimTime(50)), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(SimTime(100)));
-    }
-
-    #[test]
-    fn empty_queue_behaviour() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
     fn calendar_pops_in_time_order() {
         let mut q = CalendarQueue::new();
         q.schedule(SimTime(30), "c");
@@ -590,108 +451,5 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime(10), 3)));
         assert_eq!(q.pop(), Some((SimTime(11), 2)));
         assert_eq!(q.pop(), Some((SimTime(12), 1)));
-    }
-
-    #[test]
-    fn calendar_crosses_every_level_and_overflow() {
-        // One event per residence class: level 0 (64 µs buckets), level 1
-        // (~65 ms), level 2 (~67 s) and the >19 h overflow.
-        let times = [50u64, 70_000, 70_000_000, 1 << 37, (1 << 37) + 5];
-        let mut q = CalendarQueue::new();
-        let mut h = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime(t), i);
-            h.schedule(SimTime(t), i);
-        }
-        loop {
-            let (a, b) = (q.pop(), h.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn reserved_seq_orders_where_a_scheduled_event_would() {
-        // Queue `a` schedules the marker event at 100 µs; queue `b` only
-        // reserves its seq at the same point and merges it with
-        // `pop_before`. Ties at 100 µs on both sides of the reservation must
-        // pop in the same order, on the wheel and on the reference heap.
-        let script = [(100u64, 0), (50, 1), (100, 2), (u64::MAX, 99), (100, 3), (99, 4), (101, 5)];
-        macro_rules! merged_and_reference {
-            ($queue:ident) => {{
-                let (mut a, mut b) = ($queue::new(), $queue::new());
-                let mut reserved = None;
-                for &(t, id) in &script {
-                    if id == 99 {
-                        a.schedule(SimTime(100), id);
-                        reserved = Some(b.take_seq());
-                    } else {
-                        a.schedule(SimTime(t), id);
-                        b.schedule(SimTime(t), id);
-                    }
-                }
-                let seq = reserved.expect("script reserves once");
-                let mut merged = Vec::new();
-                while let Some((t, id)) = b.pop_before(SimTime(100), seq) {
-                    merged.push((t, id));
-                }
-                merged.push((SimTime(100), 99));
-                while let Some(e) = b.pop() {
-                    merged.push(e);
-                }
-                let reference: Vec<_> = std::iter::from_fn(|| a.pop()).collect();
-                (merged, reference)
-            }};
-        }
-        let calendar = merged_and_reference!(CalendarQueue);
-        let heap = merged_and_reference!(EventQueue);
-        for (name, (merged, reference)) in [("calendar", calendar), ("heap", heap)] {
-            assert_eq!(merged, reference, "{name}");
-            let ids: Vec<_> = reference.iter().map(|e| e.1).collect();
-            assert_eq!(ids, [1, 4, 0, 2, 99, 3, 5], "{name}: ties split at the reservation");
-        }
-    }
-
-    #[test]
-    fn calendar_matches_heap_on_mixed_horizons() {
-        // Deterministic mixed workload: interleaved schedules and horizon
-        // pops, exercising cascades mid-drain.
-        let mut q = CalendarQueue::new();
-        let mut h = EventQueue::new();
-        let mut now = 0u64;
-        let mut x: u64 = 0x9E3779B97F4A7C15;
-        let mut id = 0usize;
-        for step in 0..2000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            if step % 3 != 2 {
-                let spread = match x % 5 {
-                    0 => 0,                // tie
-                    1 => x % 64,           // same bucket
-                    2 => x % 60_000,       // level 0/1
-                    3 => x % 50_000_000,   // level 1/2
-                    _ => x % (1u64 << 38), // level 2 / overflow
-                };
-                q.schedule(SimTime(now + spread), id);
-                h.schedule(SimTime(now + spread), id);
-                id += 1;
-            } else {
-                let horizon = SimTime(now + x % 1_000_000);
-                let (a, b) = (q.pop_due(horizon), h.pop_due(horizon));
-                assert_eq!(a, b, "divergence at step {step}");
-                now = a.map_or(horizon.0, |(t, _)| t.0);
-            }
-        }
-        loop {
-            let (a, b) = (q.pop(), h.pop());
-            assert_eq!(a, b);
-            let Some((t, _)) = a else { break };
-            now = t.0;
-            let _ = now;
-        }
-        assert!(q.is_empty() && h.is_empty());
     }
 }

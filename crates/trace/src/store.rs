@@ -80,7 +80,6 @@ impl TraceStore {
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
-                // graf-lint: allow(hot-alloc, slab growth to the sampled-trace high-water mark; steady state recycles via the free list)
                 self.open.push(Vec::new());
                 (self.open.len() - 1) as u32
             }

@@ -1,5 +1,5 @@
-//! Zero-allocation steady state for the simulator's request path
-//! (`--features sanitize`).
+//! Zero-allocation steady state for the simulator's request path, proven
+//! by the counting allocator.
 //!
 //! The event core recycles everything it touches per request — calendar-queue
 //! buckets, the request slab, the frame slab, station job vectors, the
@@ -11,19 +11,22 @@
 //! The client timeout is on at its 30 s default: deadlines wait in the
 //! world's FIFO, a ring buffer that reaches its high-water mark (about the
 //! arrivals since the oldest in-flight request) during warmup and then only
-//! cycles. Tracing is sampled out (`trace_sample: 0.0`): span recording
-//! intentionally allocates per sampled trace. CPU checkpointing runs at its
-//! coarsest resolution so the usage series collapses into a single in-place
-//! cell.
-
-#![cfg(feature = "sanitize")]
+//! cycles. Tracing is sampled out (`trace_sample: 0.0`) except in the trace
+//! test, which measures what span recording costs: each sampled trace hands
+//! its span buffer to the finished set, so the next `open_trace` reserves a
+//! fresh one — at most one allocation per sampled trace, none per span. CPU
+//! checkpointing runs at its coarsest resolution so the usage series
+//! collapses into a single in-place cell.
 
 use graf::apps::online_boutique;
-use graf::nn::sanitize::alloc_delta;
+use graf::nn::sanitize::{alloc_delta, CountingAlloc};
 use graf::sim::rng::DetRng;
 use graf::sim::time::SimTime;
 use graf::sim::topology::{ApiId, ApiSpec, AppTopology, CallNode, ServiceId, ServiceSpec};
 use graf::sim::world::{Completion, SimConfig, World};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// A two-service pipeline with deterministic (cv = 0) service times: under
 /// fixed-interval arrivals the in-flight population is constant, so every
@@ -51,11 +54,12 @@ fn sanitize_config() -> SimConfig {
 
 /// Heap allocations made while simulating a 2 s steady-state window at
 /// 500 qps (≤ 38% utilization on both services), after a 2 s warmup that
-/// fills every slab, bucket and scratch buffer. Arrivals for the measured
-/// window are pre-scheduled: injection may grow far-future wheel buckets,
-/// but the request path being certified starts at the event pop.
-fn steady_state_allocs() -> u64 {
-    let mut w = World::new(pipeline_topo(), sanitize_config(), 17);
+/// fills every slab, bucket and scratch buffer, and the number of traces
+/// sampled in that window. Arrivals for the measured window are
+/// pre-scheduled: injection may grow far-future wheel buckets, but the
+/// request path being certified starts at the event pop.
+fn steady_state_allocs(cfg: SimConfig) -> (u64, u64) {
+    let mut w = World::new(pipeline_topo(), cfg, 17);
     w.add_instances(ServiceId(0), 2, 800.0, SimTime::ZERO);
     w.add_instances(ServiceId(1), 2, 800.0, SimTime::ZERO);
     // Two warmup windows with a drain between them: `drain_completions_into`
@@ -78,19 +82,30 @@ fn steady_state_allocs() -> u64 {
     for i in 5_000..6_000u64 {
         w.inject(ApiId(0), SimTime(i * 2_000));
     }
+    let traced = w.traces().finished().len();
     let ((), allocs) = alloc_delta(|| w.run_until(SimTime::from_secs(12.0)));
     w.drain_completions_into(&mut sink);
     assert!(w.stats().completed > 5_990, "measured window did work ({})", w.stats().completed);
-    allocs
+    (allocs, (w.traces().finished().len() - traced) as u64)
 }
 
 #[test]
 fn request_path_is_allocation_free_on_the_calendar_queue() {
     assert_eq!(
-        steady_state_allocs(),
+        steady_state_allocs(sanitize_config()).0,
         0,
         "steady-state request path must not allocate (calendar core)"
     );
+}
+
+/// With a quarter of requests traced, the only allocations left are the
+/// sampled traces' span buffers: at most one per sampled trace.
+#[test]
+fn span_recording_allocates_at_most_once_per_sampled_trace() {
+    let (allocs, sampled) =
+        steady_state_allocs(SimConfig { trace_sample: 0.25, ..sanitize_config() });
+    assert!(sampled > 200, "the measured window samples traces ({sampled})");
+    assert!(allocs <= sampled, "{allocs} allocations for {sampled} sampled traces");
 }
 
 /// Online Boutique under Poisson load: stochastic bursts can keep raising a
