@@ -1,6 +1,8 @@
 //! The latency prediction model (§3.4): training loop, checkpointing, and
 //! the Table-2 accuracy analysis.
 
+use std::cell::RefCell;
+
 use graf_gnn::{FlatMlp, GnnConfig, GraphSpec, LatencyNet, MicroserviceGnn};
 use graf_nn::{Adam, AsymmetricHuber, Matrix};
 use graf_sim::rng::DetRng;
@@ -85,15 +87,34 @@ pub struct TrainReport {
     pub best_iter: usize,
 }
 
-/// Reusable buffers for the solver fast path: feature row, input matrix,
+/// Reusable buffers for the batch-1 paths: feature row, input matrix,
 /// prediction, and input gradient. Warm after one call; reuse makes
-/// [`LatencyModel::predict_ms_with_grad`] allocation-free in steady state.
+/// [`LatencyModel::predict_ms`] and [`LatencyModel::predict_ms_with_grad`]
+/// allocation-free in steady state.
 #[derive(Default)]
 struct SolveScratch {
     feat: Vec<f64>,
     x: Matrix,
     pred: Vec<f64>,
     dx: Matrix,
+}
+
+impl SolveScratch {
+    /// The kept-trace forward of one feature row; returns the network's
+    /// output in label space.
+    fn forward(
+        &mut self,
+        net: &dyn LatencyNet,
+        scaler: &FeatureScaler,
+        workloads: &[f64],
+        quotas_mc: &[f64],
+    ) -> f64 {
+        scaler.features_into(workloads, quotas_mc, &mut self.feat);
+        self.x.reshape_for_overwrite(1, self.feat.len());
+        self.x.data_mut().copy_from_slice(&self.feat);
+        net.predict_keep_into(&self.x, &mut self.pred);
+        self.pred[0]
+    }
 }
 
 /// The trained model plus the scaling that maps between physical units and
@@ -104,7 +125,7 @@ pub struct LatencyModel {
     pub scaler: FeatureScaler,
     /// Labels are trained as `y / label_scale`.
     pub label_scale: f64,
-    scratch: SolveScratch,
+    scratch: RefCell<SolveScratch>,
 }
 
 impl Clone for LatencyModel {
@@ -113,7 +134,7 @@ impl Clone for LatencyModel {
             net: self.net.boxed_clone(),
             scaler: self.scaler,
             label_scale: self.label_scale,
-            scratch: SolveScratch::default(),
+            scratch: RefCell::default(),
         }
     }
 }
@@ -145,7 +166,7 @@ impl LatencyModel {
             )),
         };
         assert!(label_scale > 0.0, "label scale must be positive");
-        Self { net, scaler, label_scale, scratch: SolveScratch::default() }
+        Self { net, scaler, label_scale, scratch: RefCell::default() }
     }
 
     /// Number of services the model covers.
@@ -278,10 +299,11 @@ impl LatencyModel {
     }
 
     /// Predicts p99 latency (ms) for physical workloads (req/s) and quotas (mc).
+    /// Allocation-free once warm: it runs the solver's forward on the
+    /// model's reused scratch.
     pub fn predict_ms(&self, workloads: &[f64], quotas_mc: &[f64]) -> f64 {
-        let row = self.scaler.features(workloads, quotas_mc);
-        let x = Matrix::row_vector(row);
-        self.net.predict(&x)[0] * self.label_scale
+        let mut scratch = self.scratch.borrow_mut();
+        scratch.forward(&*self.net, &self.scaler, workloads, quotas_mc) * self.label_scale
     }
 
     /// Predicts p99 latency (ms) for already-scaled feature rows.
@@ -307,19 +329,17 @@ impl LatencyModel {
         grad_out: &mut Vec<f64>,
     ) -> (f64, bool) {
         let n = workloads.len();
-        self.scaler.features_into(workloads, quotas_mc, &mut self.scratch.feat);
-        self.scratch.x.reshape_for_overwrite(1, n * 2);
-        self.scratch.x.data_mut().copy_from_slice(&self.scratch.feat);
-        self.net.predict_keep_into(&self.scratch.x, &mut self.scratch.pred);
-        let pred = self.scratch.pred[0] * self.label_scale;
+        let scratch = self.scratch.get_mut();
+        let pred =
+            scratch.forward(&*self.net, &self.scaler, workloads, quotas_mc) * self.label_scale;
         if pred <= grad_if_above_ms {
             return (pred, false);
         }
-        self.net.grad_from_kept_into(&self.scratch.x, &mut self.scratch.dx);
+        self.net.grad_from_kept_into(&scratch.x, &mut scratch.dx);
         grad_out.clear();
         grad_out.reserve(n);
         for i in 0..n {
-            let g = self.scratch.dx.get(0, 2 * i + 1);
+            let g = scratch.dx.get(0, 2 * i + 1);
             grad_out.push(self.label_scale * g / self.scaler.quota_div);
         }
         (pred, true)

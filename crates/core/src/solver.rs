@@ -12,10 +12,21 @@
 //!   `Σᵢ rᵢ + ρ·max(0, L̂−SLO)/SLO` has gradient 1 in every coordinate, and the
 //!   iterates are the fixed-`lr` Adam walk down from the top of the box,
 //!   projected into the box after every step and stopped when
-//!   `|ΔLoss| < tol`. A solve whose SLO is met at the bottom of the box never
-//!   leaves this regime; its iterates, iteration count and result are
-//!   bit-for-bit those of the plain Adam descent this file started as, which
-//!   is what keeps every seeded result downstream of a loose solve stable.
+//!   `|ΔLoss| < tol`. None of that reads the model: the walk only asks, at
+//!   each point, whether the prediction meets the SLO. So the solver computes
+//!   this *pre-wall path* first and evaluates only where the answer depends
+//!   on it — the path's end, which is the answer when it is feasible (one
+//!   evaluation for a loose solve), else the top of the box, then a
+//!   bisection for the step on which the path crosses from feasible to
+//!   infeasible (`find_crossing`). The wall walk starts there in exactly the
+//!   state a point-by-point walk would have reached. When feasibility
+//!   changes once along the path, the common case, the result is bit-for-bit
+//!   that of the point-by-point walk, and a loose solve's that of the plain
+//!   Adam descent this file started as — which keeps every seeded result
+//!   downstream stable. When it changes more than once, the bisection may
+//!   meet the wall at a later crossing than the first; the answer is still
+//!   the best feasible iterate evaluated (`tests/solver_wall.rs` checks both
+//!   cases against the point-by-point walk).
 //! * **From the first infeasible evaluation on** the hinge's gradient is kept
 //!   away from Adam. Fed to it, one kick of size
 //!   `ρ/SLO·|∂L̂/∂r|·quota_div ≫ 1` sits in the first moment for ≈ 20 steps and
@@ -29,11 +40,12 @@
 //!   model's linearised wall, and — when it was reached from a feasible
 //!   iterate — adds one step *along* that wall, in the direction that lowers
 //!   `Σ r` fastest (`Walk::wall_step`). The lowest-total feasible iterate is
-//!   kept; when `PATIENCE` (6) evaluations in a row fail to improve on it the
-//!   step size halves and the walk restarts from it. The solve ends when the
-//!   step falls below `lr / STEP_FLOOR` (`lr / 64`) or no quota can move — a
-//!   rule in quota space, not loss space — which also ends an unreachable SLO
-//!   after tens of iterations instead of `max_iters` backward passes.
+//!   kept with its evaluation; when `PATIENCE` (6) steps in a row fail to
+//!   improve on it the step size halves and the walk restarts from it,
+//!   without evaluating it again. The solve ends when the step falls below
+//!   `lr / STEP_FLOOR` (`lr / 64`) or no quota can move — a rule in quota
+//!   space, not loss space — which also ends an unreachable SLO after tens of
+//!   evaluations instead of `max_iters` backward passes.
 //!
 //! The result is always the lowest-total feasible iterate that was evaluated
 //! (the lowest-violation one when none was feasible), and [`SolveResult`]
@@ -43,7 +55,7 @@
 //! scaler's divisor, latency normalized by the SLO), which keeps ρ meaningful
 //! across applications.
 
-use graf_nn::{Adam, Matrix, Param};
+use graf_nn::Adam;
 
 use crate::latency_model::LatencyModel;
 use crate::sample_collector::Bounds;
@@ -76,9 +88,11 @@ pub struct SolverConfig {
     /// Before the SLO wall is touched: stop when `|Loss_t − Loss_{t−1}|` falls
     /// below this.
     pub tol: f64,
-    /// Hard iteration cap.
+    /// Hard cap on walk steps: points of the pre-wall path, evaluated or
+    /// not, plus steps of the wall walk.
     pub max_iters: usize,
-    /// Minimum iterations before the tolerance check applies.
+    /// Minimum points of the pre-wall path before the tolerance check
+    /// applies.
     pub min_iters: usize,
 }
 
@@ -100,7 +114,9 @@ pub enum Stop {
     /// The same quota-space rule, but no evaluated iterate met the SLO: the
     /// SLO is unreachable inside the box as the model sees it.
     PinnedInfeasible,
-    /// `max_iters` evaluations were spent.
+    /// `max_iters` walk steps were taken. Steps, not evaluations: every
+    /// point of the pre-wall path counts, evaluated or not, so a capped solve
+    /// ends where a point-by-point walk would have.
     Cap,
 }
 
@@ -123,7 +139,9 @@ pub struct SolveResult {
     pub quotas_mc: Vec<f64>,
     /// Predicted p99 at the solution, ms.
     pub predicted_ms: f64,
-    /// Model evaluations (descent iterations) used.
+    /// Model evaluations used. The walk takes more steps than this: the
+    /// pre-wall path's points that the bisection skips, and every restart
+    /// from the best iterate, cost none.
     pub iterations: usize,
     /// Loss at the solution (scaled space).
     pub loss: f64,
@@ -185,10 +203,11 @@ pub fn solve(
     solve_observed(model, workloads, slo_ms, bounds, cfg, &graf_obs::Obs::disabled())
 }
 
-/// [`solve`] with telemetry: records a `graf.solver.solve` span (iterations,
-/// stop rule, whether the wall was active, loss, SLO violation, predicted
-/// latency; wall-clock duration) and the `graf.solver.iterations` counter.
-/// Identical numerics — telemetry never feeds back into the descent.
+/// [`solve`] with telemetry: records a `graf.solver.solve` span (model
+/// evaluations, pre-wall path length and crossing, stop rule, whether the
+/// wall was active, loss, SLO violation, predicted latency; wall-clock
+/// duration) and the `graf.solver.iterations` counter. Identical numerics —
+/// telemetry never feeds back into the descent.
 pub fn solve_observed(
     model: &mut LatencyModel,
     workloads: &[f64],
@@ -208,127 +227,175 @@ pub fn solve_observed(
     // graf-lint: allow(hot-alloc, one-time setup before the descent loop)
     let hi: Vec<f64> = bounds.upper.iter().map(|&v| model.scaler.scale_quota(v)).collect();
 
-    // Variables: scaled quotas, starting from the top of the box.
-    // graf-lint: allow(hot-alloc, one-time setup before the descent loop)
-    let mut r = Param::new(Matrix::row_vector(hi.clone()));
-    let mut opt = Adam::new(cfg.lr);
-
-    // Per-iteration buffers hoisted out of the descent loop, carved from one
-    // allocation: the quotas in millicores, the best iterate so far, and the
-    // wall step with its free-coordinate mask. Each pass is one fused forward
-    // through the model, plus a backward only when the iterate is infeasible
-    // (reusing the retained forward trace).
+    // Buffers hoisted out of the walk, carved from one allocation: the
+    // iterate, the bisection's probe, the best iterate so far and the model's
+    // gradient there, the quotas in millicores, and the wall step with its
+    // free-coordinate mask. Each evaluation is one fused forward through the
+    // model, plus a backward only when the iterate is infeasible (reusing the
+    // retained forward trace).
     // graf-lint: allow(hot-alloc, hoisted buffer reused every iteration)
-    let mut scratch = vec![0.0; 4 * n];
-    let (quotas_mc, rest) = scratch.split_at_mut(n);
+    let mut scratch = vec![0.0; 7 * n];
+    let (x, rest) = scratch.split_at_mut(n);
+    let (probe, rest) = rest.split_at_mut(n);
     let (best, rest) = rest.split_at_mut(n);
+    let (best_grad, rest) = rest.split_at_mut(n);
+    let (quotas_mc, rest) = rest.split_at_mut(n);
     let (step, free) = rest.split_at_mut(n);
-    let mut walk = Walk { lo: &lo, hi: &hi, max_step: cfg.lr, step, free };
     // graf-lint: allow(hot-alloc, hoisted buffer reused every iteration)
-    let mut grad: Vec<f64> = Vec::with_capacity(n);
+    let grad = Vec::with_capacity(n);
+    let mut eval = Eval { model, workloads, slo_ms, quotas_mc, grad, count: 0 };
 
-    // The best iterate: lowest total among the feasible ones, else lowest
-    // violation. Starts as the top of the box, unevaluated.
-    best.copy_from_slice(&hi);
-    let (mut best_total, mut best_violation) = (f64::INFINITY, f64::INFINITY);
-    let mut prev_loss = f64::INFINITY;
-    let mut iterations = 0;
-    let mut stop = Stop::Cap;
-    // Wall walk state: current step size, evaluations since `best` last
-    // changed, and whether the previous evaluation was feasible.
-    let mut wall_active = false;
-    let mut radius = cfg.lr;
-    let mut stale = 0;
-    let mut was_feasible = false;
-    for it in 0..cfg.max_iters {
-        iterations = it + 1;
-        for (q, &v) in quotas_mc.iter_mut().zip(r.value.data()) {
-            *q = model.scaler.unscale_quota(v);
-        }
-        let (pred, infeasible) =
-            model.predict_ms_with_grad(workloads, quotas_mc, slo_ms, &mut grad);
-        // NaN for a NaN prediction, which then never counts as an improvement.
-        let violation = if infeasible { (pred - slo_ms) / slo_ms } else { 0.0 };
-        let total: f64 = r.value.data().iter().sum();
-
-        wall_active |= infeasible;
-        if !wall_active {
-            // The wall has never been touched: d/dr_scaled [Σ r_scaled] = 1,
-            // stepped by Adam and projected into the Algorithm-1 box.
-            best.copy_from_slice(r.value.data());
-            (best_total, best_violation) = (total, violation);
-            for i in 0..n {
-                r.grad.set(0, i, 1.0);
-            }
-            opt.step(&mut [&mut r]);
-            for i in 0..n {
-                let v = r.value.get(0, i).clamp(lo[i], hi[i]);
-                r.value.set(0, i, v);
-            }
-            // With no violation yet the loss is the total.
-            if it + 1 >= cfg.min_iters && (prev_loss - total).abs() < cfg.tol {
-                stop = Stop::Tolerance;
-                break;
-            }
-            prev_loss = total;
-            was_feasible = true;
-            continue;
-        }
-
-        let improved = if infeasible {
-            violation < best_violation
-        } else {
-            best_violation > 0.0 || total < best_total - MIN_GAIN * radius
-        };
-        let x = r.value.data_mut();
-        if improved {
-            best.copy_from_slice(x);
-            (best_total, best_violation) = (total, violation);
-            stale = 0;
-        } else {
-            stale += 1;
-            if stale >= PATIENCE {
-                // This step size no longer pays: halve it and walk again
-                // from the best iterate.
-                radius *= 0.5;
-                if radius * STEP_FLOOR < cfg.lr {
-                    stop = Stop::WallConverged;
-                    break;
-                }
-                x.copy_from_slice(best);
-                stale = 0;
-                was_feasible = false;
-                continue;
-            }
-        }
-        let moved = if infeasible {
-            // `grad` is d pred_ms / d r_mc; the walk wants d violation /
-            // d r_scaled, and d r_mc / d r_scaled = quota_div.
-            let to_scaled = model.scaler.quota_div / slo_ms;
-            grad.iter_mut().for_each(|g| *g *= to_scaled);
-            walk.wall_step(x, &grad, violation, radius, was_feasible)
-        } else {
-            walk.descend(x, radius)
-        };
-        was_feasible = !infeasible;
-        if moved == 0.0 {
-            // Every coordinate that wants to move is pinned to the box.
-            stop = Stop::WallConverged;
+    // The pre-wall path p_0 = hi, p_1, …, p_{len−1}: until an evaluation
+    // violates the SLO the iterates are the fixed-`lr` Adam walk, and its end
+    // rule reads only their totals, so the whole path is known before the
+    // model is asked anything. `x` ends at its last point.
+    x.copy_from_slice(&hi);
+    let mut path = AdamPath::new(cfg.lr);
+    let (mut path_len, mut stop) = (0, Stop::Cap);
+    let mut prev_total = f64::INFINITY;
+    for j in 0..cfg.max_iters {
+        path_len = j + 1;
+        // With no violation yet the loss is the total.
+        let total: f64 = x.iter().sum();
+        if path_len >= cfg.min_iters && (prev_total - total).abs() < cfg.tol {
+            stop = Stop::Tolerance;
             break;
         }
+        if path_len < cfg.max_iters {
+            prev_total = total;
+            path.advance(x, &lo, &hi);
+        }
     }
-    if stop == Stop::WallConverged && best_violation > 0.0 {
-        stop = Stop::PinnedInfeasible;
+
+    // The best iterate: lowest total among the feasible ones, else lowest
+    // violation, with its evaluation cached. Starts as the top of the box,
+    // unevaluated.
+    best.copy_from_slice(&hi);
+    let (mut best_total, mut best_violation) = (f64::INFINITY, f64::INFINITY);
+    let (mut best_pred, mut best_infeasible) = (f64::NAN, false);
+    // The evaluation of `x` when it is already known (its gradient, when
+    // infeasible, already in `eval.grad`).
+    let mut known: Option<(f64, bool)> = None;
+    let mut crossing = None;
+    let mut was_feasible = false;
+    if path_len > 0 {
+        let (pred, infeasible) = eval.at(x);
+        if infeasible {
+            let (c, c_pred, low_pred) =
+                find_crossing(&mut eval, path_len, cfg.lr, pred, x, best, probe, &lo, &hi);
+            match low_pred {
+                // A point-by-point walk's state on meeting the wall at p_c:
+                // the best iterate is p_{c−1}, and the step into the wall was
+                // taken from a feasible iterate.
+                Some(low_pred) => {
+                    (best_total, best_violation, best_pred) = (best.iter().sum(), 0.0, low_pred);
+                    was_feasible = true;
+                }
+                // The top of the box already misses the SLO: `best` is p_0,
+                // as yet no improvement, but its evaluation is the one at hand.
+                None => {
+                    (best_pred, best_infeasible) = (c_pred, true);
+                    best_grad.copy_from_slice(&eval.grad);
+                }
+            }
+            known = Some((c_pred, true));
+            crossing = Some(c);
+        } else {
+            // Feasible at its end: the walk never meets the wall.
+            best.copy_from_slice(x);
+            (best_total, best_violation, best_pred) = (x.iter().sum(), 0.0, pred);
+        }
     }
+
+    // The wall walk from the crossing. `max_iters` bounds its steps as if
+    // every point of the path before it had been evaluated.
+    let wall_active = crossing.is_some();
+    let mut walk = Walk { lo: &lo, hi: &hi, max_step: cfg.lr, step, free };
+    let (mut radius, mut stale) = (cfg.lr, 0);
+    if let Some(c) = crossing {
+        stop = Stop::Cap;
+        for _ in c..cfg.max_iters {
+            let (pred, infeasible) = match known.take() {
+                Some(evaluated) => evaluated,
+                None => eval.at(x),
+            };
+            // NaN for a NaN prediction, which then never counts as an improvement.
+            let violation = if infeasible { (pred - slo_ms) / slo_ms } else { 0.0 };
+            let total: f64 = x.iter().sum();
+            let improved = if infeasible {
+                violation < best_violation
+            } else {
+                best_violation > 0.0 || total < best_total - MIN_GAIN * radius
+            };
+            if improved {
+                best.copy_from_slice(x);
+                (best_total, best_violation) = (total, violation);
+                (best_pred, best_infeasible) = (pred, infeasible);
+                if infeasible {
+                    best_grad.copy_from_slice(&eval.grad);
+                }
+                stale = 0;
+            } else {
+                stale += 1;
+                if stale >= PATIENCE {
+                    // This step size no longer pays: halve it and walk again
+                    // from the best iterate, whose evaluation is cached.
+                    radius *= 0.5;
+                    if radius * STEP_FLOOR < cfg.lr {
+                        stop = Stop::WallConverged;
+                        break;
+                    }
+                    x.copy_from_slice(best);
+                    if best_infeasible {
+                        eval.grad.copy_from_slice(best_grad);
+                    }
+                    known = Some((best_pred, best_infeasible));
+                    stale = 0;
+                    was_feasible = false;
+                    continue;
+                }
+            }
+            let moved = if infeasible {
+                // `grad` is d pred_ms / d r_mc; the walk wants d violation /
+                // d r_scaled, and d r_mc / d r_scaled = quota_div.
+                let to_scaled = eval.model.scaler.quota_div / slo_ms;
+                eval.grad.iter_mut().for_each(|g| *g *= to_scaled);
+                walk.wall_step(x, &eval.grad, violation, radius, was_feasible)
+            } else {
+                walk.descend(x, radius)
+            };
+            was_feasible = !infeasible;
+            if moved == 0.0 {
+                // Every coordinate that wants to move is pinned to the box.
+                stop = Stop::WallConverged;
+                break;
+            }
+        }
+        if stop == Stop::WallConverged && best_violation > 0.0 {
+            stop = Stop::PinnedInfeasible;
+        }
+    }
+    let iterations = eval.count;
 
     let scaler = model.scaler;
     // graf-lint: allow(hot-alloc, result construction after the loop exits)
     let quotas_mc: Vec<f64> = best.iter().map(|&v| scaler.unscale_quota(v)).collect();
-    let predicted_ms = model.predict_ms(workloads, &quotas_mc);
+    // The best iterate was evaluated on these very quotas; only a solve
+    // allowed no step at all returns the top of the box unevaluated.
+    let predicted_ms =
+        if path_len > 0 { best_pred } else { model.predict_ms(workloads, &quotas_mc) };
+    debug_assert_eq!(
+        predicted_ms.to_bits(),
+        model.predict_ms(workloads, &quotas_mc).to_bits(),
+        "the cached prediction is the model's"
+    );
     let best_loss = best_total + cfg.rho * best_violation;
     if span.is_recording() {
-        span.attr("iterations", iterations)
-            .attr("stop", stop.as_str())
+        span.attr("iterations", iterations).attr("path_len", path_len);
+        if let Some(c) = crossing {
+            span.attr("crossing", c);
+        }
+        span.attr("stop", stop.as_str())
             .attr("wall_active", wall_active)
             .attr("loss", best_loss)
             .attr("predicted_ms", predicted_ms)
@@ -337,6 +404,110 @@ pub fn solve_observed(
         obs.counter_add("graf.solver.iterations", &[], iterations as u64);
     }
     SolveResult { quotas_mc, predicted_ms, iterations, loss: best_loss, stop, wall_active }
+}
+
+/// One model evaluation per call, counted: the prediction at a scaled
+/// iterate and whether it violates the SLO, with the gradient of the
+/// prediction when it does.
+struct Eval<'a> {
+    model: &'a mut LatencyModel,
+    workloads: &'a [f64],
+    slo_ms: f64,
+    /// The iterate in millicores.
+    quotas_mc: &'a mut [f64],
+    /// d pred_ms / d r_mc at the last infeasible evaluation.
+    grad: Vec<f64>,
+    count: usize,
+}
+
+impl Eval<'_> {
+    fn at(&mut self, x: &[f64]) -> (f64, bool) {
+        self.count += 1;
+        for (q, &v) in self.quotas_mc.iter_mut().zip(x) {
+            *q = self.model.scaler.unscale_quota(v);
+        }
+        self.model.predict_ms_with_grad(self.workloads, self.quotas_mc, self.slo_ms, &mut self.grad)
+    }
+}
+
+/// The pre-wall walk's optimizer: fixed-`lr` Adam on the loss `Σ r`, whose
+/// gradient is 1 in every coordinate. Every coordinate's moments are
+/// therefore the same two scalars, one [`Adam::delta`] per step moves them
+/// all, and a copy replays the walk from any point of its path.
+#[derive(Clone, Copy)]
+struct AdamPath {
+    opt: Adam,
+    m: f64,
+    v: f64,
+}
+
+impl AdamPath {
+    fn new(lr: f64) -> Self {
+        Self { opt: Adam::new(lr), m: 0.0, v: 0.0 }
+    }
+
+    /// Steps `x` to the next point of the path: the Adam step, projected
+    /// into the box `[lo, hi]`.
+    fn advance(&mut self, x: &mut [f64], lo: &[f64], hi: &[f64]) {
+        self.opt.begin_step();
+        let d = self.opt.delta(1.0, &mut self.m, &mut self.v);
+        for ((v, &l), &h) in x.iter_mut().zip(lo).zip(hi) {
+            *v = (*v + d).clamp(l, h);
+        }
+    }
+}
+
+/// Bisects the pre-wall path `p_0 … p_{len−1}` for the step on which it
+/// meets the SLO wall, given that its end, in `x`, is infeasible with
+/// prediction `end_pred` (gradient in `eval.grad`), and that `best` holds
+/// `p_0`.
+///
+/// Returns `(c, pred(p_c), pred(p_{c−1}))`: `p_c`, infeasible, is left in
+/// `x` with its gradient in `eval.grad`, and for `c > 0` the feasible
+/// `p_{c−1}` in `best` (`None` for `c = 0`). When feasibility changes once
+/// along the path, `c` is its first infeasible point — where a
+/// point-by-point walk meets the wall. `p_0` is tried first, so an SLO that the top of the box
+/// already misses costs one evaluation rather than a bisection.
+#[allow(clippy::too_many_arguments)]
+fn find_crossing(
+    eval: &mut Eval,
+    len: usize,
+    lr: f64,
+    end_pred: f64,
+    x: &mut [f64],
+    best: &mut [f64],
+    probe: &mut [f64],
+    lo: &[f64],
+    hi: &[f64],
+) -> (usize, f64, Option<f64>) {
+    let (mut c, mut c_pred) = (len - 1, end_pred);
+    if c == 0 {
+        return (0, c_pred, None);
+    }
+    let (top_pred, infeasible) = eval.at(best);
+    if infeasible {
+        x.copy_from_slice(best);
+        return (0, top_pred, None);
+    }
+    // Invariant: p_low is feasible and in `best`, p_c infeasible and in `x`.
+    let (mut low, mut low_path, mut low_pred) = (0, AdamPath::new(lr), top_pred);
+    while c - low > 1 {
+        let mid = low + (c - low) / 2;
+        probe.copy_from_slice(best);
+        let mut path = low_path;
+        for _ in low..mid {
+            path.advance(probe, lo, hi);
+        }
+        let (pred, infeasible) = eval.at(probe);
+        if infeasible {
+            (c, c_pred) = (mid, pred);
+            x.copy_from_slice(probe);
+        } else {
+            (low, low_path, low_pred) = (mid, path, pred);
+            best.copy_from_slice(probe);
+        }
+    }
+    (c, c_pred, Some(low_pred))
 }
 
 /// The Algorithm-1 box in scaled space and the scratch the wall walk steps in.
@@ -455,24 +626,26 @@ pub fn integer_refine(
 ) -> (Vec<usize>, f64) {
     assert!(cpu_unit_mc > 0.0);
     let n = continuous_mc.len();
-    let floor: Vec<usize> =
-        bounds.lower.iter().map(|&l| (l / cpu_unit_mc).ceil().max(1.0) as usize).collect();
-    let mut counts: Vec<usize> = continuous_mc
-        .iter()
-        .zip(&floor)
-        .map(|(&q, &f)| ((q / cpu_unit_mc).ceil() as usize).max(f))
-        .collect();
-    let quotas = |c: &[usize]| c.iter().map(|&k| k as f64 * cpu_unit_mc).collect::<Vec<f64>>();
-    let mut pred = model.predict_ms(workloads, &quotas(&counts));
+    let ceil = |q: f64| (q / cpu_unit_mc).ceil() as usize;
+    // graf-lint: allow(hot-alloc, one-time setup before the greedy loop)
+    let floor: Vec<usize> = bounds.lower.iter().map(|&l| ceil(l).max(1)).collect();
+    let candidates = continuous_mc.iter().zip(&floor);
+    // graf-lint: allow(hot-alloc, one-time setup before the greedy loop)
+    let mut counts: Vec<usize> = candidates.map(|(&q, &f)| ceil(q).max(f)).collect();
+    // One quota buffer for every candidate, and `predict_ms` runs on the
+    // model's reused scratch: no candidate allocates.
+    // graf-lint: allow(hot-alloc, one-time setup before the greedy loop)
+    let mut quotas: Vec<f64> = counts.iter().map(|&k| k as f64 * cpu_unit_mc).collect();
+    let mut pred = model.predict_ms(workloads, &quotas);
     loop {
         let mut best: Option<(usize, f64)> = None;
         for i in 0..n {
             if counts[i] <= floor[i] {
                 continue;
             }
-            counts[i] -= 1;
-            let p = model.predict_ms(workloads, &quotas(&counts));
-            counts[i] += 1;
+            quotas[i] = (counts[i] - 1) as f64 * cpu_unit_mc;
+            let p = model.predict_ms(workloads, &quotas);
+            quotas[i] = counts[i] as f64 * cpu_unit_mc;
             if p <= slo_ms && best.is_none_or(|(_, bp)| p < bp) {
                 best = Some((i, p));
             }
@@ -480,6 +653,7 @@ pub fn integer_refine(
         match best {
             Some((i, p)) => {
                 counts[i] -= 1;
+                quotas[i] = counts[i] as f64 * cpu_unit_mc;
                 pred = p;
             }
             None => break,
@@ -566,7 +740,9 @@ mod tests {
             res.predicted_ms <= 120.0 * 1.15,
             "solution approximately satisfies the SLO: {res:?}"
         );
-        assert!(res.iterations >= 25);
+        // A loose SLO: the walk ends on the floor of the box without meeting
+        // the wall, and only that end is evaluated.
+        assert_eq!((res.stop, res.wall_active, res.iterations), (Stop::Tolerance, false, 1));
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! counting allocator.
 //!
 //! * The **solver's descent loop** — the real `solve`, both its regimes:
-//!   the Adam walk down the box and the walk along the SLO wall — must not
-//!   touch the heap once the model's scratch is warm: a solve cut off after
-//!   30 iterations and one that runs several hundred allocate exactly the
-//!   same number of times, i.e. set-up and result only.
+//!   the bisection of the Adam walk down the box and the walk along the SLO
+//!   wall — must not touch the heap once the model's scratch is warm: a
+//!   solve cut off after one evaluation and one that runs hundreds allocate
+//!   exactly the same number of times, i.e. set-up and result only. So must
+//!   `integer_refine`, however many instances it strips.
 //! * One **pilot tick** — `GrafController::tick` over a live cluster — is
 //!   allowed its small fixed set of per-tick buffers (rates, units, counts,
 //!   solver setup), but that count must be bounded and stable: it must not
@@ -16,8 +17,8 @@
 use graf_chaos::ChaosSchedule;
 use graf_core::sample_collector::Bounds;
 use graf_core::{
-    solve, FeatureScaler, GrafController, GrafControllerConfig, LatencyModel, NetKind,
-    ResilientConfig, ResilientController, SolverConfig, WorkloadAnalyzer,
+    integer_refine, solve, FeatureScaler, GrafController, GrafControllerConfig, LatencyModel,
+    NetKind, ResilientConfig, ResilientController, SolverConfig, Stop, WorkloadAnalyzer,
 };
 use graf_nn::sanitize::{alloc_delta, CountingAlloc};
 use graf_orchestrator::{Autoscaler, Cluster, CreationModel, Deployment};
@@ -35,36 +36,61 @@ fn model3() -> LatencyModel {
 
 #[test]
 fn solver_allocates_for_setup_only_however_long_it_runs() {
-    let mut model = model3();
+    // An untrained model whose prediction falls as quotas rise, as a trained
+    // one's does (`model3`'s rises), and an SLO it meets at the top of the
+    // box and misses at the bottom: the long solve bisects the path down
+    // from the top for the wall and then walks it, and a tenth of the
+    // default step stretches the wall walk to hundreds of evaluations. The
+    // short one is cut off while the path is still feasible, so it evaluates
+    // only the path's end.
+    let scaler = FeatureScaler { workload_div: 100.0, quota_div: 1000.0 };
+    let mut model = LatencyModel::new(NetKind::Gnn, &[(0, 1), (1, 2)], 3, scaler, 1.0, 12);
     let workloads = [60.0, 60.0, 60.0];
     let bounds = Bounds { lower: vec![150.0; 3], upper: vec![2500.0; 3] };
-    // An SLO the untrained model meets at the top of the box and misses at
-    // the bottom, so the long solve walks the wall; a tenth of the default
-    // step stretches the walk to several hundred iterations.
     let top = model.predict_ms(&workloads, &bounds.upper);
     let floor = model.predict_ms(&workloads, &bounds.lower);
-    assert!(top != floor, "the untrained model is not constant over the box");
+    assert!(top < floor, "the prediction falls as quotas rise: {top} vs {floor}");
     let slo_ms = 0.5 * (top + floor);
     let long = SolverConfig { lr: 0.002, ..SolverConfig::default() };
     let short = SolverConfig { max_iters: 30, ..long.clone() };
 
-    // Warm the model's scratch.
-    solve(&mut model, &workloads, slo_ms, &bounds, &short);
+    // Warm the model's scratch, forward and backward.
+    solve(&mut model, &workloads, slo_ms, &bounds, &long);
     let (cut_off, short_allocs) =
         alloc_delta(|| solve(&mut model, &workloads, slo_ms, &bounds, &short));
     let (walked, long_allocs) =
         alloc_delta(|| solve(&mut model, &workloads, slo_ms, &bounds, &long));
-    assert_eq!(cut_off.iterations, 30);
-    assert!(
-        walked.iterations >= 300 && walked.wall_active,
-        "the long solve exercises both regimes: {walked:?}"
+    assert_eq!((cut_off.stop, cut_off.wall_active, cut_off.iterations), (Stop::Cap, false, 1));
+    assert_eq!(
+        (walked.stop, walked.wall_active, walked.iterations),
+        (Stop::WallConverged, true, 263),
+        "the long solve bisects the path and walks the wall: {walked:?}"
     );
     assert_eq!(
         short_allocs,
         long_allocs,
-        "{} extra iterations may not allocate: {cut_off:?} vs {walked:?}",
+        "{} extra evaluations may not allocate: {cut_off:?} vs {walked:?}",
         walked.iterations - cut_off.iterations
     );
+}
+
+#[test]
+fn integer_refine_allocates_for_setup_only_however_many_instances_it_strips() {
+    let model = model3();
+    let workloads = [60.0, 60.0, 60.0];
+    let bounds = Bounds { lower: vec![150.0; 3], upper: vec![2500.0; 3] };
+    // Every candidate meets an unbounded SLO, so the greedy pass strips each
+    // service down to its floor of two instances: 9 removals from 15
+    // instances, 69 from 75.
+    let refine = |continuous: &[f64]| {
+        integer_refine(&model, &workloads, continuous, &bounds, 100.0, f64::INFINITY)
+    };
+    // Warm the model's scratch.
+    refine(&[500.0; 3]);
+    let ((few, _), few_allocs) = alloc_delta(|| refine(&[500.0; 3]));
+    let ((many, _), many_allocs) = alloc_delta(|| refine(&[2500.0; 3]));
+    assert_eq!((few, many), (vec![2; 3], vec![2; 3]));
+    assert_eq!(few_allocs, many_allocs, "60 more removals may not allocate");
 }
 
 /// A trained-shape controller over a live three-service cluster that has

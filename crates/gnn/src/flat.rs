@@ -101,11 +101,9 @@ impl LatencyNet for FlatMlp {
     }
 
     fn predict(&self, x: &Matrix) -> Vec<f64> {
-        let mut sc = self.scratch.borrow_mut();
-        let sc = &mut *sc;
-        self.mlp.forward_into(x, &mut Mode::Eval, &mut sc.trace, &mut sc.out);
-        sc.kept_rows = x.rows();
-        sc.out.data().to_vec()
+        let mut out = Vec::new();
+        self.predict_keep_into(x, &mut out);
+        out
     }
 
     fn train_step(
@@ -154,8 +152,9 @@ impl LatencyNet for FlatMlp {
         self.scratch.get_mut().dx.clone()
     }
 
-    fn predict_keep_into(&mut self, x: &Matrix, out: &mut Vec<f64>) {
-        let sc = self.scratch.get_mut();
+    fn predict_keep_into(&self, x: &Matrix, out: &mut Vec<f64>) {
+        let mut sc = self.scratch.borrow_mut();
+        let sc = &mut *sc;
         self.mlp.forward_into(x, &mut Mode::Eval, &mut sc.trace, &mut sc.out);
         sc.kept_rows = x.rows();
         out.clear();

@@ -541,20 +541,9 @@ impl LatencyNet for MicroserviceGnn {
     }
 
     fn predict(&self, x: &Matrix) -> Vec<f64> {
-        let mut sc = self.scratch.borrow_mut();
-        let sc = &mut *sc;
-        forward_stacked(
-            &self.nets,
-            &self.graph,
-            &self.cfg,
-            x,
-            0,
-            x.rows(),
-            &mut Mode::Eval,
-            &mut sc.eval,
-        );
-        sc.kept_rows = x.rows();
-        sc.eval.y.data().to_vec()
+        let mut out = Vec::new();
+        self.predict_keep_into(x, &mut out);
+        out
     }
 
     fn train_step(
@@ -680,8 +669,9 @@ impl LatencyNet for MicroserviceGnn {
         self.scratch.get_mut().eval.dx.clone()
     }
 
-    fn predict_keep_into(&mut self, x: &Matrix, out: &mut Vec<f64>) {
-        let sc = self.scratch.get_mut();
+    fn predict_keep_into(&self, x: &Matrix, out: &mut Vec<f64>) {
+        let mut sc = self.scratch.borrow_mut();
+        let sc = &mut *sc;
         forward_stacked(
             &self.nets,
             &self.graph,

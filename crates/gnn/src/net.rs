@@ -44,28 +44,22 @@ pub trait LatencyNet {
     /// Implementations without a parallel path ignore it.
     fn set_threads(&mut self, _threads: usize) {}
 
-    /// Eval-mode prediction that retains the forward trace so a following
-    /// [`LatencyNet::grad_from_kept`] can reuse it (the solver's fused
-    /// forward+backward fast path, §3.5). Default: plain [`predict`].
-    ///
-    /// [`predict`]: LatencyNet::predict
-    fn predict_keep(&mut self, x: &Matrix) -> Vec<f64> {
-        self.predict(x)
-    }
-
     /// Input gradient reusing the trace retained by the immediately preceding
-    /// [`LatencyNet::predict_keep`] call on the same batch `x`. Default: a
-    /// fresh [`LatencyNet::grad_input`] (correct but re-runs the forward).
+    /// [`LatencyNet::predict_keep_into`] call on the same batch `x`. Default:
+    /// a fresh [`LatencyNet::grad_input`] (correct but re-runs the forward).
     fn grad_from_kept(&mut self, x: &Matrix) -> Matrix {
         self.grad_input(x)
     }
 
-    /// [`LatencyNet::predict_keep`] writing predictions into `out` (cleared
-    /// and refilled, capacity reused). The default delegates and copies;
-    /// implementations override it to skip the intermediate `Vec` so the
-    /// solver's per-iteration forward is allocation-free in steady state.
-    fn predict_keep_into(&mut self, x: &Matrix, out: &mut Vec<f64>) {
-        let pred = self.predict_keep(x);
+    /// Eval-mode prediction written into `out` (cleared and refilled,
+    /// capacity reused) that retains the forward trace so a following
+    /// [`LatencyNet::grad_from_kept`] can reuse it (the solver's fused
+    /// forward+backward fast path, §3.5). Takes `&self` so read-only callers
+    /// reach the same allocation-free forward. The default delegates to
+    /// [`LatencyNet::predict`] and copies; implementations override it to
+    /// skip the intermediate `Vec`.
+    fn predict_keep_into(&self, x: &Matrix, out: &mut Vec<f64>) {
+        let pred = self.predict(x);
         out.clear();
         out.extend_from_slice(&pred);
     }

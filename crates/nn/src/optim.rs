@@ -4,7 +4,7 @@
 use crate::param::Param;
 
 /// Adam with bias correction.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Adam {
     /// Learning rate (paper: 2 × 10⁻⁴ for training, Table 1).
     pub lr: f64,
@@ -53,14 +53,26 @@ impl Adam {
             .zip(p.grad.data_mut())
             .zip(p.m.data_mut().iter_mut().zip(p.v.data_mut()));
         for ((value, grad), (m, v)) in it {
-            let g = *grad;
-            *m = self.beta1 * *m + (1.0 - self.beta1) * g;
-            *v = self.beta2 * *v + (1.0 - self.beta2) * (g * g);
-            let mhat = *m / self.bc1;
-            let vhat = *v / self.bc2;
-            *value += -self.lr * mhat / (vhat.sqrt() + self.eps);
+            *value += self.delta(*grad, m, v);
             *grad = 0.0;
         }
+    }
+
+    /// One coordinate of [`Adam::update`]: advances the moments `m`, `v`
+    /// against the gradient `g` and returns the step to add to the value.
+    /// Must be preceded by [`Adam::begin_step`] for this step.
+    ///
+    /// Coordinates that start from the same moments and see the same
+    /// gradient every step move in lockstep, so one call steps them all —
+    /// the configuration solver's pre-wall walk, whose gradient is 1 in every
+    /// coordinate, keeps its moments as two scalars this way.
+    #[inline(always)]
+    pub fn delta(&self, g: f64, m: &mut f64, v: &mut f64) -> f64 {
+        *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+        *v = self.beta2 * *v + (1.0 - self.beta2) * (g * g);
+        let mhat = *m / self.bc1;
+        let vhat = *v / self.bc2;
+        -self.lr * mhat / (vhat.sqrt() + self.eps)
     }
 
     /// Steps every parameter against its accumulated gradient, then zeroes

@@ -62,7 +62,7 @@ fn main() {
     for qps in [30.0, 60.0, 90.0] {
         let (quotas, solve) = controller.plan(&[qps]);
         println!(
-            "{qps:>5.0} qps → quotas {:?} mc (total {:>6.0}), predicted p99 {:>5.1} ms, {} iterations",
+            "{qps:>5.0} qps → quotas {:?} mc (total {:>6.0}), predicted p99 {:>5.1} ms, {} model evaluations",
             quotas.iter().map(|v| v.round()).collect::<Vec<_>>(),
             quotas.iter().sum::<f64>(),
             solve.predicted_ms,
