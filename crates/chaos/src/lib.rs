@@ -52,7 +52,7 @@
 //!         SimTime::from_secs(120.0),
 //!         SimTime::from_secs(210.0),
 //!     );
-//! assert!(schedule.overlaps(SimTime::from_secs(100.0), SimTime::from_secs(110.0)));
+//! assert!(schedule.active_at(SimTime::from_secs(100.0)));
 //!
 //! // Consumers fork their own engine so draws never interleave.
 //! let mut engine = schedule.engine(stream::CLUSTER);
@@ -81,6 +81,4 @@ pub mod stream {
     pub const CLUSTER: u64 = 0xC4A0_0002;
     /// Stream for the resource controller's metric scrape.
     pub const CONTROLLER: u64 = 0xC4A0_0003;
-    /// Stream for the sample collector's taint detection.
-    pub const COLLECTOR: u64 = 0xC4A0_0004;
 }

@@ -161,11 +161,6 @@ impl ChaosSchedule {
         self.specs.is_empty()
     }
 
-    /// Whether any fault window overlaps `[from, until)`.
-    pub fn overlaps(&self, from: SimTime, until: SimTime) -> bool {
-        self.specs.iter().any(|s| s.from < until && from < s.until)
-    }
-
     /// Whether any fault window covers `now`.
     pub fn active_at(&self, now: SimTime) -> bool {
         self.specs.iter().any(|s| s.active_at(now))
@@ -193,27 +188,6 @@ impl ChaosSchedule {
             }
         }
     }
-
-    /// Restricts the schedule to `[from, until)` and rebases the surviving
-    /// windows so `from` becomes time zero — used by the sample collector,
-    /// whose measurement runs each live in a fresh world.
-    pub fn localized(&self, from: SimTime, until: SimTime) -> ChaosSchedule {
-        let specs = self
-            .specs
-            .iter()
-            .filter(|s| s.from < until && from < s.until)
-            .map(|s| {
-                let lo = s.from.as_micros().max(from.as_micros()) - from.as_micros();
-                let hi = s.until.as_micros().min(until.as_micros()) - from.as_micros();
-                FaultSpec {
-                    kind: s.kind.clone(),
-                    from: SimTime::from_micros(lo),
-                    until: SimTime::from_micros(hi.max(lo + 1)),
-                }
-            })
-            .collect();
-        ChaosSchedule { specs, seed: self.seed }
-    }
 }
 
 #[cfg(test)]
@@ -230,25 +204,6 @@ mod tests {
         assert!(!s.active_at(SimTime::from_micros(999_999)));
         assert!(s.active_at(t(1.0)));
         assert!(!s.active_at(t(2.0)));
-    }
-
-    #[test]
-    fn overlap_detection() {
-        let sched = ChaosSchedule::new(1).fault(FaultKind::MetricNan, t(10.0), t(20.0));
-        assert!(sched.overlaps(t(15.0), t(25.0)));
-        assert!(sched.overlaps(t(5.0), t(11.0)));
-        assert!(!sched.overlaps(t(20.0), t(30.0)), "half-open: end touches start");
-        assert!(!sched.overlaps(t(0.0), t(10.0)));
-    }
-
-    #[test]
-    fn localized_rebases_windows() {
-        let sched = ChaosSchedule::new(1).fault(FaultKind::MetricNan, t(10.0), t(20.0));
-        let local = sched.localized(t(15.0), t(30.0));
-        assert_eq!(local.specs().len(), 1);
-        assert_eq!(local.specs()[0].from, t(0.0));
-        assert_eq!(local.specs()[0].until, t(5.0));
-        assert!(sched.localized(t(40.0), t(50.0)).is_empty());
     }
 
     #[test]

@@ -264,6 +264,9 @@ impl LatencyModel {
                 }
             }
         }
+        // Read before the checkpoint restore: a restored clone's scratch is
+        // fresh, so its counts would say nothing about this run.
+        let scratch_after = self.net.scratch_stats();
         if let Some(b) = best {
             self.net = b;
         }
@@ -279,13 +282,9 @@ impl LatencyModel {
         if obs.is_enabled() {
             // Allocation-avoidance accounting for this run: scratch-pool
             // buffer reuses vs fresh allocations inside the net's kernels.
-            let (reused, allocated) = self.net.scratch_stats();
-            obs.counter_add("graf.nn.scratch.reused", &[], reused.saturating_sub(scratch_before.0));
-            obs.counter_add(
-                "graf.nn.scratch.allocated",
-                &[],
-                allocated.saturating_sub(scratch_before.1),
-            );
+            let (reused, allocated) = scratch_after;
+            obs.counter_add("graf.nn.scratch.reused", &[], reused - scratch_before.0);
+            obs.counter_add("graf.nn.scratch.allocated", &[], allocated - scratch_before.1);
         }
         report
     }
@@ -315,9 +314,8 @@ impl LatencyModel {
     ///
     /// Runs one forward pass whose activations are retained; only when the
     /// predicted latency exceeds `grad_if_above_ms` is the backward pass run,
-    /// reusing the retained trace (one forward + at most one backward per
-    /// solver iteration, versus the two forwards + one backward of calling
-    /// [`LatencyModel::predict_ms`] then [`LatencyModel::grad_quota`]).
+    /// reusing the retained trace: one forward + at most one backward per
+    /// solver iteration. This is the model's one gradient path.
     ///
     /// Returns `(predicted_ms, grad_written)`; `grad_out` holds the per-quota
     /// gradient (ms per mc) only when `grad_written` is true.
@@ -343,16 +341,6 @@ impl LatencyModel {
             grad_out.push(self.label_scale * g / self.scaler.quota_div);
         }
         (pred, true)
-    }
-
-    /// Gradient of predicted latency (ms) with respect to each quota (mc).
-    pub fn grad_quota(&mut self, workloads: &[f64], quotas_mc: &[f64]) -> Vec<f64> {
-        let row = self.scaler.features(workloads, quotas_mc);
-        let x = Matrix::row_vector(row);
-        let g = self.net.grad_input(&x);
-        (0..workloads.len())
-            .map(|i| self.label_scale * g.get(0, 2 * i + 1) / self.scaler.quota_div)
-            .collect()
     }
 
     /// Computes the Table-2 error analysis on a held-out dataset.
@@ -494,7 +482,10 @@ mod tests {
         let samples = synthetic_samples(600, 7);
         let cfg = TrainConfig { epochs: 40, evals: 8, ..Default::default() };
         let (mut model, _, _) = fit_model(NetKind::Gnn, &samples, &cfg);
-        let g = model.grad_quota(&[100.0, 100.0, 100.0], &[400.0, 600.0, 500.0]);
+        let mut g = Vec::new();
+        let (w, q) = ([100.0, 100.0, 100.0], [400.0, 600.0, 500.0]);
+        // A threshold below any prediction: the gradient is always written.
+        assert!(model.predict_ms_with_grad(&w, &q, f64::NEG_INFINITY, &mut g).1);
         let negatives = g.iter().filter(|&&v| v < 0.0).count();
         assert!(negatives >= 2, "gradients should point downhill: {g:?}");
     }
@@ -548,5 +539,29 @@ mod tests {
             "restored checkpoint matches best: {final_val} vs {}",
             report.best_val
         );
+    }
+
+    #[test]
+    fn training_reports_scratch_reuse_for_both_nets() {
+        let samples = synthetic_samples(200, 10);
+        let cfg = TrainConfig { epochs: 8, evals: 4, ..Default::default() };
+        for kind in [NetKind::Gnn, NetKind::FlatMlp] {
+            let scaler = FeatureScaler::fit(
+                samples.iter().map(|s| (s.workloads.as_slice(), s.quotas_mc.as_slice())),
+            );
+            let ds = LatencyModel::dataset_from_samples(&scaler, &samples);
+            let split = ds.split(0.7, 0.15, 3);
+            let mut model = LatencyModel::new(kind, &[(0, 1), (1, 2)], 3, scaler, 50.0, 11);
+            let obs = graf_obs::Obs::enabled();
+            model.train_observed(&split, &cfg, &obs);
+            let counter = |name: &str| -> u64 {
+                let summary = obs.summary();
+                let row = summary.lines().find(|l| l.split_whitespace().next() == Some(name));
+                let value = row.and_then(|l| l.split_whitespace().nth(1));
+                value.and_then(|v| v.parse().ok()).unwrap_or(0)
+            };
+            let reused = counter("graf.nn.scratch.reused");
+            assert!(reused > 0, "{kind:?}: scratch reuse is counted, saw {reused}");
+        }
     }
 }

@@ -172,7 +172,7 @@ impl SampleCollector {
         seed: u64,
         keep_traces: bool,
     ) -> (MeasureOutcome, Vec<Trace>) {
-        measure_run(&self.topo, quotas_mc, rates, &self.cfg, seed, keep_traces, None)
+        measure_run(&self.topo, quotas_mc, rates, &self.cfg, seed, keep_traces)
     }
 
     /// Profiles the application: runs it well-provisioned under the probe
@@ -301,60 +301,8 @@ impl SampleCollector {
         samples
     }
 
-    /// Collects `n` samples like [`SampleCollector::collect`], but screens
-    /// every sample against a chaos schedule and rejects tainted
-    /// measurements (§3.7's "collected data are verified" under injected
-    /// faults).
-    ///
-    /// Collection is conceptually sequential even though it fans out over
-    /// threads: sample `idx` occupies the virtual time slot
-    /// `[idx·T, (idx+1)·T)` where `T = warmup_secs + measure_secs`. A sample
-    /// whose slot overlaps a fault window is first measured under the
-    /// slot-localized faults ([`graf_chaos::ChaosSchedule::localized`]),
-    /// rejected as tainted, and then re-measured clean — so the returned
-    /// corpus is *exactly* what a fault-free collection run produces, and
-    /// the model never trains on corrupted tails. Returns the samples plus
-    /// the number of rejected tainted measurements.
-    pub fn collect_untainted(
-        &self,
-        bounds: &Bounds,
-        analyzer: &WorkloadAnalyzer,
-        n: usize,
-        schedule: &graf_chaos::ChaosSchedule,
-    ) -> (Vec<Sample>, usize) {
-        let slot = self.cfg.warmup_secs + self.cfg.measure_secs;
-        let results = fan_out(n, self.cfg.threads, |idx| {
-            let from = SimTime::from_secs(idx as f64 * slot);
-            let until = SimTime::from_secs((idx + 1) as f64 * slot);
-            let tainted = schedule.overlaps(from, until);
-            if tainted {
-                // Measure under the localized faults, then discard:
-                // the run is tainted by construction.
-                let (rates, quotas) = self.sample_params(bounds, idx);
-                let local = schedule.localized(from, until);
-                let _ = measure_run(
-                    &self.topo,
-                    &quotas,
-                    &rates,
-                    &self.cfg,
-                    self.cfg.seed ^ 0xC011EC7 ^ (idx as u64) << 1,
-                    false,
-                    Some(&local),
-                );
-            }
-            (self.collect_one(bounds, analyzer, idx), tainted)
-        });
-        let rejected = results.iter().filter(|(_, tainted)| *tainted).count();
-        let samples: Vec<Sample> = results.into_iter().filter_map(|(sample, _)| sample).collect();
-        if rejected > 0 {
-            self.obs.counter_add("graf.sample.rejected_tainted", &[], rejected as u64);
-        }
-        (samples, rejected)
-    }
-
     /// The deterministic per-sample draw: offered rates and quotas for
-    /// sample `idx`, independent of thread interleaving and of whether the
-    /// sample was previously probed as tainted.
+    /// sample `idx`, independent of thread interleaving.
     fn sample_params(&self, bounds: &Bounds, idx: usize) -> (Vec<f64>, Vec<f64>) {
         let mut rng = DetRng::new(self.cfg.seed ^ 0x5A17).fork(idx as u64);
         let (wlo, whi) = self.cfg.workload_range;
@@ -383,7 +331,6 @@ impl SampleCollector {
             &self.cfg,
             self.cfg.seed ^ 0xC011EC7 ^ (idx as u64) << 1,
             false,
-            None,
         );
         let p99_ms = out.e2e_tail_ms?;
         let workloads = analyzer.service_workloads(&rates);
@@ -391,9 +338,7 @@ impl SampleCollector {
     }
 }
 
-/// Runs one deploy → load → measure cycle in a fresh world. `chaos` installs
-/// a (slot-localized) fault schedule into the measurement world — used only
-/// to probe tainted samples, whose results are discarded.
+/// Runs one deploy → load → measure cycle in a fresh world.
 fn measure_run(
     topo: &AppTopology,
     quotas_mc: &[f64],
@@ -401,16 +346,12 @@ fn measure_run(
     cfg: &SamplingConfig,
     seed: u64,
     keep_traces: bool,
-    chaos: Option<&graf_chaos::ChaosSchedule>,
 ) -> (MeasureOutcome, Vec<Trace>) {
     assert_eq!(quotas_mc.len(), topo.num_services(), "one quota per service");
     assert_eq!(rates.len(), topo.num_apis(), "one rate per API");
     let sim_cfg =
         SimConfig { trace_sample: if keep_traces { 1.0 } else { 0.0 }, ..SimConfig::default() };
     let mut world = World::new(topo.clone(), sim_cfg, seed);
-    if let Some(schedule) = chaos {
-        schedule.install_world(&mut world);
-    }
     for (s, &q) in quotas_mc.iter().enumerate() {
         let replicas = (q / cfg.cpu_unit_mc).ceil().max(1.0) as usize;
         world.add_instances(ServiceId(s as u16), replicas, q / replicas as f64, SimTime::ZERO);
@@ -572,29 +513,6 @@ mod tests {
         for (a, b) in samples.iter().zip(&samples1) {
             assert_eq!(a.quotas_mc, b.quotas_mc);
             assert_eq!(a.p99_ms, b.p99_ms);
-        }
-    }
-
-    #[test]
-    fn tainted_samples_are_rejected_and_remeasured() {
-        use graf_chaos::{ChaosSchedule, FaultKind};
-        let c = SampleCollector::new(chain2(), fast_cfg());
-        let analyzer = c.profile();
-        let bounds = Bounds { lower: vec![200.0, 300.0], upper: vec![1500.0, 2500.0] };
-        let clean = c.collect(&bounds, &analyzer, 6);
-        // Slot T = warmup 2 s + measure 4 s = 6 s; a fault spanning
-        // [7 s, 14 s) taints sample slots 1 ([6,12)) and 2 ([12,18)).
-        let sched = ChaosSchedule::new(5).fault(
-            FaultKind::LatencySpike { service: ServiceId(0), factor: 3.0 },
-            SimTime::from_secs(7.0),
-            SimTime::from_secs(14.0),
-        );
-        let (samples, rejected) = c.collect_untainted(&bounds, &analyzer, 6, &sched);
-        assert_eq!(rejected, 2, "exactly the two overlapping slots rejected");
-        assert_eq!(samples.len(), clean.len());
-        for (a, b) in samples.iter().zip(&clean) {
-            assert_eq!(a.quotas_mc, b.quotas_mc, "re-measured corpus is fault-free");
-            assert_eq!(a.p99_ms, b.p99_ms, "re-measured corpus is fault-free");
         }
     }
 

@@ -281,7 +281,8 @@ mod reference {
             for i in 0..lo.len() {
                 r.grad.set(0, i, 1.0);
             }
-            opt.step(&mut [&mut r]);
+            opt.begin_step();
+            opt.update(&mut r);
             for i in 0..lo.len() {
                 let v = r.value.get(0, i).clamp(lo[i], hi[i]);
                 r.value.set(0, i, v);
@@ -329,7 +330,8 @@ mod reference {
                 for i in 0..n {
                     r.grad.set(0, i, 1.0);
                 }
-                opt.step(&mut [&mut r]);
+                opt.begin_step();
+                opt.update(&mut r);
                 for i in 0..n {
                     let v = r.value.get(0, i).clamp(lo[i], hi[i]);
                     r.value.set(0, i, v);

@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use graf_nn::{Adam, AsymmetricHuber, Matrix, Mlp, MlpGrads, MlpTrace, Mode, Workspace};
 use graf_sim::rng::DetRng;
 
-use crate::net::LatencyNet;
+use crate::net::{assert_kept, LatencyNet};
 
 /// Reusable forward/backward buffers (trace, scratch pool, gradient sink).
 #[derive(Default)]
@@ -18,7 +18,6 @@ struct FlatScratch {
     trace: MlpTrace,
     out: Matrix,
     dy: Matrix,
-    dx: Matrix,
     ws: Workspace,
     /// Parameter-gradient sink, shaped by `train_step` only.
     grads: MlpGrads,
@@ -72,22 +71,10 @@ impl FlatMlp {
         let mlp = Mlp::new(&[num_nodes * feature_dim, hidden, hidden, 1], dropout, rng);
         Self { num_nodes, feature_dim, mlp, scratch: RefCell::new(FlatScratch::default()) }
     }
-}
 
-impl FlatMlp {
     /// Visits every parameter read-only, in the optimizer's order.
     pub fn for_each_param(&self, f: impl FnMut(&graf_nn::Param)) {
         self.mlp.for_each_param(f);
-    }
-
-    /// Backward through the retained eval trace, leaving `d pred / d x` in
-    /// `scratch.dx`. Input gradient only: no parameter gradient is computed.
-    fn backward_kept(&mut self, x: &Matrix) {
-        let sc = self.scratch.get_mut();
-        sc.dy.reshape_zeroed(x.rows(), 1);
-        sc.dy.data_mut().fill(1.0);
-        sc.refresh_wts(&self.mlp);
-        self.mlp.backward_input_with_wt(&sc.trace, &sc.dy, &mut sc.ws, &mut sc.dx, &sc.wts);
     }
 }
 
@@ -98,12 +85,6 @@ impl LatencyNet for FlatMlp {
 
     fn feature_dim(&self) -> usize {
         self.feature_dim
-    }
-
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.predict_keep_into(x, &mut out);
-        out
     }
 
     fn train_step(
@@ -124,7 +105,7 @@ impl LatencyNet for FlatMlp {
         sc.grads.prepare(&self.mlp);
         // Parameter gradients only: training never reads the input gradient.
         sc.refresh_wts(&self.mlp);
-        self.mlp.backward_params_with_wt(&sc.trace, &sc.dy, &mut sc.grads, &mut sc.ws, &sc.wts);
+        self.mlp.backward(&sc.trace, &sc.dy, Some(&mut sc.grads), &mut sc.ws, None, &sc.wts);
         self.mlp.accumulate_grads(&sc.grads);
         // The update below makes the transposes stale.
         sc.wts_valid = false;
@@ -133,23 +114,6 @@ impl LatencyNet for FlatMlp {
         let opt = &mut *opt;
         self.mlp.for_each_param_mut(|p| opt.update(p));
         l
-    }
-
-    fn grad_input(&mut self, x: &Matrix) -> Matrix {
-        {
-            let sc = self.scratch.get_mut();
-            self.mlp.forward_into(x, &mut Mode::Eval, &mut sc.trace, &mut sc.out);
-            sc.kept_rows = x.rows();
-        }
-        self.grad_from_kept(x)
-    }
-
-    fn grad_from_kept(&mut self, x: &Matrix) -> Matrix {
-        if self.scratch.get_mut().kept_rows != x.rows() {
-            return self.grad_input(x);
-        }
-        self.backward_kept(x);
-        self.scratch.get_mut().dx.clone()
     }
 
     fn predict_keep_into(&self, x: &Matrix, out: &mut Vec<f64>) {
@@ -162,13 +126,13 @@ impl LatencyNet for FlatMlp {
     }
 
     fn grad_from_kept_into(&mut self, x: &Matrix, dx: &mut Matrix) {
-        if self.scratch.get_mut().kept_rows != x.rows() {
-            let sc = self.scratch.get_mut();
-            self.mlp.forward_into(x, &mut Mode::Eval, &mut sc.trace, &mut sc.out);
-            sc.kept_rows = x.rows();
-        }
-        self.backward_kept(x);
-        dx.copy_from(&self.scratch.get_mut().dx);
+        let sc = self.scratch.get_mut();
+        assert_kept(sc.kept_rows, x, |r, c| sc.trace.input().map_or(f64::NAN, |k| k.get(r, c)));
+        // Input gradient only: no parameter gradient is computed.
+        sc.dy.reshape_zeroed(x.rows(), 1);
+        sc.dy.data_mut().fill(1.0);
+        sc.refresh_wts(&self.mlp);
+        self.mlp.backward(&sc.trace, &sc.dy, None, &mut sc.ws, Some(dx), &sc.wts);
     }
 
     fn scratch_stats(&self) -> (u64, u64) {
@@ -231,7 +195,8 @@ mod tests {
         let x = Matrix::from_fn(2, 4, |r, c| (r * 4 + c) as f64 * 0.1);
         let slow = m.grad_input(&x);
         let _ = m.predict(&x);
-        let fast = m.grad_from_kept(&x);
+        let mut fast = Matrix::default();
+        m.grad_from_kept_into(&x, &mut fast);
         assert_eq!(slow.data(), fast.data());
     }
 
@@ -254,9 +219,11 @@ mod tests {
 
                     // The training backward on the same kept trace.
                     let sc = m.scratch.get_mut();
-                    let mut grads = MlpGrads::zeroed_for(&m.mlp);
+                    let mut grads = MlpGrads::default();
+                    grads.prepare(&m.mlp);
                     let mut full = Matrix::default();
-                    m.mlp.backward_with(&sc.trace, &sc.dy, &mut grads, &mut sc.ws, &mut full);
+                    let (trace, dy, ws) = (&sc.trace, &sc.dy, &mut sc.ws);
+                    m.mlp.backward(trace, dy, Some(&mut grads), ws, Some(&mut full), &sc.wts);
                     let full: Vec<u64> = full.data().iter().map(|v| v.to_bits()).collect();
                     let input_only: Vec<u64> = dx.data().iter().map(|v| v.to_bits()).collect();
                     assert_eq!(input_only, full, "{nodes} nodes, hidden {hidden}, batch {batch}");
@@ -291,5 +258,30 @@ mod tests {
         m.train_step(&x, &y, &loss, &mut Adam::new(1e-2), &mut DetRng::new(41));
         let stale_free = m.clone().grad_input(&x);
         assert_eq!(m.grad_input(&x).data(), stale_free.data());
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a predict_keep_into of the same batch first")]
+    fn kept_gradient_after_a_training_step_panics() {
+        let mut rng = DetRng::new(50);
+        let mut m = FlatMlp::new(3, 2, 16, 0.0, &mut rng);
+        let x = Matrix::from_fn(4, 6, |r, c| ((r + c) % 5) as f64 * 0.2);
+        let _ = m.predict(&x);
+        m.train_step(&x, &[1.0; 4], &AsymmetricHuber::default(), &mut Adam::new(1e-2), &mut rng);
+        m.grad_from_kept_into(&x, &mut Matrix::default());
+    }
+
+    // The bit-for-bit batch check exists in debug builds only.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the kept forward read another batch")]
+    fn kept_gradient_of_another_row_panics() {
+        let mut rng = DetRng::new(51);
+        let mut m = FlatMlp::new(3, 2, 16, 0.0, &mut rng);
+        let x = Matrix::from_fn(1, 6, |_, c| c as f64 * 0.1);
+        let _ = m.predict(&x);
+        let mut other = x.clone();
+        other.set(0, 5, 0.25);
+        m.grad_from_kept_into(&other, &mut Matrix::default());
     }
 }

@@ -29,7 +29,7 @@ use graf_nn::{Adam, AsymmetricHuber, Matrix, Mlp, MlpGrads, MlpTrace, Mode, Work
 use graf_sim::rng::DetRng;
 
 use crate::graph::GraphSpec;
-use crate::net::LatencyNet;
+use crate::net::{assert_kept, LatencyNet};
 
 /// Rows per training shard. Fixed (never derived from the thread count) so
 /// the chunk partition — and with it every floating-point reduction order —
@@ -164,7 +164,7 @@ impl NetWts {
 /// threads: workers each get their own [`GnnPass`] out of `chunks`.
 #[derive(Default)]
 struct GnnScratch {
-    /// Pass used by predict / grad_input / the solver's kept-trace path.
+    /// Pass used by the eval forward and the kept-trace input gradient.
     eval: GnnPass,
     /// Row count of the retained eval forward (0 = no valid trace).
     kept_rows: usize,
@@ -338,24 +338,6 @@ fn forward_stacked(
     nets.readout.forward_into(&pass.read_in, mode, &mut pass.t_read, &mut pass.y);
 }
 
-/// One network's backward against the cached transposes: parameter
-/// gradients accumulate into `sink` when there is one; without it only the
-/// input gradient is computed.
-fn net_backward(
-    net: &Mlp,
-    trace: &MlpTrace,
-    grad_out: &Matrix,
-    sink: Option<&mut MlpGrads>,
-    ws: &mut Workspace,
-    dx: &mut Matrix,
-    wts: &[Matrix],
-) {
-    match sink {
-        Some(grads) => net.backward_with_wt(trace, grad_out, grads, ws, dx, wts),
-        None => net.backward_input_with_wt(trace, grad_out, ws, dx, wts),
-    }
-}
-
 /// Stacked backward pass for the forward recorded in `pass` (output gradient
 /// in `pass.dy`). With `grads` (prepared first) it is the training pass:
 /// parameter gradients accumulate there, and the input gradient, which
@@ -379,13 +361,12 @@ fn backward_stacked(
 
     // Readout.
     let mut d_read_in = pass.ws.take(b, n * e);
-    net_backward(
-        &nets.readout,
+    nets.readout.backward(
         &pass.t_read,
         &pass.dy,
         grads.as_deref_mut().map(|g| &mut g.readout),
         &mut pass.ws,
-        &mut d_read_in,
+        Some(&mut d_read_in),
         &wts.readout,
     );
     let mut d_e2 = pass.ws.take(n * b, e);
@@ -394,13 +375,12 @@ fn backward_stacked(
 
     // Step 2 backward.
     let mut d_gin2 = pass.ws.take(n * b, f + m);
-    net_backward(
-        &nets.gamma2,
+    nets.gamma2.backward(
         &pass.t_gamma2,
         &d_e2,
         grads.as_deref_mut().map(|g| &mut g.gamma2),
         &mut pass.ws,
-        &mut d_gin2,
+        Some(&mut d_gin2),
         &wts.gamma2,
     );
     pass.ws.give(d_e2);
@@ -412,26 +392,24 @@ fn backward_stacked(
     scatter_msg_grads(graph, b, f, &d_gin2, &mut d_phi2_out);
     pass.ws.give(d_gin2);
     let mut d_e1 = pass.ws.take(n * b, e);
-    net_backward(
-        &nets.phi2,
+    nets.phi2.backward(
         &pass.t_phi2,
         &d_phi2_out,
         grads.as_deref_mut().map(|g| &mut g.phi2),
         &mut pass.ws,
-        &mut d_e1,
+        Some(&mut d_e1),
         &wts.phi2,
     );
     pass.ws.give(d_phi2_out);
 
     // Step 1 backward.
     let mut d_gin1 = pass.ws.take(n * b, f + m);
-    net_backward(
-        &nets.gamma1,
+    nets.gamma1.backward(
         &pass.t_gamma1,
         &d_e1,
         grads.as_deref_mut().map(|g| &mut g.gamma1),
         &mut pass.ws,
-        &mut d_gin1,
+        Some(&mut d_gin1),
         &wts.gamma1,
     );
     pass.ws.give(d_e1);
@@ -442,29 +420,21 @@ fn backward_stacked(
     d_phi1_out.data_mut().fill(0.0);
     scatter_msg_grads(graph, b, f, &d_gin1, &mut d_phi1_out);
     pass.ws.give(d_gin1);
-    match grads {
-        // φ₁'s input is the raw features: training needs only its
-        // parameter gradients.
-        Some(g) => nets.phi1.backward_params_with_wt(
-            &pass.t_phi1,
-            &d_phi1_out,
-            &mut g.phi1,
-            &mut pass.ws,
-            &wts.phi1,
-        ),
-        None => {
-            let mut d_x_phi = pass.ws.take(n * b, f);
-            nets.phi1.backward_input_with_wt(
-                &pass.t_phi1,
-                &d_phi1_out,
-                &mut pass.ws,
-                &mut d_x_phi,
-                &wts.phi1,
-            );
-            pass.dx_stacked.add_assign(&d_x_phi);
-            pass.ws.give(d_x_phi);
-            unstack_nodes(&pass.dx_stacked, n, &mut pass.dx);
-        }
+    // φ₁'s input is the raw features: training needs only its parameter
+    // gradients, the solver only its input gradient.
+    let mut d_x_phi = input_grad.then(|| pass.ws.take(n * b, f));
+    nets.phi1.backward(
+        &pass.t_phi1,
+        &d_phi1_out,
+        grads.map(|g| &mut g.phi1),
+        &mut pass.ws,
+        d_x_phi.as_mut(),
+        &wts.phi1,
+    );
+    if let Some(d_x_phi) = d_x_phi {
+        pass.dx_stacked.add_assign(&d_x_phi);
+        pass.ws.give(d_x_phi);
+        unstack_nodes(&pass.dx_stacked, n, &mut pass.dx);
     }
     pass.ws.give(d_phi1_out);
 }
@@ -517,18 +487,6 @@ impl MicroserviceGnn {
         self.nets.gamma2.for_each_param_mut(&mut f);
         self.nets.readout.for_each_param_mut(&mut f);
     }
-
-    /// Backward through the retained eval trace, leaving `d pred / d x` in
-    /// `scratch.eval.dx`. Input gradient only: no parameter gradient is
-    /// computed, so the eval pass's sinks are never shaped or zeroed and
-    /// training state is untouched by construction.
-    fn backward_kept(&mut self, x: &Matrix) {
-        let sc = self.scratch.get_mut();
-        sc.eval.dy.reshape_zeroed(x.rows(), 1);
-        sc.eval.dy.data_mut().fill(1.0);
-        sc.wts.refresh(&self.nets);
-        backward_stacked(&self.nets, &self.graph, &self.cfg, &sc.wts, &mut sc.eval, None);
-    }
 }
 
 impl LatencyNet for MicroserviceGnn {
@@ -538,12 +496,6 @@ impl LatencyNet for MicroserviceGnn {
 
     fn feature_dim(&self) -> usize {
         self.cfg.feature_dim
-    }
-
-    fn predict(&self, x: &Matrix) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.predict_keep_into(x, &mut out);
-        out
     }
 
     fn train_step(
@@ -639,34 +591,8 @@ impl LatencyNet for MicroserviceGnn {
         total
     }
 
-    fn grad_input(&mut self, x: &Matrix) -> Matrix {
-        {
-            let sc = self.scratch.get_mut();
-            forward_stacked(
-                &self.nets,
-                &self.graph,
-                &self.cfg,
-                x,
-                0,
-                x.rows(),
-                &mut Mode::Eval,
-                &mut sc.eval,
-            );
-            sc.kept_rows = x.rows();
-        }
-        self.grad_from_kept(x)
-    }
-
     fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    fn grad_from_kept(&mut self, x: &Matrix) -> Matrix {
-        if self.scratch.get_mut().kept_rows != x.rows() {
-            return self.grad_input(x);
-        }
-        self.backward_kept(x);
-        self.scratch.get_mut().eval.dx.clone()
     }
 
     fn predict_keep_into(&self, x: &Matrix, out: &mut Vec<f64>) {
@@ -688,22 +614,17 @@ impl LatencyNet for MicroserviceGnn {
     }
 
     fn grad_from_kept_into(&mut self, x: &Matrix, dx: &mut Matrix) {
-        if self.scratch.get_mut().kept_rows != x.rows() {
-            let sc = self.scratch.get_mut();
-            forward_stacked(
-                &self.nets,
-                &self.graph,
-                &self.cfg,
-                x,
-                0,
-                x.rows(),
-                &mut Mode::Eval,
-                &mut sc.eval,
-            );
-            sc.kept_rows = x.rows();
-        }
-        self.backward_kept(x);
-        dx.copy_from(&self.scratch.get_mut().eval.dx);
+        let sc = self.scratch.get_mut();
+        let (b, f) = (sc.kept_rows, self.cfg.feature_dim);
+        // The kept batch, node-stacked: node `c / f`'s rows are contiguous.
+        assert_kept(b, x, |r, c| sc.eval.xs.get(c / f * b + r, c % f));
+        // Input gradient only: no parameter gradient is computed, so the
+        // eval pass's sinks are never shaped or zeroed.
+        sc.eval.dy.reshape_zeroed(b, 1);
+        sc.eval.dy.data_mut().fill(1.0);
+        sc.wts.refresh(&self.nets);
+        backward_stacked(&self.nets, &self.graph, &self.cfg, &sc.wts, &mut sc.eval, None);
+        dx.copy_from(&sc.eval.dx);
     }
 
     fn scratch_stats(&self) -> (u64, u64) {
@@ -733,7 +654,6 @@ impl LatencyNet for MicroserviceGnn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graf_nn::{Adam, AsymmetricHuber};
 
     fn chain_graph(n: usize) -> GraphSpec {
         let edges: Vec<(u16, u16)> = (0..n as u16 - 1).map(|i| (i, i + 1)).collect();
@@ -744,119 +664,107 @@ mod tests {
         GnnConfig { msg_dim: 6, embed_dim: 6, hidden: 8, readout_hidden: 16, ..Default::default() }
     }
 
+    /// The per-node formulation's forward state: each node's features, the
+    /// per-node traces of φ₁, γ₁, φ₂ and γ₂, the readout trace and the
+    /// predictions.
+    struct PerNode {
+        t_phi1: Vec<MlpTrace>,
+        t_gamma1: Vec<MlpTrace>,
+        t_phi2: Vec<MlpTrace>,
+        t_gamma2: Vec<MlpTrace>,
+        t_read: MlpTrace,
+        y: Matrix,
+    }
+
     /// The original per-node formulation, reimplemented over the same MLP
-    /// kernels: φ/γ applied once per node on `B × F` slices, messages summed
-    /// per node, readout on the horizontal concatenation. The stacked path
-    /// must reproduce it bit-for-bit.
-    fn per_node_forward(gnn: &MicroserviceGnn, x: &Matrix) -> (Matrix, Vec<f64>) {
-        let n = gnn.graph.num_nodes();
-        let f = gnn.cfg.feature_dim;
-        let xs: Vec<Matrix> = (0..n).map(|i| x.slice_cols(i * f, (i + 1) * f)).collect();
-        let batch = x.rows();
-        let mp = |phi: &Mlp, gamma: &Mlp, state: &[Matrix]| -> Vec<Matrix> {
-            let phi_out: Vec<Matrix> =
-                state.iter().map(|s| phi.forward(s, &mut Mode::Eval).0).collect();
-            (0..n)
+    /// kernels: φ/γ applied once per node on `B × F` column windows, messages
+    /// summed per node, readout on the horizontal concatenation. The stacked
+    /// path must reproduce it bit-for-bit.
+    fn per_node_forward(gnn: &MicroserviceGnn, x: &Matrix) -> PerNode {
+        let (n, f, m) = (gnn.graph.num_nodes(), gnn.cfg.feature_dim, gnn.cfg.msg_dim);
+        let mut xs = vec![Matrix::default(); n];
+        for (i, xi) in xs.iter_mut().enumerate() {
+            copy_cols_window(x, i * f, f, xi);
+        }
+        let apply = |net: &Mlp, input: &Matrix| {
+            let (mut out, mut trace) = (Matrix::default(), MlpTrace::default());
+            net.forward_into(input, &mut Mode::Eval, &mut trace, &mut out);
+            (out, trace)
+        };
+        // One message-passing step: φ on every node's state, messages summed
+        // over parents, γ on `[x_i ‖ msg_i]`.
+        let step = |phi: &Mlp, gamma: &Mlp, state: &[Matrix]| {
+            let (phi_out, t_phi): (Vec<Matrix>, Vec<MlpTrace>) =
+                state.iter().map(|s| apply(phi, s)).unzip();
+            let mut gin = Matrix::default();
+            let (out, t_gamma): (Vec<Matrix>, Vec<MlpTrace>) = (0..n)
                 .map(|i| {
-                    let mut msg = Matrix::zeros(batch, gnn.cfg.msg_dim);
+                    let mut msg = Matrix::zeros(x.rows(), m);
                     for &p in gnn.graph.parents(i) {
                         msg.add_assign(&phi_out[p as usize]);
                     }
-                    gamma.forward(&Matrix::hcat(&[&xs[i], &msg]), &mut Mode::Eval).0
+                    Matrix::hcat_into(&[&xs[i], &msg], &mut gin);
+                    apply(gamma, &gin)
                 })
-                .collect()
+                .unzip();
+            (out, t_phi, t_gamma)
         };
-        let e1 = mp(&gnn.nets.phi1, &gnn.nets.gamma1, &xs);
-        let e2 = mp(&gnn.nets.phi2, &gnn.nets.gamma2, &e1);
-        let flat: Vec<&Matrix> = e2.iter().collect();
-        let read_in = Matrix::hcat(&flat);
-        let (y, _) = gnn.nets.readout.forward(&read_in, &mut Mode::Eval);
-        let preds = y.data().to_vec();
-        (read_in, preds)
+        let (e1, t_phi1, t_gamma1) = step(&gnn.nets.phi1, &gnn.nets.gamma1, &xs);
+        let (e2, t_phi2, t_gamma2) = step(&gnn.nets.phi2, &gnn.nets.gamma2, &e1);
+        let mut read_in = Matrix::default();
+        Matrix::hcat_into(&e2.iter().collect::<Vec<_>>(), &mut read_in);
+        let (y, t_read) = apply(&gnn.nets.readout, &read_in);
+        PerNode { t_phi1, t_gamma1, t_phi2, t_gamma2, t_read, y }
     }
 
-    /// Per-node backward (the original node-loop), returning the input
-    /// gradient for `dy = 1`.
+    /// Per-node backward (the original node loop), returning the input
+    /// gradient for `dy = 1`. Every network application runs the full
+    /// `Mlp::backward`: parameter gradients into a sink as well as `dx`.
     fn per_node_grad_input(gnn: &MicroserviceGnn, x: &Matrix) -> Matrix {
-        let n = gnn.graph.num_nodes();
-        let f = gnn.cfg.feature_dim;
-        let e = gnn.cfg.embed_dim;
-        let m = gnn.cfg.msg_dim;
-        let batch = x.rows();
-        let mut nets = gnn.nets.clone();
-        let xs: Vec<Matrix> = (0..n).map(|i| x.slice_cols(i * f, (i + 1) * f)).collect();
-
-        // Forward with traces.
-        let mut phi1_out = Vec::new();
-        let mut phi1_t = Vec::new();
-        for s in &xs {
-            let (o, t) = nets.phi1.forward(s, &mut Mode::Eval);
-            phi1_out.push(o);
-            phi1_t.push(t);
+        let (n, f) = (gnn.graph.num_nodes(), gnn.cfg.feature_dim);
+        let (e, m, batch) = (gnn.cfg.embed_dim, gnn.cfg.msg_dim, x.rows());
+        let fwd = per_node_forward(gnn, x);
+        let back = |net: &Mlp, trace: &MlpTrace, grad_out: &Matrix| {
+            let (mut wts, mut grads, mut dx) = (Vec::new(), MlpGrads::default(), Matrix::default());
+            net.transpose_weights_into(&mut wts);
+            grads.prepare(net);
+            let ws = &mut Workspace::new();
+            net.backward(trace, grad_out, Some(&mut grads), ws, Some(&mut dx), &wts);
+            dx
+        };
+        // One message-passing step backward: γ per node, its feature columns
+        // into `dx` and its message columns into each parent's φ-output
+        // gradient, then φ per node.
+        let mut dx = vec![Matrix::zeros(batch, f); n];
+        let mut window = Matrix::default();
+        let mut step_back =
+            |phi: &Mlp, gamma: &Mlp, t_phi: &[MlpTrace], t_gamma: &[MlpTrace], d_out: &[Matrix]| {
+                let mut d_phi_out = vec![Matrix::zeros(batch, m); n];
+                for i in 0..n {
+                    let d_gin = back(gamma, &t_gamma[i], &d_out[i]);
+                    copy_cols_window(&d_gin, 0, f, &mut window);
+                    dx[i].add_assign(&window);
+                    copy_cols_window(&d_gin, f, m, &mut window);
+                    for &p in gnn.graph.parents(i) {
+                        d_phi_out[p as usize].add_assign(&window);
+                    }
+                }
+                (0..n).map(|j| back(phi, &t_phi[j], &d_phi_out[j])).collect::<Vec<_>>()
+            };
+        let nets = &gnn.nets;
+        let d_read_in = back(&nets.readout, &fwd.t_read, &Matrix::from_fn(batch, 1, |_, _| 1.0));
+        let mut d_e2 = vec![Matrix::default(); n];
+        for (i, d) in d_e2.iter_mut().enumerate() {
+            copy_cols_window(&d_read_in, i * e, e, d);
         }
-        let mut e1 = Vec::new();
-        let mut gamma1_t = Vec::new();
-        for (i, x) in xs.iter().enumerate() {
-            let mut msg = Matrix::zeros(batch, m);
-            for &p in gnn.graph.parents(i) {
-                msg.add_assign(&phi1_out[p as usize]);
-            }
-            let (o, t) = nets.gamma1.forward(&Matrix::hcat(&[x, &msg]), &mut Mode::Eval);
-            e1.push(o);
-            gamma1_t.push(t);
+        let d_e1 = step_back(&nets.phi2, &nets.gamma2, &fwd.t_phi2, &fwd.t_gamma2, &d_e2);
+        let d_x_phi1 = step_back(&nets.phi1, &nets.gamma1, &fwd.t_phi1, &fwd.t_gamma1, &d_e1);
+        for (d, g) in dx.iter_mut().zip(&d_x_phi1) {
+            d.add_assign(g);
         }
-        let mut phi2_out = Vec::new();
-        let mut phi2_t = Vec::new();
-        for s in &e1 {
-            let (o, t) = nets.phi2.forward(s, &mut Mode::Eval);
-            phi2_out.push(o);
-            phi2_t.push(t);
-        }
-        let mut e2 = Vec::new();
-        let mut gamma2_t = Vec::new();
-        for (i, x) in xs.iter().enumerate() {
-            let mut msg = Matrix::zeros(batch, m);
-            for &p in gnn.graph.parents(i) {
-                msg.add_assign(&phi2_out[p as usize]);
-            }
-            let (o, t) = nets.gamma2.forward(&Matrix::hcat(&[x, &msg]), &mut Mode::Eval);
-            e2.push(o);
-            gamma2_t.push(t);
-        }
-        let flat: Vec<&Matrix> = e2.iter().collect();
-        let (_, read_t) = nets.readout.forward(&Matrix::hcat(&flat), &mut Mode::Eval);
-
-        // Backward, mirroring the original node loops.
-        let ones = Matrix::from_fn(batch, 1, |_, _| 1.0);
-        let d_read_in = nets.readout.backward(&read_t, &ones);
-        let d_e2: Vec<Matrix> = (0..n).map(|i| d_read_in.slice_cols(i * e, (i + 1) * e)).collect();
-        let mut dx: Vec<Matrix> = (0..n).map(|_| Matrix::zeros(batch, f)).collect();
-        let mut d_phi2_out: Vec<Matrix> = (0..n).map(|_| Matrix::zeros(batch, m)).collect();
-        for i in 0..n {
-            let d_gin = nets.gamma2.backward(&gamma2_t[i], &d_e2[i]);
-            dx[i].add_assign(&d_gin.slice_cols(0, f));
-            let d_msg = d_gin.slice_cols(f, f + m);
-            for &p in gnn.graph.parents(i) {
-                d_phi2_out[p as usize].add_assign(&d_msg);
-            }
-        }
-        let d_e1: Vec<Matrix> =
-            (0..n).map(|j| nets.phi2.backward(&phi2_t[j], &d_phi2_out[j])).collect();
-        let mut d_phi1_out: Vec<Matrix> = (0..n).map(|_| Matrix::zeros(batch, m)).collect();
-        for i in 0..n {
-            let d_gin = nets.gamma1.backward(&gamma1_t[i], &d_e1[i]);
-            dx[i].add_assign(&d_gin.slice_cols(0, f));
-            let d_msg = d_gin.slice_cols(f, f + m);
-            for &p in gnn.graph.parents(i) {
-                d_phi1_out[p as usize].add_assign(&d_msg);
-            }
-        }
-        for j in 0..n {
-            let g = nets.phi1.backward(&phi1_t[j], &d_phi1_out[j]);
-            dx[j].add_assign(&g);
-        }
-        let refs: Vec<&Matrix> = dx.iter().collect();
-        Matrix::hcat(&refs)
+        let mut out = Matrix::default();
+        Matrix::hcat_into(&dx.iter().collect::<Vec<_>>(), &mut out);
+        out
     }
 
     #[test]
@@ -876,7 +784,7 @@ mod tests {
         let graph = GraphSpec::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]);
         let gnn = MicroserviceGnn::new(graph, small_cfg(), &mut rng);
         let x = Matrix::from_fn(7, 10, |r, c| 0.13 * (r as f64) - 0.07 * (c as f64) + 0.05);
-        let (_, reference) = per_node_forward(&gnn, &x);
+        let reference = per_node_forward(&gnn, &x).y.data().to_vec();
         let stacked = gnn.predict(&x);
         assert_eq!(stacked, reference, "stacked predictions are bit-identical");
     }
@@ -929,7 +837,7 @@ mod tests {
         // feature changes the output.
         let mut rng = DetRng::new(3);
         let gnn = MicroserviceGnn::new(chain_graph(2), small_cfg(), &mut rng);
-        let x0 = Matrix::from_vec(1, 4, vec![0.5, 0.5, 0.5, 0.5]);
+        let x0 = Matrix::row_vector(vec![0.5, 0.5, 0.5, 0.5]);
         let mut x1 = x0.clone();
         x1.set(0, 0, 0.9); // parent workload changes
         let y0 = gnn.predict(&x0)[0];
@@ -1036,7 +944,8 @@ mod tests {
         let x = Matrix::from_fn(1, 6, |_, c| 0.1 * (c as f64) + 0.05);
         let slow = gnn.grad_input(&x);
         let pred = gnn.predict(&x); // retains the trace
-        let fast = gnn.grad_from_kept(&x);
+        let mut fast = Matrix::default();
+        gnn.grad_from_kept_into(&x, &mut fast);
         assert_eq!(slow.data(), fast.data(), "kept-trace gradient matches the fresh one");
         assert_eq!(pred, gnn.predict(&x), "gradient extraction leaves predictions unchanged");
     }
@@ -1127,5 +1036,31 @@ mod tests {
             gnn.grad_from_kept_into(&x, &mut dx);
         }
         assert!(eval_sinks_unallocated(&mut gnn), "eval gradient sinks hold no allocation");
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a predict_keep_into of the same batch first")]
+    fn kept_gradient_after_a_training_step_panics() {
+        let mut rng = DetRng::new(100);
+        let mut gnn = MicroserviceGnn::new(chain_graph(3), small_cfg(), &mut rng);
+        let x = Matrix::from_fn(4, 6, |r, c| ((r + c) % 5) as f64 * 0.2);
+        let _ = gnn.predict(&x);
+        let (loss, mut opt) = (AsymmetricHuber::default(), Adam::new(1e-2));
+        gnn.train_step(&x, &[1.0; 4], &loss, &mut opt, &mut rng);
+        gnn.grad_from_kept_into(&x, &mut Matrix::default());
+    }
+
+    // The bit-for-bit batch check exists in debug builds only.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the kept forward read another batch")]
+    fn kept_gradient_of_another_row_panics() {
+        let mut rng = DetRng::new(101);
+        let mut gnn = MicroserviceGnn::new(chain_graph(3), small_cfg(), &mut rng);
+        let x = Matrix::from_fn(1, 6, |_, c| c as f64 * 0.1);
+        let _ = gnn.predict(&x);
+        let mut other = x.clone();
+        other.set(0, 5, 0.25);
+        gnn.grad_from_kept_into(&other, &mut Matrix::default());
     }
 }

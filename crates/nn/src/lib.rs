@@ -4,28 +4,27 @@
 //! PyTorch/torch-geometric stack (§4). It provides exactly what GRAF's
 //! latency prediction model and configuration solver need:
 //!
-//! * [`Matrix`] — a dense row-major `f64` matrix with the linear-algebra ops
-//!   the MLPs use,
+//! * [`Matrix`] — a dense row-major `f64` matrix whose ops all write in
+//!   place (the `*_into` / `*_acc` product and affine kernels),
 //! * [`Mlp`] — multi-layer perceptrons with ReLU activations and dropout,
-//!   implemented in a *stateless-trace* style: `forward` returns a
-//!   [`mlp::MlpTrace`] so the same network can be applied many times within
-//!   one computation graph (as message passing requires) and each application
-//!   back-propagated independently, with parameter gradients accumulating,
+//!   implemented in a *stateless-trace* style: [`Mlp::forward_into`] records
+//!   an [`mlp::MlpTrace`] so the same network can be applied many times
+//!   within one computation graph (as message passing requires) and each
+//!   application back-propagated independently by the one [`Mlp::backward`],
+//!   whose parameter gradients land in an external [`mlp::MlpGrads`] sink,
 //! * [`Adam`] — the Adam optimizer (Kingma & Ba), which the paper uses both
 //!   for training (§3.4) and for the configuration solver's gradient descent
-//!   over resources (§3.5),
+//!   over resources (§3.5), stepped as `begin_step` + one `update` per
+//!   parameter tensor,
 //! * [`loss`] — losses including the paper's asymmetric Hüber on percentage
 //!   error (eq. 4) with `θ_L = 0.1`, `θ_R = 0.3` (Table 1).
 //!
-//! Backward passes also expose gradients **with respect to inputs**, which is
+//! `Mlp::backward` also gives gradients **with respect to inputs**, which is
 //! the mechanism the configuration solver uses to differentiate predicted
-//! latency with respect to CPU quotas.
-//!
-//! The training/solver hot loops run on the allocation-free kernel layer:
-//! `Matrix`'s `*_into`/`*_acc` kernels, the [`Workspace`] scratch pool, and
-//! the [`mlp::MlpGrads`] external gradient sink (see `Mlp::forward_into` /
-//! `Mlp::backward_with`).
-//!
+//! latency with respect to CPU quotas. There is one path per operation:
+//! scratch comes from the [`Workspace`] pool and outputs are caller-owned,
+//! so the training and solver hot loops allocate nothing once warm.
+
 //! **Invariants.** Kernels are pure `f64` arithmetic in fixed iteration
 //! order — no threads, no randomness, no reordered reductions — so results
 //! are bit-identical across runs and machines with the same FP semantics.

@@ -1,9 +1,8 @@
 //! Dense row-major matrices.
 //!
-//! Besides the allocating convenience ops, this module provides the
-//! allocation-free `*_into` / `*_acc` kernels the training and solver hot
-//! loops run on, all built on one dispatching product core
-//! (`accumulate_matmul`):
+//! Every op is in place: the `*_into` / `*_acc` kernels the training and
+//! solver hot loops run on write into caller-owned matrices, and all the
+//! products are built on one dispatching core (`accumulate_matmul`):
 //!
 //! * **Wide outputs** (≥ `SKIP_MIN_WIDTH` columns, e.g. the 120-wide
 //!   readout layers): each `A` row is compacted branchlessly into its
@@ -24,9 +23,10 @@
 //! `Lhs`), and starts its accumulators from zero, from the output, or from
 //! a broadcast bias row (see `Start`), so no caller materialises a
 //! transpose or pre-fills its output. On top of the core sit
-//! [`Matrix::matmul_into`] / [`Matrix::matmul_acc`], the weight-gradient
-//! kernel [`Matrix::matmul_transa_acc`] (`out += Aᵀ·B`), and the affine
-//! layer kernels [`Matrix::affine_into`] / [`Matrix::affine_relu_into`].
+//! [`Matrix::matmul_into`] (`out = A·B`, the backward's `g·Wᵀ`), the
+//! weight-gradient kernel [`Matrix::matmul_transa_acc`] (`out += Aᵀ·B`),
+//! and the affine layer kernels [`Matrix::affine_into`] /
+//! [`Matrix::affine_relu_into`].
 //! All of them reshape their output in place with
 //! [`Matrix::reshape_for_overwrite`], which never refills the elements it
 //! keeps.
@@ -69,15 +69,6 @@ impl Matrix {
                 data.push(f(r, c));
             }
         }
-        Self { rows, cols, data }
-    }
-
-    /// Wraps a row-major data vector.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "shape mismatch");
         Self { rows, cols, data }
     }
 
@@ -171,14 +162,6 @@ impl Matrix {
         self.data.extend_from_slice(&src.data);
     }
 
-    /// Matrix product `self × rhs` (allocating convenience wrapper over
-    /// [`Matrix::matmul_into`]).
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.matmul_into(rhs, &mut out);
-        out
-    }
-
     /// Matrix product `out = self × rhs`, reshaping `out` in place.
     ///
     /// ikj kernel with a contiguous inner axpy over `rhs` rows; zero entries
@@ -198,27 +181,11 @@ impl Matrix {
         out.debug_assert_finite("matmul_into output");
     }
 
-    /// `out += self × rhs`, accumulating into an existing `rows × rhs.cols`
-    /// matrix (same kernel as [`Matrix::matmul_into`], no reshape).
-    pub fn matmul_acc(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
-        assert_eq!((out.rows, out.cols), (self.rows, rhs.cols), "matmul_acc output shape");
-        accumulate_matmul(
-            self.lhs(),
-            self.rows,
-            self.cols,
-            &rhs.data,
-            rhs.cols,
-            &mut out.data,
-            Start::Out,
-        );
-    }
-
     /// `out += selfᵀ × rhs`, accumulating into `out` (which must already be
     /// `self.cols × rhs.cols`) — the weight-gradient kernel `inputᵀ × grad`.
     ///
     /// The product core reads `self` transposed in place, so every element
-    /// gets exactly the `mul_add` chain [`Matrix::matmul_acc`] would give it
+    /// gets exactly the `mul_add` chain an accumulating product would give it
     /// on a materialised `selfᵀ`, without the transpose's extra pass.
     pub fn matmul_transa_acc(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, rhs.rows, "matmul_transa shape mismatch");
@@ -257,13 +224,6 @@ impl Matrix {
         }
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::default();
-        self.transpose_into(&mut out);
-        out
-    }
-
     /// Transpose into an existing matrix (reshaped in place).
     pub fn transpose_into(&self, out: &mut Matrix) {
         out.reshape_for_overwrite(self.cols, self.rows);
@@ -275,62 +235,12 @@ impl Matrix {
         }
     }
 
-    /// Element-wise map.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
-    }
-
-    /// Element-wise sum with another matrix of the same shape.
-    pub fn add(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "add shape mismatch");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&rhs.data).map(|(a, b)| a + b).collect(),
-        }
-    }
-
     /// In-place element-wise accumulate.
     pub fn add_assign(&mut self, rhs: &Matrix) {
         assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "add shape mismatch");
         for (a, b) in self.data.iter_mut().zip(&rhs.data) {
             *a += b;
         }
-    }
-
-    /// Element-wise Hadamard product.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "hadamard shape mismatch");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&rhs.data).map(|(a, b)| a * b).collect(),
-        }
-    }
-
-    /// Scalar multiple.
-    pub fn scale(&self, s: f64) -> Matrix {
-        self.map(|x| x * s)
-    }
-
-    /// Adds a `1 × cols` row vector to every row.
-    pub fn add_row_broadcast(&self, row: &Matrix) -> Matrix {
-        assert_eq!(row.rows, 1, "broadcast expects a row vector");
-        assert_eq!(row.cols, self.cols, "broadcast width mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (v, &b) in out.data[r * out.cols..(r + 1) * out.cols].iter_mut().zip(&row.data) {
-                *v += b;
-            }
-        }
-        out
-    }
-
-    /// Sums rows into a `1 × cols` vector (gradient of row broadcast).
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        self.sum_rows_acc(&mut out);
-        out
     }
 
     /// Accumulates the per-column row sums into an existing `1 × cols`
@@ -343,13 +253,6 @@ impl Matrix {
                 *v += x;
             }
         }
-    }
-
-    /// Horizontally concatenates matrices with equal row counts.
-    pub fn hcat(parts: &[&Matrix]) -> Matrix {
-        let mut out = Matrix::default();
-        Matrix::hcat_into(parts, &mut out);
-        out
     }
 
     /// Horizontal concatenation into an existing matrix (reshaped in place).
@@ -369,18 +272,6 @@ impl Matrix {
         }
     }
 
-    /// Extracts columns `[from, to)`.
-    pub fn slice_cols(&self, from: usize, to: usize) -> Matrix {
-        assert!(from <= to && to <= self.cols, "column slice out of range");
-        let w = to - from;
-        let mut out = Matrix::zeros(self.rows, w);
-        for r in 0..self.rows {
-            out.data[r * w..(r + 1) * w]
-                .copy_from_slice(&self.data[r * self.cols + from..r * self.cols + to]);
-        }
-        out
-    }
-
     /// Extracts rows `[from, to)` (one contiguous copy).
     pub fn slice_rows(&self, from: usize, to: usize) -> Matrix {
         assert!(from <= to && to <= self.rows, "row slice out of range");
@@ -389,11 +280,6 @@ impl Matrix {
             cols: self.cols,
             data: self.data[from * self.cols..to * self.cols].to_vec(),
         }
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// This matrix as the row-major `A` operand of a product.
@@ -740,9 +626,11 @@ mod tests {
 
     #[test]
     fn matmul_known_values() {
-        let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        let b = Matrix::from_vec(3, 2, vec![7., 8., 9., 10., 11., 12.]);
-        let c = a.matmul(&b);
+        let a = Matrix::from_fn(2, 3, |r, c| (r * 3 + c + 1) as f64);
+        let b = Matrix::from_fn(3, 2, |r, c| (r * 2 + c + 7) as f64);
+        let mut c = Matrix::zeros(5, 5);
+        a.matmul_into(&b, &mut c);
+        assert_eq!((c.rows(), c.cols()), (2, 2), "the output is reshaped in place");
         assert_eq!(c.data(), &[58., 64., 139., 154.]);
     }
 
@@ -750,7 +638,9 @@ mod tests {
     fn matmul_identity() {
         let a = Matrix::from_fn(3, 3, |r, c| (r * 3 + c) as f64);
         let i = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
-        assert_eq!(a.matmul(&i).data(), a.data());
+        let mut ai = Matrix::default();
+        a.matmul_into(&i, &mut ai);
+        assert_eq!(ai.data(), a.data());
     }
 
     #[test]
@@ -758,7 +648,7 @@ mod tests {
     fn matmul_shape_checked() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        a.matmul_into(&b, &mut Matrix::default());
     }
 
     #[test]
@@ -767,7 +657,8 @@ mod tests {
         for m in 1..=9 {
             let a = Matrix::from_fn(m, 5, |r, c| (r as f64 + 1.0) * 0.5 - c as f64 * 0.25);
             let b = Matrix::from_fn(5, 7, |r, c| (r * 7 + c) as f64 * 0.125 - 1.0);
-            let fast = a.matmul(&b);
+            let mut fast = Matrix::default();
+            a.matmul_into(&b, &mut fast);
             let slow = Matrix::from_fn(m, 7, |r, c| {
                 (0..5).map(|k| a.get(r, k) * b.get(k, c)).sum::<f64>()
             });
@@ -818,7 +709,10 @@ mod tests {
         let mut out = prior.clone();
         match (transposed, start) {
             (false, Start::Zero) => a.matmul_into(b, &mut out),
-            (false, Start::Out) => a.matmul_acc(b, &mut out),
+            (false, Start::Out) => {
+                let (m, kd, n) = (a.rows(), a.cols(), b.cols());
+                accumulate_matmul(a.lhs(), m, kd, b.data(), n, out.data_mut(), start);
+            }
             (false, Start::Bias(bias)) => {
                 a.affine_into(b, &Matrix::row_vector(bias.to_vec()), &mut out)
             }
@@ -864,7 +758,8 @@ mod tests {
                             ((r * 13 + k * 7) % 29) as f64 * 0.137 - 1.9
                         }
                     });
-                    let at = a.transpose();
+                    let mut at = Matrix::default();
+                    a.transpose_into(&mut at);
                     let b =
                         Matrix::from_fn(kd, n, |k, c| ((k * 31 + c * 17) % 23) as f64 / 7.0 - 1.3);
                     let prior =
@@ -891,10 +786,12 @@ mod tests {
         let b = Matrix::from_fn(4, 5, |r, c| (r as f64 - c as f64) * 0.5);
         let mut out = Matrix::from_fn(3, 5, |r, c| (r * 5 + c) as f64); // pre-seeded
         a.matmul_transa_acc(&b, &mut out);
-        let expect =
-            Matrix::from_fn(3, 5, |r, c| (r * 5 + c) as f64).add(&a.transpose().matmul(&b));
-        for i in 0..15 {
-            assert!((out.data()[i] - expect.data()[i]).abs() < 1e-12);
+        for r in 0..3 {
+            for c in 0..5 {
+                let atb: f64 = (0..4).map(|k| a.get(k, r) * b.get(k, c)).sum();
+                let expect = (r * 5 + c) as f64 + atb;
+                assert!((out.get(r, c) - expect).abs() < 1e-12);
+            }
         }
     }
 
@@ -905,9 +802,11 @@ mod tests {
         let bias = Matrix::row_vector(vec![0.1, -0.2, 0.3, -5.0]);
         let mut aff = Matrix::default();
         x.affine_into(&w, &bias, &mut aff);
-        let ref_aff = x.matmul(&w).add_row_broadcast(&bias);
-        for i in 0..24 {
-            assert!((aff.data()[i] - ref_aff.data()[i]).abs() < 1e-12);
+        for r in 0..6 {
+            for c in 0..4 {
+                let xw: f64 = (0..3).map(|k| x.get(r, k) * w.get(k, c)).sum();
+                assert!((aff.get(r, c) - (xw + bias.get(0, c))).abs() < 1e-12);
+            }
         }
         let mut relu = Matrix::default();
         x.affine_relu_into(&w, &bias, &mut relu);
@@ -938,47 +837,53 @@ mod tests {
     #[test]
     fn transpose_round_trip() {
         let a = Matrix::from_fn(2, 4, |r, c| (r * 10 + c) as f64);
-        assert_eq!(a.transpose().transpose().data(), a.data());
-        assert_eq!(a.transpose().get(3, 1), a.get(1, 3));
+        let (mut t, mut tt) = (Matrix::default(), Matrix::default());
+        a.transpose_into(&mut t);
+        t.transpose_into(&mut tt);
+        assert_eq!(tt.data(), a.data());
+        assert_eq!(t.get(3, 1), a.get(1, 3));
     }
 
     #[test]
     fn broadcast_and_sum_rows_are_adjoint() {
+        // The affine kernel broadcasts its bias over rows; the bias-gradient
+        // kernel sums rows back: with zero weights, `y = b` on every row and
+        // `Σ_r g_r` is the gradient of `Σ g·y` with respect to `b`.
         let x = Matrix::from_fn(3, 2, |r, c| (r + c) as f64);
         let b = Matrix::row_vector(vec![10.0, 20.0]);
-        let y = x.add_row_broadcast(&b);
-        assert_eq!(y.get(2, 1), 3.0 + 20.0);
-        let g = Matrix::from_fn(3, 2, |_, _| 1.0);
-        assert_eq!(g.sum_rows().data(), &[3.0, 3.0]);
+        let mut y = Matrix::default();
+        x.affine_into(&Matrix::zeros(2, 2), &b, &mut y);
+        assert_eq!(y.get(2, 1), 20.0);
+        let g = Matrix::from_fn(3, 2, |r, _| r as f64 + 1.0);
+        let mut db = Matrix::row_vector(vec![0.5, 0.0]);
+        g.sum_rows_acc(&mut db);
+        assert_eq!(db.data(), &[6.5, 6.0], "sum_rows_acc accumulates");
     }
 
     #[test]
     fn hcat_and_slice_cols_invert() {
         let a = Matrix::from_fn(2, 2, |r, c| (r * 2 + c) as f64);
         let b = Matrix::from_fn(2, 3, |r, c| 100.0 + (r * 3 + c) as f64);
-        let cat = Matrix::hcat(&[&a, &b]);
-        assert_eq!(cat.cols(), 5);
-        assert_eq!(cat.slice_cols(0, 2).data(), a.data());
-        assert_eq!(cat.slice_cols(2, 5).data(), b.data());
+        let mut cat = Matrix::zeros(7, 1);
+        Matrix::hcat_into(&[&a, &b], &mut cat);
+        assert_eq!((cat.rows(), cat.cols()), (2, 5));
+        for r in 0..2 {
+            assert_eq!(&cat.row(r)[..2], a.row(r));
+            assert_eq!(&cat.row(r)[2..], b.row(r));
+        }
     }
 
     #[test]
     fn elementwise_ops() {
-        let a = Matrix::from_vec(1, 3, vec![1., -2., 3.]);
-        let b = Matrix::from_vec(1, 3, vec![2., 2., 2.]);
-        assert_eq!(a.add(&b).data(), &[3., 0., 5.]);
-        assert_eq!(a.hadamard(&b).data(), &[2., -4., 6.]);
-        assert_eq!(a.scale(-1.0).data(), &[-1., 2., -3.]);
-        assert_eq!(a.map(f64::abs).data(), &[1., 2., 3.]);
+        let a = Matrix::row_vector(vec![1., -2., 3.]);
+        let b = Matrix::row_vector(vec![2., 2., 2.]);
         let mut c = a.clone();
         c.add_assign(&b);
         assert_eq!(c.data(), &[3., 0., 5.]);
-    }
-
-    #[test]
-    fn norm_is_frobenius() {
-        let a = Matrix::from_vec(1, 2, vec![3., 4.]);
-        assert!((a.norm() - 5.0).abs() < 1e-12);
+        let eye = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
+        let mut relu = Matrix::default();
+        a.affine_relu_into(&eye, &Matrix::row_vector(vec![-2.; 3]), &mut relu);
+        assert_eq!(relu.data(), &[0., 0., 1.], "affine_relu_into clamps at zero");
     }
 
     #[test]
@@ -986,8 +891,11 @@ mod tests {
         let a = Matrix::from_fn(2, 3, |r, c| (r as f64 + 1.0) * (c as f64 - 1.0));
         let b = Matrix::from_fn(3, 4, |r, c| (r * c) as f64 * 0.5 - 1.0);
         let c = Matrix::from_fn(4, 2, |r, c| 0.25 * (r + c) as f64);
-        let left = a.matmul(&b).matmul(&c);
-        let right = a.matmul(&b.matmul(&c));
+        let [mut ab, mut bc, mut left, mut right] = std::array::from_fn(|_| Matrix::default());
+        a.matmul_into(&b, &mut ab);
+        ab.matmul_into(&c, &mut left);
+        b.matmul_into(&c, &mut bc);
+        a.matmul_into(&bc, &mut right);
         for i in 0..left.rows() * left.cols() {
             assert!((left.data()[i] - right.data()[i]).abs() < 1e-10);
         }
@@ -998,8 +906,12 @@ mod tests {
         // (AB)^T = B^T A^T
         let a = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f64);
         let b = Matrix::from_fn(3, 2, |r, c| (r + 2 * c) as f64);
-        let lhs = a.matmul(&b).transpose();
-        let rhs = b.transpose().matmul(&a.transpose());
+        let [mut ab, mut lhs, mut at, mut bt, mut rhs] = std::array::from_fn(|_| Matrix::default());
+        a.matmul_into(&b, &mut ab);
+        ab.transpose_into(&mut lhs);
+        a.transpose_into(&mut at);
+        b.transpose_into(&mut bt);
+        bt.matmul_into(&at, &mut rhs);
         assert_eq!(lhs.data(), rhs.data());
     }
 

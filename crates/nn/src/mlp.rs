@@ -6,21 +6,21 @@
 //! passing shares φ/γ across nodes) and back-propagate each application,
 //! accumulating parameter gradients.
 //!
-//! The hot-loop entry points are the allocation-free pair
-//! [`Mlp::forward_into`] / [`Mlp::backward_with`]: the trace stores only the
-//! per-layer *inputs* (layer `i`'s post-activation output doubles as layer
-//! `i+1`'s input, and the ReLU gate is recovered from the sign of that
-//! output) plus the dropout masks, every buffer is reshaped in place, and
-//! gradients land in an external [`MlpGrads`] sink so the network itself can
-//! be shared immutably across training workers.
+//! Each operation has one entry point: [`Mlp::forward_into`] and
+//! [`Mlp::backward`]. The trace stores only the per-layer *inputs* (layer
+//! `i`'s post-activation output doubles as layer `i+1`'s input, and the ReLU
+//! gate is recovered from the sign of that output) plus the dropout masks,
+//! every buffer is reshaped in place, and gradients land in an external
+//! [`MlpGrads`] sink so the network itself can be shared immutably across
+//! training workers.
 //!
-//! Callers that need only the input gradient (the configuration solver's
-//! ∂prediction/∂quota) use the sink-less [`Mlp::backward_input_with_wt`]:
-//! the same backward loop with the parameter-gradient products skipped, so
-//! no sink is shaped or zeroed and `dx` is bit-identical to the full pass.
-//! Callers that need only the parameter gradients (training a network whose
-//! input is raw data) use [`Mlp::backward_params_with_wt`], which skips the
-//! first layer's `g·W₀ᵀ` product instead.
+//! `backward` computes what its caller asks for: with a sink, the parameter
+//! gradients; with a `dx`, the input gradient. The configuration solver's
+//! ∂prediction/∂quota passes no sink, so no parameter-gradient product runs
+//! and `dx` is bit-identical to the full pass's; a network whose input is
+//! raw data passes no `dx`, so the first layer's `g·W₀ᵀ` product is skipped.
+//! Every call reads the weight transposes from a cache filled by
+//! [`Mlp::transpose_weights_into`], refreshed once per parameter update.
 
 use graf_sim::rng::DetRng;
 
@@ -49,7 +49,14 @@ pub struct MlpTrace {
     dropout: Vec<Option<Matrix>>,
 }
 
-/// External gradient sink for [`Mlp::backward_with`].
+impl MlpTrace {
+    /// The batch the traced application read, or `None` before any forward.
+    pub fn input(&self) -> Option<&Matrix> {
+        self.inputs.first()
+    }
+}
+
+/// External gradient sink for [`Mlp::backward`].
 ///
 /// Keeping gradients out of the network lets several workers back-propagate
 /// through one shared `&Mlp` concurrently, each into its own `MlpGrads`,
@@ -61,13 +68,6 @@ pub struct MlpGrads {
 }
 
 impl MlpGrads {
-    /// Gradient buffers shaped for `mlp`, zero-filled.
-    pub fn zeroed_for(mlp: &Mlp) -> Self {
-        let mut g = Self::default();
-        g.prepare(mlp);
-        g
-    }
-
     /// Reshapes the buffers to match `mlp`'s parameters (reusing
     /// allocations) and zeroes every entry.
     pub fn prepare(&mut self, mlp: &Mlp) {
@@ -119,11 +119,6 @@ impl Mlp {
     /// Input width.
     pub fn input_dim(&self) -> usize {
         self.weights[0].value.rows()
-    }
-
-    /// Output width.
-    pub fn output_dim(&self) -> usize {
-        self.weights.last().expect("non-empty").value.cols()
     }
 
     /// Total scalar parameter count.
@@ -184,21 +179,9 @@ impl Mlp {
         trace.inputs[last].affine_into(&self.weights[last].value, &self.biases[last].value, out);
     }
 
-    /// Applies the network to a batch `x` (`B × input_dim`).
-    ///
-    /// Returns the output (`B × output_dim`) and the trace for `backward`.
-    /// Allocating convenience wrapper over [`Mlp::forward_into`].
-    pub fn forward(&self, x: &Matrix, mode: &mut Mode<'_>) -> (Matrix, MlpTrace) {
-        let mut trace = MlpTrace::default();
-        let mut out = Matrix::default();
-        self.forward_into(x, mode, &mut trace, &mut out);
-        (out, trace)
-    }
-
     /// Writes each layer's transposed weight matrix into `out` (reusing
-    /// allocations). Feed the result to [`Mlp::backward_with_wt`] to share
-    /// one set of transposes across every backward pass between two
-    /// parameter updates instead of re-materialising them per call.
+    /// allocations). [`Mlp::backward`] reads them, so one set of transposes
+    /// serves every backward pass between two parameter updates.
     pub fn transpose_weights_into(&self, out: &mut Vec<Matrix>) {
         out.resize_with(self.weights.len(), Matrix::default);
         for (t, p) in out.iter_mut().zip(&self.weights) {
@@ -207,84 +190,26 @@ impl Mlp {
     }
 
     /// Back-propagates `grad_out` (`B × output_dim`) through the traced
-    /// application without touching the network: parameter gradients
-    /// *accumulate* into `grads` (shape them with [`MlpGrads::prepare`]),
-    /// scratch comes from `ws`, and the input-batch gradient lands in `dx`.
-    /// Steady-state calls with a warm workspace do not allocate.
-    pub fn backward_with(
-        &self,
-        trace: &MlpTrace,
-        grad_out: &Matrix,
-        grads: &mut MlpGrads,
-        ws: &mut Workspace,
-        dx: &mut Matrix,
-    ) {
-        self.backward_impl(trace, grad_out, Some(grads), ws, Some(dx), None);
-    }
-
-    /// [`Mlp::backward_with`] with caller-provided weight transposes (from
-    /// [`Mlp::transpose_weights_into`]), for hot loops that run many backward
-    /// passes against frozen parameters.
-    pub fn backward_with_wt(
-        &self,
-        trace: &MlpTrace,
-        grad_out: &Matrix,
-        grads: &mut MlpGrads,
-        ws: &mut Workspace,
-        dx: &mut Matrix,
-        wts: &[Matrix],
-    ) {
-        assert_eq!(wts.len(), self.weights.len(), "transpose cache/network mismatch");
-        self.backward_impl(trace, grad_out, Some(grads), ws, Some(dx), Some(wts));
-    }
-
-    /// [`Mlp::backward_with_wt`] without the input-batch gradient: parameter
-    /// gradients accumulate into `grads` exactly as there, and the first
-    /// layer's `g·W₀ᵀ` product, which only `dx` reads, is skipped.
-    pub fn backward_params_with_wt(
-        &self,
-        trace: &MlpTrace,
-        grad_out: &Matrix,
-        grads: &mut MlpGrads,
-        ws: &mut Workspace,
-        wts: &[Matrix],
-    ) {
-        assert_eq!(wts.len(), self.weights.len(), "transpose cache/network mismatch");
-        self.backward_impl(trace, grad_out, Some(grads), ws, None, Some(wts));
-    }
-
-    /// [`Mlp::backward_with_wt`] without a gradient sink: only the
-    /// input-batch gradient `dx` is computed. The parameter-gradient
-    /// products (`xᵀ·g`, the input transposes they need, the bias row sums)
-    /// are skipped, and since `dx` never reads them it is bit-identical to
-    /// the full pass's. This is the solver's ∂prediction/∂input path.
-    pub fn backward_input_with_wt(
-        &self,
-        trace: &MlpTrace,
-        grad_out: &Matrix,
-        ws: &mut Workspace,
-        dx: &mut Matrix,
-        wts: &[Matrix],
-    ) {
-        assert_eq!(wts.len(), self.weights.len(), "transpose cache/network mismatch");
-        self.backward_impl(trace, grad_out, None, ws, Some(dx), Some(wts));
-    }
-
-    /// The one backward loop. With `grads == None` it runs the input
-    /// gradient chain alone (gating and `g·Wᵀ`), never the weight-gradient
-    /// products; with `dx == None` it stops after the first layer's
-    /// parameter gradients.
-    fn backward_impl(
+    /// application without touching the network. Parameter gradients
+    /// *accumulate* into `grads` when given (shape it with
+    /// [`MlpGrads::prepare`]); the input-batch gradient lands in `dx` when
+    /// given. Without `grads` only the input gradient chain runs (gating and
+    /// `g·Wᵀ`); without `dx` the first layer's `g·W₀ᵀ` is skipped. `wts` are
+    /// the weight transposes from [`Mlp::transpose_weights_into`] and scratch
+    /// comes from `ws`: steady-state calls with a warm workspace do not
+    /// allocate.
+    pub fn backward(
         &self,
         trace: &MlpTrace,
         grad_out: &Matrix,
         mut grads: Option<&mut MlpGrads>,
         ws: &mut Workspace,
         mut dx: Option<&mut Matrix>,
-        wts: Option<&[Matrix]>,
+        wts: &[Matrix],
     ) {
         let l = self.weights.len();
         assert_eq!(trace.inputs.len(), l, "trace/network mismatch");
+        assert_eq!(wts.len(), l, "transpose cache/network mismatch");
         if let Some(sink) = &grads {
             assert_eq!(sink.weights.len(), l, "grads/network mismatch");
         }
@@ -322,42 +247,16 @@ impl Mlp {
                 break;
             }
             // dx = g × Wᵀ — the gated `g` is far sparser than the weights.
-            let w = &self.weights[i].value;
-            let mut wt_scratch: Option<Matrix> = None;
-            let wt: &Matrix = match wts {
-                Some(ts) => &ts[i],
-                None => {
-                    let mut t = ws.take(w.cols(), w.rows());
-                    w.transpose_into(&mut t);
-                    &*wt_scratch.insert(t)
-                }
-            };
             if i > 0 {
-                let mut gp = ws.take(g.rows(), w.rows());
-                g.matmul_into(wt, &mut gp);
+                let mut gp = ws.take(g.rows(), wts[i].cols());
+                g.matmul_into(&wts[i], &mut gp);
                 std::mem::swap(&mut g, &mut gp);
                 ws.give(gp);
             } else if let Some(dx) = dx.as_deref_mut() {
-                g.matmul_into(wt, dx);
-            }
-            if let Some(t) = wt_scratch {
-                ws.give(t);
+                g.matmul_into(&wts[i], dx);
             }
         }
         ws.give(g);
-    }
-
-    /// Back-propagates `grad_out` through the traced application,
-    /// accumulating parameter gradients into the params and returning the
-    /// input-batch gradient (allocating wrapper over
-    /// [`Mlp::backward_with`]).
-    pub fn backward(&mut self, trace: &MlpTrace, grad_out: &Matrix) -> Matrix {
-        let mut grads = MlpGrads::zeroed_for(self);
-        let mut ws = Workspace::new();
-        let mut dx = Matrix::default();
-        self.backward_with(trace, grad_out, &mut grads, &mut ws, &mut dx);
-        self.accumulate_grads(&grads);
-        dx
     }
 
     /// Adds an external gradient sink into the params' own gradients (the
@@ -371,14 +270,9 @@ impl Mlp {
         }
     }
 
-    /// Mutable references to every parameter, for the optimizer.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.weights.iter_mut().chain(self.biases.iter_mut()).collect()
-    }
-
-    /// Visits every parameter (same order as [`Mlp::params_mut`]) without
-    /// collecting references into a `Vec` — the allocation-free path for
-    /// `Adam::begin_step` + `Adam::update` loops.
+    /// Visits every parameter mutably — each layer's weights in layer
+    /// order, then each layer's biases — for `Adam::begin_step` +
+    /// `Adam::update` loops.
     pub fn for_each_param_mut(&mut self, mut f: impl FnMut(&mut Param)) {
         for p in self.weights.iter_mut() {
             f(p);
@@ -388,7 +282,7 @@ impl Mlp {
         }
     }
 
-    /// Visits every parameter read-only, in [`Mlp::params_mut`] order.
+    /// Visits every parameter read-only, in [`Mlp::for_each_param_mut`] order.
     pub fn for_each_param(&self, mut f: impl FnMut(&Param)) {
         for p in self.weights.iter().chain(&self.biases) {
             f(p);
@@ -417,16 +311,27 @@ mod tests {
     use super::*;
     use crate::optim::Adam;
 
+    /// Sum of the eval-mode outputs: the scalar the gradient checks probe.
+    fn output_sum(mlp: &Mlp, x: &Matrix) -> f64 {
+        let mut out = Matrix::default();
+        mlp.forward_into(x, &mut Mode::Eval, &mut MlpTrace::default(), &mut out);
+        out.data().iter().sum()
+    }
+
     fn finite_diff_check(widths: &[usize], seed: u64) {
         let mut rng = DetRng::new(seed);
         let mlp = Mlp::new(widths, 0.0, &mut rng);
         let x = Matrix::from_fn(3, widths[0], |r, c| 0.3 * (r as f64) - 0.2 * (c as f64) + 0.1);
 
-        // Loss = sum of outputs; analytic input gradient via backward.
-        let (y, trace) = mlp.forward(&x, &mut Mode::Eval);
+        // Loss = sum of outputs; analytic gradients via backward.
+        let (mut trace, mut y) = (MlpTrace::default(), Matrix::default());
+        mlp.forward_into(&x, &mut Mode::Eval, &mut trace, &mut y);
         let ones = Matrix::from_fn(y.rows(), y.cols(), |_, _| 1.0);
-        let mut mlp_mut = mlp.clone();
-        let gx = mlp_mut.backward(&trace, &ones);
+        let (mut wts, mut grads, mut gx) = (Vec::new(), MlpGrads::default(), Matrix::default());
+        mlp.transpose_weights_into(&mut wts);
+        grads.prepare(&mlp);
+        let ws = &mut Workspace::new();
+        mlp.backward(&trace, &ones, Some(&mut grads), ws, Some(&mut gx), &wts);
 
         // Numeric gradient.
         let eps = 1e-6;
@@ -436,10 +341,7 @@ mod tests {
                 xp.set(r, c, x.get(r, c) + eps);
                 let mut xm = x.clone();
                 xm.set(r, c, x.get(r, c) - eps);
-                let (yp, _) = mlp.forward(&xp, &mut Mode::Eval);
-                let (ym, _) = mlp.forward(&xm, &mut Mode::Eval);
-                let num =
-                    (yp.data().iter().sum::<f64>() - ym.data().iter().sum::<f64>()) / (2.0 * eps);
+                let num = (output_sum(&mlp, &xp) - output_sum(&mlp, &xm)) / (2.0 * eps);
                 let ana = gx.get(r, c);
                 assert!(
                     (num - ana).abs() < 1e-5 * (1.0 + num.abs()),
@@ -449,20 +351,14 @@ mod tests {
         }
 
         // Parameter gradient check on the first weight.
-        let mut mlp2 = mlp.clone();
-        let (_, trace2) = mlp2.forward(&x, &mut Mode::Eval);
-        mlp2.backward(&trace2, &ones);
-        let ana_w = mlp2.weights[0].grad.clone();
         for (r, c) in [(0, 0), (widths[0] - 1, 0)] {
             let orig = mlp.weights[0].value.get(r, c);
             let mut mp = mlp.clone();
             mp.weights[0].value.set(r, c, orig + eps);
             let mut mm = mlp.clone();
             mm.weights[0].value.set(r, c, orig - eps);
-            let (yp, _) = mp.forward(&x, &mut Mode::Eval);
-            let (ym, _) = mm.forward(&x, &mut Mode::Eval);
-            let num = (yp.data().iter().sum::<f64>() - ym.data().iter().sum::<f64>()) / (2.0 * eps);
-            let ana = ana_w.get(r, c);
+            let num = (output_sum(&mp, &x) - output_sum(&mm, &x)) / (2.0 * eps);
+            let ana = grads.weights[0].get(r, c);
             assert!(
                 (num - ana).abs() < 1e-5 * (1.0 + num.abs()),
                 "weight grad mismatch at ({r},{c}): {num} vs {ana}"
@@ -484,21 +380,24 @@ mod tests {
         let mut drop_rng = DetRng::new(1);
         let mut trace = MlpTrace::default();
         let mut out = Matrix::default();
-        let mut grads = MlpGrads::zeroed_for(&mlp);
+        let mut grads = MlpGrads::default();
         let mut ws = Workspace::new();
         let mut dx = Matrix::default();
+        let mut wts = Vec::new();
+        mlp.transpose_weights_into(&mut wts);
         let dy = Matrix::from_fn(8, 1, |_, _| 1.0);
-        // Warm up, then confirm the workspace serves takes from its pool.
-        for _ in 0..3 {
+        let mut step = |ws: &mut Workspace| {
             mlp.forward_into(&x, &mut Mode::Train(&mut drop_rng), &mut trace, &mut out);
             grads.prepare(&mlp);
-            mlp.backward_with(&trace, &dy, &mut grads, &mut ws, &mut dx);
+            mlp.backward(&trace, &dy, Some(&mut grads), ws, Some(&mut dx), &wts);
+        };
+        // Warm up, then confirm the workspace serves takes from its pool.
+        for _ in 0..3 {
+            step(&mut ws);
         }
         let (_, allocated_warm) = ws.stats();
         for _ in 0..5 {
-            mlp.forward_into(&x, &mut Mode::Train(&mut drop_rng), &mut trace, &mut out);
-            grads.prepare(&mlp);
-            mlp.backward_with(&trace, &dy, &mut grads, &mut ws, &mut dx);
+            step(&mut ws);
         }
         let (reused, allocated) = ws.stats();
         assert_eq!(allocated, allocated_warm, "steady state never allocates scratch");
@@ -506,21 +405,28 @@ mod tests {
     }
 
     #[test]
-    fn backward_with_matches_backward() {
+    fn partial_backward_matches_the_full_backward() {
+        // Dropping the sink or `dx` skips work, never changes what is kept.
         let mut rng = DetRng::new(13);
-        let mut mlp = Mlp::new(&[3, 12, 12, 2], 0.0, &mut rng);
+        let mlp = Mlp::new(&[3, 12, 12, 2], 0.0, &mut rng);
         let x = Matrix::from_fn(5, 3, |r, c| (r as f64 - 2.0) * 0.3 + c as f64 * 0.1);
         let dy = Matrix::from_fn(5, 2, |r, c| if (r + c) % 2 == 0 { 1.0 } else { -0.5 });
-        let (_, trace) = mlp.forward(&x, &mut Mode::Eval);
-        let dx_old = mlp.backward(&trace, &dy);
-        let expected: Vec<Matrix> = mlp.weights.iter().map(|p| p.grad.clone()).collect();
-        let mut grads = MlpGrads::zeroed_for(&mlp);
-        let mut ws = Workspace::new();
-        let mut dx_new = Matrix::default();
-        mlp.backward_with(&trace, &dy, &mut grads, &mut ws, &mut dx_new);
-        assert_eq!(dx_old.data(), dx_new.data(), "input gradients bit-identical");
-        for (e, g) in expected.iter().zip(&grads.weights) {
-            assert_eq!(e.data(), g.data(), "weight gradients bit-identical");
+        let (mut trace, mut y) = (MlpTrace::default(), Matrix::default());
+        mlp.forward_into(&x, &mut Mode::Eval, &mut trace, &mut y);
+        let mut wts = Vec::new();
+        mlp.transpose_weights_into(&mut wts);
+        let ws = &mut Workspace::new();
+        let (mut full, mut params_only) = (MlpGrads::default(), MlpGrads::default());
+        full.prepare(&mlp);
+        params_only.prepare(&mlp);
+        let (mut full_dx, mut input_only_dx) = (Matrix::default(), Matrix::default());
+        mlp.backward(&trace, &dy, Some(&mut full), ws, Some(&mut full_dx), &wts);
+        mlp.backward(&trace, &dy, None, ws, Some(&mut input_only_dx), &wts);
+        mlp.backward(&trace, &dy, Some(&mut params_only), ws, None, &wts);
+        assert_eq!(input_only_dx.data(), full_dx.data(), "input gradients bit-identical");
+        let pairs = full.weights.iter().zip(&params_only.weights);
+        for (e, g) in pairs.chain(full.biases.iter().zip(&params_only.biases)) {
+            assert_eq!(e.data(), g.data(), "parameter gradients bit-identical");
         }
     }
 
@@ -539,13 +445,22 @@ mod tests {
             }
         });
         let ys = Matrix::from_fn(64, 1, |r, _| 3.0 * xs.get(r, 0) - 2.0 * xs.get(r, 1) + 1.0);
+        let (mut trace, mut pred, mut dy) = (MlpTrace::default(), Matrix::default(), ys.clone());
+        let (mut wts, mut grads, ws) = (Vec::new(), MlpGrads::default(), &mut Workspace::new());
         let mut last_loss = f64::INFINITY;
         for _ in 0..800 {
-            let (pred, trace) = mlp.forward(&xs, &mut Mode::Eval);
-            let diff = pred.add(&ys.scale(-1.0));
-            last_loss = diff.norm().powi(2) / 64.0;
-            mlp.backward(&trace, &diff.scale(2.0 / 64.0));
-            opt.step(&mut mlp.params_mut());
+            mlp.forward_into(&xs, &mut Mode::Eval, &mut trace, &mut pred);
+            last_loss = 0.0;
+            for ((g, &p), &y) in dy.data_mut().iter_mut().zip(pred.data()).zip(ys.data()) {
+                last_loss += (p - y) * (p - y) / 64.0;
+                *g = (p - y) * 2.0 / 64.0;
+            }
+            mlp.transpose_weights_into(&mut wts);
+            grads.prepare(&mlp);
+            mlp.backward(&trace, &dy, Some(&mut grads), ws, None, &wts);
+            mlp.accumulate_grads(&grads);
+            opt.begin_step();
+            mlp.for_each_param_mut(|p| opt.update(p));
         }
         assert!(last_loss < 1e-3, "loss {last_loss}");
     }
@@ -556,9 +471,11 @@ mod tests {
         let mlp = Mlp::new(&[4, 64, 1], 0.5, &mut rng);
         let x = Matrix::from_fn(1, 4, |_, c| c as f64 + 1.0);
         let mut drop_rng = DetRng::new(9);
-        let (y1, _) = mlp.forward(&x, &mut Mode::Train(&mut drop_rng));
-        let (y2, _) = mlp.forward(&x, &mut Mode::Eval);
-        let (y3, _) = mlp.forward(&x, &mut Mode::Eval);
+        let trace = &mut MlpTrace::default();
+        let [mut y1, mut y2, mut y3] = std::array::from_fn(|_| Matrix::default());
+        mlp.forward_into(&x, &mut Mode::Train(&mut drop_rng), trace, &mut y1);
+        mlp.forward_into(&x, &mut Mode::Eval, trace, &mut y2);
+        mlp.forward_into(&x, &mut Mode::Eval, trace, &mut y3);
         assert_eq!(y2.data(), y3.data(), "eval is deterministic");
         assert_ne!(y1.data(), y2.data(), "dropout perturbs training output");
     }
@@ -568,11 +485,13 @@ mod tests {
         let mut rng = DetRng::new(10);
         let mlp = Mlp::new(&[3, 20, 20, 1], 0.25, &mut rng);
         assert_eq!(mlp.input_dim(), 3);
-        assert_eq!(mlp.output_dim(), 1);
         assert_eq!(mlp.num_params(), 3 * 20 + 20 + 20 * 20 + 20 + 20 + 1);
         let x = Matrix::zeros(5, 3);
-        let (y, _) = mlp.forward(&x, &mut Mode::Eval);
+        let (mut trace, mut y) = (MlpTrace::default(), Matrix::default());
+        assert!(trace.input().is_none(), "no batch before a forward");
+        mlp.forward_into(&x, &mut Mode::Eval, &mut trace, &mut y);
         assert_eq!((y.rows(), y.cols()), (5, 1));
+        assert_eq!(trace.input().map(Matrix::data), Some(x.data()), "the trace keeps its batch");
     }
 
     #[test]
@@ -581,6 +500,6 @@ mod tests {
         let mut rng = DetRng::new(11);
         let mlp = Mlp::new(&[3, 4, 1], 0.0, &mut rng);
         let x = Matrix::zeros(1, 5);
-        let _ = mlp.forward(&x, &mut Mode::Eval);
+        mlp.forward_into(&x, &mut Mode::Eval, &mut MlpTrace::default(), &mut Matrix::default());
     }
 }

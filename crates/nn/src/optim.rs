@@ -28,11 +28,9 @@ impl Adam {
     }
 
     /// Opens optimizer step `t + 1`: advances time and caches the bias
-    /// corrections. Follow with one [`Adam::update`] per parameter tensor.
-    ///
-    /// The split exists so callers holding parameters spread across several
-    /// networks can step them without first collecting `&mut Param`s into a
-    /// temporary `Vec` — the allocation-free training path.
+    /// corrections. Follow with one [`Adam::update`] per parameter tensor —
+    /// callers holding parameters spread across several networks step them
+    /// in place, with no `Vec` of `&mut Param`s.
     pub fn begin_step(&mut self) {
         self.t += 1;
         self.bc1 = 1.0 - self.beta1.powi(self.t as i32);
@@ -74,26 +72,20 @@ impl Adam {
         let vhat = *v / self.bc2;
         -self.lr * mhat / (vhat.sqrt() + self.eps)
     }
-
-    /// Steps every parameter against its accumulated gradient, then zeroes
-    /// the gradients ([`Adam::begin_step`] + [`Adam::update`] fused).
-    pub fn step(&mut self, params: &mut [&mut Param]) {
-        self.begin_step();
-        for p in params.iter_mut() {
-            self.update(p);
-        }
-    }
-
-    /// Steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
+
+    /// One optimizer step over `params`.
+    fn step(opt: &mut Adam, params: &mut [&mut Param]) {
+        opt.begin_step();
+        for p in params.iter_mut() {
+            opt.update(p);
+        }
+    }
 
     /// Minimizes f(x) = (x - 3)² from x = 0; Adam must converge to 3.
     #[test]
@@ -103,24 +95,23 @@ mod tests {
         for _ in 0..500 {
             let x = p.value.get(0, 0);
             p.grad.set(0, 0, 2.0 * (x - 3.0));
-            opt.step(&mut [&mut p]);
+            step(&mut opt, &mut [&mut p]);
         }
         let x = p.value.get(0, 0);
         assert!((x - 3.0).abs() < 1e-3, "x={x}");
-        assert_eq!(opt.steps(), 500);
     }
 
     /// Rosenbrock-ish 2-parameter test: both coordinates move.
     #[test]
     fn adam_handles_multiple_params() {
-        let mut a = Param::new(Matrix::from_vec(1, 1, vec![5.0]));
-        let mut b = Param::new(Matrix::from_vec(1, 1, vec![-5.0]));
+        let mut a = Param::new(Matrix::row_vector(vec![5.0]));
+        let mut b = Param::new(Matrix::row_vector(vec![-5.0]));
         let mut opt = Adam::new(0.2);
         for _ in 0..800 {
             let (x, y) = (a.value.get(0, 0), b.value.get(0, 0));
             a.grad.set(0, 0, 2.0 * x);
             b.grad.set(0, 0, 2.0 * (y - 1.0));
-            opt.step(&mut [&mut a, &mut b]);
+            step(&mut opt, &mut [&mut a, &mut b]);
         }
         assert!(a.value.get(0, 0).abs() < 1e-2);
         assert!((b.value.get(0, 0) - 1.0).abs() < 1e-2);
@@ -133,7 +124,7 @@ mod tests {
         for &g in &[1e-4, 1.0, 1e4] {
             let mut p = Param::new(Matrix::zeros(1, 1));
             p.grad.set(0, 0, g);
-            Adam::new(0.05).step(&mut [&mut p]);
+            step(&mut Adam::new(0.05), &mut [&mut p]);
             let moved = -p.value.get(0, 0);
             assert!((moved - 0.05).abs() < 1e-3, "grad {g}: first Adam step ≈ lr, moved {moved}");
         }
@@ -143,7 +134,7 @@ mod tests {
     fn step_zeroes_gradients() {
         let mut p = Param::new(Matrix::zeros(1, 1));
         p.grad.set(0, 0, 1.0);
-        Adam::new(0.01).step(&mut [&mut p]);
+        step(&mut Adam::new(0.01), &mut [&mut p]);
         assert_eq!(p.grad.get(0, 0), 0.0);
     }
 }

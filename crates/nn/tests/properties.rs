@@ -2,11 +2,18 @@
 //! seeded random inputs (case `i` draws from `DetRng::new(i)`, so a failure
 //! names the seed that reproduces it).
 
-use graf_nn::{AsymmetricHuber, Matrix, Mlp, Mode};
+use graf_nn::{AsymmetricHuber, Matrix, Mlp, MlpTrace, Mode, Workspace};
 use graf_sim::rng::DetRng;
 
 /// Seeded cases per property.
 const CASES: u64 = 24;
+
+/// Sum of the eval-mode outputs: the scalar the gradient check probes.
+fn output_sum(mlp: &Mlp, x: &Matrix) -> f64 {
+    let mut out = Matrix::default();
+    mlp.forward_into(x, &mut Mode::Eval, &mut MlpTrace::default(), &mut out);
+    out.data().iter().sum()
+}
 
 /// Input gradients of a randomly shaped/initialized MLP match central
 /// finite differences.
@@ -23,10 +30,13 @@ fn mlp_input_gradients_match_fd() {
         let mut data_rng = DetRng::new(seed ^ 0xF00);
         let x = Matrix::from_fn(rows, input_dim, |_, _| data_rng.uniform(-1.0, 1.0));
 
-        let (y, trace) = mlp.forward(&x, &mut Mode::Eval);
+        let (mut trace, mut y) = (MlpTrace::default(), Matrix::default());
+        mlp.forward_into(&x, &mut Mode::Eval, &mut trace, &mut y);
         let ones = Matrix::from_fn(y.rows(), y.cols(), |_, _| 1.0);
-        let mut m = mlp.clone();
-        let gx = m.backward(&trace, &ones);
+        let mut wts = Vec::new();
+        mlp.transpose_weights_into(&mut wts);
+        let mut gx = Matrix::default();
+        mlp.backward(&trace, &ones, None, &mut Workspace::new(), Some(&mut gx), &wts);
 
         let eps = 1e-6;
         for r in 0..rows {
@@ -35,10 +45,7 @@ fn mlp_input_gradients_match_fd() {
                 xp.set(r, c, x.get(r, c) + eps);
                 let mut xm = x.clone();
                 xm.set(r, c, x.get(r, c) - eps);
-                let (yp, _) = mlp.forward(&xp, &mut Mode::Eval);
-                let (ym, _) = mlp.forward(&xm, &mut Mode::Eval);
-                let num =
-                    (yp.data().iter().sum::<f64>() - ym.data().iter().sum::<f64>()) / (2.0 * eps);
+                let num = (output_sum(&mlp, &xp) - output_sum(&mlp, &xm)) / (2.0 * eps);
                 let ana = gx.get(r, c);
                 // ReLU kinks can land on the FD stencil; allow a loose bound.
                 assert!(
@@ -102,10 +109,12 @@ fn dropout_shape_and_determinism() {
         let mlp = Mlp::new(&[3, 16, 2], 0.5, &mut rng);
         let x = Matrix::from_fn(rows, 3, |r, c| (r + c) as f64 * 0.1);
         let mut drop_rng = DetRng::new(seed ^ 1);
-        let (y_train, _) = mlp.forward(&x, &mut Mode::Train(&mut drop_rng));
+        let trace = &mut MlpTrace::default();
+        let [mut y_train, mut a, mut b] = std::array::from_fn(|_| Matrix::default());
+        mlp.forward_into(&x, &mut Mode::Train(&mut drop_rng), trace, &mut y_train);
         assert_eq!((y_train.rows(), y_train.cols()), (rows, 2), "case {case}");
-        let (a, _) = mlp.forward(&x, &mut Mode::Eval);
-        let (b, _) = mlp.forward(&x, &mut Mode::Eval);
+        mlp.forward_into(&x, &mut Mode::Eval, trace, &mut a);
+        mlp.forward_into(&x, &mut Mode::Eval, trace, &mut b);
         assert_eq!(a.data(), b.data(), "case {case}");
     }
 }

@@ -48,15 +48,17 @@ fn mlp_train_step_is_allocation_free_in_steady_state() {
 
     let mut trace = MlpTrace::default();
     let mut out = Matrix::default();
-    let mut grads = MlpGrads::zeroed_for(&mlp);
+    let mut grads = MlpGrads::default();
     let mut ws = Workspace::new();
     let mut dx = Matrix::default();
+    let mut wts = Vec::new();
     let mut opt = Adam::new(1e-3);
 
     let mut step = |mlp: &mut Mlp, opt: &mut Adam, rng: &mut DetRng| {
         grads.prepare(mlp);
+        mlp.transpose_weights_into(&mut wts);
         mlp.forward_into(&x, &mut Mode::Train(rng), &mut trace, &mut out);
-        mlp.backward_with(&trace, &grad_out, &mut grads, &mut ws, &mut dx);
+        mlp.backward(&trace, &grad_out, Some(&mut grads), &mut ws, Some(&mut dx), &wts);
         mlp.accumulate_grads(&grads);
         opt.begin_step();
         mlp.for_each_param_mut(|p| opt.update(p));

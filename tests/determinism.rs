@@ -125,7 +125,8 @@ fn parallel_training_matches_serial_bit_for_bit() {
         let w = [60.0, 60.0, 60.0];
         let q = [700.0, 900.0, 800.0];
         let preds = vec![model.predict_ms(&w, &q), model.predict_ms(&[90.0; 3], &[500.0; 3])];
-        let grads = model.grad_quota(&w, &q);
+        let mut grads = Vec::new();
+        model.predict_ms_with_grad(&w, &q, f64::NEG_INFINITY, &mut grads);
         (report, preds, grads)
     }
 
