@@ -10,7 +10,7 @@
 use std::io::{self, Write};
 
 use graf_apps::online_boutique;
-use graf_core::{AnomalyGuard, AnomalyGuardConfig};
+use graf_core::AnomalyGuard;
 use graf_loadgen::OpenLoop;
 use graf_orchestrator::{Autoscaler, Cluster};
 use graf_sim::time::SimTime;
@@ -65,8 +65,7 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
     let (p99_plain, viol_plain, inst_plain) = contended(&setup, &mut plain, cx.args.seed);
 
     let guarded_inner = cx.controller(&graf, setup.slo_ms);
-    let mut guarded =
-        AnomalyGuard::new(guarded_inner, setup.topo.num_services(), AnomalyGuardConfig::default());
+    let mut guarded = AnomalyGuard::new(guarded_inner, setup.topo.num_services());
     let (p99_guard, viol_guard, inst_guard) = contended(&setup, &mut guarded, cx.args.seed);
 
     writeln!(

@@ -30,13 +30,13 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
     let mut ctrl = cx.controller(&graf, setup.slo_ms);
     for mult in [0.5, 0.75, 1.0] {
         let rates: Vec<f64> = setup.probe_qps.iter().map(|q| q * mult).collect();
-        let (quotas, res, workloads, _s) = ctrl.plan_detailed(&rates);
+        let plan = ctrl.plan_outcome(&rates, None);
         let ceil_counts: Vec<usize> =
-            quotas.iter().map(|q| (q / unit).ceil().max(1.0) as usize).collect();
+            plan.quotas_mc.iter().map(|q| (q / unit).ceil().max(1.0) as usize).collect();
         let (refined, _pred) = integer_refine(
             &graf.model,
-            &workloads,
-            &res.quotas_mc,
+            &plan.workloads,
+            &plan.solve.quotas_mc,
             &graf.bounds,
             unit,
             setup.slo_ms,

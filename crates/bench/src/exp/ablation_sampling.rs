@@ -10,7 +10,7 @@
 
 use std::io::{self, Write};
 
-use graf_core::sample_collector::{Bounds, Sample, SampleCollector};
+use graf_core::sample_collector::{Bounds, Sample, SampleCollector, MIN_QUOTA_MC};
 use graf_core::{FeatureScaler, LatencyModel, NetKind, TrainConfig};
 
 use super::Ctx;
@@ -60,13 +60,13 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
     writeln!(
         cx.out,
         "reduced box volume: {:.2e}× the original",
-        bounds.volume_reduction(cfg.min_quota_mc, cfg.abundant_quota_mc)
+        bounds.volume_reduction(MIN_QUOTA_MC, cfg.abundant_quota_mc)
     )?;
     let smart = collector.collect(&bounds, &analyzer, budget);
 
     // Naive: same budget, quotas uniform over the full original range.
     let naive_bounds =
-        Bounds { lower: vec![cfg.min_quota_mc; n], upper: vec![cfg.abundant_quota_mc; n] };
+        Bounds { lower: vec![MIN_QUOTA_MC; n], upper: vec![cfg.abundant_quota_mc; n] };
     let naive = collector.collect(&naive_bounds, &analyzer, budget);
 
     // Held-out evaluation set: fresh samples inside the operating box (where

@@ -21,12 +21,13 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
     writeln!(cx.out, "training GRAF...")?;
     let graf = cx.graf(&setup);
     let mut ctrl = cx.controller(&graf, setup.slo_ms);
-    let (solved, res) = ctrl.plan(&setup.probe_qps);
+    let plan = ctrl.plan_outcome(&setup.probe_qps, None);
+    let solved = plan.quotas_mc;
     writeln!(
         cx.out,
         "solved configuration: {:?} (predicted {:.1} ms)",
         solved.iter().map(|v| v.round()).collect::<Vec<_>>(),
-        res.predicted_ms
+        plan.solve.predicted_ms
     )?;
 
     let workloads = graf.analyzer.service_workloads(&setup.probe_qps);
@@ -50,7 +51,7 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
             let mut quotas = solved.clone();
             quotas[a] = qa;
             quotas[b] = qb;
-            let loss = loss_at(&graf.model, &workloads, &quotas, setup.slo_ms, 40.0);
+            let loss = loss_at(&graf.model, &workloads, &quotas, setup.slo_ms);
             write!(cx.out, ",{loss:.2}")?;
         }
         writeln!(cx.out)?;

@@ -6,13 +6,15 @@
 
 use std::io::{self, Write};
 
+use graf_core::sample_collector::MIN_QUOTA_MC;
+
 use super::Ctx;
 use crate::standard::{boutique_setup, social_setup, AppSetup};
 
 fn evaluate(cx: &mut Ctx, setup: &AppSetup) -> io::Result<()> {
     writeln!(cx.out, "\n## {}", setup.topo.name)?;
     let collector = cx.collector(setup);
-    let (min_q, max_q) = (collector.config().min_quota_mc, collector.config().abundant_quota_mc);
+    let (min_q, max_q) = (MIN_QUOTA_MC, collector.config().abundant_quota_mc);
     let bounds = collector.reduce_search_space();
     writeln!(
         cx.out,

@@ -34,9 +34,9 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
         let mut ctrl = cx.controller(&graf, slo);
         for mult in [0.6, 0.8, 1.0] {
             let rates: Vec<f64> = setup.probe_qps.iter().map(|q| q * mult).collect();
-            let (quotas, solve) = ctrl.plan(&rates);
+            let plan = ctrl.plan_outcome(&rates, None);
             let (out, _) = validator.measure(
-                &quotas,
+                &plan.quotas_mc,
                 &rates,
                 cx.args.seed ^ (slo as u64) << 4 ^ (mult * 10.0) as u64,
                 false,
@@ -48,8 +48,8 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
             writeln!(
                 cx.out,
                 "{slo:.0},{mult:.1},{:.0},{:.1},{measured:.1},{}",
-                quotas.iter().sum::<f64>(),
-                solve.predicted_ms,
+                plan.quotas_mc.iter().sum::<f64>(),
+                plan.solve.predicted_ms,
                 ok as u8
             )?;
         }

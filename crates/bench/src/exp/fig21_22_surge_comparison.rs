@@ -70,7 +70,6 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
 
         let mut firm = FirmLike {
             latency_ceiling: SimDuration::from_millis(setup.slo_ms * 1.5),
-            ..FirmLike::default()
         };
         results.push(("FIRM-like", surge(cx, &mut firm, unit, before, after)));
 

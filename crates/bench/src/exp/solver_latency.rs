@@ -31,7 +31,7 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
         let mult = rng.uniform(0.3, 1.5);
         let rates: Vec<f64> = setup.probe_qps.iter().map(|q| q * mult).collect();
         let t0 = Instant::now();
-        let (_, res) = ctrl.plan(&rates);
+        let res = ctrl.plan_outcome(&rates, None).solve;
         wall.record(t0.elapsed().as_secs_f64() * 1000.0);
         iters.record(res.iterations as f64);
     }

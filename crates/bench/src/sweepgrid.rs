@@ -210,10 +210,7 @@ pub fn run_cell(cx: &Ctx, cell: &Cell, seed: u64) -> Result<CellResult, String> 
     let mut scaler: Box<dyn Autoscaler> = match policy.as_str() {
         "static" => Box::new(StaticScaler),
         "hpa" => Box::new(KubernetesHpa::new(HpaConfig::with_threshold(0.5), num_services)),
-        "firm" => Box::new(FirmLike {
-            latency_ceiling: SimDuration::from_millis(slo_ms * 1.5),
-            ..FirmLike::default()
-        }),
+        "firm" => Box::new(FirmLike { latency_ceiling: SimDuration::from_millis(slo_ms * 1.5) }),
         "graf" => Box::new(cx.graf(&setup).controller(slo_ms)),
         "ladder" => {
             let ctrl = cx.graf(&setup).controller(slo_ms);

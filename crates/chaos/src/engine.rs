@@ -26,11 +26,6 @@ impl ChaosEngine {
         Self { specs, rng: DetRng::new(seed).fork(seed ^ stream) }
     }
 
-    /// Whether any fault window covers `now`.
-    pub fn any_active(&self, now: SimTime) -> bool {
-        self.specs.iter().any(|s| s.active_at(now))
-    }
-
     /// Whether a [`FaultKind::MetricNan`] gap window is active.
     pub fn metric_nan(&self, now: SimTime) -> bool {
         self.specs.iter().any(|s| matches!(s.kind, FaultKind::MetricNan) && s.active_at(now))
@@ -113,8 +108,6 @@ mod tests {
         assert_eq!(e.stale_model_since(t(55.0)), None);
         assert_eq!(e.slow_start_factor(t(65.0)), 4.0);
         assert_eq!(e.slow_start_factor(t(5.0)), 1.0);
-        assert!(e.any_active(t(12.0)));
-        assert!(!e.any_active(t(100.0)));
     }
 
     #[test]

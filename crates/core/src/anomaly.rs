@@ -17,37 +17,20 @@ use graf_orchestrator::{Autoscaler, Cluster};
 use graf_sim::time::SimDuration;
 use graf_sim::topology::ServiceId;
 
-/// Detector/mitigation knobs.
-#[derive(Clone, Debug)]
-pub struct AnomalyGuardConfig {
-    /// A service is anomalous when its p99 exceeds `EWMA × trigger_ratio`.
-    pub trigger_ratio: f64,
-    /// Replica multiplier applied while a service is anomalous.
-    pub boost: f64,
-    /// Control ticks the boost persists after the last trigger.
-    pub hold_ticks: u32,
-    /// Observation window for per-service p99.
-    pub window: SimDuration,
-    /// EWMA smoothing factor for the calm baseline.
-    pub ewma_alpha: f64,
-}
-
-impl Default for AnomalyGuardConfig {
-    fn default() -> Self {
-        Self {
-            trigger_ratio: 3.0,
-            boost: 1.6,
-            hold_ticks: 2,
-            window: SimDuration::from_secs(15.0),
-            ewma_alpha: 0.15,
-        }
-    }
-}
+/// A service is anomalous when its p99 exceeds `EWMA × TRIGGER_RATIO`.
+const TRIGGER_RATIO: f64 = 3.0;
+/// Replica multiplier applied while a service is anomalous.
+const BOOST: f64 = 1.6;
+/// Control ticks the boost persists after the last trigger.
+const HOLD_TICKS: u32 = 2;
+/// Observation window for per-service p99.
+const WINDOW: SimDuration = SimDuration(15_000_000);
+/// EWMA smoothing factor for the calm baseline.
+const EWMA_ALPHA: f64 = 0.15;
 
 /// Wraps an autoscaler with contention-anomaly detection and mitigation.
 pub struct AnomalyGuard<A: Autoscaler> {
     inner: A,
-    cfg: AnomalyGuardConfig,
     baseline_p99_ms: Vec<Option<f64>>,
     hold: Vec<u32>,
     /// Total anomaly triggers observed (for experiments).
@@ -56,10 +39,9 @@ pub struct AnomalyGuard<A: Autoscaler> {
 
 impl<A: Autoscaler> AnomalyGuard<A> {
     /// Wraps `inner` for a cluster with `num_services` services.
-    pub fn new(inner: A, num_services: usize, cfg: AnomalyGuardConfig) -> Self {
+    pub fn new(inner: A, num_services: usize) -> Self {
         Self {
             inner,
-            cfg,
             baseline_p99_ms: vec![None; num_services],
             hold: vec![0; num_services],
             triggers: 0,
@@ -84,7 +66,7 @@ impl<A: Autoscaler> Autoscaler for AnomalyGuard<A> {
 
     fn tick(&mut self, cluster: &mut Cluster) {
         self.inner.tick(cluster);
-        let k = (self.cfg.window.as_micros() / cluster.world().config().window_us).max(1) as usize;
+        let k = (WINDOW.as_micros() / cluster.world().config().window_us).max(1) as usize;
         for svc in 0..self.baseline_p99_ms.len() {
             let service = ServiceId(svc as u16);
             let Some(p99) =
@@ -95,14 +77,14 @@ impl<A: Autoscaler> Autoscaler for AnomalyGuard<A> {
             match self.baseline_p99_ms[svc] {
                 None => self.baseline_p99_ms[svc] = Some(p99),
                 Some(base) => {
-                    if p99 > base * self.cfg.trigger_ratio {
+                    if p99 > base * TRIGGER_RATIO {
                         // Anomaly: do not poison the baseline; arm the boost.
                         if self.hold[svc] == 0 {
                             self.triggers += 1;
                         }
-                        self.hold[svc] = self.cfg.hold_ticks;
+                        self.hold[svc] = HOLD_TICKS;
                     } else {
-                        let a = self.cfg.ewma_alpha;
+                        let a = EWMA_ALPHA;
                         self.baseline_p99_ms[svc] = Some(base * (1.0 - a) + p99 * a);
                         self.hold[svc] = self.hold[svc].saturating_sub(1);
                     }
@@ -110,7 +92,7 @@ impl<A: Autoscaler> Autoscaler for AnomalyGuard<A> {
             }
             if self.hold[svc] > 0 {
                 let desired = cluster.deployment(service).desired;
-                let boosted = ((desired as f64) * self.cfg.boost).ceil() as usize;
+                let boosted = ((desired as f64) * BOOST).ceil() as usize;
                 cluster.set_desired(service, boosted.max(desired + 1));
             }
         }
@@ -180,7 +162,7 @@ mod tests {
     #[test]
     fn guard_detects_and_boosts_the_contended_service() {
         let mut cluster = cluster_with_contention();
-        let mut guard = AnomalyGuard::new(StaticScaler, 2, AnomalyGuardConfig::default());
+        let mut guard = AnomalyGuard::new(StaticScaler, 2);
         drive(&mut cluster, &mut guard, 100.0); // calm phase: learn baseline
         assert_eq!(guard.triggers, 0, "no false positives in the calm phase");
         let before = cluster.deployment(ServiceId(1)).desired;
@@ -203,7 +185,7 @@ mod tests {
         let unguarded = c1.world().e2e_percentile(60, 0.99).unwrap().as_millis_f64();
         // Guarded.
         let mut c2 = cluster_with_contention();
-        let mut guard = AnomalyGuard::new(StaticScaler, 2, AnomalyGuardConfig::default());
+        let mut guard = AnomalyGuard::new(StaticScaler, 2);
         drive(&mut c2, &mut guard, 230.0);
         let guarded = c2.world().e2e_percentile(60, 0.99).unwrap().as_millis_f64();
         assert!(

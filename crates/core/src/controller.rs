@@ -13,7 +13,7 @@
 //! 6. applies the decision to **every** microservice at once — which is what
 //!    defeats the cascading effect when traffic surges.
 
-use graf_orchestrator::{Autoscaler, Cluster};
+use graf_orchestrator::{Autoscaler, Cluster, CONTROL_INTERVAL};
 use graf_sim::time::SimDuration;
 use graf_sim::topology::{ApiId, ServiceId};
 
@@ -24,22 +24,18 @@ use crate::latency_model::LatencyModel;
 use crate::sample_collector::Bounds;
 use crate::solver::{solve_observed, SolveResult, SolverConfig};
 
+/// Trailing window over which front-end rates are observed.
+const RATE_WINDOW: SimDuration = SimDuration(5_000_000);
+
 /// Control-loop configuration.
 #[derive(Clone, Debug)]
 pub struct GrafControllerConfig {
     /// End-to-end p99 SLO, ms.
     pub slo_ms: f64,
-    /// Control interval (the paper reports 3.4–6.8 s solver runtime against a
-    /// 15 s production-style interval).
-    pub interval: SimDuration,
-    /// Trailing window over which front-end rates are observed.
-    pub rate_window: SimDuration,
     /// Reference total front-end qps of the trained region; higher observed
     /// totals are scaled down by `s = total/reference` before solving and the
     /// resulting quotas multiplied back by `s` (§3.6).
     pub train_total_qps: f64,
-    /// Safety multiplier on observed rates (1.0 = none).
-    pub headroom: f64,
     /// Solver settings.
     pub solver: SolverConfig,
     /// §6 extension: refine `ceil(quota/unit)` into leaner integer instance
@@ -52,19 +48,14 @@ impl Default for GrafControllerConfig {
     fn default() -> Self {
         Self {
             slo_ms: 100.0,
-            interval: SimDuration::from_secs(15.0),
-            rate_window: SimDuration::from_secs(5.0),
             train_total_qps: 100.0,
-            headroom: 1.0,
             solver: SolverConfig::default(),
             integer_refine: false,
         }
     }
 }
 
-/// Everything one §3.6 planning pass produces. All `plan*` entry points are
-/// wrappers over this, so `last_*` fields and telemetry populate in exactly
-/// one place.
+/// Everything one §3.6 planning pass produces.
 #[derive(Clone, Debug)]
 pub struct PlanOutcome {
     /// Applied per-service quotas (after §3.6 rescaling), millicores.
@@ -142,26 +133,23 @@ impl GrafController {
     }
 
     /// Reads the front-end per-API rates the controller would plan from:
-    /// the trailing `rate_window` of each API's arrival counter (§3.8).
+    /// the trailing 5 s of each API's arrival counter (§3.8).
     pub fn observed_rates(&self, cluster: &Cluster) -> Vec<f64> {
-        let k =
-            (self.cfg.rate_window.as_micros() / cluster.world().config().window_us).max(1) as usize;
+        let k = (RATE_WINDOW.as_micros() / cluster.world().config().window_us).max(1) as usize;
         let napis = cluster.world().topology().num_apis();
         (0..napis).map(|a| cluster.world().api_arrival_rate(ApiId(a as u16), k)).collect()
     }
 
-    /// One full §3.6 planning pass. Every other `plan*` method delegates
-    /// here, so `last_solve`/`last_quotas_mc` and telemetry are maintained in
-    /// a single place.
+    /// One full §3.6 planning pass for the given per-API rates, without
+    /// touching a cluster; it also sets `last_solve` and `last_quotas_mc`.
     ///
     /// With `cpu_unit_mc = Some(unit)` the outcome also carries instance
     /// counts: eq. 7's `ceil(quota/unit)`, tightened by the §6 integer
     /// refinement when enabled and the workload is inside the trained region.
     pub fn plan_outcome(&mut self, api_rates: &[f64], cpu_unit_mc: Option<f64>) -> PlanOutcome {
-        let rates: Vec<f64> = api_rates.iter().map(|r| r * self.cfg.headroom).collect();
-        let total: f64 = rates.iter().sum();
+        let total: f64 = api_rates.iter().sum();
         let s = (total / self.cfg.train_total_qps).max(1.0);
-        let scaled: Vec<f64> = rates.iter().map(|r| r / s).collect();
+        let scaled: Vec<f64> = api_rates.iter().map(|r| r / s).collect();
         let workloads = self.analyzer.service_workloads(&scaled);
         let res = solve_observed(
             &mut self.model,
@@ -203,27 +191,6 @@ impl GrafController {
             _ => quotas.clone(),
         };
         PlanOutcome { quotas_mc: quotas, counts, workloads, scale: s, solve: res, refine_saved }
-    }
-
-    /// Computes the target quotas for the given per-API rates (the §3.6
-    /// pipeline without touching a cluster) — also used by the benches.
-    pub fn plan(&mut self, api_rates: &[f64]) -> (Vec<f64>, SolveResult) {
-        let out = self.plan_outcome(api_rates, None);
-        (out.quotas_mc, out.solve)
-    }
-
-    /// [`GrafController::plan`] plus the intermediate quantities: the
-    /// per-service workloads the solver saw and the §3.6 scale factor.
-    pub fn plan_detailed(&mut self, api_rates: &[f64]) -> (Vec<f64>, SolveResult, Vec<f64>, f64) {
-        let out = self.plan_outcome(api_rates, None);
-        (out.quotas_mc, out.solve, out.workloads, out.scale)
-    }
-
-    /// Plans instance counts directly: eq. 7's `ceil`, optionally tightened by
-    /// the §6 integer refinement when the workload is inside the trained
-    /// region.
-    pub fn plan_instances(&mut self, api_rates: &[f64], cpu_unit_mc: f64) -> Vec<usize> {
-        self.plan_outcome(api_rates, Some(cpu_unit_mc)).counts.expect("unit given")
     }
 }
 
@@ -307,7 +274,7 @@ impl GrafController {
 
 impl Autoscaler for GrafController {
     fn interval(&self) -> SimDuration {
-        self.cfg.interval
+        CONTROL_INTERVAL
     }
 
     fn tick(&mut self, cluster: &mut Cluster) {
@@ -379,8 +346,8 @@ mod tests {
     fn plan_responds_to_workload() {
         // SLO 18 ms is binding at this load (corner predicts ~25-30 ms).
         let mut c = trained_controller(100.0, 18.0);
-        let (q_low, _) = c.plan(&[25.0]);
-        let (q_high, _) = c.plan(&[95.0]);
+        let q_low = c.plan_outcome(&[25.0], None).quotas_mc;
+        let q_high = c.plan_outcome(&[95.0], None).quotas_mc;
         assert!(
             q_high.iter().sum::<f64>() > q_low.iter().sum::<f64>(),
             "more workload → more CPU: {q_low:?} vs {q_high:?}"
@@ -390,8 +357,8 @@ mod tests {
     #[test]
     fn workload_scaling_extends_beyond_training_region() {
         let mut c = trained_controller(100.0, 18.0);
-        let (q_ref, _) = c.plan(&[100.0]);
-        let (q_double, _) = c.plan(&[200.0]);
+        let q_ref = c.plan_outcome(&[100.0], None).quotas_mc;
+        let q_double = c.plan_outcome(&[200.0], None).quotas_mc;
         let ratio = q_double.iter().sum::<f64>() / q_ref.iter().sum::<f64>();
         assert!(
             (1.7..=2.3).contains(&ratio),
@@ -402,13 +369,13 @@ mod tests {
     #[test]
     fn integer_refine_plans_no_more_instances_than_ceil() {
         let mut plain = trained_controller(100.0, 18.0);
-        let counts_ceil = plain.plan_instances(&[60.0], 100.0);
+        let counts_ceil = plain.plan_outcome(&[60.0], Some(100.0)).counts.unwrap();
         let mut refined_ctrl = {
             let mut c = trained_controller(100.0, 18.0);
             c.cfg.integer_refine = true;
             c
         };
-        let counts_ref = refined_ctrl.plan_instances(&[60.0], 100.0);
+        let counts_ref = refined_ctrl.plan_outcome(&[60.0], Some(100.0)).counts.unwrap();
         assert_eq!(counts_ceil.len(), counts_ref.len());
         let sum = |v: &[usize]| v.iter().sum::<usize>();
         assert!(

@@ -96,7 +96,7 @@ impl Graf {
     /// // turns per-API rates into per-service instance counts.
     /// assert_eq!(graf.analyzer.edges(), &[(0, 1)]);
     /// let mut controller = graf.controller(100.0);
-    /// let counts = controller.plan_instances(&[40.0], 500.0);
+    /// let counts = controller.plan_outcome(&[40.0], Some(500.0)).counts.unwrap();
     /// assert!(counts.iter().all(|&c| c >= 1));
     /// ```
     pub fn build(topo: AppTopology, cfg: GrafBuildConfig) -> Self {
@@ -244,9 +244,9 @@ mod tests {
     fn controller_from_build_plans_quotas() {
         let graf = tiny_build();
         let mut ctrl = graf.controller(80.0);
-        let (quotas, res) = ctrl.plan(&[40.0]);
-        assert_eq!(quotas.len(), 2);
-        assert!(quotas.iter().all(|&q| q > 0.0));
-        assert!(res.iterations > 0);
+        let plan = ctrl.plan_outcome(&[40.0], None);
+        assert_eq!(plan.quotas_mc.len(), 2);
+        assert!(plan.quotas_mc.iter().all(|&q| q > 0.0));
+        assert!(plan.solve.iterations > 0);
     }
 }

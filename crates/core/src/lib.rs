@@ -3,9 +3,11 @@
 //! GRAF itself: the paper's proactive, SLO-oriented resource-allocation
 //! framework, assembled from the components of §3 (Figure 8):
 //!
-//! 1. **State and trace collector** ([`collector`], §3.2) — front-end
-//!    workloads, per-service CPU figures and distributed traces from the
-//!    simulated cluster (the cAdvisor + Jaeger analog).
+//! 1. **State and trace collection** (§3.2) — the simulated cluster is the
+//!    cAdvisor + Jaeger analog, and each consumer reads the signal it needs:
+//!    [`GrafController::observed_rates`] the front-end per-API rates,
+//!    [`ResilientController`]'s trace refit the live traces, and
+//!    [`SampleCollector::profile`] a fully traced profiling run.
 //! 2. **Workload analyzer** ([`analyzer`], §3.3) — converts per-API front-end
 //!    rates into per-microservice workloads using the 90 %-ile call
 //!    multiplicities observed in traces.
@@ -43,7 +45,6 @@
 pub mod analyzer;
 pub mod anomaly;
 pub mod baseline;
-pub mod collector;
 pub mod controller;
 pub mod dataset;
 pub mod features;
@@ -55,7 +56,7 @@ pub mod sample_collector;
 pub mod solver;
 
 pub use analyzer::WorkloadAnalyzer;
-pub use anomaly::{AnomalyGuard, AnomalyGuardConfig};
+pub use anomaly::AnomalyGuard;
 pub use controller::{GrafController, GrafControllerConfig, PlanOutcome};
 pub use dataset::{Dataset, Split};
 pub use features::FeatureScaler;

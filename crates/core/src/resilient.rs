@@ -16,7 +16,7 @@
 //! 4. **Freeze** — nothing trustworthy at all: hold the current allocation.
 //!
 //! Demotion is immediate; promotion back toward **Full** requires
-//! `recovery_ticks` consecutive healthy ticks (hysteresis), so a flapping
+//! `RECOVERY_TICKS` (2) consecutive healthy ticks (hysteresis), so a flapping
 //! signal cannot make the controller oscillate between policies.
 //!
 //! Trace gaps are handled *inside* Full rather than by demotion: the
@@ -43,6 +43,19 @@ use graf_trace::Trace;
 
 use crate::analyzer::WorkloadAnalyzer;
 use crate::controller::GrafController;
+
+/// Consecutive healthy ticks required before promoting back to Full.
+const RECOVERY_TICKS: u32 = 2;
+/// Per-API trace coverage below this marks a trace gap: the analyzer holds
+/// last-known-good multiplicities, and [`PolicyMode::FreezeOnFault`] freezes.
+const COVERAGE_FLOOR: f64 = 0.7;
+/// Minimum traces of an API drained in one tick before its coverage estimate
+/// is updated (fewer is no evidence either way).
+const MIN_COVERAGE_TRACES: usize = 5;
+/// Rolling live-trace buffer the analyzer refit uses.
+const REFIT_BUFFER: usize = 512;
+/// Minimum buffered traces before any refit is attempted.
+const REFIT_MIN_TRACES: usize = 50;
 
 /// The rung of the degradation ladder a tick executed at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,21 +112,6 @@ pub struct ResilientConfig {
     pub max_plan_age: SimDuration,
     /// Rate readings older than this count as stale (unhealthy).
     pub max_signal_age: SimDuration,
-    /// Consecutive healthy ticks required before promoting back to Full.
-    pub recovery_ticks: u32,
-    /// Per-API trace coverage below this marks a trace gap: the analyzer
-    /// holds last-known-good multiplicities, and [`PolicyMode::FreezeOnFault`]
-    /// freezes.
-    pub coverage_floor: f64,
-    /// Minimum traces of an API drained in one tick before its coverage
-    /// estimate is updated (fewer is no evidence either way).
-    pub min_coverage_traces: usize,
-    /// Rolling live-trace buffer the analyzer refit uses.
-    pub refit_buffer: usize,
-    /// Minimum buffered traces before any refit is attempted.
-    pub refit_min_traces: usize,
-    /// Fallback threshold-scaler configuration.
-    pub hpa: HpaConfig,
     /// Ladder or the freeze-on-fault strawman.
     pub mode: PolicyMode,
 }
@@ -123,12 +121,6 @@ impl Default for ResilientConfig {
         Self {
             max_plan_age: SimDuration::from_secs(60.0),
             max_signal_age: SimDuration::from_secs(20.0),
-            recovery_ticks: 2,
-            coverage_floor: 0.7,
-            min_coverage_traces: 5,
-            refit_buffer: 512,
-            refit_min_traces: 50,
-            hpa: HpaConfig::default(),
             mode: PolicyMode::Ladder,
         }
     }
@@ -171,7 +163,7 @@ impl ResilientController {
         let reference = inner.analyzer().clone();
         let napis = reference.num_apis();
         let nservices = reference.num_services();
-        let fallback = KubernetesHpa::new(cfg.hpa.clone(), nservices);
+        let fallback = KubernetesHpa::new(HpaConfig::default(), nservices);
         Self {
             inner,
             cfg,
@@ -281,27 +273,23 @@ impl ResilientController {
                 }
             }
             for api in 0..napis {
-                if count[api] >= self.cfg.min_coverage_traces {
+                if count[api] >= MIN_COVERAGE_TRACES {
                     let expected = self.reference.expected_spans(api).max(1.0);
                     self.coverage[api] = (spans[api] / count[api] as f64 / expected).min(1.0);
                 }
             }
             for t in drained {
-                if self.trace_buf.len() == self.cfg.refit_buffer {
+                if self.trace_buf.len() == REFIT_BUFFER {
                     self.trace_buf.pop_front();
                 }
                 self.trace_buf.push_back(t);
             }
         }
-        if self.trace_buf.len() >= self.cfg.refit_min_traces {
+        if self.trace_buf.len() >= REFIT_MIN_TRACES {
             let traces: Vec<Trace> = self.trace_buf.iter().cloned().collect();
             let fresh =
                 WorkloadAnalyzer::from_traces(&traces, napis, self.reference.num_services(), 0.9);
-            let held = self.inner.analyzer_mut().fold_refit(
-                &fresh,
-                &self.coverage,
-                self.cfg.coverage_floor,
-            );
+            let held = self.inner.analyzer_mut().fold_refit(&fresh, &self.coverage, COVERAGE_FLOOR);
             if held > 0 {
                 self.interpolated_rows += held as u64;
                 self.obs.counter_add("graf.resilient.interpolated_rows", &[], held as u64);
@@ -379,7 +367,7 @@ impl Autoscaler for ResilientController {
         // 3. Health signals.
         let rates_finite = rates.iter().all(|r| r.is_finite());
         let fresh_ok = age.as_micros() <= self.cfg.max_signal_age.as_micros();
-        let cov_ok = self.coverage.iter().all(|&c| c >= self.cfg.coverage_floor);
+        let cov_ok = self.coverage.iter().all(|&c| c >= COVERAGE_FLOOR);
         let creation_ok = cluster.deployments().iter().all(|d| {
             let (starting, ready, _) = cluster.world().instance_counts(d.service);
             starting + ready >= d.desired
@@ -399,11 +387,8 @@ impl Autoscaler for ResilientController {
         // Demotion (target at least as severe) applies at once; promotion
         // back toward Full waits out the recovery streak.
         let demoting = target.severity() >= self.level.severity();
-        let mut next = if demoting || self.healthy_streak >= self.cfg.recovery_ticks {
-            target
-        } else {
-            self.level
-        };
+        let mut next =
+            if demoting || self.healthy_streak >= RECOVERY_TICKS { target } else { self.level };
         // A hysteresis hold must still respect the bounded plan age.
         if next == PolicyLevel::LastGood {
             let plan_fresh = self.last_plan.as_ref().is_some_and(|(t, _)| {
@@ -545,7 +530,6 @@ mod tests {
         let cfg = ResilientConfig {
             max_plan_age: SimDuration::from_secs(30.0),
             max_signal_age: SimDuration::from_secs(10.0),
-            recovery_ticks: 2,
             ..ResilientConfig::default()
         };
         let mut rc = ResilientController::new(tiny_controller(), cfg);
@@ -597,7 +581,6 @@ mod tests {
         let cfg = ResilientConfig {
             max_plan_age: SimDuration::from_secs(30.0),
             max_signal_age: SimDuration::from_secs(10.0),
-            recovery_ticks: 2,
             ..ResilientConfig::default()
         };
         let mut rc = ResilientController::new(tiny_controller(), cfg);
@@ -651,7 +634,6 @@ mod tests {
             let cfg = ResilientConfig {
                 max_plan_age: SimDuration::from_secs(30.0),
                 max_signal_age: SimDuration::from_secs(10.0),
-                recovery_ticks: 2,
                 ..ResilientConfig::default()
             };
             let mut rc = ResilientController::new(tiny_controller(), cfg);

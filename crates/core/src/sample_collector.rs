@@ -32,6 +32,16 @@ use graf_trace::Trace;
 
 use crate::analyzer::WorkloadAnalyzer;
 
+/// Quota floor of Algorithm 1's search space, millicores.
+pub const MIN_QUOTA_MC: f64 = 50.0;
+/// Geometric quota-reduction factor per Algorithm-1 step.
+const REDUCE_FACTOR: f64 = 0.85;
+/// The upper bound triggers when a service's p90 exceeds its baseline × this
+/// (plus a small absolute slack to absorb sub-millisecond noise).
+const UPPER_TOLERANCE: f64 = 1.10;
+/// Tail percentile a measurement records (paper: p99).
+const PERCENTILE: f64 = 0.99;
+
 /// Sampling and Algorithm-1 configuration.
 #[derive(Clone, Debug)]
 pub struct SamplingConfig {
@@ -44,21 +54,12 @@ pub struct SamplingConfig {
     pub workload_range: (f64, f64),
     /// "Sufficient CPU" for Algorithm 1's initialization, millicores.
     pub abundant_quota_mc: f64,
-    /// Geometric quota-reduction factor per Algorithm-1 step.
-    pub reduce_factor: f64,
-    /// Quota floor, millicores.
-    pub min_quota_mc: f64,
-    /// Upper bound triggers when service p90 exceeds baseline × this (plus
-    /// a small absolute slack to absorb sub-millisecond noise).
-    pub upper_tolerance: f64,
     /// Instance CPU unit (quotas are deployed as `ceil(q/unit)` instances).
     pub cpu_unit_mc: f64,
     /// Measurement window, seconds (paper: 10 s).
     pub measure_secs: f64,
     /// Settle time before the window, seconds (paper's 5 s flush analog).
     pub warmup_secs: f64,
-    /// Tail percentile to record (paper: 0.99).
-    pub percentile: f64,
     /// Base RNG seed.
     pub seed: u64,
     /// Worker threads for the Algorithm-1 bound search and for sample
@@ -73,13 +74,9 @@ impl Default for SamplingConfig {
             probe_qps: vec![50.0],
             workload_range: (0.3, 1.3),
             abundant_quota_mc: 4000.0,
-            reduce_factor: 0.85,
-            min_quota_mc: 50.0,
-            upper_tolerance: 1.10,
             cpu_unit_mc: 500.0,
             measure_secs: 10.0,
             warmup_secs: 5.0,
-            percentile: 0.99,
             seed: 1,
             threads: 4,
         }
@@ -125,7 +122,7 @@ pub struct Sample {
 pub struct MeasureOutcome {
     /// End-to-end tail latency over the window, ms (None if nothing completed).
     pub e2e_tail_ms: Option<f64>,
-    /// Per-service tail latency (configured percentile) over the window, ms.
+    /// Per-service tail latency (p99) over the window, ms.
     pub service_tail_ms: Vec<Option<f64>>,
     /// Per-service p90 over the window, ms (steadier signal for Algorithm 1).
     pub service_p90_ms: Vec<Option<f64>>,
@@ -147,7 +144,6 @@ impl SampleCollector {
     /// Panics unless `probe_qps` has one rate per API of the topology.
     pub fn new(topo: AppTopology, cfg: SamplingConfig) -> Self {
         assert_eq!(cfg.probe_qps.len(), topo.num_apis(), "probe_qps must have one rate per API");
-        assert!(cfg.reduce_factor > 0.0 && cfg.reduce_factor < 1.0);
         Self { topo, cfg, obs: graf_obs::Obs::disabled() }
     }
 
@@ -224,7 +220,7 @@ impl SampleCollector {
             let probes = 2 + scans.iter().map(|s| s.2).sum::<u64>(); // 2 baseline runs
             span.attr("probes", probes).attr("services", n).attr(
                 "volume_reduction",
-                bounds.volume_reduction(self.cfg.min_quota_mc, self.cfg.abundant_quota_mc),
+                bounds.volume_reduction(MIN_QUOTA_MC, self.cfg.abundant_quota_mc),
             );
             self.obs.counter_add("graf.sample.probes", &[], probes);
         }
@@ -240,8 +236,8 @@ impl SampleCollector {
         let mut q = self.cfg.abundant_quota_mc;
         let mut step = 0u64;
         let mut slo_violations = 0;
-        while q > self.cfg.min_quota_mc {
-            q = (q * self.cfg.reduce_factor).max(self.cfg.min_quota_mc);
+        while q > MIN_QUOTA_MC {
+            q = (q * REDUCE_FACTOR).max(MIN_QUOTA_MC);
             quotas[i] = q;
             step += 1;
             let (out, _) =
@@ -257,8 +253,7 @@ impl SampleCollector {
         }
         // Upper bound: quota preceding the first two consecutive steps
         // whose p90 exceeds baseline × tolerance.
-        let degraded =
-            |&(_, p90, _): &(f64, f64, f64)| p90 > baseline90 * self.cfg.upper_tolerance + 0.3;
+        let degraded = |&(_, p90, _): &(f64, f64, f64)| p90 > baseline90 * UPPER_TOLERANCE + 0.3;
         let mut upper_i = scan.last().map_or(self.cfg.abundant_quota_mc, |s| s.0);
         for w in 0..scan.len() {
             if degraded(&scan[w]) && scan.get(w + 1).is_none_or(degraded) {
@@ -269,7 +264,7 @@ impl SampleCollector {
         // Lower bound: first of two consecutive steps whose own p99
         // already violates the end-to-end SLO.
         let violates = |&(_, _, p99): &(f64, f64, f64)| p99 > self.cfg.slo_ms;
-        let mut lower_i = self.cfg.min_quota_mc;
+        let mut lower_i = MIN_QUOTA_MC;
         for w in 0..scan.len() {
             if violates(&scan[w]) && scan.get(w + 1).is_some_and(violates) {
                 lower_i = scan[w].0;
@@ -390,8 +385,8 @@ fn measure_run(
             .collect()
     };
     let outcome = MeasureOutcome {
-        e2e_tail_ms: e2e.percentile(cfg.percentile),
-        service_tail_ms: svc_pct(cfg.percentile),
+        e2e_tail_ms: e2e.percentile(PERCENTILE),
+        service_tail_ms: svc_pct(PERCENTILE),
         service_p90_ms: svc_pct(0.90),
         completed,
     };
@@ -448,7 +443,7 @@ mod tests {
         let c = SampleCollector::new(chain2(), fast_cfg());
         let b = c.reduce_search_space();
         for i in 0..2 {
-            assert!(b.lower[i] >= c.config().min_quota_mc);
+            assert!(b.lower[i] >= MIN_QUOTA_MC);
             assert!(b.upper[i] <= c.config().abundant_quota_mc);
             assert!(b.lower[i] <= b.upper[i], "bounds ordered for service {i}");
         }
@@ -456,7 +451,7 @@ mod tests {
         // than a (40 mc offered): its lower bound must be higher.
         assert!(b.lower[1] > b.lower[0], "heavier service has higher floor: {b:?}");
         // The reduced box is a genuine reduction.
-        let reduction = b.volume_reduction(c.config().min_quota_mc, c.config().abundant_quota_mc);
+        let reduction = b.volume_reduction(MIN_QUOTA_MC, c.config().abundant_quota_mc);
         assert!(reduction < 0.5, "volume reduced: {reduction}");
     }
 

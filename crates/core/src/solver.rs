@@ -12,7 +12,7 @@
 //!   `Σᵢ rᵢ + ρ·max(0, L̂−SLO)/SLO` has gradient 1 in every coordinate, and the
 //!   iterates are the fixed-`lr` Adam walk down from the top of the box,
 //!   projected into the box after every step and stopped when
-//!   `|ΔLoss| < tol`. None of that reads the model: the walk only asks, at
+//!   `|ΔLoss| < TOL`. None of that reads the model: the walk only asks, at
 //!   each point, whether the prediction meets the SLO. So the solver computes
 //!   this *pre-wall path* first and evaluates only where the answer depends
 //!   on it — the path's end, which is the answer when it is feasible (one
@@ -32,7 +32,7 @@
 //!   `ρ/SLO·|∂L̂/∂r|·quota_div ≫ 1` sits in the first moment for ≈ 20 steps and
 //!   carries the iterate far back into the feasible side, the inflated second
 //!   moment then damps the walk down, and the cycle repeats every ≈ 130
-//!   iterations: `|ΔLoss| < tol` cannot fire, the solve runs to `max_iters`,
+//!   iterations: `|ΔLoss| < TOL` cannot fire, the solve runs to `max_iters`,
 //!   and the answer is whichever phase of the saw-tooth the cap cuts off
 //!   (DESIGN.md §2 has the measurements). Instead the walk *closes in on the
 //!   wall*: a feasible iterate steps every quota down by the current step
@@ -75,37 +75,37 @@ const MIN_GAIN: f64 = 1.0 / 16.0;
 /// counts as feasible.
 const WALL_MARGIN: f64 = 1e-3;
 
+/// Penalty coefficient ρ of eq. (5), applied to the normalized violation in
+/// the reported loss. The wall walk restores feasibility by the model's own
+/// gradient, so no step is scaled by it.
+pub const RHO: f64 = 40.0;
+/// Before the SLO wall is touched: stop when `|Loss_t − Loss_{t−1}|` falls
+/// below this.
+pub const TOL: f64 = 1e-6;
+/// Minimum points of the pre-wall path before the tolerance check applies.
+pub const MIN_ITERS: usize = 25;
+
 /// Solver hyper-parameters.
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
-    /// Penalty coefficient ρ of eq. (5), applied to the normalized violation
-    /// in the reported loss. The wall walk restores feasibility by the
-    /// model's own gradient, so no step is scaled by it.
-    pub rho: f64,
     /// Adam learning rate in scaled-quota space; also the wall walk's initial
     /// and largest step size.
     pub lr: f64,
-    /// Before the SLO wall is touched: stop when `|Loss_t − Loss_{t−1}|` falls
-    /// below this.
-    pub tol: f64,
     /// Hard cap on walk steps: points of the pre-wall path, evaluated or
     /// not, plus steps of the wall walk.
     pub max_iters: usize,
-    /// Minimum points of the pre-wall path before the tolerance check
-    /// applies.
-    pub min_iters: usize,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
-        Self { rho: 40.0, lr: 0.02, tol: 1e-6, max_iters: 1500, min_iters: 25 }
+        Self { lr: 0.02, max_iters: 1500 }
     }
 }
 
 /// The rule that ended a solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stop {
-    /// The wall was never touched and `|ΔLoss| < tol`: the walk sits on the
+    /// The wall was never touched and `|ΔLoss| < TOL`: the walk sits on the
     /// floor of the box.
     Tolerance,
     /// The wall walk's step fell below `lr / 64`, or no quota could move, with
@@ -257,7 +257,7 @@ pub fn solve_observed(
         path_len = j + 1;
         // With no violation yet the loss is the total.
         let total: f64 = x.iter().sum();
-        if path_len >= cfg.min_iters && (prev_total - total).abs() < cfg.tol {
+        if path_len >= MIN_ITERS && (prev_total - total).abs() < TOL {
             stop = Stop::Tolerance;
             break;
         }
@@ -389,7 +389,7 @@ pub fn solve_observed(
         model.predict_ms(workloads, &quotas_mc).to_bits(),
         "the cached prediction is the model's"
     );
-    let best_loss = best_total + cfg.rho * best_violation;
+    let best_loss = best_total + RHO * best_violation;
     if span.is_recording() {
         span.attr("iterations", iterations).attr("path_len", path_len);
         if let Some(c) = crossing {
@@ -664,16 +664,10 @@ pub fn integer_refine(
 
 /// Evaluates the solver loss surface at a given configuration — used by the
 /// Figure-12 heat-map bench.
-pub fn loss_at(
-    model: &LatencyModel,
-    workloads: &[f64],
-    quotas_mc: &[f64],
-    slo_ms: f64,
-    rho: f64,
-) -> f64 {
+pub fn loss_at(model: &LatencyModel, workloads: &[f64], quotas_mc: &[f64], slo_ms: f64) -> f64 {
     let pred = model.predict_ms(workloads, quotas_mc);
     let total: f64 = quotas_mc.iter().map(|&q| model.scaler.scale_quota(q)).sum();
-    total + rho * (pred - slo_ms).max(0.0) / slo_ms
+    total + RHO * (pred - slo_ms).max(0.0) / slo_ms
 }
 
 #[cfg(test)]
@@ -840,8 +834,8 @@ mod tests {
     #[test]
     fn loss_surface_matches_solve_objective() {
         let (model, _, w) = trained_model(8);
-        let l1 = loss_at(&model, &w, &[500.0, 1500.0], 100.0, 40.0);
-        let l2 = loss_at(&model, &w, &[2500.0, 2500.0], 100.0, 40.0);
+        let l1 = loss_at(&model, &w, &[500.0, 1500.0], 100.0);
+        let l2 = loss_at(&model, &w, &[2500.0, 2500.0], 100.0);
         assert!(l1.is_finite() && l2.is_finite());
         // Overprovisioning beyond need raises the resource term.
         assert!(l2 > l1 || l1 > 0.0);

@@ -245,6 +245,7 @@ fn solve_traced(
 /// best iterate on every restart. Kept here as the reference the bisecting
 /// solver is checked against; `iterations` counts its evaluations.
 mod reference {
+    use graf_core::solver::{MIN_ITERS, RHO, TOL};
     use graf_core::{Bounds, LatencyModel, SolveResult, SolverConfig, Stop};
     use graf_nn::{Adam, Matrix, Param};
 
@@ -287,7 +288,7 @@ mod reference {
                 let v = r.value.get(0, i).clamp(lo[i], hi[i]);
                 r.value.set(0, i, v);
             }
-            if it + 1 >= cfg.min_iters && (prev_loss - total).abs() < cfg.tol {
+            if it + 1 >= MIN_ITERS && (prev_loss - total).abs() < TOL {
                 break;
             }
             prev_loss = total;
@@ -336,7 +337,7 @@ mod reference {
                     let v = r.value.get(0, i).clamp(lo[i], hi[i]);
                     r.value.set(0, i, v);
                 }
-                if it + 1 >= cfg.min_iters && (prev_loss - total).abs() < cfg.tol {
+                if it + 1 >= MIN_ITERS && (prev_loss - total).abs() < TOL {
                     stop = Stop::Tolerance;
                     break;
                 }
@@ -387,7 +388,7 @@ mod reference {
         }
         let quotas_mc = unscaled(model, &best);
         let predicted_ms = model.predict_ms(workloads, &quotas_mc);
-        let loss = best_total + cfg.rho * best_violation;
+        let loss = best_total + RHO * best_violation;
         SolveResult { quotas_mc, predicted_ms, iterations, loss, stop, wall_active }
     }
 

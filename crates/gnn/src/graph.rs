@@ -48,11 +48,6 @@ impl GraphSpec {
         v.sort_unstable();
         v
     }
-
-    /// Nodes with no parents (front ends).
-    pub fn roots(&self) -> Vec<u16> {
-        (0..self.parents.len() as u16).filter(|&i| self.parents[i as usize].is_empty()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -65,7 +60,6 @@ mod tests {
         assert_eq!(g.parents(0), &[] as &[u16]);
         assert_eq!(g.parents(1), &[0]);
         assert_eq!(g.parents(3), &[1, 2]);
-        assert_eq!(g.roots(), vec![0]);
         assert_eq!(g.edges(), vec![(0, 1), (0, 2), (1, 3), (2, 3)]);
     }
 

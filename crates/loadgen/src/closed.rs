@@ -21,9 +21,13 @@ enum UserState {
     Thinking(SimTime),
     /// Sent a request, waiting for its completion.
     Waiting,
-    /// Removed from the population once its in-flight request finishes.
+    /// Chosen for removal; compacted away in the same schedule step.
     Retiring,
 }
+
+/// A `waiting` entry of a retired user: it absorbs the completion of that
+/// user's in-flight request and wakes nobody.
+const RETIRED: usize = usize::MAX;
 
 /// A Locust-like closed-loop generator.
 pub struct ClosedLoop {
@@ -31,7 +35,7 @@ pub struct ClosedLoop {
     mix: Vec<(ApiId, f64)>,
     max_think: SimDuration,
     users: Vec<UserState>,
-    /// Indices of users waiting for a completion, FIFO.
+    /// Indices of users waiting for a completion, FIFO, or [`RETIRED`].
     waiting: VecDeque<usize>,
     /// `(from, user_count)` schedule, sorted.
     schedule: Vec<(SimTime, usize)>,
@@ -80,9 +84,9 @@ impl ClosedLoop {
         self
     }
 
-    /// Number of currently active (non-retiring) users.
+    /// Number of users in the population.
     pub fn active_users(&self) -> usize {
-        self.users.iter().filter(|u| !matches!(u, UserState::Retiring)).count()
+        self.users.len()
     }
 
     fn target_users(&self, t: SimTime) -> usize {
@@ -140,26 +144,37 @@ impl ClosedLoop {
                     to_retire -= 1;
                 }
             }
+            // Compact, and remap the waiting queue to the new indices: a
+            // retired waiter's entry becomes a tombstone in its place.
+            let mut new_index = Vec::with_capacity(self.users.len());
+            let mut kept = 0;
+            for u in &self.users {
+                if matches!(u, UserState::Retiring) {
+                    new_index.push(RETIRED);
+                } else {
+                    new_index.push(kept);
+                    kept += 1;
+                }
+            }
+            for idx in self.waiting.iter_mut().filter(|idx| **idx != RETIRED) {
+                *idx = new_index[*idx];
+            }
+            self.users.retain(|u| !matches!(u, UserState::Retiring));
         }
-        // Compact fully retired (non-waiting) users.
-        self.users.retain(|u| !matches!(u, UserState::Retiring));
     }
 
-    /// Retire bookkeeping note: a `Retiring` user that was `Waiting` is still
-    /// referenced by `waiting`; on completion we simply drop the reference.
+    /// Completions are matched to waiters in FIFO order; a tombstone takes
+    /// its completion and wakes nobody.
     fn user_completed(&mut self, end: SimTime) {
-        while let Some(idx) = self.waiting.pop_front() {
-            match self.users.get_mut(idx) {
-                Some(u @ UserState::Waiting) => {
-                    let think = SimDuration::from_micros(
-                        self.rng.uniform(0.0, self.max_think.as_micros().max(1) as f64) as u64,
-                    );
-                    *u = UserState::Thinking(end + think);
-                    return;
-                }
-                _ => continue, // retired or compacted; try the next waiter
-            }
+        let Some(idx) = self.waiting.pop_front() else { return };
+        if idx == RETIRED {
+            return;
         }
+        let think = SimDuration::from_micros(
+            self.rng.uniform(0.0, self.max_think.as_micros().max(1) as f64) as u64,
+        );
+        debug_assert!(matches!(self.users[idx], UserState::Waiting));
+        self.users[idx] = UserState::Thinking(end + think);
     }
 }
 
@@ -272,5 +287,65 @@ mod tests {
         }
         // 10 users × 10 rps × 10 s = ~1000 requests.
         assert!((900..=1010).contains(&sent), "sent {sent}");
+    }
+
+    #[test]
+    fn waiters_kept_through_a_shrink_are_woken_by_their_completions() {
+        let mut g = ClosedLoop::new(ApiId(0), 6, 7).max_think(SimDuration::from_micros(1));
+        let ms = |m: f64| SimTime::from_millis(m);
+        assert_eq!(g.arrivals(ms(0.0), ms(1.0)).len(), 6);
+        // Three complete and think; three are still waiting when the
+        // population drops to 3, which retires the thinkers.
+        g.on_completions(&[completion(ms(1.0)); 3]);
+        g.set_users(ms(2.0), 3);
+        assert!(g.arrivals(ms(2.0), ms(3.0)).is_empty(), "the survivors are all waiting");
+        assert_eq!(g.active_users(), 3);
+        g.on_completions(&[completion(ms(3.0)); 3]);
+        assert_eq!(g.arrivals(ms(3.0), ms(4.0)).len(), 3, "every survivor sends again");
+    }
+
+    /// Requests sent per 100 ms segment over 100 s by 100 users that follow
+    /// `schedule` (`(second, users)` steps) and think up to 1 s; each request
+    /// completes 500 ms after it was sent. Checks the population after every
+    /// step.
+    fn sends_per_segment(seed: u64, schedule: &[(u64, usize)]) -> Vec<usize> {
+        let mut g = ClosedLoop::new(ApiId(0), 100, seed).max_think(SimDuration::from_secs(1.0));
+        for &(at, users) in schedule {
+            g.set_users(SimTime::from_secs(at as f64), users);
+        }
+        let seg = SimDuration::from_millis(100.0);
+        let latency = SimDuration::from_millis(500.0);
+        let mut in_flight: Vec<SimTime> = Vec::new();
+        let mut sent = Vec::new();
+        let mut t = SimTime::ZERO;
+        for _ in 0..1000 {
+            let end = t + seg;
+            let arrivals = g.arrivals(t, end);
+            let expected =
+                schedule.iter().rev().find(|&&(at, _)| SimTime::from_secs(at as f64) <= t);
+            assert_eq!(g.active_users(), expected.map_or(100, |&(_, n)| n), "users at {t:?}");
+            sent.push(arrivals.len());
+            in_flight.extend(arrivals.iter().map(|&(at, _)| at + latency));
+            in_flight.sort_unstable();
+            let done = in_flight.partition_point(|&e| e < end);
+            let comps: Vec<Completion> = in_flight.drain(..done).map(completion).collect();
+            g.on_completions(&comps);
+            t = end;
+        }
+        sent
+    }
+
+    #[test]
+    fn a_shrink_and_regrow_cycle_restores_the_steady_send_rate() {
+        // Mean send rate over the final 25 s.
+        let tail = |sent: Vec<usize>| sent[750..].iter().sum::<usize>() as f64 / 25.0;
+        for seed in 0..10 {
+            let cycled = tail(sends_per_segment(seed, &[(30, 50), (60, 100)]));
+            let steady = tail(sends_per_segment(seed, &[]));
+            assert!(
+                (cycled / steady - 1.0).abs() <= 0.03,
+                "seed {seed}: {cycled:.1} req/s after the cycle vs {steady:.1} steady"
+            );
+        }
     }
 }

@@ -56,12 +56,6 @@ impl RateCounter {
         self.windows.insert(at, (idx, 1));
     }
 
-    /// Events counted in the window containing `t_us`.
-    pub fn count_at(&self, t_us: u64) -> u64 {
-        let idx = t_us / self.window_us;
-        self.windows.iter().find(|(i, _)| *i == idx).map_or(0, |(_, c)| *c)
-    }
-
     /// Events counted over the trailing `k` windows ending at `now_us`.
     pub fn count_trailing(&self, now_us: u64, k: usize) -> u64 {
         let hi = now_us / self.window_us;
@@ -96,9 +90,9 @@ mod tests {
         for t in [100, 200, 300, 1_000_100] {
             r.record(t);
         }
-        assert_eq!(r.count_at(500), 3);
-        assert_eq!(r.count_at(1_500_000), 1);
-        assert_eq!(r.count_at(2_500_000), 0);
+        assert_eq!(r.count_trailing(500, 1), 3);
+        assert_eq!(r.count_trailing(1_500_000, 1), 1);
+        assert_eq!(r.count_trailing(2_500_000, 1), 0);
     }
 
     #[test]
@@ -127,7 +121,7 @@ mod tests {
         r.record(500);
         r.record(1_500);
         r.record(2_500);
-        assert_eq!(r.count_at(500), 0);
-        assert_eq!(r.count_at(2_500), 1);
+        assert_eq!(r.count_trailing(500, 1), 0);
+        assert_eq!(r.count_trailing(2_500, 1), 1);
     }
 }

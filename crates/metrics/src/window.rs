@@ -76,12 +76,6 @@ impl WindowedLatency {
         self.windows.insert(insert_at, (idx, h));
     }
 
-    /// Percentile over the single window containing `t_us`, if any data exists.
-    pub fn percentile_at(&self, t_us: u64, q: f64) -> Option<u64> {
-        let idx = t_us / self.window_us;
-        self.windows.iter().find(|(i, _)| *i == idx).and_then(|(_, h)| h.percentile(q))
-    }
-
     /// Percentile over the trailing `k` windows ending at the window that
     /// contains `now_us` (inclusive).
     pub fn percentile_trailing(&self, now_us: u64, k: usize, q: f64) -> Option<u64> {
@@ -118,9 +112,9 @@ mod tests {
         let mut w = WindowedLatency::new(10_000_000, 8); // 10 s windows
         w.record(1_000_000, 100);
         w.record(11_000_000, 900);
-        assert_eq!(w.percentile_at(5_000_000, 0.5), Some(100));
-        assert_eq!(w.percentile_at(15_000_000, 0.5), Some(900));
-        assert_eq!(w.percentile_at(25_000_000, 0.5), None);
+        assert_eq!(w.percentile_trailing(5_000_000, 1, 0.5), Some(100));
+        assert_eq!(w.percentile_trailing(15_000_000, 1, 0.5), Some(900));
+        assert_eq!(w.percentile_trailing(25_000_000, 1, 0.5), None);
     }
 
     #[test]
@@ -143,8 +137,8 @@ mod tests {
         w.record(500, 1);
         w.record(1_500, 2);
         w.record(2_500, 3);
-        assert_eq!(w.percentile_at(500, 0.5), None, "oldest window evicted");
-        assert_eq!(w.percentile_at(2_500, 0.5), Some(3));
+        assert_eq!(w.percentile_trailing(500, 1, 0.5), None, "oldest window evicted");
+        assert_eq!(w.percentile_trailing(2_500, 1, 0.5), Some(3));
     }
 
     #[test]
@@ -152,7 +146,7 @@ mod tests {
         let mut w = WindowedLatency::new(1_000, 8);
         w.record(2_500, 30);
         w.record(500, 10); // late record for an older, still-retained window
-        assert_eq!(w.percentile_at(500, 0.5), Some(10));
+        assert_eq!(w.percentile_trailing(500, 1, 0.5), Some(10));
         assert_eq!(w.count_trailing(2_500, 3), 2);
     }
 }

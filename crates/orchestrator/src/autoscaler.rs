@@ -19,6 +19,21 @@ use graf_sim::topology::ServiceId;
 
 use crate::cluster::Cluster;
 
+/// The control interval of the HPA, the FIRM-like scaler and GRAF's
+/// controller (paper/production default: 15 s).
+pub const CONTROL_INTERVAL: SimDuration = SimDuration(15_000_000);
+/// HPA tolerance band: no action when `|util/threshold − 1| <` this (k8s
+/// default 0.1).
+const HPA_TOLERANCE: f64 = 0.1;
+/// HPA scale-down stabilization window (k8s default 5 minutes).
+const HPA_STABILIZATION: SimDuration = SimDuration(300_000_000);
+/// FIRM-like: scale up when p95/p50 exceeds this (paper: "a pre-determined
+/// threshold").
+const FIRM_RATIO_THRESHOLD: f64 = 4.0;
+/// FIRM-like: scale down one step when latency is calm and utilization is
+/// below this.
+const FIRM_SCALE_DOWN_UTIL: f64 = 0.25;
+
 /// A controller invoked at a fixed interval by the experiment driver.
 pub trait Autoscaler {
     /// How often [`Autoscaler::tick`] runs.
@@ -33,31 +48,19 @@ pub trait Autoscaler {
 pub struct HpaConfig {
     /// Target CPU utilization in `(0, 1]` — the knob the paper hand-tunes.
     pub threshold: f64,
-    /// Control interval (paper/production default: 15 s).
-    pub interval: SimDuration,
-    /// Tolerance band: no action when `|util/threshold − 1| <` this (k8s
-    /// default 0.1).
-    pub tolerance: f64,
-    /// Scale-down stabilization window (k8s default 5 minutes).
-    pub stabilization: SimDuration,
 }
 
 impl Default for HpaConfig {
     fn default() -> Self {
-        Self {
-            threshold: 0.5,
-            interval: SimDuration::from_secs(15.0),
-            tolerance: 0.1,
-            stabilization: SimDuration::from_secs(300.0),
-        }
+        Self { threshold: 0.5 }
     }
 }
 
 impl HpaConfig {
-    /// Config with the given utilization threshold and defaults otherwise.
+    /// Config with the given utilization threshold.
     pub fn with_threshold(threshold: f64) -> Self {
         assert!(threshold > 0.0 && threshold <= 1.0);
-        Self { threshold, ..Self::default() }
+        Self { threshold }
     }
 }
 
@@ -77,7 +80,7 @@ impl KubernetesHpa {
 
 impl Autoscaler for KubernetesHpa {
     fn interval(&self) -> SimDuration {
-        self.cfg.interval
+        CONTROL_INTERVAL
     }
 
     fn tick(&mut self, cluster: &mut Cluster) {
@@ -89,14 +92,14 @@ impl Autoscaler for KubernetesHpa {
             if ready == 0 {
                 continue; // no utilization signal yet
             }
-            let Some(util) = cluster.utilization(service, self.cfg.interval) else {
+            let Some(util) = cluster.utilization(service, CONTROL_INTERVAL) else {
                 continue;
             };
             let ratio = util / self.cfg.threshold;
             // Raw recommendation from the current observation. Utilization is
             // measured against *ready* quota; starting pods will add capacity
             // soon, so recommend relative to ready and treat live as current.
-            let mut desired = if (ratio - 1.0).abs() <= self.cfg.tolerance {
+            let mut desired = if (ratio - 1.0).abs() <= HPA_TOLERANCE {
                 live
             } else {
                 (ready as f64 * ratio).ceil() as usize
@@ -107,10 +110,8 @@ impl Autoscaler for KubernetesHpa {
             // trailing window.
             let recs = &mut self.recommendations[service.0 as usize];
             recs.push_back((now, desired));
-            let horizon = now
-                .since(SimTime::ZERO)
-                .as_micros()
-                .saturating_sub(self.cfg.stabilization.as_micros());
+            let horizon =
+                now.since(SimTime::ZERO).as_micros().saturating_sub(HPA_STABILIZATION.as_micros());
             while let Some(&(t, _)) = recs.front() {
                 if t.as_micros() < horizon {
                     recs.pop_front();
@@ -139,34 +140,23 @@ impl Autoscaler for KubernetesHpa {
 /// also triggers scale-up. Scaling is one instance per violating service per
 /// tick, reproducing the incremental ramps of Figure 21.
 pub struct FirmLike {
-    /// Scale up when p95/p50 exceeds this (paper: "a pre-determined threshold").
-    pub ratio_threshold: f64,
     /// Scale up when per-service p95 exceeds this.
     pub latency_ceiling: SimDuration,
-    /// Control interval.
-    pub interval: SimDuration,
-    /// Scale down one step when latency is calm and utilization below this.
-    pub scale_down_util: f64,
 }
 
 impl Default for FirmLike {
     fn default() -> Self {
-        Self {
-            ratio_threshold: 4.0,
-            latency_ceiling: SimDuration::from_millis(500.0),
-            interval: SimDuration::from_secs(15.0),
-            scale_down_util: 0.25,
-        }
+        Self { latency_ceiling: SimDuration::from_millis(500.0) }
     }
 }
 
 impl Autoscaler for FirmLike {
     fn interval(&self) -> SimDuration {
-        self.interval
+        CONTROL_INTERVAL
     }
 
     fn tick(&mut self, cluster: &mut Cluster) {
-        let k = (self.interval.as_micros() / cluster.world().config().window_us).max(1) as usize;
+        let k = (CONTROL_INTERVAL.as_micros() / cluster.world().config().window_us).max(1) as usize;
         let services: Vec<ServiceId> = cluster.deployments().iter().map(|d| d.service).collect();
         for service in services {
             let (starting, ready, _) = cluster.world().instance_counts(service);
@@ -175,13 +165,13 @@ impl Autoscaler for FirmLike {
             let p95 = cluster.world().service_percentile(service, k, 0.95);
             let (Some(p50), Some(p95)) = (p50, p95) else { continue };
             let ratio = p95.as_micros().max(1) as f64 / p50.as_micros().max(1) as f64;
-            let violating = ratio > self.ratio_threshold || p95 > self.latency_ceiling;
+            let violating = ratio > FIRM_RATIO_THRESHOLD || p95 > self.latency_ceiling;
             if violating {
                 // SLO-violation suspect: grow this microservice's CPU quota.
                 cluster.set_desired(service, live + 1);
-            } else if ratio < self.ratio_threshold * 0.5 && p95 < self.latency_ceiling {
-                if let Some(util) = cluster.utilization(service, self.interval) {
-                    if util < self.scale_down_util && live > 1 {
+            } else if ratio < FIRM_RATIO_THRESHOLD * 0.5 && p95 < self.latency_ceiling {
+                if let Some(util) = cluster.utilization(service, CONTROL_INTERVAL) {
+                    if util < FIRM_SCALE_DOWN_UTIL && live > 1 {
                         cluster.set_desired(service, live - 1);
                     }
                 }
@@ -198,21 +188,19 @@ pub struct ProactiveOnce {
     pub at: SimTime,
     /// `(service, replicas)` to apply.
     pub targets: Vec<(ServiceId, usize)>,
-    /// Driver cadence (how often the trigger is checked).
-    pub interval: SimDuration,
     applied: bool,
 }
 
 impl ProactiveOnce {
     /// Creates the one-shot scaler.
     pub fn new(at: SimTime, targets: Vec<(ServiceId, usize)>) -> Self {
-        Self { at, targets, interval: SimDuration::from_secs(1.0), applied: false }
+        Self { at, targets, applied: false }
     }
 }
 
 impl Autoscaler for ProactiveOnce {
     fn interval(&self) -> SimDuration {
-        self.interval
+        SimDuration::from_secs(1.0)
     }
 
     fn tick(&mut self, cluster: &mut Cluster) {

@@ -37,7 +37,9 @@ pub mod cluster;
 pub mod creation;
 pub mod experiment;
 
-pub use autoscaler::{Autoscaler, FirmLike, HpaConfig, KubernetesHpa, ProactiveOnce, StaticScaler};
+pub use autoscaler::{
+    Autoscaler, FirmLike, HpaConfig, KubernetesHpa, ProactiveOnce, StaticScaler, CONTROL_INTERVAL,
+};
 pub use cluster::{Cluster, Deployment};
 pub use creation::CreationModel;
 pub use experiment::{run_experiment, ExperimentHooks};

@@ -139,17 +139,6 @@ impl Instance {
         self.epoch += 1;
     }
 
-    /// Removes and returns frames whose work is complete. Bumps the epoch if
-    /// anything finished. Caller must have advanced to `now` first.
-    ///
-    /// Allocating convenience wrapper over [`Instance::take_finished_into`];
-    /// the event loop uses the `_into` form with a pooled buffer.
-    pub fn take_finished(&mut self) -> Vec<FrameId> {
-        let mut done = Vec::new();
-        self.take_finished_into(&mut done);
-        done
-    }
-
     /// Appends frames whose work is complete to `done`, removing them from
     /// the job set. Bumps the epoch if anything finished. Caller must have
     /// advanced to `now` first.
@@ -255,7 +244,8 @@ mod tests {
         assert_eq!(t.0, 2);
         let used = i.advance(SimTime(2));
         assert!((used - 2000.0).abs() < 1e-6, "full quota consumed: {used}");
-        let done = i.take_finished();
+        let mut done = Vec::new();
+        i.take_finished_into(&mut done);
         assert_eq!(done.len(), 2);
         assert_eq!(i.job_count(), 0);
     }
@@ -279,7 +269,8 @@ mod tests {
         assert!(i.epoch > e0);
         i.advance(SimTime(10));
         let e1 = i.epoch;
-        let done = i.take_finished();
+        let mut done = Vec::new();
+        i.take_finished_into(&mut done);
         assert_eq!(done, vec![FrameId(1)]);
         assert!(i.epoch > e1);
     }
@@ -299,7 +290,7 @@ mod tests {
         assert!(!i.accepts_jobs());
         assert!(!i.drained(), "still has a job");
         i.advance(SimTime(10));
-        i.take_finished();
+        i.take_finished_into(&mut Vec::new());
         assert!(i.drained());
     }
 

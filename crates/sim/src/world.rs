@@ -1201,13 +1201,6 @@ impl World {
         self.services[service.0 as usize].cpu.utilization(from, to)
     }
 
-    /// Mean used millicores of `service` over the trailing window of `dur`.
-    pub fn service_used_mc(&self, service: ServiceId, dur: SimDuration) -> f64 {
-        let to = self.now.as_micros();
-        let from = to.saturating_sub(dur.as_micros());
-        self.services[service.0 as usize].cpu.used_millicores(from, to)
-    }
-
     /// Arrival rate (req/s) perceived by `service` over the trailing `k` windows.
     pub fn service_arrival_rate(&self, service: ServiceId, k: usize) -> f64 {
         let at = self.now.as_micros().saturating_sub(1);
@@ -1255,11 +1248,6 @@ impl World {
         // window boundary reads k *complete* windows, not a fresh empty one.
         let at = self.now.as_micros().saturating_sub(1);
         self.api_arrivals[api.0 as usize].rate_trailing(at, k)
-    }
-
-    /// Number of frames queued at `service` waiting for a ready instance.
-    pub fn service_pending(&self, service: ServiceId) -> usize {
-        self.services[service.0 as usize].pending.len()
     }
 }
 
@@ -1315,7 +1303,7 @@ mod tests {
         w.add_instances(ServiceId(1), 1, 1000.0, SimTime::ZERO);
         w.inject(ApiId(0), SimTime::from_millis(10.0));
         w.run_until(SimTime::from_secs(1.0));
-        assert_eq!(w.service_pending(ServiceId(0)), 1, "waiting for startup");
+        assert_eq!(w.in_flight(), 1, "waiting for startup");
         assert_eq!(w.stats().completed, 0);
         w.run_until(SimTime::from_secs(3.0));
         assert_eq!(w.stats().completed, 1);
@@ -1391,7 +1379,8 @@ mod tests {
         w.run_until(SimTime::from_secs(1.0));
         let traces = w.traces_mut().drain_finished();
         assert_eq!(traces.len(), 1);
-        assert_eq!(traces[0].calls_to(1), 3, "service b ran 3 spans");
+        let b_spans = traces[0].spans.iter().filter(|s| s.service == 1).count();
+        assert_eq!(b_spans, 3, "service b ran 3 spans");
         // Sequential repeats: 1 + 3×5 = 16 ms of work.
         let done = w.drain_completions();
         let lat_ms = done[0].latency_us() as f64 / 1000.0;

@@ -125,10 +125,11 @@ fn station_conserves_work() {
         let before = inst.backlog_mc_us();
         let mut now = 0u64;
         let mut used_total = 0.0;
+        let mut done = Vec::new();
         for &dt in &steps {
             now += dt;
             used_total += inst.advance(SimTime(now));
-            let _ = inst.take_finished();
+            inst.take_finished_into(&mut done);
         }
         let after = inst.backlog_mc_us();
         assert!(

@@ -13,24 +13,6 @@ pub struct Trace {
     pub spans: Vec<Span>,
 }
 
-impl Trace {
-    /// End-to-end latency: root span duration, or envelope of all spans when
-    /// the root is missing (sampled-out edge case).
-    pub fn e2e_latency_us(&self) -> u64 {
-        if let Some(root) = self.spans.iter().find(|s| s.is_root()) {
-            return root.duration_us();
-        }
-        let start = self.spans.iter().map(|s| s.start_us).min().unwrap_or(0);
-        let end = self.spans.iter().map(|s| s.end_us).max().unwrap_or(0);
-        end.saturating_sub(start)
-    }
-
-    /// Number of spans executed by `service` in this trace.
-    pub fn calls_to(&self, service: u16) -> u32 {
-        self.spans.iter().filter(|s| s.service == service).count() as u32
-    }
-}
-
 /// Handle to a trace being assembled, returned by [`TraceStore::open_trace`].
 ///
 /// The producer (the simulator) keeps the handle in its per-request state and
@@ -179,19 +161,8 @@ mod tests {
         assert_eq!(st.finished().len(), 1);
         let t = &st.finished()[0];
         assert_eq!(t.spans.len(), 2);
-        assert_eq!(t.e2e_latency_us(), 100);
-        assert_eq!(t.calls_to(1), 1);
+        assert_eq!(t.spans.iter().filter(|s| s.service == 1).count(), 1);
         assert_eq!(st.open_count(), 0);
-    }
-
-    #[test]
-    fn e2e_latency_without_root_uses_envelope() {
-        let t = Trace {
-            id: TraceId(9),
-            api: 0,
-            spans: vec![span(9, 1, Some(0), 1, 20, 50), span(9, 2, Some(0), 2, 40, 90)],
-        };
-        assert_eq!(t.e2e_latency_us(), 70);
     }
 
     #[test]

@@ -60,13 +60,13 @@ fn main() {
     // a 60 ms p99 SLO?
     let mut controller = graf.controller(60.0);
     for qps in [30.0, 60.0, 90.0] {
-        let (quotas, solve) = controller.plan(&[qps]);
+        let plan = controller.plan_outcome(&[qps], None);
         println!(
             "{qps:>5.0} qps → quotas {:?} mc (total {:>6.0}), predicted p99 {:>5.1} ms, {} model evaluations",
-            quotas.iter().map(|v| v.round()).collect::<Vec<_>>(),
-            quotas.iter().sum::<f64>(),
-            solve.predicted_ms,
-            solve.iterations,
+            plan.quotas_mc.iter().map(|v| v.round()).collect::<Vec<_>>(),
+            plan.quotas_mc.iter().sum::<f64>(),
+            plan.solve.predicted_ms,
+            plan.solve.iterations,
         );
     }
 }

@@ -36,11 +36,11 @@
 //! // Ask for the cheapest configuration meeting a 100 ms p99 SLO at the
 //! // current front-end workload:
 //! let mut controller = graf.controller(100.0);
-//! let (quotas_mc, solve) = controller.plan(&[30.0, 30.0, 40.0]);
-//! println!("quotas: {quotas_mc:?}, predicted p99 = {:.1} ms", solve.predicted_ms);
+//! let plan = controller.plan_outcome(&[30.0, 30.0, 40.0], None);
+//! println!("quotas: {:?}, predicted p99 = {:.1} ms", plan.quotas_mc, plan.solve.predicted_ms);
 //! ```
 //!
-//! The `examples/` directory contains runnable scenarios, and the
+//! `examples/quickstart.rs` is a runnable tour of this API, and the
 //! `graf-exp` runner of `crates/bench` runs every table/figure of the
 //! paper's evaluation plus the scenario sweeps (see DESIGN.md for the
 //! experiment index).

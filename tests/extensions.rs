@@ -4,8 +4,8 @@
 
 use graf::core::sample_collector::SamplingConfig;
 use graf::core::{
-    AnomalyGuard, AnomalyGuardConfig, Graf, GrafBuildConfig, GrafControllerConfig, NetKind,
-    PartitionedLatencyModel, TrainConfig,
+    AnomalyGuard, Graf, GrafBuildConfig, GrafControllerConfig, NetKind, PartitionedLatencyModel,
+    TrainConfig,
 };
 use graf::orchestrator::{Autoscaler, Cluster, CreationModel, Deployment};
 use graf::sim::time::SimTime;
@@ -99,7 +99,7 @@ fn integer_refinement_is_leaner_and_still_meets_slo_live() {
 fn anomaly_guard_wraps_graf_and_reacts_to_injected_contention() {
     let graf = build(29);
     let inner = graf.controller(40.0);
-    let mut guard = AnomalyGuard::new(inner, 3, AnomalyGuardConfig::default());
+    let mut guard = AnomalyGuard::new(inner, 3);
 
     let mut world = World::new(app(), SimConfig::default(), 92);
     world.inject_contention(

@@ -74,11 +74,11 @@ fn pipeline_learns_structure_and_solves() {
 
     // Solving responds to workload and stays in bounds.
     let mut ctrl = graf.controller(40.0);
-    let (q_low, _) = ctrl.plan(&[40.0]);
-    let (q_high, res_high) = ctrl.plan(&[120.0]);
-    assert!(q_high.iter().sum::<f64>() >= q_low.iter().sum::<f64>());
-    assert!(res_high.iterations > 0);
-    for (q, lo) in q_high.iter().zip(&graf.bounds.lower) {
+    let low = ctrl.plan_outcome(&[40.0], None);
+    let high = ctrl.plan_outcome(&[120.0], None);
+    assert!(high.quotas_mc.iter().sum::<f64>() >= low.quotas_mc.iter().sum::<f64>());
+    assert!(high.solve.iterations > 0);
+    for (q, lo) in high.quotas_mc.iter().zip(&graf.bounds.lower) {
         assert!(*q >= lo - 1e-6);
     }
 }
@@ -141,7 +141,7 @@ fn builds_are_deterministic() {
     }
     let mut ca = a.controller(40.0);
     let mut cb = b.controller(40.0);
-    let (qa, _) = ca.plan(&[100.0]);
-    let (qb, _) = cb.plan(&[100.0]);
+    let qa = ca.plan_outcome(&[100.0], None).quotas_mc;
+    let qb = cb.plan_outcome(&[100.0], None).quotas_mc;
     assert_eq!(qa, qb, "identical builds plan identically");
 }
