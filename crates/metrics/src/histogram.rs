@@ -49,26 +49,47 @@ impl BucketTable {
         let mut bounds = vec![LINEAR_CUTOFF];
         loop {
             let i = bounds.len();
-            // First guess from the closed form, then nudge until it is the
-            // exact smallest value the float formula maps to bucket `i`.
-            let est = (LINEAR_CUTOFF as f64) * GROWTH.powi(i as i32);
-            if est >= u64::MAX as f64 {
+            if (LINEAR_CUTOFF as f64) * GROWTH.powi(i as i32) >= u64::MAX as f64 {
                 break;
             }
-            let mut c = (est as u64).max(LINEAR_CUTOFF + 1);
-            while c > LINEAR_CUTOFF + 1 && Self::float_extra(c - 1) >= i {
-                c -= 1;
-            }
-            while Self::float_extra(c) < i {
-                c += 1;
-            }
-            bounds.push(c);
+            let from = bounds[i - 1].max(LINEAR_CUTOFF + 1);
+            bounds.push(Self::first_reaching(i, from, Self::float_extra));
         }
         let mut cnt_le_pow2 = [0u32; 64];
         for (k, slot) in cnt_le_pow2.iter_mut().enumerate() {
             *slot = bounds.partition_point(|&b| b <= (1u64 << k)) as u32;
         }
         Self { bounds, cnt_le_pow2 }
+    }
+
+    /// The smallest `c >= from` with `extra(c) >= i`, for a non-decreasing
+    /// `extra` (the float formula is: `as f64`, the division, `ln` and
+    /// `floor` each preserve order). Gallops up from `from`, then bisects:
+    /// at most ~128 evaluations, where stepping one integer at a time would
+    /// take millions above 2^53, where `c as f64` stays put across long runs
+    /// of integers.
+    fn first_reaching(i: usize, from: u64, mut extra: impl FnMut(u64) -> usize) -> u64 {
+        if extra(from) >= i {
+            return from;
+        }
+        // Invariant: extra(lo) < i <= extra(hi).
+        let (mut lo, mut step) = (from, 1u64);
+        let mut hi = loop {
+            let probe = lo.saturating_add(step);
+            if probe == u64::MAX || extra(probe) >= i {
+                break probe;
+            }
+            (lo, step) = (probe, step.saturating_mul(2));
+        };
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if extra(mid) >= i {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
     }
 
     /// Geometric bucket offset of `value` (which must be `>= LINEAR_CUTOFF`).
@@ -238,6 +259,37 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bucket_table_is_pinned() {
+        // FNV-1a over `bounds` then `cnt_le_pow2`, little-endian: the table
+        // the one-integer-at-a-time search built, so a faster search must
+        // build the same one.
+        let table = BucketTable::get();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let bytes = table.bounds.iter().flat_map(|b| b.to_le_bytes());
+        for b in bytes.chain(table.cnt_le_pow2.iter().flat_map(|c| c.to_le_bytes())) {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!((table.bounds.len(), h), (1996, 0x89a5_76bd_7805_0811));
+    }
+
+    #[test]
+    fn bucket_bound_search_is_logarithmic() {
+        // Each bound costs a bounded number of formula evaluations, however
+        // far it lies from the previous one.
+        let bounds = &BucketTable::get().bounds;
+        for i in 1..bounds.len() {
+            let mut evals = 0;
+            let from = bounds[i - 1].max(LINEAR_CUTOFF + 1);
+            let found = BucketTable::first_reaching(i, from, |c| {
+                evals += 1;
+                BucketTable::float_extra(c)
+            });
+            assert_eq!(found, bounds[i], "bound {i}");
+            assert!(evals <= 128, "bound {i}: {evals} evaluations");
+        }
+    }
 
     #[test]
     fn bucket_table_matches_float_formula() {

@@ -28,6 +28,20 @@
 //! handlers schedule at or after `now`); `World` clamps external injections
 //! to `now`. A violating time is clamped to `cur` in release builds (it would
 //! fire as soon as possible, like an already-due event) and asserts in debug.
+//!
+//! # Memory
+//!
+//! Far buckets (levels 1 and 2) share one pool of buffers. `cascade` empties
+//! a far bucket and gives its buffer to the pool; the first push into an
+//! empty far bucket takes a pooled buffer, and allocates only when the pool
+//! is empty. A buffer therefore exists only for an occupied far bucket (plus
+//! the one being cascaded) or in the pool, and never more of them than the
+//! most far buckets occupied at once, plus one. The retained far-level bytes
+//! are bounded by that count times the largest far-bucket capacity, however
+//! long the simulation runs. Per-slot far buffers would instead keep the peak
+//! capacity of every level-1 slot the cursor ever passed: at 50 k arrivals per
+//! simulated second, 128 KB per 65.5 ms slot, up to 1 024 slots, long after
+//! their events had gone.
 
 use crate::time::SimTime;
 
@@ -51,7 +65,8 @@ const WORDS: usize = SLOTS / 64;
 const SHIFTS: [u32; 3] = [6, 16, 26];
 /// Times at or beyond `cur`'s 2^36 µs (~19 h) epoch end go to the overflow.
 const OVERFLOW_SHIFT: u32 = 36;
-/// Capacity floor for level-1/2 buckets on their first use (see `far_push`).
+/// Capacity of a new level-1/2 bucket buffer, made when the pool is empty
+/// (see `far_push`).
 const FAR_BUCKET_MIN: usize = 64;
 
 /// One wheel level: `SLOTS` unsorted buckets plus an occupancy bitmap so the
@@ -105,10 +120,17 @@ impl<E> Level<E> {
 /// down as the cursor reaches their window; anything beyond ~19 h waits in an
 /// overflow list. Buckets are unsorted appends until the cursor enters one,
 /// at which point it is sorted once (descending, so draining pops from the
-/// back) — total ordering work is O(n log b) for bucket occupancy b, and the
-/// steady state allocates nothing once bucket capacities are warm.
+/// back) — total ordering work is O(n log b) for bucket occupancy b.
+///
+/// Level-0 buckets keep their own buffers: the cursor revisits every level-0
+/// slot each 65.5 ms, so that capacity is in use. A level-1/2 bucket holds a
+/// buffer only while it is occupied, taken from one pool of spare buffers and
+/// given back when it cascades (see the module docs), so the steady state
+/// allocates nothing once the level-0 buffers and the pool are warm.
 pub struct CalendarQueue<E> {
     levels: [Level<E>; 3],
+    /// Emptied level-1/2 bucket buffers, waiting for the next far bucket.
+    spare: Vec<Vec<Entry<E>>>,
     overflow: Vec<Entry<E>>,
     /// Monotone lower bound on all queued event times (µs).
     cur: u64,
@@ -130,6 +152,7 @@ impl<E> CalendarQueue<E> {
     pub fn new() -> Self {
         Self {
             levels: [Level::new(), Level::new(), Level::new()],
+            spare: Vec::new(),
             overflow: Vec::new(),
             cur: 0,
             draining: false,
@@ -173,28 +196,28 @@ impl<E> CalendarQueue<E> {
                 self.levels[0].set(s);
             }
         } else if t >> (SHIFTS[1] + SLOT_BITS) == self.cur >> (SHIFTS[1] + SLOT_BITS) {
-            let s = Self::slot(t, 1);
-            Self::far_push(&mut self.levels[1].buckets[s], e);
-            self.levels[1].set(s);
+            self.far_push(1, Self::slot(t, 1), e);
         } else if t >> (SHIFTS[2] + SLOT_BITS) == self.cur >> (SHIFTS[2] + SLOT_BITS) {
-            let s = Self::slot(t, 2);
-            Self::far_push(&mut self.levels[2].buckets[s], e);
-            self.levels[2].set(s);
+            self.far_push(2, Self::slot(t, 2), e);
         } else {
             self.overflow.push(e);
         }
     }
 
-    /// Push into a far-level (1/2) bucket with a capacity floor. Far buckets
-    /// accumulate batches (bulk-injected arrivals, cascaded spill) whose size
-    /// often lands exactly on a power of two; without the floor, the single
-    /// extra event that trickles in near a wheel boundary re-allocates the
-    /// bucket every epoch and the steady state never becomes allocation-free.
-    fn far_push(bucket: &mut Vec<Entry<E>>, e: Entry<E>) {
-        if bucket.is_empty() && bucket.capacity() < FAR_BUCKET_MIN {
-            bucket.reserve(FAR_BUCKET_MIN);
+    /// Push into a far-level (1/2) bucket. An empty far bucket holds no
+    /// buffer (`cascade` gives it to the pool), so the first push takes a
+    /// pooled one, and reserves `FAR_BUCKET_MIN` entries only when the pool
+    /// is empty: far buckets fill with batches (bulk-injected arrivals,
+    /// cascaded spill), and the floor spares a new buffer the 4-8-16-32
+    /// growth steps of its first batch.
+    fn far_push(&mut self, level: usize, slot: usize, e: Entry<E>) {
+        let bucket = &mut self.levels[level].buckets[slot];
+        if bucket.capacity() == 0 {
+            *bucket = self.spare.pop().unwrap_or_default();
+            bucket.reserve(FAR_BUCKET_MIN); // a no-op on a pooled buffer
         }
         bucket.push(e);
+        self.levels[level].set(slot);
     }
 
     #[inline]
@@ -230,15 +253,15 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Moves every entry of `levels[level].buckets[slot]` down a level (or
-    /// into level 0) now that the cursor has entered its window. The bucket's
-    /// capacity is preserved so redistribution never re-allocates it.
+    /// into level 0) now that the cursor has entered its window, then gives
+    /// the emptied buffer to the pool for the next far bucket to fill.
     fn cascade(&mut self, level: usize, slot: usize) {
         let mut moved = std::mem::take(&mut self.levels[level].buckets[slot]);
         self.levels[level].clear(slot);
         for e in moved.drain(..) {
             self.place(e);
         }
-        self.levels[level].buckets[slot] = moved;
+        self.spare.push(moved);
     }
 
     /// Removes and returns the earliest event if it is due at or before `t`.
@@ -451,5 +474,35 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime(10), 3)));
         assert_eq!(q.pop(), Some((SimTime(11), 2)));
         assert_eq!(q.pop(), Some((SimTime(12), 1)));
+    }
+
+    /// Entries' worth of buffer held by level-1/2 buckets and the pool.
+    fn far_capacity<E>(q: &CalendarQueue<E>) -> usize {
+        let slots: usize =
+            q.levels[1..].iter().flat_map(|l| &l.buckets).map(|b| b.capacity()).sum();
+        slots + q.spare.iter().map(|b| b.capacity()).sum::<usize>()
+    }
+
+    #[test]
+    fn far_buffers_do_not_grow_with_simulated_time() {
+        // Each second's batch (50 events, 20 ms apart) is scheduled at the
+        // start of that second and popped through its end, the way a world
+        // is driven segment by segment. The run passes 1 000+ level-1 slots
+        // and one level-2 cascade; the far buffers it holds must stay those
+        // a few seconds needed.
+        let mut q = CalendarQueue::new();
+        let mut warm = 0;
+        for sec in 0..70u64 {
+            for k in 0..50 {
+                q.schedule(SimTime(sec * 1_000_000 + k * 20_000), k);
+            }
+            while q.pop_due(SimTime((sec + 1) * 1_000_000)).is_some() {}
+            if sec == 4 {
+                warm = far_capacity(&q);
+            }
+        }
+        assert!(q.is_empty());
+        let end = far_capacity(&q);
+        assert!(warm > 0 && end * 2 <= warm * 3, "far capacity {warm} after 5 s, {end} after 70 s");
     }
 }

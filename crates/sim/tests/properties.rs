@@ -419,6 +419,66 @@ fn calendar_queue_far_bucket_floor_is_not_a_capacity_limit() {
     }
 }
 
+/// Far buckets share one pool of buffers, so a buffer one far bucket
+/// emptied is the next one's. Driven the way a world is driven — each
+/// second's batch scheduled at the start of that second, then popped in
+/// bounded steps, a pop sometimes scheduling a follow-up up to 200 ms out
+/// and, rarely, minutes out — the wheel pops exactly what the reference pops
+/// through more than one level-1 revolution (2^26 µs ≈ 67 s) and the level-2
+/// cascades that crossing it brings.
+#[test]
+fn calendar_queue_pooled_far_buffers_never_reorder_pops() {
+    fn both(cal: &mut CalendarQueue<u64>, reference: &mut Reference<u64>, t: u64, id: &mut u64) {
+        cal.schedule(SimTime(t), *id);
+        reference.schedule(SimTime(t), *id);
+        *id += 1;
+    }
+    for case in 0..8 {
+        let mut rng = DetRng::new(case);
+        let mut cal = CalendarQueue::new();
+        let mut reference = Reference::new();
+        let mut id = 0u64;
+        for sec in 0..75u64 {
+            let start = sec * 1_000_000;
+            let mut last = start;
+            for _ in 0..rng.uniform_u64(100, 400) {
+                // One in eight ties the previous arrival's time exactly.
+                if !rng.chance(0.125) {
+                    last = start + rng.uniform_u64(0, 999_999);
+                }
+                both(&mut cal, &mut reference, last, &mut id);
+            }
+            if rng.chance(0.2) {
+                let far = start + rng.uniform_u64(1, 150) * 1_000_000 + rng.uniform_u64(0, 999);
+                both(&mut cal, &mut reference, far, &mut id);
+            }
+            let mut bounds = vec_of(&mut rng, 1..8, |r| start + r.uniform_u64(0, 999_999));
+            bounds.sort_unstable();
+            bounds.push(start + 1_000_000);
+            for bound in bounds {
+                loop {
+                    let (a, b) = (cal.pop_due(SimTime(bound)), reference.pop_due(SimTime(bound)));
+                    assert_eq!(a, b, "case {case}: pop_due({bound}) diverged in second {sec}");
+                    let Some((t, _)) = a else { break };
+                    if rng.chance(0.3) {
+                        let follow = t.0 + rng.uniform_u64(0, 200_000);
+                        both(&mut cal, &mut reference, follow, &mut id);
+                    }
+                }
+                assert_eq!(cal.peek_time(), reference.peek_time(), "case {case}: peek, {sec} s");
+            }
+        }
+        assert!(!cal.is_empty(), "case {case}: events stay queued past the run");
+        loop {
+            let (a, b) = (cal.pop(), reference.pop());
+            assert_eq!(a, b, "case {case}: tail drain diverged");
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+}
+
 #[test]
 fn calendar_crosses_every_level_and_overflow() {
     // One event per residence class: level 0 (64 µs buckets), level 1
