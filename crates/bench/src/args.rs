@@ -1,5 +1,7 @@
 //! The flags `graf-exp` parses once, whichever subcommand runs.
 
+use std::num::NonZeroUsize;
+
 /// The flags of `graf-exp`. An experiment (or `all`) takes the first seven,
 /// `sweep` the scale flags (`--seed` to `--threads`) and its own four,
 /// `compare` two revisions and its own four; a flag on a subcommand that
@@ -8,7 +10,7 @@
 /// * `--seed <u64>` — base RNG seed (default 7); the grid seed of a sweep.
 /// * `--paper-scale` — raise sample counts/epochs toward the published
 ///   configuration (slower, closer to the paper's statistical power).
-/// * `--samples <n>` — override the training-sample count.
+/// * `--samples <n>` — override the training-sample count (positive).
 /// * `--quick` — shrink everything for a fast smoke run.
 /// * `--threads <n>` — worker threads for data-parallel training (results
 ///   are bit-identical for any value; default 1).
@@ -103,11 +105,11 @@ impl Args {
                 "--paper-scale" if !compare => out.paper_scale = true,
                 "--quick" if !compare => out.quick = true,
                 "--samples" if !compare => {
-                    out.samples = Some(number(it.next(), "--samples needs a usize value")?);
+                    let n: NonZeroUsize = number(it.next(), "--samples needs a positive integer")?;
+                    out.samples = Some(n.get());
                 }
                 "--threads" if !compare => {
-                    let n: std::num::NonZeroUsize =
-                        number(it.next(), "--threads needs a positive integer")?;
+                    let n: NonZeroUsize = number(it.next(), "--threads needs a positive integer")?;
                     out.threads = Some(n.get());
                 }
                 "--telemetry" if exp => {
@@ -213,6 +215,14 @@ mod tests {
         assert_eq!(parse(&["--threads", "3"]).threads, Some(3));
         let caught = std::panic::catch_unwind(|| parse(&["--threads", "0"]));
         assert!(caught.is_err(), "--threads 0 must be rejected");
+    }
+
+    #[test]
+    fn samples_flag_parses_and_rejects_zero() {
+        assert_eq!(parse(&["--samples", "5"]).samples, Some(5));
+        let err = "--samples needs a positive integer";
+        assert_eq!(parse_for("fig21_22_surge_comparison", &["--samples", "0"]).unwrap_err(), err);
+        assert_eq!(parse_for("sweep", &["--grid", "@smoke", "--samples", "0"]).unwrap_err(), err);
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //! * An empty schedule injects nothing and draws nothing: arming chaos with
 //!   no faults leaves a run bit-identical to one that never heard of this
 //!   crate (`chaos off` ≡ baseline).
-//! * Engine queries on the simulation hot path allocate nothing and never
-//!   read the wall clock (enforced by `graf-lint`).
+//! * Engine queries on the simulation hot path allocate nothing (measured by
+//!   `graf-core`'s counting-allocator suite) and never read the wall clock
+//!   (banned by the workspace `clippy.toml`).
 //!
 //! ## Quickstart
 //!

@@ -203,6 +203,10 @@ impl LatencyModel {
     /// point per evaluation (optimizer iteration, train/val loss) and a
     /// closing `graf.train` span (epochs, best checkpoint, epochs/sec).
     /// Numerically identical to the unobserved path.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall clock is read only while the span records, and only into telemetry"
+    )]
     pub fn train_observed(
         &mut self,
         split: &Split,

@@ -83,7 +83,10 @@ pub struct PartitionedLatencyModel {
 impl PartitionedLatencyModel {
     /// Partitions the graph, trains one model per part on the shared samples
     /// and split, and returns the ensemble with each part's train report.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the graph, its part count, and the inputs every part trains on"
+    )]
     pub fn build(
         kind: NetKind,
         edges: &[(u16, u16)],

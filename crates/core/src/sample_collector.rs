@@ -277,6 +277,10 @@ impl SampleCollector {
 
     /// Collects `n` samples inside `bounds`, fanning out over worker threads.
     /// `analyzer` converts offered rates into per-service workload features.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall clock is read only while the span records, and only into telemetry"
+    )]
     pub fn collect(&self, bounds: &Bounds, analyzer: &WorkloadAnalyzer, n: usize) -> Vec<Sample> {
         let mut span = self.obs.span("graf.sample.collect");
         let start = span.is_recording().then(std::time::Instant::now);
@@ -360,7 +364,6 @@ fn measure_run(
         // Poisson arrivals over the whole run.
         let mut t = 0.0f64;
         loop {
-            // graf-lint: allow(float-reduction, sequential single-stream accumulation — one worker owns this RNG stream, no cross-thread order)
             t += gen.exp(1e6 / rate);
             if t >= total.as_micros() as f64 {
                 break;

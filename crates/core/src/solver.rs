@@ -222,9 +222,7 @@ pub fn solve_observed(
     assert_eq!(n, bounds.lower.len());
     assert!(slo_ms > 0.0);
 
-    // graf-lint: allow(hot-alloc, one-time setup before the descent loop)
     let lo: Vec<f64> = bounds.lower.iter().map(|&v| model.scaler.scale_quota(v)).collect();
-    // graf-lint: allow(hot-alloc, one-time setup before the descent loop)
     let hi: Vec<f64> = bounds.upper.iter().map(|&v| model.scaler.scale_quota(v)).collect();
 
     // Buffers hoisted out of the walk, carved from one allocation: the
@@ -233,7 +231,6 @@ pub fn solve_observed(
     // free-coordinate mask. Each evaluation is one fused forward through the
     // model, plus a backward only when the iterate is infeasible (reusing the
     // retained forward trace).
-    // graf-lint: allow(hot-alloc, hoisted buffer reused every iteration)
     let mut scratch = vec![0.0; 7 * n];
     let (x, rest) = scratch.split_at_mut(n);
     let (probe, rest) = rest.split_at_mut(n);
@@ -241,7 +238,6 @@ pub fn solve_observed(
     let (best_grad, rest) = rest.split_at_mut(n);
     let (quotas_mc, rest) = rest.split_at_mut(n);
     let (step, free) = rest.split_at_mut(n);
-    // graf-lint: allow(hot-alloc, hoisted buffer reused every iteration)
     let grad = Vec::with_capacity(n);
     let mut eval = Eval { model, workloads, slo_ms, quotas_mc, grad, count: 0 };
 
@@ -378,7 +374,6 @@ pub fn solve_observed(
     let iterations = eval.count;
 
     let scaler = model.scaler;
-    // graf-lint: allow(hot-alloc, result construction after the loop exits)
     let quotas_mc: Vec<f64> = best.iter().map(|&v| scaler.unscale_quota(v)).collect();
     // The best iterate was evaluated on these very quotas; only a solve
     // allowed no step at all returns the top of the box unevaluated.
@@ -468,7 +463,10 @@ impl AdamPath {
 /// along the path, `c` is its first infeasible point — where a
 /// point-by-point walk meets the wall. `p_0` is tried first, so an SLO that the top of the box
 /// already misses costs one evaluation rather than a bisection.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "works in place on the hoisted buffers of `solve_observed`"
+)]
 fn find_crossing(
     eval: &mut Eval,
     len: usize,
@@ -627,14 +625,11 @@ pub fn integer_refine(
     assert!(cpu_unit_mc > 0.0);
     let n = continuous_mc.len();
     let ceil = |q: f64| (q / cpu_unit_mc).ceil() as usize;
-    // graf-lint: allow(hot-alloc, one-time setup before the greedy loop)
     let floor: Vec<usize> = bounds.lower.iter().map(|&l| ceil(l).max(1)).collect();
     let candidates = continuous_mc.iter().zip(&floor);
-    // graf-lint: allow(hot-alloc, one-time setup before the greedy loop)
     let mut counts: Vec<usize> = candidates.map(|(&q, &f)| ceil(q).max(f)).collect();
     // One quota buffer for every candidate, and `predict_ms` runs on the
     // model's reused scratch: no candidate allocates.
-    // graf-lint: allow(hot-alloc, one-time setup before the greedy loop)
     let mut quotas: Vec<f64> = counts.iter().map(|&k| k as f64 * cpu_unit_mc).collect();
     let mut pred = model.predict_ms(workloads, &quotas);
     loop {

@@ -26,7 +26,7 @@
 //! seeds drawn in chunk order and gradients reduced in ascending chunk
 //! order (see `model`). Steady-state prediction and training allocate
 //! nothing after warm-up — measured by the counting allocator in
-//! `tests/sanitize.rs` and banned in the hot bodies by `graf-lint`.
+//! `tests/sanitize.rs`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -288,7 +288,7 @@ fn add_cols_window(src: &Matrix, from: usize, dst: &mut Matrix) {
 
 /// Stacked forward pass over rows `r0..r1` of `x`, leaving predictions in
 /// `pass.y` and the traces needed by [`backward_stacked`] in `pass`.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one chunk's borrowed inputs and its scratch")]
 fn forward_stacked(
     nets: &GnnNets,
     graph: &GraphSpec,
@@ -498,6 +498,10 @@ impl LatencyNet for MicroserviceGnn {
         self.cfg.feature_dim
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "chunk gradients fold in ascending chunk index, so the step is thread-count-invariant"
+    )]
     fn train_step(
         &mut self,
         x: &Matrix,
@@ -574,7 +578,6 @@ impl LatencyNet for MicroserviceGnn {
         // ascending chunk index, so the sum is identical for any thread count.
         let mut total = 0.0;
         for pass in &scratch.chunks[..n_chunks] {
-            // graf-lint: allow(float-reduction, this IS the ordered reduction — ascending chunk index, thread-count-invariant by tier-1 test)
             total += pass.loss;
             self.nets.phi1.accumulate_grads(&pass.grads.phi1);
             self.nets.gamma1.accumulate_grads(&pass.grads.gamma1);

@@ -34,30 +34,26 @@ thread_local! {
 /// A [`System`] wrapper that counts allocations per thread.
 pub struct CountingAlloc;
 
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "`GlobalAlloc` is an unsafe trait")]
 // SAFETY: every method delegates to `System`, which upholds the GlobalAlloc
 // contract; the counter update has no effect on the returned memory.
-// graf-lint: safety(every method delegates verbatim to the System allocator)
 unsafe impl GlobalAlloc for CountingAlloc {
-    // graf-lint: safety(unsafe is required by the trait; body only counts)
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
-        // graf-lint: safety(layout forwarded unchanged; caller upholds the contract)
+        // SAFETY: `layout` is forwarded unchanged; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
-    // graf-lint: safety(unsafe is required by the trait; body only delegates)
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // graf-lint: safety(ptr and layout forwarded unchanged from our alloc)
+        // SAFETY: `ptr` and `layout` are forwarded unchanged from our own `alloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
-    // graf-lint: safety(unsafe is required by the trait; body only counts)
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A realloc that moves (or grows) is an allocation for our purposes:
         // a steady-state hot path must not grow its buffers.
         ALLOCS.with(|c| c.set(c.get() + 1));
-        // graf-lint: safety(ptr and layout forwarded unchanged from our alloc)
+        // SAFETY: `ptr` and `layout` are forwarded unchanged from our own `alloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

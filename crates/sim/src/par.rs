@@ -14,6 +14,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// caller and scoped helper threads — that claim indices from a shared
 /// counter. Values come back in index order, whichever worker ran them; a
 /// panic in `f` reaches the caller as itself.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one worker pool: results come back in index order for any width"
+)]
 pub fn fan_out<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let next = AtomicUsize::new(0);
     let worker = || {

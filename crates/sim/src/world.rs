@@ -676,7 +676,7 @@ impl World {
                 start: self.now,
                 sampled,
                 trace,
-                frames: Vec::new(), // graf-lint: allow(hot-alloc, slab growth is amortized and stops at the in-flight high-water mark)
+                frames: Vec::new(),
             });
             (self.requests.len() - 1) as u32
         };
@@ -726,7 +726,10 @@ impl World {
     /// already hold the plan node, so passing it in saves the re-walk.
     /// `span_id`/`parent_span` are the frame's structural span coordinates
     /// (see [`PlanNode::subtree_frames`]); a request's root passes `(0, None)`.
-    #[allow(clippy::too_many_arguments)] // internal slab constructor; every argument is hot-path data the caller already holds
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "internal slab constructor; every argument is hot-path data the caller already holds"
+    )]
     fn alloc_frame(
         &mut self,
         request: RequestId,

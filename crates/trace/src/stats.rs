@@ -6,7 +6,7 @@
 //! 90 %-ile), and (b) the parent→child service edges, which define the
 //! message-passing structure of the GNN (§3.4).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use graf_metrics::Summary;
 
@@ -66,6 +66,10 @@ impl CallStats {
     }
 
     /// Folds one completed trace into the statistics.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "`by_id` is lookup-only (never iterated), and this runs per trace"
+    )]
     pub fn observe(&mut self, trace: &Trace) {
         let profile = self.profiles.entry(trace.api).or_default();
         profile.traces_seen += 1;
@@ -90,7 +94,8 @@ impl CallStats {
         }
 
         // Edges from parent links.
-        let by_id: HashMap<_, _> = trace.spans.iter().map(|s| (s.span_id, s)).collect();
+        let by_id: std::collections::HashMap<_, _> =
+            trace.spans.iter().map(|s| (s.span_id, s)).collect();
         for s in &trace.spans {
             if let Some(pid) = s.parent {
                 if let Some(parent) = by_id.get(&pid) {

@@ -8,6 +8,10 @@
 use graf::core::{Graf, GrafBuildConfig, SamplingConfig, TrainConfig};
 use graf::sim::topology::{ApiSpec, AppTopology, CallNode, ServiceSpec};
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "times the build for the reader; no output depends on it"
+)]
 fn main() {
     // A three-service chain: gateway → auth → database-ish backend.
     // Work is in milliseconds-of-a-full-core per request.

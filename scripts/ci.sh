@@ -1,28 +1,21 @@
 #!/usr/bin/env bash
-# CI gate: build, test, formatting, lints. Run from the repo root.
+# CI gate: build, test, formatting, docs, sanitizers. Run from the repo root.
+# clippy with the workspace bans (clippy.toml, [workspace.lints]) runs inside
+# `cargo test -q`: tests/lints.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q (whole workspace via default-members, doctests and the counting-allocator suites included) =="
+echo "== cargo test -q (whole workspace via default-members: doctests, the counting-allocator suites and clippy -D warnings included) =="
 cargo test -q
 
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy (deny warnings) =="
-cargo clippy --workspace --all-targets -- -D warnings
-
 echo "== cargo doc (deny warnings; missing_docs denied per-crate) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
-
-echo "== graf-lint (site bans, hot-function bodies, token rules, stale allows and [[hot]] names) =="
-LINT_START=$(date +%s%N)
-cargo run --release -q -p graf-lint
-LINT_MS=$(( ($(date +%s%N) - LINT_START) / 1000000 ))
-echo "graf-lint: clean in ${LINT_MS}ms"
 
 echo "== thread sanitizer (data-parallel train + the collector's and the sweep's worker pool) =="
 if rustup component list --toolchain nightly 2>/dev/null | grep -q '^rust-src.*(installed)'; then
