@@ -3,9 +3,8 @@
 use std::num::NonZeroUsize;
 
 /// The flags of `graf-exp`. An experiment (or `all`) takes the first seven,
-/// `sweep` the scale flags (`--seed` to `--threads`) and its own four,
-/// `compare` two revisions and its own four; a flag on a subcommand that
-/// does not take it is an error naming the flag.
+/// `sweep` the scale flags (`--seed` to `--threads`) and its own two; a flag
+/// on a subcommand that does not take it is an error naming the flag.
 ///
 /// * `--seed <u64>` — base RNG seed (default 7); the grid seed of a sweep.
 /// * `--paper-scale` — raise sample counts/epochs toward the published
@@ -24,14 +23,6 @@ use std::num::NonZeroUsize;
 ///   name is an error.
 /// * `--grid <spec|@preset>` — `sweep`: the scenario grid (required).
 /// * `--out <path>` — `sweep`: write the aggregated JSONL report here.
-/// * `--history <path>` — `sweep`: append the records, tagged `--rev`, to
-///   this file; `compare`: read it (default `SWEEP_HISTORY.jsonl`).
-/// * `--rev <rev>` — `sweep`: the revision to tag history rows (default HEAD).
-/// * `--gate <metric>` — `compare`: the higher-is-worse metric to gate on
-///   (default `p99_ms`).
-/// * `--threshold <pct>` — `compare`: the regression threshold (default 10).
-/// * `--strict` — `compare`: differing cell sets, a missing history file and
-///   a revision without rows are failures.
 #[derive(Clone, Debug)]
 pub struct Args {
     /// Base RNG seed.
@@ -52,18 +43,6 @@ pub struct Args {
     pub grid: Option<String>,
     /// Where the sweep writes its aggregated report.
     pub out: Option<String>,
-    /// The sweep history file appended to (`sweep`) or read (`compare`).
-    pub history: Option<String>,
-    /// The revision a sweep's history rows are tagged with.
-    pub rev: Option<String>,
-    /// The two revisions `compare` was given, base first.
-    pub revs: Vec<String>,
-    /// The metric `compare` gates on.
-    pub gate: String,
-    /// `compare`'s regression threshold, percent.
-    pub threshold: f64,
-    /// Whether `compare` fails on missing history and differing cell sets.
-    pub strict: bool,
 }
 
 impl Default for Args {
@@ -78,44 +57,37 @@ impl Default for Args {
             chaos: None,
             grid: None,
             out: None,
-            history: None,
-            rev: None,
-            revs: Vec::new(),
-            gate: "p99_ms".to_string(),
-            threshold: 10.0,
-            strict: false,
         }
     }
 }
 
 impl Args {
-    /// Parses the flags of subcommand `cmd` (`sweep`, `compare`, or anything
-    /// else for an experiment); the error names the offending flag.
+    /// Parses the flags of subcommand `cmd` (`sweep`, or anything else for an
+    /// experiment); the error names the offending flag.
     pub fn from_args(cmd: &str, args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Self::default();
         let mut it = args.into_iter();
         fn number<T: std::str::FromStr>(v: Option<String>, what: &str) -> Result<T, String> {
             v.and_then(|v| v.parse().ok()).ok_or_else(|| what.to_string())
         }
-        let (sweep, compare) = (cmd == "sweep", cmd == "compare");
-        let exp = !sweep && !compare;
+        let sweep = cmd == "sweep";
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--seed" if !compare => out.seed = number(it.next(), "--seed needs a u64 value")?,
-                "--paper-scale" if !compare => out.paper_scale = true,
-                "--quick" if !compare => out.quick = true,
-                "--samples" if !compare => {
+                "--seed" => out.seed = number(it.next(), "--seed needs a u64 value")?,
+                "--paper-scale" => out.paper_scale = true,
+                "--quick" => out.quick = true,
+                "--samples" => {
                     let n: NonZeroUsize = number(it.next(), "--samples needs a positive integer")?;
                     out.samples = Some(n.get());
                 }
-                "--threads" if !compare => {
+                "--threads" => {
                     let n: NonZeroUsize = number(it.next(), "--threads needs a positive integer")?;
                     out.threads = Some(n.get());
                 }
-                "--telemetry" if exp => {
+                "--telemetry" if !sweep => {
                     out.telemetry = Some(it.next().ok_or("--telemetry needs a file path")?);
                 }
-                "--chaos" if exp => {
+                "--chaos" if !sweep => {
                     let class = it.next().ok_or("--chaos needs a fault-class name")?;
                     if !graf_chaos::CATALOG.contains(&class.as_str()) {
                         let known = graf_chaos::CATALOG.join(", ");
@@ -125,24 +97,13 @@ impl Args {
                 }
                 "--grid" if sweep => out.grid = Some(it.next().ok_or("--grid needs a grid spec")?),
                 "--out" if sweep => out.out = Some(it.next().ok_or("--out needs a file path")?),
-                "--rev" if sweep => out.rev = Some(it.next().ok_or("--rev needs a revision")?),
-                "--history" if !exp => {
-                    out.history = Some(it.next().ok_or("--history needs a file path")?);
-                }
-                "--gate" if compare => out.gate = it.next().ok_or("--gate needs a metric name")?,
-                "--threshold" if compare => {
-                    out.threshold = number(it.next(), "--threshold needs a percentage")?;
-                }
-                "--strict" if compare => out.strict = true,
-                _ if compare && !a.starts_with('-') && out.revs.len() < 2 => out.revs.push(a),
                 other => return Err(format!("unknown flag {other} for `{cmd}`")),
             }
         }
-        match (cmd, &out.grid, out.revs.len()) {
-            ("sweep", None, _) => Err("sweep needs --grid <spec|@preset>".to_string()),
-            ("compare", _, n) if n < 2 => Err("compare needs two revisions".to_string()),
-            _ => Ok(out),
+        if sweep && out.grid.is_none() {
+            return Err("sweep needs --grid <spec|@preset>".to_string());
         }
+        Ok(out)
     }
 
     /// A telemetry handle honoring `--telemetry`: enabled when a dump path
@@ -256,36 +217,31 @@ mod tests {
     }
 
     #[test]
-    fn sweep_and_compare_flags_parse_on_their_subcommands() {
-        let s = parse_for("sweep", &["--grid", "@smoke", "--quick", "--out", "o", "--rev", "r"]);
-        let s = s.unwrap();
+    fn sweep_flags_parse_on_their_subcommand() {
+        let s = parse_for("sweep", &["--grid", "@smoke", "--quick", "--out", "o"]).unwrap();
         assert_eq!(
-            (s.grid.as_deref(), s.out.as_deref(), s.rev.as_deref(), s.quick),
-            (Some("@smoke"), Some("o"), Some("r"), true)
-        );
-        let c = parse_for("compare", &["a", "--strict", "b", "--gate", "timeouts"]).unwrap();
-        assert_eq!(
-            (c.revs, c.gate.as_str(), c.threshold, c.strict),
-            (vec!["a".to_string(), "b".to_string()], "timeouts", 10.0, true)
+            (s.grid.as_deref(), s.out.as_deref(), s.quick),
+            (Some("@smoke"), Some("o"), true)
         );
         assert!(parse_for("sweep", &["--quick"]).unwrap_err().contains("--grid"));
-        assert!(parse_for("compare", &["a"]).unwrap_err().contains("two revisions"));
     }
 
     #[test]
     fn a_flag_on_the_wrong_subcommand_is_rejected_by_name() {
-        for flag in ["--grid", "--out", "--history", "--rev", "--gate", "--threshold", "--strict"] {
+        for flag in ["--grid", "--out"] {
             let err = parse_for("fig17_slo_targeting", &[flag, "x"]).unwrap_err();
             assert!(err.contains(&format!("unknown flag {flag} ")), "{err}");
         }
-        for flag in ["--telemetry", "--chaos", "--gate", "--strict", "--workers"] {
+        for flag in ["--telemetry", "--chaos", "--workers"] {
             let err = parse_for("sweep", &["--grid", "@smoke", flag, "x"]).unwrap_err();
             assert!(err.contains(&format!("unknown flag {flag} ")), "{err}");
         }
-        for flag in ["--seed", "--quick", "--grid", "--out", "--rev", "--telemetry"] {
-            let err = parse_for("compare", &["a", "b", flag, "x"]).unwrap_err();
-            assert!(err.contains(&format!("unknown flag {flag} ")), "{err}");
+        // The sweep keeps no revision history, so no subcommand takes these.
+        for flag in ["--history", "--rev", "--gate", "--threshold", "--strict"] {
+            let err = parse_for("sweep", &["--grid", "@smoke", flag, "x"]).unwrap_err();
+            assert!(err.contains(&format!("unknown flag {flag} for `sweep`")), "{err}");
+            let err = parse_for("fig17_slo_targeting", &[flag, "x"]).unwrap_err();
+            assert!(err.contains(&format!("unknown flag {flag} for `fig17")), "{err}");
         }
-        assert!(parse_for("compare", &["a", "b", "c"]).unwrap_err().contains("unknown flag c"));
     }
 }

@@ -68,9 +68,5 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
             model.mape(&graf.samples)
         )?;
     }
-    writeln!(
-        cx.out,
-        "\n(per-part readouts shrink with the part size; the additive composition \
-         costs some accuracy on non-chain structure — §6's suggested trade)"
-    )
+    Ok(())
 }

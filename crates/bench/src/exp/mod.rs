@@ -12,13 +12,12 @@ use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use graf_core::baseline::{tune_hpa_threshold, SteadyOutcome};
 use graf_core::sample_collector::SampleCollector;
 use graf_core::{Graf, GrafBuildConfig, GrafController};
-use graf_sim::par::panic_message;
+use graf_sim::par::{fan_out, panic_message};
 
 use crate::standard::{build_config, sampling_config, AppSetup, ModelCache};
 use crate::{sweepgrid, Args};
@@ -70,7 +69,8 @@ pub struct Ctx {
     /// The one telemetry handle (`--telemetry`); disabled when the flag is unset.
     pub obs: graf_obs::Obs,
     /// Where the running experiment writes its artefact (shareable, so sweep
-    /// workers can read the rest of the context while none of them writes).
+    /// and `all` workers can read the rest of the context while none of them
+    /// writes).
     pub out: Box<dyn Write + Send + Sync>,
     caches: Arc<Caches>,
 }
@@ -163,18 +163,12 @@ fn run_caught(run: fn(&mut Ctx) -> io::Result<()>, cx: &mut Ctx) -> Result<(), S
 }
 
 /// Runs one experiment into `path` on a context of its own that shares
-/// `caches`; a panic or an I/O error comes back as its message.
-fn run_into(
-    path: &Path,
-    run: fn(&mut Ctx) -> io::Result<()>,
-    args: &Args,
-    obs: &graf_obs::Obs,
-    caches: &Arc<Caches>,
-) -> Result<(), String> {
+/// `cx`'s flags, telemetry and caches; a panic or an I/O error comes back as
+/// its message.
+fn run_into(path: &Path, run: fn(&mut Ctx) -> io::Result<()>, cx: &Ctx) -> Result<(), String> {
     let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
-    let mut cx =
-        Ctx { args: args.clone(), obs: obs.clone(), out: Box::new(file), caches: caches.clone() };
-    run_caught(run, &mut cx)
+    let (args, obs, caches) = (cx.args.clone(), cx.obs.clone(), cx.caches.clone());
+    run_caught(run, &mut Ctx { args, obs, out: Box::new(file), caches })
 }
 
 /// `graf-exp <name>`: runs one experiment on `cx` the way [`run_all`] runs
@@ -196,46 +190,31 @@ fn workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Runs every entry of `registry`, each writing `<dir>/<name>.txt`, on as
-/// many workers as the machine has cores, and reports progress on `cx.out`.
-/// The artefacts do not depend on the schedule: experiments share only the
-/// caches, whose contents are a function of the flags. An experiment that
-/// panics or fails to write is recorded and the rest still run; returns the
-/// number that failed.
+/// Runs every entry of `registry`, each writing `<dir>/<name>.txt`, on the
+/// workspace's worker pool ([`fan_out`], one worker per core), then reports
+/// one progress line per entry on `cx.out`, in registry order. The artefacts
+/// do not depend on the schedule: experiments share only the caches, whose
+/// contents are a function of the flags. An experiment that panics or fails
+/// to write is recorded and the rest still run; returns the number that
+/// failed.
 pub fn run_all(registry: &[Entry], cx: &mut Ctx, dir: &Path) -> io::Result<usize> {
     std::fs::create_dir_all(dir)?;
-    let workers = workers();
-    let next = AtomicUsize::new(0);
-    let (done, finished) = mpsc::channel();
+    let path = |name: &str| dir.join(format!("{name}.txt"));
+    let shared: &Ctx = cx;
+    let results = fan_out(registry.len(), workers(), |i| {
+        let (name, _, run) = registry[i];
+        run_into(&path(name), run, shared)
+    });
     let mut failed = Vec::new();
-    std::thread::scope(|scope| -> io::Result<()> {
-        for _ in 0..workers.min(registry.len()) {
-            let (done, next, args, obs, caches) =
-                (done.clone(), &next, &cx.args, &cx.obs, &cx.caches);
-            scope.spawn(move || {
-                while let Some(&(name, _, run)) = registry.get(next.fetch_add(1, Ordering::SeqCst))
-                {
-                    let path = dir.join(format!("{name}.txt"));
-                    let result = run_into(&path, run, args, obs, caches);
-                    // The receiver outlives every worker unless it failed to write.
-                    if done.send((name, path, result)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(done);
-        for (name, path, result) in finished {
-            match result {
-                Ok(()) => writeln!(cx.out, "ok   {name}")?,
-                Err(e) => {
-                    writeln!(cx.out, "FAIL {name} (output: {}): {e}", path.display())?;
-                    failed.push(name);
-                }
+    for (&(name, _, _), result) in registry.iter().zip(results) {
+        match result {
+            Ok(()) => writeln!(cx.out, "ok   {name}")?,
+            Err(e) => {
+                writeln!(cx.out, "FAIL {name} (output: {}): {e}", path(name).display())?;
+                failed.push(name);
             }
         }
-        Ok(())
-    })?;
+    }
     let (builds, tunings) = cx.cache_misses();
     writeln!(
         cx.out,
@@ -258,9 +237,7 @@ fn usage(error: &str) -> ExitCode {
          \x20      graf-exp <EXPERIMENT | all> [--seed U64] [--quick] [--paper-scale] [--samples N]\n\
          \x20               [--threads N] [--telemetry PATH] [--chaos CLASS]\n\
          \x20      graf-exp sweep --grid <SPEC | @PRESET> [--seed U64] [--quick] [--paper-scale]\n\
-         \x20               [--samples N] [--threads N] [--out PATH] [--history PATH] [--rev REV]\n\
-         \x20      graf-exp compare <REV_A> <REV_B> [--history PATH] [--gate METRIC]\n\
-         \x20               [--threshold PCT] [--strict]\n\
+         \x20               [--samples N] [--threads N] [--out PATH]\n\
          `all` runs every experiment into results/<name>.txt. Experiments:\n  {}",
         names.join("\n  ")
     );
@@ -268,11 +245,11 @@ fn usage(error: &str) -> ExitCode {
 }
 
 /// The `graf-exp` command line: `list`, `<name> [flags]`, `all [flags]`,
-/// `sweep --grid G [flags]` or `compare A B [flags]`.
+/// or `sweep --grid G [flags]`.
 pub fn cli(mut argv: impl Iterator<Item = String>) -> ExitCode {
     let Some(cmd) = argv.next() else { return usage("no experiment named") };
     let entry = REGISTRY.iter().find(|e| e.0 == cmd);
-    if entry.is_none() && !["all", "list", "sweep", "compare"].contains(&cmd.as_str()) {
+    if entry.is_none() && !["all", "list", "sweep"].contains(&cmd.as_str()) {
         return usage(&format!("unknown experiment {cmd}"));
     }
     let args = match Args::from_args(&cmd, argv) {
@@ -292,7 +269,6 @@ pub fn cli(mut argv: impl Iterator<Item = String>) -> ExitCode {
     let failed = match (entry, cmd.as_str()) {
         (Some(&(_, _, run)), _) => Ok(run_one(run, &mut cx)),
         (None, "sweep") => sweepgrid::sweep(&mut cx, workers()),
-        (None, "compare") => sweepgrid::compare(&mut cx),
         (None, _) => run_all(REGISTRY, &mut cx, Path::new("results")),
     };
     match failed.and_then(|n| cx.finish_telemetry().map(|()| n)) {

@@ -16,6 +16,10 @@ use graf_sim::rng::DetRng;
 use super::Ctx;
 use crate::standard::boutique_setup;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall time per solve is this experiment's output, never a simulation input"
+)]
 pub fn run(cx: &mut Ctx) -> io::Result<()> {
     let setup = boutique_setup();
     writeln!(cx.out, "# Solver latency (§3.8: 3.4–6.8 s on the paper's testbed)")?;

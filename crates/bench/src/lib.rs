@@ -7,7 +7,7 @@
 //!
 //! * [`exp`] — the experiments, their registry, the context that builds the
 //!   standard artefacts once per process, and the runner behind
-//!   `graf-exp <name>` / `graf-exp all` / `graf-exp sweep|compare`,
+//!   `graf-exp <name>` / `graf-exp all` / `graf-exp sweep`,
 //! * [`args`] — the flags (`--seed`, `--paper-scale`, …) the runner parses
 //!   once, whichever subcommand runs,
 //! * [`standard`] — the standard experiment configurations: per-application
@@ -18,14 +18,13 @@
 //! * [`timeline`] — timeline recording for the time-series figures,
 //! * [`pricing`] — the AWS EC2 on-demand prices of Table 3 and the
 //!   cost-benefit arithmetic of Figure 19,
-//! * [`sweepgrid`] — `graf-exp sweep` and `graf-exp compare`: grid axes
+//! * [`sweepgrid`] — `graf-exp sweep`: grid axes
 //!   (`app`/`slo`/`surge`/`chaos`/`policy`/`load`) mapped onto concrete
 //!   scenarios whose models come from the runner's one cache,
 //! * the scenario-agnostic sweep machinery under it: [`grid`] (grid specs
 //!   expanded into cells), [`run`] (the fleet: one seeded record per cell on
 //!   the workspace's worker pool), [`record`] (the canonical JSONL record)
-//!   and [`report`] (the byte-stable aggregate, the table and the
-//!   cross-revision compare).
+//!   and [`report`] (the byte-stable aggregate and the table).
 //!
 //! **Invariants.** Every experiment is deterministic per `--seed`: rerunning
 //! one produces byte-identical output, alone or under `graf-exp all`,

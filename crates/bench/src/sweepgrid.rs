@@ -1,5 +1,5 @@
-//! `graf-exp sweep` and `graf-exp compare`: grid axes mapped onto concrete
-//! GRAF scenarios, and the two commands over them.
+//! `graf-exp sweep`: grid axes mapped onto concrete GRAF scenarios, and the
+//! command that runs them.
 //!
 //! The sweep machinery ([`crate::grid`], [`crate::run`], [`crate::record`],
 //! [`crate::report`]) is scenario-agnostic — axes and values are strings.
@@ -27,14 +27,11 @@
 //! cache ([`Ctx::graf`]), built once per process, and a cell's result
 //! cannot depend on which other cells asked first.
 //!
-//! `sweep` prints a table, writes the aggregated JSONL report (`--out`) —
-//! byte-identical for any worker count — and appends the records to a
-//! history file (`--history --rev`); failing cells become error records and
-//! the exit code is non-zero at the end. `compare` diffs two revisions of
-//! such a history on one higher-is-worse metric.
+//! `sweep` prints a table and writes the aggregated JSONL report (`--out`),
+//! byte-identical for any worker count; failing cells become error records
+//! and the exit code is non-zero at the end.
 
 use std::io::{self, Write};
-use std::process::Command;
 
 use graf_core::{PolicyMode, ResilientConfig, ResilientController};
 use graf_loadgen::ClosedLoop;
@@ -45,8 +42,8 @@ use graf_sim::world::{SimConfig, World};
 
 use crate::exp::Ctx;
 use crate::grid::{Cell, Grid};
-use crate::record::{parse_history, CellRecord, CellResult};
-use crate::report::{aggregate, render_compare, render_table, CellVerdict};
+use crate::record::CellResult;
+use crate::report::{aggregate, render_table};
 use crate::run::run_sweep;
 use crate::standard::{
     bookinfo_setup, boutique_setup, fault_window, hottest_service, robot_shop_setup, social_setup,
@@ -290,18 +287,9 @@ fn users_loadgen(
     Ok(users)
 }
 
-/// A symbolic revision as a full SHA via `git rev-parse`, or the literal
-/// input when git cannot resolve it (so synthetic histories work).
-fn resolve_rev(rev: &str) -> String {
-    match Command::new("git").args(["rev-parse", &format!("{rev}^{{commit}}")]).output() {
-        Ok(o) if o.status.success() => String::from_utf8_lossy(&o.stdout).trim().to_string(),
-        _ => rev.to_string(),
-    }
-}
-
 /// `graf-exp sweep`: evaluates every cell of `--grid` on up to `workers`
-/// threads, prints the table, writes `--out` and appends to `--history`.
-/// Returns the number of failed cells; nothing runs if the grid is invalid.
+/// threads, prints the table and writes `--out`. Returns the number of
+/// failed cells; nothing runs if the grid is invalid.
 pub fn sweep(cx: &mut Ctx, workers: usize) -> io::Result<usize> {
     let args = cx.args.clone();
     let spec = args.grid.as_deref().unwrap_or_default();
@@ -312,81 +300,17 @@ pub fn sweep(cx: &mut Ctx, workers: usize) -> io::Result<usize> {
 
     let shared: &Ctx = cx;
     let records = run_sweep(&grid, seed, workers, |cell, seed| run_cell(shared, cell, seed));
-    let at = |path: &str, e: io::Error| io::Error::new(e.kind(), format!("{path}: {e}"));
     if let Some(path) = &args.out {
-        std::fs::write(path, aggregate(&records)).map_err(|e| at(path, e))?;
+        std::fs::write(path, aggregate(&records))
+            .map_err(|e| io::Error::new(e.kind(), format!("{path}: {e}")))?;
         writeln!(cx.out, "aggregated report written to {path}")?;
     }
     writeln!(cx.out, "\n{}", render_table(&records))?;
-    if let Some(path) = &args.history {
-        let rev = resolve_rev(args.rev.as_deref().unwrap_or("HEAD"));
-        let file = std::fs::OpenOptions::new().create(true).append(true).open(path);
-        let mut history = io::BufWriter::new(file.map_err(|e| at(path, e))?);
-        for r in &records {
-            writeln!(history, "{}", CellRecord { rev: Some(rev.clone()), ..r.clone() }.to_json())?;
-        }
-        history.flush()?;
-        writeln!(cx.out, "{cells} record(s) appended to {path} as rev {rev}")?;
-    }
     let failed = records.iter().filter(|r| r.error.is_some()).count();
     if failed > 0 {
         writeln!(cx.out, "{failed}/{cells} cell(s) FAILED")?;
     }
     Ok(failed)
-}
-
-/// `graf-exp compare`: diffs the two revisions' sweeps recorded in
-/// `--history` on the `--gate` metric. Returns the number of reasons the
-/// gate fails: cells regressed beyond `--threshold`, and under `--strict` a
-/// missing history file or revisions that do not share a non-empty cell set.
-pub fn compare(cx: &mut Ctx) -> io::Result<usize> {
-    let args = cx.args.clone();
-    let (gate, threshold) = (args.gate.as_str(), args.threshold);
-    let path = args.history.as_deref().unwrap_or("SWEEP_HISTORY.jsonl");
-    let Ok(text) = std::fs::read_to_string(path) else {
-        let verdict = if args.strict { "--strict: FAILED" } else { "nothing to compare (ok)" };
-        writeln!(cx.out, "graf-exp: no history at {path}; {verdict}")?;
-        return Ok(usize::from(args.strict));
-    };
-    let (history, skipped) = parse_history(&text);
-    if skipped > 0 {
-        writeln!(cx.out, "graf-exp: skipped {skipped} unparseable history line(s)")?;
-    }
-    let [base, new] = [0, 1].map(|i| resolve_rev(&args.revs[i]));
-    writeln!(
-        cx.out,
-        "graf-exp compare  base={} ({base:.12})  new={} ({new:.12})  gate={gate}  \
-         threshold={threshold}%",
-        args.revs[0], args.revs[1]
-    )?;
-    let report = crate::report::compare(&history, &base, &new, gate, threshold);
-    write!(cx.out, "{}", render_compare(&report, gate))?;
-
-    let mut failures = 0;
-    let (only_base, only_new) = (report.only_base.len(), report.only_new.len());
-    if report.has_coverage_gaps() {
-        writeln!(
-            cx.out,
-            "graf-exp: WARNING: cell coverage differs between revisions \
-             ({only_base} only at base, {only_new} only at new)"
-        )?;
-    }
-    if args.strict && (report.has_coverage_gaps() || report.rows.is_empty()) {
-        writeln!(
-            cx.out,
-            "graf-exp: --strict: the revisions must cover one non-empty cell set: FAILED"
-        )?;
-        failures += 1;
-    }
-    let regressed =
-        report.rows.iter().filter(|(_, v)| matches!(v, CellVerdict::Regressed { .. })).count();
-    if regressed > 0 {
-        writeln!(cx.out, "graf-exp: {regressed} cell(s) regressed beyond {threshold}% on {gate}")?;
-        failures += 1;
-    } else {
-        writeln!(cx.out, "graf-exp: no regressions beyond {threshold}% on {gate}")?;
-    }
-    Ok(failures)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use std::process::Command;
 use std::sync::{Arc, Mutex};
 
 use graf_bench::exp::{self, Ctx, Entry, REGISTRY};
-use graf_bench::{record, sweepgrid, Args};
+use graf_bench::{sweepgrid, Args};
 use graf_obs::json::{self, Json};
 use graf_sim::rng::derive_seed;
 
@@ -35,7 +35,7 @@ impl Write for Buf {
     }
 }
 
-/// A context for subcommand `cmd` (any experiment name, `sweep`, `compare`).
+/// A context for subcommand `cmd` (any experiment name, or `sweep`).
 fn ctx_for(cmd: &str, flags: &[&str]) -> (Ctx, Buf) {
     let buf = Buf::default();
     let args = Args::from_args(cmd, flags.iter().map(|f| f.to_string())).expect("valid flags");
@@ -139,6 +139,12 @@ fn a_panicking_experiment_fails_alone() {
     let (mut cx, progress) = ctx(&[]);
     assert_eq!(exp::run_all(&slice, &mut cx, &dir).expect("temp dir is writable"), 1);
     let progress = String::from_utf8(progress.bytes()).expect("utf-8");
+    let lines: Vec<&str> = progress.lines().take(3).collect();
+    assert!(
+        lines[0] == "ok   table3_budget" && lines[2] == "ok   fig19_cost_benefit",
+        "{progress}"
+    );
+    assert!(lines[1].starts_with("FAIL boom "), "progress in slice order: {progress}");
     assert_eq!(progress.matches("FAIL ").count(), 1, "{progress}");
     assert!(progress.contains("FAIL boom") && progress.contains("panicked: boom"), "{progress}");
     assert!(progress.contains("2/3 experiments passed") && progress.contains("FAILED: boom"));
@@ -155,7 +161,7 @@ fn graf_exp(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn an_unknown_flag_is_a_usage_error_for_every_experiment() {
-    for name in ["table3_budget", "fig01_instance_creation", "all", "list", "sweep", "compare"] {
+    for name in ["table3_budget", "fig01_instance_creation", "all", "list", "sweep"] {
         let out = graf_exp(&[name, "--frobnicate"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
@@ -166,6 +172,10 @@ fn an_unknown_flag_is_a_usage_error_for_every_experiment() {
         assert!(out.stdout.is_empty(), "{name} ran before its flags were checked");
     }
     assert_eq!(graf_exp(&["fig99_nope"]).status.code(), Some(2));
+    let out = graf_exp(&["compare", "a", "b"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown experiment compare"), "{stderr}");
     assert_eq!(graf_exp(&[]).status.code(), Some(2));
     // A misspelt fault class is caught before the model trains.
     let out = graf_exp(&["chaos_matrix", "--quick", "--chaos", "trace-drop"]);
@@ -309,11 +319,13 @@ fn every_telemetry_name_in_the_crates_is_in_the_design_names_table() {
 #[test]
 fn sweep_aggregate_is_worker_count_invariant_and_matches_the_pinned_bytes() {
     let golden = include_str!("golden/sweep_smoke_quick_seed7.jsonl");
-    let (pinned, skipped) = record::parse_history(golden);
-    assert!(skipped == 0 && pinned.len() == 4, "four well-formed records");
+    let pinned: Vec<Json> = golden.lines().map(|l| json::parse(l).expect("well-formed")).collect();
+    assert_eq!(pinned.len(), 4, "four records");
     for r in &pinned {
-        assert!(r.result.is_some(), "{} failed", r.cell);
-        assert_eq!(r.seed, derive_seed(7, &r.cell), "{}: seed read back exactly", r.cell);
+        let cell = r.get("cell").and_then(Json::as_str).expect("a cell key");
+        assert!(r.get("metrics").is_some() && r.get("error").is_none(), "{cell} failed");
+        let seed = r.get("seed").and_then(Json::as_u64);
+        assert_eq!(seed, Some(derive_seed(7, cell)), "{cell}: seed read back exactly");
     }
     let dir = scratch("sweep-widths");
     for workers in [1, 2, 4] {
@@ -343,37 +355,4 @@ fn an_invalid_grid_fails_before_any_cell_runs() {
         let out = graf_exp(&["sweep", "--grid", grid, "--quick"]);
         assert!(!out.status.success() && out.stdout.is_empty(), "{grid} ran");
     }
-}
-
-#[test]
-fn strict_compare_fails_without_history_rows_and_lenient_compare_does_not() {
-    let dir = scratch("compare");
-    let history = dir.join("history.jsonl");
-    let compare = |strict: bool| {
-        let mut flags = vec!["aaaaaaa", "bbbbbbb", "--history", history.to_str().expect("utf-8")];
-        flags.extend(strict.then_some("--strict"));
-        let (mut cx, said) = ctx_for("compare", &flags);
-        let failures = sweepgrid::compare(&mut cx).expect("writing to memory cannot fail");
-        (failures, String::from_utf8(said.bytes()).expect("utf-8"))
-    };
-    // No history file at all.
-    let (failures, said) = compare(false);
-    assert!(failures == 0 && said.contains("nothing to compare (ok)"), "{said}");
-    let (failures, said) = compare(true);
-    assert!(failures == 1 && said.contains("no history at"), "{said}");
-    // One revision has rows, the other has none; then neither has.
-    let row = |rev: &str| {
-        format!("{{\"rev\": \"{rev}\", \"cell\": \"a=1\", \"seed\": 1, \"metrics\": {{\"p99_ms\": 5}}}}\n")
-    };
-    for rows in [row("aaaaaaa"), row("ccccccc")] {
-        std::fs::write(&history, rows).expect("temp dir is writable");
-        let (failures, said) = compare(false);
-        assert!(failures == 0 && said.contains("no regressions"), "{said}");
-        let (failures, said) = compare(true);
-        assert!(failures == 1 && said.contains("--strict"), "{said}");
-    }
-    // Both have the cell: the gate has something to compare and passes.
-    std::fs::write(&history, row("aaaaaaa") + &row("bbbbbbb")).expect("temp dir is writable");
-    assert_eq!(compare(true).0, 0);
-    std::fs::remove_dir_all(dir).expect("temp dir is removable");
 }

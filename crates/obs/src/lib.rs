@@ -220,6 +220,10 @@ impl Obs {
     }
 
     /// An enabled handle retaining at most `capacity` events.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the epoch of the wall_us stamps: telemetry output, never a simulation input"
+    )]
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             inner: Some(Arc::new(Inner {

@@ -42,11 +42,14 @@ else
   echo "SKIPPED: miri is not installed on the nightly toolchain in this environment"
 fi
 
-echo "== graf-exp all --quick (every registered experiment leaves a non-empty artefact, and nothing else) =="
+echo "== graf-exp all --quick (every registered experiment leaves a non-empty artefact, and nothing else; progress in registry order) =="
 GRAF_EXP="$PWD/target/release/graf-exp"
 ALLDIR="$(mktemp -d)"
 trap 'rm -rf "$ALLDIR"' EXIT
-(cd "$ALLDIR" && "$GRAF_EXP" all --quick --seed 7)
+PROGRESS="$(cd "$ALLDIR" && "$GRAF_EXP" all --quick --seed 7)" || { echo "$PROGRESS" >&2; exit 1; }
+echo "$PROGRESS"
+[[ "$(awk '$1 == "ok" {print $2}' <<<"$PROGRESS")" == "$("$GRAF_EXP" list | awk '{print $1}')" ]] \
+  || { echo "graf-exp all: its ok lines do not name the registry in graf-exp list order" >&2; exit 1; }
 for name in $("$GRAF_EXP" list | awk '{print $1}'); do
   [[ -s "$ALLDIR/results/$name.txt" ]] \
     || { echo "graf-exp all left no results/$name.txt" >&2; exit 1; }

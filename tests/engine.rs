@@ -3,8 +3,8 @@
 //! `tests/lints.rs` holds the workspace itself to zero findings; these tests
 //! show that the configuration it runs catches what it is meant to catch and
 //! nothing else. Each test writes a one-file library crate under
-//! `CARGO_TARGET_TMPDIR/engine/`, gives it one of the repository's own
-//! `clippy.toml` files and the root manifest's `[workspace.lints.clippy]`
+//! `CARGO_TARGET_TMPDIR/engine/`, gives it the repository's `clippy.toml`
+//! and the root manifest's `[workspace.lints.clippy]`
 //! table, runs `cargo clippy` on it and checks which lints fire on which
 //! lines. A fixture's manifest carries its own `[workspace]`, so the
 //! repository's workspace does not claim it, and its own target directory, so
@@ -21,10 +21,8 @@ const UNDOCUMENTED_UNSAFE: &str = "clippy::undocumented_unsafe_blocks";
 const ALLOW_WITHOUT_REASON: &str = "clippy::allow_attributes_without_reason";
 const UNFULFILLED_EXPECTATION: &str = "unfulfilled_lint_expectations";
 
-/// The three lint configurations of the repository: the root one, and the
-/// two of the crates that measure wall time and so lift its method bans.
+/// The lint configuration of the repository, one file for every crate.
 const ROOT_CONFIG: &str = "clippy.toml";
-const EXEMPT_CONFIGS: [&str; 2] = ["crates/obs/clippy.toml", "crates/bench/clippy.toml"];
 
 /// One banned construct per lint, each on its own line and each spelled so
 /// that it is the only site on that line.
@@ -185,8 +183,8 @@ struct Fixture {
 
 impl Fixture {
     /// A fresh crate `CARGO_TARGET_TMPDIR/engine/<name>` whose `clippy.toml`
-    /// is the repository's file `config` and whose `src/lib.rs` is `lib`.
-    fn create(name: &str, config: &str, lib: &str) -> Fixture {
+    /// is the repository's and whose `src/lib.rs` is `lib`.
+    fn create(name: &str, lib: &str) -> Fixture {
         let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("engine").join(name);
         if root.exists() {
             fs::remove_dir_all(&root).expect("clear stale fixture");
@@ -199,7 +197,7 @@ impl Fixture {
         );
         fs::write(root.join("Cargo.toml"), manifest).expect("write fixture Cargo.toml");
         let fx = Fixture { root };
-        fx.write_config(&repo_file(config));
+        fx.write_config(&repo_file(ROOT_CONFIG));
         fx.write_lib(lib);
         fx
     }
@@ -244,7 +242,7 @@ impl Fixture {
 
 #[test]
 fn dirty_fixture_fires_every_lint_once() {
-    let fx = Fixture::create("dirty", ROOT_CONFIG, DIRTY);
+    let fx = Fixture::create("dirty", DIRTY);
     let found = fx.findings();
     assert_eq!(lib_sites(&found), expected(DIRTY, &DIRTY_WANT), "{found:#?}");
 }
@@ -275,7 +273,7 @@ mod tests {
     }
 }
 ";
-    let fx = Fixture::create("clean", ROOT_CONFIG, lib);
+    let fx = Fixture::create("clean", lib);
     let found = fx.findings();
     assert!(found.is_empty(), "clean fixture must produce no findings: {found:#?}");
 }
@@ -304,24 +302,11 @@ pub fn read(r: &u64) -> u64 {
     unsafe { *p }
 }
 ";
-    let fx = Fixture::create("allowed", ROOT_CONFIG, lib);
+    let fx = Fixture::create("allowed", lib);
     let found = fx.findings();
     assert!(found.is_empty(), "annotated fixture must produce no findings: {found:#?}");
     let out = fx.gate();
     assert!(out.status.success(), "{}", report(&out));
-}
-
-#[test]
-fn fixture_findings_outside_declared_crates_are_scoped() {
-    // The crates that measure wall time lift the method bans (wall clock,
-    // threads); every other lint of the dirty fixture still fires there.
-    let mut want = DIRTY_WANT.to_vec();
-    want.retain(|&(_, lint)| lint != DISALLOWED_METHODS);
-    for config in EXEMPT_CONFIGS {
-        let fx = Fixture::create(&config.replace('/', "-"), config, DIRTY);
-        let found = fx.findings();
-        assert_eq!(lib_sites(&found), expected(DIRTY, &want), "under {config}: {found:#?}");
-    }
 }
 
 #[test]
@@ -358,7 +343,7 @@ pub fn justified(r: &u64) -> u64 {
     std::thread::scope(|s| s.spawn(move || v).join().unwrap_or(0))
 }
 ";
-    let fx = Fixture::create("concurrency", ROOT_CONFIG, lib);
+    let fx = Fixture::create("concurrency", lib);
     let want = [
         ("thread::spawn(|| {})", DISALLOWED_METHODS),
         ("thread::scope(|_| 1)", DISALLOWED_METHODS),
@@ -370,11 +355,7 @@ pub fn justified(r: &u64) -> u64 {
 
 #[test]
 fn binary_goes_red_on_new_violations_only() {
-    let fx = Fixture::create(
-        "red",
-        ROOT_CONFIG,
-        "pub fn one(v: Option<u32>) -> u32 {\n    v.unwrap()\n}\n",
-    );
+    let fx = Fixture::create("red", "pub fn one(v: Option<u32>) -> u32 {\n    v.unwrap()\n}\n");
 
     // A violation in the tree: CI is red.
     let out = fx.gate();
@@ -401,8 +382,7 @@ fn binary_goes_red_on_new_violations_only() {
 fn crate_scoped_bans_see_function_bodies_and_file_level_sites() {
     // The type bans fire on a `use`, a type alias and a field, which sit in
     // no function body; the method bans fire on a call through a `use` and
-    // on a function taken by path without a call. Under the exempt configs
-    // only the type sites remain.
+    // on a function taken by path without a call.
     let lib = "\
 use std::collections::HashMap;
 use std::time::Instant;
@@ -434,16 +414,10 @@ pub fn stamp() -> u64 {
     let methods =
         [("Instant::now()", DISALLOWED_METHODS), ("SystemTime::now;", DISALLOWED_METHODS)];
 
-    let fx = Fixture::create("bans", ROOT_CONFIG, lib);
+    let fx = Fixture::create("bans", lib);
     let found = fx.findings();
     let all: Vec<_> = types.iter().chain(&methods).copied().collect();
     assert_eq!(lib_sites(&found), expected(lib, &all), "{found:#?}");
-
-    for config in EXEMPT_CONFIGS {
-        fx.write_config(&repo_file(config));
-        let found = fx.findings();
-        assert_eq!(lib_sites(&found), expected(lib, &types), "under {config}: {found:#?}");
-    }
 }
 
 #[test]
@@ -459,7 +433,7 @@ pub fn two() -> u32 {
     42
 }
 ";
-    let fx = Fixture::create("stale-expect", ROOT_CONFIG, lib);
+    let fx = Fixture::create("stale-expect", lib);
     let out = fx.gate();
     assert!(!out.status.success(), "a stale expectation must fail the gate: {}", report(&out));
     // The live expectation still suppresses: the stale one is the only finding.
@@ -469,7 +443,7 @@ pub fn two() -> u32 {
 
 #[test]
 fn two_runs_on_a_dirty_workspace_print_identical_bytes() {
-    let fx = Fixture::create("bytes", ROOT_CONFIG, DIRTY);
+    let fx = Fixture::create("bytes", DIRTY);
     let diagnostics = |out: &Output| -> Vec<String> {
         String::from_utf8_lossy(&out.stdout)
             .lines()
@@ -494,7 +468,7 @@ fn two_runs_on_a_dirty_workspace_print_identical_bytes() {
 
 #[test]
 fn binary_rejects_config_typos() {
-    let fx = Fixture::create("config-typo", ROOT_CONFIG, "pub fn one() {}\n");
+    let fx = Fixture::create("config-typo", "pub fn one() {}\n");
     let config = repo_file(ROOT_CONFIG);
     assert!(config.contains("\ndisallowed-types"), "root clippy.toml has no disallowed-types");
     fx.write_config(&config.replace("\ndisallowed-types", "\ndisalowed-types"));
@@ -507,20 +481,17 @@ fn binary_rejects_config_typos() {
 fn analyze_rejects_stale_hot_names() {
     // clippy only warns about a banned path that names nothing, and that
     // warning is not a lint, so `-D warnings` lets it through while the ban
-    // silently stops applying. Hold every committed config to zero such
+    // silently stops applying. Hold the committed config to zero such
     // warnings.
     let lib =
         "pub fn wall() -> u64 {\n    std::time::Instant::now().elapsed().as_nanos() as u64\n}\n";
-    let fx = Fixture::create("stale-path", ROOT_CONFIG, lib);
-    for config in [ROOT_CONFIG].into_iter().chain(EXEMPT_CONFIGS) {
-        fx.write_config(&repo_file(config));
-        let found = fx.findings();
-        let in_config: Vec<_> = found.iter().filter(|f| f.file.ends_with("clippy.toml")).collect();
-        assert!(
-            in_config.is_empty(),
-            "{config} names a path that resolves to nothing: {in_config:#?}"
-        );
-    }
+    let fx = Fixture::create("stale-path", lib);
+    let found = fx.findings();
+    let in_config: Vec<_> = found.iter().filter(|f| f.file.ends_with("clippy.toml")).collect();
+    assert!(
+        in_config.is_empty(),
+        "clippy.toml names a path that resolves to nothing: {in_config:#?}"
+    );
 
     // The hole the check closes: a renamed path is flagged in the config
     // and the call it meant to ban goes through.
