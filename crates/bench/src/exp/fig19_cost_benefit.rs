@@ -2,18 +2,20 @@
 //! workload) points does GRAF's one-time sampling/training cost pay off?
 //!
 //! The paper prices the 50 k-sample collection + GPU training at $112.17
-//! (Table 3) and converts saved instances (which grow with workload, Fig 18)
-//! into saved dollars per day at EC2 rates. A point is profitable when the
-//! cost amortizes before the application's next model-invalidating update.
+//! (Table 3) and converts saved instances (which, in the paper's Fig 18, grow
+//! with workload) into saved dollars per day at EC2 rates. A point is
+//! profitable when the cost amortizes before the application's next
+//! model-invalidating update.
 
 use std::io::{self, Write};
 
 use super::Ctx;
 use crate::pricing::{breakeven_days, budget_table, budget_total, is_profitable};
 
-/// Saved instances as a function of workload, interpolated from the Figure-18
-/// trend (saved instances grow roughly linearly with qps). The slope is
-/// deliberately taken from the paper's ~19 % saving at the evaluated points.
+/// Saved instances as a function of workload, following the paper's Figure-18
+/// trend (saved instances grow roughly linearly with qps) rather than
+/// `fig18_user_scaling`, where GRAF saves none. The slope is deliberately
+/// taken from the paper's ~19 % saving at the evaluated points.
 fn saved_instances(qps: f64, cpu_unit_mc: f64) -> f64 {
     // ~19% of the K8s footprint; K8s footprint ≈ offered/(threshold·unit).
     let per_request_mc = 2.5; // mean CPU demand per request across the mix

@@ -57,8 +57,6 @@ experiments! {
     ablation_loss: "ablation: asymmetric Huber loss against its variants",
     ablation_sampling: "ablation: Algorithm 1's box against naive full-range sampling",
     ablation_integer: "ablation: eq. 7's ceil against integer refinement",
-    ablation_anomaly: "ablation: the anomaly guard under contention",
-    ablation_partition: "ablation: one GNN against per-partition ensembles",
 }
 
 /// What the experiments of one `graf-exp` process share, and where the

@@ -108,6 +108,21 @@ fn registry_names_are_unique_and_match_results_and_design_index() {
     for name in cited {
         assert!(names.contains(name), "DESIGN §3 cites unregistered experiment {name}");
     }
+
+    for doc in ["EXPERIMENTS.md", "DESIGN.md"] {
+        let text = std::fs::read_to_string(repo(doc)).expect("doc exists");
+        let cited: Vec<&str> = text
+            .split("results/")
+            .skip(1)
+            .filter_map(|s| s.split_once(".txt").map(|(name, _)| name))
+            .filter(|name| {
+                !name.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+            })
+            .collect();
+        for name in cited {
+            assert!(names.contains(name), "{doc} cites results/{name}.txt, which nothing writes");
+        }
+    }
 }
 
 #[test]

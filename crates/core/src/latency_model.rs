@@ -174,11 +174,6 @@ impl LatencyModel {
         self.net.num_nodes()
     }
 
-    /// Total trainable parameters.
-    pub fn num_params(&self) -> usize {
-        self.net.num_params()
-    }
-
     /// Builds a [`Dataset`] from collected samples using this model's scaler.
     pub fn dataset_from_samples(scaler: &FeatureScaler, samples: &[Sample]) -> Dataset {
         let mut d = Dataset::new();

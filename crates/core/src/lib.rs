@@ -22,7 +22,9 @@
 //! 5. **Resource controller** ([`controller`], §3.6) — scales workloads into
 //!    the trained region, converts solved quotas to instance counts
 //!    (`ceil(quota / unit)`, eq. 7) and applies them to every microservice at
-//!    once — the proactive allocation of §3.8.
+//!    once — the proactive allocation of §3.8. The one §6 extension kept,
+//!    integer refinement of that `ceil` ([`solver::integer_refine`]), is
+//!    opt-in through [`GrafControllerConfig::integer_refine`].
 //! 6. **Sample collector** ([`sample_collector`], §3.7) — Algorithm 1's
 //!    search-space reduction plus parallel state-aware sample collection.
 //!
@@ -43,26 +45,22 @@
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod analyzer;
-pub mod anomaly;
 pub mod baseline;
 pub mod controller;
 pub mod dataset;
 pub mod features;
 pub mod framework;
 pub mod latency_model;
-pub mod partition;
 pub mod resilient;
 pub mod sample_collector;
 pub mod solver;
 
 pub use analyzer::WorkloadAnalyzer;
-pub use anomaly::AnomalyGuard;
 pub use controller::{GrafController, GrafControllerConfig, PlanOutcome};
 pub use dataset::{Dataset, Split};
 pub use features::FeatureScaler;
 pub use framework::{Graf, GrafBuildConfig};
 pub use latency_model::{LatencyModel, NetKind, TrainConfig, TrainReport};
-pub use partition::{partition_graph, PartitionedLatencyModel};
 pub use resilient::{PolicyLevel, PolicyMode, ResilientConfig, ResilientController};
 pub use sample_collector::{Bounds, Sample, SampleCollector, SamplingConfig};
 pub use solver::{integer_refine, solve, solve_observed, SolveResult, SolverConfig, Stop};

@@ -139,10 +139,6 @@ impl LatencyNet for FlatMlp {
         self.scratch.borrow().ws.stats()
     }
 
-    fn num_params(&self) -> usize {
-        self.mlp.num_params()
-    }
-
     fn boxed_clone(&self) -> Box<dyn LatencyNet + Send> {
         Box::new(self.clone())
     }

@@ -641,14 +641,6 @@ impl LatencyNet for MicroserviceGnn {
         (reused, allocated)
     }
 
-    fn num_params(&self) -> usize {
-        self.nets.phi1.num_params()
-            + self.nets.gamma1.num_params()
-            + self.nets.phi2.num_params()
-            + self.nets.gamma2.num_params()
-            + self.nets.readout.num_params()
-    }
-
     fn boxed_clone(&self) -> Box<dyn LatencyNet + Send> {
         Box::new(self.clone())
     }
@@ -778,7 +770,6 @@ mod tests {
         let y = gnn.predict(&x);
         assert_eq!(y.len(), 5);
         assert_eq!(gnn.num_nodes(), 4);
-        assert!(gnn.num_params() > 0);
     }
 
     #[test]

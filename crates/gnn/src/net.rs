@@ -4,7 +4,7 @@
 //! its trace ([`LatencyNet::predict_keep_into`]) and the input gradient from
 //! that kept trace ([`LatencyNet::grad_from_kept_into`]) — plus
 //! [`LatencyNet::train_step`], [`LatencyNet::scratch_stats`], the shape
-//! queries, [`LatencyNet::num_params`] and [`LatencyNet::boxed_clone`].
+//! queries and [`LatencyNet::boxed_clone`].
 //! [`LatencyNet::predict`], [`LatencyNet::grad_input`] and
 //! [`LatencyNet::eval_loss`] are built on the two solver calls, so each
 //! operation has one path through the network.
@@ -59,9 +59,6 @@ pub trait LatencyNet {
     /// `(reused, allocated)` scratch-buffer counts since construction, for
     /// telemetry (allocation-avoidance counters).
     fn scratch_stats(&self) -> (u64, u64);
-
-    /// Total scalar parameter count.
-    fn num_params(&self) -> usize;
 
     /// Clones the network behind the trait object (used to snapshot the
     /// best-validation checkpoint during training, §3.4). The clone starts

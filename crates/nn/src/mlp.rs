@@ -121,12 +121,6 @@ impl Mlp {
         self.weights[0].value.rows()
     }
 
-    /// Total scalar parameter count.
-    pub fn num_params(&self) -> usize {
-        self.weights.iter().map(Param::len).sum::<usize>()
-            + self.biases.iter().map(Param::len).sum::<usize>()
-    }
-
     /// Applies the network to a batch `x` (`B × input_dim`), writing the
     /// output (`B × output_dim`) into `out` and the forward state into
     /// `trace`, both reshaped in place. Steady-state calls with a reused
@@ -485,7 +479,6 @@ mod tests {
         let mut rng = DetRng::new(10);
         let mlp = Mlp::new(&[3, 20, 20, 1], 0.25, &mut rng);
         assert_eq!(mlp.input_dim(), 3);
-        assert_eq!(mlp.num_params(), 3 * 20 + 20 + 20 * 20 + 20 + 20 + 1);
         let x = Matrix::zeros(5, 3);
         let (mut trace, mut y) = (MlpTrace::default(), Matrix::default());
         assert!(trace.input().is_none(), "no batch before a forward");

@@ -26,16 +26,6 @@ impl Param {
     pub fn accumulate(&mut self, g: &Matrix) {
         self.grad.add_assign(g);
     }
-
-    /// Number of scalar parameters.
-    pub fn len(&self) -> usize {
-        self.value.rows() * self.value.cols()
-    }
-
-    /// `true` when the parameter is empty (never the case in practice).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -49,6 +39,5 @@ mod tests {
         p.accumulate(&g);
         p.accumulate(&g);
         assert_eq!(p.grad.get(1, 1), 3.0);
-        assert_eq!(p.len(), 4);
     }
 }

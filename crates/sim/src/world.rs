@@ -1212,7 +1212,8 @@ impl World {
 
     /// Injects a contention anomaly (§6): between `from` and `until`, every
     /// request handled by `service` costs `factor×` its normal CPU — the
-    /// latency-spike signature of noisy neighbours / cache contention.
+    /// latency-spike signature of noisy neighbours / cache contention. Its
+    /// user is `graf-chaos`'s `latency_spike` fault class.
     pub fn inject_contention(
         &mut self,
         service: ServiceId,
