@@ -55,8 +55,9 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
             cx.args.seed ^ (mult * 100.0) as u64 ^ 1,
             false,
         );
-        let tc: usize = ceil_counts.iter().sum();
-        let tr: usize = refined.iter().sum();
+        // Signed: refinement may also add an instance the ceiling missed.
+        let tc = ceil_counts.iter().sum::<usize>() as i64;
+        let tr = refined.iter().sum::<usize>() as i64;
         writeln!(
             cx.out,
             "{mult:>5.2} {tc:>12} {tr:>12} {:>8} {:>14.1} {:>14.1}",

@@ -86,7 +86,8 @@ fn run_cell(
     seed: u64,
     obs: &Obs,
 ) -> Cell {
-    let world = World::new(chain3(), SimConfig::default(), seed);
+    // The resilient controller reads trace coverage, so this world traces.
+    let world = World::new(chain3(), SimConfig { trace_sample: 1.0, ..SimConfig::default() }, seed);
     let mut cluster = Cluster::uniform(world, UNIT_MC, 4);
     cluster.arm_chaos(sched);
     cluster.set_obs(obs.clone());

@@ -196,7 +196,9 @@ pub fn run_cell(cx: &Ctx, cell: &Cell, seed: u64) -> Result<CellResult, String> 
     let sched =
         fault_window(faults, seed, (surge_s - FAULT_LEAD_S).max(0.0), surge_s + FAULT_TAIL_S);
 
-    let world = World::new(topo, SimConfig::default(), seed);
+    // Only the ladder reads traces (its coverage check); other worlds keep none.
+    let trace_sample = if policy == "ladder" { 1.0 } else { 0.0 };
+    let world = World::new(topo, SimConfig { trace_sample, ..SimConfig::default() }, seed);
     let mut cluster = Cluster::uniform(world, setup.cpu_unit_mc, 4);
     if !sched.is_empty() {
         cluster.arm_chaos(&sched);

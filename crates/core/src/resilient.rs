@@ -339,7 +339,15 @@ impl Autoscaler for ResilientController {
         self.inner.interval()
     }
 
+    /// # Panics
+    /// If the cluster's world samples no traces: the coverage check reads
+    /// them, and an untraced world would read as a total trace loss.
     fn tick(&mut self, cluster: &mut Cluster) {
+        assert!(
+            cluster.world().config().trace_sample > 0.0,
+            "ResilientController reads trace coverage: build its world with \
+             SimConfig::trace_sample > 0 (e.g. 1.0)"
+        );
         let now = cluster.world().now();
         // Snapshot desired counts before acting, so the decision record can
         // report the tick's applied deltas. Only taken when someone listens.
@@ -510,7 +518,8 @@ mod tests {
     }
 
     fn cluster2(seed: u64) -> Cluster {
-        let world = World::new(topo2(), SimConfig::default(), seed);
+        let world =
+            World::new(topo2(), SimConfig { trace_sample: 1.0, ..SimConfig::default() }, seed);
         Cluster::new(
             world,
             vec![
@@ -656,6 +665,15 @@ mod tests {
         let observed = run(true);
         assert_eq!(plain.0, observed.0, "final plans are bit-identical");
         assert_eq!(plain.1, observed.1, "ladder trajectory is bit-identical");
+    }
+
+    #[test]
+    #[should_panic(expected = "SimConfig::trace_sample")]
+    fn an_untraced_world_is_refused() {
+        let mut rc = ResilientController::new(tiny_controller(), ResilientConfig::default());
+        let world = World::new(topo2(), SimConfig::default(), 31);
+        let mut cluster = Cluster::uniform(world, 250.0, 1);
+        rc.tick(&mut cluster);
     }
 
     #[test]

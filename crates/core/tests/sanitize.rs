@@ -111,7 +111,8 @@ fn pilot() -> (GrafController, Cluster) {
     let cfg = GrafControllerConfig { slo_ms: 25.0, train_total_qps: 80.0, ..Default::default() };
     let controller = GrafController::new(model3(), analyzer, bounds, cfg);
 
-    let world = World::new(topo, SimConfig::default(), 31);
+    // Traced: the resilient controller reads trace coverage.
+    let world = World::new(topo, SimConfig { trace_sample: 1.0, ..SimConfig::default() }, 31);
     let mut cluster = Cluster::new(
         world,
         vec![

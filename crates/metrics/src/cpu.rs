@@ -4,6 +4,9 @@
 //! *utilization*: used CPU time divided by allocated quota over a control
 //! window. [`CpuAccount`] integrates both quantities against simulated time so
 //! the HPA baseline sees the same signal it would get from cAdvisor.
+//!
+//! With a retention horizon ([`CpuAccount::set_horizon`]), an account's
+//! memory follows the event rate times the horizon, not the run length.
 
 /// Integrates CPU usage (millicore·µs) and quota availability over time.
 ///
@@ -11,6 +14,10 @@
 /// service runtime calls [`CpuAccount::set_quota`] whenever the total ready
 /// quota changes. Utilization over a window is then
 /// `used(window) / quota_integral(window)`.
+///
+/// With a horizon set, a query may reach back at most `horizon_us` before
+/// the newest checkpoint; [`CpuAccount::used_in`] and
+/// [`CpuAccount::quota_in`] panic on an older `from_us`.
 #[derive(Clone, Debug)]
 pub struct CpuAccount {
     /// Cumulative used millicore·µs checkpoints: `(t_us, cumulative)`.
@@ -26,6 +33,9 @@ pub struct CpuAccount {
     /// `t / res_us` cell replace the previous checkpoint instead of appending.
     /// `1` stores one checkpoint per distinct microsecond (exact queries).
     res_us: u64,
+    /// How far back (µs) before the newest checkpoint a query may reach;
+    /// `u64::MAX` (the default) keeps every checkpoint.
+    horizon_us: u64,
 }
 
 impl Default for CpuAccount {
@@ -45,6 +55,7 @@ impl CpuAccount {
             quota_integral: vec![(0, 0.0)],
             quota_acc: 0.0,
             res_us: 1,
+            horizon_us: u64::MAX,
         }
     }
 
@@ -55,6 +66,50 @@ impl CpuAccount {
     /// only the placement of usage *within* one cell is approximated.
     pub fn set_resolution(&mut self, res_us: u64) {
         self.res_us = res_us.max(1);
+    }
+
+    /// Sets the retention horizon (µs): queries may start no earlier than
+    /// `horizon_us` before the newest checkpoint, and older checkpoints are
+    /// dropped — in place, amortised, only when a series fills its
+    /// capacity. The last checkpoint at or before each cut stays as the
+    /// cumulative base, so every query the horizon admits returns the same
+    /// bits as an untrimmed account.
+    pub fn set_horizon(&mut self, horizon_us: u64) {
+        self.horizon_us = horizon_us;
+    }
+
+    /// Number of stored checkpoints (usage plus quota).
+    pub fn checkpoints(&self) -> usize {
+        self.used.len() + self.quota_integral.len()
+    }
+
+    /// Appends `point` to `series`. When the series is full, it first drops
+    /// the checkpoints before the last one at or before `point.0 − horizon_us`
+    /// (no admissible query reads them), and doubles its capacity if that
+    /// freed less than half of it — so a trim's cost is paid for by at least
+    /// `capacity / 2` pushes, and a steady rate stops allocating.
+    fn push_bounded(series: &mut Vec<(u64, f64)>, point: (u64, f64), horizon_us: u64) {
+        if series.len() == series.capacity() {
+            let cut = point.0.saturating_sub(horizon_us);
+            let base = series.partition_point(|&(t, _)| t <= cut).saturating_sub(1);
+            series.drain(..base);
+            if series.len() > series.capacity() / 2 {
+                series.reserve(series.capacity());
+            }
+        }
+        series.push(point);
+    }
+
+    /// Panics unless a query starting at `from_us` lies inside the horizon.
+    fn check_horizon(&self, from_us: u64) {
+        let newest = self.used.last().expect("series starts non-empty").0.max(self.quota_since);
+        let floor = newest.saturating_sub(self.horizon_us);
+        assert!(
+            from_us >= floor,
+            "CPU query from {from_us} µs reaches past the account's {} µs horizon \
+             (earliest admissible start {floor} µs)",
+            self.horizon_us
+        );
     }
 
     /// Adds `mc_us` millicore·µs of CPU work consumed, stamped at `t_us`.
@@ -73,7 +128,7 @@ impl CpuAccount {
         if last.0 / self.res_us == t_us / self.res_us {
             *last = (t_us, self.used_acc);
         } else {
-            self.used.push((t_us, self.used_acc));
+            Self::push_bounded(&mut self.used, (t_us, self.used_acc), self.horizon_us);
         }
     }
 
@@ -81,7 +136,7 @@ impl CpuAccount {
     pub fn set_quota(&mut self, t_us: u64, quota_mc: f64) {
         // Close out the previous quota segment.
         self.quota_acc += self.quota_mc * (t_us.saturating_sub(self.quota_since)) as f64;
-        self.quota_integral.push((t_us, self.quota_acc));
+        Self::push_bounded(&mut self.quota_integral, (t_us, self.quota_acc), self.horizon_us);
         self.quota_mc = quota_mc;
         self.quota_since = t_us;
     }
@@ -101,13 +156,21 @@ impl CpuAccount {
     }
 
     /// CPU used in `[from_us, to_us)`, in millicore·µs.
+    ///
+    /// # Panics
+    /// If `from_us` lies before the account's horizon.
     pub fn used_in(&self, from_us: u64, to_us: u64) -> f64 {
+        self.check_horizon(from_us);
         Self::cum_at(&self.used, to_us) - Self::cum_at(&self.used, from_us)
     }
 
     /// Quota integral over `[from_us, to_us)`, in millicore·µs, including the
     /// live segment since the last [`CpuAccount::set_quota`] call.
+    ///
+    /// # Panics
+    /// If `from_us` lies before the account's horizon.
     pub fn quota_in(&self, from_us: u64, to_us: u64) -> f64 {
+        self.check_horizon(from_us);
         let live = |t: u64| -> f64 {
             if t > self.quota_since {
                 Self::cum_at(&self.quota_integral, t)

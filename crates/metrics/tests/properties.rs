@@ -2,9 +2,11 @@
 //! cases (case `i` draws its inputs from `DetRng::new(i)`, so a failure names
 //! the seed that reproduces it).
 
+use std::collections::VecDeque;
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use graf_metrics::{Histogram, RateCounter, Summary, WindowedLatency};
+use graf_metrics::{CpuAccount, Histogram, RateCounter, Summary, WindowedLatency};
 use graf_sim::rng::DetRng;
 
 /// Seeded cases per property.
@@ -163,5 +165,74 @@ fn summary_is_nearest_rank() {
         sorted.sort_by(f64::total_cmp);
         let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
         assert_eq!(s.percentile(q), Some(sorted[rank - 1]), "case {case}: q={q}");
+    }
+}
+
+/// A CPU account with a horizon answers every query the horizon admits with
+/// the bits of an account that never forgets, refuses an older one, and
+/// stores a bounded number of checkpoints: at most `4 × (w + 2)`, where `w`
+/// is the largest number of writes (usage samples plus quota changes) that
+/// ever fell within one trailing horizon. Each stream lasts 8–10 horizons.
+#[test]
+fn cpu_horizon_matches_an_untrimmed_account() {
+    const HORIZON: u64 = 200_000;
+    let bits = |u: Option<f64>| u.map(f64::to_bits);
+    for case in 0..CASES {
+        let rng = &mut DetRng::new(case);
+        let res = [1, 1, 7, 1_000][rng.uniform_u64(0, 3) as usize];
+        let end = rng.uniform_u64(8 * HORIZON, 10 * HORIZON);
+        let (mut trimmed, mut reference) = (CpuAccount::new(), CpuAccount::new());
+        trimmed.set_horizon(HORIZON);
+        for a in [&mut trimmed, &mut reference] {
+            a.set_resolution(res);
+        }
+        let (mut t, mut writes, mut max_writes) = (0u64, VecDeque::new(), 0usize);
+        while t < end {
+            // Repeated timestamps exercise the in-cell replacement.
+            t += rng.uniform_u64(0, 2_000);
+            if rng.chance(0.1) {
+                let q = rng.uniform(0.0, 2_000.0);
+                trimmed.set_quota(t, q);
+                reference.set_quota(t, q);
+            } else {
+                // Zero usage is skipped by both accounts.
+                let mc_us = if rng.chance(0.05) { 0.0 } else { rng.uniform(0.0, 5_000.0) };
+                trimmed.add_usage(t, mc_us);
+                reference.add_usage(t, mc_us);
+            }
+            writes.push_back(t);
+            while writes.front().is_some_and(|&w| w + HORIZON < t) {
+                writes.pop_front();
+            }
+            max_writes = max_writes.max(writes.len());
+            let stored = trimmed.checkpoints();
+            assert!(stored <= 4 * (max_writes + 2), "case {case}: {stored} checkpoints stored");
+            if rng.chance(0.05) {
+                let from = rng.uniform_u64(t.saturating_sub(HORIZON), t);
+                let to = rng.uniform_u64(from, t + HORIZON);
+                let at = format!("case {case}: [{from}, {to}) at t = {t}");
+                let (a, b) = (&trimmed, &reference);
+                assert_eq!(a.used_in(from, to).to_bits(), b.used_in(from, to).to_bits(), "{at}");
+                assert_eq!(a.quota_in(from, to).to_bits(), b.quota_in(from, to).to_bits(), "{at}");
+                assert_eq!(bits(a.utilization(from, to)), bits(b.utilization(from, to)), "{at}");
+            }
+        }
+        assert!(
+            trimmed.checkpoints() * 2 < reference.checkpoints(),
+            "case {case}: trimming kept {} of {} checkpoints",
+            trimmed.checkpoints(),
+            reference.checkpoints()
+        );
+        // One write at `t` pins the newest checkpoint, so the horizon's
+        // first admissible instant is exactly `t − HORIZON`.
+        trimmed.add_usage(t, 1.0);
+        reference.add_usage(t, 1.0);
+        let floor = t - HORIZON;
+        let (a, b) = (&trimmed, &reference);
+        assert_eq!(bits(a.utilization(floor, t)), bits(b.utilization(floor, t)), "case {case}");
+        for query in [CpuAccount::used_in, CpuAccount::quota_in] {
+            let refused = catch_unwind(AssertUnwindSafe(|| query(&trimmed, floor - 1, t)));
+            assert!(refused.is_err(), "case {case}: a query before the horizon must panic");
+        }
     }
 }

@@ -22,6 +22,9 @@ use crate::cluster::Cluster;
 /// The control interval of the HPA, the FIRM-like scaler and GRAF's
 /// controller (paper/production default: 15 s).
 pub const CONTROL_INTERVAL: SimDuration = SimDuration(15_000_000);
+// The HPA and FIRM-like scalers read utilization over one control interval;
+// the world's CPU account answers queries only that far back.
+const _: () = assert!(CONTROL_INTERVAL.0 <= graf_sim::world::CPU_HORIZON.0);
 /// HPA tolerance band: no action when `|util/threshold − 1| <` this (k8s
 /// default 0.1).
 const HPA_TOLERANCE: f64 = 0.1;

@@ -18,7 +18,8 @@
 //!   schedulable after a delay the orchestrator layer sets from Figure 1's
 //!   measured creation times — the root cause of the cascading effect (§2.1).
 //! * **Tracing & metrics hooks**: every hop can emit a Jaeger-style span
-//!   (`graf-trace`), and every service tracks CPU usage/quota, arrival rate
+//!   (`graf-trace`) when its world samples traces (off by default), and every
+//!   service tracks CPU usage/quota over [`world::CPU_HORIZON`], arrival rate
 //!   and latency windows (`graf-metrics`).
 //!
 //! The simulation is fully deterministic: all randomness flows from a single

@@ -28,7 +28,16 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::{ApiId, AppTopology, CallNode, ServiceId};
 
 /// Finished traces a world's store retains (the oldest are evicted first).
+/// Only a world that samples traces fills it: a reader opts in through
+/// [`SimConfig::trace_sample`] and is expected to drain the store as it goes.
 const TRACE_CAPACITY: usize = 200_000;
+
+/// How far back a query of a service's CPU account may reach. Checkpoints
+/// older than this are dropped as the run goes on, so the account's memory
+/// follows the event rate, not the run length. 60 s is four 15 s control
+/// windows, the span every utilization reader asks for (the HPA, the
+/// FIRM-like scaler); a longer query panics.
+pub const CPU_HORIZON: SimDuration = SimDuration(60_000_000);
 
 /// Tuning knobs of the simulation.
 #[derive(Clone, Debug)]
@@ -37,7 +46,12 @@ pub struct SimConfig {
     pub window_us: u64,
     /// Number of metric windows retained per surface.
     pub retain_windows: usize,
-    /// Probability that a request is traced (Jaeger sampling rate).
+    /// Probability that a request is traced (Jaeger sampling rate). `0.0`
+    /// by default: a world keeps traces only for a reader that asks for
+    /// them (the sample collector's profiling runs, the resilient
+    /// controller's coverage check). The decision draws from its own stream
+    /// whatever the rate, so completions and events are the same at every
+    /// rate; only the trace store and `WorldStats::spans` differ.
     pub trace_sample: f64,
     /// Client-side request timeout in µs (`None` = never). Mirrors Vegeta's
     /// 30 s default: a timed-out request is abandoned — its in-flight work is
@@ -46,9 +60,11 @@ pub struct SimConfig {
     /// CPU-usage checkpoint resolution in µs: usage samples landing in the
     /// same `t / cpu_checkpoint_us` cell collapse into one stored checkpoint.
     /// `1` (default) keeps one checkpoint per distinct microsecond — exact
-    /// for any query. Coarser values bound the cAdvisor account's memory at
-    /// high event rates; integrals between checkpoints stay exact because the
-    /// cumulative value is carried, only intra-cell query resolution drops.
+    /// for any query inside [`CPU_HORIZON`], beyond which checkpoints are
+    /// dropped whatever the resolution. Coarser values shrink the cAdvisor
+    /// account further at high event rates; integrals between checkpoints
+    /// stay exact because the cumulative value is carried, only intra-cell
+    /// query resolution drops.
     pub cpu_checkpoint_us: u64,
 }
 
@@ -57,7 +73,7 @@ impl Default for SimConfig {
         Self {
             window_us: 1_000_000, // 1 s windows; controllers query trailing k
             retain_windows: 600,
-            trace_sample: 1.0,
+            trace_sample: 0.0,
             request_timeout_us: Some(30_000_000),
             cpu_checkpoint_us: 1,
         }
@@ -303,6 +319,7 @@ impl World {
             .map(|s| {
                 let mut rt = ServiceRuntime::new(s.clone(), cfg.window_us, cfg.retain_windows);
                 rt.cpu.set_resolution(cfg.cpu_checkpoint_us);
+                rt.cpu.set_horizon(CPU_HORIZON.as_micros());
                 rt
             })
             .collect();
@@ -1198,6 +1215,10 @@ impl World {
     }
 
     /// CPU utilization of `service` over the trailing window of `dur`.
+    ///
+    /// # Panics
+    /// If `dur` reaches further back than [`CPU_HORIZON`]: the account keeps
+    /// no older checkpoints.
     pub fn service_utilization(&self, service: ServiceId, dur: SimDuration) -> Option<f64> {
         let to = self.now.as_micros();
         let from = to.saturating_sub(dur.as_micros());
@@ -1276,7 +1297,7 @@ mod tests {
 
     fn ready_world(topo: AppTopology, quota: f64) -> World {
         let n = topo.num_services();
-        let mut w = World::new(topo, SimConfig::default(), 42);
+        let mut w = World::new(topo, SimConfig { trace_sample: 1.0, ..SimConfig::default() }, 42);
         for s in 0..n {
             w.add_instances(ServiceId(s as u16), 1, quota, SimTime::ZERO);
         }
@@ -1377,8 +1398,6 @@ mod tests {
             )],
         );
         let mut w = ready_world(topo, 1000.0);
-        let cfg = SimConfig { trace_sample: 1.0, ..SimConfig::default() };
-        assert_eq!(cfg.trace_sample, 1.0);
         w.inject(ApiId(0), SimTime::from_millis(1.0));
         w.run_until(SimTime::from_secs(1.0));
         let traces = w.traces_mut().drain_finished();

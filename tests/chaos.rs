@@ -18,7 +18,9 @@ use graf::sim::world::{SimConfig, World, WorldStats};
 /// final instance counts.
 fn run_once(seed: u64, schedule: Option<&ChaosSchedule>) -> (WorldStats, Vec<u64>, usize) {
     let topo = online_boutique();
-    let world = World::new(topo.clone(), SimConfig::default(), seed);
+    // Traced: the trace-drop assertions read span counts.
+    let world =
+        World::new(topo.clone(), SimConfig { trace_sample: 1.0, ..SimConfig::default() }, seed);
     let deployments =
         (0..topo.num_services()).map(|s| Deployment::new(ServiceId(s as u16), 100.0, 3)).collect();
     let mut cluster = Cluster::new(world, deployments, CreationModel::default());

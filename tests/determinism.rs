@@ -177,8 +177,47 @@ fn fingerprint_traces(traces: &[graf::trace::Trace]) -> u64 {
     h
 }
 
-/// Serial-`World` output pinned across revisions: an open-loop boutique run
-/// (2 s of Poisson arrivals, then drained) must reproduce these
+/// The open-loop boutique run of `serial_world_output_is_pinned`: 2 s of
+/// Poisson arrivals, then drained. Returns the drained world and its
+/// completions; `traced` sets `trace_sample` to 1.0, otherwise the world
+/// keeps the default (no tracing).
+fn serial_world(
+    seed: u64,
+    traced: bool,
+    obs: &graf::obs::Obs,
+) -> (World, Vec<graf::sim::world::Completion>) {
+    use graf::sim::rng::DetRng;
+
+    let mut cfg = SimConfig { request_timeout_us: None, ..SimConfig::default() };
+    if traced {
+        cfg.trace_sample = 1.0;
+    }
+    let mut w = World::new(online_boutique(), cfg, seed);
+    w.set_obs(obs.clone());
+    for s in 0..6u16 {
+        w.add_instances(ServiceId(s), 3, 300.0, SimTime::ZERO);
+    }
+    let mut rng = DetRng::new(seed ^ 0x9e37);
+    for (api, rate) in [(0u16, 120.0f64), (1, 120.0), (2, 160.0)] {
+        let mut t = 0.0;
+        loop {
+            t += rng.exp(1e6 / rate);
+            if t >= 2e6 {
+                break;
+            }
+            w.inject(ApiId(api), SimTime(t as u64));
+        }
+    }
+    w.run_until(SimTime::from_secs(2.0));
+    w.run_to_quiescence(SimTime::from_secs(10.0));
+    let comps = w.drain_completions();
+    assert!(comps.len() > 500, "the run actually did work ({} completions)", comps.len());
+    assert_eq!(w.in_flight(), 0, "the run drained");
+    (w, comps)
+}
+
+/// Serial-`World` output pinned across revisions: the traced
+/// [`serial_world`] run must reproduce these
 /// `(completions, traces, events)` fingerprints for every seed, with
 /// telemetry attached and without. The constants
 /// were captured at commit `c77e2c3`, before the sharded executor and its
@@ -187,32 +226,10 @@ fn fingerprint_traces(traces: &[graf::trace::Trace]) -> u64 {
 #[test]
 fn serial_world_output_is_pinned() {
     use graf::obs::Obs;
-    use graf::sim::rng::DetRng;
 
     fn run_once(seed: u64, obs: &Obs) -> (u64, u64, u64) {
-        let cfg = SimConfig { request_timeout_us: None, ..SimConfig::default() };
-        let mut w = World::new(online_boutique(), cfg, seed);
-        w.set_obs(obs.clone());
-        for s in 0..6u16 {
-            w.add_instances(ServiceId(s), 3, 300.0, SimTime::ZERO);
-        }
-        let mut rng = DetRng::new(seed ^ 0x9e37);
-        for (api, rate) in [(0u16, 120.0f64), (1, 120.0), (2, 160.0)] {
-            let mut t = 0.0;
-            loop {
-                t += rng.exp(1e6 / rate);
-                if t >= 2e6 {
-                    break;
-                }
-                w.inject(ApiId(api), SimTime(t as u64));
-            }
-        }
-        w.run_until(SimTime::from_secs(2.0));
-        w.run_to_quiescence(SimTime::from_secs(10.0));
-        let comps = w.drain_completions();
+        let (mut w, comps) = serial_world(seed, true, obs);
         let traces = w.traces_mut().drain_finished();
-        assert!(comps.len() > 500, "the run actually did work ({} completions)", comps.len());
-        assert_eq!(w.in_flight(), 0, "the run drained");
         let events = w.stats().events;
         if obs.is_enabled() {
             let row = ["graf.sim.events".to_string(), events.to_string()];
@@ -244,6 +261,30 @@ fn serial_world_output_is_pinned() {
     }
 }
 
+/// Traces are observability only: at every pinned seed, the untraced
+/// default world completes the same requests at the same instants, through
+/// the same number of events, as the fully traced one — and keeps no spans.
+#[test]
+fn trace_sampling_does_not_move_the_simulation() {
+    use graf::obs::Obs;
+
+    assert_eq!(SimConfig::default().trace_sample, 0.0, "tracing is opt-in");
+    for seed in [7, 77, 402] {
+        let (traced, traced_comps) = serial_world(seed, true, &Obs::disabled());
+        let (plain, plain_comps) = serial_world(seed, false, &Obs::disabled());
+        assert_eq!(
+            fingerprint_completions(&plain_comps),
+            fingerprint_completions(&traced_comps),
+            "completions moved with the trace rate (seed {seed})"
+        );
+        assert_eq!(plain.stats().events, traced.stats().events, "events (seed {seed})");
+        assert!(traced.stats().spans > 0, "the traced run recorded spans (seed {seed})");
+        assert_eq!(plain.stats().spans, 0, "a default world records no span (seed {seed})");
+        assert!(plain.traces().finished().is_empty(), "and retains no trace (seed {seed})");
+        assert_eq!(plain.traces().open_count(), 0, "nor opens one (seed {seed})");
+    }
+}
+
 /// The client-timeout path pinned across revisions: the open-loop boutique of
 /// `serial_world_output_is_pinned`, 4 s of arrivals into a starved cluster
 /// (60 mc × 3 instances per service) with the client timeout on — 100 ms,
@@ -260,7 +301,11 @@ fn timeout_world_output_is_pinned() {
 
     /// `(completions, traces, events, completed, timeouts)`.
     fn run_once(seed: u64, timeout_us: u64) -> (u64, u64, u64, u64, u64) {
-        let cfg = SimConfig { request_timeout_us: Some(timeout_us), ..SimConfig::default() };
+        let cfg = SimConfig {
+            request_timeout_us: Some(timeout_us),
+            trace_sample: 1.0,
+            ..SimConfig::default()
+        };
         let mut w = World::new(online_boutique(), cfg, seed);
         for s in 0..6u16 {
             w.add_instances(ServiceId(s), 3, 60.0, SimTime::ZERO);

@@ -16,14 +16,16 @@
 //! its span buffer to the finished set, so the next `open_trace` reserves a
 //! fresh one — at most one allocation per sampled trace, none per span. CPU
 //! checkpointing runs at its coarsest resolution so the usage series
-//! collapses into a single in-place cell.
+//! collapses into a single in-place cell, except in the horizon test, which
+//! keeps the default one-per-microsecond checkpoints and runs past
+//! [`CPU_HORIZON`] to show that the account stops growing there.
 
 use graf::apps::online_boutique;
 use graf::nn::sanitize::{alloc_delta, CountingAlloc};
 use graf::sim::rng::DetRng;
 use graf::sim::time::SimTime;
 use graf::sim::topology::{ApiId, ApiSpec, AppTopology, CallNode, ServiceId, ServiceSpec};
-use graf::sim::world::{Completion, SimConfig, World};
+use graf::sim::world::{Completion, SimConfig, World, CPU_HORIZON};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -177,4 +179,43 @@ fn boutique_steady_state_allocations_taper_off() {
         windows[3] <= 64,
         "steady state tapers to a trickle (high-water growth only): windows {windows:?}"
     );
+}
+
+/// At the default per-microsecond CPU checkpoints, each service's account
+/// grows until the run passes [`CPU_HORIZON`] and then recycles its buffer:
+/// at a steady 500 qps its capacity doubles for the last time at 65 s, and
+/// seconds 68–134 allocate nothing, while the HPA's 15 s utilization query
+/// still reads the live window. Without the horizon the account doubles
+/// again at about 130 s. The window is the stretch between the event
+/// wheel's level-2 crossings at 67.1 s and 134.2 s: the far-bucket pool
+/// allocates 3 buffers at each crossing, whatever the CPU resolution.
+#[test]
+fn cpu_account_stops_growing_past_its_horizon() {
+    let cfg = SimConfig {
+        cpu_checkpoint_us: SimConfig::default().cpu_checkpoint_us,
+        ..sanitize_config()
+    };
+    assert_eq!(cfg.cpu_checkpoint_us, 1, "the default resolution");
+    assert!(CPU_HORIZON.as_secs_f64() < 66.0, "the measured window is longer than the horizon");
+    let mut w = World::new(pipeline_topo(), cfg, 17);
+    w.add_instances(ServiceId(0), 2, 800.0, SimTime::ZERO);
+    w.add_instances(ServiceId(1), 2, 800.0, SimTime::ZERO);
+    let mut sink: Vec<Completion> = Vec::new();
+    let mut allocs = 0;
+    for sec in 0..134u64 {
+        let ((), n) = alloc_delta(|| {
+            for i in 0..500 {
+                w.inject(ApiId(0), SimTime(sec * 1_000_000 + i * 2_000));
+            }
+            w.run_until(SimTime((sec + 1) * 1_000_000));
+        });
+        w.drain_completions_into(&mut sink);
+        if (68..134).contains(&sec) {
+            allocs += n;
+        }
+    }
+    assert!(w.stats().completed > 66_990, "the run did work ({})", w.stats().completed);
+    assert_eq!(allocs, 0, "running seconds 68-134 must not allocate");
+    let util = w.service_utilization(ServiceId(0), graf::sim::time::SimDuration::from_secs(15.0));
+    assert!(util.is_some_and(|u| u > 0.1), "utilization over the last 15 s: {util:?}");
 }
