@@ -41,7 +41,7 @@ pub use social::social_network;
 
 use graf_sim::topology::AppTopology;
 
-/// All benchmark applications, for sweep-style experiments.
+/// All benchmark applications, for experiments that cover every one.
 pub fn all_apps() -> Vec<AppTopology> {
     vec![online_boutique(), social_network(), robot_shop(), bookinfo()]
 }

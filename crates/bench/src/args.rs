@@ -2,11 +2,10 @@
 
 use std::num::NonZeroUsize;
 
-/// The flags of `graf-exp`. An experiment (or `all`) takes the first seven,
-/// `sweep` the scale flags (`--seed` to `--threads`) and its own two; a flag
-/// on a subcommand that does not take it is an error naming the flag.
+/// The flags of `graf-exp`, taken by every experiment and by `all`; any other
+/// flag is an error naming it.
 ///
-/// * `--seed <u64>` — base RNG seed (default 7); the grid seed of a sweep.
+/// * `--seed <u64>` — base RNG seed (default 7).
 /// * `--paper-scale` — raise sample counts/epochs toward the published
 ///   configuration (slower, closer to the paper's statistical power).
 /// * `--samples <n>` — override the training-sample count (positive).
@@ -21,8 +20,6 @@ use std::num::NonZeroUsize;
 ///   `metric_stale`, `stale_model`, `creation_fail`, `slow_start`,
 ///   `latency_spike`, or `none`); all classes run when unset, and any other
 ///   name is an error.
-/// * `--grid <spec|@preset>` — `sweep`: the scenario grid (required).
-/// * `--out <path>` — `sweep`: write the aggregated JSONL report here.
 #[derive(Clone, Debug)]
 pub struct Args {
     /// Base RNG seed.
@@ -39,10 +36,6 @@ pub struct Args {
     pub threads: Option<usize>,
     /// Fault-class filter for chaos-aware experiments (None = all classes).
     pub chaos: Option<String>,
-    /// The sweep's grid spec or `@preset`.
-    pub grid: Option<String>,
-    /// Where the sweep writes its aggregated report.
-    pub out: Option<String>,
 }
 
 impl Default for Args {
@@ -55,22 +48,19 @@ impl Default for Args {
             telemetry: None,
             threads: None,
             chaos: None,
-            grid: None,
-            out: None,
         }
     }
 }
 
 impl Args {
-    /// Parses the flags of subcommand `cmd` (`sweep`, or anything else for an
-    /// experiment); the error names the offending flag.
+    /// Parses the flags of subcommand `cmd` (an experiment, `all` or `list`);
+    /// the error names the offending flag and `cmd`.
     pub fn from_args(cmd: &str, args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Self::default();
         let mut it = args.into_iter();
         fn number<T: std::str::FromStr>(v: Option<String>, what: &str) -> Result<T, String> {
             v.and_then(|v| v.parse().ok()).ok_or_else(|| what.to_string())
         }
-        let sweep = cmd == "sweep";
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--seed" => out.seed = number(it.next(), "--seed needs a u64 value")?,
@@ -84,10 +74,10 @@ impl Args {
                     let n: NonZeroUsize = number(it.next(), "--threads needs a positive integer")?;
                     out.threads = Some(n.get());
                 }
-                "--telemetry" if !sweep => {
+                "--telemetry" => {
                     out.telemetry = Some(it.next().ok_or("--telemetry needs a file path")?);
                 }
-                "--chaos" if !sweep => {
+                "--chaos" => {
                     let class = it.next().ok_or("--chaos needs a fault-class name")?;
                     if !graf_chaos::CATALOG.contains(&class.as_str()) {
                         let known = graf_chaos::CATALOG.join(", ");
@@ -95,13 +85,8 @@ impl Args {
                     }
                     out.chaos = Some(class);
                 }
-                "--grid" if sweep => out.grid = Some(it.next().ok_or("--grid needs a grid spec")?),
-                "--out" if sweep => out.out = Some(it.next().ok_or("--out needs a file path")?),
                 other => return Err(format!("unknown flag {other} for `{cmd}`")),
             }
-        }
-        if sweep && out.grid.is_none() {
-            return Err("sweep needs --grid <spec|@preset>".to_string());
         }
         Ok(out)
     }
@@ -183,7 +168,6 @@ mod tests {
         assert_eq!(parse(&["--samples", "5"]).samples, Some(5));
         let err = "--samples needs a positive integer";
         assert_eq!(parse_for("fig21_22_surge_comparison", &["--samples", "0"]).unwrap_err(), err);
-        assert_eq!(parse_for("sweep", &["--grid", "@smoke", "--samples", "0"]).unwrap_err(), err);
     }
 
     #[test]
@@ -217,29 +201,20 @@ mod tests {
     }
 
     #[test]
-    fn sweep_flags_parse_on_their_subcommand() {
-        let s = parse_for("sweep", &["--grid", "@smoke", "--quick", "--out", "o"]).unwrap();
-        assert_eq!(
-            (s.grid.as_deref(), s.out.as_deref(), s.quick),
-            (Some("@smoke"), Some("o"), true)
-        );
-        assert!(parse_for("sweep", &["--quick"]).unwrap_err().contains("--grid"));
-    }
-
-    #[test]
     fn a_flag_on_the_wrong_subcommand_is_rejected_by_name() {
-        for flag in ["--grid", "--out"] {
-            let err = parse_for("fig17_slo_targeting", &[flag, "x"]).unwrap_err();
-            assert!(err.contains(&format!("unknown flag {flag} ")), "{err}");
-        }
-        for flag in ["--telemetry", "--chaos", "--workers"] {
-            let err = parse_for("sweep", &["--grid", "@smoke", flag, "x"]).unwrap_err();
-            assert!(err.contains(&format!("unknown flag {flag} ")), "{err}");
-        }
-        // The sweep keeps no revision history, so no subcommand takes these.
-        for flag in ["--history", "--rev", "--gate", "--threshold", "--strict"] {
-            let err = parse_for("sweep", &["--grid", "@smoke", flag, "x"]).unwrap_err();
-            assert!(err.contains(&format!("unknown flag {flag} for `sweep`")), "{err}");
+        // The flags of the deleted sweep and of its revision history are
+        // unknown to every subcommand.
+        let gone = [
+            "--grid",
+            "--out",
+            "--workers",
+            "--history",
+            "--rev",
+            "--gate",
+            "--threshold",
+            "--strict",
+        ];
+        for flag in gone {
             let err = parse_for("fig17_slo_targeting", &[flag, "x"]).unwrap_err();
             assert!(err.contains(&format!("unknown flag {flag} for `fig17")), "{err}");
         }

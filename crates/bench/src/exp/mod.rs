@@ -1,5 +1,5 @@
 //! The experiments behind the paper's tables and figures, and the one runner
-//! (`graf-exp`) that executes them and the scenario sweep ([`crate::sweepgrid`]).
+//! (`graf-exp`) that executes them.
 //!
 //! Every experiment is a module with a single entry point
 //! `run(cx: &mut Ctx) -> io::Result<()>` that writes its artefact to
@@ -20,7 +20,7 @@ use graf_core::{Graf, GrafBuildConfig, GrafController};
 use graf_sim::par::{fan_out, panic_message};
 
 use crate::standard::{build_config, sampling_config, AppSetup, ModelCache};
-use crate::{sweepgrid, Args};
+use crate::Args;
 
 /// One experiment: name (also its `results/<name>.txt` stem), one-line
 /// description, entry point.
@@ -66,9 +66,8 @@ pub struct Ctx {
     pub args: Args,
     /// The one telemetry handle (`--telemetry`); disabled when the flag is unset.
     pub obs: graf_obs::Obs,
-    /// Where the running experiment writes its artefact (shareable, so sweep
-    /// and `all` workers can read the rest of the context while none of them
-    /// writes).
+    /// Where the running experiment writes its artefact (shareable, so `all`
+    /// workers can read the rest of the context while none of them writes).
     pub out: Box<dyn Write + Send + Sync>,
     caches: Arc<Caches>,
 }
@@ -183,11 +182,6 @@ pub fn run_one(run: fn(&mut Ctx) -> io::Result<()>, cx: &mut Ctx) -> usize {
     }
 }
 
-/// The width of `graf-exp all` and `graf-exp sweep`: one worker per core.
-fn workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// Runs every entry of `registry`, each writing `<dir>/<name>.txt`, on the
 /// workspace's worker pool ([`fan_out`], one worker per core), then reports
 /// one progress line per entry on `cx.out`, in registry order. The artefacts
@@ -199,7 +193,8 @@ pub fn run_all(registry: &[Entry], cx: &mut Ctx, dir: &Path) -> io::Result<usize
     std::fs::create_dir_all(dir)?;
     let path = |name: &str| dir.join(format!("{name}.txt"));
     let shared: &Ctx = cx;
-    let results = fan_out(registry.len(), workers(), |i| {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let results = fan_out(registry.len(), workers, |i| {
         let (name, _, run) = registry[i];
         run_into(&path(name), run, shared)
     });
@@ -234,20 +229,17 @@ fn usage(error: &str) -> ExitCode {
          usage: graf-exp list\n\
          \x20      graf-exp <EXPERIMENT | all> [--seed U64] [--quick] [--paper-scale] [--samples N]\n\
          \x20               [--threads N] [--telemetry PATH] [--chaos CLASS]\n\
-         \x20      graf-exp sweep --grid <SPEC | @PRESET> [--seed U64] [--quick] [--paper-scale]\n\
-         \x20               [--samples N] [--threads N] [--out PATH]\n\
          `all` runs every experiment into results/<name>.txt. Experiments:\n  {}",
         names.join("\n  ")
     );
     ExitCode::from(2)
 }
 
-/// The `graf-exp` command line: `list`, `<name> [flags]`, `all [flags]`,
-/// or `sweep --grid G [flags]`.
+/// The `graf-exp` command line: `list`, `<name> [flags]` or `all [flags]`.
 pub fn cli(mut argv: impl Iterator<Item = String>) -> ExitCode {
     let Some(cmd) = argv.next() else { return usage("no experiment named") };
     let entry = REGISTRY.iter().find(|e| e.0 == cmd);
-    if entry.is_none() && !["all", "list", "sweep"].contains(&cmd.as_str()) {
+    if entry.is_none() && !["all", "list"].contains(&cmd.as_str()) {
         return usage(&format!("unknown experiment {cmd}"));
     }
     let args = match Args::from_args(&cmd, argv) {
@@ -264,10 +256,9 @@ pub fn cli(mut argv: impl Iterator<Item = String>) -> ExitCode {
         Ok(cx) => cx,
         Err(e) => return usage(&e),
     };
-    let failed = match (entry, cmd.as_str()) {
-        (Some(&(_, _, run)), _) => Ok(run_one(run, &mut cx)),
-        (None, "sweep") => sweepgrid::sweep(&mut cx, workers()),
-        (None, _) => run_all(REGISTRY, &mut cx, Path::new("results")),
+    let failed = match entry {
+        Some(&(_, _, run)) => Ok(run_one(run, &mut cx)),
+        None => run_all(REGISTRY, &mut cx, Path::new("results")),
     };
     match failed.and_then(|n| cx.finish_telemetry().map(|()| n)) {
         Ok(0) => ExitCode::SUCCESS,

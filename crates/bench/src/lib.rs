@@ -7,7 +7,7 @@
 //!
 //! * [`exp`] — the experiments, their registry, the context that builds the
 //!   standard artefacts once per process, and the runner behind
-//!   `graf-exp <name>` / `graf-exp all` / `graf-exp sweep`,
+//!   `graf-exp <name>` / `graf-exp all`,
 //! * [`args`] — the flags (`--seed`, `--paper-scale`, …) the runner parses
 //!   once, whichever subcommand runs,
 //! * [`standard`] — the standard experiment configurations: per-application
@@ -17,14 +17,7 @@
 //!   ("the model is trained once... used to reproduce every result"),
 //! * [`timeline`] — timeline recording for the time-series figures,
 //! * [`pricing`] — the AWS EC2 on-demand prices of Table 3 and the
-//!   cost-benefit arithmetic of Figure 19,
-//! * [`sweepgrid`] — `graf-exp sweep`: grid axes
-//!   (`app`/`slo`/`surge`/`chaos`/`policy`/`load`) mapped onto concrete
-//!   scenarios whose models come from the runner's one cache,
-//! * the scenario-agnostic sweep machinery under it: [`grid`] (grid specs
-//!   expanded into cells), [`run`] (the fleet: one seeded record per cell on
-//!   the workspace's worker pool), [`record`] (the canonical JSONL record)
-//!   and [`report`] (the byte-stable aggregate and the table).
+//!   cost-benefit arithmetic of Figure 19.
 //!
 //! **Invariants.** Every experiment is deterministic per `--seed`: rerunning
 //! one produces byte-identical output, alone or under `graf-exp all`,
@@ -38,13 +31,8 @@
 
 pub mod args;
 pub mod exp;
-pub mod grid;
 pub mod pricing;
-pub mod record;
-pub mod report;
-pub mod run;
 pub mod standard;
-pub mod sweepgrid;
 pub mod timeline;
 
 pub use args::Args;

@@ -1,4 +1,4 @@
-//! Standard experiment setups shared by the experiments and the sweep.
+//! Standard experiment setups shared by the experiments.
 //!
 //! The paper trains one latency prediction model per application and reuses
 //! it for every result (§5, *Sample Collection and Training*). These helpers
@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use graf_apps::{bookinfo, online_boutique, robot_shop, social_network};
+use graf_apps::{online_boutique, social_network};
 use graf_chaos::{ChaosSchedule, FaultKind};
 use graf_core::baseline::SteadyTrial;
 use graf_core::{Graf, GrafBuildConfig, SamplingConfig, TrainConfig};
@@ -53,21 +53,6 @@ pub fn boutique_setup() -> AppSetup {
 /// Social Network under Vegeta post-compose load.
 pub fn social_setup() -> AppSetup {
     AppSetup { topo: social_network(), probe_qps: vec![600.0], slo_ms: 80.0, cpu_unit_mc: 100.0 }
-}
-
-/// Robot Shop under a browse-heavy three-API mix (browse/user/cart).
-pub fn robot_shop_setup() -> AppSetup {
-    AppSetup {
-        topo: robot_shop(),
-        probe_qps: vec![240.0, 120.0, 120.0],
-        slo_ms: 80.0,
-        cpu_unit_mc: 100.0,
-    }
-}
-
-/// Bookinfo under product-page load.
-pub fn bookinfo_setup() -> AppSetup {
-    AppSetup { topo: bookinfo(), probe_qps: vec![400.0], slo_ms: 80.0, cpu_unit_mc: 100.0 }
 }
 
 /// The standard sampling configuration for a setup, scaled by `args`.
@@ -165,7 +150,7 @@ mod tests {
 
     #[test]
     fn setups_are_consistent() {
-        for setup in [boutique_setup(), social_setup(), robot_shop_setup(), bookinfo_setup()] {
+        for setup in [boutique_setup(), social_setup()] {
             assert_eq!(
                 setup.probe_qps.len(),
                 setup.topo.num_apis(),

@@ -1,8 +1,7 @@
 //! The experiment registry against the committed artefacts, and the runner's
 //! contracts: shared caches change no byte, one failure stops nothing, flags
-//! are validated once for every subcommand, telemetry is the one complete
-//! record of a run, and the sweep's aggregate is the same bytes at every
-//! width.
+//! are validated once for every subcommand, and telemetry is the one complete
+//! record of a run.
 
 use std::collections::BTreeSet;
 use std::io::{self, Write};
@@ -11,9 +10,8 @@ use std::process::Command;
 use std::sync::{Arc, Mutex};
 
 use graf_bench::exp::{self, Ctx, Entry, REGISTRY};
-use graf_bench::{sweepgrid, Args};
+use graf_bench::Args;
 use graf_obs::json::{self, Json};
-use graf_sim::rng::derive_seed;
 
 /// A sink the test keeps a handle to after `Ctx` has boxed the other.
 #[derive(Clone, Default)]
@@ -35,7 +33,7 @@ impl Write for Buf {
     }
 }
 
-/// A context for subcommand `cmd` (any experiment name, or `sweep`).
+/// A context for subcommand `cmd` (any experiment name, or `all`).
 fn ctx_for(cmd: &str, flags: &[&str]) -> (Ctx, Buf) {
     let buf = Buf::default();
     let args = Args::from_args(cmd, flags.iter().map(|f| f.to_string())).expect("valid flags");
@@ -67,6 +65,9 @@ fn model_free_experiments_reproduce_the_committed_artefacts() {
     for name in [
         "fig01_instance_creation",
         "topologies",
+        "fig02_03_surge_hpa",
+        "fig06_latency_curves",
+        "fig07_cascading",
         "table1_hyperparams",
         "table3_budget",
         "fig19_cost_benefit",
@@ -176,7 +177,7 @@ fn graf_exp(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn an_unknown_flag_is_a_usage_error_for_every_experiment() {
-    for name in ["table3_budget", "fig01_instance_creation", "all", "list", "sweep"] {
+    for name in ["table3_budget", "fig01_instance_creation", "all", "list"] {
         let out = graf_exp(&[name, "--frobnicate"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
@@ -187,10 +188,14 @@ fn an_unknown_flag_is_a_usage_error_for_every_experiment() {
         assert!(out.stdout.is_empty(), "{name} ran before its flags were checked");
     }
     assert_eq!(graf_exp(&["fig99_nope"]).status.code(), Some(2));
-    let out = graf_exp(&["compare", "a", "b"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("unknown experiment compare"), "{stderr}");
+    // Subcommands that were deleted are unknown experiments.
+    for (cmd, args) in [("compare", ["a", "b"]), ("sweep", ["--grid", "@smoke"])] {
+        let out = graf_exp(&[&[cmd][..], &args].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains(&format!("unknown experiment {cmd}")), "{stderr}");
+        assert!(out.stdout.is_empty(), "{cmd} ran");
+    }
     assert_eq!(graf_exp(&[]).status.code(), Some(2));
     // A misspelt fault class is caught before the model trains.
     let out = graf_exp(&["chaos_matrix", "--quick", "--chaos", "trace-drop"]);
@@ -329,45 +334,4 @@ fn every_telemetry_name_in_the_crates_is_in_the_design_names_table() {
         }
     }
     assert!(missing.is_empty(), "names missing from DESIGN §2's table: {missing:?}");
-}
-
-#[test]
-fn sweep_aggregate_is_worker_count_invariant_and_matches_the_pinned_bytes() {
-    let golden = include_str!("golden/sweep_smoke_quick_seed7.jsonl");
-    let pinned: Vec<Json> = golden.lines().map(|l| json::parse(l).expect("well-formed")).collect();
-    assert_eq!(pinned.len(), 4, "four records");
-    for r in &pinned {
-        let cell = r.get("cell").and_then(Json::as_str).expect("a cell key");
-        assert!(r.get("metrics").is_some() && r.get("error").is_none(), "{cell} failed");
-        let seed = r.get("seed").and_then(Json::as_u64);
-        assert_eq!(seed, Some(derive_seed(7, cell)), "{cell}: seed read back exactly");
-    }
-    let dir = scratch("sweep-widths");
-    for workers in [1, 2, 4] {
-        let out = dir.join(format!("w{workers}.jsonl"));
-        let flags = ["--grid", "@smoke", "--quick", "--seed", "7", "--out"];
-        let (mut cx, _) = ctx_for("sweep", &[&flags[..], &[out.to_str().expect("utf-8")]].concat());
-        assert_eq!(sweepgrid::sweep(&mut cx, workers).expect("temp dir is writable"), 0);
-        let written = std::fs::read_to_string(&out).expect("--out written");
-        assert!(written == golden, "{workers} worker(s): aggregate differs from the pinned bytes");
-    }
-    std::fs::remove_dir_all(dir).expect("temp dir is removable");
-}
-
-#[test]
-fn every_worker_of_a_sweep_takes_its_model_from_the_one_cache() {
-    let grid = "app=boutique;policy=graf;slo=60,70,80,90";
-    let (mut cx, table) = ctx_for("sweep", &["--grid", grid, "--quick", "--samples", "60"]);
-    assert_eq!(sweepgrid::sweep(&mut cx, 4).expect("writing to memory cannot fail"), 0);
-    assert_eq!(cx.cache_misses().0, 1, "four cells on four workers, one boutique build");
-    let table = String::from_utf8(table.bytes()).expect("utf-8");
-    assert_eq!(table.matches("app=boutique/policy=graf/slo=").count(), 4, "{table}");
-}
-
-#[test]
-fn an_invalid_grid_fails_before_any_cell_runs() {
-    for grid in ["policy=hpa;zone=us", "policy=hpa;app=buotique", "app=boutique", "@bogus"] {
-        let out = graf_exp(&["sweep", "--grid", grid, "--quick"]);
-        assert!(!out.status.success() && out.stdout.is_empty(), "{grid} ran");
-    }
 }

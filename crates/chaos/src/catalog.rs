@@ -1,10 +1,10 @@
 //! The named fault catalog: one canonical parameterization per fault class.
 //!
 //! Experiment harnesses address faults by their stable names (the same names
-//! [`FaultKind::name`] reports) so a fault class can be a CLI flag value or a
-//! sweep-grid axis value. The parameterizations here are the chaos-matrix
-//! severities: hard enough that a policy difference shows, survivable enough
-//! that the ladder's graceful path stays measurable.
+//! [`FaultKind::name`] reports) so a fault class can be a CLI flag value
+//! (`graf-exp chaos_matrix --chaos <class>`). The parameterizations here are
+//! the chaos-matrix severities: hard enough that a policy difference shows,
+//! survivable enough that the ladder's graceful path stays measurable.
 
 use graf_sim::time::SimDuration;
 use graf_sim::topology::ServiceId;
@@ -12,8 +12,7 @@ use graf_sim::topology::ServiceId;
 use crate::spec::FaultKind;
 
 /// Every catalog name, in table order. `"none"` is the explicit no-fault
-/// cell — it exists so grids can sweep `chaos=none,trace_drop,...` and keep
-/// the baseline in the same report.
+/// cell: it keeps the baseline row in the chaos matrix's report.
 pub const CATALOG: &[&str] = &[
     "none",
     "trace_drop",

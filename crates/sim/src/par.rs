@@ -1,6 +1,5 @@
-//! The one index-claiming worker pool: the sample collector's probes, the
-//! scenario sweep's cells and `graf-exp all`'s experiments all fan out
-//! through [`fan_out`].
+//! The one index-claiming worker pool: the sample collector's probes and
+//! `graf-exp all`'s experiments both fan out through [`fan_out`].
 //!
 //! Determinism is the caller's half of the contract — `f(idx)` may depend on
 //! `idx` and on shared read-only state, never on which worker runs it or on

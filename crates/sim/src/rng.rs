@@ -39,17 +39,6 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The seed of the stream named `key` under `root`: FNV-1a of the key bytes,
-/// mixed with the root through `splitmix64`. A pure function of its
-/// arguments — never of an index, a shard or a worker — so rerunning one
-/// named stream alone reproduces it, and adding streams moves no other.
-pub fn derive_seed(root: u64, key: &str) -> u64 {
-    let fnv1a = key
-        .bytes()
-        .fold(0xcbf29ce484222325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3));
-    splitmix64(fnv1a ^ splitmix64(root))
-}
-
 impl DetRng {
     /// Creates an RNG from a seed: the four state words are consecutive
     /// SplitMix64 outputs from `seed`.
@@ -326,31 +315,6 @@ mod tests {
                 assert_eq!(a.unit() < p, b.bits64() >> 11 < thresh, "p={p}");
             }
         }
-    }
-
-    #[test]
-    fn seed_depends_on_key_and_grid_seed() {
-        let a = derive_seed(7, "app=boutique/slo=60");
-        assert_eq!(a, derive_seed(7, "app=boutique/slo=60"), "deterministic");
-        assert_ne!(a, derive_seed(8, "app=boutique/slo=60"), "grid seed matters");
-        assert_ne!(a, derive_seed(7, "app=boutique/slo=90"), "key matters");
-    }
-
-    #[test]
-    fn nearby_keys_get_well_separated_seeds() {
-        // Single-character key edits must flip roughly half the bits.
-        let a = derive_seed(7, "slo=60");
-        let b = derive_seed(7, "slo=61");
-        let differing = (a ^ b).count_ones();
-        assert!((16..=48).contains(&differing), "only {differing} bits differ");
-    }
-
-    #[test]
-    fn pinned_values_guard_the_derivation() {
-        // Changing the hash silently would re-seed every sweep cell in every
-        // committed history; pin two reference points.
-        assert_eq!(derive_seed(0, "a=1"), 0xc4d9d0b00f0c9ec3);
-        assert_eq!(derive_seed(7, "app=boutique/policy=hpa/slo=60/surge=none"), 0x1d248e99311bc34e);
     }
 
     #[test]

@@ -17,7 +17,7 @@ cargo fmt --check
 echo "== cargo doc (deny warnings; missing_docs denied per-crate) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-echo "== thread sanitizer (data-parallel train + the collector's and the sweep's worker pool) =="
+echo "== thread sanitizer (data-parallel train + the collector's and graf-exp all's worker pool) =="
 if rustup component list --toolchain nightly 2>/dev/null | grep -q '^rust-src.*(installed)'; then
   TSAN_TARGET="$(rustc -vV | sed -n 's/^host: //p')"
   RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -Zbuild-std --target "$TSAN_TARGET" \
@@ -25,7 +25,7 @@ if rustup component list --toolchain nightly 2>/dev/null | grep -q '^rust-src.*(
     parallel_training_matches_serial_bit_for_bit bound_search_is_thread_count_invariant
   RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -Zbuild-std --target "$TSAN_TARGET" \
     -q -p graf-bench --test artefacts -- \
-    sweep_aggregate_is_worker_count_invariant_and_matches_the_pinned_bytes
+    sharing_one_context_changes_no_byte_and_builds_once
   echo "thread sanitizer: clean"
 else
   echo "SKIPPED: thread sanitizer needs the nightly rust-src component (-Zbuild-std); not installed in this environment"

@@ -42,8 +42,7 @@
 //!
 //! `examples/quickstart.rs` is a runnable tour of this API, and the
 //! `graf-exp` runner of `crates/bench` runs every table/figure of the
-//! paper's evaluation plus the scenario sweeps (see DESIGN.md for the
-//! experiment index).
+//! paper's evaluation (see DESIGN.md for the experiment index).
 
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
