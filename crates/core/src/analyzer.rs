@@ -22,28 +22,32 @@ pub struct WorkloadAnalyzer {
 }
 
 impl WorkloadAnalyzer {
-    /// Builds the analyzer from a corpus of traces.
+    /// Builds the analyzer from a corpus of traces, read in place.
     ///
     /// `num_apis`/`num_services` bound the table; APIs or services never seen
     /// in traces get zero multiplicity.
-    pub fn from_traces(
-        traces: &[Trace],
+    pub fn from_traces<'a>(
+        traces: impl IntoIterator<Item = &'a Trace>,
         num_apis: usize,
         num_services: usize,
         percentile: f64,
     ) -> Self {
         let mut stats = CallStats::new();
-        stats.observe_all(traces.iter());
+        let mut traces_seen = 0;
+        for t in traces {
+            stats.observe(t);
+            traces_seen += 1;
+        }
         let mut mult = vec![vec![0.0; num_services]; num_apis];
         for (api, row) in mult.iter_mut().enumerate() {
-            if let Some(profile) = stats.profile_mut(api as u16) {
+            if let Some(profile) = stats.profile(api as u16) {
                 for (svc, cell) in row.iter_mut().enumerate() {
                     *cell = profile.multiplicity(svc as u16, percentile);
                 }
             }
         }
         let edges = stats.edges().into_iter().map(|e| (e.parent, e.child)).collect();
-        Self { mult, edges, traces_seen: traces.len() as u64 }
+        Self { mult, edges, traces_seen }
     }
 
     /// Builds an analyzer from known multiplicities (tests, synthetic runs).
@@ -151,11 +155,9 @@ mod tests {
             spans: spans
                 .iter()
                 .map(|&(sid, parent, svc)| Span {
-                    trace_id: TraceId(id),
                     span_id: SpanId(sid),
                     parent: parent.map(SpanId),
                     service: svc,
-                    api,
                     start_us: 0,
                     end_us: 1,
                 })

@@ -286,9 +286,12 @@ impl ResilientController {
             }
         }
         if self.trace_buf.len() >= REFIT_MIN_TRACES {
-            let traces: Vec<Trace> = self.trace_buf.iter().cloned().collect();
-            let fresh =
-                WorkloadAnalyzer::from_traces(&traces, napis, self.reference.num_services(), 0.9);
+            let fresh = WorkloadAnalyzer::from_traces(
+                self.trace_buf.iter(),
+                napis,
+                self.reference.num_services(),
+                0.9,
+            );
             let held = self.inner.analyzer_mut().fold_refit(&fresh, &self.coverage, COVERAGE_FLOOR);
             if held > 0 {
                 self.interpolated_rows += held as u64;

@@ -1133,11 +1133,9 @@ impl World {
             self.traces.push_span(
                 trace,
                 Span {
-                    trace_id: TraceId(request.0),
                     span_id: SpanId(span_id),
                     parent: parent_span.map(SpanId),
                     service: service.0,
-                    api: api.0,
                     start_us: start.as_micros(),
                     end_us: self.now.as_micros(),
                 },

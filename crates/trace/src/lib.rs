@@ -8,13 +8,17 @@
 //!
 //! * the execution path of each API (which services a request touches),
 //! * the per-trace call multiplicity of each service for each API, summarized
-//!   at a configurable percentile (the paper uses the 90 %-ile), and
+//!   at a configurable percentile (the paper uses the 90 %-ile) from one
+//!   counter per multiplicity, not one sample per trace, and
 //! * parent→child edges of the microservice graph, which the GNN's
 //!   message-passing structure is built from (§3.4).
 //!
 //! Services and APIs are identified by plain `u16` indices assigned by the
-//! simulator; this crate stays a pure data layer with no simulation
-//! dependency.
+//! simulator; this crate stays a pure data layer with no dependency at all.
+//!
+//! A [`Span`] carries no trace id or API (the `Span::trace_id` and
+//! `Span::api` fields are gone): both live once on its [`Trace`], which
+//! keeps a span at 32 bytes.
 //!
 //! **Invariants.** The crate draws no randomness and reads no clock: an
 //! identical span stream always assembles into identical traces and call

@@ -12,18 +12,16 @@ pub struct SpanId(pub u32);
 ///
 /// Mirrors the Jaeger span model: a span covers the interval a service spent
 /// handling (part of) a request, and links to the span of the calling service.
+/// The trace id and API live once on the enclosing [`Trace`](crate::Trace),
+/// not on each span.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Span {
-    /// The trace (end-to-end request) this span belongs to.
-    pub trace_id: TraceId,
     /// This span's id, unique within the trace.
     pub span_id: SpanId,
     /// The parent span's id; `None` for the root span.
     pub parent: Option<SpanId>,
     /// Index of the service that executed this span.
     pub service: u16,
-    /// Index of the API the trace belongs to.
-    pub api: u16,
     /// Span start, simulated microseconds.
     pub start_us: u64,
     /// Span end, simulated microseconds. Always >= `start_us`.
@@ -47,15 +45,12 @@ mod tests {
     use super::*;
 
     fn span(start: u64, end: u64) -> Span {
-        Span {
-            trace_id: TraceId(1),
-            span_id: SpanId(1),
-            parent: None,
-            service: 0,
-            api: 0,
-            start_us: start,
-            end_us: end,
-        }
+        Span { span_id: SpanId(1), parent: None, service: 0, start_us: start, end_us: end }
+    }
+
+    #[test]
+    fn a_span_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Span>(), 32);
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! touches and how many times (summarized at a percentile, the paper's
 //! 90 %-ile), and (b) the parent→child service edges, which define the
 //! message-passing structure of the GNN (§3.4).
+//!
+//! Memory follows the query, not the trace count: a multiplicity is a small
+//! integer, so each (API, service) keeps one counter per multiplicity seen,
+//! and folding a trace allocates nothing once its API, services and
+//! multiplicities have been seen before.
 
-use std::collections::BTreeMap;
-
-use graf_metrics::Summary;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::store::Trace;
 
@@ -21,13 +24,13 @@ pub struct Edge {
     pub child: u16,
 }
 
-/// Call profile of one API: per-service call-multiplicity samples.
+/// Call profile of one API: per-service counts of call multiplicities.
 #[derive(Clone, Debug, Default)]
 pub struct ApiProfile {
-    /// Per-service: one sample per trace = number of spans that service ran.
-    /// A `BTreeMap` so iteration (and everything derived from it) is
-    /// deterministic without a sort step.
-    calls: BTreeMap<u16, Summary>,
+    /// Indexed by service, then by multiplicity `k`: how many traces ran
+    /// that service exactly `k` times. Empty for a service this API has not
+    /// been seen to touch.
+    calls: Vec<Vec<u64>>,
     traces_seen: u64,
 }
 
@@ -37,18 +40,38 @@ impl ApiProfile {
         self.traces_seen
     }
 
-    /// Call multiplicity of `service` at percentile `q` over observed traces.
+    /// How many traces ran `service` exactly `k` times, indexed by `k`: one
+    /// counter per multiplicity up to the largest seen. Empty for a service
+    /// never observed.
+    pub fn counts(&self, service: u16) -> &[u64] {
+        self.calls.get(service as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// Call multiplicity of `service` at percentile `q` over observed traces,
+    /// by the nearest-rank method.
     ///
-    /// Traces in which the service did not appear contribute zero samples, so
-    /// optional branches are reflected in the distribution. Returns 0.0 for
+    /// Once a service has been seen, each later trace that misses it counts
+    /// as a 0, so optional branches are reflected in the distribution;
+    /// traces before its first sighting count for nothing. Returns 0.0 for
     /// services never observed.
-    pub fn multiplicity(&mut self, service: u16, q: f64) -> f64 {
-        self.calls.get_mut(&service).and_then(|s| s.percentile(q)).unwrap_or(0.0)
+    pub fn multiplicity(&self, service: u16, q: f64) -> f64 {
+        let counts = self.counts(service);
+        let total: u64 = counts.iter().sum();
+        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let mut below = 0;
+        for (k, &n) in counts.iter().enumerate() {
+            below += n;
+            if below >= rank {
+                return k as f64;
+            }
+        }
+        0.0
     }
 
     /// Services this API was observed to touch at least once, ascending.
     pub fn services(&self) -> Vec<u16> {
-        self.calls.keys().copied().collect()
+        let seen = self.calls.iter().enumerate().filter(|(_, counts)| !counts.is_empty());
+        seen.map(|(s, _)| s as u16).collect()
     }
 }
 
@@ -56,7 +79,10 @@ impl ApiProfile {
 #[derive(Clone, Debug, Default)]
 pub struct CallStats {
     profiles: BTreeMap<u16, ApiProfile>,
-    edges: BTreeMap<Edge, u64>,
+    edges: BTreeSet<Edge>,
+    /// Spans per service in the trace being folded, indexed by service; all
+    /// zero between calls to [`CallStats::observe`].
+    scratch: Vec<u32>,
 }
 
 impl CallStats {
@@ -66,44 +92,39 @@ impl CallStats {
     }
 
     /// Folds one completed trace into the statistics.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "`by_id` is lookup-only (never iterated), and this runs per trace"
-    )]
     pub fn observe(&mut self, trace: &Trace) {
+        for s in &trace.spans {
+            let svc = s.service as usize;
+            if svc >= self.scratch.len() {
+                self.scratch.resize(svc + 1, 0);
+            }
+            self.scratch[svc] += 1;
+        }
+
         let profile = self.profiles.entry(trace.api).or_default();
         profile.traces_seen += 1;
-
-        // Count spans per service in this trace. Ordered so the sample
-        // insertion order below is deterministic.
-        let mut per_service: BTreeMap<u16, u32> = BTreeMap::new();
-        for s in &trace.spans {
-            *per_service.entry(s.service).or_insert(0) += 1;
+        if profile.calls.len() < self.scratch.len() {
+            profile.calls.resize_with(self.scratch.len(), Vec::new);
         }
-        // Record one multiplicity sample per service that appeared. Services
-        // known from earlier traces but absent here get an explicit 0 sample
-        // so the percentile reflects optionality.
-        for (svc, n) in &per_service {
-            profile.calls.entry(*svc).or_default().record(*n as f64);
-        }
-        let known: Vec<u16> = profile.calls.keys().copied().collect();
-        for svc in known {
-            if !per_service.contains_key(&svc) {
-                profile.calls.get_mut(&svc).expect("key just listed").record(0.0);
+        // One count per service that appeared, and a 0 for every service
+        // known from earlier traces but absent here.
+        for (n, counts) in self.scratch.iter_mut().zip(&mut profile.calls) {
+            let k = std::mem::take(n) as usize;
+            if k == 0 && counts.is_empty() {
+                continue;
             }
+            if counts.len() <= k {
+                counts.resize(k + 1, 0);
+            }
+            counts[k] += 1;
         }
 
-        // Edges from parent links.
-        let by_id: std::collections::HashMap<_, _> =
-            trace.spans.iter().map(|s| (s.span_id, s)).collect();
+        // Edges from parent links. A repeated span id resolves to its last
+        // span; a parent outside the trace adds no edge.
         for s in &trace.spans {
-            if let Some(pid) = s.parent {
-                if let Some(parent) = by_id.get(&pid) {
-                    *self
-                        .edges
-                        .entry(Edge { parent: parent.service, child: s.service })
-                        .or_insert(0) += 1;
-                }
+            let Some(pid) = s.parent else { continue };
+            if let Some(parent) = trace.spans.iter().rev().find(|p| p.span_id == pid) {
+                self.edges.insert(Edge { parent: parent.service, child: s.service });
             }
         }
     }
@@ -116,13 +137,13 @@ impl CallStats {
     }
 
     /// The profile for `api`, if any trace of it has been seen.
-    pub fn profile_mut(&mut self, api: u16) -> Option<&mut ApiProfile> {
-        self.profiles.get_mut(&api)
+    pub fn profile(&self, api: u16) -> Option<&ApiProfile> {
+        self.profiles.get(&api)
     }
 
     /// All observed service-to-service edges, in ascending order.
     pub fn edges(&self) -> Vec<Edge> {
-        self.edges.keys().copied().collect()
+        self.edges.iter().copied().collect()
     }
 
     /// APIs that have at least one observed trace, ascending.
@@ -143,11 +164,9 @@ mod tests {
             spans: spans
                 .iter()
                 .map(|&(sid, parent, svc)| Span {
-                    trace_id: TraceId(id),
                     span_id: SpanId(sid),
                     parent: parent.map(SpanId),
                     service: svc,
-                    api,
                     start_us: 0,
                     end_us: 10,
                 })
@@ -178,10 +197,11 @@ mod tests {
         // Service 1 called twice per request.
         let t = trace(1, 0, &[(0, None, 0), (1, Some(0), 1), (2, Some(0), 1)]);
         cs.observe(&t);
-        let p = cs.profile_mut(0).unwrap();
+        let p = cs.profile(0).unwrap();
         assert_eq!(p.multiplicity(1, 0.9), 2.0);
         assert_eq!(p.multiplicity(0, 0.9), 1.0);
         assert_eq!(p.multiplicity(9, 0.9), 0.0, "unseen service");
+        assert_eq!(p.counts(1), &[0, 0, 1]);
     }
 
     #[test]
@@ -190,7 +210,7 @@ mod tests {
         // Trace A touches service 1; trace B does not.
         cs.observe(&trace(1, 0, &[(0, None, 0), (1, Some(0), 1)]));
         cs.observe(&trace(2, 0, &[(0, None, 0)]));
-        let p = cs.profile_mut(0).unwrap();
+        let p = cs.profile(0).unwrap();
         assert_eq!(p.traces_seen(), 2);
         // Samples for service 1 are {1, 0} → median 0 or 1 depending on rank;
         // p90 must be 1 (it is called in most-demanding traces).
@@ -204,6 +224,7 @@ mod tests {
         cs.observe(&trace(1, 0, &[(0, None, 0)]));
         cs.observe(&trace(2, 1, &[(0, None, 0), (1, Some(0), 2)]));
         assert_eq!(cs.apis(), vec![0, 1]);
-        assert_eq!(cs.profile_mut(1).unwrap().services(), vec![0, 2]);
+        assert_eq!(cs.profile(1).unwrap().services(), vec![0, 2]);
+        assert_eq!(cs.profile(0).unwrap().services(), vec![0]);
     }
 }

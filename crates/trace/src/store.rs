@@ -138,13 +138,11 @@ mod tests {
     use super::*;
     use crate::span::SpanId;
 
-    fn span(trace: u64, span_id: u32, parent: Option<u32>, service: u16, s: u64, e: u64) -> Span {
+    fn span(span_id: u32, parent: Option<u32>, service: u16, s: u64, e: u64) -> Span {
         Span {
-            trace_id: TraceId(trace),
             span_id: SpanId(span_id),
             parent: parent.map(SpanId),
             service,
-            api: 0,
             start_us: s,
             end_us: e,
         }
@@ -155,8 +153,8 @@ mod tests {
         let mut st = TraceStore::new(16);
         let h = st.open_trace(2);
         assert_eq!(st.open_count(), 1);
-        st.push_span(h, span(1, 0, None, 0, 0, 100));
-        st.push_span(h, span(1, 1, Some(0), 1, 10, 60));
+        st.push_span(h, span(0, None, 0, 0, 100));
+        st.push_span(h, span(1, Some(0), 1, 10, 60));
         st.finish_open(h, TraceId(1), 0);
         assert_eq!(st.finished().len(), 1);
         let t = &st.finished()[0];
@@ -170,7 +168,7 @@ mod tests {
         let mut st = TraceStore::new(4);
         let h = st.open_trace(13);
         for i in 0..13u32 {
-            st.push_span(h, span(1, i, (i > 0).then(|| i - 1), 0, 0, 1));
+            st.push_span(h, span(i, (i > 0).then(|| i - 1), 0, 0, 1));
         }
         st.finish_open(h, TraceId(1), 0);
         assert_eq!(st.finished()[0].spans.len(), 13);
@@ -182,7 +180,7 @@ mod tests {
         let mut st = TraceStore::new(4);
         for i in 0..6u64 {
             let h = st.open_trace(1);
-            st.push_span(h, span(i, 0, None, 0, 0, 1));
+            st.push_span(h, span(0, None, 0, 0, 1));
             st.finish_open(h, TraceId(i), 0);
         }
         assert!(st.finished().len() <= 4 + 1);
@@ -195,7 +193,7 @@ mod tests {
     fn abort_discards_open_trace() {
         let mut st = TraceStore::new(4);
         let h = st.open_trace(1);
-        st.push_span(h, span(3, 0, None, 0, 0, 1));
+        st.push_span(h, span(0, None, 0, 0, 1));
         st.abort_open(h);
         assert!(st.finished().is_empty());
         assert_eq!(st.open_count(), 0);
@@ -205,12 +203,12 @@ mod tests {
     fn aborted_buffers_are_recycled() {
         let mut st = TraceStore::new(4);
         let h = st.open_trace(2);
-        st.push_span(h, span(1, 0, None, 0, 0, 1));
-        st.push_span(h, span(1, 1, Some(0), 1, 0, 1));
+        st.push_span(h, span(0, None, 0, 0, 1));
+        st.push_span(h, span(1, Some(0), 1, 0, 1));
         st.abort_open(h);
         let h2 = st.open_trace(0);
         assert_eq!(h2, h, "new trace reuses the freed slot (and its buffer)");
-        st.push_span(h2, span(2, 0, None, 0, 0, 1));
+        st.push_span(h2, span(0, None, 0, 0, 1));
         st.finish_open(h2, TraceId(2), 0);
         assert_eq!(st.finished()[0].spans.len(), 1, "recycled buffer starts empty");
     }
@@ -219,7 +217,7 @@ mod tests {
     fn drain_empties_store() {
         let mut st = TraceStore::new(4);
         let h = st.open_trace(1);
-        st.push_span(h, span(1, 0, None, 0, 0, 1));
+        st.push_span(h, span(0, None, 0, 0, 1));
         st.finish_open(h, TraceId(1), 0);
         let traces = st.drain_finished();
         assert_eq!(traces.len(), 1);

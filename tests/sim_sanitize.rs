@@ -18,7 +18,10 @@
 //! checkpointing runs at its coarsest resolution so the usage series
 //! collapses into a single in-place cell, except in the horizon test, which
 //! keeps the default one-per-microsecond checkpoints and runs past
-//! [`CPU_HORIZON`] to show that the account stops growing there.
+//! [`CPU_HORIZON`] to show that the account stops growing there. One test
+//! holds the trace consumer, `CallStats`, to the same zero.
+
+use std::collections::BTreeMap;
 
 use graf::apps::online_boutique;
 use graf::nn::sanitize::{alloc_delta, CountingAlloc};
@@ -26,6 +29,7 @@ use graf::sim::rng::DetRng;
 use graf::sim::time::SimTime;
 use graf::sim::topology::{ApiId, ApiSpec, AppTopology, CallNode, ServiceId, ServiceSpec};
 use graf::sim::world::{Completion, SimConfig, World, CPU_HORIZON};
+use graf::trace::CallStats;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -179,6 +183,64 @@ fn boutique_steady_state_allocations_taper_off() {
         windows[3] <= 64,
         "steady state tapers to a trickle (high-water growth only): windows {windows:?}"
     );
+}
+
+/// The trace consumer's side: `CallStats` keeps one counter per (API,
+/// service, multiplicity), so once earlier traces have shown it every
+/// combination, folding 10 000 more boutique traces allocates nothing, and
+/// each service's stored counts end at its largest multiplicity however many
+/// traces went in.
+#[test]
+fn call_stats_fold_is_allocation_free_once_every_multiplicity_is_seen() {
+    let mut w =
+        World::new(online_boutique(), SimConfig { trace_sample: 1.0, ..sanitize_config() }, 9);
+    for s in 0..6u16 {
+        w.add_instances(ServiceId(s), 4, 250.0, SimTime::ZERO);
+    }
+    let mut rng = DetRng::new(9 ^ 0x51);
+    for (api, rate) in [(0u16, 180.0f64), (1, 180.0), (2, 240.0)] {
+        let mut t = 0.0;
+        loop {
+            t += rng.exp(1e6 / rate);
+            if t >= 30e6 {
+                break;
+            }
+            w.inject(ApiId(api), SimTime(t as u64));
+        }
+    }
+    w.run_to_quiescence(SimTime::from_secs(90.0));
+    let traces = w.traces_mut().drain_finished();
+    assert!(traces.len() >= 15_000, "the run traced enough requests ({})", traces.len());
+    let (warmup, measured) = traces.split_at(traces.len() - 10_000);
+
+    let mut stats = CallStats::new();
+    stats.observe_all(warmup);
+    let ((), allocs) = alloc_delta(|| stats.observe_all(measured));
+    assert_eq!(allocs, 0, "folding traces of seen multiplicities must not allocate");
+
+    // The largest multiplicity of each (API, service) in the corpus.
+    let mut largest: BTreeMap<(u16, u16), usize> = BTreeMap::new();
+    for t in &traces {
+        let mut per_service: BTreeMap<u16, usize> = BTreeMap::new();
+        for s in &t.spans {
+            *per_service.entry(s.service).or_insert(0) += 1;
+        }
+        for (svc, n) in per_service {
+            let m = largest.entry((t.api, svc)).or_insert(0);
+            *m = (*m).max(n);
+        }
+    }
+    for api in stats.apis() {
+        let profile = stats.profile(api).expect("api observed");
+        assert!(profile.traces_seen() > 1_000, "api {api}: {}", profile.traces_seen());
+        for svc in profile.services() {
+            assert_eq!(
+                profile.counts(svc).len(),
+                largest[&(api, svc)] + 1,
+                "api {api} service {svc}: one counter per multiplicity 0..=largest"
+            );
+        }
+    }
 }
 
 /// At the default per-microsecond CPU checkpoints, each service's account
