@@ -19,7 +19,6 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
     writeln!(cx.out, "# Integer-refinement ablation (Online Boutique, SLO {} ms)", setup.slo_ms)?;
     writeln!(cx.out, "training GRAF...")?;
     let graf = cx.graf(&setup);
-    let validator = cx.collector(&setup);
     let unit = setup.cpu_unit_mc;
 
     writeln!(
@@ -43,13 +42,13 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
         );
         let deploy =
             |counts: &[usize]| -> Vec<f64> { counts.iter().map(|&k| k as f64 * unit).collect() };
-        let (ceil_out, _) = validator.measure(
+        let (ceil_out, _) = graf.collector.measure(
             &deploy(&ceil_counts),
             &rates,
             cx.args.seed ^ (mult * 100.0) as u64,
             false,
         );
-        let (ref_out, _) = validator.measure(
+        let (ref_out, _) = graf.collector.measure(
             &deploy(&refined),
             &rates,
             cx.args.seed ^ (mult * 100.0) as u64 ^ 1,

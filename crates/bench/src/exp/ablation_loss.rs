@@ -12,7 +12,7 @@
 use std::io::{self, Write};
 
 use graf_core::solver::{solve, SolverConfig};
-use graf_core::{FeatureScaler, LatencyModel, NetKind, TrainConfig};
+use graf_core::{NetKind, TrainConfig};
 
 use super::Ctx;
 use crate::standard::boutique_setup;
@@ -22,7 +22,6 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
     writeln!(cx.out, "# Loss ablation — asymmetric Hüber (θ_L=0.1, θ_R=0.3) vs variants")?;
     writeln!(cx.out, "training base GRAF (for samples/bounds)...")?;
     let graf = cx.graf(&setup);
-    let validator = cx.collector(&setup);
 
     // (name, θ_L, θ_R): symmetric Hüber; paper's asymmetric; near-quadratic
     // (huge thresholds ≈ pure percentage-MSE); strongly asymmetric.
@@ -39,23 +38,10 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
         "loss", "test_mape%", "over-est_%", "over-est_frac", "slo_violations"
     )?;
     for (name, tl, tr) in variants {
-        // Retrain from the shared samples with the variant's thetas.
-        let scaler = FeatureScaler::fit(
-            graf.samples.iter().map(|s| (s.workloads.as_slice(), s.quotas_mc.as_slice())),
-        );
-        let ds = LatencyModel::dataset_from_samples(&scaler, &graf.samples);
-        let split = ds.split(0.7, 0.15, graf.build_cfg.split_seed);
-        let mut model = LatencyModel::new(
-            NetKind::Gnn,
-            graf.analyzer.edges(),
-            setup.topo.num_services(),
-            scaler,
-            split.train.label_mean(),
-            graf.build_cfg.split_seed ^ 0x6E7,
-        );
+        // Retrain on the build's samples and split with the variant's thetas.
         let train = TrainConfig { theta_l: tl, theta_r: tr, ..graf.build_cfg.train.clone() };
-        model.train(&split, &train);
-        let table = model.error_table(&split.test);
+        let (mut model, _) = graf.retrain(NetKind::Gnn, &train);
+        let table = model.error_table(&graf.test_set);
 
         // SLO-safety: solve for several (SLO, workload) targets and measure.
         let mut violations = 0usize;
@@ -66,7 +52,7 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
                 let workloads = graf.analyzer.service_workloads(&rates);
                 let res =
                     solve(&mut model, &workloads, slo, &graf.bounds, &SolverConfig::default());
-                let (out, _) = validator.measure(
+                let (out, _) = graf.collector.measure(
                     &res.quotas_mc,
                     &rates,
                     cx.args.seed ^ (slo as u64) << 3 ^ (mult * 10.0) as u64,

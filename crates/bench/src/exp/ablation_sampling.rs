@@ -44,30 +44,30 @@ fn mape(model: &LatencyModel, samples: &[Sample]) -> f64 {
 pub fn run(cx: &mut Ctx) -> io::Result<()> {
     let setup = boutique_setup();
     let n = setup.topo.num_services();
-    let collector = cx.collector(&setup);
-    let cfg = collector.config().clone();
     let budget = cx.args.samples.unwrap_or_else(|| cx.args.scaled(150, 900, 4000));
 
     writeln!(
         cx.out,
         "# Sampling ablation — Algorithm-1 box vs naive full-range, {budget} samples each"
     )?;
-    let analyzer = collector.profile();
-    let edges: Vec<(u16, u16)> = analyzer.edges().to_vec();
-
     writeln!(cx.out, "running Algorithm 1...")?;
-    let bounds = collector.reduce_search_space();
+    // The build's profile, Algorithm-1 box and collector: both arms sample
+    // with them, at this experiment's own budget.
+    let graf = cx.graf(&setup);
+    let (analyzer, bounds, collector) = (&graf.analyzer, &graf.bounds, &graf.collector);
+    let cfg = collector.config();
+    let edges = analyzer.edges();
     writeln!(
         cx.out,
         "reduced box volume: {:.2e}× the original",
         bounds.volume_reduction(MIN_QUOTA_MC, cfg.abundant_quota_mc)
     )?;
-    let smart = collector.collect(&bounds, &analyzer, budget);
+    let smart = collector.collect(bounds, analyzer, budget);
 
     // Naive: same budget, quotas uniform over the full original range.
     let naive_bounds =
         Bounds { lower: vec![MIN_QUOTA_MC; n], upper: vec![cfg.abundant_quota_mc; n] };
-    let naive = collector.collect(&naive_bounds, &analyzer, budget);
+    let naive = collector.collect(&naive_bounds, analyzer, budget);
 
     // Held-out evaluation set: fresh samples inside the operating box (where
     // the solver actually queries the model), different seeds.
@@ -75,11 +75,11 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
     eval_cfg.seed ^= 0xE7A1;
     let eval_collector =
         SampleCollector::new(setup.topo.clone(), eval_cfg).with_obs(cx.obs.clone());
-    let eval = eval_collector.collect(&bounds, &analyzer, (budget / 4).max(60));
+    let eval = eval_collector.collect(bounds, analyzer, (budget / 4).max(60));
 
     let train = TrainConfig { epochs: cx.args.scaled(25, 60, 200), ..Default::default() };
-    let smart_model = train_on(&smart, &edges, n, &train);
-    let naive_model = train_on(&naive, &edges, n, &train);
+    let smart_model = train_on(&smart, edges, n, &train);
+    let naive_model = train_on(&naive, edges, n, &train);
 
     writeln!(cx.out, "\n{:<26} {:>18}", "collector", "MAPE on operating region (%)")?;
     writeln!(cx.out, "{:<26} {:>18.1}", "state-aware (Algorithm 1)", mape(&smart_model, &eval))?;

@@ -19,7 +19,7 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
     writeln!(cx.out, "training GRAF (MPNN)...")?;
     let graf = cx.graf(&setup);
     writeln!(cx.out, "training the ablation (no MPNN)...")?;
-    let (flat_model, flat_report) = graf.train_ablation(NetKind::FlatMlp);
+    let (flat_model, flat_report) = graf.retrain(NetKind::FlatMlp, &graf.build_cfg.train);
 
     writeln!(cx.out, "\niteration,graf_val_loss,flat_val_loss")?;
     for i in 0..graf.report.iters.len().min(flat_report.iters.len()) {

@@ -1,5 +1,7 @@
 //! Figure 13 and the §5.1 search-space statistic: Algorithm 1's reduced
-//! per-microservice quota ranges versus the original search space.
+//! per-microservice quota ranges versus the original search space, read from
+//! the build's Algorithm-1 box (the one the sampler drew from and the solver
+//! searches).
 //!
 //! The paper reports the Online Boutique exploration shrinking to 0.00027×
 //! the original volume.
@@ -13,9 +15,9 @@ use crate::standard::{boutique_setup, social_setup, AppSetup};
 
 fn evaluate(cx: &mut Ctx, setup: &AppSetup) -> io::Result<()> {
     writeln!(cx.out, "\n## {}", setup.topo.name)?;
-    let collector = cx.collector(setup);
-    let (min_q, max_q) = (MIN_QUOTA_MC, collector.config().abundant_quota_mc);
-    let bounds = collector.reduce_search_space();
+    let graf = cx.graf(setup);
+    let (min_q, max_q) = (MIN_QUOTA_MC, graf.build_cfg.sampling.abundant_quota_mc);
+    let bounds = &graf.bounds;
     writeln!(
         cx.out,
         "{:<20} {:>10} {:>10} {:>22}",

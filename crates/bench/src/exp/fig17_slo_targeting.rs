@@ -20,7 +20,6 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
     writeln!(cx.out, "# Figure 17 — measured p99 vs targeted SLO (Online Boutique)")?;
     writeln!(cx.out, "training GRAF...")?;
     let graf = cx.graf(&setup);
-    let validator = cx.collector(&setup);
 
     // Sweep SLO targets across the achievable band; several workload levels
     // per target to populate the scatter.
@@ -35,7 +34,7 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
         for mult in [0.6, 0.8, 1.0] {
             let rates: Vec<f64> = setup.probe_qps.iter().map(|q| q * mult).collect();
             let plan = ctrl.plan_outcome(&rates, None);
-            let (out, _) = validator.measure(
+            let (out, _) = graf.collector.measure(
                 &plan.quotas_mc,
                 &rates,
                 cx.args.seed ^ (slo as u64) << 4 ^ (mult * 10.0) as u64,

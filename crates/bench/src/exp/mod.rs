@@ -5,7 +5,10 @@
 //! `run(cx: &mut Ctx) -> io::Result<()>` that writes its artefact to
 //! `cx.out`; [`REGISTRY`] is the only list of them. [`Ctx`] holds what the
 //! paper builds once and reuses for every result: the parsed flags, the
-//! telemetry handle, the trained pipelines and the tuned HPA thresholds.
+//! telemetry handle, the trained pipelines and the tuned HPA thresholds. A
+//! cached pipeline is the one place an application is profiled, bounded by
+//! Algorithm 1, sampled and trained; experiments read its analyzer, box and
+//! collector, and retrain on its samples through [`Graf::retrain`].
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -15,11 +18,10 @@ use std::process::ExitCode;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use graf_core::baseline::{tune_hpa_threshold, SteadyOutcome};
-use graf_core::sample_collector::SampleCollector;
 use graf_core::{Graf, GrafBuildConfig, GrafController};
 use graf_sim::par::{fan_out, panic_message};
 
-use crate::standard::{build_config, sampling_config, AppSetup, ModelCache};
+use crate::standard::{build_config, AppSetup, ModelCache};
 use crate::Args;
 
 /// One experiment: name (also its `results/<name>.txt` stem), one-line
@@ -60,7 +62,9 @@ experiments! {
 }
 
 /// What the experiments of one `graf-exp` process share, and where the
-/// running one writes.
+/// running one writes. Its caches hold one [`Graf`] per distinct setup —
+/// profile, Algorithm-1 box, samples, trained model and the collector that
+/// measured them — and one tuned HPA threshold per application and SLO.
 pub struct Ctx {
     /// The flags, parsed once.
     pub args: Args,
@@ -112,13 +116,6 @@ impl Ctx {
         let mut ctrl = graf.controller(slo_ms);
         ctrl.set_obs(self.obs.clone());
         ctrl
-    }
-
-    /// The standard sample collector for `setup`, reporting through the
-    /// telemetry handle.
-    pub fn collector(&self, setup: &AppSetup) -> SampleCollector {
-        SampleCollector::new(setup.topo.clone(), sampling_config(setup, &self.args))
-            .with_obs(self.obs.clone())
     }
 
     /// The HPA threshold hand-tuned once for `setup`'s SLO (§5.3), with the

@@ -126,18 +126,35 @@ fn registry_names_are_unique_and_match_results_and_design_index() {
     }
 }
 
+/// Algorithm-1 runs recorded on `cx` (one `graf.sample.bounds` span each).
+fn algorithm_one_runs(cx: &Ctx) -> usize {
+    cx.obs.events().iter().filter(|e| e.name == "graf.sample.bounds").count()
+}
+
 #[test]
 fn sharing_one_context_changes_no_byte_and_builds_once() {
-    let flags = ["--quick", "--samples", "60"];
-    let pair = [entry("fig12_loss_heatmap"), entry("fig11_ablation_mpnn")];
     let dir = scratch("shared");
+    let telemetry = dir.join("t.jsonl");
+    let flags = ["--quick", "--samples", "60", "--telemetry", telemetry.to_str().expect("utf-8")];
+    let entries = [
+        "fig12_loss_heatmap",
+        "fig11_ablation_mpnn",
+        "fig13_search_space",
+        "ablation_sampling",
+        "ablation_loss",
+    ]
+    .map(entry);
     let (mut shared, _) = ctx(&flags);
-    assert_eq!(exp::run_all(&pair, &mut shared, &dir).expect("temp dir is writable"), 0);
-    assert_eq!(shared.cache_misses(), (1, 0), "one boutique build serves both experiments");
-    for e in pair {
+    assert_eq!(exp::run_all(&entries, &mut shared, &dir).expect("temp dir is writable"), 0);
+    // Fig 13 reads boutique's and Social Network's builds; the rest read boutique's.
+    assert_eq!(shared.cache_misses(), (2, 0), "one build per application serves every experiment");
+    assert_eq!(algorithm_one_runs(&shared), 2, "Algorithm 1 runs inside a build, once per build");
+    for e in entries {
         let (mut fresh, buf) = ctx(&flags);
         e.2(&mut fresh).expect("writing to memory cannot fail");
-        assert_eq!(fresh.cache_misses(), (1, 0));
+        let builds = if e.0 == "fig13_search_space" { 2 } else { 1 };
+        assert_eq!(fresh.cache_misses(), (builds, 0), "{}", e.0);
+        assert_eq!(algorithm_one_runs(&fresh), builds, "{} runs Algorithm 1 outside a build", e.0);
         let on_shared = std::fs::read(dir.join(format!("{}.txt", e.0))).expect("artefact written");
         assert!(buf.bytes() == on_shared, "{} depends on what ran before it", e.0);
     }
@@ -206,7 +223,7 @@ fn an_unknown_flag_is_a_usage_error_for_every_experiment() {
 }
 
 #[test]
-fn telemetry_is_written_by_an_experiment_that_only_collects() {
+fn telemetry_is_written_by_an_experiment_that_drives_no_controller() {
     let path = scratch("telemetry").join("t.jsonl");
     let out =
         graf_exp(&["fig13_search_space", "--quick", "--telemetry", path.to_str().expect("utf-8")]);

@@ -200,40 +200,17 @@ impl GrafController {
     /// uses to feed (possibly repaired) signals through the full §3.6 path.
     /// Returns the instance counts applied to the cluster.
     pub fn tick_with_rates(&mut self, cluster: &mut Cluster, rates: &[f64]) -> Vec<usize> {
-        // Resolve the CPU unit per managed service (eq. 7). When every
-        // deployment agrees — the common case — the shared unit feeds the
-        // full planning path (including integer refinement); mixed units fall
-        // back to per-service ceil on the planned quotas, since the §6
-        // refinement is defined over a single unit.
-        let num_services = self.model.num_services();
-        let units: Vec<f64> = (0..num_services)
-            .map(|svc| {
-                cluster
-                    .deployments()
-                    .iter()
-                    .find(|d| d.service.0 as usize == svc)
-                    .map_or(100.0, |d| d.cpu_unit_mc)
-            })
-            .collect();
-        let uniform = units.windows(2).all(|w| w[0] == w[1]);
-        if !uniform {
-            self.obs.counter_add("graf.controller.unit_mismatch", &[], 1);
-        }
+        // Eq. 7's CPU unit: one per cluster, which is also what the §6
+        // integer refinement is defined over.
+        let deployments = cluster.deployments();
+        let unit = deployments.first().expect("the cluster deploys the application").cpu_unit_mc;
+        assert!(
+            deployments.iter().all(|d| d.cpu_unit_mc == unit),
+            "every deployment of a GRAF-managed cluster must share one CPU unit"
+        );
         let mut span = self.obs.span("graf.controller.tick");
-        let out = if uniform {
-            self.plan_outcome(rates, units.first().copied())
-        } else {
-            self.plan_outcome(rates, None)
-        };
-        let counts: Vec<usize> = match &out.counts {
-            Some(c) => c.clone(),
-            None => out
-                .quotas_mc
-                .iter()
-                .zip(&units)
-                .map(|(q, unit)| (q / unit).ceil().max(1.0) as usize)
-                .collect(),
-        };
+        let out = self.plan_outcome(rates, Some(unit));
+        let counts = out.counts.expect("a plan with a CPU unit has instance counts");
         if span.is_recording() {
             let deltas: Vec<f64> = counts
                 .iter()
@@ -260,8 +237,7 @@ impl GrafController {
                 .attr("instances", counts.iter().sum::<usize>())
                 .attr("instance_delta_total", delta_total)
                 .attr("instance_deltas", deltas)
-                .attr("refine_saved", out.refine_saved)
-                .attr("uniform_units", uniform);
+                .attr("refine_saved", out.refine_saved);
         }
         drop(span);
         // Proactive application: every microservice scaled in the same tick.

@@ -41,7 +41,11 @@ impl Default for GrafBuildConfig {
     }
 }
 
-/// The trained GRAF artifacts for one application.
+/// The trained GRAF artifacts for one application: Algorithm 1 runs once
+/// per build, and whoever needs its box, its analyzer or a measurement
+/// reads them here — the kept [`Graf::collector`] measures with the build's
+/// sampling configuration, and [`Graf::retrain`] fits another model on the
+/// build's samples and split.
 #[derive(Clone)]
 pub struct Graf {
     /// The application this instance was trained for.
@@ -58,6 +62,9 @@ pub struct Graf {
     pub test_set: Dataset,
     /// The raw collected samples.
     pub samples: Vec<Sample>,
+    /// The collector that profiled, bounded and sampled the application,
+    /// kept so experiments measure through the build's own configuration.
+    pub collector: SampleCollector,
     /// Build configuration used.
     pub build_cfg: GrafBuildConfig,
 }
@@ -113,62 +120,20 @@ impl Graf {
         let bounds = collector.reduce_search_space();
         let samples = collector.collect(&bounds, &analyzer, cfg.num_samples);
         assert!(!samples.is_empty(), "sample collection produced nothing");
-
-        let scaler = FeatureScaler::fit(
-            samples.iter().map(|s| (s.workloads.as_slice(), s.quotas_mc.as_slice())),
-        );
-        let dataset = LatencyModel::dataset_from_samples(&scaler, &samples);
-        let split = dataset.split(0.7, 0.15, cfg.split_seed);
-        let label_scale = split.train.label_mean().max(1e-9);
-
-        // The GNN's graph comes from traces (§3.4); fall back to the static
-        // topology if profiling somehow saw no edges.
-        let mut edges: Vec<(u16, u16)> = analyzer.edges().to_vec();
-        if edges.is_empty() {
-            edges = topo.edges().iter().map(|&(p, c)| (p.0, c.0)).collect();
-        }
-        let mut model = LatencyModel::new(
-            cfg.net,
-            &edges,
-            topo.num_services(),
-            scaler,
-            label_scale,
-            cfg.split_seed ^ 0x6E7,
-        );
-        let report = model.train_observed(&split, &cfg.train, obs);
-
-        Self {
-            topo,
-            analyzer,
-            bounds,
-            model,
-            report,
-            test_set: split.test,
-            samples,
-            build_cfg: cfg,
-        }
+        let (model, report, test_set) =
+            fit(&topo, &analyzer, &samples, cfg.net, cfg.split_seed, &cfg.train, obs);
+        Self { topo, analyzer, bounds, model, report, test_set, samples, collector, build_cfg: cfg }
     }
 
     /// Retrains a model of the given kind on this build's samples with the
-    /// same split — the §5.1 "GRAF vs GRAF without MPNN" ablation (Fig 11).
-    pub fn train_ablation(&self, kind: NetKind) -> (LatencyModel, TrainReport) {
-        let scaler = self.model.scaler;
-        let dataset = LatencyModel::dataset_from_samples(&scaler, &self.samples);
-        let split = dataset.split(0.7, 0.15, self.build_cfg.split_seed);
-        let label_scale = split.train.label_mean().max(1e-9);
-        let mut edges: Vec<(u16, u16)> = self.analyzer.edges().to_vec();
-        if edges.is_empty() {
-            edges = self.topo.edges().iter().map(|&(p, c)| (p.0, c.0)).collect();
-        }
-        let mut model = LatencyModel::new(
-            kind,
-            &edges,
-            self.topo.num_services(),
-            scaler,
-            label_scale,
-            self.build_cfg.split_seed ^ 0x6E7,
-        );
-        let report = model.train(&split, &self.build_cfg.train);
+    /// same split, unobserved — the §5.1 "GRAF vs GRAF without MPNN"
+    /// ablation (Fig 11) and the loss ablation's variants. Its test set is
+    /// [`Graf::test_set`].
+    pub fn retrain(&self, kind: NetKind, train: &TrainConfig) -> (LatencyModel, TrainReport) {
+        let split_seed = self.build_cfg.split_seed;
+        let disabled = graf_obs::Obs::disabled();
+        let (model, report, _) =
+            fit(&self.topo, &self.analyzer, &self.samples, kind, split_seed, train, &disabled);
         (model, report)
     }
 
@@ -195,6 +160,44 @@ impl Graf {
     pub fn controller_with(&self, cfg: GrafControllerConfig) -> GrafController {
         GrafController::new(self.model.clone(), self.analyzer.clone(), self.bounds.clone(), cfg)
     }
+}
+
+/// Fits a `kind` model on `samples`: the scaler, the `(0.7, 0.15,
+/// split_seed)` split, the label scale and the model seed all derive from
+/// the samples and `split_seed`, so every fit on a build's samples sees the
+/// build's split. Returns the model, its learning curves and the split's
+/// test set.
+fn fit(
+    topo: &AppTopology,
+    analyzer: &WorkloadAnalyzer,
+    samples: &[Sample],
+    kind: NetKind,
+    split_seed: u64,
+    train: &TrainConfig,
+    obs: &graf_obs::Obs,
+) -> (LatencyModel, TrainReport, Dataset) {
+    let scaler = FeatureScaler::fit(
+        samples.iter().map(|s| (s.workloads.as_slice(), s.quotas_mc.as_slice())),
+    );
+    let dataset = LatencyModel::dataset_from_samples(&scaler, samples);
+    let split = dataset.split(0.7, 0.15, split_seed);
+    let label_scale = split.train.label_mean().max(1e-9);
+    // The GNN's graph comes from traces (§3.4); fall back to the static
+    // topology if profiling somehow saw no edges.
+    let mut edges: Vec<(u16, u16)> = analyzer.edges().to_vec();
+    if edges.is_empty() {
+        edges = topo.edges().iter().map(|&(p, c)| (p.0, c.0)).collect();
+    }
+    let mut model = LatencyModel::new(
+        kind,
+        &edges,
+        topo.num_services(),
+        scaler,
+        label_scale,
+        split_seed ^ 0x6E7,
+    );
+    let report = model.train_observed(&split, train, obs);
+    (model, report, split.test)
 }
 
 #[cfg(test)]
@@ -238,6 +241,11 @@ mod tests {
         let p_small = graf.model.predict_ms(&l, &graf.bounds.lower);
         let p_big = graf.model.predict_ms(&l, &graf.bounds.upper);
         assert!(p_small > p_big, "starved config predicts higher latency: {p_small} vs {p_big}");
+        // A retrain of the build's own kind and recipe is the build's fit:
+        // same scaler, split, label scale and seed.
+        let (model, report) = graf.retrain(graf.build_cfg.net, &graf.build_cfg.train);
+        assert_eq!(report.val_loss, graf.report.val_loss);
+        assert_eq!(model.predict_ms(&l, &graf.bounds.lower).to_bits(), p_small.to_bits());
     }
 
     #[test]

@@ -131,6 +131,7 @@ pub struct MeasureOutcome {
 }
 
 /// Collects training data from a simulated application.
+#[derive(Clone)]
 pub struct SampleCollector {
     topo: AppTopology,
     cfg: SamplingConfig,
