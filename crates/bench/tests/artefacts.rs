@@ -284,16 +284,28 @@ fn chaos_matrix_telemetry_holds_every_decision_of_every_cell() {
         for (n, &i) in ticks.iter().enumerate() {
             let point = attrs(&lines[i]);
             assert_eq!(point.get("tick").and_then(Json::as_u64), Some(n as u64), "{policy}");
-            for key in ["level", "signal_age_s", "coverage", "rates_finite", "creation_ok"] {
+            for key in [
+                "level",
+                "signal_age_s",
+                "coverage",
+                "interpolated_rows",
+                "rates_finite",
+                "creation_ok",
+            ] {
                 assert!(point.get(key).is_some(), "{policy} tick {n} lacks {key}");
             }
             for (key, len) in [("rates", 1), ("desired", 3), ("deltas", 3)] {
                 let list = point.get(key);
                 assert!(matches!(list, Some(Json::Arr(v)) if v.len() == len), "{key}: {list:?}");
             }
-            // A Full tick's solver stats: the span just before, same sim_s.
+            // A Full tick's solver stats: the span just before, same sim_s,
+            // with only the creation batches its plan started in between.
             if point.get("level").and_then(Json::as_str) == Some("full") {
-                let span = &lines[i - 1];
+                let before = (0..i).rev().find(|&j| name(&lines[j]) != "graf.cluster.create");
+                let span = &lines[before.expect("an event before the tick")];
+                for batch in &lines[before.map_or(0, |j| j + 1)..i] {
+                    assert_eq!(batch.get("sim_s"), lines[i].get("sim_s"), "{policy} tick {n}");
+                }
                 assert_eq!(name(span), "graf.controller.tick", "{policy} tick {n}");
                 assert_eq!(span.get("sim_s"), lines[i].get("sim_s"), "{policy} tick {n}");
                 for key in ["solver_iterations", "solver_stop", "solver_loss", "predicted_p99_ms"] {
@@ -302,14 +314,13 @@ fn chaos_matrix_telemetry_holds_every_decision_of_every_cell() {
             }
         }
     }
-    let counters: Vec<String> = lines
+    // A ladder transition is a change of `level` between consecutive ticks.
+    let levels: Vec<&str> = lines
         .iter()
-        .filter(|l| l.get("type").and_then(Json::as_str) == Some("counter"))
-        .map(name)
+        .filter(|l| name(l) == "graf.resilient.tick")
+        .map(|l| attrs(l).get("level").and_then(Json::as_str).expect("a level"))
         .collect();
-    for counter in ["graf.resilient.transitions", "graf.sim.events"] {
-        assert!(counters.iter().any(|c| c == counter), "no {counter} counter: {counters:?}");
-    }
+    assert!(levels.windows(2).any(|w| w[0] != w[1]), "the ladder never moved: {levels:?}");
     std::fs::remove_dir_all(dir).expect("temp dir is removable");
 }
 

@@ -1,8 +1,9 @@
 //! The per-consumer fault engine.
 //!
 //! A [`ChaosEngine`] is forked from a [`crate::ChaosSchedule`] with a stream
-//! id; each consumer (world, cluster, controller, collector) owns its own
-//! engine so random draws never interleave between sites. All queries take
+//! id; each consumer that owns one — the cluster ([`crate::stream::CLUSTER`])
+//! and the resilient controller ([`crate::stream::CONTROLLER`]) — forks its
+//! own, so random draws never interleave between sites. All queries take
 //! the current simulated time and are pure lookups except the probabilistic
 //! ones, which draw from the engine's deterministic stream.
 

@@ -73,11 +73,11 @@ pub use catalog::{named_faults, CATALOG};
 pub use engine::ChaosEngine;
 pub use spec::{ChaosSchedule, FaultKind, FaultSpec};
 
-/// Well-known [`graf_sim::rng::DetRng`] stream ids, one per consumer site, so
-/// the simulator, the cluster and the controller never share a random stream.
+/// Well-known [`graf_sim::rng::DetRng`] stream ids, one per engine-owning
+/// site, so the cluster and the controller never share a random stream.
+/// (World faults are installed by [`ChaosSchedule::install_world`] and draw
+/// from the world's own trace stream; the world owns no engine.)
 pub mod stream {
-    /// Stream for faults installed into the simulated world.
-    pub const WORLD: u64 = 0xC4A0_0001;
     /// Stream for the cluster control plane (creation faults).
     pub const CLUSTER: u64 = 0xC4A0_0002;
     /// Stream for the resource controller's metric scrape.

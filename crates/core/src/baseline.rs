@@ -11,7 +11,7 @@
 //! given autoscaler, then measure p99 and average resource usage — the
 //! quantities behind Figures 14/15/16/18.
 
-use graf_loadgen::{LoadGen, OpenLoop};
+use graf_loadgen::OpenLoop;
 use graf_metrics::Summary;
 use graf_orchestrator::{
     run_experiment, Autoscaler, Cluster, ExperimentHooks, HpaConfig, KubernetesHpa,
@@ -104,16 +104,6 @@ impl SteadyTrial {
 pub fn run_steady(trial: &SteadyTrial, scaler: &mut dyn Autoscaler) -> SteadyOutcome {
     let mut cluster = trial.cluster();
     let mut loadgen = trial.loadgen();
-    run_steady_with(trial, &mut cluster, &mut loadgen, scaler)
-}
-
-/// Runs a steady-state trial with a caller-provided cluster and generator.
-pub fn run_steady_with(
-    trial: &SteadyTrial,
-    cluster: &mut Cluster,
-    loadgen: &mut dyn LoadGen,
-    scaler: &mut dyn Autoscaler,
-) -> SteadyOutcome {
     let warmup_end = cluster.world().now() + trial.warmup;
     let end = warmup_end + trial.measure;
     let n = trial.topo.num_services();
@@ -148,7 +138,7 @@ pub fn run_steady_with(
         }
     };
     let mut hooks = ExperimentHooks { on_segment: Some(&mut on_segment), on_control: None };
-    run_experiment(cluster, loadgen, scaler, end, &mut hooks);
+    run_experiment(&mut cluster, &mut loadgen, scaler, end, &mut hooks);
 
     let div = inst_samples.max(1) as f64;
     SteadyOutcome {

@@ -271,19 +271,17 @@ impl LatencyModel {
         }
         if train_span.is_recording() {
             let secs = train_start.map_or(0.0, |t| t.elapsed().as_secs_f64());
+            // Allocation-avoidance accounting for this run: scratch-pool
+            // buffer reuses vs fresh allocations inside the net's kernels.
+            let (reused, allocated) = scratch_after;
             train_span
                 .attr("epochs", cfg.epochs)
                 .attr("iters", iter)
                 .attr("best_val", report.best_val)
                 .attr("best_iter", report.best_iter)
-                .attr("epochs_per_sec", if secs > 0.0 { cfg.epochs as f64 / secs } else { 0.0 });
-        }
-        if obs.is_enabled() {
-            // Allocation-avoidance accounting for this run: scratch-pool
-            // buffer reuses vs fresh allocations inside the net's kernels.
-            let (reused, allocated) = scratch_after;
-            obs.counter_add("graf.nn.scratch.reused", &[], reused - scratch_before.0);
-            obs.counter_add("graf.nn.scratch.allocated", &[], allocated - scratch_before.1);
+                .attr("epochs_per_sec", if secs > 0.0 { cfg.epochs as f64 / secs } else { 0.0 })
+                .attr("scratch_reused", reused - scratch_before.0)
+                .attr("scratch_allocated", allocated - scratch_before.1);
         }
         report
     }
@@ -553,14 +551,14 @@ mod tests {
             let mut model = LatencyModel::new(kind, &[(0, 1), (1, 2)], 3, scaler, 50.0, 11);
             let obs = graf_obs::Obs::enabled();
             model.train_observed(&split, &cfg, &obs);
-            let counter = |name: &str| -> u64 {
-                let summary = obs.summary();
-                let row = summary.lines().find(|l| l.split_whitespace().next() == Some(name));
-                let value = row.and_then(|l| l.split_whitespace().nth(1));
-                value.and_then(|v| v.parse().ok()).unwrap_or(0)
+            let events = obs.events();
+            let train = events.iter().find(|e| e.name == "graf.train").expect("graf.train span");
+            let attr = |key: &str| train.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+            let Some(&graf_obs::Value::U64(reused)) = attr("scratch_reused") else {
+                panic!("{kind:?}: no scratch_reused on {train:?}")
             };
-            let reused = counter("graf.nn.scratch.reused");
             assert!(reused > 0, "{kind:?}: scratch reuse is counted, saw {reused}");
+            assert!(matches!(attr("scratch_allocated"), Some(graf_obs::Value::U64(_))), "{kind:?}");
         }
     }
 }

@@ -27,10 +27,11 @@
 //!
 //! Every policy transition is counted, and every tick's decision is one
 //! `graf.resilient.tick` point through `graf-obs`: what the tick saw (rates,
-//! signal age, coverage, health flags), the rung it chose, and what it
-//! applied (desired counts and deltas). A Full tick's solver statistics sit
-//! on the `graf.controller.tick` span recorded just before it, at the same
-//! simulated time.
+//! signal age, coverage, analyzer rows held by interpolation, health flags),
+//! the rung it chose, and what it applied (desired counts and deltas). A
+//! Full tick's solver statistics sit on the `graf.controller.tick` span
+//! recorded before it at the same simulated time; only the
+//! `graf.cluster.create` points of the batches its plan started come between.
 
 use std::collections::VecDeque;
 
@@ -190,9 +191,8 @@ impl ResilientController {
         self.chaos = Some(schedule.engine(graf_chaos::stream::CONTROLLER));
     }
 
-    /// Attaches a telemetry handle: transitions, the level gauge and one
-    /// `graf.resilient.tick` decision record per tick. Telemetry never alters
-    /// any decision.
+    /// Attaches a telemetry handle: one `graf.resilient.tick` decision record
+    /// per tick. Telemetry never alters any decision.
     pub fn set_obs(&mut self, obs: Obs) {
         self.inner.set_obs(obs.clone());
         self.obs = obs;
@@ -257,8 +257,9 @@ impl ResilientController {
     }
 
     /// Folds this tick's finished traces into the coverage estimate and the
-    /// live analyzer refresh.
-    fn update_traces(&mut self, drained: Vec<Trace>) {
+    /// live analyzer refresh; returns the analyzer rows the refresh held
+    /// back by gap interpolation.
+    fn update_traces(&mut self, drained: Vec<Trace>) -> u64 {
         let napis = self.reference.num_apis();
         if !drained.is_empty() {
             // Per-API coverage from this tick's traces: observed spans per
@@ -285,19 +286,19 @@ impl ResilientController {
                 self.trace_buf.push_back(t);
             }
         }
-        if self.trace_buf.len() >= REFIT_MIN_TRACES {
-            let fresh = WorkloadAnalyzer::from_traces(
-                self.trace_buf.iter(),
-                napis,
-                self.reference.num_services(),
-                0.9,
-            );
-            let held = self.inner.analyzer_mut().fold_refit(&fresh, &self.coverage, COVERAGE_FLOOR);
-            if held > 0 {
-                self.interpolated_rows += held as u64;
-                self.obs.counter_add("graf.resilient.interpolated_rows", &[], held as u64);
-            }
+        if self.trace_buf.len() < REFIT_MIN_TRACES {
+            return 0;
         }
+        let fresh = WorkloadAnalyzer::from_traces(
+            self.trace_buf.iter(),
+            napis,
+            self.reference.num_services(),
+            0.9,
+        );
+        let held =
+            self.inner.analyzer_mut().fold_refit(&fresh, &self.coverage, COVERAGE_FLOOR) as u64;
+        self.interpolated_rows += held;
+        held
     }
 
     /// The rung the current health signals call for (before hysteresis).
@@ -373,7 +374,7 @@ impl Autoscaler for ResilientController {
 
         // 2. Trace coverage + live analyzer refresh (gap interpolation).
         let drained = cluster.world_mut().traces_mut().drain_finished();
-        self.update_traces(drained);
+        let interpolated_rows = self.update_traces(drained);
 
         // 3. Health signals.
         let rates_finite = rates.iter().all(|r| r.is_finite());
@@ -427,20 +428,15 @@ impl Autoscaler for ResilientController {
             PolicyLevel::Freeze => {}
         }
 
-        // 6. Telemetry: the transition counter, the level gauge and the
-        //    tick's decision record — what it saw (rates, health), chose
-        //    (rung) and did (desired counts and deltas).
+        // 6. The transition count and the tick's decision record — what it
+        //    saw (rates, health), chose (rung) and did (desired counts and
+        //    deltas). A transition is a change of `level` between
+        //    consecutive records.
         if next != self.level {
             self.transitions += 1;
-            self.obs.counter_add(
-                "graf.resilient.transitions",
-                &[("from", self.level.name()), ("to", next.name())],
-                1,
-            );
         }
         self.level = next;
         if self.obs.is_enabled() {
-            self.obs.gauge_set("graf.resilient.level", &[], next.severity() as f64);
             let min_cov = self.coverage.iter().copied().fold(1.0f64, f64::min);
             let desired: Vec<f64> =
                 cluster.deployments().iter().map(|d| d.desired as f64).collect();
@@ -453,6 +449,7 @@ impl Autoscaler for ResilientController {
                 .attr("rates", rates)
                 .attr("signal_age_s", age.as_secs_f64())
                 .attr("coverage", min_cov)
+                .attr("interpolated_rows", interpolated_rows)
                 .attr("rates_finite", rates_finite)
                 .attr("creation_ok", creation_ok)
                 .attr("desired", desired)

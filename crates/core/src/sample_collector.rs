@@ -223,7 +223,6 @@ impl SampleCollector {
                 "volume_reduction",
                 bounds.volume_reduction(MIN_QUOTA_MC, self.cfg.abundant_quota_mc),
             );
-            self.obs.counter_add("graf.sample.probes", &[], probes);
         }
         bounds
     }
@@ -296,7 +295,6 @@ impl SampleCollector {
                 "samples_per_sec",
                 if secs > 0.0 { samples.len() as f64 / secs } else { 0.0 },
             );
-            self.obs.counter_add("graf.sample.collected", &[], samples.len() as u64);
         }
         samples
     }
@@ -470,24 +468,15 @@ mod tests {
             SampleCollector::new(chain2(), SamplingConfig { threads, ..fast_cfg() })
                 .with_obs(obs.clone())
                 .reduce_search_space();
-            let events: Vec<_> = obs.events().into_iter().map(|e| (e.name, e.attrs)).collect();
-            // The registry rows of the summary (span rows carry wall time).
-            let metrics: Vec<Vec<String>> = obs
-                .summary()
-                .lines()
-                .skip_while(|l| !l.starts_with("metric "))
-                .map(|l| l.split_whitespace().map(String::from).collect())
-                .collect();
-            (events, metrics)
+            obs.events().into_iter().map(|e| (e.name, e.attrs)).collect::<Vec<_>>()
         };
-        let (events, metrics) = record(1);
-        assert_eq!(record(4), (events.clone(), metrics.clone()));
+        let events = record(1);
+        assert_eq!(record(4), events);
         let names: Vec<&str> = events.iter().map(|e| e.0).collect();
         assert_eq!(names, ["graf.sample.bound", "graf.sample.bound", "graf.sample.bounds"]);
         assert_eq!(events[0].1[0], ("service", graf_obs::Value::U64(0)));
         assert_eq!(events[1].1[0], ("service", graf_obs::Value::U64(1)));
         assert_eq!(events[2].1[0], ("probes", graf_obs::Value::U64(41)));
-        assert!(metrics.contains(&vec!["graf.sample.probes".into(), "41".into()]), "{metrics:?}");
     }
 
     #[test]

@@ -206,8 +206,8 @@ pub fn solve(
 /// [`solve`] with telemetry: records a `graf.solver.solve` span (model
 /// evaluations, pre-wall path length and crossing, stop rule, whether the
 /// wall was active, loss, SLO violation, predicted latency; wall-clock
-/// duration) and the `graf.solver.iterations` counter. Identical numerics —
-/// telemetry never feeds back into the descent.
+/// duration). Identical numerics — telemetry never feeds back into the
+/// descent.
 pub fn solve_observed(
     model: &mut LatencyModel,
     workloads: &[f64],
@@ -396,7 +396,6 @@ pub fn solve_observed(
             .attr("predicted_ms", predicted_ms)
             .attr("violation", (predicted_ms - slo_ms).max(0.0) / slo_ms)
             .attr("quota_total_mc", quotas_mc.iter().sum::<f64>());
-        obs.counter_add("graf.solver.iterations", &[], iterations as u64);
     }
     SolveResult { quotas_mc, predicted_ms, iterations, loss: best_loss, stop, wall_active }
 }

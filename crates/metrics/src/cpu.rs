@@ -193,16 +193,6 @@ impl CpuAccount {
             Some(self.used_in(from_us, to_us) / q)
         }
     }
-
-    /// Mean used millicores over `[from_us, to_us)`.
-    pub fn used_millicores(&self, from_us: u64, to_us: u64) -> f64 {
-        let dt = to_us.saturating_sub(from_us) as f64;
-        if dt <= 0.0 {
-            0.0
-        } else {
-            self.used_in(from_us, to_us) / dt
-        }
-    }
 }
 
 #[cfg(test)]
@@ -232,14 +222,6 @@ mod tests {
     fn zero_quota_yields_none() {
         let a = CpuAccount::new();
         assert_eq!(a.utilization(0, 100), None);
-    }
-
-    #[test]
-    fn used_millicores_averages() {
-        let mut a = CpuAccount::new();
-        a.set_quota(0, 500.0);
-        a.add_usage(1_000_000, 100.0 * 1_000_000.0);
-        assert!((a.used_millicores(0, 1_000_000) - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! The two exports: the JSONL event log and the human-readable end-of-run
-//! summary table.
+//! The two exports of the event log: JSON Lines and the human-readable
+//! end-of-run summary table.
 
 use std::io::{self, Write};
 
 use crate::json::{write_f64, write_str};
-use crate::registry::Series;
 use crate::{EventKind, Obs, Value};
 
 fn write_value(out: &mut String, v: &Value) {
@@ -33,26 +32,16 @@ fn write_value(out: &mut String, v: &Value) {
     }
 }
 
-fn fmt_num(v: f64) -> String {
-    if v.is_finite() && v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
-}
-
 impl Obs {
-    /// Writes the full telemetry stream as JSON Lines: every event in record
-    /// order (span/point records with attributes), followed by one record per
-    /// metric series. Every line is a self-contained JSON object carrying a
-    /// monotone `wall_us` timestamp. No-op when disabled.
+    /// Writes the event log as JSON Lines: every event in record order, one
+    /// self-contained JSON object per line with `type` `span` or `point`,
+    /// its attributes and a monotone `wall_us` timestamp. No-op when
+    /// disabled.
     pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
         if !self.is_enabled() {
             return Ok(());
         }
-        let events = self.events();
-        let mut last_wall = 0u64;
-        for e in &events {
+        for e in &self.events() {
             let mut line = String::with_capacity(128);
             line.push_str(&format!("{{\"seq\":{},\"wall_us\":{}", e.seq, e.wall_us));
             if let Some(t) = e.sim_s {
@@ -81,66 +70,6 @@ impl Obs {
             }
             line.push('}');
             writeln!(w, "{line}")?;
-            last_wall = e.wall_us;
-        }
-        let metric_wall = self.wall_us_now().max(last_wall);
-        let metric_lines = self
-            .with_registry(|reg| {
-                let mut lines = Vec::new();
-                for (name, labels, series) in reg.iter() {
-                    let mut line = String::with_capacity(96);
-                    line.push_str(&format!("{{\"wall_us\":{metric_wall},\"type\":"));
-                    match series {
-                        Series::Counter(_) => line.push_str("\"counter\""),
-                        Series::Gauge(_) => line.push_str("\"gauge\""),
-                        Series::Hist(_) => line.push_str("\"histogram\""),
-                    }
-                    line.push_str(",\"name\":");
-                    write_str(&mut line, name);
-                    if !labels.is_empty() {
-                        line.push_str(",\"labels\":{");
-                        for (i, (k, v)) in labels.iter().enumerate() {
-                            if i > 0 {
-                                line.push(',');
-                            }
-                            write_str(&mut line, k);
-                            line.push(':');
-                            write_str(&mut line, v);
-                        }
-                        line.push('}');
-                    }
-                    match series {
-                        Series::Counter(c) => line.push_str(&format!(",\"value\":{c}")),
-                        Series::Gauge(g) => {
-                            line.push_str(",\"value\":");
-                            write_f64(&mut line, *g);
-                        }
-                        Series::Hist(h) => {
-                            line.push_str(&format!(
-                                ",\"count\":{},\"sum\":{},\"max\":{}",
-                                h.count(),
-                                h.sum(),
-                                h.max()
-                            ));
-                            line.push_str(",\"mean\":");
-                            write_f64(&mut line, h.mean());
-                            for (label, q) in [("p50", 0.5), ("p99", 0.99)] {
-                                line.push_str(&format!(",\"{label}\":"));
-                                match h.percentile(q) {
-                                    Some(v) => line.push_str(&v.to_string()),
-                                    None => line.push_str("null"),
-                                }
-                            }
-                        }
-                    }
-                    line.push('}');
-                    lines.push(line);
-                }
-                lines
-            })
-            .unwrap_or_default();
-        for line in metric_lines {
-            writeln!(w, "{line}")?;
         }
         Ok(())
     }
@@ -153,8 +82,7 @@ impl Obs {
     }
 
     /// Renders the human-readable end-of-run summary: per-span aggregates
-    /// (count, total/mean wall time), point-event counts, and every metric
-    /// series.
+    /// (count, total/mean wall time) and point-event counts.
     pub fn summary(&self) -> String {
         if !self.is_enabled() {
             return "telemetry: disabled\n".to_string();
@@ -203,43 +131,6 @@ impl Obs {
                 out.push_str(&format!("{:<44} {:>8}\n", name, count));
             }
         }
-        let metrics = self
-            .with_registry(|reg| {
-                let mut s = String::new();
-                if !reg.is_empty() {
-                    s.push_str(&format!("{:<44} {:>18}\n", "metric", "value"));
-                }
-                for (name, labels, series) in reg.iter() {
-                    let label_str = if labels.is_empty() {
-                        String::new()
-                    } else {
-                        format!(
-                            "{{{}}}",
-                            labels
-                                .iter()
-                                .map(|(k, v)| format!("{k}={v}"))
-                                .collect::<Vec<_>>()
-                                .join(",")
-                        )
-                    };
-                    let rendered = match series {
-                        Series::Counter(c) => format!("{c}"),
-                        Series::Gauge(g) => fmt_num(*g),
-                        Series::Hist(h) => format!(
-                            "n={} mean={:.1} p50={} p99={} max={}",
-                            h.count(),
-                            h.mean(),
-                            h.percentile(0.5).unwrap_or(0),
-                            h.percentile(0.99).unwrap_or(0),
-                            h.max()
-                        ),
-                    };
-                    s.push_str(&format!("{:<44} {:>18}\n", format!("{name}{label_str}"), rendered));
-                }
-                s
-            })
-            .unwrap_or_default();
-        out.push_str(&metrics);
         let dropped = self.dropped_events();
         out.push_str(&format!("events: {} recorded, {} dropped\n", events.len(), dropped));
         out
@@ -258,11 +149,8 @@ mod tests {
             s.attr("total_qps", 612.5).attr("solver_iterations", 120u64).sim_time_s(15.0);
         }
         obs.point("graf.train.eval").attr("val_loss", 0.25);
-        obs.counter_add("graf.sim.events", &[], 1234);
-        obs.counter_add("graf.cluster.creations_started", &[("service", "cart")], 3);
-        obs.gauge_set("graf.sim.queue_depth", &[], 17.0);
-        for v in [1u64, 2, 2, 8, 400] {
-            obs.hist_record("graf.cluster.creation_batch", &[], v);
+        for batch in [1u64, 2, 8] {
+            obs.point("graf.cluster.create").attr("batch", batch).sim_time_s(20.0);
         }
         obs
     }
@@ -274,7 +162,7 @@ mod tests {
         obs.write_jsonl(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert!(lines.len() >= 6, "events + metric records: {text}");
+        assert_eq!(lines.len(), 5, "one line per event: {text}");
         let mut last_wall = -1.0;
         let mut names = Vec::new();
         for line in &lines {
@@ -282,10 +170,12 @@ mod tests {
             let wall = j.get("wall_us").and_then(Json::as_f64).expect("wall_us on every line");
             assert!(wall >= last_wall, "monotone timestamps: {wall} < {last_wall}");
             last_wall = wall;
+            let kind = j.get("type").and_then(Json::as_str);
+            assert!(matches!(kind, Some("span" | "point")), "a span or a point: {line}");
             names.push(j.get("name").and_then(Json::as_str).unwrap().to_string());
         }
-        assert!(names.iter().any(|n| n == "graf.controller.tick"));
-        assert!(names.iter().any(|n| n == "graf.sim.events"));
+        assert_eq!(names[0], "graf.controller.tick");
+        assert_eq!(names.iter().filter(|n| *n == "graf.cluster.create").count(), 3);
         // The span line carries its attributes and duration.
         let span_line = lines.iter().find(|l| l.contains("controller.tick")).unwrap();
         let j = parse(span_line).unwrap();
@@ -329,9 +219,8 @@ mod tests {
         let s = sample_obs().summary();
         assert!(s.contains("graf.controller.tick"), "{s}");
         assert!(s.contains("graf.train.eval"), "{s}");
-        assert!(s.contains("graf.sim.events"), "{s}");
-        assert!(s.contains("creation_batch"), "{s}");
-        assert!(s.contains("0 dropped"), "{s}");
+        assert!(s.lines().any(|l| l.split_whitespace().eq(["graf.cluster.create", "3"])), "{s}");
+        assert!(s.contains("5 recorded, 0 dropped"), "{s}");
     }
 
     #[test]

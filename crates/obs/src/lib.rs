@@ -1,7 +1,7 @@
 //! # graf-obs
 //!
-//! Framework-wide telemetry for the GRAF control loop: structured spans and
-//! points, a metrics registry, and two exports (a JSONL event log and a
+//! Framework-wide telemetry for the GRAF control loop: one event log of
+//! structured spans and points, and two exports of it (JSON Lines and a
 //! human-readable summary).
 //!
 //! The paper's GRAF consumes observability (Jaeger traces, Prometheus and
@@ -24,25 +24,25 @@
 //!   wall-clock duration, optional simulated time and key/value attributes
 //!   into a bounded event sink on drop.
 //! * [`Obs::point`] records an instantaneous event the same way.
-//! * [`Obs::counter_add`] / [`Obs::gauge_set`] / [`Obs::hist_record`]
-//!   maintain named, labelled series in the metrics registry; histograms
-//!   reuse [`graf_metrics::Histogram`]'s log-bucketed internals.
-//! * [`Obs::write_jsonl`] and [`Obs::summary`] export everything (see
+//! * [`Obs::write_jsonl`] and [`Obs::summary`] export the log (see
 //!   [`export`]).
 //!
 //! This is the one record of a run: a control tick's decision (inputs,
 //! ladder rung, solver statistics, applied plan) is a `graf.controller.tick`
-//! span plus a `graf.resilient.tick` point, not a side file.
+//! span plus a `graf.resilient.tick` point, not a side file. A count is an
+//! attribute of the event that produced it (a solve's `iterations`, a
+//! creation batch's size), so a total over a run is a sum over its events;
+//! there is no separate counter or gauge store, and no value that
+//! concurrent users of one handle overwrite.
 //!
 //! ## Naming conventions
 //!
 //! Dotted lowercase paths, `graf.<component>.<thing>`:
-//! `graf.controller.tick`, `graf.solver.solve`, `graf.solver.iterations`,
-//! `graf.train.eval`, `graf.sample.bounds`, `graf.cluster.creations_started`,
-//! `graf.sim.events`.
+//! `graf.controller.tick`, `graf.solver.solve`, `graf.train.eval`,
+//! `graf.sample.bounds`, `graf.cluster.create`.
 //!
 //! **Invariants.** Telemetry is strictly write-only: no instrumented
-//! component ever reads a counter, gauge or span back to make a decision,
+//! component ever reads an event back to make a decision,
 //! so enabling or disabling observation cannot change simulation results.
 //! A disabled handle ([`Obs::disabled`]) short-circuits before formatting
 //! or allocating, keeping instrumented hot paths allocation-free.
@@ -53,19 +53,16 @@
 
 pub mod export;
 pub mod json;
-pub mod registry;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use registry::Registry;
-
 /// Default bound on retained events; newer events beyond it are counted as
 /// dropped rather than growing the log without limit.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 20;
 
-/// An attribute or metric value.
+/// An attribute value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// Floating-point value.
@@ -164,7 +161,6 @@ struct Inner {
     start: Instant,
     seq: AtomicU64,
     sink: Mutex<Sink>,
-    registry: Mutex<Registry>,
 }
 
 impl Inner {
@@ -182,7 +178,7 @@ impl Inner {
     }
 }
 
-/// The telemetry handle. Clones share the same sink and registry.
+/// The telemetry handle. Clones share the same sink.
 ///
 /// A disabled handle (from [`Obs::disabled`] or `Obs::default()`) makes every
 /// operation a cheap no-op.
@@ -235,7 +231,6 @@ impl Obs {
                     dropped: 0,
                     last_wall_us: 0,
                 }),
-                registry: Mutex::new(Registry::new()),
             })),
         }
     }
@@ -273,28 +268,6 @@ impl Obs {
         s
     }
 
-    /// Adds `n` to the counter `name` with the given labels.
-    pub fn counter_add(&self, name: &'static str, labels: &[(&'static str, &str)], n: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.lock().expect("obs registry").counter_add(name, labels, n);
-        }
-    }
-
-    /// Sets the gauge `name` with the given labels to `v`.
-    pub fn gauge_set(&self, name: &'static str, labels: &[(&'static str, &str)], v: f64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.lock().expect("obs registry").gauge_set(name, labels, v);
-        }
-    }
-
-    /// Records `value` into the log-bucketed histogram `name` with the given
-    /// labels.
-    pub fn hist_record(&self, name: &'static str, labels: &[(&'static str, &str)], value: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.lock().expect("obs registry").hist_record(name, labels, value);
-        }
-    }
-
     /// Snapshot of all recorded events, in record order.
     pub fn events(&self) -> Vec<Event> {
         match &self.inner {
@@ -307,18 +280,6 @@ impl Obs {
     pub fn dropped_events(&self) -> u64 {
         match &self.inner {
             Some(inner) => inner.sink.lock().expect("obs sink").dropped,
-            None => 0,
-        }
-    }
-
-    /// Runs `f` over the metrics registry snapshot (None when disabled).
-    pub(crate) fn with_registry<R>(&self, f: impl FnOnce(&Registry) -> R) -> Option<R> {
-        self.inner.as_ref().map(|inner| f(&inner.registry.lock().expect("obs registry")))
-    }
-
-    pub(crate) fn wall_us_now(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.start.elapsed().as_micros() as u64,
             None => 0,
         }
     }
@@ -393,9 +354,7 @@ mod tests {
             s.attr("k", 1.0).sim_time_s(2.0);
             assert!(!s.is_recording());
         }
-        obs.counter_add("c", &[], 1);
-        obs.gauge_set("g", &[], 1.0);
-        obs.hist_record("h", &[], 1);
+        obs.point("graf.test.point").attr("k", 1u64);
         assert!(obs.events().is_empty());
         assert_eq!(obs.dropped_events(), 0);
     }
@@ -448,10 +407,9 @@ mod tests {
         let obs = Obs::enabled();
         let clone = obs.clone();
         clone.point("from-clone");
-        assert_eq!(obs.events().len(), 1);
-        clone.counter_add("c", &[], 3);
-        obs.counter_add("c", &[], 2);
-        let summary = obs.summary();
-        assert!(summary.lines().any(|l| l.split_whitespace().eq(["c", "5"])), "{summary}");
+        obs.point("from-clone");
+        assert_eq!(obs.events().len(), 2);
+        let summary = clone.summary();
+        assert!(summary.lines().any(|l| l.split_whitespace().eq(["from-clone", "2"])), "{summary}");
     }
 }

@@ -98,24 +98,13 @@ impl Cluster {
         self.chaos = Some(schedule.engine(graf_chaos::stream::CLUSTER));
     }
 
-    /// Attaches a telemetry handle to the cluster and its world. The cluster
-    /// reports instance-creation lifecycle metrics
-    /// (`graf.cluster.creations_started` / `creations_completed`, the
-    /// `creation_batch` size histogram and the `pending_creations` gauge).
+    /// Attaches a telemetry handle. The cluster records one
+    /// `graf.cluster.create` point per creation batch: its service, size,
+    /// start delay, the creations then pending, and whether a chaos fault
+    /// failed or slowed it. A batch completes `delay_s` after the point's
+    /// simulated time.
     pub fn set_obs(&mut self, obs: graf_obs::Obs) {
-        self.world.set_obs(obs.clone());
         self.obs = obs;
-    }
-
-    /// Drops inflight entries whose ready time has passed, crediting them to
-    /// the completion counter.
-    fn prune_inflight(&mut self, now: SimTime) {
-        let before = self.inflight_creations.len();
-        self.inflight_creations.retain(|&t| t > now);
-        let completed = before - self.inflight_creations.len();
-        if completed > 0 {
-            self.obs.counter_add("graf.cluster.creations_completed", &[], completed as u64);
-        }
     }
 
     /// The simulated world.
@@ -141,7 +130,7 @@ impl Cluster {
     /// Number of creations currently in flight cluster-wide.
     pub fn inflight_creations(&mut self) -> usize {
         let now = self.world.now();
-        self.prune_inflight(now);
+        self.inflight_creations.retain(|&t| t > now);
         self.inflight_creations.len()
     }
 
@@ -164,24 +153,30 @@ impl Cluster {
         let current = starting + ready;
         if target > current {
             let add = target - current;
+            self.inflight_creations.retain(|&t| t > now);
+            let mut point = self.obs.point("graf.cluster.create");
+            point
+                .sim_time_s(now.as_secs_f64())
+                .attr("service", service.0 as u64)
+                .attr("batch", add);
             // Chaos: an armed creation-failure fault loses the whole batch —
             // no instances start, and no rng is drawn unless a window is
             // active. `desired` stays at the target, so a retrying controller
             // re-attempts the batch on its next tick.
             if let Some(engine) = self.chaos.as_mut() {
                 if engine.creation_fails(now) {
-                    self.obs.counter_add("graf.chaos.creations_failed", &[], add as u64);
+                    point.attr("failed", true).attr("pending", self.inflight_creations.len());
                     return target;
                 }
             }
-            self.prune_inflight(now);
             let concurrent = self.inflight_creations.len() + add;
             let mut delay = self.creation.delay(concurrent);
+            let mut slowed = false;
             if let Some(engine) = self.chaos.as_ref() {
                 let factor = engine.slow_start_factor(now);
                 if factor > 1.0 {
                     delay = SimDuration::from_micros((delay.as_micros() as f64 * factor) as u64);
-                    self.obs.counter_add("graf.chaos.creations_slowed", &[], add as u64);
+                    slowed = true;
                 }
             }
             let ready_at = now + delay;
@@ -189,15 +184,11 @@ impl Cluster {
             for _ in 0..add {
                 self.inflight_creations.push(ready_at);
             }
-            if self.obs.is_enabled() {
-                self.obs.counter_add("graf.cluster.creations_started", &[], add as u64);
-                self.obs.hist_record("graf.cluster.creation_batch", &[], add as u64);
-                self.obs.gauge_set(
-                    "graf.cluster.pending_creations",
-                    &[],
-                    self.inflight_creations.len() as f64,
-                );
-            }
+            point
+                .attr("failed", false)
+                .attr("slowed", slowed)
+                .attr("delay_s", delay.as_secs_f64())
+                .attr("pending", self.inflight_creations.len());
         } else if target < current {
             self.world.remove_instances(service, current - target);
         }
@@ -229,6 +220,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graf_obs::Value;
     use graf_sim::topology::{ApiSpec, AppTopology, CallNode, ChildMode, ServiceSpec};
     use graf_sim::world::SimConfig;
 
@@ -333,19 +325,21 @@ mod tests {
         let mut c = cluster();
         c.set_obs(obs.clone());
         c.set_desired(ServiceId(0), 5); // 3 new instances in one batch
+        c.set_desired(ServiceId(0), 5); // already met: no batch
         c.world_mut().run_until(SimTime::from_secs(30.0));
         assert_eq!(c.inflight_creations(), 0);
-        let summary = obs.summary();
-        let metric = |name: &str| {
-            summary.lines().find_map(|l| {
-                let mut words = l.split_whitespace();
-                (words.next() == Some(name)).then(|| words.collect::<Vec<_>>().join(" "))
-            })
-        };
-        assert_eq!(metric("graf.cluster.creations_started").as_deref(), Some("3"), "{summary}");
-        assert_eq!(metric("graf.cluster.creations_completed").as_deref(), Some("3"), "{summary}");
-        let batch = metric("graf.cluster.creation_batch").unwrap_or_default();
-        assert!(batch.starts_with("n=1 "), "one creation batch: {summary}");
-        assert!(metric("graf.sim.events").is_some(), "world shares the handle: {summary}");
+        let events = obs.events();
+        assert_eq!(events.len(), 1, "one point per batch: {events:?}");
+        let point = &events[0];
+        assert_eq!((point.name, &point.kind), ("graf.cluster.create", &graf_obs::EventKind::Point));
+        assert_eq!(point.sim_s, Some(0.0));
+        let attr = |key: &str| point.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone());
+        assert_eq!(attr("service"), Some(Value::U64(0)));
+        assert_eq!(attr("batch"), Some(Value::U64(3)));
+        assert_eq!(attr("pending"), Some(Value::U64(3)));
+        assert_eq!(attr("failed"), Some(Value::Bool(false)));
+        assert_eq!(attr("slowed"), Some(Value::Bool(false)));
+        let delay = CreationModel::default().delay(3).as_secs_f64();
+        assert_eq!(attr("delay_s"), Some(Value::F64(delay)));
     }
 }

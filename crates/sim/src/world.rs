@@ -294,7 +294,6 @@ pub struct World {
     api_arrivals: Vec<RateCounter>,
     next_request: u64,
     stats: WorldStats,
-    obs: graf_obs::Obs,
 }
 
 impl World {
@@ -352,17 +351,9 @@ impl World {
             api_arrivals,
             next_request: 0,
             stats: WorldStats::default(),
-            obs: graf_obs::Obs::disabled(),
             cfg,
             topo,
         }
-    }
-
-    /// Attaches a telemetry handle. The world reports processed-event counts
-    /// (`graf.sim.events`) and queue depth (`graf.sim.queue_depth`); telemetry
-    /// never influences simulation behaviour.
-    pub fn set_obs(&mut self, obs: graf_obs::Obs) {
-        self.obs = obs;
     }
 
     /// Current simulated time.
@@ -607,12 +598,6 @@ impl World {
         }
         self.stats.events += n;
         self.now = t;
-        if self.obs.is_enabled() {
-            if n > 0 {
-                self.obs.counter_add("graf.sim.events", &[], n);
-            }
-            self.obs.gauge_set("graf.sim.queue_depth", &[], self.queue.len() as f64);
-        }
     }
 
     /// Runs until no event or client deadline is pending or `limit` is

@@ -181,11 +181,7 @@ fn fingerprint_traces(traces: &[graf::trace::Trace]) -> u64 {
 /// Poisson arrivals, then drained. Returns the drained world and its
 /// completions; `traced` sets `trace_sample` to 1.0, otherwise the world
 /// keeps the default (no tracing).
-fn serial_world(
-    seed: u64,
-    traced: bool,
-    obs: &graf::obs::Obs,
-) -> (World, Vec<graf::sim::world::Completion>) {
+fn serial_world(seed: u64, traced: bool) -> (World, Vec<graf::sim::world::Completion>) {
     use graf::sim::rng::DetRng;
 
     let mut cfg = SimConfig { request_timeout_us: None, ..SimConfig::default() };
@@ -193,7 +189,6 @@ fn serial_world(
         cfg.trace_sample = 1.0;
     }
     let mut w = World::new(online_boutique(), cfg, seed);
-    w.set_obs(obs.clone());
     for s in 0..6u16 {
         w.add_instances(ServiceId(s), 3, 300.0, SimTime::ZERO);
     }
@@ -218,28 +213,16 @@ fn serial_world(
 
 /// Serial-`World` output pinned across revisions: the traced
 /// [`serial_world`] run must reproduce these
-/// `(completions, traces, events)` fingerprints for every seed, with
-/// telemetry attached and without. The constants
+/// `(completions, traces, events)` fingerprints for every seed. The constants
 /// were captured at commit `c77e2c3`, before the sharded executor and its
 /// hooks in `World` were removed; a change that moves any of them changed
 /// what a seed means.
 #[test]
 fn serial_world_output_is_pinned() {
-    use graf::obs::Obs;
-
-    fn run_once(seed: u64, obs: &Obs) -> (u64, u64, u64) {
-        let (mut w, comps) = serial_world(seed, true, obs);
+    fn run_once(seed: u64) -> (u64, u64, u64) {
+        let (mut w, comps) = serial_world(seed, true);
         let traces = w.traces_mut().drain_finished();
-        let events = w.stats().events;
-        if obs.is_enabled() {
-            let row = ["graf.sim.events".to_string(), events.to_string()];
-            let summary = obs.summary();
-            assert!(
-                summary.lines().any(|l| l.split_whitespace().eq(row.iter().map(String::as_str))),
-                "telemetry saw every event:\n{summary}"
-            );
-        }
-        (fingerprint_completions(&comps), fingerprint_traces(&traces), events)
+        (fingerprint_completions(&comps), fingerprint_traces(&traces), w.stats().events)
     }
 
     // (seed, (completions, traces, events))
@@ -249,15 +232,7 @@ fn serial_world_output_is_pinned() {
         (402, (0xa37686a9f926387c, 0x64ca00833f8f2e45, 11860)),
     ];
     for (seed, want) in PINNED {
-        for obs in [Obs::disabled(), Obs::enabled()] {
-            let got = run_once(seed, &obs);
-            assert_eq!(
-                got,
-                want,
-                "serial output moved (seed {seed}, telemetry {})",
-                obs.is_enabled()
-            );
-        }
+        assert_eq!(run_once(seed), want, "serial output moved (seed {seed})");
     }
 }
 
@@ -266,12 +241,10 @@ fn serial_world_output_is_pinned() {
 /// the same number of events, as the fully traced one — and keeps no spans.
 #[test]
 fn trace_sampling_does_not_move_the_simulation() {
-    use graf::obs::Obs;
-
     assert_eq!(SimConfig::default().trace_sample, 0.0, "tracing is opt-in");
     for seed in [7, 77, 402] {
-        let (traced, traced_comps) = serial_world(seed, true, &Obs::disabled());
-        let (plain, plain_comps) = serial_world(seed, false, &Obs::disabled());
+        let (traced, traced_comps) = serial_world(seed, true);
+        let (plain, plain_comps) = serial_world(seed, false);
         assert_eq!(
             fingerprint_completions(&plain_comps),
             fingerprint_completions(&traced_comps),
@@ -578,10 +551,7 @@ fn telemetry_does_not_perturb_the_pipeline() {
     assert!(names.contains(&"graf.train.eval"), "training eval points recorded");
     assert!(names.contains(&"graf.controller.tick"), "controller tick spans recorded");
     assert!(names.contains(&"graf.solver.solve"), "solver spans recorded");
-    let summary = enabled.summary();
-    let metrics: Vec<&str> = summary.lines().filter_map(|l| l.split_whitespace().next()).collect();
-    assert!(metrics.contains(&"graf.sim.events"), "world events counted:\n{summary}");
-    assert!(metrics.contains(&"graf.cluster.creations_started"), "creations counted:\n{summary}");
+    assert!(names.contains(&"graf.cluster.create"), "creation batches recorded");
 }
 
 /// Training and solver bytes pinned across revisions. One FNV-1a hash covers,
