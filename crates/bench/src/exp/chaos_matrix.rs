@@ -15,9 +15,9 @@
 //! SLO, final/peak instances and degradation transitions. The run is
 //! bit-deterministic per seed; the same seed always yields the same table.
 //!
-//! With `--telemetry`, each cell opens with a `graf.chaos.cell` point naming
-//! its fault and policy, followed by that cell's cluster metrics and one
-//! `graf.resilient.tick` decision record per control tick.
+//! With `--telemetry`, every event of a cell (its creation batches, solver
+//! spans and one `graf.resilient.tick` decision record per control tick)
+//! carries the cell's `fault` and `policy`.
 
 use std::io::{self, Write};
 
@@ -159,9 +159,8 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
         for (policy, mode) in
             [("ladder", PolicyMode::Ladder), ("freeze", PolicyMode::FreezeOnFault)]
         {
-            cx.obs.point("graf.chaos.cell").attr("fault", name).attr("policy", policy);
-            let ctrl = cx.controller(&graf, SLO_MS);
-            let cell = run_cell(ctrl, &sched, mode, args.seed, &cx.obs);
+            let obs = cx.obs.scoped("fault", name).scoped("policy", policy);
+            let cell = run_cell(graf.controller(SLO_MS), &sched, mode, args.seed, &obs);
             writeln!(
                 cx.out,
                 "{:<14} {:<8} {:>8} {:>11} {:>7} {:>6} {:>12} {:>11}",

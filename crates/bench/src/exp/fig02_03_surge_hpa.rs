@@ -14,6 +14,7 @@ use std::io::{self, Write};
 
 use graf_apps::{boutique, online_boutique};
 use graf_loadgen::OpenLoop;
+use graf_obs::Obs;
 use graf_orchestrator::{
     Autoscaler, Cluster, CreationModel, Deployment, HpaConfig, KubernetesHpa, ProactiveOnce,
     StaticScaler,
@@ -47,12 +48,12 @@ pub(super) fn targets_for(rate_qps: f64) -> Vec<(ServiceId, usize)> {
         .collect()
 }
 
-/// Online Boutique deployed at the given per-service instance counts.
-pub(super) fn cart_cluster(cx: &Ctx, initial: &[(ServiceId, usize)]) -> Cluster {
-    let world = World::new(online_boutique(), SimConfig::default(), cx.args.seed);
+/// Online Boutique at the given per-service instance counts, reporting through `obs`.
+pub(super) fn cart_cluster(seed: u64, obs: Obs, initial: &[(ServiceId, usize)]) -> Cluster {
+    let world = World::new(online_boutique(), SimConfig::default(), seed);
     let deployments = initial.iter().map(|&(s, n)| Deployment::new(s, CPU_UNIT, n)).collect();
     let mut cluster = Cluster::new(world, deployments, CreationModel::default());
-    cluster.set_obs(cx.obs.clone());
+    cluster.set_obs(obs);
     cluster
 }
 
@@ -69,7 +70,8 @@ fn variant(
     scaler: &mut dyn Autoscaler,
     initial: &[(ServiceId, usize)],
 ) -> io::Result<Vec<TimelinePoint>> {
-    let (mut cluster, mut load) = (cart_cluster(cx, initial), load(cx.args.seed));
+    let mut cluster = cart_cluster(cx.args.seed, cx.obs.scoped("variant", name), initial);
+    let mut load = load(cx.args.seed);
     let (tl, comps) = run_with_timeline(&mut cluster, &mut load, scaler, END_S, 5.0);
     let p = |q: f64| percentile_between(&comps, SURGE_AT_S, END_S, q).unwrap_or(f64::NAN);
     let timeouts =

@@ -27,7 +27,7 @@ const WARMUP_S: f64 = 360.0;
 const END_S: f64 = WARMUP_S + 300.0;
 
 fn surge(cx: &Ctx, scaler: &mut dyn Autoscaler) -> Vec<TimelinePoint> {
-    let mut cluster = cart_cluster(cx, &targets_for(BASE_QPS));
+    let mut cluster = cart_cluster(cx.args.seed, cx.obs.clone(), &targets_for(BASE_QPS));
     let mut load = OpenLoop::new(cx.args.seed ^ 0x7).poisson().schedule(
         ApiId(boutique::API_CART),
         vec![(SimTime::ZERO, BASE_QPS), (SimTime::from_secs(WARMUP_S), SURGE_QPS)],

@@ -28,7 +28,9 @@ fn evaluate(cx: &mut Ctx, setup: &AppSetup) -> io::Result<()> {
 
     let trial = setup.steady_trial();
 
-    let mut graf_ctrl = cx.controller(&graf, setup.slo_ms);
+    let variant = |name: &str| cx.obs.scoped("variant", format!("{} {name}", setup.topo.name));
+    let mut graf_ctrl = graf.controller(setup.slo_ms);
+    graf_ctrl.set_obs(variant("GRAF"));
     let graf_out = run_steady(&trial, &mut graf_ctrl);
 
     // §6 extension: eq.-7 ceil replaced by greedy integer refinement.
@@ -38,7 +40,7 @@ fn evaluate(cx: &mut Ctx, setup: &AppSetup) -> io::Result<()> {
         integer_refine: true,
         ..Default::default()
     });
-    graf_ref_ctrl.set_obs(cx.obs.clone());
+    graf_ref_ctrl.set_obs(variant("GRAF+integer-refinement"));
     let graf_ref_out = run_steady(&trial, &mut graf_ref_ctrl);
 
     let (thr, hpa_out) = cx.hpa_threshold(setup);

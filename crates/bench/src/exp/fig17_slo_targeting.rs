@@ -30,7 +30,8 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
     let mut within = 0usize;
     let mut total = 0usize;
     for slo in [65.0, 80.0, 100.0, 120.0, 150.0, 180.0] {
-        let mut ctrl = cx.controller(&graf, slo);
+        let mut ctrl = graf.controller(slo);
+        ctrl.set_obs(cx.obs.scoped("variant", format!("slo={slo}")));
         for mult in [0.6, 0.8, 1.0] {
             let rates: Vec<f64> = setup.probe_qps.iter().map(|q| q * mult).collect();
             let plan = ctrl.plan_outcome(&rates, None);

@@ -54,7 +54,8 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
         "\nusers,graf_instances,k8s_instances,saved,graf_p99_ms,k8s_p99_ms,k8s_over_slo"
     )?;
     for users in [500usize, 1000, 1500, 2000, 2500, 3000] {
-        let mut graf_ctrl = cx.controller(&graf, setup.slo_ms);
+        let mut graf_ctrl = graf.controller(setup.slo_ms);
+        graf_ctrl.set_obs(cx.obs.scoped("users", users));
         let (graf_inst, graf_p99) = run_users(&mut graf_ctrl, users, setup.cpu_unit_mc, seed);
         let mut hpa = hpa_with_threshold(thr, 6);
         let (hpa_inst, hpa_p99) = run_users(&mut hpa, users, setup.cpu_unit_mc, seed);

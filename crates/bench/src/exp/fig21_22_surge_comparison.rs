@@ -28,16 +28,16 @@ const WARMUP_S: f64 = 360.0;
 const RUN_S: f64 = 300.0;
 
 fn surge(
-    cx: &Ctx,
+    seed: u64,
+    obs: graf_obs::Obs,
     scaler: &mut dyn Autoscaler,
     unit: f64,
     before: usize,
     after: usize,
 ) -> Vec<TimelinePoint> {
-    let seed = cx.args.seed;
     let world = World::new(online_boutique(), SimConfig::default(), seed);
     let mut cluster = Cluster::uniform(world, unit, 4);
-    cluster.set_obs(cx.obs.clone());
+    cluster.set_obs(obs);
     let mut users =
         boutique_users(before, seed ^ 0x21).users_at(SimTime::from_secs(WARMUP_S), after);
     run_with_timeline(&mut cluster, &mut users, scaler, WARMUP_S + RUN_S, 5.0).0
@@ -60,18 +60,19 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
     for (before, after) in [(750usize, 1500usize), (1500, 3000)] {
         writeln!(cx.out, "\n## Surge {before} → {after} users at t=0 (relative to surge)")?;
         let mut results: Vec<(&str, Vec<TimelinePoint>)> = Vec::new();
-        let unit = setup.cpu_unit_mc;
+        let (seed, unit) = (cx.args.seed, setup.cpu_unit_mc);
+        let policy = |name: &str| cx.obs.scoped("users", before).scoped("policy", name);
 
-        let mut graf_ctrl = cx.controller(&graf, setup.slo_ms);
-        results.push(("GRAF", surge(cx, &mut graf_ctrl, unit, before, after)));
+        let mut graf_ctrl = graf.controller(setup.slo_ms);
+        graf_ctrl.set_obs(policy("GRAF"));
+        results.push(("GRAF", surge(seed, policy("GRAF"), &mut graf_ctrl, unit, before, after)));
 
         let mut hpa = KubernetesHpa::new(HpaConfig::with_threshold(0.5), 6);
-        results.push(("K8s", surge(cx, &mut hpa, unit, before, after)));
+        results.push(("K8s", surge(seed, policy("K8s"), &mut hpa, unit, before, after)));
 
-        let mut firm = FirmLike {
-            latency_ceiling: SimDuration::from_millis(setup.slo_ms * 1.5),
-        };
-        results.push(("FIRM-like", surge(cx, &mut firm, unit, before, after)));
+        let mut firm = FirmLike { latency_ceiling: SimDuration::from_millis(setup.slo_ms * 1.5) };
+        results
+            .push(("FIRM-like", surge(seed, policy("FIRM-like"), &mut firm, unit, before, after)));
 
         writeln!(
             cx.out,

@@ -104,10 +104,12 @@ impl Ctx {
     }
 
     /// [`Ctx::graf`] for an experiment with its own build scale. The caller
-    /// gets its own copy: a `Graf` cannot be shared between threads.
+    /// gets its own copy, whose collector reports through the caller's
+    /// handle: a `Graf` cannot be shared between threads.
     pub fn graf_with(&self, setup: &AppSetup, cfg: impl FnOnce() -> GrafBuildConfig) -> Graf {
-        let mut models = lock(&self.caches.models);
-        models.get(setup, &self.obs, cfg).clone()
+        let mut graf = lock(&self.caches.models).get(setup, &self.obs, cfg).clone();
+        graf.collector = graf.collector.with_obs(self.obs.clone());
+        graf
     }
 
     /// A controller over `graf` targeting `slo_ms`, reporting through the
@@ -156,20 +158,22 @@ fn run_caught(run: fn(&mut Ctx) -> io::Result<()>, cx: &mut Ctx) -> Result<(), S
     }
 }
 
-/// Runs one experiment into `path` on a context of its own that shares
-/// `cx`'s flags, telemetry and caches; a panic or an I/O error comes back as
-/// its message.
-fn run_into(path: &Path, run: fn(&mut Ctx) -> io::Result<()>, cx: &Ctx) -> Result<(), String> {
+/// Runs experiment `name` into `path` on a context of its own that shares
+/// `cx`'s flags, caches and telemetry sink, scoped by `exp = name`; a panic
+/// or an I/O error comes back as its message.
+fn run_into(path: &Path, (name, _, run): Entry, cx: &Ctx) -> Result<(), String> {
     let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
-    let (args, obs, caches) = (cx.args.clone(), cx.obs.clone(), cx.caches.clone());
+    let (args, obs, caches) = (cx.args.clone(), cx.obs.scoped("exp", name), cx.caches.clone());
     run_caught(run, &mut Ctx { args, obs, out: Box::new(file), caches })
 }
 
 /// `graf-exp <name>`: runs one experiment on `cx` the way [`run_all`] runs
 /// each, so a panic is reported (`panicked: <msg>` on stderr) rather than
 /// aborting the process, and the caller still writes the telemetry recorded
-/// up to the failure. Returns the number of failures, 0 or 1.
-pub fn run_one(run: fn(&mut Ctx) -> io::Result<()>, cx: &mut Ctx) -> usize {
+/// up to the failure, scoped by `exp = name`. Returns the number of
+/// failures, 0 or 1.
+pub fn run_one((name, _, run): Entry, cx: &mut Ctx) -> usize {
+    cx.obs = cx.obs.scoped("exp", name);
     match run_caught(run, cx) {
         Ok(()) => 0,
         Err(e) => {
@@ -191,10 +195,8 @@ pub fn run_all(registry: &[Entry], cx: &mut Ctx, dir: &Path) -> io::Result<usize
     let path = |name: &str| dir.join(format!("{name}.txt"));
     let shared: &Ctx = cx;
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let results = fan_out(registry.len(), workers, |i| {
-        let (name, _, run) = registry[i];
-        run_into(&path(name), run, shared)
-    });
+    let results =
+        fan_out(registry.len(), workers, |i| run_into(&path(registry[i].0), registry[i], shared));
     let mut failed = Vec::new();
     for (&(name, _, _), result) in registry.iter().zip(results) {
         match result {
@@ -254,7 +256,7 @@ pub fn cli(mut argv: impl Iterator<Item = String>) -> ExitCode {
         Err(e) => return usage(&e),
     };
     let failed = match entry {
-        Some(&(_, _, run)) => Ok(run_one(run, &mut cx)),
+        Some(&entry) => Ok(run_one(entry, &mut cx)),
         None => run_all(REGISTRY, &mut cx, Path::new("results")),
     };
     match failed.and_then(|n| cx.finish_telemetry().map(|()| n)) {

@@ -102,8 +102,8 @@ pub struct ModelCache {
 }
 
 impl ModelCache {
-    /// The pipeline for `setup`, built from `cfg()` (reporting through `obs`)
-    /// on first request.
+    /// The pipeline for `setup`, built from `cfg()` on first request; the
+    /// build reports through `obs` scoped by `build = <its cache key>`.
     pub fn get(
         &mut self,
         setup: &AppSetup,
@@ -114,7 +114,8 @@ impl ModelCache {
             "{} slo={} probe={:?} unit={}",
             setup.topo.name, setup.slo_ms, setup.probe_qps, setup.cpu_unit_mc
         );
-        let build = || Graf::build_observed(setup.topo.clone(), cfg(), obs);
+        let obs = obs.scoped("build", key.as_str());
+        let build = || Graf::build_observed(setup.topo.clone(), cfg(), &obs);
         self.built.entry(key).or_insert_with(build)
     }
 

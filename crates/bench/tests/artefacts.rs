@@ -244,10 +244,17 @@ fn a_panicking_experiment_still_writes_the_telemetry_it_recorded() {
         cx.obs.point("graf.test.before_panic");
         panic!("boom")
     };
-    assert_eq!(exp::run_one(boom, &mut cx), 1, "a panic is one failure, not an abort");
+    assert_eq!(
+        exp::run_one(("boom", "", boom), &mut cx),
+        1,
+        "a panic is one failure, not an abort"
+    );
     cx.finish_telemetry().expect("temp dir is writable");
     let jsonl = std::fs::read_to_string(&path).expect("telemetry file written");
-    assert!(jsonl.contains("\"name\":\"graf.test.before_panic\""), "{jsonl}");
+    assert!(
+        jsonl.contains("\"name\":\"graf.test.before_panic\",\"attrs\":{\"exp\":\"boom\"}"),
+        "{jsonl}"
+    );
     std::fs::remove_dir_all(dir).expect("temp dir is removable");
 }
 
@@ -268,21 +275,26 @@ fn chaos_matrix_telemetry_holds_every_decision_of_every_cell() {
         text.lines().map(|l| json::parse(l).unwrap_or_else(|e| panic!("{l}: {e}"))).collect();
     let name = |j: &Json| j.get("name").and_then(Json::as_str).expect("named").to_string();
 
-    // Split the one log at the cell markers: ladder, then freeze.
-    let cells: Vec<usize> =
-        (0..lines.len()).filter(|&i| name(&lines[i]) == "graf.chaos.cell").collect();
-    assert_eq!(cells.len(), 2, "one marker per cell");
-    for (c, policy) in ["ladder", "freeze"].into_iter().enumerate() {
-        let marker = attrs(&lines[cells[c]]);
-        assert_eq!(marker.get("fault").and_then(Json::as_str), Some("trace_drop"));
-        assert_eq!(marker.get("policy").and_then(Json::as_str), Some(policy));
-        let end = cells.get(c + 1).copied().unwrap_or(lines.len());
-        let ticks: Vec<usize> =
-            (cells[c]..end).filter(|&i| name(&lines[i]) == "graf.resilient.tick").collect();
+    let str_attr =
+        |j: &Json, key: &str| attrs(j).get(key).and_then(Json::as_str).map(str::to_string);
+    for line in &lines {
+        assert_eq!(str_attr(line, "exp").as_deref(), Some("chaos_matrix"), "{line:?}");
+        let Some(Json::Obj(fields)) = line.get("attrs") else { panic!("{line:?}") };
+        let keys: BTreeSet<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys.len(), fields.len(), "no scope key is also an event attribute: {line:?}");
+    }
+
+    // Each cell's events carry its fault and policy.
+    for policy in ["ladder", "freeze"] {
+        let cell: Vec<&Json> =
+            lines.iter().filter(|l| str_attr(l, "policy").as_deref() == Some(policy)).collect();
+        assert!(cell.iter().all(|l| str_attr(l, "fault").as_deref() == Some("trace_drop")));
+        let ticks: Vec<&Json> =
+            cell.iter().copied().filter(|l| name(l) == "graf.resilient.tick").collect();
         // 420 simulated seconds at one control tick per 15 s.
         assert_eq!(ticks.len(), 28, "{policy}: one decision record per tick");
-        for (n, &i) in ticks.iter().enumerate() {
-            let point = attrs(&lines[i]);
+        for (n, tick) in ticks.iter().enumerate() {
+            let point = attrs(tick);
             assert_eq!(point.get("tick").and_then(Json::as_u64), Some(n as u64), "{policy}");
             for key in [
                 "level",
@@ -298,18 +310,18 @@ fn chaos_matrix_telemetry_holds_every_decision_of_every_cell() {
                 let list = point.get(key);
                 assert!(matches!(list, Some(Json::Arr(v)) if v.len() == len), "{key}: {list:?}");
             }
-            // A Full tick's solver stats: the span just before, same sim_s,
-            // with only the creation batches its plan started in between.
+            // A Full tick's solver stats: the cell's one controller span at
+            // the tick's sim_s.
             if point.get("level").and_then(Json::as_str) == Some("full") {
-                let before = (0..i).rev().find(|&j| name(&lines[j]) != "graf.cluster.create");
-                let span = &lines[before.expect("an event before the tick")];
-                for batch in &lines[before.map_or(0, |j| j + 1)..i] {
-                    assert_eq!(batch.get("sim_s"), lines[i].get("sim_s"), "{policy} tick {n}");
-                }
-                assert_eq!(name(span), "graf.controller.tick", "{policy} tick {n}");
-                assert_eq!(span.get("sim_s"), lines[i].get("sim_s"), "{policy} tick {n}");
+                let spans: Vec<&&Json> = cell
+                    .iter()
+                    .filter(|l| {
+                        name(l) == "graf.controller.tick" && l.get("sim_s") == tick.get("sim_s")
+                    })
+                    .collect();
+                assert_eq!(spans.len(), 1, "{policy} tick {n}");
                 for key in ["solver_iterations", "solver_stop", "solver_loss", "predicted_p99_ms"] {
-                    assert!(attrs(span).get(key).is_some(), "{policy} tick {n} lacks {key}");
+                    assert!(attrs(spans[0]).get(key).is_some(), "{policy} tick {n} lacks {key}");
                 }
             }
         }

@@ -81,8 +81,6 @@ pub struct GrafController {
     /// Control configuration (mutable so experiments can toggle options like
     /// `integer_refine` after construction).
     pub cfg: GrafControllerConfig,
-    /// Most recent solve, for observability and the bench harness.
-    pub last_solve: Option<SolveResult>,
     /// Most recent applied per-service quotas (after workload rescaling), mc.
     pub last_quotas_mc: Vec<f64>,
     /// Telemetry handle; disabled by default.
@@ -99,15 +97,7 @@ impl GrafController {
     ) -> Self {
         assert_eq!(model.num_services(), analyzer.num_services());
         assert!(cfg.train_total_qps > 0.0);
-        Self {
-            model,
-            analyzer,
-            bounds,
-            cfg,
-            last_solve: None,
-            last_quotas_mc: Vec::new(),
-            obs: Obs::disabled(),
-        }
+        Self { model, analyzer, bounds, cfg, last_quotas_mc: Vec::new(), obs: Obs::disabled() }
     }
 
     /// Attaches a telemetry handle: ticks, solves and planning decisions are
@@ -141,7 +131,7 @@ impl GrafController {
     }
 
     /// One full §3.6 planning pass for the given per-API rates, without
-    /// touching a cluster; it also sets `last_solve` and `last_quotas_mc`.
+    /// touching a cluster; it also sets `last_quotas_mc`.
     ///
     /// With `cpu_unit_mc = Some(unit)` the outcome also carries instance
     /// counts: eq. 7's `ceil(quota/unit)`, tightened by the §6 integer
@@ -185,7 +175,6 @@ impl GrafController {
             }
         });
 
-        self.last_solve = Some(res.clone());
         self.last_quotas_mc = match (&counts, cpu_unit_mc) {
             (Some(c), Some(unit)) if refined => c.iter().map(|&k| k as f64 * unit).collect(),
             _ => quotas.clone(),
@@ -380,6 +369,5 @@ mod tests {
         let d1 = cluster.deployment(ServiceId(1)).desired;
         assert!(d1 > 1, "the heavy service scaled in one tick: {d0}, {d1}");
         assert!(d1 > d0, "the heavier service gets more instances: {d0} vs {d1}");
-        assert!(controller.last_solve.is_some());
     }
 }

@@ -30,8 +30,7 @@
 //! signal age, coverage, analyzer rows held by interpolation, health flags),
 //! the rung it chose, and what it applied (desired counts and deltas). A
 //! Full tick's solver statistics sit on the `graf.controller.tick` span
-//! recorded before it at the same simulated time; only the
-//! `graf.cluster.create` points of the batches its plan started come between.
+//! recorded through the same handle at the same simulated time.
 
 use std::collections::VecDeque;
 

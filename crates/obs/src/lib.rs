@@ -24,6 +24,8 @@
 //!   wall-clock duration, optional simulated time and key/value attributes
 //!   into a bounded event sink on drop.
 //! * [`Obs::point`] records an instantaneous event the same way.
+//! * [`Obs::scoped`] returns a handle on the same sink that stamps `key =
+//!   value` on every event it records, so each event names its run.
 //! * [`Obs::write_jsonl`] and [`Obs::summary`] export the log (see
 //!   [`export`]).
 //!
@@ -178,20 +180,27 @@ impl Inner {
     }
 }
 
-/// The telemetry handle. Clones share the same sink.
+/// An enabled handle: the shared sink and the scope it stamps on its events.
+struct Handle {
+    inner: Arc<Inner>,
+    scope: Vec<(&'static str, Value)>,
+}
+
+/// The telemetry handle. Clones and [`Obs::scoped`] children share the same
+/// sink and sequence.
 ///
 /// A disabled handle (from [`Obs::disabled`] or `Obs::default()`) makes every
 /// operation a cheap no-op.
 #[derive(Clone, Default)]
 pub struct Obs {
-    inner: Option<Arc<Inner>>,
+    handle: Option<Arc<Handle>>,
 }
 
 impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            Some(i) => {
-                let sink = i.sink.lock().expect("obs sink");
+        match &self.handle {
+            Some(h) => {
+                let sink = h.inner.sink.lock().expect("obs sink");
                 write!(
                     f,
                     "Obs {{ enabled, events: {}, dropped: {} }}",
@@ -207,7 +216,7 @@ impl std::fmt::Debug for Obs {
 impl Obs {
     /// A disabled handle: every instrumentation point is a no-op.
     pub fn disabled() -> Self {
-        Self { inner: None }
+        Self { handle: None }
     }
 
     /// An enabled handle with the default event capacity.
@@ -221,36 +230,46 @@ impl Obs {
         reason = "the epoch of the wall_us stamps: telemetry output, never a simulation input"
     )]
     pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            inner: Some(Arc::new(Inner {
-                start: Instant::now(),
-                seq: AtomicU64::new(0),
-                sink: Mutex::new(Sink {
-                    events: Vec::new(),
-                    capacity: capacity.max(1),
-                    dropped: 0,
-                    last_wall_us: 0,
-                }),
-            })),
-        }
+        let inner = Arc::new(Inner {
+            start: Instant::now(),
+            seq: AtomicU64::new(0),
+            sink: Mutex::new(Sink {
+                events: Vec::new(),
+                capacity: capacity.max(1),
+                dropped: 0,
+                last_wall_us: 0,
+            }),
+        });
+        Self { handle: Some(Arc::new(Handle { inner, scope: Vec::new() })) }
     }
 
     /// `true` when this handle records anything.
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.handle.is_some()
+    }
+
+    /// A handle on the same sink that stamps `key = value` on every event it
+    /// records, after this handle's scope (outer first); disabled stays so.
+    pub fn scoped(&self, key: &'static str, value: impl Into<Value>) -> Obs {
+        let handle = self.handle.as_ref().map(|h| {
+            let mut scope = h.scope.clone();
+            scope.push((key, value.into()));
+            Arc::new(Handle { inner: Arc::clone(&h.inner), scope })
+        });
+        Obs { handle }
     }
 
     /// Starts a scoped span; its duration and attributes are recorded when
     /// the returned guard drops. No-op (no allocation) when disabled.
     pub fn span(&self, name: &'static str) -> ObsSpan {
-        match &self.inner {
-            Some(inner) => ObsSpan {
+        match &self.handle {
+            Some(h) => ObsSpan {
                 state: Some(SpanState {
-                    inner: Arc::clone(inner),
+                    inner: Arc::clone(&h.inner),
                     name,
-                    start_us: inner.start.elapsed().as_micros() as u64,
+                    start_us: h.inner.start.elapsed().as_micros() as u64,
                     sim_s: None,
-                    attrs: Vec::new(),
+                    attrs: h.scope.clone(),
                     kind_is_span: true,
                 }),
             },
@@ -270,16 +289,16 @@ impl Obs {
 
     /// Snapshot of all recorded events, in record order.
     pub fn events(&self) -> Vec<Event> {
-        match &self.inner {
-            Some(inner) => inner.sink.lock().expect("obs sink").events.clone(),
+        match &self.handle {
+            Some(h) => h.inner.sink.lock().expect("obs sink").events.clone(),
             None => Vec::new(),
         }
     }
 
     /// Number of events dropped because the sink was full.
     pub fn dropped_events(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.sink.lock().expect("obs sink").dropped,
+        match &self.handle {
+            Some(h) => h.inner.sink.lock().expect("obs sink").dropped,
             None => 0,
         }
     }
@@ -302,9 +321,10 @@ pub struct ObsSpan {
 }
 
 impl ObsSpan {
-    /// Attaches an attribute.
+    /// Attaches an attribute under a key new to the event and its scope.
     pub fn attr(&mut self, key: &'static str, value: impl Into<Value>) -> &mut Self {
         if let Some(s) = &mut self.state {
+            debug_assert!(s.attrs.iter().all(|(k, _)| *k != key), "attribute {key} set twice");
             s.attrs.push((key, value.into()));
         }
         self
@@ -400,6 +420,59 @@ mod tests {
         }
         assert_eq!(obs.events().len(), 4);
         assert_eq!(obs.dropped_events(), 6);
+    }
+
+    #[test]
+    fn a_scoped_span_and_point_carry_the_scope() {
+        let obs = Obs::enabled().scoped("exp", "fig21");
+        obs.span("graf.test.span").attr("x", 1u64);
+        obs.point("graf.test.point");
+        for e in obs.events() {
+            assert_eq!(e.attrs[0], ("exp", Value::Str("fig21".into())), "{}", e.name);
+        }
+        assert_eq!(obs.events()[0].attrs[1], ("x", Value::U64(1)));
+    }
+
+    #[test]
+    fn nested_scopes_come_out_outer_first() {
+        let obs = Obs::enabled();
+        obs.scoped("exp", "chaos")
+            .scoped("fault", "trace_drop")
+            .scoped("policy", "ladder")
+            .point("p");
+        let keys: Vec<&str> = obs.events()[0].attrs.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, ["exp", "fault", "policy"]);
+    }
+
+    #[test]
+    fn a_scoped_disabled_handle_records_nothing() {
+        let obs = Obs::disabled().scoped("exp", "fig21");
+        assert!(!obs.is_enabled());
+        assert!(!obs.span("graf.test").is_recording());
+        obs.point("graf.test.point").attr("k", 1u64);
+        assert!(obs.events().is_empty());
+    }
+
+    #[test]
+    fn a_scoped_clone_writes_into_the_parent_sink() {
+        let obs = Obs::enabled();
+        let child = obs.scoped("users", 750usize).clone();
+        obs.point("first");
+        child.point("second");
+        let evs = obs.events();
+        assert_eq!(
+            evs.iter().map(|e| (e.seq, e.name)).collect::<Vec<_>>(),
+            [(0, "first"), (1, "second")]
+        );
+        assert!(evs[0].attrs.is_empty());
+        assert_eq!(evs[1].attrs, [("users", Value::U64(750))]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "attribute policy set twice")]
+    fn a_scope_key_is_never_an_event_attribute() {
+        Obs::enabled().scoped("policy", "ladder").point("p").attr("policy", "freeze");
     }
 
     #[test]

@@ -28,47 +28,12 @@ pub struct Span {
     pub end_us: u64,
 }
 
-impl Span {
-    /// Span duration in microseconds.
-    pub fn duration_us(&self) -> u64 {
-        self.end_us.saturating_sub(self.start_us)
-    }
-
-    /// `true` when this is the trace's root span.
-    pub fn is_root(&self) -> bool {
-        self.parent.is_none()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn span(start: u64, end: u64) -> Span {
-        Span { span_id: SpanId(1), parent: None, service: 0, start_us: start, end_us: end }
-    }
-
     #[test]
     fn a_span_is_32_bytes() {
         assert_eq!(std::mem::size_of::<Span>(), 32);
-    }
-
-    #[test]
-    fn duration_is_end_minus_start() {
-        assert_eq!(span(10, 35).duration_us(), 25);
-    }
-
-    #[test]
-    fn duration_saturates() {
-        // A degenerate span never yields an underflowed duration.
-        assert_eq!(span(35, 10).duration_us(), 0);
-    }
-
-    #[test]
-    fn root_detection() {
-        let mut s = span(0, 1);
-        assert!(s.is_root());
-        s.parent = Some(SpanId(0));
-        assert!(!s.is_root());
     }
 }

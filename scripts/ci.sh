@@ -42,7 +42,7 @@ else
   echo "SKIPPED: miri is not installed on the nightly toolchain in this environment"
 fi
 
-echo "== graf-exp all --quick (every registered experiment leaves a non-empty artefact, and nothing else; progress in registry order; one telemetry log, every line a span or a point) =="
+echo "== graf-exp all --quick (every registered experiment leaves a non-empty artefact, and nothing else; progress in registry order; one telemetry log, every line a span or a point naming its experiment) =="
 GRAF_EXP="$PWD/target/release/graf-exp"
 ALLDIR="$(mktemp -d)"
 # Outside $ALLDIR: the leftover-files check below wants only results/*.txt there.
@@ -52,10 +52,13 @@ PROGRESS="$(cd "$ALLDIR" && "$GRAF_EXP" all --quick --seed 7 --telemetry "$TELEM
   || { echo "$PROGRESS" >&2; exit 1; }
 echo "$PROGRESS"
 [[ -s "$TELEMETRY" ]] || { echo "graf-exp all --telemetry wrote no log" >&2; exit 1; }
-BAD="$(grep -cvE '^\{.*"type":"(span|point)".*\}$' "$TELEMETRY" || true)"
+# A line is a span or a point whose `exp` attribute names a registered experiment.
+NAMES="$("$GRAF_EXP" list | awk '{print $1}' | paste -sd'|')"
+RECORD='^\{.*"type":"(span|point)".*"exp":"('"$NAMES"')"[,}].*\}$'
+BAD="$(grep -cvE "$RECORD" "$TELEMETRY" || true)"
 [[ "$BAD" == 0 ]] \
-  || { echo "graf-exp all --telemetry: $BAD lines are not span or point records:" >&2;
-       grep -vE '^\{.*"type":"(span|point)".*\}$' "$TELEMETRY" | head -3 >&2; exit 1; }
+  || { echo "graf-exp all --telemetry: $BAD lines are not span or point records naming an experiment:" >&2;
+       grep -vE "$RECORD" "$TELEMETRY" | head -3 >&2; exit 1; }
 [[ "$(awk '$1 == "ok" {print $2}' <<<"$PROGRESS")" == "$("$GRAF_EXP" list | awk '{print $1}')" ]] \
   || { echo "graf-exp all: its ok lines do not name the registry in graf-exp list order" >&2; exit 1; }
 for name in $("$GRAF_EXP" list | awk '{print $1}'); do
