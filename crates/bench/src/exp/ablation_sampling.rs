@@ -57,24 +57,27 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
     let (analyzer, bounds, collector) = (&graf.analyzer, &graf.bounds, &graf.collector);
     let cfg = collector.config();
     let edges = analyzer.edges();
+    // Each collector's `graf.sample.collect` span names its variant.
+    let variant = |name: &'static str| cx.obs.scoped("variant", name);
+    let arm = |name| collector.clone().with_obs(variant(name));
     writeln!(
         cx.out,
         "reduced box volume: {:.2e}× the original",
         bounds.volume_reduction(MIN_QUOTA_MC, cfg.abundant_quota_mc)
     )?;
-    let smart = collector.collect(bounds, analyzer, budget);
+    let smart = arm("state-aware").collect(bounds, analyzer, budget);
 
     // Naive: same budget, quotas uniform over the full original range.
     let naive_bounds =
         Bounds { lower: vec![MIN_QUOTA_MC; n], upper: vec![cfg.abundant_quota_mc; n] };
-    let naive = collector.collect(&naive_bounds, analyzer, budget);
+    let naive = arm("naive").collect(&naive_bounds, analyzer, budget);
 
     // Held-out evaluation set: fresh samples inside the operating box (where
     // the solver actually queries the model), different seeds.
     let mut eval_cfg = cfg.clone();
     eval_cfg.seed ^= 0xE7A1;
     let eval_collector =
-        SampleCollector::new(setup.topo.clone(), eval_cfg).with_obs(cx.obs.clone());
+        SampleCollector::new(setup.topo.clone(), eval_cfg).with_obs(variant("held-out"));
     let eval = eval_collector.collect(bounds, analyzer, (budget / 4).max(60));
 
     let train = TrainConfig { epochs: cx.args.scaled(25, 60, 200), ..Default::default() };

@@ -22,9 +22,7 @@
 use std::io::{self, Write};
 
 use graf_chaos::{ChaosSchedule, FaultKind};
-use graf_core::{
-    GrafBuildConfig, GrafController, PolicyMode, ResilientConfig, ResilientController, TrainConfig,
-};
+use graf_core::{GrafBuildConfig, GrafController, PolicyMode, ResilientController, TrainConfig};
 use graf_loadgen::ClosedLoop;
 use graf_obs::Obs;
 use graf_orchestrator::Cluster;
@@ -92,8 +90,7 @@ fn run_cell(
     cluster.arm_chaos(sched);
     cluster.set_obs(obs.clone());
 
-    let mut rc =
-        ResilientController::new(ctrl, ResilientConfig { mode, ..ResilientConfig::default() });
+    let mut rc = ResilientController::new(ctrl, mode);
     rc.arm_chaos(sched);
     rc.set_obs(obs.clone());
 
@@ -134,7 +131,6 @@ pub fn run(cx: &mut Ctx) -> io::Result<()> {
         },
         num_samples: args.samples.unwrap_or_else(|| args.scaled(120, 400, 2000)),
         split_seed: args.seed ^ 0x5EED,
-        ..Default::default()
     };
     let graf = cx.graf_with(&setup, || cfg);
     writeln!(

@@ -28,9 +28,33 @@ use crate::Args;
 /// description, entry point.
 pub type Entry = (&'static str, &'static str, fn(&mut Ctx) -> io::Result<()>);
 
+mod ablation_integer;
+mod ablation_loss;
+mod ablation_sampling;
+mod chaos_matrix;
+mod fig01_instance_creation;
+mod fig02_03_surge_hpa;
+mod fig06_latency_curves;
+mod fig07_cascading;
+mod fig11_ablation_mpnn;
+mod fig12_loss_heatmap;
+mod fig13_search_space;
+mod fig14_16_resource_saving;
+mod fig17_slo_targeting;
+mod fig18_user_scaling;
+mod fig19_cost_benefit;
+mod fig20_real_workload;
+mod fig21_22_surge_comparison;
+mod solver_latency;
+mod table1_hyperparams;
+mod table2_prediction_error;
+mod table3_budget;
+mod topologies;
+
+// The modules are declared outside the macro so that `cargo fmt` follows
+// them; rustfmt does not format modules declared inside a macro call.
 macro_rules! experiments {
     ($($name:ident: $what:literal,)*) => {
-        $(mod $name;)*
         /// Every experiment, in the order `graf-exp all` starts them.
         pub const REGISTRY: &[Entry] = &[$((stringify!($name), $what, $name::run)),*];
     };
@@ -64,7 +88,7 @@ experiments! {
 /// What the experiments of one `graf-exp` process share, and where the
 /// running one writes. Its caches hold one [`Graf`] per distinct setup —
 /// profile, Algorithm-1 box, samples, trained model and the collector that
-/// measured them — and one tuned HPA threshold per application and SLO.
+/// measured them — and one tuned HPA threshold per distinct setup.
 pub struct Ctx {
     /// The flags, parsed once.
     pub args: Args,
@@ -127,9 +151,8 @@ impl Ctx {
         // 0.05 give that search 10 %-step granularity.
         let grid: Vec<f64> = (1..=9).map(|i| 0.05 + 0.1 * (9 - i) as f64).collect();
         let tune = || tune_hpa_threshold(&setup.steady_trial(), setup.slo_ms, &grid);
-        let key = format!("{} slo={}", setup.topo.name, setup.slo_ms);
         let mut tuned = lock(&self.caches.thresholds);
-        tuned.entry(key).or_insert_with(tune).clone()
+        tuned.entry(setup.key()).or_insert_with(tune).clone()
     }
 
     /// Model builds and HPA tunings performed so far (the caches' misses).

@@ -33,10 +33,23 @@ pub struct AppSetup {
 
 impl AppSetup {
     /// The steady-state trial the HPA threshold is tuned on and GRAF is
-    /// compared in: the probe workload, with generous initial replicas so a
-    /// cold-start backlog does not pollute warm-up.
+    /// compared in: the probe workload on the setup's CPU unit, with
+    /// generous initial replicas so a cold-start backlog does not pollute
+    /// warm-up.
     pub fn steady_trial(&self) -> SteadyTrial {
-        SteadyTrial::new(self.topo.clone(), self.probe_qps.clone()).initial_replicas(6)
+        let mut trial =
+            SteadyTrial::new(self.topo.clone(), self.probe_qps.clone()).initial_replicas(6);
+        trial.cpu_unit_mc = self.cpu_unit_mc;
+        trial
+    }
+
+    /// Everything a model build or an HPA tuning reads from the setup: the
+    /// key of both caches.
+    pub fn key(&self) -> String {
+        format!(
+            "{} slo={} probe={:?} unit={}",
+            self.topo.name, self.slo_ms, self.probe_qps, self.cpu_unit_mc
+        )
     }
 }
 
@@ -89,13 +102,12 @@ pub fn build_config(setup: &AppSetup, args: &Args) -> GrafBuildConfig {
         train,
         num_samples,
         split_seed: args.seed ^ 0x5EED,
-        ..Default::default()
     }
 }
 
-/// Trained pipelines, each distinct one built once. The key is everything
-/// the build reads from the setup; scale and seed come from the process's
-/// one `Args`, so they are not part of it.
+/// Trained pipelines, each distinct one built once, keyed by
+/// [`AppSetup::key`]; scale and seed come from the process's one `Args`, so
+/// they are not part of it.
 #[derive(Default)]
 pub struct ModelCache {
     built: BTreeMap<String, Graf>,
@@ -110,10 +122,7 @@ impl ModelCache {
         obs: &graf_obs::Obs,
         cfg: impl FnOnce() -> GrafBuildConfig,
     ) -> &Graf {
-        let key = format!(
-            "{} slo={} probe={:?} unit={}",
-            setup.topo.name, setup.slo_ms, setup.probe_qps, setup.cpu_unit_mc
-        );
+        let key = setup.key();
         let obs = obs.scoped("build", key.as_str());
         let build = || Graf::build_observed(setup.topo.clone(), cfg(), &obs);
         self.built.entry(key).or_insert_with(build)
@@ -172,5 +181,12 @@ mod tests {
         assert!(quick.train.epochs < paper.train.epochs);
         let explicit = build_config(&setup, &Args { samples: Some(42), ..Default::default() });
         assert_eq!(explicit.num_samples, 42);
+    }
+
+    #[test]
+    fn the_hpa_trial_and_the_cache_key_follow_the_cpu_unit() {
+        let setup = AppSetup { cpu_unit_mc: 500.0, ..boutique_setup() };
+        assert_eq!(setup.steady_trial().cpu_unit_mc, 500.0);
+        assert_ne!(setup.key(), boutique_setup().key());
     }
 }

@@ -14,8 +14,6 @@ pub struct TimelinePoint {
     pub t_s: f64,
     /// Total live instances across deployments.
     pub total_instances: usize,
-    /// Live instances per service.
-    pub per_service_instances: Vec<usize>,
     /// Perceived workload per service (req/s over the trailing 5 s) — the
     /// Figure-7 signal.
     pub per_service_rate: Vec<f64>,
@@ -45,9 +43,6 @@ pub fn run_with_timeline(
             timeline.push(TimelinePoint {
                 t_s: now.as_secs_f64(),
                 total_instances: cluster.total_instances(),
-                per_service_instances: (0..n)
-                    .map(|s| cluster.live_instances(ServiceId(s as u16)))
-                    .collect(),
                 per_service_rate: (0..n)
                     .map(|s| cluster.world().service_arrival_rate(ServiceId(s as u16), 5))
                     .collect(),
@@ -130,13 +125,7 @@ mod tests {
     use graf_sim::topology::ApiId;
 
     fn point(t_s: f64, p99: Option<f64>) -> TimelinePoint {
-        TimelinePoint {
-            t_s,
-            total_instances: 1,
-            per_service_instances: vec![1],
-            per_service_rate: vec![0.0],
-            p99_ms: p99,
-        }
+        TimelinePoint { t_s, total_instances: 1, per_service_rate: vec![0.0], p99_ms: p99 }
     }
 
     #[test]

@@ -106,11 +106,6 @@ impl GrafController {
         self.obs = obs;
     }
 
-    /// The controller configuration.
-    pub fn config(&self) -> &GrafControllerConfig {
-        &self.cfg
-    }
-
     /// The workload analyzer the controller plans with.
     pub fn analyzer(&self) -> &WorkloadAnalyzer {
         &self.analyzer

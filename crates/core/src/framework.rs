@@ -13,15 +13,14 @@ use crate::features::FeatureScaler;
 use crate::latency_model::{LatencyModel, NetKind, TrainConfig, TrainReport};
 use crate::sample_collector::{Bounds, Sample, SampleCollector, SamplingConfig};
 
-/// Configuration for [`Graf::build`].
+/// Configuration for [`Graf::build`], which always trains the GNN
+/// ([`NetKind::Gnn`]).
 #[derive(Clone, Debug)]
 pub struct GrafBuildConfig {
     /// Sampling and Algorithm-1 settings.
     pub sampling: SamplingConfig,
     /// Training settings.
     pub train: TrainConfig,
-    /// Network architecture.
-    pub net: NetKind,
     /// Number of training samples to collect (paper: 42 k–50 k; CPU-scale
     /// default much smaller).
     pub num_samples: usize,
@@ -34,7 +33,6 @@ impl Default for GrafBuildConfig {
         Self {
             sampling: SamplingConfig::default(),
             train: TrainConfig::default(),
-            net: NetKind::Gnn,
             num_samples: 1500,
             split_seed: 42,
         }
@@ -121,7 +119,7 @@ impl Graf {
         let samples = collector.collect(&bounds, &analyzer, cfg.num_samples);
         assert!(!samples.is_empty(), "sample collection produced nothing");
         let (model, report, test_set) =
-            fit(&topo, &analyzer, &samples, cfg.net, cfg.split_seed, &cfg.train, obs);
+            fit(&topo, &analyzer, &samples, NetKind::Gnn, cfg.split_seed, &cfg.train, obs);
         Self { topo, analyzer, bounds, model, report, test_set, samples, collector, build_cfg: cfg }
     }
 
@@ -243,7 +241,7 @@ mod tests {
         assert!(p_small > p_big, "starved config predicts higher latency: {p_small} vs {p_big}");
         // A retrain of the build's own kind and recipe is the build's fit:
         // same scaler, split, label scale and seed.
-        let (model, report) = graf.retrain(graf.build_cfg.net, &graf.build_cfg.train);
+        let (model, report) = graf.retrain(NetKind::Gnn, &graf.build_cfg.train);
         assert_eq!(report.val_loss, graf.report.val_loss);
         assert_eq!(model.predict_ms(&l, &graf.bounds.lower).to_bits(), p_small.to_bits());
     }

@@ -61,6 +61,6 @@ pub use dataset::{Dataset, Split};
 pub use features::FeatureScaler;
 pub use framework::{Graf, GrafBuildConfig};
 pub use latency_model::{LatencyModel, NetKind, TrainConfig, TrainReport};
-pub use resilient::{PolicyLevel, PolicyMode, ResilientConfig, ResilientController};
+pub use resilient::{PolicyLevel, PolicyMode, ResilientController};
 pub use sample_collector::{Bounds, Sample, SampleCollector, SamplingConfig};
 pub use solver::{integer_refine, solve, solve_observed, SolveResult, SolverConfig, Stop};

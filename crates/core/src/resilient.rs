@@ -56,6 +56,10 @@ const MIN_COVERAGE_TRACES: usize = 5;
 const REFIT_BUFFER: usize = 512;
 /// Minimum buffered traces before any refit is attempted.
 const REFIT_MIN_TRACES: usize = 50;
+/// Maximum age of a plan that [`PolicyLevel::LastGood`] may re-apply.
+const MAX_PLAN_AGE: SimDuration = SimDuration(60_000_000);
+/// Rate readings older than this count as stale (unhealthy).
+const MAX_SIGNAL_AGE: SimDuration = SimDuration(20_000_000);
 
 /// The rung of the degradation ladder a tick executed at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,27 +109,6 @@ pub enum PolicyMode {
     FreezeOnFault,
 }
 
-/// Configuration of the degradation ladder.
-#[derive(Clone, Debug)]
-pub struct ResilientConfig {
-    /// Maximum age of a plan that [`PolicyLevel::LastGood`] may re-apply.
-    pub max_plan_age: SimDuration,
-    /// Rate readings older than this count as stale (unhealthy).
-    pub max_signal_age: SimDuration,
-    /// Ladder or the freeze-on-fault strawman.
-    pub mode: PolicyMode,
-}
-
-impl Default for ResilientConfig {
-    fn default() -> Self {
-        Self {
-            max_plan_age: SimDuration::from_secs(60.0),
-            max_signal_age: SimDuration::from_secs(20.0),
-            mode: PolicyMode::Ladder,
-        }
-    }
-}
-
 /// [`GrafController`] wrapped in the health-gated degradation ladder.
 ///
 /// Implements [`Autoscaler`], so it drops into every experiment driver the
@@ -135,7 +118,7 @@ impl Default for ResilientConfig {
 /// the offline fit when traces are complete).
 pub struct ResilientController {
     inner: GrafController,
-    cfg: ResilientConfig,
+    mode: PolicyMode,
     chaos: Option<ChaosEngine>,
     /// Scrape history `(time, rates)` for staleness/snapshot faults.
     history: VecDeque<(SimTime, Vec<f64>)>,
@@ -151,22 +134,22 @@ pub struct ResilientController {
     level: PolicyLevel,
     healthy_streak: u32,
     transitions: u64,
-    interpolated_rows: u64,
     obs: Obs,
     /// Tick sequence number of the `graf.resilient.tick` points.
     ticks: u64,
 }
 
 impl ResilientController {
-    /// Wraps a trained controller in the degradation ladder.
-    pub fn new(inner: GrafController, cfg: ResilientConfig) -> Self {
+    /// Wraps a trained controller in the degradation ladder, reacting to
+    /// unhealthy inputs as `mode` says.
+    pub fn new(inner: GrafController, mode: PolicyMode) -> Self {
         let reference = inner.analyzer().clone();
         let napis = reference.num_apis();
         let nservices = reference.num_services();
         let fallback = KubernetesHpa::new(HpaConfig::default(), nservices);
         Self {
             inner,
-            cfg,
+            mode,
             chaos: None,
             history: VecDeque::new(),
             reference,
@@ -177,7 +160,6 @@ impl ResilientController {
             level: PolicyLevel::Full,
             healthy_streak: 0,
             transitions: 0,
-            interpolated_rows: 0,
             obs: Obs::disabled(),
             ticks: 0,
         }
@@ -207,14 +189,10 @@ impl ResilientController {
         self.transitions
     }
 
-    /// Analyzer rows held back by trace-gap interpolation so far.
-    pub fn interpolated_rows(&self) -> u64 {
-        self.interpolated_rows
-    }
-
-    /// The wrapped controller.
-    pub fn inner(&self) -> &GrafController {
-        &self.inner
+    /// Whether the last healthy plan is young enough for
+    /// [`PolicyLevel::LastGood`] to re-apply at `now`.
+    fn plan_fresh(&self, now: SimTime) -> bool {
+        self.last_plan.as_ref().is_some_and(|(t, _)| now.since(*t) <= MAX_PLAN_AGE)
     }
 
     /// The latest reading taken at or before `t` (falls back to the oldest
@@ -294,10 +272,7 @@ impl ResilientController {
             self.reference.num_services(),
             0.9,
         );
-        let held =
-            self.inner.analyzer_mut().fold_refit(&fresh, &self.coverage, COVERAGE_FLOOR) as u64;
-        self.interpolated_rows += held;
-        held
+        self.inner.analyzer_mut().fold_refit(&fresh, &self.coverage, COVERAGE_FLOOR) as u64
     }
 
     /// The rung the current health signals call for (before hysteresis).
@@ -310,7 +285,7 @@ impl ResilientController {
         creation_ok: bool,
         util_available: bool,
     ) -> PolicyLevel {
-        match self.cfg.mode {
+        match self.mode {
             PolicyMode::FreezeOnFault => {
                 if rates_finite && fresh_ok && cov_ok && creation_ok {
                     PolicyLevel::Full
@@ -323,9 +298,7 @@ impl ResilientController {
                     // Trace gaps are repaired by interpolation inside Full;
                     // creation shortfalls are retried by re-planning.
                     PolicyLevel::Full
-                } else if self.last_plan.as_ref().is_some_and(|(t, _)| {
-                    now.since(*t).as_micros() <= self.cfg.max_plan_age.as_micros()
-                }) {
+                } else if self.plan_fresh(now) {
                     PolicyLevel::LastGood
                 } else if util_available {
                     PolicyLevel::Fallback
@@ -364,7 +337,7 @@ impl Autoscaler for ResilientController {
         let raw = self.inner.observed_rates(cluster);
         self.history.push_back((now, raw.clone()));
         let horizon =
-            now.as_micros().saturating_sub(self.cfg.max_plan_age.as_micros() + 15 * 60 * 1_000_000);
+            now.as_micros().saturating_sub(MAX_PLAN_AGE.as_micros() + 15 * 60 * 1_000_000);
         while self.history.front().is_some_and(|(t, _)| t.as_micros() < horizon) {
             self.history.pop_front();
         }
@@ -377,7 +350,7 @@ impl Autoscaler for ResilientController {
 
         // 3. Health signals.
         let rates_finite = rates.iter().all(|r| r.is_finite());
-        let fresh_ok = age.as_micros() <= self.cfg.max_signal_age.as_micros();
+        let fresh_ok = age <= MAX_SIGNAL_AGE;
         let cov_ok = self.coverage.iter().all(|&c| c >= COVERAGE_FLOOR);
         let creation_ok = cluster.deployments().iter().all(|d| {
             let (starting, ready, _) = cluster.world().instance_counts(d.service);
@@ -401,13 +374,8 @@ impl Autoscaler for ResilientController {
         let mut next =
             if demoting || self.healthy_streak >= RECOVERY_TICKS { target } else { self.level };
         // A hysteresis hold must still respect the bounded plan age.
-        if next == PolicyLevel::LastGood {
-            let plan_fresh = self.last_plan.as_ref().is_some_and(|(t, _)| {
-                now.since(*t).as_micros() <= self.cfg.max_plan_age.as_micros()
-            });
-            if !plan_fresh {
-                next = if util_available { PolicyLevel::Fallback } else { PolicyLevel::Freeze };
-            }
+        if next == PolicyLevel::LastGood && !self.plan_fresh(now) {
+            next = if util_available { PolicyLevel::Fallback } else { PolicyLevel::Freeze };
         }
 
         // 5. Act at the chosen rung.
@@ -535,18 +503,13 @@ mod tests {
 
     #[test]
     fn ladder_degrades_and_recovers_with_hysteresis() {
-        let cfg = ResilientConfig {
-            max_plan_age: SimDuration::from_secs(30.0),
-            max_signal_age: SimDuration::from_secs(10.0),
-            ..ResilientConfig::default()
-        };
-        let mut rc = ResilientController::new(tiny_controller(), cfg);
+        let mut rc = ResilientController::new(tiny_controller(), PolicyMode::Ladder);
         let schedule =
-            graf_chaos::ChaosSchedule::new(9).fault(FaultKind::MetricNan, t(20.0), t(60.0));
+            graf_chaos::ChaosSchedule::new(9).fault(FaultKind::MetricNan, t(20.0), t(90.0));
         rc.arm_chaos(&schedule);
         let mut cluster = cluster2(31);
         let mut levels = Vec::new();
-        for secs in [10.0, 15.0, 25.0, 48.0, 65.0, 70.0] {
+        for secs in [10.0, 15.0, 25.0, 78.0, 95.0, 100.0] {
             cluster.world_mut().run_until(t(secs));
             rc.tick(&mut cluster);
             levels.push(rc.level());
@@ -556,8 +519,8 @@ mod tests {
             vec![
                 PolicyLevel::Full,     // healthy
                 PolicyLevel::Full,     // healthy; plan recorded at 15 s
-                PolicyLevel::LastGood, // NaN rates, plan age 10 s ≤ 30 s
-                PolicyLevel::Fallback, // NaN rates, plan age 33 s > 30 s
+                PolicyLevel::LastGood, // NaN rates, plan age 10 s ≤ 60 s
+                PolicyLevel::Fallback, // NaN rates, plan age 63 s > 60 s
                 PolicyLevel::Fallback, // healthy again, but streak 1 < 2: held
                 PolicyLevel::Full,     // streak 2 → recovered
             ]
@@ -567,8 +530,7 @@ mod tests {
 
     #[test]
     fn freeze_mode_freezes_on_any_fault_and_ladder_stays_live() {
-        let cfg = ResilientConfig { mode: PolicyMode::FreezeOnFault, ..ResilientConfig::default() };
-        let mut rc = ResilientController::new(tiny_controller(), cfg);
+        let mut rc = ResilientController::new(tiny_controller(), PolicyMode::FreezeOnFault);
         let schedule =
             graf_chaos::ChaosSchedule::new(9).fault(FaultKind::MetricNan, t(20.0), t(60.0));
         rc.arm_chaos(&schedule);
@@ -586,14 +548,9 @@ mod tests {
 
     #[test]
     fn every_tick_logs_its_decision_through_obs() {
-        let cfg = ResilientConfig {
-            max_plan_age: SimDuration::from_secs(30.0),
-            max_signal_age: SimDuration::from_secs(10.0),
-            ..ResilientConfig::default()
-        };
-        let mut rc = ResilientController::new(tiny_controller(), cfg);
+        let mut rc = ResilientController::new(tiny_controller(), PolicyMode::Ladder);
         let schedule =
-            graf_chaos::ChaosSchedule::new(9).fault(FaultKind::MetricNan, t(20.0), t(60.0));
+            graf_chaos::ChaosSchedule::new(9).fault(FaultKind::MetricNan, t(20.0), t(90.0));
         rc.arm_chaos(&schedule);
         let obs = Obs::enabled();
         rc.set_obs(obs.clone());
@@ -601,7 +558,7 @@ mod tests {
         let mut cluster = cluster2(31);
         // Same timeline as `ladder_degrades_and_recovers_with_hysteresis` up
         // to the fallback demotion: full, full, last_good, fallback.
-        for secs in [10.0, 15.0, 25.0, 48.0] {
+        for secs in [10.0, 15.0, 25.0, 78.0] {
             cluster.world_mut().run_until(t(secs));
             rc.tick(&mut cluster);
         }
@@ -639,21 +596,16 @@ mod tests {
     #[test]
     fn telemetry_does_not_perturb_decisions() {
         let run = |instrument: bool| -> (Vec<usize>, Vec<PolicyLevel>) {
-            let cfg = ResilientConfig {
-                max_plan_age: SimDuration::from_secs(30.0),
-                max_signal_age: SimDuration::from_secs(10.0),
-                ..ResilientConfig::default()
-            };
-            let mut rc = ResilientController::new(tiny_controller(), cfg);
+            let mut rc = ResilientController::new(tiny_controller(), PolicyMode::Ladder);
             let schedule =
-                graf_chaos::ChaosSchedule::new(9).fault(FaultKind::MetricNan, t(20.0), t(60.0));
+                graf_chaos::ChaosSchedule::new(9).fault(FaultKind::MetricNan, t(20.0), t(90.0));
             rc.arm_chaos(&schedule);
             if instrument {
                 rc.set_obs(Obs::enabled());
             }
             let mut cluster = cluster2(31);
             let mut levels = Vec::new();
-            for secs in [10.0, 15.0, 25.0, 48.0, 65.0, 70.0] {
+            for secs in [10.0, 15.0, 25.0, 78.0, 95.0, 100.0] {
                 cluster.world_mut().run_until(t(secs));
                 rc.tick(&mut cluster);
                 levels.push(rc.level());
@@ -669,7 +621,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "SimConfig::trace_sample")]
     fn an_untraced_world_is_refused() {
-        let mut rc = ResilientController::new(tiny_controller(), ResilientConfig::default());
+        let mut rc = ResilientController::new(tiny_controller(), PolicyMode::Ladder);
         let world = World::new(topo2(), SimConfig::default(), 31);
         let mut cluster = Cluster::uniform(world, 250.0, 1);
         rc.tick(&mut cluster);
@@ -677,7 +629,7 @@ mod tests {
 
     #[test]
     fn healthy_ticks_match_inner_controller_exactly() {
-        let mut rc = ResilientController::new(tiny_controller(), ResilientConfig::default());
+        let mut rc = ResilientController::new(tiny_controller(), PolicyMode::Ladder);
         let mut plain = tiny_controller();
         let mut ca = cluster2(31);
         let mut cb = cluster2(31);

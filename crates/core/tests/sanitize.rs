@@ -18,7 +18,7 @@ use graf_chaos::ChaosSchedule;
 use graf_core::sample_collector::Bounds;
 use graf_core::{
     integer_refine, solve, FeatureScaler, GrafController, GrafControllerConfig, LatencyModel,
-    NetKind, ResilientConfig, ResilientController, SolverConfig, Stop, WorkloadAnalyzer,
+    NetKind, PolicyMode, ResilientController, SolverConfig, Stop, WorkloadAnalyzer,
 };
 use graf_nn::sanitize::{alloc_delta, CountingAlloc};
 use graf_orchestrator::{Autoscaler, Cluster, CreationModel, Deployment};
@@ -160,7 +160,7 @@ fn resilient_tick_with_a_chaos_fault_is_bounded_and_stable() {
     let kinds = graf_chaos::named_faults("metric_stale", ServiceId(0)).expect("catalog entry");
     let resilient_allocs = |window: Option<(f64, f64)>| {
         let (inner, mut cluster) = pilot();
-        let mut controller = ResilientController::new(inner, ResilientConfig::default());
+        let mut controller = ResilientController::new(inner, PolicyMode::Ladder);
         if let Some((from, until)) = window {
             let schedule = kinds.iter().fold(ChaosSchedule::new(5), |s, kind| {
                 s.fault(kind.clone(), SimTime::from_secs(from), SimTime::from_secs(until))

@@ -11,21 +11,22 @@
 
 use graf_sim::rng::DetRng;
 
+/// Amplitude of the slow (diurnal-like) oscillation, fraction of the mean.
+const SWING: f64 = 0.35;
+/// Multiplicative noise std (lognormal).
+const NOISE: f64 = 0.10;
+/// Probability per minute of a burst.
+const BURST_PROB: f64 = 0.08;
+/// Burst multiplier.
+const BURST_SCALE: f64 = 1.35;
+
 /// Parameters of the synthetic series.
 #[derive(Clone, Debug)]
 pub struct AzureParams {
     /// Mean user count around which the series oscillates.
     pub mean_users: f64,
-    /// Amplitude of the slow (diurnal-like) oscillation, fraction of mean.
-    pub swing: f64,
     /// Period of the slow oscillation, in minutes.
     pub period_min: f64,
-    /// Multiplicative noise std (lognormal).
-    pub noise: f64,
-    /// Probability per minute of a burst.
-    pub burst_prob: f64,
-    /// Burst multiplier.
-    pub burst_scale: f64,
     /// Minute at which a sharp drop occurs (`None` to disable).
     pub drop_at_min: Option<usize>,
     /// Fraction of load remaining after the drop.
@@ -36,11 +37,7 @@ impl Default for AzureParams {
     fn default() -> Self {
         Self {
             mean_users: 55.0,
-            swing: 0.35,
             period_min: 18.0,
-            noise: 0.10,
-            burst_prob: 0.08,
-            burst_scale: 1.35,
             drop_at_min: Some(25), // ≈ 1500 s into a 1900 s replay
             drop_to: 0.45,
         }
@@ -54,9 +51,9 @@ pub fn azure_series(params: &AzureParams, minutes: usize, seed: u64) -> Vec<u32>
     let mut out = Vec::with_capacity(minutes);
     for m in 0..minutes {
         let phase = (m as f64 / params.period_min) * std::f64::consts::TAU;
-        let envelope = 1.0 + params.swing * phase.sin();
-        let noise = rng.lognormal_mean_cv(1.0, params.noise);
-        let burst = if rng.chance(params.burst_prob) { params.burst_scale } else { 1.0 };
+        let envelope = 1.0 + SWING * phase.sin();
+        let noise = rng.lognormal_mean_cv(1.0, NOISE);
+        let burst = if rng.chance(BURST_PROB) { BURST_SCALE } else { 1.0 };
         let dropped = match params.drop_at_min {
             Some(d) if m >= d => params.drop_to,
             _ => 1.0,
@@ -97,11 +94,26 @@ mod tests {
 
     #[test]
     fn swing_produces_variation() {
-        let p =
-            AzureParams { noise: 0.0, burst_prob: 0.0, drop_at_min: None, ..Default::default() };
-        let s = azure_series(&p, 36, 4);
-        let max = *s.iter().max().unwrap() as f64;
-        let min = *s.iter().min().unwrap() as f64;
-        assert!(max / min > 1.5, "diurnal swing visible: {min}..{max}");
+        // Twenty periods, so noise and bursts average out: the minutes near
+        // the envelope's crest carry about (1 + 0.83 SWING) / (1 - 0.83 SWING)
+        // ≈ 1.8 times the load of those near its trough.
+        let p = AzureParams { drop_at_min: None, ..Default::default() };
+        let s = azure_series(&p, 360, 4);
+        let mean_where = |crest: bool| {
+            let picked: Vec<f64> = (0..s.len())
+                .filter(|&m| {
+                    let sin = (m as f64 / p.period_min * std::f64::consts::TAU).sin();
+                    if crest {
+                        sin > 0.5
+                    } else {
+                        sin < -0.5
+                    }
+                })
+                .map(|m| s[m] as f64)
+                .collect();
+            picked.iter().sum::<f64>() / picked.len() as f64
+        };
+        let (crest, trough) = (mean_where(true), mean_where(false));
+        assert!(crest / trough > 1.5, "diurnal swing visible: {trough}..{crest}");
     }
 }

@@ -53,54 +53,3 @@ pub trait LoadGen {
     /// Observes requests that completed during the last segment.
     fn on_completions(&mut self, _completions: &[Completion]) {}
 }
-
-/// Combines several generators into one (e.g. a background open-loop rate plus
-/// a closed-loop user population).
-pub struct Combined {
-    parts: Vec<Box<dyn LoadGen>>,
-}
-
-impl Combined {
-    /// Combines the given generators.
-    pub fn new(parts: Vec<Box<dyn LoadGen>>) -> Self {
-        Self { parts }
-    }
-}
-
-impl LoadGen for Combined {
-    fn arrivals(&mut self, from: SimTime, to: SimTime) -> Vec<(SimTime, ApiId)> {
-        let mut out = Vec::new();
-        for p in &mut self.parts {
-            out.extend(p.arrivals(from, to));
-        }
-        out
-    }
-
-    fn on_completions(&mut self, completions: &[Completion]) {
-        for p in &mut self.parts {
-            p.on_completions(completions);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    struct Fixed(u16);
-    impl LoadGen for Fixed {
-        fn arrivals(&mut self, from: SimTime, to: SimTime) -> Vec<(SimTime, ApiId)> {
-            let _ = to;
-            vec![(from, ApiId(self.0))]
-        }
-    }
-
-    #[test]
-    fn combined_merges_parts() {
-        let mut c = Combined::new(vec![Box::new(Fixed(0)), Box::new(Fixed(1))]);
-        let a = c.arrivals(SimTime(0), SimTime(10));
-        assert_eq!(a.len(), 2);
-        assert_eq!(a[0].1, ApiId(0));
-        assert_eq!(a[1].1, ApiId(1));
-    }
-}

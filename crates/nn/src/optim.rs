@@ -3,17 +3,18 @@
 
 use crate::param::Param;
 
-/// Adam with bias correction.
+/// First-moment decay.
+const BETA1: f64 = 0.9;
+/// Second-moment decay.
+const BETA2: f64 = 0.999;
+/// Numerical stabilizer.
+const EPS: f64 = 1e-8;
+
+/// Adam with bias correction and the standard betas.
 #[derive(Clone, Copy, Debug)]
 pub struct Adam {
     /// Learning rate (paper: 2 × 10⁻⁴ for training, Table 1).
     pub lr: f64,
-    /// First-moment decay.
-    pub beta1: f64,
-    /// Second-moment decay.
-    pub beta2: f64,
-    /// Numerical stabilizer.
-    pub eps: f64,
     t: u64,
     // Bias corrections for the step in progress, cached by `begin_step` so
     // `update` is a pure per-tensor pass (no per-call `powi`).
@@ -22,9 +23,9 @@ pub struct Adam {
 }
 
 impl Adam {
-    /// Creates Adam with the standard betas.
+    /// Creates Adam with learning rate `lr`.
     pub fn new(lr: f64) -> Self {
-        Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, bc1: 1.0, bc2: 1.0 }
+        Self { lr, t: 0, bc1: 1.0, bc2: 1.0 }
     }
 
     /// Opens optimizer step `t + 1`: advances time and caches the bias
@@ -33,8 +34,8 @@ impl Adam {
     /// in place, with no `Vec` of `&mut Param`s.
     pub fn begin_step(&mut self) {
         self.t += 1;
-        self.bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        self.bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        self.bc1 = 1.0 - BETA1.powi(self.t as i32);
+        self.bc2 = 1.0 - BETA2.powi(self.t as i32);
     }
 
     /// Steps one parameter against its accumulated gradient, then zeroes the
@@ -66,11 +67,11 @@ impl Adam {
     /// coordinate, keeps its moments as two scalars this way.
     #[inline(always)]
     pub fn delta(&self, g: f64, m: &mut f64, v: &mut f64) -> f64 {
-        *m = self.beta1 * *m + (1.0 - self.beta1) * g;
-        *v = self.beta2 * *v + (1.0 - self.beta2) * (g * g);
+        *m = BETA1 * *m + (1.0 - BETA1) * g;
+        *v = BETA2 * *v + (1.0 - BETA2) * (g * g);
         let mhat = *m / self.bc1;
         let vhat = *v / self.bc2;
-        -self.lr * mhat / (vhat.sqrt() + self.eps)
+        -self.lr * mhat / (vhat.sqrt() + EPS)
     }
 }
 

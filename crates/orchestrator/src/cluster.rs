@@ -6,8 +6,13 @@ use graf_sim::world::World;
 
 use crate::creation::CreationModel;
 
-/// A Kubernetes-style deployment: one service, a fixed CPU unit per instance,
-/// a desired replica count and bounds.
+/// Replica bounds of every deployment: a desired count is clamped to
+/// `[MIN_REPLICAS, MAX_REPLICAS]`.
+const MIN_REPLICAS: usize = 1;
+const MAX_REPLICAS: usize = 1000;
+
+/// A Kubernetes-style deployment: one service, a fixed CPU unit per instance
+/// and a desired replica count.
 #[derive(Clone, Debug)]
 pub struct Deployment {
     /// Managed service.
@@ -17,25 +22,13 @@ pub struct Deployment {
     pub cpu_unit_mc: f64,
     /// Current desired replicas.
     pub desired: usize,
-    /// Lower bound on replicas.
-    pub min_replicas: usize,
-    /// Upper bound on replicas.
-    pub max_replicas: usize,
 }
 
 impl Deployment {
-    /// Creates a deployment with bounds `[1, 1000]` and the given initial size.
+    /// Creates a deployment with the given initial size.
     pub fn new(service: ServiceId, cpu_unit_mc: f64, initial: usize) -> Self {
         assert!(cpu_unit_mc > 0.0);
-        Self { service, cpu_unit_mc, desired: initial, min_replicas: 1, max_replicas: 1000 }
-    }
-
-    /// Sets replica bounds.
-    pub fn bounds(mut self, min: usize, max: usize) -> Self {
-        assert!(min <= max);
-        self.min_replicas = min;
-        self.max_replicas = max;
-        self
+        Self { service, cpu_unit_mc, desired: initial }
     }
 }
 
@@ -134,8 +127,8 @@ impl Cluster {
         self.inflight_creations.len()
     }
 
-    /// Sets the desired replica count of `service`, clamped to the
-    /// deployment's bounds. Added instances become ready after the
+    /// Sets the desired replica count of `service`, clamped to
+    /// `[MIN_REPLICAS, MAX_REPLICAS]`. Added instances become ready after the
     /// creation-latency curve; removals drain immediately.
     ///
     /// Returns the applied (clamped) desired count.
@@ -146,7 +139,7 @@ impl Cluster {
             .iter_mut()
             .find(|d| d.service == service)
             .expect("service has a deployment");
-        let target = replicas.clamp(d.min_replicas, d.max_replicas);
+        let target = replicas.clamp(MIN_REPLICAS, MAX_REPLICAS);
         let unit = d.cpu_unit_mc;
         d.desired = target;
         let (starting, ready, _draining) = self.world.instance_counts(service);
@@ -300,14 +293,12 @@ mod tests {
         let world = World::new(topo(), SimConfig::default(), 1);
         let mut c = Cluster::new(
             world,
-            vec![
-                Deployment::new(ServiceId(0), 500.0, 2).bounds(2, 4),
-                Deployment::new(ServiceId(1), 500.0, 1),
-            ],
+            vec![Deployment::new(ServiceId(0), 500.0, 2), Deployment::new(ServiceId(1), 500.0, 1)],
             CreationModel::instant(),
         );
-        assert_eq!(c.set_desired(ServiceId(0), 0), 2);
-        assert_eq!(c.set_desired(ServiceId(0), 100), 4);
+        assert_eq!(c.set_desired(ServiceId(0), 0), MIN_REPLICAS);
+        assert_eq!(c.set_desired(ServiceId(0), MAX_REPLICAS + 5), MAX_REPLICAS);
+        assert_eq!(c.deployment(ServiceId(0)).desired, MAX_REPLICAS);
     }
 
     #[test]

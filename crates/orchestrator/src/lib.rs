@@ -11,8 +11,9 @@
 //!   measured curve of the paper's Figure 1 (5.5 s for one instance, rising
 //!   to 45.6 s when 16 are created at once). This delay is what turns
 //!   chain-oblivious autoscaling into the cascading effect of §2.1.
-//! * [`cluster`] — [`Cluster`]: deployments (service + CPU unit per instance
-//!   + replica bounds) and the `set_desired`/apply machinery.
+//! * [`cluster`] — [`Cluster`]: deployments (service, CPU unit per instance,
+//!   desired replicas clamped to `[1, 1000]`) and the `set_desired`/apply
+//!   machinery.
 //! * [`autoscaler`] — the [`Autoscaler`] trait and baselines: the
 //!   threshold-based Kubernetes HPA (15 s interval, 5-minute scale-down
 //!   stabilization, §2.1/§5.3), the FIRM-like p95/p50-ratio scaler (§5.3),

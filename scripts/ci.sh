@@ -1,18 +1,15 @@
 #!/usr/bin/env bash
 # CI gate: build, test, formatting, docs, sanitizers. Run from the repo root.
-# clippy with the workspace bans (clippy.toml, [workspace.lints]) runs inside
-# `cargo test -q`: tests/lints.rs.
+# clippy with the workspace bans (clippy.toml, [workspace.lints]) and
+# `cargo fmt --check` run inside `cargo test -q`: tests/lints.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q (whole workspace via default-members: doctests, the counting-allocator suites and clippy -D warnings included) =="
+echo "== cargo test -q (whole workspace via default-members: doctests, the counting-allocator suites, clippy -D warnings and fmt --check included) =="
 cargo test -q
-
-echo "== cargo fmt --check =="
-cargo fmt --check
 
 echo "== cargo doc (deny warnings; missing_docs denied per-crate) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
@@ -59,6 +56,11 @@ BAD="$(grep -cvE "$RECORD" "$TELEMETRY" || true)"
 [[ "$BAD" == 0 ]] \
   || { echo "graf-exp all --telemetry: $BAD lines are not span or point records naming an experiment:" >&2;
        grep -vE "$RECORD" "$TELEMETRY" | head -3 >&2; exit 1; }
+# ablation_sampling's three collect spans are told apart by their variant scope.
+VARIANTS="$(grep '"name":"graf.sample.collect"' "$TELEMETRY" \
+  | grep -oE '"exp":"ablation_sampling","variant":"[^"]*"' | sed 's/.*"variant"://' | sort -u | paste -sd' ')"
+[[ "$VARIANTS" == '"held-out" "naive" "state-aware"' ]] \
+  || { echo "graf-exp all --telemetry: ablation_sampling's collect spans carry variants [$VARIANTS], want held-out, naive, state-aware" >&2; exit 1; }
 [[ "$(awk '$1 == "ok" {print $2}' <<<"$PROGRESS")" == "$("$GRAF_EXP" list | awk '{print $1}')" ]] \
   || { echo "graf-exp all: its ok lines do not name the registry in graf-exp list order" >&2; exit 1; }
 for name in $("$GRAF_EXP" list | awk '{print $1}'); do

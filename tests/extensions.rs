@@ -37,7 +37,6 @@ fn build(seed: u64) -> Graf {
             train: TrainConfig { epochs: 150, evals: 10, seed, ..Default::default() },
             num_samples: 350,
             split_seed: seed ^ 0xE1,
-            ..Default::default()
         },
     )
 }

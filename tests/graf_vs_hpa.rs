@@ -35,7 +35,6 @@ fn graf_meets_slo_with_competitive_quota() {
             train: TrainConfig { epochs: 30, evals: 6, seed: 31, ..Default::default() },
             num_samples: 300,
             split_seed: 3,
-            ..Default::default()
         },
     );
 

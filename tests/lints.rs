@@ -1,4 +1,5 @@
-//! Integration: the workspace passes clippy with warnings denied.
+//! Integration: the workspace passes clippy with warnings denied, and
+//! `cargo fmt --check`.
 //!
 //! The bans that keep seeded runs deterministic (no wall clock, no threads
 //! outside the two ordered-reduction files, no hash containers) live in
@@ -28,6 +29,25 @@ fn workspace_is_clean() {
         out.status.success(),
         "`cargo clippy -- -D warnings` failed ({}); is clippy installed?\n{}",
         out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// Every module is formatted, the experiments under `crates/bench/src/exp/`
+/// included: they are declared as plain `mod` items, which `cargo fmt`
+/// follows. A missing rustfmt is a failure, as a missing clippy is.
+#[test]
+fn workspace_is_formatted() {
+    let out = Command::new(env!("CARGO"))
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .args(["fmt", "--check"])
+        .output()
+        .expect("could not start cargo");
+    assert!(
+        out.status.success(),
+        "`cargo fmt --check` failed ({}); is rustfmt installed?\n{}{}",
+        out.status,
+        String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
 }

@@ -39,7 +39,6 @@ fn quick_cfg(seed: u64) -> GrafBuildConfig {
         train: TrainConfig { epochs: 150, evals: 10, seed, ..Default::default() },
         num_samples: 350,
         split_seed: seed ^ 0xAB,
-        ..Default::default()
     }
 }
 
